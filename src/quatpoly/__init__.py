@@ -53,11 +53,9 @@ from .linalg import (
     vec_entries,
 )
 from .matpoly import (
-    ComplexMatrixPolynomial,
     MatrixPolynomial,
     PolynomialZero,
     ScalarQPolynomial,
-    adjoint_polynomial,
     companion,
     eigenvector_at,
     evaluate_action,
@@ -105,8 +103,8 @@ __all__ = [
     "complex_adjoint", "real_rep_left", "real_rep_right_scalar",
     "rank_decision", "eig_complex", "right_eigenvalues", "right_eigenpairs",
     "spectral_norm", "inverse",
-    "MatrixPolynomial", "ScalarQPolynomial", "ComplexMatrixPolynomial",
-    "PolynomialZero", "evaluate_action", "adjoint_polynomial", "companion",
+    "MatrixPolynomial", "ScalarQPolynomial", "PolynomialZero",
+    "evaluate_action", "companion",
     "polyeig", "polyeig_with_residuals", "reversal", "is_eigenvalue_oracle",
     "eigenvector_at", "scalar_char_poly", "scalar_zeros",
     "Region", "RegionKind", "StabilityStatus", "HyperStatus",

@@ -11,6 +11,7 @@ plain decimal JSON numbers.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Optional
 
 from .linalg import QuaternionMatrix, vec_entries
@@ -24,13 +25,25 @@ class InputFormatError(ValueError):
     """Raised when an input file does not match its expected schema."""
 
 
+def _not_bool(value, what: str):
+    # JSON true/false load as Python bools, which int and float accept.
+    if isinstance(value, bool):
+        raise InputFormatError(f"{what} must be a number, got {value!r}")
+    return value
+
+
 def quaternion_from_json(data) -> Quaternion:
     if not isinstance(data, (list, tuple)) or len(data) != 4:
         raise InputFormatError(f"expected a 4-array [w, x, y, z], got {data!r}")
+    for v in data:
+        _not_bool(v, "quaternion entry")
     try:
-        return Quaternion.from_array(data)
+        q = Quaternion.from_array(data)
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"bad quaternion {data!r}") from exc
+    if not all(math.isfinite(v) for v in q.as_array()):
+        raise InputFormatError(f"quaternion entries must be finite, got {data!r}")
+    return q
 
 
 def quaternion_to_json(q: Quaternion) -> list[float]:
@@ -88,9 +101,11 @@ def region_from_json(data) -> Region:
             return Region.finite_set([quaternion_from_json(p) for p in points])
         center = quaternion_from_json(data.get("center", [0, 0, 0, 0]))
         if kind is RegionKind.ANNULUS:
-            return Region.annulus(center, float(data["inner_radius"]),
-                                  float(data["outer_radius"]))
-        return Region(kind, center=center, radius=float(data["radius"]))
+            return Region.annulus(center,
+                                  float(_not_bool(data["inner_radius"], "inner_radius")),
+                                  float(_not_bool(data["outer_radius"], "outer_radius")))
+        return Region(kind, center=center,
+                      radius=float(_not_bool(data["radius"], "radius")))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InputFormatError):
             raise
@@ -122,11 +137,12 @@ def multipolynomial_from_json(data) -> MultiPolynomial:
         if not isinstance(term, dict) or "word" not in term or "coeff" not in term:
             raise InputFormatError('each term needs a "word" and a "coeff"')
         word = term["word"]
-        if not isinstance(word, list) or not all(isinstance(v, int) for v in word):
+        if not isinstance(word, list) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in word):
             raise InputFormatError(f'bad word {word!r}')
         pairs.append((tuple(word), matrix_from_json(term["coeff"])))
     try:
-        return MultiPolynomial.build(int(data["k"]), pairs)
+        return MultiPolynomial.build(int(_not_bool(data["k"], '"k"')), pairs)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
 

@@ -7,6 +7,8 @@ Three independent routes to the same eigenvalues are kept side by side:
 
 * companion linearization plus the complex lift (the fast path),
 * the realified 4n x 4n singularity oracle (the exact brute-force check),
+  which is the one-letter case of the realified sweep that finite sets,
+  sample grids and multivariate tuples share,
 * for 1 x 1 polynomials, the real characteristic polynomial of degree 2m.
 """
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,11 +40,10 @@ from .linalg import (
     qvec,
     rank_decision,
     real_rep_left,
-    real_rep_right_scalar,
     spectral_norm,
     vec4_to_qvec,
 )
-from .quaternion import Quaternion, StandardEigenvalue, standardize
+from .quaternion import Quaternion, StandardEigenvalue, right_action_matrix, standardize
 
 POLYEIG_RESIDUAL_REL = 1e-7
 
@@ -62,6 +63,8 @@ class MatrixPolynomial:
                 raise ValueError("coefficients must be square")
             if a.n_rows != n:
                 raise ValueError("coefficients must share one dimension")
+            if not a.is_finite():
+                raise ValueError("coefficients must be finite")
         if trim:
             while len(coeffs) > 1 and coeffs[-1].is_zero():
                 coeffs.pop()
@@ -77,23 +80,13 @@ class MatrixPolynomial:
     def size(self) -> int:
         return self.coeffs[0].n_rows
 
+    @property
+    def terms(self) -> tuple[tuple[tuple[int, ...], QuaternionMatrix], ...]:
+        """(word, A_i) pairs with the one-letter word (1,) * i."""
+        return tuple(((1,) * i, a) for i, a in enumerate(self.coeffs))
+
     def __repr__(self) -> str:
         return f"MatrixPolynomial(degree={self.degree}, size={self.size})"
-
-
-@dataclass(frozen=True)
-class ComplexMatrixPolynomial:
-    """Coefficientwise complex lift of a quaternion matrix polynomial."""
-
-    coeffs: tuple
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def size(self) -> int:
-        return self.coeffs[0].shape[0]
 
 
 def _as_column(y, n: int) -> QuaternionMatrix:
@@ -116,11 +109,6 @@ def evaluate_action(p: MatrixPolynomial, y, mu: Quaternion) -> QuaternionMatrix:
         power = power.scale_right(mu)
         acc = acc + (p.coeffs[i] @ power)
     return acc
-
-
-def adjoint_polynomial(p: MatrixPolynomial) -> ComplexMatrixPolynomial:
-    """Coefficientwise complex lift; degree and size double bookkeeping only."""
-    return ComplexMatrixPolynomial(tuple(complex_adjoint(a) for a in p.coeffs))
 
 
 def reversal(p: MatrixPolynomial) -> MatrixPolynomial:
@@ -266,41 +254,56 @@ def polyeig(p: MatrixPolynomial) -> list[StandardEigenvalue]:
     return [ev for ev, _ in polyeig_with_residuals(p)]
 
 
+def eval_word(word: Sequence[int], mus: Sequence[Quaternion]) -> Quaternion:
+    """Ordered left-to-right product of the substituted letters."""
+    acc = Quaternion.ONE
+    for letter in word:
+        idx = int(letter) - 1
+        if idx < 0 or idx >= len(mus):
+            raise ValueError(f"letter {letter} outside 1..{len(mus)}")
+        acc = acc * mus[idx]
+    return acc
+
+
+def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
+                    tuples: Iterable[Sequence[Quaternion]]):
+    """The realified oracle over an ordered iterable of substitution tuples.
+
+    ``terms`` are (word, A_w) pairs of y -> sum_w A_w y w(mu_1, ..., mu_k);
+    each left factor is realified once, and the right factor w(mu) is
+    applied per 4 x 4 block.  Returns ("singular", tuple, unit kernel
+    vector) for the first singular tuple, else ("unknown", None, None) when
+    some tuple fell in the rank dead band, else ("nonsingular", None, None).
+    """
+    n = terms[0][1].n_rows
+    lefts = [(word, real_rep_left(a).reshape(4 * n, n, 4)) for word, a in terms]
+    undecided = False
+    for tup in tuples:
+        op = np.zeros((4 * n, n, 4))
+        for word, left in lefts:
+            op += left @ right_action_matrix(eval_word(word, tup))
+        status, kernel = rank_decision(op.reshape(4 * n, 4 * n))
+        if status == "singular":
+            return status, tup, vec4_to_qvec(kernel / np.linalg.norm(kernel))
+        undecided = undecided or status == "unknown"
+    return ("unknown" if undecided else "nonsingular"), None, None
+
+
 def is_eigenvalue_oracle(p: MatrixPolynomial, mu: Quaternion):
     """Exact brute-force eigenvalue test through realification.
 
-    Builds the 4n x 4n real operator of y -> sum_i A_i y mu^i and tests rank
-    deficiency.  Returns True, False, or None when the pivot lands in the
-    undecided band.
+    The one-point sweep of y -> sum_i A_i y mu^i.  Returns True, False, or
+    None when the pivot lands in the undecided band.
     """
-    status, _kernel = rank_decision(_realified_action(p, mu))
-    if status == "singular":
-        return True
-    if status == "nonsingular":
-        return False
-    return None
+    status, _, _ = realified_sweep(p.terms, [(mu,)])
+    if status == "unknown":
+        return None
+    return status == "singular"
 
 
 def eigenvector_at(p: MatrixPolynomial, mu: Quaternion) -> QuaternionMatrix | None:
-    """A kernel vector of the realified action at mu, if one exists."""
-    status, kernel = rank_decision(_realified_action(p, mu))
-    if status != "singular" or kernel is None:
-        return None
-    norm = float(np.linalg.norm(kernel))
-    if norm == 0.0:
-        return None
-    return vec4_to_qvec(kernel / norm)
-
-
-def _realified_action(p: MatrixPolynomial, mu: Quaternion) -> np.ndarray:
-    n = p.size
-    op = np.zeros((4 * n, 4 * n))
-    power = Quaternion.ONE
-    for i, a in enumerate(p.coeffs):
-        if i > 0:
-            power = power * mu
-        op += real_rep_left(a) @ real_rep_right_scalar(power, n)
-    return op
+    """A unit kernel vector of the realified action at mu, if one exists."""
+    return realified_sweep(p.terms, [(mu,)])[2]
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 Terms are (word, coefficient) pairs where a word is an ordered tuple of
 variable indices; substituting quaternions multiplies the letters left to
 right, so word order matters.  Stability over a finite probe set is decided
-exactly through realification, one tuple at a time, and the quadratic and
-cubic derivation rules turn multivariate stability into hyperstability of
-the matching univariate polynomial.  The rules are one-directional: when
-multivariate stability fails, the univariate verdict stays UNKNOWN.
+exactly through realification, one tuple at a time, by the realified sweep
+in ``matpoly`` that the univariate oracle shares as its one-letter case.
+The quadratic and cubic derivation rules turn multivariate stability into
+hyperstability of the matching univariate polynomial.  The rules are
+one-directional: when multivariate stability fails, the univariate verdict
+stays UNKNOWN.
 """
 
 from __future__ import annotations
@@ -15,17 +17,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import DimensionMismatchError, ZeroInOmegaError
-from .linalg import (
-    QuaternionMatrix,
-    qvec,
-    rank_decision,
-    real_rep_left,
-    real_rep_right_scalar,
-    vec4_to_qvec,
-)
+from .linalg import QuaternionMatrix, qvec
+from .matpoly import eval_word, realified_sweep
 from .quaternion import Quaternion
 from .stability import HyperStatus, HyperVerdict, Region, RegionKind, StabilityStatus
 
@@ -56,6 +50,8 @@ class MultiPolynomial:
             word = _normalize_word(word, k)
             if coeff.n_rows != coeff.n_cols:
                 raise ValueError("coefficients must be square")
+            if not coeff.is_finite():
+                raise ValueError("coefficients must be finite")
             if size is None:
                 size = coeff.n_rows
             elif coeff.n_rows != size:
@@ -74,17 +70,6 @@ class MultiPolynomial:
     @property
     def degree(self) -> int:
         return max(len(w) for w, _ in self.terms)
-
-
-def eval_word(word: Sequence[int], mus: Sequence[Quaternion]) -> Quaternion:
-    """Ordered left-to-right product of the substituted letters."""
-    acc = Quaternion.ONE
-    for letter in word:
-        idx = int(letter) - 1
-        if idx < 0 or idx >= len(mus):
-            raise ValueError(f"letter {letter} outside 1..{len(mus)}")
-        acc = acc * mus[idx]
-    return acc
 
 
 def eval_action_multi(p: MultiPolynomial, y, mus: Sequence[Quaternion]) -> QuaternionMatrix:
@@ -119,23 +104,13 @@ def check_stability_multi(p: MultiPolynomial, omega: Region) -> MultiStabilityVe
     """
     if omega.kind is not RegionKind.FINITE_SET:
         raise ValueError("multivariate stability is decided over finite sets only")
-    n = p.size
-    lefts = [(word, real_rep_left(coeff)) for word, coeff in p.terms]
-    undecided = False
-    for tup in itertools.product(omega.points, repeat=p.k):
-        op = np.zeros((4 * n, 4 * n))
-        for word, left in lefts:
-            op += left @ real_rep_right_scalar(eval_word(word, tup), n)
-        status, kernel = rank_decision(op)
-        if status == "singular":
-            vec = vec4_to_qvec(kernel / np.linalg.norm(kernel))
-            return MultiStabilityVerdict(StabilityStatus.NOT_STABLE,
-                                         "realified-tuple-test",
-                                         witness_tuple=tup,
-                                         witness_vector=vec)
-        if status == "unknown":
-            undecided = True
-    if undecided:
+    status, tup, vec = realified_sweep(p.terms,
+                                       itertools.product(omega.points, repeat=p.k))
+    if status == "singular":
+        return MultiStabilityVerdict(StabilityStatus.NOT_STABLE,
+                                     "realified-tuple-test",
+                                     witness_tuple=tup, witness_vector=vec)
+    if status == "unknown":
         return MultiStabilityVerdict(StabilityStatus.UNKNOWN,
                                      "realified-tuple-test-deadband")
     return MultiStabilityVerdict(StabilityStatus.STABLE, "realified-tuple-test")

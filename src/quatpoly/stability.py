@@ -40,6 +40,7 @@ from .matpoly import (
     eigenvector_at,
     is_eigenvalue_oracle,
     polyeig,
+    realified_sweep,
     scalar_zeros,
 )
 from .quaternion import (
@@ -78,6 +79,10 @@ class Region:
     points: tuple[Quaternion, ...] = ()
 
     def __post_init__(self):
+        values = [self.radius, self.inner_radius, self.outer_radius]
+        values += [v for q in (self.center, *self.points) for v in q.as_array()]
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("region values must be finite")
         if self.kind in (RegionKind.OPEN_BALL, RegionKind.CLOSED_BALL,
                          RegionKind.COMPLEMENT_CLOSED_BALL):
             if not self.radius > 0.0:
@@ -315,15 +320,11 @@ def check_stability(p: MatrixPolynomial, region: Region, *,
     stability but never certify it.
     """
     if region.kind is RegionKind.FINITE_SET:
-        undecided = False
-        for q in region.points:
-            hit = is_eigenvalue_oracle(p, q)
-            if hit is True:
-                return StabilityVerdict(StabilityStatus.NOT_STABLE,
-                                        "pointwise-oracle", q)
-            if hit is None:
-                undecided = True
-        if undecided:
+        status, tup, _ = realified_sweep(p.terms, ((q,) for q in region.points))
+        if status == "singular":
+            return StabilityVerdict(StabilityStatus.NOT_STABLE,
+                                    "pointwise-oracle", tup[0])
+        if status == "unknown":
             return StabilityVerdict(StabilityStatus.UNKNOWN,
                                     "pointwise-oracle-deadband")
         return StabilityVerdict(StabilityStatus.STABLE, "pointwise-oracle")
@@ -353,10 +354,10 @@ def check_stability(p: MatrixPolynomial, region: Region, *,
 
 def _sampled_stability(p: MatrixPolynomial, region: Region,
                        samples: int) -> StabilityVerdict:
-    for q in region_sample_grid(region, samples):
-        if is_eigenvalue_oracle(p, q) is True:
-            return StabilityVerdict(StabilityStatus.NOT_STABLE,
-                                    "oracle-sampling", q)
+    grid = region_sample_grid(region, samples)
+    status, tup, _ = realified_sweep(p.terms, ((q,) for q in grid))
+    if status == "singular":
+        return StabilityVerdict(StabilityStatus.NOT_STABLE, "oracle-sampling", tup[0])
     return StabilityVerdict(StabilityStatus.UNKNOWN,
                             "oracle-sampling-inconclusive")
 

@@ -215,6 +215,37 @@ def test_exit_codes_for_input_errors(tmp_path, capsys):
     assert json.loads(err)["error_kind"] == "SingularCoefficientError"
 
 
+NAN = float("nan")
+FINITE_SET = {"kind": "finite_set", "points": [[0.5, 0, 0, 0], [2, 0, 0, 0]]}
+ONE_LETTER = [{"word": [1], "coeff": EYE2}, {"word": [], "coeff": EYE2}]
+
+
+@pytest.mark.parametrize("command, poly, region", [
+    pytest.param("stable", {"coeffs": [[[[NAN, 0, 0, 0], ZERO], [ZERO, ZERO]], EYE2]},
+                 FINITE_SET, id="nan-coefficient-stable-finite-set"),
+    pytest.param("multivar", {"k": 2, "terms": MIXED_MULTI["terms"] + [
+                     {"word": [2], "coeff": [[[0, NAN, 0, 0], ZERO], [ZERO, ZERO]]}]},
+                 FINITE_SET, id="nan-coefficient-multivar"),
+    pytest.param("stable", PROJECTION_POLY,
+                 {"kind": "finite_set", "points": [[NAN, 0, 0, 0]]}, id="nan-probe-point"),
+    pytest.param("stable", PROJECTION_POLY,
+                 {"kind": "finite_set", "points": [[True, 0, 0, 0]]}, id="bool-probe-point"),
+    pytest.param("stable", J_SHIFT_POLY,
+                 {"kind": "open_ball", "center": ZERO, "radius": float("inf")},
+                 id="infinite-radius"),
+    pytest.param("multivar", {"k": True, "terms": ONE_LETTER}, FINITE_SET, id="bool-k"),
+    pytest.param("multivar", {"k": 1, "terms": ONE_LETTER + [{"word": [True], "coeff": EYE2}]},
+                 FINITE_SET, id="bool-word-letter"),
+])
+def test_non_finite_and_boolean_inputs_exit_2(tmp_path, capsys, command, poly, region):
+    p = write(tmp_path, "p.json", poly)
+    r = write(tmp_path, "r.json", region)
+    code, out, err = run_cli(capsys, [command, "--input", p, "--region", r])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error_kind"] in ("InputFormatError", "ValueError")
+
+
 def test_hyperstable_with_partition_in_file(tmp_path, capsys):
     # Non-identity leading coefficient, block upper triangular over [1, 2]:
     # composition is the only positive route and the file declares it.

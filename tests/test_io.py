@@ -1,6 +1,13 @@
 import pytest
 
-from quatpoly import Quaternion, QuaternionMatrix, Region, RegionKind
+from quatpoly import (
+    MatrixPolynomial,
+    MultiPolynomial,
+    Quaternion,
+    QuaternionMatrix,
+    Region,
+    RegionKind,
+)
 from quatpoly.io import (
     InputFormatError,
     matrix_from_json,
@@ -86,3 +93,18 @@ def test_round_sig():
     assert round_sig(0.0) == 0.0
     assert round_sig(-1.0) == -1.0
     assert round_sig(123456789012345.0) == 123456789012000.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_library_constructors_reject_non_finite(bad):
+    coeff = QuaternionMatrix.from_rows([[Quaternion(1.0, bad, 0.0, 0.0)]])
+    with pytest.raises(ValueError):
+        MatrixPolynomial([coeff])
+    with pytest.raises(ValueError):
+        MultiPolynomial.build(1, [((1,), coeff)])
+    with pytest.raises(ValueError):
+        Region.open_ball(Quaternion.ZERO, abs(bad))
+    with pytest.raises(ValueError):
+        Region.annulus(Quaternion(bad), 0.5, 1.0)
+    with pytest.raises(ValueError):
+        Region.finite_set([Quaternion.ONE, Quaternion(0.0, 0.0, bad, 0.0)])

@@ -115,6 +115,15 @@ def test_real_rep_left_matches_action():
         np.testing.assert_allclose(left @ vec4(y), vec4(a @ y), atol=1e-12)
 
 
+def test_real_rep_left_equals_blockwise_left_actions():
+    rng = np.random.default_rng(23)
+    for n in range(1, 5):
+        a = random_qmatrix(rng, n)
+        expected = np.block([[left_action_matrix(a.entry(r, c)) for c in range(n)]
+                             for r in range(n)])
+        assert np.array_equal(real_rep_left(a), expected)
+
+
 def test_real_rep_left_requires_square():
     with pytest.raises(NonSquareError):
         real_rep_left(QuaternionMatrix.zeros(2, 3))
@@ -266,6 +275,54 @@ def test_rank_decision_kernel_and_deadband():
     status, kernel = rank_decision(np.zeros((3, 3)))
     assert status == "singular"
     assert np.linalg.norm(kernel) > 0
+
+
+def _rank_decision_row_loop(m):
+    """Reference Gauss-Jordan that eliminates one row at a time."""
+    work = np.array(m, dtype=float)
+    n_rows, n_cols = work.shape
+    tau = 1e-10 * float(np.max(np.sum(np.abs(work), axis=1)))
+    pivot_rows, free_cols, r = [], [], 0
+    for c in range(n_cols):
+        if r == n_rows:
+            free_cols.extend(range(c, n_cols))
+            break
+        p_rel = int(np.argmax(np.abs(work[r:, c])))
+        p_val = abs(work[r + p_rel, c])
+        if p_val > 10.0 * tau:
+            work[[r, r + p_rel], :] = work[[r + p_rel, r], :]
+            work[r, :] /= work[r, c]
+            for rr in range(n_rows):
+                if rr != r and work[rr, c] != 0.0:
+                    work[rr, :] -= work[rr, c] * work[r, :]
+            pivot_rows.append((r, c))
+            r += 1
+        elif p_val < tau / 10.0:
+            work[r:, c] = 0.0
+            free_cols.append(c)
+        else:
+            return "unknown", None
+    if not free_cols:
+        return "nonsingular", None
+    kernel = np.zeros(n_cols)
+    kernel[free_cols[0]] = 1.0
+    for row, pc in pivot_rows:
+        kernel[pc] = -work[row, free_cols[0]]
+    return "singular", kernel
+
+
+def test_rank_decision_matches_row_loop_reference():
+    rng = np.random.default_rng(29)
+    statuses = set()
+    for trial in range(24):
+        n, rank = 4 + trial % 5, 2 + trial % 6
+        m = rng.standard_normal((n, min(rank, n))) @ rng.standard_normal((min(rank, n), n))
+        status, kernel = rank_decision(m)
+        ref_status, ref_kernel = _rank_decision_row_loop(m)
+        statuses.add(status)
+        assert status == ref_status
+        assert (kernel is None and ref_kernel is None) or np.array_equal(kernel, ref_kernel)
+    assert statuses == {"singular", "nonsingular"}
 
 
 def test_vec4_roundtrip():

@@ -13,7 +13,6 @@ from quatpoly import (
     SingularLeadingCoefficientError,
     SingularMatrixError,
     ZeroLeadingError,
-    adjoint_polynomial,
     companion,
     complex_adjoint,
     eig_complex,
@@ -90,26 +89,6 @@ def test_evaluate_action_dimension_mismatch():
     p = example_projection_poly()
     with pytest.raises(DimensionMismatchError):
         evaluate_action(p, [ONE], ONE)
-
-
-def test_adjoint_polynomial_display():
-    lifted = adjoint_polynomial(example_no_eigenvalue_poly())
-    np.testing.assert_allclose(lifted.coeffs[2], np.diag([0.0, 1.0, 0.0, 1.0]), atol=0)
-    swap = np.array([[0.0, 1.0, 0.0, 0.0],
-                     [1.0, 0.0, 0.0, 0.0],
-                     [0.0, 0.0, 0.0, 1.0],
-                     [0.0, 0.0, 1.0, 0.0]])
-    np.testing.assert_allclose(lifted.coeffs[1], swap, atol=0)
-    np.testing.assert_allclose(lifted.coeffs[0], np.eye(4), atol=0)
-
-
-def test_adjoint_polynomial_identity_and_degree():
-    p = MatrixPolynomial([QuaternionMatrix.zeros(2, 2), QuaternionMatrix.identity(2)])
-    lifted = adjoint_polynomial(p)
-    np.testing.assert_allclose(lifted.coeffs[1], np.eye(4), atol=0)
-    rng = np.random.default_rng(31)
-    q = random_polynomial(rng, 2, 3)
-    assert adjoint_polynomial(q).degree == q.degree
 
 
 def test_companion_scalar_linear():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,22 @@ from quatpoly import (
     check_stability_multi,
     derive_hyperstability_cubic,
     derive_hyperstability_quadratic,
+    eigenvector_at,
     eval_action_multi,
     eval_word,
     evaluate_action,
+    is_eigenvalue_oracle,
+    polyeig,
+    vec4,
+    vec4_to_qvec,
     vec_entries,
 )
-from _helpers import random_quaternion, random_unit_qvec
+from _helpers import (
+    random_polynomial,
+    random_qmatrix,
+    random_quaternion,
+    random_unit_qvec,
+)
 
 ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
 
@@ -208,3 +220,79 @@ def test_derive_cubic_leading_switch_diverges():
     swapped = derive_hyperstability_cubic(two, one, one, one, omega, leading="a3")
     assert swapped.status is HyperStatus.HYPERSTABLE
     assert swapped.certificate == "multivariate-cubic-a3"
+
+
+def _record_sweep_operators(monkeypatch):
+    """Capture every operator the realified sweep hands to the rank test."""
+    from quatpoly import matpoly
+
+    seen = []
+
+    def record(m):
+        seen.append(np.array(m))
+        return "nonsingular", None
+
+    monkeypatch.setattr(matpoly, "rank_decision", record)
+    return seen
+
+
+def _assert_columns_are_actions(op, action, n):
+    """Column j of op is vec4 of the action on the j-th real unit vector."""
+    atol = 1e-12 * (1.0 + np.abs(op).max())
+    for j in range(4 * n):
+        unit = np.zeros(4 * n)
+        unit[j] = 1.0
+        np.testing.assert_allclose(op[:, j], vec4(action(vec4_to_qvec(unit))),
+                                   rtol=0.0, atol=atol)
+
+
+def test_sweep_operator_matches_univariate_action(monkeypatch):
+    seen = _record_sweep_operators(monkeypatch)
+    rng = np.random.default_rng(4101)
+    for n in range(1, 5):
+        for m in range(4):
+            p = random_polynomial(rng, n, m)
+            mu = random_quaternion(rng)
+            seen.clear()
+            is_eigenvalue_oracle(p, mu)
+            assert len(seen) == 1
+            _assert_columns_are_actions(seen[0], lambda y: evaluate_action(p, y, mu), n)
+
+
+def test_sweep_operator_matches_two_variable_action(monkeypatch):
+    seen = _record_sweep_operators(monkeypatch)
+    rng = np.random.default_rng(4102)
+    words = [w for length in range(4) for w in itertools.product((1, 2), repeat=length)]
+    for n in range(1, 5):
+        picks = rng.choice(len(words), size=5, replace=False)
+        p = MultiPolynomial.build(2, [(words[t], random_qmatrix(rng, n)) for t in picks])
+        points = [random_quaternion(rng) for _ in range(2)]
+        seen.clear()
+        check_stability_multi(p, Region.finite_set(points))
+        tuples = list(itertools.product(points, repeat=2))
+        assert len(seen) == len(tuples)
+        for op, tup in zip(seen, tuples):
+            _assert_columns_are_actions(op, lambda y: eval_action_multi(p, y, tup), n)
+
+
+def test_check_stability_matches_one_letter_multivariate():
+    rng = np.random.default_rng(4103)
+    statuses = set()
+    for trial in range(8):
+        n, m = 1 + trial % 3, 1 + trial % 2
+        p = random_polynomial(rng, n, m, invertible_ends=True)
+        points = [random_quaternion(rng) for _ in range(3)]
+        if trial % 2 == 0:
+            points.insert(1, polyeig(p)[trial % (n * m)].lift())
+        region = Region.finite_set(points)
+        uni = check_stability(p, region)
+        multi = check_stability_multi(MultiPolynomial.build(1, p.terms), region)
+        statuses.add(uni.status)
+        assert multi.status is uni.status
+        if uni.witness is None:
+            assert multi.witness_tuple is None
+            continue
+        (mu,) = multi.witness_tuple
+        assert mu.approx_eq(uni.witness, 0.0)
+        assert multi.witness_vector.allclose(eigenvector_at(p, mu), 1e-12)
+    assert statuses == {StabilityStatus.STABLE, StabilityStatus.NOT_STABLE}
