@@ -1,16 +1,21 @@
-"""Dense complex eigensolver built from scratch on numpy arrays.
+"""Dense complex kernels behind one seam, backed by LAPACK through numpy.
 
-The pipeline is the classical one: diagonal balancing, unitary reduction to
-upper Hessenberg form, then implicitly shifted QR iteration with Wilkinson
-shifts and machine-epsilon-scaled deflation.  Eigenvectors are recovered on
-demand by shifted inverse iteration against the original matrix.  Everything
-is deterministic for a fixed input.
+Eigenvalues, with or without eigenvectors, come from one ``zgeev`` call
+(``numpy.linalg.eig`` / ``eigvals``), the spectral norm from ``zgesdd``
+singular values and the inverse from one ``zgesv`` solve; every
+``LinAlgError`` is reported as NoConvergenceError.  Two kernels stay in
+Python because they need the pivots LAPACK does not expose: LU with a pivot
+threshold (the package-wide invertibility test) and LU with a pivot floor
+(shifted inverse iteration against a matrix that is singular by design).
+A plain balancing/Hessenberg/QR eigensolver in the test suite
+(``tests/_qr_reference.py``) is the reference LAPACK is checked against.
+Everything is deterministic for a fixed input.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -21,165 +26,55 @@ _EPS = float(np.finfo(np.float64).eps)
 MAX_DIM = 512
 
 
-def _as_square(matrix) -> np.ndarray:
-    a = np.array(matrix, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] > MAX_DIM:
-        raise ValueError(f"matrix dimension {a.shape[0]} exceeds the desk-scale cap {MAX_DIM}")
+def _checked(a: np.ndarray) -> np.ndarray:
+    if max(a.shape) > MAX_DIM:
+        raise ValueError(f"matrix dimension {max(a.shape)} exceeds the desk-scale cap {MAX_DIM}")
     if not np.all(np.isfinite(a.view(np.float64))):
         raise ValueError("matrix contains non-finite entries")
     return a
 
 
-def _balance(a: np.ndarray) -> np.ndarray:
-    """Diagonal similarity scaling equalizing row and column 1-norms."""
-    a = a.copy()
-    n = a.shape[0]
-    radix = 2.0
-    converged = False
-    while not converged:
-        converged = True
-        for i in range(n):
-            r = np.sum(np.abs(a[i, :])) - abs(a[i, i])
-            c = np.sum(np.abs(a[:, i])) - abs(a[i, i])
-            if r == 0.0 or c == 0.0:
-                continue
-            f = 1.0
-            s = c + r
-            while c < r / radix:
-                c *= radix
-                r /= radix
-                f *= radix
-            while c >= r * radix:
-                c /= radix
-                r *= radix
-                f /= radix
-            if (c + r) < 0.95 * s:
-                converged = False
-                a[i, :] /= f
-                a[:, i] *= f
-    return a
+def _as_square(matrix) -> np.ndarray:
+    a = np.array(matrix, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
+    return _checked(a)
 
 
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    """Householder reduction to upper Hessenberg form (in a copy)."""
-    h = a.copy()
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1:, k]
-        xnorm = np.linalg.norm(x)
-        if xnorm == 0.0:
-            continue
-        alpha = -xnorm if x[0] == 0 else -(x[0] / abs(x[0])) * xnorm
-        v = x.copy()
-        v[0] -= alpha
-        vnorm = np.linalg.norm(v)
-        if vnorm <= _EPS * xnorm:
-            continue
-        v /= vnorm
-        h[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
-        h[k + 2:, k] = 0.0
-    return h
+@contextmanager
+def _lapack(task: str):
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"LAPACK {task} failed: {exc}") from exc
 
 
-def _givens(a: complex, b: complex) -> tuple[float, complex]:
-    """Rotation [[c, s], [-conj(s), c]] sending (a, b) to (r, 0), c real."""
-    if b == 0:
-        return 1.0, 0.0 + 0.0j
-    if a == 0:
-        return 0.0, b.conjugate() / abs(b)
-    t = abs(a)
-    d = math.hypot(t, abs(b))
-    c = t / d
-    s = (a / t) * b.conjugate() / d
-    return c, s
-
-
-def _wilkinson_shift(h: np.ndarray, hi: int) -> complex:
-    """Eigenvalue of the trailing 2x2 block closest to the corner entry."""
-    a = h[hi - 1, hi - 1]
-    b = h[hi - 1, hi]
-    c = h[hi, hi - 1]
-    d = h[hi, hi]
-    p = (a - d) / 2.0
-    q = cmath.sqrt(p * p + b * c)
-    if abs(p + q) <= abs(p - q):
-        root = d + p + q
-    else:
-        root = d + p - q
-    return root
-
-
-def _qr_eigenvalues(h: np.ndarray, sweep_limit: int) -> np.ndarray:
-    n = h.shape[0]
-    eigs = np.zeros(n, dtype=np.complex128)
-    hnorm = np.linalg.norm(h)
-    hi = n - 1
-    sweeps = 0
-    stall = 0
-    while hi >= 0:
-        lo = hi
-        while lo > 0:
-            s = abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])
-            if s == 0.0:
-                s = hnorm
-            if abs(h[lo, lo - 1]) <= _EPS * s:
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            eigs[hi] = h[hi, hi]
-            hi -= 1
-            stall = 0
-            continue
-        sweeps += 1
-        stall += 1
-        if sweeps > sweep_limit:
-            raise NoConvergenceError(
-                f"QR iteration exceeded {sweep_limit} sweeps on dimension {n}")
-        if stall % 12 == 0:
-            # Occasional ad-hoc shift to break symmetric limit cycles.
-            shift = h[hi, hi] + 0.75 * abs(h[hi, hi - 1])
-        else:
-            shift = _wilkinson_shift(h, hi)
-        x = h[lo, lo] - shift
-        y = h[lo + 1, lo]
-        for k in range(lo, hi):
-            c, s = _givens(x, y)
-            col0 = max(lo, k - 1)
-            rk = h[k, col0:hi + 1].copy()
-            rk1 = h[k + 1, col0:hi + 1].copy()
-            h[k, col0:hi + 1] = c * rk + s * rk1
-            h[k + 1, col0:hi + 1] = -np.conj(s) * rk + c * rk1
-            row1 = min(hi, k + 2) + 1
-            ck = h[lo:row1, k].copy()
-            ck1 = h[lo:row1, k + 1].copy()
-            h[lo:row1, k] = c * ck + np.conj(s) * ck1
-            h[lo:row1, k + 1] = -s * ck + c * ck1
-            if k < hi - 1:
-                x = h[k + 1, k]
-                y = h[k + 2, k]
-    return eigs
-
-
-def eig_complex(matrix, max_sweeps_per_dim: int = 30) -> np.ndarray:
+def eig_complex(matrix, *, vectors: bool = False):
     """All eigenvalues of a dense complex matrix, sorted by (real, imag).
 
-    Raises NoConvergenceError if the QR iteration needs more than
-    ``max_sweeps_per_dim * dim`` sweeps.
+    With ``vectors=True`` returns (values, vectors): the unit eigenvector
+    columns, permuted alike, from the same single LAPACK call.
     """
     a = _as_square(matrix)
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.complex128)
-    if n == 1:
-        return a.ravel().copy()
-    h = _hessenberg(_balance(a))
-    vals = _qr_eigenvalues(h, max_sweeps_per_dim * n)
+    with _lapack("eigensolver"):
+        if vectors:
+            vals, vecs = np.linalg.eig(a)
+        else:
+            vals = np.linalg.eigvals(a)
     order = np.lexsort((vals.imag, vals.real))
+    if vectors:
+        return vals[order], vecs[:, order]
     return vals[order]
+
+
+def norm2(matrix) -> float:
+    """Largest singular value of a dense complex matrix, any shape."""
+    a = np.array(matrix, dtype=np.complex128)
+    if a.size == 0:
+        return 0.0
+    a = _checked(a)
+    with _lapack("singular value decomposition"):
+        return float(np.linalg.norm(a, 2))
 
 
 def lu_factor(a: np.ndarray, *, min_pivot: float = 0.0,
@@ -224,15 +119,15 @@ def lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def inverse_complex(a: np.ndarray, min_pivot: float) -> np.ndarray:
-    """Dense inverse via LU; SingularMatrixError below the pivot threshold."""
+    """Dense inverse; SingularMatrixError when an LU pivot is below ``min_pivot``.
+
+    The pivot test runs on the in-repo LU; the inverse itself is one LAPACK
+    solve.
+    """
     a = _as_square(a)
-    n = a.shape[0]
-    lu, piv = lu_factor(a, min_pivot=min_pivot)
-    inv = np.zeros((n, n), dtype=np.complex128)
-    eye = np.eye(n, dtype=np.complex128)
-    for col in range(n):
-        inv[:, col] = lu_solve(lu, piv, eye[:, col])
-    return inv
+    lu_factor(a, min_pivot=min_pivot)
+    with _lapack("solve"):
+        return np.linalg.inv(a)
 
 
 def eigenvector(matrix, eigenvalue: complex, *, attempts: int = 4,

@@ -14,7 +14,7 @@ class DimensionMismatchError(QuatPolyError):
 
 
 class NoConvergenceError(QuatPolyError):
-    """Iterative eigenvalue computation exceeded its sweep budget."""
+    """A LAPACK routine or an inverse iteration failed to converge."""
 
 
 class PairingFailureError(QuatPolyError):

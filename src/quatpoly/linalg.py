@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .eigensolver import eig_complex, eigenvector, inverse_complex
+from .eigensolver import eig_complex, inverse_complex, norm2
 from .errors import NonSquareError, PairingFailureError
 from .quaternion import (
     Quaternion,
@@ -53,6 +53,10 @@ _UNIT_LEFT_ACTIONS = np.stack([left_action_matrix(Quaternion(*e)) for e in np.ey
 
 # Single invertibility criterion: LU pivot threshold on the complex lift.
 INVERTIBILITY_REL = 1e-12
+
+
+# Below this a sum of squares may have lost digits to underflow.
+_SQUARES_MIN = 2.0 ** -960
 
 
 def _coerce_entry(value) -> Quaternion:
@@ -182,12 +186,19 @@ class QuaternionMatrix:
     # -- metrics ------------------------------------------------------------
 
     def frobenius_norm(self) -> float:
-        return math.sqrt(float(np.sum(np.abs(self.a1) ** 2 + np.abs(self.a2) ** 2)))
+        with np.errstate(over="ignore"):
+            squares = float(np.sum(np.abs(self.a1) ** 2 + np.abs(self.a2) ** 2))
+        if _SQUARES_MIN <= squares < math.inf:
+            return math.sqrt(squares)
+        # Squares under- or overflowed: redo on the entries divided by a
+        # power of two near the largest one, which is exact.
+        s = math.ldexp(1.0, min(max(math.frexp(self.max_entry_modulus())[1], -1020), 1020))
+        return s * math.sqrt(float(np.sum(np.abs(self.a1 / s) ** 2 + np.abs(self.a2 / s) ** 2)))
 
     def max_entry_modulus(self) -> float:
         if self.a1.size == 0:
             return 0.0
-        return float(np.sqrt(np.max(np.abs(self.a1) ** 2 + np.abs(self.a2) ** 2)))
+        return float(np.max(np.hypot(np.abs(self.a1), np.abs(self.a2))))
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.a1).all() and np.isfinite(self.a2).all())
@@ -236,13 +247,17 @@ def vec4_to_qvec(arr: np.ndarray) -> QuaternionMatrix:
     return QuaternionMatrix(c1.reshape(-1, 1), c2.reshape(-1, 1))
 
 
+def _lift(a: QuaternionMatrix) -> np.ndarray:
+    top = np.hstack([a.a1, a.a2])
+    bottom = np.hstack([-np.conj(a.a2), np.conj(a.a1)])
+    return np.vstack([top, bottom])
+
+
 def complex_adjoint(a: QuaternionMatrix) -> np.ndarray:
     """The 2n x 2n complex lift [[A1, A2], [-conj(A2), conj(A1)]]."""
     if a.n_rows != a.n_cols:
         raise NonSquareError("complex adjoint is defined for square matrices")
-    top = np.hstack([a.a1, a.a2])
-    bottom = np.hstack([-np.conj(a.a2), np.conj(a.a1)])
-    return np.vstack([top, bottom])
+    return _lift(a)
 
 
 def from_complex_adjoint_blocks(m: np.ndarray, n: int) -> QuaternionMatrix:
@@ -366,6 +381,23 @@ def _pair_conjugates(vals: np.ndarray, tol: float) -> list[StandardEigenvalue]:
     return out
 
 
+def _standards(vals: np.ndarray, scale: float) -> list[StandardEigenvalue]:
+    standards = _pair_conjugates(vals, 1e-6 * scale)
+    standards.sort(key=lambda e: (e.modulus(), e.re, e.im))
+    return standards
+
+
+def _standard_eigenpairs(chi: np.ndarray, scale: float) -> list[tuple[StandardEigenvalue, np.ndarray]]:
+    """Standard eigenvalues of a lift, each with a unit lifted eigenvector.
+
+    One eigensolve gives every value and vector; each standard eigenvalue
+    takes the column whose lifted eigenvalue lies nearest to it.
+    """
+    vals, vecs = eig_complex(chi, vectors=True)
+    return [(ev, vecs[:, int(np.argmin(np.abs(vals - ev.as_complex())))])
+            for ev in _standards(vals, scale)]
+
+
 def right_eigenvalues(a: QuaternionMatrix) -> list[StandardEigenvalue]:
     """The n standard right eigenvalues of a square quaternion matrix.
 
@@ -375,10 +407,7 @@ def right_eigenvalues(a: QuaternionMatrix) -> list[StandardEigenvalue]:
     """
     if a.n_rows != a.n_cols:
         raise NonSquareError("right eigenvalues are defined for square matrices")
-    vals = eig_complex(complex_adjoint(a))
-    standards = _pair_conjugates(vals, 1e-6 * _pairing_scale(a))
-    standards.sort(key=lambda e: (e.modulus(), e.re, e.im))
-    return standards
+    return _standards(eig_complex(complex_adjoint(a)), _pairing_scale(a))
 
 
 def right_eigenpairs(a: QuaternionMatrix) -> list[tuple[StandardEigenvalue, QuaternionMatrix]]:
@@ -389,37 +418,25 @@ def right_eigenpairs(a: QuaternionMatrix) -> list[tuple[StandardEigenvalue, Quat
     """
     if a.n_rows != a.n_cols:
         raise NonSquareError("right eigenpairs are defined for square matrices")
-    chi = complex_adjoint(a)
-    vals = eig_complex(chi)
-    standards = _pair_conjugates(vals, 1e-6 * _pairing_scale(a))
-    standards.sort(key=lambda e: (e.modulus(), e.re, e.im))
-    pairs = []
-    for ev in standards:
-        vec, _res = eigenvector(chi, ev.as_complex())
-        pairs.append((ev, chi_vector_to_qvec(vec)))
-    return pairs
+    return [(ev, chi_vector_to_qvec(vec))
+            for ev, vec in _standard_eigenpairs(complex_adjoint(a), _pairing_scale(a))]
 
 
 def spectral_norm(a: QuaternionMatrix) -> float:
-    """Largest singular value, computed through the Hermitian lift of A* A."""
-    gram = a.adjoint() @ a
-    vals = eig_complex(complex_adjoint(gram))
-    if vals.size == 0:
-        return 0.0
-    return math.sqrt(max(0.0, float(np.max(vals.real))))
+    """Largest singular value: the LAPACK 2-norm of the complex lift."""
+    return norm2(_lift(a))
 
 
 def inverse(a: QuaternionMatrix) -> QuaternionMatrix:
-    """Inverse through LU on the complex lift.
+    """Inverse on the complex lift.
 
-    Raises SingularMatrixError when a pivot falls below
+    Raises SingularMatrixError when an LU pivot falls below
     1e-12 times the lift's Frobenius norm; this same threshold is the
     package-wide invertibility test.
     """
     if a.n_rows != a.n_cols:
         raise NonSquareError("inverse is defined for square matrices")
     chi = complex_adjoint(a)
-    tol = INVERTIBILITY_REL * float(np.linalg.norm(chi))
+    tol = INVERTIBILITY_REL * math.sqrt(2.0) * a.frobenius_norm()
     inv_chi = inverse_complex(chi, min_pivot=tol)
     return from_complex_adjoint_blocks(inv_chi, a.n_rows)
-

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .eigensolver import eig_complex, eigenvector
+from .eigensolver import eig_complex
 from .errors import (
     DimensionMismatchError,
     NonRealCoefficientError,
@@ -32,8 +32,8 @@ from .errors import (
 )
 from .linalg import (
     QuaternionMatrix,
-    _pair_conjugates,
     _pairing_scale,
+    _standard_eigenpairs,
     chi_vector_to_qvec,
     complex_adjoint,
     inverse,
@@ -203,19 +203,15 @@ def polyeig_with_residuals(p: MatrixPolynomial) -> list[tuple[StandardEigenvalue
                 "degree-zero polynomial with singular coefficient") from exc
         return []
     comp = companion(p)
-    chi = complex_adjoint(comp)
-    vals = eig_complex(chi)
-    standards = _pair_conjugates(vals, 1e-6 * _pairing_scale(comp))
-    standards.sort(key=lambda e: (e.modulus(), e.re, e.im))
+    pairs = _standard_eigenpairs(complex_adjoint(comp), _pairing_scale(comp))
     coeff_norms = [spectral_norm(a) for a in p.coeffs]
     n = p.size
     m = p.degree
     out = []
-    for ev in standards:
+    for ev, vec in pairs:
         mu = ev.lift()
         scale = sum(coeff_norms[i] * ev.modulus() ** i for i in range(m + 1))
         scale = max(scale, 1e-290)
-        vec, _res = eigenvector(chi, ev.as_complex())
         full = chi_vector_to_qvec(vec)
         blocks = [(_vector_block(full, b, n), b) for b in range(m)]
         blocks.sort(key=lambda item: -item[0].frobenius_norm())

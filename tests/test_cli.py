@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from quatpoly.cli import main
@@ -277,6 +278,35 @@ def test_exit_code_3_for_numerical_failures(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert json.loads(err)["error_kind"] == "NoConvergenceError"
+
+
+def test_exit_code_3_when_lapack_fails(tmp_path, capsys, monkeypatch):
+    def failing(*_args, **_kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", failing)
+    p = write(tmp_path, "p.json", GOLDEN_POLY)
+    code, out, err = run_cli(capsys, ["eig", "--input", p])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error_kind"] == "NoConvergenceError"
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e-100, 1e100, 1e150, 1e200])
+def test_scaled_polynomial_keeps_spectrum_and_annulus(tmp_path, capsys, scale):
+    # s*P has the spectrum and the annulus of P at any representable scale.
+    coeffs = np.random.default_rng(31).standard_normal((3, 3, 3, 4))
+
+    def result(command, s):
+        p = write(tmp_path, f"p{s:g}.json", {"coeffs": (s * coeffs).tolist()})
+        code, out, err = run_cli(capsys, [command, "--input", p])
+        assert code == 0, err
+        return json.loads(out)["result"]
+
+    moduli = result("eig", scale)["moduli"]
+    assert moduli == pytest.approx(result("eig", 1.0)["moduli"], rel=1e-12)
+    bounds, reference = result("bounds", scale), result("bounds", 1.0)
+    assert [bounds["r"], bounds["R"]] == pytest.approx([reference["r"], reference["R"]], rel=1e-12)
 
 
 def test_timings_flag(tmp_path, capsys):

@@ -1,7 +1,25 @@
+"""The LAPACK seam, its Python LU kernels, and the test-side QR reference.
+
+Tests that exercise balancing, Hessenberg reduction and QR sweeps run
+against ``qr_eig`` from ``_qr_reference``; the seam's ``eig_complex`` is
+compared with it on lifted and characteristic-polynomial companions.
+"""
+
 import numpy as np
 import pytest
+from _helpers import random_polynomial, random_quaternion
+from _qr_reference import qr_eig
 
-from quatpoly import NoConvergenceError, NonSquareError, SingularMatrixError, eig_complex
+from quatpoly import (
+    NoConvergenceError,
+    NonSquareError,
+    ScalarQPolynomial,
+    SingularMatrixError,
+    companion,
+    complex_adjoint,
+    eig_complex,
+    scalar_char_poly,
+)
 from quatpoly.eigensolver import eigenvector, inverse_complex, lu_factor, lu_solve
 
 
@@ -17,19 +35,19 @@ def assert_spectra_match(mine, reference, tol):
 
 
 def test_rotation_block():
-    vals = eig_complex(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    vals = qr_eig(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     assert_spectra_match(vals, [1j, -1j], 1e-12)
 
 
 def test_diagonal():
-    vals = eig_complex(np.diag([1.0, 0.0]))
+    vals = qr_eig(np.diag([1.0, 0.0]))
     assert_spectra_match(vals, [1.0, 0.0], 1e-14)
 
 
 def test_companion_of_quadratic():
     # z^2 + z - 1: roots (-1 +- sqrt(5)) / 2
     comp = np.array([[0.0, 1.0], [1.0, -1.0]])
-    vals = eig_complex(comp)
+    vals = qr_eig(comp)
     golden = np.sqrt(5.0)
     assert_spectra_match(vals, [(-1 + golden) / 2, (-1 - golden) / 2], 1e-12)
 
@@ -39,7 +57,7 @@ def test_matches_library_eigensolver(n):
     rng = np.random.default_rng(100 + n)
     for _ in range(5):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        mine = eig_complex(a)
+        mine = qr_eig(a)
         reference = np.linalg.eigvals(a)
         assert_spectra_match(mine, reference, 1e-8 * np.linalg.norm(a))
 
@@ -48,14 +66,14 @@ def test_hermitian_eigenvalues_real():
     rng = np.random.default_rng(200)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h = a + a.conj().T
-    vals = eig_complex(h)
+    vals = qr_eig(h)
     assert np.max(np.abs(vals.imag)) <= 1e-10 * np.linalg.norm(h)
     assert_spectra_match(vals, np.linalg.eigvalsh(h), 1e-8 * np.linalg.norm(h))
 
 
 def test_defective_jordan_block():
     a = np.array([[1.0, 1.0], [0.0, 1.0]])
-    vals = eig_complex(a)
+    vals = qr_eig(a)
     assert np.max(np.abs(vals - 1.0)) <= 1e-6
 
 
@@ -64,7 +82,7 @@ def test_badly_scaled_matrix_balanced():
     a = rng.standard_normal((5, 5))
     d = np.diag([1e-6, 1e-3, 1.0, 1e3, 1e6])
     scaled = np.linalg.solve(d, a) @ d
-    assert_spectra_match(eig_complex(scaled), np.linalg.eigvals(a),
+    assert_spectra_match(qr_eig(scaled), np.linalg.eigvals(a),
                          1e-7 * np.linalg.norm(a))
 
 
@@ -90,7 +108,7 @@ def test_no_convergence_on_exhausted_sweep_budget():
     rng = np.random.default_rng(600)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     with pytest.raises(NoConvergenceError):
-        eig_complex(a, max_sweeps_per_dim=0)
+        qr_eig(a, max_sweeps_per_dim=0)
 
 
 def test_shape_and_size_guards():
@@ -119,3 +137,56 @@ def test_inverse_complex_and_singularity():
     singular = np.ones((3, 3), dtype=complex)
     with pytest.raises(SingularMatrixError):
         inverse_complex(singular, min_pivot=1e-12 * np.linalg.norm(singular))
+
+
+def nearest_gap(mine, reference):
+    """Largest distance from a value of either spectrum to the other."""
+    d = np.abs(np.asarray(mine)[:, None] - np.asarray(reference)[None, :])
+    return max(d.min(axis=1).max(), d.min(axis=0).max())
+
+
+def _char_poly_companion(poly):
+    c = scalar_char_poly(poly.monic())
+    d = len(c) - 1
+    comp = np.zeros((d, d))
+    comp[np.arange(d - 1), np.arange(1, d)] = 1.0
+    comp[-1, :] = -np.array(c[:-1])
+    return comp
+
+
+def test_seam_matches_qr_reference():
+    rng = np.random.default_rng(2024)
+    matrices = [np.array([[0.0, 1.0], [-1.0, 0.0]]), np.diag([1.0, 0.0]),
+                np.array([[1.0, 1.0], [0.0, 1.0]])]
+    for n in range(1, 9):
+        for m in range(1, 4):
+            p = random_polynomial(rng, n, m, invertible_ends=True)
+            matrices.append(complex_adjoint(companion(p)))
+    for m in range(1, 7):
+        coeffs = [random_quaternion(rng) for _ in range(m + 1)]
+        matrices.append(_char_poly_companion(ScalarQPolynomial(coeffs)))
+    for a in matrices:
+        mine, reference = eig_complex(a), qr_eig(a)
+        assert mine.shape == reference.shape
+        assert nearest_gap(mine, reference) <= 1e-10 * max(np.linalg.norm(a), 1.0)
+
+
+def test_eigenvector_columns_follow_sorted_values():
+    rng = np.random.default_rng(700)
+    a = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    vals, vecs = eig_complex(a, vectors=True)
+    assert np.max(np.abs(vals - eig_complex(a))) <= 1e-12 * np.linalg.norm(a)
+    assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0)
+    assert np.linalg.norm(a @ vecs - vecs * vals) <= 1e-12 * np.linalg.norm(a)
+
+
+def test_lapack_failure_is_no_convergence(monkeypatch):
+    def failing(*_args, **_kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    monkeypatch.setattr(np.linalg, "eig", failing)
+    with pytest.raises(NoConvergenceError):
+        eig_complex(np.eye(3))
+    with pytest.raises(NoConvergenceError):
+        eig_complex(np.eye(3), vectors=True)

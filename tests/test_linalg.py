@@ -201,7 +201,7 @@ def test_spectral_norm_examples():
     assert spectral_norm(QuaternionMatrix.identity(4)) == pytest.approx(1.0, abs=1e-12)
     assert spectral_norm(QuaternionMatrix.diagonal([I, J])) == pytest.approx(1.0, abs=1e-12)
     assert spectral_norm(QuaternionMatrix.from_rows([[Quaternion(2)]])) == pytest.approx(2.0)
-    # rectangular input works through the Gram route
+    # rectangular input works: the 2-norm of the rectangular lift
     assert spectral_norm(qvec([Quaternion(3), Quaternion(0, 4)])) == pytest.approx(5.0)
 
 
