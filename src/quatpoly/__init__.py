@@ -43,6 +43,7 @@ from .linalg import (
     inverse,
     qvec,
     rank_decision,
+    rank_decisions,
     real_rep_left,
     real_rep_right_scalar,
     right_eigenpairs,
@@ -101,7 +102,7 @@ __all__ = [
     "similar", "class_distance", "class_distance_extremes", "class_point",
     "QuaternionMatrix", "qvec", "vec_entries", "vec4", "vec4_to_qvec",
     "complex_adjoint", "real_rep_left", "real_rep_right_scalar",
-    "rank_decision", "eig_complex", "right_eigenvalues", "right_eigenpairs",
+    "rank_decision", "rank_decisions", "eig_complex", "right_eigenvalues", "right_eigenpairs",
     "spectral_norm", "inverse",
     "MatrixPolynomial", "ScalarQPolynomial", "PolynomialZero",
     "evaluate_action", "companion",

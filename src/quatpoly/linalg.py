@@ -36,6 +36,7 @@ __all__ = [
     "real_rep_left",
     "real_rep_right_scalar",
     "rank_decision",
+    "rank_decisions",
     "eig_complex",
     "right_eigenvalues",
     "right_eigenpairs",
@@ -47,6 +48,7 @@ __all__ = [
 # infinity norm, with an undecided band one decade to either side.
 RANK_PIVOT_REL = 1e-10
 RANK_BAND = 10.0
+_RANK_STATUSES = ("nonsingular", "singular", "unknown")
 
 # Left actions of 1, i, j, k on (w, x, y, z): real_rep_left is linear in them.
 _UNIT_LEFT_ACTIONS = np.stack([left_action_matrix(Quaternion(*e)) for e in np.eye(4)])
@@ -292,55 +294,99 @@ def real_rep_right_scalar(q: Quaternion, n: int) -> np.ndarray:
     return np.kron(np.eye(n), right_action_matrix(q))
 
 
+def rank_decisions(stack) -> tuple[np.ndarray, np.ndarray]:
+    """Tri-state rank decisions for a stack of real matrices by row reduction.
+
+    Each matrix is reduced by Gauss-Jordan elimination with partial
+    pivoting against a threshold relative to its infinity norm: a column
+    pivot below threshold/10 definitely marks a dependent column, above
+    threshold*10 a sound pivot; anything inside the band is refused rather
+    than guessed.  Masks stand in for the per-matrix branches, so every
+    matrix sees exactly the floating-point operations of its own reduction.
+
+    Returns (status, kernels): status[b] is "nonsingular", "singular" or
+    "unknown"; kernels[b] is the kernel vector read off the first dependent
+    column of a singular matrix, and zero otherwise.
+    """
+    work = np.array(stack, dtype=float, order="C")
+    if work.ndim != 3:
+        raise ValueError("expected a stack of 2-D real matrices")
+    count, n_rows, n_cols = work.shape
+    flat_rows = work.reshape(count * n_rows, n_cols)
+    first_row = np.arange(count) * n_rows
+    rows = np.arange(n_rows)
+    scale = np.abs(work).sum(axis=2).max(axis=1, initial=0.0)
+    tau = RANK_PIVOT_REL * scale
+    sound, dependent = RANK_BAND * tau, tau / RANK_BAND
+    # Per matrix: still reducing, first dependent column (-1 while none; the
+    # zero matrix takes column 0), dead-band refusal, next pivot row, and
+    # the pivot column of each pivot row.
+    live = scale != 0.0
+    free = np.where(live, -1, 0)
+    unknown = np.zeros(count, dtype=bool)
+    r = np.zeros(count, dtype=np.intp)
+    pivot_col = np.full(count * n_rows, -1)
+    for c in range(n_cols):
+        if c >= n_rows:
+            # No row left to pivot on: the remaining columns are dependent.
+            full = live & (r == n_rows)
+            free[full & (free < 0)] = c
+            live &= ~full
+        if not live.any():
+            break
+        below = rows >= r[:, None]
+        col = np.where(below, np.abs(work[:, :, c]), -1.0)
+        p = col.argmax(axis=1)
+        p_val = col.max(axis=1)
+        pivot = live & (p_val > sound)
+        zero = live & (p_val < dependent)
+        decided = pivot | zero
+        unknown |= live ^ decided
+        live = decided
+        if zero.any():
+            work[:, :, c][zero[:, None] & below] = 0.0
+            free[zero & (free < 0)] = c
+        if pivot.any():
+            # Swap rows r and p, scale the pivot row, and clear column c in
+            # every other row whose entry there is nonzero.
+            at_r = (first_row + r)[pivot]
+            at_p = (first_row + p)[pivot]
+            top = flat_rows[at_p]
+            flat_rows[at_p] = flat_rows[at_r]
+            top = top / top[:, c, None]
+            flat_rows[at_r] = top
+            mult = np.where(pivot[:, None], work[:, :, c], 0.0)
+            mult.reshape(-1)[at_r] = 0.0
+            lead = np.zeros((count, n_cols))
+            lead[pivot] = top
+            np.subtract(work, mult[:, :, None] * lead[:, None, :], out=work,
+                        where=(mult != 0.0)[:, :, None])
+            pivot_col[at_r] = c
+            r += pivot
+    singular = ~unknown & (free >= 0)
+    status = np.array(_RANK_STATUSES)[np.where(unknown, 2, singular.astype(int))]
+    kernels = np.zeros((count, n_cols))
+    hit = np.flatnonzero(singular)
+    kernels[hit, free[hit]] = 1.0
+    pivot_col = pivot_col.reshape(count, n_rows)
+    bi, ri = np.nonzero(pivot_col[hit] >= 0)
+    bi = hit[bi]
+    kernels[bi, pivot_col[bi, ri]] = -work[bi, ri, free[bi]]
+    return status, kernels
+
+
 def rank_decision(m: np.ndarray) -> tuple[str, np.ndarray | None]:
-    """Tri-state rank decision for a real matrix by row reduction.
+    """Tri-state rank decision for one real matrix, as a stack of one.
 
     Returns ("nonsingular", None), ("singular", kernel_vector) or
-    ("unknown", None).  A column pivot below threshold/10 definitely marks a
-    dependent column, above threshold*10 a sound pivot; anything inside the
-    band is refused rather than guessed.
+    ("unknown", None); see ``rank_decisions``.
     """
-    work = np.array(m, dtype=float)
+    work = np.asarray(m, dtype=float)
     if work.ndim != 2:
         raise ValueError("expected a 2-D real matrix")
-    n_rows, n_cols = work.shape
-    scale = float(np.max(np.sum(np.abs(work), axis=1))) if work.size else 0.0
-    if scale == 0.0:
-        kernel = np.zeros(n_cols)
-        kernel[0] = 1.0
-        return "singular", kernel
-    tau = RANK_PIVOT_REL * scale
-    pivot_rows: list[tuple[int, int]] = []  # (row, pivot column)
-    free_cols: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            free_cols.extend(range(c, n_cols))
-            break
-        p_rel = int(np.argmax(np.abs(work[r:, c])))
-        p_val = abs(work[r + p_rel, c])
-        if p_val > RANK_BAND * tau:
-            if p_rel != 0:
-                work[[r, r + p_rel], :] = work[[r + p_rel, r], :]
-            work[r, :] /= work[r, c]
-            rows = np.flatnonzero(work[:, c])
-            rows = rows[rows != r]
-            work[rows, :] -= np.outer(work[rows, c], work[r, :])
-            pivot_rows.append((r, c))
-            r += 1
-        elif p_val < tau / RANK_BAND:
-            work[r:, c] = 0.0
-            free_cols.append(c)
-        else:
-            return "unknown", None
-    if not free_cols:
-        return "nonsingular", None
-    f = free_cols[0]
-    kernel = np.zeros(n_cols)
-    kernel[f] = 1.0
-    for row, pc in pivot_rows:
-        kernel[pc] = -work[row, f]
-    return "singular", kernel
+    status, kernels = rank_decisions(work[None])
+    status = str(status[0])
+    return status, (kernels[0] if status == "singular" else None)
 
 
 def _pairing_scale(a: QuaternionMatrix) -> float:

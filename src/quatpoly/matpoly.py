@@ -14,6 +14,7 @@ Three independent routes to the same eigenvalues are kept side by side:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -38,14 +39,16 @@ from .linalg import (
     complex_adjoint,
     inverse,
     qvec,
-    rank_decision,
+    rank_decisions,
     real_rep_left,
     spectral_norm,
     vec4_to_qvec,
 )
-from .quaternion import Quaternion, StandardEigenvalue, right_action_matrix, standardize
+from .quaternion import Quaternion, StandardEigenvalue, right_action_matrices, standardize
 
 POLYEIG_RESIDUAL_REL = 1e-7
+# A chunk of operators in the realified sweep holds at most this many doubles.
+SWEEP_CHUNK_DOUBLES = 2 ** 16
 
 
 class MatrixPolynomial:
@@ -188,6 +191,16 @@ def _refine_eigenvector(p: MatrixPolynomial, mu: complex,
     return chi_vector_to_qvec(v)
 
 
+def _relative_residual(p: MatrixPolynomial, y: QuaternionMatrix, mu: Quaternion,
+                       bound: float, unit: float) -> float:
+    """Action residual of y at mu over ``bound``, both in units of ``unit``.
+
+    A zero action counts as exact even where the bound is zero.
+    """
+    res = evaluate_action(p, y, mu).frobenius_norm() / unit
+    return res / bound if res else 0.0
+
+
 def polyeig_with_residuals(p: MatrixPolynomial) -> list[tuple[StandardEigenvalue, float]]:
     """Standard eigenvalues paired with their relative action residuals.
 
@@ -205,13 +218,17 @@ def polyeig_with_residuals(p: MatrixPolynomial) -> list[tuple[StandardEigenvalue
     comp = companion(p)
     pairs = _standard_eigenpairs(complex_adjoint(comp), _pairing_scale(comp))
     coeff_norms = [spectral_norm(a) for a in p.coeffs]
+    # Norms and residuals are taken in units of the power of two just below
+    # the largest coefficient norm: exact scaling, and no underflow of the
+    # scale for tiny polynomials.
+    unit = math.ldexp(1.0, math.frexp(max(coeff_norms))[1] - 1)
+    coeff_norms = [c / unit for c in coeff_norms]
     n = p.size
     m = p.degree
     out = []
     for ev, vec in pairs:
         mu = ev.lift()
         scale = sum(coeff_norms[i] * ev.modulus() ** i for i in range(m + 1))
-        scale = max(scale, 1e-290)
         full = chi_vector_to_qvec(vec)
         blocks = [(_vector_block(full, b, n), b) for b in range(m)]
         blocks.sort(key=lambda item: -item[0].frobenius_norm())
@@ -222,7 +239,7 @@ def polyeig_with_residuals(p: MatrixPolynomial) -> list[tuple[StandardEigenvalue
             ynorm = y.frobenius_norm()
             if ynorm < 1e-8 * max(top_norm, 1e-290):
                 break
-            rel = evaluate_action(p, y, mu).frobenius_norm() / (scale * ynorm)
+            rel = _relative_residual(p, y, mu, ynorm * scale, unit)
             if best is None or rel < best:
                 best, best_y = rel, y
             if rel <= POLYEIG_RESIDUAL_REL:
@@ -231,7 +248,7 @@ def polyeig_with_residuals(p: MatrixPolynomial) -> list[tuple[StandardEigenvalue
             refined = _refine_eigenvector(p, ev.as_complex(), best_y)
             ynorm = refined.frobenius_norm()
             if ynorm > 0.0:
-                rel = evaluate_action(p, refined, mu).frobenius_norm() / (scale * ynorm)
+                rel = _relative_residual(p, refined, mu, ynorm * scale, unit)
                 if rel < best:
                     best = rel
         if best is None or best > POLYEIG_RESIDUAL_REL:
@@ -261,27 +278,64 @@ def eval_word(word: Sequence[int], mus: Sequence[Quaternion]) -> Quaternion:
     return acc
 
 
+def _word_values(word: Sequence[int], mus: np.ndarray) -> np.ndarray:
+    """w(mu) for every row of a (P, k, 4) array of substituted components.
+
+    The letters are multiplied left to right with the operation order of
+    ``Quaternion.__mul__``, so each row equals ``eval_word`` bit for bit.
+    """
+    acc = np.zeros((mus.shape[0], 4))
+    acc[:, 0] = 1.0
+    for letter in word:
+        if not 1 <= letter <= mus.shape[1]:
+            raise ValueError(f"letter {letter} outside 1..{mus.shape[1]}")
+        pw, px, py, pz = acc.T
+        qw, qx, qy, qz = mus[:, letter - 1].T
+        acc = np.stack([pw * qw - px * qx - py * qy - pz * qz,
+                        pw * qx + px * qw + py * qz - pz * qy,
+                        pw * qy - px * qz + py * qw + pz * qx,
+                        pw * qz + px * qy - py * qx + pz * qw], axis=1)
+    return acc
+
+
+def _realified_operators(lefts, chunk) -> np.ndarray:
+    """The (P, 4n, 4n) realified actions of a chunk of substitution tuples."""
+    mus = np.array([[(q.w, q.x, q.y, q.z) for q in tup] for tup in chunk],
+                   dtype=float).reshape(len(chunk), -1, 4)
+    rows, n = lefts[0][1].shape[:2]
+    ops = np.zeros((len(chunk), rows, n, 4))
+    for word, left in lefts:
+        ops += left[None] @ right_action_matrices(_word_values(word, mus))[:, None]
+    return ops.reshape(len(chunk), rows, rows)
+
+
 def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
                     tuples: Iterable[Sequence[Quaternion]]):
     """The realified oracle over an ordered iterable of substitution tuples.
 
     ``terms`` are (word, A_w) pairs of y -> sum_w A_w y w(mu_1, ..., mu_k);
     each left factor is realified once, and the right factor w(mu) is
-    applied per 4 x 4 block.  Returns ("singular", tuple, unit kernel
-    vector) for the first singular tuple, else ("unknown", None, None) when
-    some tuple fell in the rank dead band, else ("nonsingular", None, None).
+    applied per 4 x 4 block.  Tuples are drawn lazily in chunks of 1, 4,
+    16, ... operators (at most SWEEP_CHUNK_DOUBLES doubles a chunk), and
+    each chunk is decided by one ``rank_decisions`` pass.  Returns
+    ("singular", tuple, unit kernel vector) for the first singular tuple,
+    else ("unknown", None, None) when some tuple fell in the rank dead band,
+    else ("nonsingular", None, None).
     """
     n = terms[0][1].n_rows
     lefts = [(word, real_rep_left(a).reshape(4 * n, n, 4)) for word, a in terms]
+    cap = max(1, SWEEP_CHUNK_DOUBLES // (4 * n) ** 2)
+    tuples = iter(tuples)
     undecided = False
-    for tup in tuples:
-        op = np.zeros((4 * n, n, 4))
-        for word, left in lefts:
-            op += left @ right_action_matrix(eval_word(word, tup))
-        status, kernel = rank_decision(op.reshape(4 * n, 4 * n))
-        if status == "singular":
-            return status, tup, vec4_to_qvec(kernel / np.linalg.norm(kernel))
-        undecided = undecided or status == "unknown"
+    size = 1
+    while chunk := list(itertools.islice(tuples, size)):
+        status, kernels = rank_decisions(_realified_operators(lefts, chunk))
+        hits = np.flatnonzero(status == "singular")
+        if hits.size:
+            kernel = kernels[hits[0]]
+            return "singular", chunk[hits[0]], vec4_to_qvec(kernel / np.linalg.norm(kernel))
+        undecided = undecided or bool((status == "unknown").any())
+        size = min(4 * size, cap)
     return ("unknown" if undecided else "nonsingular"), None, None
 
 

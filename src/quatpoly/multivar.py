@@ -3,7 +3,7 @@
 Terms are (word, coefficient) pairs where a word is an ordered tuple of
 variable indices; substituting quaternions multiplies the letters left to
 right, so word order matters.  Stability over a finite probe set is decided
-exactly through realification, one tuple at a time, by the realified sweep
+exactly through realification, in chunks of tuples, by the realified sweep
 in ``matpoly`` that the univariate oracle shares as its one-letter case.
 The quadratic and cubic derivation rules turn multivariate stability into
 hyperstability of the matching univariate polynomial.  The rules are
@@ -24,6 +24,9 @@ from .quaternion import Quaternion
 from .stability import HyperStatus, HyperVerdict, Region, RegionKind, StabilityStatus
 
 Word = tuple[int, ...]
+
+# check_stability_multi refuses probe sets with more tuples than this.
+MAX_TUPLES = 10 ** 6
 
 
 def _normalize_word(word: Sequence[int], k: int) -> Word:
@@ -100,10 +103,15 @@ def check_stability_multi(p: MultiPolynomial, omega: Region) -> MultiStabilityVe
 
     Every tuple is realified and rank-tested; the verdict reports the first
     singular tuple (in lexicographic tuple order) with a kernel vector, so
-    the result is independent of any sharding of the loop.
+    the result is independent of how the sweep is chunked.  More than
+    MAX_TUPLES tuples raise ValueError before any is built.
     """
     if omega.kind is not RegionKind.FINITE_SET:
         raise ValueError("multivariate stability is decided over finite sets only")
+    # Two or more points pass the cap well before k = 64 letters.
+    if len(omega.points) ** min(p.k, 64) > MAX_TUPLES:
+        raise ValueError(f"{len(omega.points)}^{p.k} probe tuples exceed "
+                         f"the limit of {MAX_TUPLES}")
     status, tup, vec = realified_sweep(p.terms,
                                        itertools.product(omega.points, repeat=p.k))
     if status == "singular":

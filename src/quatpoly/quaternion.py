@@ -264,9 +264,14 @@ def left_action_matrix(q: Quaternion) -> np.ndarray:
 
 def right_action_matrix(q: Quaternion) -> np.ndarray:
     """4x4 real matrix of p -> p*q acting on components (w, x, y, z)."""
-    return np.array([
-        [q.w, -q.x, -q.y, -q.z],
-        [q.x, q.w, q.z, -q.y],
-        [q.y, -q.z, q.w, q.x],
-        [q.z, q.y, -q.x, q.w],
-    ])
+    return right_action_matrices(np.array(q.as_array()))
+
+
+def right_action_matrices(q: np.ndarray) -> np.ndarray:
+    """``right_action_matrix`` of every quaternion in a (..., 4) array of
+    components (w, x, y, z), as a (..., 4, 4) array."""
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    return np.stack([w, -x, -y, -z,
+                     x, w, z, -y,
+                     y, -z, w, x,
+                     z, y, -x, w], axis=-1).reshape(q.shape[:-1] + (4, 4))

@@ -582,6 +582,9 @@ def _zero_meets_region(zero, region: Region, band: float) -> bool:
                        for q in region.points)
         relation, _ = _class_region_relation(zero.eigenvalue_class, region, band)
         return relation == "inside"
+    if region.kind in _BALL_KINDS:
+        # A zero within the dead band of the sphere does not count as inside.
+        return region.radius - (zero.point - region.center).modulus() > band
     return region.contains(zero.point)
 
 

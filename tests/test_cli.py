@@ -247,14 +247,34 @@ def test_non_finite_and_boolean_inputs_exit_2(tmp_path, capsys, command, poly, r
     assert json.loads(err)["error_kind"] in ("InputFormatError", "ValueError")
 
 
+def test_multivar_refuses_too_many_tuples(tmp_path, capsys, monkeypatch):
+    # 1001^2 tuples pass the cap: refused before the sweep starts.
+    from quatpoly import multivar
+
+    def no_sweep(*_args):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(multivar, "realified_sweep", no_sweep)
+    points = [[1.0 + t / 1000.0, 0, 0, 0] for t in range(1001)]
+    p = write(tmp_path, "p.json", MIXED_MULTI)
+    r = write(tmp_path, "r.json", {"kind": "finite_set", "points": points})
+    code, out, err = run_cli(capsys, ["multivar", "--input", p, "--region", r])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error_kind"] == "ValueError"
+
+
+# Non-identity leading coefficient, block upper triangular over [1, 2]:
+# composition is the only positive route and the file declares it.
+TRI = {"coeffs": [[[[-2, 0, 0, 0], [0.5, 0.5, 0, 0], [1, 0, 2, 0]],
+                   [ZERO, ZERO, J_Q],
+                   [ZERO, ZERO, [0, 0, 0, -1]]],
+                  [[[2, 0, 0, 0], ZERO, ZERO], [ZERO, ONE_Q, ZERO], [ZERO, ZERO, ONE_Q]]],
+       "partition": [1, 2]}
+
+
 def test_hyperstable_with_partition_in_file(tmp_path, capsys):
-    # Non-identity leading coefficient, block upper triangular over [1, 2]:
-    # composition is the only positive route and the file declares it.
-    a0 = [[[-2, 0, 0, 0], [0.5, 0.5, 0, 0], [1, 0, 2, 0]],
-          [ZERO, ZERO, J_Q],
-          [ZERO, ZERO, [0, 0, 0, -1]]]
-    a1 = [[[2, 0, 0, 0], ZERO, ZERO], [ZERO, ONE_Q, ZERO], [ZERO, ZERO, ONE_Q]]
-    p = write(tmp_path, "p.json", {"coeffs": [a0, a1], "partition": [1, 2]})
+    p = write(tmp_path, "p.json", TRI)
     r = write(tmp_path, "r.json", {"kind": "finite_set",
                                    "points": [[0.5, 0, 0, 0], [2, 0, 0, 0],
                                               [1, 0, 0, 1]]})
@@ -263,6 +283,24 @@ def test_hyperstable_with_partition_in_file(tmp_path, capsys):
     report = json.loads(out)
     assert report["result"]["status"] == "HYPERSTABLE"
     assert report["certificate"] == "block-composition"
+
+
+@pytest.mark.parametrize("root", [1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52, None])
+def test_hyperstable_zero_on_closed_boundary_is_unknown(tmp_path, capsys, monkeypatch, root):
+    # Sampled scalar polynomials of TRI have a double zero at exactly 1, on
+    # the sphere of the closed unit ball; the verdict must not depend on how
+    # the root finder rounds it (None keeps the root finder's own value).
+    from quatpoly import matpoly
+
+    if root is not None:
+        roots = matpoly._real_poly_roots
+        monkeypatch.setattr(matpoly, "_real_poly_roots", lambda coeffs: [
+            complex(root) if abs(z - 1.0) < 1e-6 else z for z in roots(coeffs)])
+    p = write(tmp_path, "p.json", TRI)
+    r = write(tmp_path, "r.json", {"kind": "open_ball", "center": ZERO, "radius": 1.0})
+    code, out, _ = run_cli(capsys, ["hyperstable", "--input", p, "--region", r, "--closed"])
+    assert code == 0
+    assert json.loads(out)["result"]["status"] == "UNKNOWN"
 
 
 def test_exit_code_3_for_numerical_failures(tmp_path, capsys, monkeypatch):
@@ -307,6 +345,21 @@ def test_scaled_polynomial_keeps_spectrum_and_annulus(tmp_path, capsys, scale):
     assert moduli == pytest.approx(result("eig", 1.0)["moduli"], rel=1e-12)
     bounds, reference = result("bounds", scale), result("bounds", 1.0)
     assert [bounds["r"], bounds["R"]] == pytest.approx([reference["r"], reference["R"]], rel=1e-12)
+
+
+def test_tiny_polynomial_reports_a_true_action_residual(tmp_path, capsys):
+    # The relative residual does not depend on the scale of P, also where
+    # the coefficient norms are near the bottom of the exponent range.
+    coeffs = np.random.default_rng(31).standard_normal((3, 3, 3, 4))
+
+    def residual(s):
+        p = write(tmp_path, f"p{s:g}.json", {"coeffs": (s * coeffs).tolist()})
+        code, out, err = run_cli(capsys, ["eig", "--input", p])
+        assert code == 0, err
+        return json.loads(out)["diagnostics"]["residuals"]["max_action_residual"]
+
+    reference = residual(1.0)
+    assert reference / 10.0 <= residual(1e-300) <= 10.0 * reference
 
 
 def test_timings_flag(tmp_path, capsys):

@@ -10,6 +10,7 @@ from quatpoly import (
     inverse,
     qvec,
     rank_decision,
+    rank_decisions,
     real_rep_left,
     real_rep_right_scalar,
     right_eigenvalues,
@@ -323,6 +324,53 @@ def test_rank_decision_matches_row_loop_reference():
         assert status == ref_status
         assert (kernel is None and ref_kernel is None) or np.array_equal(kernel, ref_kernel)
     assert statuses == {"singular", "nonsingular"}
+
+
+def _mixed_stack(rng, n_rows, n_cols):
+    """Full-rank, rank-deficient, dead-band, all-zero and tied-entry
+    matrices of one shape, with signed zeros among the entries."""
+    short = min(n_rows, n_cols)
+    band = np.zeros((n_rows, n_cols))
+    band[range(short), range(short)] = [1.0, 5e-11] + [1.0] * (short - 2)
+    deficient = rng.standard_normal((n_rows, short - 1)) @ rng.standard_normal((short - 1, n_cols))
+    ties = rng.integers(-2, 3, (n_rows, n_cols)).astype(float)
+    ties[ties == 0.0] = -0.0
+    signed = np.round(rng.standard_normal((n_rows, n_cols)))
+    signed[:, 1] = 0.0
+    signed[1::2, 1] = -0.0
+    return np.stack([rng.standard_normal((n_rows, n_cols)), deficient, band,
+                     np.zeros((n_rows, n_cols)), ties, signed,
+                     -deficient, rng.standard_normal((n_rows, n_cols))])
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (6, 6), (4, 7), (3, 9), (7, 4)])
+def test_rank_decisions_matches_row_loop_per_slice(shape):
+    rng = np.random.default_rng(30)
+    stack = _mixed_stack(rng, *shape)
+    status, kernels = rank_decisions(stack)
+    assert len(status) == len(kernels) == len(stack)
+    seen = set()
+    for m, got, kernel in zip(stack, status, kernels):
+        if m.any():
+            ref_status, ref_kernel = _rank_decision_row_loop(m)
+        else:
+            # The zero matrix is singular by fiat, with the first unit vector.
+            ref_status, ref_kernel = "singular", np.eye(shape[1])[0]
+        one_status, one_kernel = rank_decision(m)
+        assert got == ref_status == one_status
+        seen.add(ref_status)
+        if ref_status != "singular":
+            assert one_kernel is None and not kernel.any()
+            continue
+        for candidate in (kernel, one_kernel):
+            assert np.array_equal(candidate, ref_kernel)
+            assert np.array_equal(np.signbit(candidate), np.signbit(ref_kernel))
+    assert {"singular", "unknown"} <= seen
+
+
+def test_rank_decisions_of_an_empty_stack():
+    status, kernels = rank_decisions(np.zeros((0, 3, 3)))
+    assert status.shape == (0,) and kernels.shape == (0, 3)
 
 
 def test_vec4_roundtrip():

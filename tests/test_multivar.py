@@ -23,10 +23,14 @@ from quatpoly import (
     evaluate_action,
     is_eigenvalue_oracle,
     polyeig,
+    rank_decision,
+    real_rep_left,
     vec4,
     vec4_to_qvec,
     vec_entries,
 )
+from quatpoly.matpoly import realified_sweep
+from quatpoly.quaternion import right_action_matrix
 from _helpers import (
     random_polynomial,
     random_qmatrix,
@@ -223,16 +227,17 @@ def test_derive_cubic_leading_switch_diverges():
 
 
 def _record_sweep_operators(monkeypatch):
-    """Capture every operator the realified sweep hands to the rank test."""
+    """Capture every operator the realified sweep hands to the rank test,
+    one entry per slice of each stack."""
     from quatpoly import matpoly
 
     seen = []
 
-    def record(m):
-        seen.append(np.array(m))
-        return "nonsingular", None
+    def record(stack):
+        seen.extend(np.array(m) for m in stack)
+        return np.full(len(stack), "nonsingular"), np.zeros(stack.shape[:2])
 
-    monkeypatch.setattr(matpoly, "rank_decision", record)
+    monkeypatch.setattr(matpoly, "rank_decisions", record)
     return seen
 
 
@@ -273,6 +278,101 @@ def test_sweep_operator_matches_two_variable_action(monkeypatch):
         assert len(seen) == len(tuples)
         for op, tup in zip(seen, tuples):
             _assert_columns_are_actions(op, lambda y: eval_action_multi(p, y, tup), n)
+
+
+def _sweep_one_tuple_at_a_time(terms, tuples):
+    """Reference sweep: build and rank-test one operator per tuple."""
+    n = terms[0][1].n_rows
+    undecided = False
+    for tup in tuples:
+        op = np.zeros((4 * n, n, 4))
+        for word, a in terms:
+            op += real_rep_left(a).reshape(4 * n, n, 4) @ right_action_matrix(eval_word(word, tup))
+        status, kernel = rank_decision(op.reshape(4 * n, 4 * n))
+        if status == "singular":
+            return status, tup, vec4_to_qvec(kernel / np.linalg.norm(kernel))
+        undecided = undecided or status == "unknown"
+    return ("unknown" if undecided else "nonsingular"), None, None
+
+
+def _assert_same_sweep(terms, tuples):
+    got = realified_sweep(terms, iter(tuples))
+    want = _sweep_one_tuple_at_a_time(terms, tuples)
+    assert got[0] == want[0]
+    assert got[1] is want[1]
+    if want[2] is not None:
+        for a, b in ((got[2].a1, want[2].a1), (got[2].a2, want[2].a2)):
+            a, b = a.view(float), b.view(float)
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    return got
+
+
+def test_sweep_operators_equal_the_per_tuple_build(monkeypatch):
+    # Batched word products and block products repeat the per-tuple
+    # floating-point operations exactly.
+    seen = _record_sweep_operators(monkeypatch)
+    rng = np.random.default_rng(4107)
+    words = [w for length in range(4) for w in itertools.product((1, 2), repeat=length)]
+    for n in range(1, 5):
+        picks = rng.choice(len(words), size=6, replace=False)
+        p = MultiPolynomial.build(2, [(words[t], random_qmatrix(rng, n)) for t in picks])
+        points = [random_quaternion(rng) for _ in range(5)]
+        seen.clear()
+        check_stability_multi(p, Region.finite_set(points))
+        for op, tup in zip(seen, itertools.product(points, repeat=2), strict=True):
+            want = np.zeros((4 * n, n, 4))
+            for word, a in p.terms:
+                want += real_rep_left(a).reshape(4 * n, n, 4) @ right_action_matrix(eval_word(word, tup))
+            assert np.array_equal(op, want.reshape(4 * n, 4 * n))
+
+
+# I t - diag(2, 3): 3 is an exact eigenvalue, and the operator at
+# 2 + 5e-11 has a pivot inside the rank dead band.
+_SHIFTED = MatrixPolynomial([QuaternionMatrix.diagonal([Quaternion(-2.0), Quaternion(-3.0)]),
+                             QuaternionMatrix.identity(2)])
+
+
+def _far_points(rng, count):
+    return [(Quaternion(10.0) + random_quaternion(rng),) for _ in range(count)]
+
+
+@pytest.mark.parametrize("planted", [0, 1, 4, 5, 20, 21, 84, 85, 99])
+def test_sweep_reports_the_first_singular_tuple_across_chunks(planted):
+    # Chunks hold tuples 0, 1-4, 5-20, 21-84 and 85 on: plant an exact
+    # eigenvalue on either side of every boundary, and a second one later.
+    tuples = _far_points(np.random.default_rng(4104), 100)
+    tuples[planted] = (Quaternion(3.0),)
+    tuples[min(planted + 3, 99)] = (Quaternion(3.0),)
+    status, tup, _ = _assert_same_sweep(_SHIFTED.terms, tuples)
+    assert status == "singular" and tup is tuples[planted]
+
+
+def test_sweep_prefers_a_later_singular_tuple_to_an_earlier_dead_band():
+    tuples = _far_points(np.random.default_rng(4105), 30)
+    tuples[3] = (Quaternion(2.0 + 5e-11),)
+    assert _assert_same_sweep(_SHIFTED.terms, tuples)[0] == "unknown"
+    tuples[25] = (Quaternion(3.0),)
+    status, tup, _ = _assert_same_sweep(_SHIFTED.terms, tuples)
+    assert status == "singular" and tup is tuples[25]
+    assert _assert_same_sweep(_SHIFTED.terms, tuples[:3])[0] == "nonsingular"
+
+
+def test_sweep_matches_one_tuple_at_a_time_on_random_multivariate_input():
+    rng = np.random.default_rng(4106)
+    words = [w for length in range(4) for w in itertools.product((1, 2), repeat=length)]
+    statuses = set()
+    for trial in range(12):
+        n = 1 + trial % 4
+        picks = rng.choice(len(words), size=4, replace=False)
+        p = MultiPolynomial.build(2, [(words[t], random_qmatrix(rng, n)) for t in picks])
+        points = [random_quaternion(rng) for _ in range(6)]
+        if trial % 2:
+            # A zero column makes every tuple singular, from the first chunk on.
+            for _, a in p.terms:
+                a.a1[:, 0] = 0.0
+                a.a2[:, 0] = 0.0
+        statuses.add(_assert_same_sweep(p.terms, list(itertools.product(points, repeat=2)))[0])
+    assert statuses == {"singular", "nonsingular"}
 
 
 def test_check_stability_matches_one_letter_multivariate():

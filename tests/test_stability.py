@@ -477,3 +477,24 @@ def test_ball_witness_lies_in_region():
 def test_sample_numerical_range_needs_samples():
     with pytest.raises(ValueError):
         sample_numerical_range(example_projection_poly(), 0, seed=1)
+
+
+@pytest.mark.parametrize("kind", ["open_ball", "closed_ball"])
+def test_isolated_zero_on_ball_boundary_is_in_the_dead_band(kind):
+    # A zero on the sphere must not be decided by its last bit: 1.0 and its
+    # neighbours 1 - 2^-53 and 1 + 2^-52 all sit in the dead band.
+    from quatpoly.matpoly import PolynomialZero
+    from quatpoly.quaternion import StandardEigenvalue, standardize
+    from quatpoly.stability import BOUNDARY_BAND, _zero_meets_region
+
+    region = getattr(Region, kind)(Quaternion(0), 1.0)
+
+    def meets(x):
+        point = Quaternion(x)
+        return _zero_meets_region(PolynomialZero(standardize(point), point, False, 0.0),
+                                  region, BOUNDARY_BAND)
+
+    assert {meets(1.0 - 2.0 ** -53), meets(1.0), meets(1.0 + 2.0 ** -52)} == {False}
+    assert meets(1.0 - 1e-6) and not meets(1.0 + 1e-6)
+    spherical = PolynomialZero(StandardEigenvalue(0.0, 0.5), Quaternion(0.0, 0.5), True, 0.0)
+    assert _zero_meets_region(spherical, region, BOUNDARY_BAND)
