@@ -31,8 +31,6 @@ from .quaternion import (
     class_distance,
     class_distance_extremes,
     class_point,
-    inv,
-    mul,
     similar,
     standardize,
 )
@@ -98,8 +96,8 @@ from .multivar import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Quaternion", "StandardEigenvalue", "mul", "inv", "standardize",
-    "similar", "class_distance", "class_distance_extremes", "class_point",
+    "Quaternion", "StandardEigenvalue", "standardize", "similar",
+    "class_distance", "class_distance_extremes", "class_point",
     "QuaternionMatrix", "qvec", "vec_entries", "vec4", "vec4_to_qvec",
     "complex_adjoint", "real_rep_left", "real_rep_right_scalar",
     "rank_decision", "rank_decisions", "eig_complex", "right_eigenvalues", "right_eigenpairs",

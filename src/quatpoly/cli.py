@@ -38,6 +38,7 @@ from .stability import (
     eigenvalue_annulus,
     sample_numerical_range,
 )
+from .tolerances import BOUNDARY_BAND
 
 _NUMERICAL_FAILURES = (NoConvergenceError, ResidualFailureError,
                        PairingFailureError, DegenerateCoefficientsError)
@@ -53,7 +54,7 @@ class JobSpec:
     closed: bool = False
     form: Optional[str] = None
     cubic_leading: str = "literal"
-    boundary_band: float = 1e-9
+    boundary_band: float = BOUNDARY_BAND
     timings: bool = False
 
 
@@ -235,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--cubic-leading", choices=("literal", "a3"),
                         default="literal",
                         help="leading coefficient reading for the cubic rule")
-        sp.add_argument("--boundary-band", type=float, default=1e-9,
+        sp.add_argument("--boundary-band", type=float, default=BOUNDARY_BAND,
                         help="dead band around region boundaries")
         sp.add_argument("--timings", action="store_true",
                         help="include wall-clock timings in the report")

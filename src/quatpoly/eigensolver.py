@@ -20,6 +20,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import NoConvergenceError, NonSquareError, SingularMatrixError
+from .tolerances import INVERSE_ITERATION_REL, SCALE_FLOOR
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -130,31 +131,30 @@ def inverse_complex(a: np.ndarray, min_pivot: float) -> np.ndarray:
         return np.linalg.inv(a)
 
 
-def eigenvector(matrix, eigenvalue: complex, *, attempts: int = 4,
-                iterations: int = 3) -> tuple[np.ndarray, float]:
+def eigenvector(matrix, eigenvalue: complex) -> tuple[np.ndarray, float]:
     """Unit eigenvector for a known eigenvalue, via shifted inverse iteration.
 
     Returns (vector, residual) where residual = ||M v - lambda v||.  Tiny
     pivots of the shifted matrix are floored at eps * ||M|| so the solve
-    stays finite; several deterministic restarts guard against a start
-    vector orthogonal to the eigenspace.
+    stays finite; three solves from each of four deterministic starts guard
+    against a start vector orthogonal to the eigenspace.
     """
     a = _as_square(matrix)
     n = a.shape[0]
     scale = np.linalg.norm(a)
     shifted = a - complex(eigenvalue) * np.eye(n, dtype=np.complex128)
-    floor = _EPS * max(scale, 1e-290)
+    floor = _EPS * max(scale, SCALE_FLOOR)
     lu, piv = lu_factor(shifted, pivot_floor=floor)
     best_vec = None
     best_res = math.inf
-    for attempt in range(attempts):
+    for attempt in range(4):
         if attempt == 0:
             v = np.ones(n, dtype=np.complex128) / math.sqrt(n)
         else:
             rng = np.random.default_rng(1009 + attempt)
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             v /= np.linalg.norm(v)
-        for _ in range(iterations):
+        for _ in range(3):
             v = lu_solve(lu, piv, v)
             nv = np.linalg.norm(v)
             if not np.isfinite(nv) or nv == 0.0:
@@ -165,7 +165,7 @@ def eigenvector(matrix, eigenvalue: complex, *, attempts: int = 4,
             if res < best_res:
                 best_res = res
                 best_vec = v
-            if res <= 1e-10 * max(scale, 1.0):
+            if res <= INVERSE_ITERATION_REL * max(scale, 1.0):
                 break
     if best_vec is None:
         raise NoConvergenceError("inverse iteration produced no finite vector")

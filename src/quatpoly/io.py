@@ -25,22 +25,22 @@ class InputFormatError(ValueError):
     """Raised when an input file does not match its expected schema."""
 
 
-def _not_bool(value, what: str):
-    # JSON true/false load as Python bools, which int and float accept.
-    if isinstance(value, bool):
+def _is_int(value) -> bool:
+    # JSON true/false load as Python bools, which are ints.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as a float; strings and booleans are refused."""
+    if not isinstance(value, float) and not _is_int(value):
         raise InputFormatError(f"{what} must be a number, got {value!r}")
-    return value
+    return float(value)
 
 
 def quaternion_from_json(data) -> Quaternion:
     if not isinstance(data, (list, tuple)) or len(data) != 4:
         raise InputFormatError(f"expected a 4-array [w, x, y, z], got {data!r}")
-    for v in data:
-        _not_bool(v, "quaternion entry")
-    try:
-        q = Quaternion.from_array(data)
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"bad quaternion {data!r}") from exc
+    q = Quaternion(*(_number(v, "quaternion entry") for v in data))
     if not all(math.isfinite(v) for v in q.as_array()):
         raise InputFormatError(f"quaternion entries must be finite, got {data!r}")
     return q
@@ -81,7 +81,7 @@ def polynomial_from_json(data) -> tuple[MatrixPolynomial, Optional[list[int]]]:
     partition = data.get("partition")
     if partition is not None:
         if (not isinstance(partition, list)
-                or not all(isinstance(s, int) and s > 0 for s in partition)):
+                or not all(_is_int(s) and s > 0 for s in partition)):
             raise InputFormatError('"partition" must be a list of positive block sizes')
     return poly, partition
 
@@ -101,11 +101,9 @@ def region_from_json(data) -> Region:
             return Region.finite_set([quaternion_from_json(p) for p in points])
         center = quaternion_from_json(data.get("center", [0, 0, 0, 0]))
         if kind is RegionKind.ANNULUS:
-            return Region.annulus(center,
-                                  float(_not_bool(data["inner_radius"], "inner_radius")),
-                                  float(_not_bool(data["outer_radius"], "outer_radius")))
-        return Region(kind, center=center,
-                      radius=float(_not_bool(data["radius"], "radius")))
+            return Region.annulus(center, _number(data["inner_radius"], "inner_radius"),
+                                  _number(data["outer_radius"], "outer_radius"))
+        return Region(kind, center=center, radius=_number(data["radius"], "radius"))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InputFormatError):
             raise
@@ -137,12 +135,13 @@ def multipolynomial_from_json(data) -> MultiPolynomial:
         if not isinstance(term, dict) or "word" not in term or "coeff" not in term:
             raise InputFormatError('each term needs a "word" and a "coeff"')
         word = term["word"]
-        if not isinstance(word, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in word):
+        if not isinstance(word, list) or not all(_is_int(v) for v in word):
             raise InputFormatError(f'bad word {word!r}')
         pairs.append((tuple(word), matrix_from_json(term["coeff"])))
+    if not _is_int(data["k"]):
+        raise InputFormatError(f'"k" must be an integer, got {data["k"]!r}')
     try:
-        return MultiPolynomial.build(int(_not_bool(data["k"], '"k"')), pairs)
+        return MultiPolynomial.build(data["k"], pairs)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
 

@@ -23,6 +23,8 @@ from .quaternion import (
     left_action_matrix,
     right_action_matrix,
 )
+from .tolerances import (APPROX_EQ_ABS, INVERTIBILITY_REL, PAIRING_ABS, PAIRING_REL,
+                         RANK_BAND, RANK_PIVOT_REL, SQUARES_MIN)
 
 __all__ = [
     "QuaternionMatrix",
@@ -44,21 +46,10 @@ __all__ = [
     "inverse",
 ]
 
-# Pivot policy for the realified rank oracle: relative threshold on the
-# infinity norm, with an undecided band one decade to either side.
-RANK_PIVOT_REL = 1e-10
-RANK_BAND = 10.0
 _RANK_STATUSES = ("nonsingular", "singular", "unknown")
 
 # Left actions of 1, i, j, k on (w, x, y, z): real_rep_left is linear in them.
 _UNIT_LEFT_ACTIONS = np.stack([left_action_matrix(Quaternion(*e)) for e in np.eye(4)])
-
-# Single invertibility criterion: LU pivot threshold on the complex lift.
-INVERTIBILITY_REL = 1e-12
-
-
-# Below this a sum of squares may have lost digits to underflow.
-_SQUARES_MIN = 2.0 ** -960
 
 
 def _coerce_entry(value) -> Quaternion:
@@ -169,12 +160,6 @@ class QuaternionMatrix:
         c2 = self.a1 @ other.a2 + self.a2 @ np.conj(other.a1)
         return QuaternionMatrix(c1, c2)
 
-    def scale_left(self, q: Quaternion) -> "QuaternionMatrix":
-        """Entrywise left multiplication q * a_ij."""
-        q1, q2 = q.complex_pair()
-        return QuaternionMatrix(q1 * self.a1 - q2 * np.conj(self.a2),
-                                q1 * self.a2 + q2 * np.conj(self.a1))
-
     def scale_right(self, q: Quaternion) -> "QuaternionMatrix":
         """Entrywise right multiplication a_ij * q."""
         q1, q2 = q.complex_pair()
@@ -190,7 +175,7 @@ class QuaternionMatrix:
     def frobenius_norm(self) -> float:
         with np.errstate(over="ignore"):
             squares = float(np.sum(np.abs(self.a1) ** 2 + np.abs(self.a2) ** 2))
-        if _SQUARES_MIN <= squares < math.inf:
+        if SQUARES_MIN <= squares < math.inf:
             return math.sqrt(squares)
         # Squares under- or overflowed: redo on the entries divided by a
         # power of two near the largest one, which is exact.
@@ -205,10 +190,10 @@ class QuaternionMatrix:
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.a1).all() and np.isfinite(self.a2).all())
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.max_entry_modulus() <= tol
+    def is_zero(self) -> bool:
+        return self.max_entry_modulus() == 0.0
 
-    def allclose(self, other: "QuaternionMatrix", tol: float = 1e-12) -> bool:
+    def allclose(self, other: "QuaternionMatrix", tol: float = APPROX_EQ_ABS) -> bool:
         return (self - other).max_entry_modulus() <= tol
 
     def __repr__(self) -> str:
@@ -416,7 +401,7 @@ def _pair_conjugates(vals: np.ndarray, tol: float) -> list[StandardEigenvalue]:
             if d < best_dist:
                 best_dist = d
                 best = s
-        if best < 0 or best_dist > max(tol, 5e-14):
+        if best < 0 or best_dist > max(tol, PAIRING_ABS):
             raise PairingFailureError(
                 f"no conjugate partner for {vals[t]:.6g} within {tol:.3e} "
                 f"(closest at {best_dist:.3e})")
@@ -428,7 +413,7 @@ def _pair_conjugates(vals: np.ndarray, tol: float) -> list[StandardEigenvalue]:
 
 
 def _standards(vals: np.ndarray, scale: float) -> list[StandardEigenvalue]:
-    standards = _pair_conjugates(vals, 1e-6 * scale)
+    standards = _pair_conjugates(vals, PAIRING_REL * scale)
     standards.sort(key=lambda e: (e.modulus(), e.re, e.im))
     return standards
 
@@ -477,8 +462,8 @@ def inverse(a: QuaternionMatrix) -> QuaternionMatrix:
     """Inverse on the complex lift.
 
     Raises SingularMatrixError when an LU pivot falls below
-    1e-12 times the lift's Frobenius norm; this same threshold is the
-    package-wide invertibility test.
+    INVERTIBILITY_REL times the lift's Frobenius norm; this same threshold
+    is the package-wide invertibility test.
     """
     if a.n_rows != a.n_cols:
         raise NonSquareError("inverse is defined for square matrices")

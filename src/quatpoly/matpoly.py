@@ -45,8 +45,11 @@ from .linalg import (
     vec4_to_qvec,
 )
 from .quaternion import Quaternion, StandardEigenvalue, right_action_matrices, standardize
+from .tolerances import (BLOCK_NORM_REL, CHAR_POLY_IMAG_REL, DIFF_STEP, GN_DAMPING,
+                         GN_STEP_REL, IDENTITY_ABS, POLYEIG_RESIDUAL_REL, REAL_CLASS_REL,
+                         ROOT_CLUSTER_REL, SCALE_FLOOR, SLOPE_REL, SPHERE_REL,
+                         SPHERE_TRY_REL)
 
-POLYEIG_RESIDUAL_REL = 1e-7
 # A chunk of operators in the realified sweep holds at most this many doubles.
 SWEEP_CHUNK_DOUBLES = 2 ** 16
 
@@ -174,7 +177,7 @@ def _refine_eigenvector(p: MatrixPolynomial, mu: complex,
     from .eigensolver import _EPS, lu_factor, lu_solve
 
     w = sum(complex_adjoint(a) * mu ** i for i, a in enumerate(p.coeffs))
-    floor = _EPS * max(float(np.linalg.norm(w)), 1e-290)
+    floor = _EPS * max(float(np.linalg.norm(w)), SCALE_FLOOR)
     lu, piv = lu_factor(np.asarray(w), pivot_floor=floor)
     v = _qvec_to_chi_vector(y_start)
     norm = np.linalg.norm(v)
@@ -205,7 +208,7 @@ def polyeig_with_residuals(p: MatrixPolynomial) -> list[tuple[StandardEigenvalue
     """Standard eigenvalues paired with their relative action residuals.
 
     The residual for mu is ||sum_i A_i y mu^i|| / ((sum_i ||A_i|| |mu|^i) ||y||)
-    for the recovered eigenvector y; anything above 1e-7 raises
+    for the recovered eigenvector y; anything above POLYEIG_RESIDUAL_REL raises
     ResidualFailureError.
     """
     if p.degree == 0:
@@ -237,7 +240,7 @@ def polyeig_with_residuals(p: MatrixPolynomial) -> list[tuple[StandardEigenvalue
         best_y = None
         for y, _b in blocks:
             ynorm = y.frobenius_norm()
-            if ynorm < 1e-8 * max(top_norm, 1e-290):
+            if ynorm < BLOCK_NORM_REL * max(top_norm, SCALE_FLOOR):
                 break
             rel = _relative_residual(p, y, mu, ynorm * scale, unit)
             if best is None or rel < best:
@@ -388,8 +391,8 @@ class ScalarQPolynomial:
             acc = acc * q + self.coeffs[i]
         return acc
 
-    def is_monic(self, tol: float = 1e-12) -> bool:
-        return (self.coeffs[-1] - Quaternion.ONE).modulus() <= tol
+    def is_monic(self) -> bool:
+        return (self.coeffs[-1] - Quaternion.ONE).modulus() <= IDENTITY_ABS
 
     def monic(self) -> "ScalarQPolynomial":
         """Left-multiply by the inverse leading coefficient (same zeros)."""
@@ -422,7 +425,7 @@ def scalar_char_poly(p: ScalarQPolynomial) -> list[float]:
         acc = Quaternion.ZERO
         for i in range(max(0, k - m), min(m, k) + 1):
             acc = acc + a[i] * a[k - i].conj()
-        if acc.vec_norm() > 1e-10 * max(qsum, 1e-290):
+        if acc.vec_norm() > CHAR_POLY_IMAG_REL * max(qsum, SCALE_FLOOR):
             raise NonRealCoefficientError(
                 f"coefficient c_{k} has imaginary magnitude {acc.vec_norm():.3e}")
         out.append(acc.w)
@@ -526,31 +529,31 @@ def _remainder_vector(coeffs, u, v) -> np.ndarray:
     return np.array(beta.as_array() + alpha.as_array())
 
 
-def _refine_quadratic_factor(coeffs, u: float, v: float,
-                             steps: int = 6) -> tuple[float, float, Quaternion, Quaternion]:
+def _refine_quadratic_factor(coeffs, u: float,
+                             v: float) -> tuple[float, float, Quaternion, Quaternion]:
     """Gauss-Newton on (u, v) minimizing the division remainder.
 
     Used to pin down class spheres that divide the polynomial exactly but
     arrive with the O(sqrt(eps)) noise of multiple characteristic roots.
     """
-    for _ in range(steps):
+    for _ in range(6):
         r = _remainder_vector(coeffs, u, v)
-        du = max(1e-7, 1e-7 * abs(u))
-        dv = max(1e-7, 1e-7 * abs(v))
+        du = max(DIFF_STEP, DIFF_STEP * abs(u))
+        dv = max(DIFF_STEP, DIFF_STEP * abs(v))
         ju = (_remainder_vector(coeffs, u + du, v) - _remainder_vector(coeffs, u - du, v)) / (2 * du)
         jv = (_remainder_vector(coeffs, u, v + dv) - _remainder_vector(coeffs, u, v - dv)) / (2 * dv)
         jac = np.column_stack([ju, jv])
         jtj = jac.T @ jac
         rhs = -jac.T @ r
         try:
-            delta = np.linalg.solve(jtj + 1e-300 * np.eye(2), rhs)
+            delta = np.linalg.solve(jtj + GN_DAMPING * np.eye(2), rhs)
         except np.linalg.LinAlgError:
             break
         if not np.all(np.isfinite(delta)):
             break
         u += float(delta[0])
         v += float(delta[1])
-        if np.linalg.norm(delta) <= 1e-15 * max(1.0, abs(u), abs(v)):
+        if np.linalg.norm(delta) <= GN_STEP_REL * max(1.0, abs(u), abs(v)):
             break
     beta, alpha = _divide_by_real_quadratic(coeffs, u, v)
     return u, v, beta, alpha
@@ -558,7 +561,7 @@ def _refine_quadratic_factor(coeffs, u: float, v: float,
 
 def _cluster_classes(roots: list[complex], span: float) -> list[tuple[float, float]]:
     reps = sorted((z.real, abs(z.imag)) for z in roots)
-    tol = 1e-7 * max(1.0, span)
+    tol = ROOT_CLUSTER_REL * max(1.0, span)
     clusters: list[list[tuple[float, float]]] = []
     for rep in reps:
         for group in clusters:
@@ -598,8 +601,8 @@ def scalar_zeros(p: ScalarQPolynomial) -> list[PolynomialZero]:
     for x, s in classes:
         rho = math.hypot(x, s)
         pscale = sum(c.modulus() * max(1.0, rho) ** i for i, c in enumerate(coeffs))
-        pscale = max(pscale, 1e-290)
-        if s <= 1e-9 * max(1.0, rho):
+        pscale = max(pscale, SCALE_FLOOR)
+        if s <= REAL_CLASS_REL * max(1.0, rho):
             alpha = _divide_by_real_linear(coeffs, x)
             point = Quaternion(x)
             out.append(PolynomialZero(StandardEigenvalue(x, 0.0), point,
@@ -609,17 +612,17 @@ def scalar_zeros(p: ScalarQPolynomial) -> list[PolynomialZero]:
         v = x * x + s * s
         beta, alpha = _divide_by_real_quadratic(coeffs, u, v)
         rem = beta.modulus() * max(1.0, rho) + alpha.modulus()
-        if rem <= 1e-6 * pscale:
+        if rem <= SPHERE_TRY_REL * pscale:
             u2, v2, beta2, alpha2 = _refine_quadratic_factor(coeffs, u, v)
             rem2 = beta2.modulus() * max(1.0, rho) + alpha2.modulus()
-            if rem2 <= 1e-9 * pscale:
+            if rem2 <= SPHERE_REL * pscale:
                 x2 = -u2 / 2.0
                 s2 = math.sqrt(max(v2 - x2 * x2, 0.0))
                 cls = StandardEigenvalue(x2, s2)
                 out.append(PolynomialZero(cls, cls.lift(), True, rem2))
                 continue
             beta, alpha = beta2, alpha2
-        if beta.modulus() <= 1e-12 * pscale:
+        if beta.modulus() <= SLOPE_REL * pscale:
             # Residual class with no recoverable zero; numerically spurious.
             continue
         zeta = -(beta.inverse() * alpha)
@@ -627,11 +630,11 @@ def scalar_zeros(p: ScalarQPolynomial) -> list[PolynomialZero]:
         best_res = monic.evaluate(zeta).modulus()
         for _ in range(2):
             cls = standardize(best)
-            if cls.im <= 1e-9 * max(1.0, cls.modulus()):
+            if cls.im <= REAL_CLASS_REL * max(1.0, cls.modulus()):
                 break
             b2, a2 = _divide_by_real_quadratic(
                 coeffs, -2.0 * cls.re, cls.re ** 2 + cls.im ** 2)
-            if b2.modulus() <= 1e-12 * pscale:
+            if b2.modulus() <= SLOPE_REL * pscale:
                 break
             cand = -(b2.inverse() * a2)
             res = monic.evaluate(cand).modulus()

@@ -22,10 +22,11 @@ from .linalg import QuaternionMatrix, qvec
 from .matpoly import eval_word, realified_sweep
 from .quaternion import Quaternion
 from .stability import HyperStatus, HyperVerdict, Region, RegionKind, StabilityStatus
+from .tolerances import OMEGA_ZERO_ABS
 
 Word = tuple[int, ...]
 
-# check_stability_multi refuses probe sets with more tuples than this.
+# check_stability_multi refuses probe sets whose tuples times letters exceed this.
 MAX_TUPLES = 10 ** 6
 
 
@@ -104,14 +105,14 @@ def check_stability_multi(p: MultiPolynomial, omega: Region) -> MultiStabilityVe
     Every tuple is realified and rank-tested; the verdict reports the first
     singular tuple (in lexicographic tuple order) with a kernel vector, so
     the result is independent of how the sweep is chunked.  More than
-    MAX_TUPLES tuples raise ValueError before any is built.
+    MAX_TUPLES tuples times letters raise ValueError before any is built.
     """
     if omega.kind is not RegionKind.FINITE_SET:
         raise ValueError("multivariate stability is decided over finite sets only")
     # Two or more points pass the cap well before k = 64 letters.
-    if len(omega.points) ** min(p.k, 64) > MAX_TUPLES:
-        raise ValueError(f"{len(omega.points)}^{p.k} probe tuples exceed "
-                         f"the limit of {MAX_TUPLES}")
+    if p.k * len(omega.points) ** min(p.k, 64) > MAX_TUPLES:
+        raise ValueError(f"{len(omega.points)}^{p.k} probe tuples of {p.k} letters "
+                         f"exceed the limit of {MAX_TUPLES}")
     status, tup, vec = realified_sweep(p.terms,
                                        itertools.product(omega.points, repeat=p.k))
     if status == "singular":
@@ -125,7 +126,7 @@ def check_stability_multi(p: MultiPolynomial, omega: Region) -> MultiStabilityVe
 
 
 def _require_zero_free(omega: Region) -> None:
-    if any(q.modulus() <= 1e-12 for q in omega.points):
+    if any(q.modulus() <= OMEGA_ZERO_ABS for q in omega.points):
         raise ZeroInOmegaError("the probe set must not contain 0")
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_INV_FLOOR = 1e-300
+from .tolerances import APPROX_EQ_ABS, INV_FLOOR, SIMILAR_ABS
 
 
 class Quaternion:
@@ -34,11 +34,6 @@ class Quaternion:
         self.x = float(x)
         self.y = float(y)
         self.z = float(z)
-
-    @classmethod
-    def from_array(cls, values) -> "Quaternion":
-        w, x, y, z = (float(v) for v in values)
-        return cls(w, x, y, z)
 
     @classmethod
     def from_complex(cls, c: complex) -> "Quaternion":
@@ -73,9 +68,6 @@ class Quaternion:
         """Norm of the imaginary (vector) part."""
         return math.hypot(self.x, self.y, self.z)
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return self.vec_norm() <= tol
-
     def inverse(self) -> "Quaternion":
         """Multiplicative inverse conj(q) / |q|^2.
 
@@ -83,7 +75,7 @@ class Quaternion:
         are rescaled so subnormal moduli do not overflow the division.
         """
         m = self.modulus()
-        if not m > _INV_FLOOR:
+        if not m > INV_FLOOR:
             raise ZeroDivisionError("quaternion has no inverse: modulus below 1e-300")
         s = max(abs(self.w), abs(self.x), abs(self.y), abs(self.z))
         u = Quaternion(self.w / s, self.x / s, self.y / s, self.z / s)
@@ -128,14 +120,6 @@ class Quaternion:
             return Quaternion(self.w / f, self.x / f, self.y / f, self.z / f)
         return NotImplemented
 
-    def __pow__(self, exponent: int) -> "Quaternion":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are defined")
-        result = Quaternion(1.0)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Quaternion):
             return NotImplemented
@@ -147,7 +131,7 @@ class Quaternion:
     def __repr__(self) -> str:
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
 
-    def approx_eq(self, other: "Quaternion", tol: float = 1e-12) -> bool:
+    def approx_eq(self, other: "Quaternion", tol: float = APPROX_EQ_ABS) -> bool:
         return (self - other).modulus() <= tol
 
 
@@ -156,16 +140,6 @@ Quaternion.ONE = Quaternion(1.0)
 Quaternion.I = Quaternion(0.0, 1.0)
 Quaternion.J = Quaternion(0.0, 0.0, 1.0)
 Quaternion.K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
-def mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product of two quaternions."""
-    return p * q
-
-
-def inv(q: Quaternion) -> Quaternion:
-    """Multiplicative inverse; raises ZeroDivisionError near zero."""
-    return q.inverse()
 
 
 @dataclass(frozen=True)
@@ -191,9 +165,6 @@ class StandardEigenvalue:
     def modulus(self) -> float:
         return math.hypot(self.re, self.im)
 
-    def approx_eq(self, other: "StandardEigenvalue", tol: float = 1e-12) -> bool:
-        return abs(self.re - other.re) <= tol and abs(self.im - other.im) <= tol
-
 
 def standardize(q: Quaternion) -> StandardEigenvalue:
     """Map q to the complex representative of its similarity class.
@@ -204,7 +175,7 @@ def standardize(q: Quaternion) -> StandardEigenvalue:
     return StandardEigenvalue(q.w, q.vec_norm())
 
 
-def similar(p: Quaternion, q: Quaternion, tol: float = 1e-10) -> bool:
+def similar(p: Quaternion, q: Quaternion, tol: float = SIMILAR_ABS) -> bool:
     """Whether p and q lie in the same similarity class.
 
     Decided through the representatives: equal real parts and equal imaginary

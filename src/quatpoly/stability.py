@@ -50,8 +50,11 @@ from .quaternion import (
     class_distance_extremes,
     class_point,
 )
-
-BOUNDARY_BAND = 1e-9
+from .tolerances import (BISECTION_WIDTH, BOUNDARY_BAND, DEGREE_TRIM_REL, DRAW_NORM_MIN,
+                         FINITE_SET_REL, IDENTITY_ABS, INDUCED_VANISHING_REL, INV_FLOOR,
+                         PRODUCT_MODULUS_SLACK, PROPORTIONAL_REL, ROOT_RESIDUAL_REL,
+                         SCALE_FLOOR, SPAN_INDEPENDENT_REL, SPAN_ZERO_ABS, STRUCTURE_REL,
+                         UNIT_BALL_ABS, VANISHING_REL)
 
 
 class RegionKind(str, Enum):
@@ -63,8 +66,6 @@ class RegionKind(str, Enum):
 
 
 _BALL_KINDS = (RegionKind.OPEN_BALL, RegionKind.CLOSED_BALL)
-_CENTERED_KINDS = (RegionKind.OPEN_BALL, RegionKind.CLOSED_BALL,
-                   RegionKind.COMPLEMENT_CLOSED_BALL, RegionKind.ANNULUS)
 
 
 @dataclass(frozen=True)
@@ -116,18 +117,24 @@ class Region:
     def finite_set(cls, points: Sequence[Quaternion]) -> "Region":
         return cls(RegionKind.FINITE_SET, points=tuple(points))
 
+    def margin(self, dmin: float, dmax: float) -> float:
+        """Signed margin by which a set at distances [dmin, dmax] from the
+        center meets this region: positive inside, negative outside."""
+        if self.kind in _BALL_KINDS:
+            return self.radius - dmin
+        if self.kind is RegionKind.COMPLEMENT_CLOSED_BALL:
+            return dmax - self.radius
+        if self.kind is RegionKind.ANNULUS:
+            return min(self.outer_radius - dmin, dmax - self.inner_radius)
+        raise ValueError("class geometry does not apply to finite sets")
+
     def contains(self, q: Quaternion) -> bool:
         if self.kind is RegionKind.FINITE_SET:
-            return any((q - p).modulus() <= 1e-12 * max(1.0, p.modulus())
+            return any((q - p).modulus() <= FINITE_SET_REL * max(1.0, p.modulus())
                        for p in self.points)
         d = (q - self.center).modulus()
-        if self.kind is RegionKind.OPEN_BALL:
-            return d < self.radius
-        if self.kind is RegionKind.CLOSED_BALL:
-            return d <= self.radius
-        if self.kind is RegionKind.COMPLEMENT_CLOSED_BALL:
-            return d > self.radius
-        return self.inner_radius <= d <= self.outer_radius
+        strict = self.kind in (RegionKind.OPEN_BALL, RegionKind.COMPLEMENT_CLOSED_BALL)
+        return self.margin(d, d) > 0.0 if strict else self.margin(d, d) >= 0.0
 
 
 class StabilityStatus(str, Enum):
@@ -275,32 +282,18 @@ def _class_region_relation(e: StandardEigenvalue, region: Region,
     the dead band is reported as "boundary".
     """
     dmin, dmax = class_distance_extremes(e, region.center)
-    if region.kind in (RegionKind.OPEN_BALL, RegionKind.CLOSED_BALL):
-        margin = region.radius - dmin
-        if margin > band:
-            return "inside", _class_point_at_distance(e, region.center, dmin)
-        if margin < -band:
-            return "outside", None
-        return "boundary", None
-    if region.kind is RegionKind.COMPLEMENT_CLOSED_BALL:
-        margin = dmax - region.radius
-        if margin > band:
-            return "inside", _class_point_at_distance(e, region.center, dmax)
-        if margin < -band:
-            return "outside", None
-        return "boundary", None
-    if region.kind is RegionKind.ANNULUS:
-        m1 = region.outer_radius - dmin
-        m2 = dmax - region.inner_radius
-        if m1 < -band or m2 < -band:
-            return "outside", None
-        if m1 > band and m2 > band:
-            lo = max(dmin, region.inner_radius)
-            hi = min(dmax, region.outer_radius)
-            return "inside", _class_point_at_distance(e, region.center,
-                                                      0.5 * (lo + hi))
-        return "boundary", None
-    raise ValueError("class geometry does not apply to finite sets")
+    margin = region.margin(dmin, dmax)
+    if margin > band:
+        if region.kind in _BALL_KINDS:
+            target = dmin
+        elif region.kind is RegionKind.COMPLEMENT_CLOSED_BALL:
+            target = dmax
+        else:
+            target = 0.5 * (max(dmin, region.inner_radius) + min(dmax, region.outer_radius))
+        return "inside", _class_point_at_distance(e, region.center, target)
+    if margin < -band:
+        return "outside", None
+    return "boundary", None
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +401,7 @@ def unique_positive_root(coeffs: Sequence[float]) -> float:
             raise NoSignChangeError("failed to bracket a positive root")
     lo = 0.0
     for _ in range(300):
-        if hi - lo <= 1e-12:
+        if hi - lo <= BISECTION_WIDTH:
             break
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -435,7 +428,7 @@ def unique_positive_root(coeffs: Sequence[float]) -> float:
             break
         root, froot = cand, fcand
     scale = sum(abs(c) * root ** i for i, c in enumerate(coeffs))
-    if abs(f(root)) > 1e-10 * max(scale, 1e-290):
+    if abs(f(root)) > ROOT_RESIDUAL_REL * max(scale, SCALE_FLOOR):
         raise RuntimeError("positive root failed its residual check")
     return root
 
@@ -486,7 +479,7 @@ def _random_unit_qvec(rng: np.random.Generator, n: int) -> QuaternionMatrix:
     while True:
         raw = rng.standard_normal(4 * n)
         norm = float(np.linalg.norm(raw))
-        if norm > 1e-12:
+        if norm > DRAW_NORM_MIN:
             return vec4_to_qvec(raw / norm)
 
 
@@ -511,10 +504,10 @@ def sample_numerical_range(p: MatrixPolynomial, samples: int,
         y_adj = y.adjoint()
         cs = [(y_adj @ (a @ y)).entry(0, 0) for a in p.coeffs]
         top = max(c.modulus() for c in cs)
-        if top <= 1e-13 * max(coeff_scale, 1e-290):
+        if top <= VANISHING_REL * max(coeff_scale, SCALE_FLOOR):
             skipped += 1
             continue
-        degree = max(i for i, c in enumerate(cs) if c.modulus() > 1e-12 * top)
+        degree = max(i for i, c in enumerate(cs) if c.modulus() > DEGREE_TRIM_REL * top)
         if degree == 0:
             continue  # nonzero constant: no zeros contributed
         poly = ScalarQPolynomial(cs[:degree + 1])
@@ -548,12 +541,12 @@ def _canonical_unit_vectors(n: int) -> list[QuaternionMatrix]:
 
 
 def _region_contains_closed_unit_ball(region: Region) -> bool:
-    if region.center.modulus() > 1e-12:
+    if region.center.modulus() > UNIT_BALL_ABS:
         return False
     if region.kind is RegionKind.CLOSED_BALL:
-        return region.radius >= 1.0 - 1e-12
+        return region.radius >= 1.0 - UNIT_BALL_ABS
     if region.kind is RegionKind.OPEN_BALL:
-        return region.radius > 1.0 + 1e-12
+        return region.radius > 1.0 + UNIT_BALL_ABS
     return False
 
 
@@ -565,32 +558,32 @@ def _span_basis(vectors: list[QuaternionMatrix]) -> list[np.ndarray]:
         for u in units:
             cand = vec4(v.scale_right(u))
             norm0 = float(np.linalg.norm(cand))
-            if norm0 <= 1e-14:
+            if norm0 <= SPAN_ZERO_ABS:
                 continue
             for b in basis:
                 cand = cand - (b @ cand) * b
             norm = float(np.linalg.norm(cand))
-            if norm > 1e-10 * norm0:
+            if norm > SPAN_INDEPENDENT_REL * norm0:
                 basis.append(cand / norm)
     return basis
 
 
 def _zero_meets_region(zero, region: Region, band: float) -> bool:
-    if zero.spherical:
-        if region.kind is RegionKind.FINITE_SET:
+    if region.kind is RegionKind.FINITE_SET:
+        if zero.spherical:
             return any(class_distance(zero.eigenvalue_class, q) <= band
                        for q in region.points)
-        relation, _ = _class_region_relation(zero.eigenvalue_class, region, band)
-        return relation == "inside"
-    if region.kind in _BALL_KINDS:
-        # A zero within the dead band of the sphere does not count as inside.
-        return region.radius - (zero.point - region.center).modulus() > band
-    return region.contains(zero.point)
+        return region.contains(zero.point)
+    if zero.spherical:
+        dmin, dmax = class_distance_extremes(zero.eigenvalue_class, region.center)
+    else:
+        dmin = dmax = (zero.point - region.center).modulus()
+    # A zero within the dead band of the boundary does not count as inside.
+    return region.margin(dmin, dmax) > band
 
 
 def not_hyperstable_search(p: MatrixPolynomial, region: Region, *,
-                           y_samples: int = 16, z_samples: int = 48,
-                           seed: int = 42) -> Optional[SearchWitness]:
+                           y_samples: int = 16, seed: int = 42) -> Optional[SearchWitness]:
     """Search for a vector y witnessing failure of hyperstability.
 
     For each candidate y the scalar polynomials z* P(t) y are examined over
@@ -613,14 +606,14 @@ def not_hyperstable_search(p: MatrixPolynomial, region: Region, *,
     for y in candidates:
         vs = [a @ y for a in p.coeffs]
         vnorm = max(v.frobenius_norm() for v in vs)
-        if vnorm <= 1e-13 * max(coeff_scale, 1e-290):
+        if vnorm <= VANISHING_REL * max(coeff_scale, SCALE_FLOOR):
             # P(t) y vanishes identically for every t and z.
             return SearchWitness(y, "universal-kernel")
         if p.degree == 2 and unit_ball_region:
             witness = _quadratic_product_certificate(vs, y)
             if witness is not None:
                 return witness
-        if _all_sampled_z_fail(vs, region, rng, z_samples):
+        if _all_sampled_z_fail(vs, region, rng):
             return SearchWitness(y, "sampled-z-exhaustion")
     return None
 
@@ -634,23 +627,23 @@ def _quadratic_product_certificate(vs: list[QuaternionMatrix],
     at zero)."""
     v2, v0 = vs[2], vs[0]
     n2 = v2.frobenius_norm()
-    if n2 <= 1e-300:
-        if v0.frobenius_norm() <= 1e-300:
+    if n2 <= INV_FLOOR:
+        if v0.frobenius_norm() <= INV_FLOOR:
             # Induced polynomials are multiples of t: root at 0.
             return SearchWitness(y, "quadratic-product-certificate")
         return None
     inner = (v2.adjoint() @ v0).entry(0, 0)
     q = inner / (n2 * n2)
     residual = (v0 - v2.scale_right(q)).frobenius_norm()
-    if residual > 1e-10 * max(v0.frobenius_norm(), n2):
+    if residual > PROPORTIONAL_REL * max(v0.frobenius_norm(), n2):
         return None
-    if q.modulus() <= 1.0 + 1e-12:
+    if q.modulus() <= 1.0 + PRODUCT_MODULUS_SLACK:
         return SearchWitness(y, "quadratic-product-certificate")
     return None
 
 
 def _all_sampled_z_fail(vs: list[QuaternionMatrix], region: Region,
-                        rng: np.random.Generator, z_samples: int) -> bool:
+                        rng: np.random.Generator) -> bool:
     basis = _span_basis(vs)
     if not basis:
         return True  # no z sees the action at all
@@ -662,10 +655,10 @@ def _all_sampled_z_fail(vs: list[QuaternionMatrix], region: Region,
     for a in range(dim):
         for b in range(a + 1, dim):
             zs.append((basis[a] + basis[b]) / math.sqrt(2.0))
-    while len(zs) < 2 * dim + dim * (dim - 1) // 2 + z_samples:
+    while len(zs) < 2 * dim + dim * (dim - 1) // 2 + 48:  # and 48 random directions
         w = rng.standard_normal(dim)
         norm = float(np.linalg.norm(w))
-        if norm <= 1e-12:
+        if norm <= DRAW_NORM_MIN:
             continue
         zs.append(sum(c * b for c, b in zip(w / norm, basis)))
     vmax = max(v.frobenius_norm() for v in vs)
@@ -674,9 +667,9 @@ def _all_sampled_z_fail(vs: list[QuaternionMatrix], region: Region,
         z_adj = z.adjoint()
         cs = [(z_adj @ v).entry(0, 0) for v in vs]
         top = max(c.modulus() for c in cs)
-        if top <= 1e-12 * max(vmax, 1e-290):
+        if top <= INDUCED_VANISHING_REL * max(vmax, SCALE_FLOOR):
             continue  # identically zero polynomial: fails everywhere
-        degree = max(i for i, c in enumerate(cs) if c.modulus() > 1e-12 * top)
+        degree = max(i for i, c in enumerate(cs) if c.modulus() > DEGREE_TRIM_REL * top)
         if degree == 0:
             return False  # nonzero constant: this z never vanishes on the region
         zeros = scalar_zeros(ScalarQPolynomial(cs[:degree + 1]))
@@ -686,8 +679,8 @@ def _all_sampled_z_fail(vs: list[QuaternionMatrix], region: Region,
     return True
 
 
-def _is_identity(a: QuaternionMatrix, tol: float = 1e-12) -> bool:
-    return (a - QuaternionMatrix.identity(a.n_rows)).max_entry_modulus() <= tol
+def _is_identity(a: QuaternionMatrix) -> bool:
+    return (a - QuaternionMatrix.identity(a.n_rows)).max_entry_modulus() <= IDENTITY_ABS
 
 
 def _is_upper_triangular(a: QuaternionMatrix, tol: float) -> bool:
@@ -737,8 +730,7 @@ def _negative_witness(p: MatrixPolynomial, mu: Optional[Quaternion]) -> Optional
 def check_hyperstability(p: MatrixPolynomial, region: Region, *,
                          partition: Optional[Sequence[int]] = None,
                          band: float = BOUNDARY_BAND,
-                         y_samples: int = 16, z_samples: int = 48,
-                         seed: int = 42,
+                         y_samples: int = 16, seed: int = 42,
                          evidence_samples: int = 120) -> HyperVerdict:
     """Certificate ladder for hyperstability; first match wins.
 
@@ -750,7 +742,7 @@ def check_hyperstability(p: MatrixPolynomial, region: Region, *,
     (5) otherwise UNKNOWN, with sampled numerical-range disjointness quoted
         as evidence in the certificate text but never as a proof.
     """
-    struct_tol = 1e-14 * max(1.0, max(a.max_entry_modulus() for a in p.coeffs))
+    struct_tol = STRUCTURE_REL * max(1.0, max(a.max_entry_modulus() for a in p.coeffs))
 
     if p.size == 1:
         return _equivalence_verdict(p, region, band, "scalar-equivalence")
@@ -769,8 +761,7 @@ def check_hyperstability(p: MatrixPolynomial, region: Region, *,
                     sub_ok = False
                     break
                 sub = check_hyperstability(block_poly, region, band=band,
-                                           y_samples=y_samples,
-                                           z_samples=z_samples, seed=seed,
+                                           y_samples=y_samples, seed=seed,
                                            evidence_samples=evidence_samples)
                 if sub.status is not HyperStatus.HYPERSTABLE:
                     sub_ok = False
@@ -780,8 +771,7 @@ def check_hyperstability(p: MatrixPolynomial, region: Region, *,
 
     if region.kind in (RegionKind.OPEN_BALL, RegionKind.CLOSED_BALL,
                        RegionKind.FINITE_SET):
-        hit = not_hyperstable_search(p, region, y_samples=y_samples,
-                                     z_samples=z_samples, seed=seed)
+        hit = not_hyperstable_search(p, region, y_samples=y_samples, seed=seed)
         if hit is not None:
             return HyperVerdict(HyperStatus.NOT_HYPERSTABLE_SAMPLED,
                                 hit.certificate, witness=hit.vector)

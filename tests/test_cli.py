@@ -219,6 +219,13 @@ def test_exit_codes_for_input_errors(tmp_path, capsys):
 NAN = float("nan")
 FINITE_SET = {"kind": "finite_set", "points": [[0.5, 0, 0, 0], [2, 0, 0, 0]]}
 ONE_LETTER = [{"word": [1], "coeff": EYE2}, {"word": [], "coeff": EYE2}]
+# Non-identity leading coefficient, block upper triangular over [1, 2]:
+# composition is the only positive route and the file declares it.
+TRI = {"coeffs": [[[[-2, 0, 0, 0], [0.5, 0.5, 0, 0], [1, 0, 2, 0]],
+                   [ZERO, ZERO, J_Q],
+                   [ZERO, ZERO, [0, 0, 0, -1]]],
+                  [[[2, 0, 0, 0], ZERO, ZERO], [ZERO, ONE_Q, ZERO], [ZERO, ZERO, ONE_Q]]],
+       "partition": [1, 2]}
 
 
 @pytest.mark.parametrize("command, poly, region", [
@@ -247,14 +254,40 @@ def test_non_finite_and_boolean_inputs_exit_2(tmp_path, capsys, command, poly, r
     assert json.loads(err)["error_kind"] in ("InputFormatError", "ValueError")
 
 
-def test_multivar_refuses_too_many_tuples(tmp_path, capsys, monkeypatch):
-    # 1001^2 tuples pass the cap: refused before the sweep starts.
+@pytest.mark.parametrize("command, poly, region", [
+    pytest.param("stable", J_SHIFT_POLY, {"kind": "open_ball", "center": ["0", 0, 0, 0],
+                                          "radius": 0.5}, id="string-center"),
+    pytest.param("stable", J_SHIFT_POLY, {"kind": "closed_ball", "center": ZERO,
+                                          "radius": "0.5"}, id="string-radius"),
+    pytest.param("multivar", {"k": "2", "terms": MIXED_MULTI["terms"]}, FINITE_SET,
+                 id="string-k"),
+    pytest.param("multivar", {"k": 2.5, "terms": MIXED_MULTI["terms"]}, FINITE_SET,
+                 id="fractional-k"),
+    pytest.param("hyperstable", {**TRI, "partition": [2, True]}, FINITE_SET,
+                 id="bool-partition-entry"),
+])
+def test_non_numbers_where_numbers_belong_exit_2(tmp_path, capsys, command, poly, region):
+    # Strings would pass float() and int(), and true would count as 1.
+    p = write(tmp_path, "p.json", poly)
+    r = write(tmp_path, "r.json", region)
+    code, out, err = run_cli(capsys, [command, "--input", p, "--region", r])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error_kind"] == "InputFormatError"
+
+
+def _refuse_sweep(monkeypatch):
     from quatpoly import multivar
 
     def no_sweep(*_args):
         raise AssertionError("the sweep must not start")
 
     monkeypatch.setattr(multivar, "realified_sweep", no_sweep)
+
+
+def test_multivar_refuses_too_many_tuples(tmp_path, capsys, monkeypatch):
+    # 1001^2 tuples pass the cap: refused before the sweep starts.
+    _refuse_sweep(monkeypatch)
     points = [[1.0 + t / 1000.0, 0, 0, 0] for t in range(1001)]
     p = write(tmp_path, "p.json", MIXED_MULTI)
     r = write(tmp_path, "r.json", {"kind": "finite_set", "points": points})
@@ -264,13 +297,16 @@ def test_multivar_refuses_too_many_tuples(tmp_path, capsys, monkeypatch):
     assert json.loads(err)["error_kind"] == "ValueError"
 
 
-# Non-identity leading coefficient, block upper triangular over [1, 2]:
-# composition is the only positive route and the file declares it.
-TRI = {"coeffs": [[[[-2, 0, 0, 0], [0.5, 0.5, 0, 0], [1, 0, 2, 0]],
-                   [ZERO, ZERO, J_Q],
-                   [ZERO, ZERO, [0, 0, 0, -1]]],
-                  [[[2, 0, 0, 0], ZERO, ZERO], [ZERO, ONE_Q, ZERO], [ZERO, ZERO, ONE_Q]]],
-       "partition": [1, 2]}
+def test_multivar_refuses_too_many_letters_at_one_point(tmp_path, capsys, monkeypatch):
+    # One point gives one tuple at any k, but each tuple holds k letters:
+    # 10^6 + 1 letters pass the cap on tuples times letters.
+    _refuse_sweep(monkeypatch)
+    p = write(tmp_path, "p.json", {"k": 10 ** 6 + 1, "terms": ONE_LETTER})
+    r = write(tmp_path, "r.json", {"kind": "finite_set", "points": [[2, 0, 0, 0]]})
+    code, out, err = run_cli(capsys, ["multivar", "--input", p, "--region", r])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error_kind"] == "ValueError"
 
 
 def test_hyperstable_with_partition_in_file(tmp_path, capsys):

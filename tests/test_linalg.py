@@ -283,6 +283,9 @@ def _rank_decision_row_loop(m):
     work = np.array(m, dtype=float)
     n_rows, n_cols = work.shape
     tau = 1e-10 * float(np.max(np.sum(np.abs(work), axis=1)))
+    if tau == 0.0:
+        # The zero matrix is singular by fiat, with the first unit vector.
+        return "singular", np.eye(n_cols)[0]
     pivot_rows, free_cols, r = [], [], 0
     for c in range(n_cols):
         if r == n_rows:
@@ -351,11 +354,7 @@ def test_rank_decisions_matches_row_loop_per_slice(shape):
     assert len(status) == len(kernels) == len(stack)
     seen = set()
     for m, got, kernel in zip(stack, status, kernels):
-        if m.any():
-            ref_status, ref_kernel = _rank_decision_row_loop(m)
-        else:
-            # The zero matrix is singular by fiat, with the first unit vector.
-            ref_status, ref_kernel = "singular", np.eye(shape[1])[0]
+        ref_status, ref_kernel = _rank_decision_row_loop(m)
         one_status, one_kernel = rank_decision(m)
         assert got == ref_status == one_status
         seen.add(ref_status)

@@ -144,6 +144,21 @@ def test_stability_complement_and_annulus():
     assert is_eigenvalue_oracle(p, ann2.witness) is True
 
 
+@pytest.mark.parametrize("region", [
+    Region.open_ball(J, 0.5),
+    Region.complement_closed_ball(J, 1.0),
+    Region.annulus(J, 1.0, 1.5),
+], ids=lambda region: region.kind.value)
+def test_witness_lies_in_the_region_of_every_centered_kind(region):
+    # P(t) = I t + J I has the class of j, the unit sphere of pure
+    # imaginaries; seen from j its distances span [0, 2], so each kind has to
+    # aim its witness at its own part of that range.
+    p = MatrixPolynomial([QuaternionMatrix.diagonal([J, J]), QuaternionMatrix.identity(2)])
+    verdict = check_stability(p, region)
+    assert verdict.status is StabilityStatus.NOT_STABLE
+    assert region.contains(verdict.witness)
+
+
 def test_stability_fallback_sampling_for_singular_leading():
     unknown = check_stability(example_no_eigenvalue_poly(),
                               Region.closed_ball(Quaternion(0), 1.0), samples=60)
