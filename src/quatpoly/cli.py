@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -178,6 +179,9 @@ def run(spec: JobSpec) -> tuple[int, dict]:
     """Execute a job and return (exit_code, report)."""
     started = time.perf_counter()
     try:
+        if not 0.0 <= spec.boundary_band < math.inf:
+            raise qio.InputFormatError(
+                f"--boundary-band must be finite and nonnegative, got {spec.boundary_band!r}")
         payload = _RUNNERS[spec.command](spec)
     except _NUMERICAL_FAILURES as exc:
         return 3, {"command": spec.command, "error": str(exc),

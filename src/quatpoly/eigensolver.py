@@ -1,15 +1,15 @@
-"""Dense complex kernels behind one seam, backed by LAPACK through numpy.
+"""Dense kernels behind one seam, backed by LAPACK through numpy.
 
-Eigenvalues, with or without eigenvectors, come from one ``zgeev`` call
-(``numpy.linalg.eig`` / ``eigvals``), the spectral norm from ``zgesdd``
-singular values and the inverse from one ``zgesv`` solve; every
-``LinAlgError`` is reported as NoConvergenceError.  Two kernels stay in
-Python because they need the pivots LAPACK does not expose: LU with a pivot
-threshold (the package-wide invertibility test) and LU with a pivot floor
-(shifted inverse iteration against a matrix that is singular by design).
-A plain balancing/Hessenberg/QR eigensolver in the test suite
-(``tests/_qr_reference.py``) is the reference LAPACK is checked against.
-Everything is deterministic for a fixed input.
+Eigenvalues, with or without eigenvectors, come from one ``zgeev`` call, the
+spectral norm from ``zgesdd``, the singular values (and on request the right
+singular vectors) of a stack of real matrices from one batched ``dgesdd``
+call, inverses and solves from ``gesv``; every ``LinAlgError`` is reported
+as NoConvergenceError.  Two LU kernels stay in Python because they need the
+pivots LAPACK does not expose: one with a pivot threshold (the package-wide
+invertibility test) and one with a pivot floor (shifted inverse iteration
+against a matrix that is singular by design).  ``tests/_qr_reference.py``
+holds the plain QR eigensolver LAPACK is checked against.  Everything is
+deterministic for a fixed input.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ MAX_DIM = 512
 
 
 def _checked(a: np.ndarray) -> np.ndarray:
-    if max(a.shape) > MAX_DIM:
-        raise ValueError(f"matrix dimension {max(a.shape)} exceeds the desk-scale cap {MAX_DIM}")
+    # The cap bounds the matrix axes; a stack may hold any number of matrices.
+    if max(a.shape[-2:]) > MAX_DIM:
+        raise ValueError(f"matrix dimension {max(a.shape[-2:])} exceeds the desk-scale cap {MAX_DIM}")
     if not np.all(np.isfinite(a.view(np.float64))):
         raise ValueError("matrix contains non-finite entries")
     return a
@@ -76,6 +77,26 @@ def norm2(matrix) -> float:
     a = _checked(a)
     with _lapack("singular value decomposition"):
         return float(np.linalg.norm(a, 2))
+
+
+def singular_values(stack, *, vectors: bool = False):
+    """Descending singular values of every matrix in a real (..., m, n) stack.
+
+    With ``vectors=True`` returns (values, vt), the rows of each n x n slice
+    of vt being the right singular vectors in the order of the values.
+    """
+    a = _checked(np.asarray(stack, dtype=np.float64))
+    with _lapack("singular value decomposition"):
+        if vectors:
+            _, values, vt = np.linalg.svd(a)
+            return values, vt
+        return np.linalg.svd(a, compute_uv=False)
+
+
+def solve(a, b) -> np.ndarray:
+    """The solution x of the dense system a x = b."""
+    with _lapack("solve"):
+        return np.linalg.solve(a, b)
 
 
 def lu_factor(a: np.ndarray, *, min_pivot: float = 0.0,

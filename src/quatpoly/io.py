@@ -34,7 +34,10 @@ def _number(value, what: str) -> float:
     """A JSON number as a float; strings and booleans are refused."""
     if not isinstance(value, float) and not _is_int(value):
         raise InputFormatError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise InputFormatError(f"{what} is an integer too large for a float") from exc
 
 
 def quaternion_from_json(data) -> Quaternion:

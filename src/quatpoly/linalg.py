@@ -4,8 +4,9 @@ A quaternion matrix A splits uniquely as A = A1 + A2*j with complex blocks
 A1, A2; the lift chi(A) = [[A1, A2], [-conj(A2), conj(A1)]] is an injective
 algebra homomorphism into 2n x 2n complex matrices, so spectra, norms and
 inverses transfer back and forth.  Realification instead represents the
-one-sided actions y -> A y and y -> y q as 4n x 4n real matrices; its rank
-is the exact singularity oracle used throughout the stability checks.
+one-sided actions y -> A y and y -> y q as 4n x 4n real matrices; their
+singular values decide the singularity oracle used throughout the stability
+checks.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .eigensolver import eig_complex, inverse_complex, norm2
+from .eigensolver import eig_complex, inverse_complex, norm2, singular_values
 from .errors import NonSquareError, PairingFailureError
 from .quaternion import (
     Quaternion,
@@ -280,84 +281,53 @@ def real_rep_right_scalar(q: Quaternion, n: int) -> np.ndarray:
 
 
 def rank_decisions(stack) -> tuple[np.ndarray, np.ndarray]:
-    """Tri-state rank decisions for a stack of real matrices by row reduction.
+    """Tri-state rank decisions for a stack of real matrices from one values-only SVD.
 
-    Each matrix is reduced by Gauss-Jordan elimination with partial
-    pivoting against a threshold relative to its infinity norm: a column
-    pivot below threshold/10 definitely marks a dependent column, above
-    threshold*10 a sound pivot; anything inside the band is refused rather
-    than guessed.  Masks stand in for the per-matrix branches, so every
-    matrix sees exactly the floating-point operations of its own reduction.
+    With tau = RANK_PIVOT_REL * sigma_max, each singular value below
+    tau / RANK_BAND is a kernel direction, a least one above tau * RANK_BAND
+    means full column rank, and one in between is refused as "unknown".  A
+    wide matrix always has a kernel; the zero matrix is singular with kernel
+    e_0.  A matrix with a non-finite entry never reaches LAPACK and is
+    "unknown", as is one whose sigma_max overflows.
 
     Returns (status, kernels): status[b] is "nonsingular", "singular" or
-    "unknown"; kernels[b] is the kernel vector read off the first dependent
-    column of a singular matrix, and zero otherwise.
+    "unknown"; kernels[b] is ``_canonical_kernel`` of a singular matrix, else 0.
     """
-    work = np.array(stack, dtype=float, order="C")
-    if work.ndim != 3:
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3:
         raise ValueError("expected a stack of 2-D real matrices")
-    count, n_rows, n_cols = work.shape
-    flat_rows = work.reshape(count * n_rows, n_cols)
-    first_row = np.arange(count) * n_rows
-    rows = np.arange(n_rows)
-    scale = np.abs(work).sum(axis=2).max(axis=1, initial=0.0)
-    tau = RANK_PIVOT_REL * scale
-    sound, dependent = RANK_BAND * tau, tau / RANK_BAND
-    # Per matrix: still reducing, first dependent column (-1 while none; the
-    # zero matrix takes column 0), dead-band refusal, next pivot row, and
-    # the pivot column of each pivot row.
-    live = scale != 0.0
-    free = np.where(live, -1, 0)
-    unknown = np.zeros(count, dtype=bool)
-    r = np.zeros(count, dtype=np.intp)
-    pivot_col = np.full(count * n_rows, -1)
-    for c in range(n_cols):
-        if c >= n_rows:
-            # No row left to pivot on: the remaining columns are dependent.
-            full = live & (r == n_rows)
-            free[full & (free < 0)] = c
-            live &= ~full
-        if not live.any():
-            break
-        below = rows >= r[:, None]
-        col = np.where(below, np.abs(work[:, :, c]), -1.0)
-        p = col.argmax(axis=1)
-        p_val = col.max(axis=1)
-        pivot = live & (p_val > sound)
-        zero = live & (p_val < dependent)
-        decided = pivot | zero
-        unknown |= live ^ decided
-        live = decided
-        if zero.any():
-            work[:, :, c][zero[:, None] & below] = 0.0
-            free[zero & (free < 0)] = c
-        if pivot.any():
-            # Swap rows r and p, scale the pivot row, and clear column c in
-            # every other row whose entry there is nonzero.
-            at_r = (first_row + r)[pivot]
-            at_p = (first_row + p)[pivot]
-            top = flat_rows[at_p]
-            flat_rows[at_p] = flat_rows[at_r]
-            top = top / top[:, c, None]
-            flat_rows[at_r] = top
-            mult = np.where(pivot[:, None], work[:, :, c], 0.0)
-            mult.reshape(-1)[at_r] = 0.0
-            lead = np.zeros((count, n_cols))
-            lead[pivot] = top
-            np.subtract(work, mult[:, :, None] * lead[:, None, :], out=work,
-                        where=(mult != 0.0)[:, :, None])
-            pivot_col[at_r] = c
-            r += pivot
-    singular = ~unknown & (free >= 0)
-    status = np.array(_RANK_STATUSES)[np.where(unknown, 2, singular.astype(int))]
+    count, n_rows, n_cols = stack.shape
+    code = np.full(count, 2)
     kernels = np.zeros((count, n_cols))
-    hit = np.flatnonzero(singular)
-    kernels[hit, free[hit]] = 1.0
-    pivot_col = pivot_col.reshape(count, n_rows)
-    bi, ri = np.nonzero(pivot_col[hit] >= 0)
-    bi = hit[bi]
-    kernels[bi, pivot_col[bi, ri]] = -work[bi, ri, free[bi]]
-    return status, kernels
+    finite = np.flatnonzero(np.isfinite(stack).all(axis=(1, 2)))
+    sigma = singular_values(stack[finite])
+    tau = RANK_PIVOT_REL * sigma[:, 0]
+    nullity = (sigma < tau[:, None] / RANK_BAND).sum(axis=1) + max(n_cols - n_rows, 0)
+    code[finite] = np.select(
+        [~np.isfinite(tau), (nullity > 0) | (tau == 0.0), sigma[:, -1] > tau * RANK_BAND],
+        [2, 1, 0], 2)
+    for b, d in zip(finite, nullity):
+        if code[b] == 1:
+            kernels[b] = _canonical_kernel(stack[b], d)
+    return np.array(_RANK_STATUSES)[code], kernels
+
+
+def _canonical_kernel(m: np.ndarray, nullity: int) -> np.ndarray:
+    """A unit kernel vector that depends on the null space of m alone.
+
+    With N the last ``nullity`` right singular vectors, P = N N^T is free of
+    the basis LAPACK picks; the witness is P e_f / ||P e_f|| for the first f
+    with P_ff >= max_j P_jj / 2, which exact ties (a realified kernel holds
+    y q for every q commuting with mu) cannot flip.  The zero matrix takes e_0.
+    """
+    if not m.any():
+        return np.eye(m.shape[1])[0]
+    _, vt = singular_values(m, vectors=True)
+    null = vt[-nullity:].T
+    weight = np.sum(null * null, axis=1)
+    f = int(np.argmax(weight >= 0.5 * weight.max()))
+    kernel = null @ null[f]
+    return kernel / np.linalg.norm(kernel)
 
 
 def rank_decision(m: np.ndarray) -> tuple[str, np.ndarray | None]:
@@ -366,10 +336,7 @@ def rank_decision(m: np.ndarray) -> tuple[str, np.ndarray | None]:
     Returns ("nonsingular", None), ("singular", kernel_vector) or
     ("unknown", None); see ``rank_decisions``.
     """
-    work = np.asarray(m, dtype=float)
-    if work.ndim != 2:
-        raise ValueError("expected a 2-D real matrix")
-    status, kernels = rank_decisions(work[None])
+    status, kernels = rank_decisions(np.asarray(m, dtype=float)[None])
     status = str(status[0])
     return status, (kernels[0] if status == "singular" else None)
 

@@ -21,9 +21,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .eigensolver import eig_complex
+from .eigensolver import eig_complex, solve
 from .errors import (
     DimensionMismatchError,
+    NoConvergenceError,
     NonRealCoefficientError,
     NotMonicError,
     ResidualFailureError,
@@ -546,8 +547,8 @@ def _refine_quadratic_factor(coeffs, u: float,
         jtj = jac.T @ jac
         rhs = -jac.T @ r
         try:
-            delta = np.linalg.solve(jtj + GN_DAMPING * np.eye(2), rhs)
-        except np.linalg.LinAlgError:
+            delta = solve(jtj + GN_DAMPING * np.eye(2), rhs)
+        except NoConvergenceError:
             break
         if not np.all(np.isfinite(delta)):
             break

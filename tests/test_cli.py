@@ -265,12 +265,28 @@ def test_non_finite_and_boolean_inputs_exit_2(tmp_path, capsys, command, poly, r
                  id="fractional-k"),
     pytest.param("hyperstable", {**TRI, "partition": [2, True]}, FINITE_SET,
                  id="bool-partition-entry"),
+    pytest.param("stable", J_SHIFT_POLY, {"kind": "open_ball", "center": ZERO,
+                                          "radius": 10 ** 400}, id="huge-integer-radius"),
+    pytest.param("stable", {"coeffs": [[[[10 ** 400, 0, 0, 0]]], [[ONE_Q]]]}, FINITE_SET,
+                 id="huge-integer-coefficient"),
 ])
 def test_non_numbers_where_numbers_belong_exit_2(tmp_path, capsys, command, poly, region):
-    # Strings would pass float() and int(), and true would count as 1.
+    # Strings would pass float() and int(), true would count as 1, and an
+    # integer beyond the float range would raise OverflowError in float().
     p = write(tmp_path, "p.json", poly)
     r = write(tmp_path, "r.json", region)
     code, out, err = run_cli(capsys, [command, "--input", p, "--region", r])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error_kind"] == "InputFormatError"
+
+
+@pytest.mark.parametrize("band", ["-0.5", "nan", "inf"])
+def test_boundary_band_must_be_finite_and_nonnegative(tmp_path, capsys, band):
+    p = write(tmp_path, "p.json", J_SHIFT_POLY)
+    r = write(tmp_path, "r.json", {"kind": "open_ball", "center": J_Q, "radius": 0.5})
+    code, out, err = run_cli(capsys, ["stable", "--input", p, "--region", r,
+                                      f"--boundary-band={band}"])
     assert code == 2
     assert out == ""
     assert json.loads(err)["error_kind"] == "InputFormatError"
@@ -361,6 +377,19 @@ def test_exit_code_3_when_lapack_fails(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", failing)
     p = write(tmp_path, "p.json", GOLDEN_POLY)
     code, out, err = run_cli(capsys, ["eig", "--input", p])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error_kind"] == "NoConvergenceError"
+
+
+def test_exit_code_3_when_the_rank_oracle_fails(tmp_path, capsys, monkeypatch):
+    def failing(*_args, **_kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    p = write(tmp_path, "p.json", J_SHIFT_POLY)
+    r = write(tmp_path, "r.json", FINITE_SET)
+    code, out, err = run_cli(capsys, ["stable", "--input", p, "--region", r])
     assert code == 3
     assert out == ""
     assert json.loads(err)["error_kind"] == "NoConvergenceError"

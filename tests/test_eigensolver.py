@@ -20,7 +20,8 @@ from quatpoly import (
     eig_complex,
     scalar_char_poly,
 )
-from quatpoly.eigensolver import eigenvector, inverse_complex, lu_factor, lu_solve
+from quatpoly.eigensolver import (MAX_DIM, eigenvector, inverse_complex, lu_factor, lu_solve,
+                                  singular_values, solve)
 
 
 def sorted_vals(vals):
@@ -181,12 +182,35 @@ def test_eigenvector_columns_follow_sorted_values():
 
 
 def test_lapack_failure_is_no_convergence(monkeypatch):
+    with pytest.raises(NoConvergenceError):
+        solve(np.zeros((2, 2)), np.ones(2))
+
     def failing(*_args, **_kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvals", failing)
     monkeypatch.setattr(np.linalg, "eig", failing)
+    monkeypatch.setattr(np.linalg, "svd", failing)
     with pytest.raises(NoConvergenceError):
         eig_complex(np.eye(3))
     with pytest.raises(NoConvergenceError):
         eig_complex(np.eye(3), vectors=True)
+    with pytest.raises(NoConvergenceError):
+        singular_values(np.eye(3)[None])
+    with pytest.raises(NoConvergenceError):
+        singular_values(np.eye(3), vectors=True)
+
+
+def test_singular_values_of_a_stack():
+    # The dimension cap bounds each matrix, not the number of matrices.
+    rng = np.random.default_rng(701)
+    stack = rng.standard_normal((MAX_DIM + 1, 5, 3))
+    values = singular_values(stack)
+    values_too, vt = singular_values(stack, vectors=True)
+    assert values.shape == (MAX_DIM + 1, 3) and vt.shape == (MAX_DIM + 1, 3, 3)
+    assert np.allclose(values, values_too)
+    assert np.allclose(values[7], np.linalg.svd(stack[7], compute_uv=False))
+    assert np.allclose(np.linalg.norm(stack[7] @ vt[7].T, axis=0), values[7])
+    with pytest.raises(ValueError):
+        singular_values(np.zeros((1, MAX_DIM + 1, 2)))
+

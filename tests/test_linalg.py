@@ -315,6 +315,16 @@ def _rank_decision_row_loop(m):
     return "singular", kernel
 
 
+def _assert_kernel(m, kernel, ref_kernel):
+    """A unit vector in the kernel of m; where the kernel is a line, the row
+    loop's kernel vector up to sign."""
+    assert np.linalg.norm(kernel) == pytest.approx(1.0, abs=1e-15)
+    assert np.linalg.norm(m @ kernel) <= 1e-12 * np.linalg.norm(m, 2)
+    if m.shape[1] - np.linalg.matrix_rank(m) == 1:
+        ref = ref_kernel / np.linalg.norm(ref_kernel)
+        assert min(np.linalg.norm(kernel - ref), np.linalg.norm(kernel + ref)) <= 1e-10
+
+
 def test_rank_decision_matches_row_loop_reference():
     rng = np.random.default_rng(29)
     statuses = set()
@@ -325,7 +335,9 @@ def test_rank_decision_matches_row_loop_reference():
         ref_status, ref_kernel = _rank_decision_row_loop(m)
         statuses.add(status)
         assert status == ref_status
-        assert (kernel is None and ref_kernel is None) or np.array_equal(kernel, ref_kernel)
+        assert (kernel is None) == (ref_kernel is None)
+        if kernel is not None:
+            _assert_kernel(m, kernel, ref_kernel)
     assert statuses == {"singular", "nonsingular"}
 
 
@@ -353,18 +365,67 @@ def test_rank_decisions_matches_row_loop_per_slice(shape):
     status, kernels = rank_decisions(stack)
     assert len(status) == len(kernels) == len(stack)
     seen = set()
-    for m, got, kernel in zip(stack, status, kernels):
+    for index, (m, got, kernel) in enumerate(zip(stack, status, kernels)):
         ref_status, ref_kernel = _rank_decision_row_loop(m)
         one_status, one_kernel = rank_decision(m)
-        assert got == ref_status == one_status
         seen.add(ref_status)
+        if index == 2 and shape[1] > shape[0]:
+            # A wide matrix always has a kernel; the row loop meets the band
+            # pivot of the dead-band slice before it runs out of rows.
+            assert ref_status == "unknown"
+            ref_status = "singular"
+        assert got == ref_status == one_status
         if ref_status != "singular":
             assert one_kernel is None and not kernel.any()
             continue
-        for candidate in (kernel, one_kernel):
-            assert np.array_equal(candidate, ref_kernel)
-            assert np.array_equal(np.signbit(candidate), np.signbit(ref_kernel))
+        assert np.array_equal(kernel, one_kernel)
+        _assert_kernel(m, kernel, ref_kernel)
     assert {"singular", "unknown"} <= seen
+
+
+def _planted_realified_operator(rng, n, mu):
+    """Realified action y -> sum_i A_i y mu^i of a random quadratic whose
+    A_0 is corrected so that a random y lies in its kernel."""
+    coeffs = [random_qmatrix(rng, n) for _ in range(3)]
+    op = sum(real_rep_left(a) @ real_rep_right_scalar(power, n)
+             for a, power in zip(coeffs, [ONE, mu, mu * mu]))
+    y = rng.standard_normal(4 * n)
+    # A_0 - (P(mu) y) y* / |y|^2 sends y to -sum_{i>0} A_i y mu^i.
+    correction = vec4_to_qvec(op @ y) @ vec4_to_qvec(y).adjoint()
+    return op - real_rep_left(correction * (1.0 / float(y @ y)))
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["non-real", "real"])
+def test_rank_decision_witness_ignores_the_null_space_basis(real):
+    # A non-real eigenvalue leaves a kernel of real dimension 2, a real one
+    # of dimension 4 (y q for every q commuting with mu); an orthogonal
+    # change of rows keeps that space and must keep the witness.  At a real
+    # eigenvalue n starts at 2: a 1 x 1 polynomial vanishes there outright,
+    # which leaves the realified action as pure rounding noise.
+    rng = np.random.default_rng(41)
+    for trial in range(100):
+        n = 2 + trial % 4 if real else 1 + trial % 5
+        mu = Quaternion(rng.standard_normal()) if real else random_quaternion(rng)
+        m = _planted_realified_operator(rng, n, mu)
+        sigma = np.linalg.svd(m, compute_uv=False)
+        assert np.sum(sigma < 1e-10 * sigma[0]) == (4 if real else 2)
+        q, _ = np.linalg.qr(rng.standard_normal((4 * n, 4 * n)))
+        status, kernel = rank_decision(m)
+        rotated_status, rotated = rank_decision(q @ m)
+        assert status == rotated_status == "singular"
+        assert np.linalg.norm(rotated - kernel) <= 1e-12
+
+
+def test_rank_decisions_refuse_non_finite_and_overflowing_matrices():
+    huge = np.full((4, 4), 1.7e308)
+    huge[0, 1] = -1.7e308
+    stack = np.stack([np.diag([np.nan, 1.0, 1.0, 1.0]), np.diag([np.inf, 0.0, 1.0, 1.0]),
+                      huge, np.diag([1.0, 1.0, 1.0, 0.0])])
+    status, kernels = rank_decisions(stack)
+    # The finite entries of huge give a largest singular value beyond the
+    # float range, which no threshold can be scaled by.
+    assert list(status) == ["unknown", "unknown", "unknown", "singular"]
+    assert not kernels[:3].any() and np.array_equal(kernels[3], np.eye(4)[3])
 
 
 def test_rank_decisions_of_an_empty_stack():

@@ -513,3 +513,13 @@ def test_isolated_zero_on_ball_boundary_is_in_the_dead_band(kind):
     assert meets(1.0 - 1e-6) and not meets(1.0 + 1e-6)
     spherical = PolynomialZero(StandardEigenvalue(0.0, 0.5), Quaternion(0.0, 0.5), True, 0.0)
     assert _zero_meets_region(spherical, region, BOUNDARY_BAND)
+
+
+def test_overflowing_realified_action_stays_unknown():
+    # At t = 1e80 the t^3 term of the action overflows to inf: the oracle
+    # must refuse to decide rather than read a verdict off non-finite entries.
+    p = MatrixPolynomial([QuaternionMatrix.identity(1) * 1e100] * 4)
+    with np.errstate(over="ignore"):
+        verdict = check_stability(p, Region.finite_set([Quaternion(1e80)]))
+    assert verdict.status is StabilityStatus.UNKNOWN
+    assert verdict.certificate == "pointwise-oracle-deadband"
