@@ -12,7 +12,6 @@ from .errors import (
     DegenerateCoefficientsError,
     DimensionMismatchError,
     NoConvergenceError,
-    NonRealCoefficientError,
     NonSquareError,
     NoSignChangeError,
     NotMonicError,
@@ -118,6 +117,6 @@ __all__ = [
     "NoConvergenceError", "PairingFailureError", "SingularMatrixError",
     "SingularLeadingCoefficientError", "SingularCoefficientError",
     "ZeroLeadingError", "ResidualFailureError", "NotMonicError",
-    "NonRealCoefficientError", "NoSignChangeError", "ZeroInOmegaError",
+    "NoSignChangeError", "ZeroInOmegaError",
     "DegenerateCoefficientsError",
 ]

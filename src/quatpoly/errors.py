@@ -45,10 +45,6 @@ class NotMonicError(QuatPolyError):
     """Scalar polynomial operation requires a monic polynomial."""
 
 
-class NonRealCoefficientError(QuatPolyError):
-    """A coefficient expected to be real carries a significant imaginary part."""
-
-
 class NoSignChangeError(QuatPolyError):
     """Root bracketing requires exactly one sign change in the coefficients."""
 

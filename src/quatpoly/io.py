@@ -14,6 +14,8 @@ import json
 import math
 from typing import Any, Optional
 
+import numpy as np
+
 from .linalg import QuaternionMatrix, vec_entries
 from .matpoly import MatrixPolynomial
 from .multivar import MultiPolynomial
@@ -40,13 +42,34 @@ def _number(value, what: str) -> float:
         raise InputFormatError(f"{what} is an integer too large for a float") from exc
 
 
+def _quaternion_array(data, ndim: int) -> np.ndarray:
+    """``ndim`` levels of lists around [w, x, y, z] entries as one float array.
+
+    The shape is (..., 4).  Booleans, strings, null, non-finite values,
+    integers too large for a float, entries that are not 4-arrays and
+    ragged or empty rows are refused with InputFormatError.
+    """
+    entries = [data] if ndim == 0 else [e for row in data for e in row]
+    try:
+        arr = np.array(data, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = np.empty(0)
+    # np.array reads true and "1" as 1.0: only JSON numbers may pass.
+    if (arr.shape[ndim:] == (4,) and {type(v) for e in entries for v in e} <= {int, float}
+            and np.isfinite(arr).all()):
+        return arr
+    for entry in entries:  # name the first bad entry, as a per-entry reader would
+        if not isinstance(entry, (list, tuple)) or len(entry) != 4:
+            raise InputFormatError(f"expected a 4-array [w, x, y, z], got {entry!r}")
+        if not all(math.isfinite(v) for v in [_number(v, "quaternion entry") for v in entry]):
+            raise InputFormatError(f"quaternion entries must be finite, got {entry!r}")
+    if not data[0]:
+        raise InputFormatError("matrix needs at least one row and one column")
+    raise InputFormatError("rows have inconsistent lengths")
+
+
 def quaternion_from_json(data) -> Quaternion:
-    if not isinstance(data, (list, tuple)) or len(data) != 4:
-        raise InputFormatError(f"expected a 4-array [w, x, y, z], got {data!r}")
-    q = Quaternion(*(_number(v, "quaternion entry") for v in data))
-    if not all(math.isfinite(v) for v in q.as_array()):
-        raise InputFormatError(f"quaternion entries must be finite, got {data!r}")
-    return q
+    return Quaternion(*_quaternion_array(data, 0).tolist())
 
 
 def quaternion_to_json(q: Quaternion) -> list[float]:
@@ -56,11 +79,9 @@ def quaternion_to_json(q: Quaternion) -> list[float]:
 def matrix_from_json(data) -> QuaternionMatrix:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise InputFormatError("expected a 2-D array of quaternion 4-arrays")
-    rows = [[quaternion_from_json(v) for v in row] for row in data]
-    try:
-        return QuaternionMatrix.from_rows(rows)
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from exc
+    # (w, x, y, z) read as the complex pair (w + x i, y + z i) is exact.
+    pairs = _quaternion_array(data, 2).view(np.complex128)
+    return QuaternionMatrix(pairs[..., 0], pairs[..., 1])
 
 
 def matrix_to_json(a: QuaternionMatrix) -> list[list[list[float]]]:

@@ -25,7 +25,6 @@ from .eigensolver import eig_complex, solve
 from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
-    NonRealCoefficientError,
     NotMonicError,
     ResidualFailureError,
     SingularLeadingCoefficientError,
@@ -46,10 +45,9 @@ from .linalg import (
     vec4_to_qvec,
 )
 from .quaternion import Quaternion, StandardEigenvalue, right_action_matrices, standardize
-from .tolerances import (BLOCK_NORM_REL, CHAR_POLY_IMAG_REL, DIFF_STEP, GN_DAMPING,
-                         GN_STEP_REL, IDENTITY_ABS, POLYEIG_RESIDUAL_REL, REAL_CLASS_REL,
-                         ROOT_CLUSTER_REL, SCALE_FLOOR, SLOPE_REL, SPHERE_REL,
-                         SPHERE_TRY_REL)
+from .tolerances import (BLOCK_NORM_REL, DIFF_STEP, GN_DAMPING, GN_STEP_REL, IDENTITY_ABS,
+                         POLYEIG_RESIDUAL_REL, REAL_CLASS_REL, ROOT_CLUSTER_REL, SCALE_FLOOR,
+                         SLOPE_REL, SPHERE_REL, SPHERE_TRY_REL)
 
 # A chunk of operators in the realified sweep holds at most this many doubles.
 SWEEP_CHUNK_DOUBLES = 2 ** 16
@@ -420,16 +418,14 @@ def scalar_char_poly(p: ScalarQPolynomial) -> list[float]:
         raise NotMonicError("characteristic coefficients need a monic polynomial")
     m = p.degree
     a = p.coeffs
-    qsum = sum(c.modulus_sq() for c in a)
     out = []
     for k in range(2 * m + 1):
-        acc = Quaternion.ZERO
+        # Terms i and k - i are conjugates: only the real parts add up.
+        acc = 0.0
         for i in range(max(0, k - m), min(m, k) + 1):
-            acc = acc + a[i] * a[k - i].conj()
-        if acc.vec_norm() > CHAR_POLY_IMAG_REL * max(qsum, SCALE_FLOOR):
-            raise NonRealCoefficientError(
-                f"coefficient c_{k} has imaginary magnitude {acc.vec_norm():.3e}")
-        out.append(acc.w)
+            b = a[k - i]
+            acc = acc + (a[i].w * b.w + a[i].x * b.x + a[i].y * b.y + a[i].z * b.z)
+        out.append(acc)
     return out
 
 
@@ -590,7 +586,11 @@ def scalar_zeros(p: ScalarQPolynomial) -> list[PolynomialZero]:
     poly = ScalarQPolynomial(p.coeffs, trim=True)
     if poly.degree == 0:
         return []
-    monic = poly.monic()
+    # Dividing by a power of two near the largest coefficient is exact and
+    # moves no zero, and the leading coefficient stays invertible.
+    e = math.frexp(max(c.modulus() for c in poly.coeffs))[1]
+    monic = ScalarQPolynomial([Quaternion(*(math.ldexp(v, -e) for v in c.as_array()))
+                               for c in poly.coeffs]).monic()
     coeffs = list(monic.coeffs)
     char = scalar_char_poly(monic)
     roots = _real_poly_roots(char)
@@ -602,7 +602,6 @@ def scalar_zeros(p: ScalarQPolynomial) -> list[PolynomialZero]:
     for x, s in classes:
         rho = math.hypot(x, s)
         pscale = sum(c.modulus() * max(1.0, rho) ** i for i, c in enumerate(coeffs))
-        pscale = max(pscale, SCALE_FLOOR)
         if s <= REAL_CLASS_REL * max(1.0, rho):
             alpha = _divide_by_real_linear(coeffs, x)
             point = Quaternion(x)

@@ -53,7 +53,7 @@ from .quaternion import (
 from .tolerances import (BISECTION_WIDTH, BOUNDARY_BAND, DEGREE_TRIM_REL, DRAW_NORM_MIN,
                          FINITE_SET_REL, IDENTITY_ABS, INDUCED_VANISHING_REL, INV_FLOOR,
                          PRODUCT_MODULUS_SLACK, PROPORTIONAL_REL, ROOT_RESIDUAL_REL,
-                         SCALE_FLOOR, SPAN_INDEPENDENT_REL, SPAN_ZERO_ABS, STRUCTURE_REL,
+                         SCALE_FLOOR, SPAN_INDEPENDENT_REL, SPAN_ZERO_REL, STRUCTURE_REL,
                          UNIT_BALL_ABS, VANISHING_REL)
 
 
@@ -504,7 +504,7 @@ def sample_numerical_range(p: MatrixPolynomial, samples: int,
         y_adj = y.adjoint()
         cs = [(y_adj @ (a @ y)).entry(0, 0) for a in p.coeffs]
         top = max(c.modulus() for c in cs)
-        if top <= VANISHING_REL * max(coeff_scale, SCALE_FLOOR):
+        if top <= VANISHING_REL * coeff_scale:
             skipped += 1
             continue
         degree = max(i for i, c in enumerate(cs) if c.modulus() > DEGREE_TRIM_REL * top)
@@ -551,14 +551,17 @@ def _region_contains_closed_unit_ball(region: Region) -> bool:
 
 
 def _span_basis(vectors: list[QuaternionMatrix]) -> list[np.ndarray]:
-    """Orthonormal real basis of the realified right span of the vectors."""
+    """Orthonormal real basis of the realified right span of the vectors.
+
+    The longest vector has norm in [1/2, 1), so SPAN_ZERO_REL acts relative to it.
+    """
     basis: list[np.ndarray] = []
     units = [Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K]
     for v in vectors:
         for u in units:
             cand = vec4(v.scale_right(u))
             norm0 = float(np.linalg.norm(cand))
-            if norm0 <= SPAN_ZERO_ABS:
+            if norm0 <= SPAN_ZERO_REL:
                 continue
             for b in basis:
                 cand = cand - (b @ cand) * b
@@ -606,9 +609,13 @@ def not_hyperstable_search(p: MatrixPolynomial, region: Region, *,
     for y in candidates:
         vs = [a @ y for a in p.coeffs]
         vnorm = max(v.frobenius_norm() for v in vs)
-        if vnorm <= VANISHING_REL * max(coeff_scale, SCALE_FLOOR):
+        if vnorm <= VANISHING_REL * coeff_scale:
             # P(t) y vanishes identically for every t and z.
             return SearchWitness(y, "universal-kernel")
+        # An exact power-of-two scale moves no zero of any z* P(t) y and
+        # puts max ||A_i y|| in [1/2, 1), clear of under- and overflow
+        # (2^1023 is the largest power of two a float holds).
+        vs = [v * math.ldexp(1.0, -max(math.frexp(vnorm)[1], -1023)) for v in vs]
         if p.degree == 2 and unit_ball_region:
             witness = _quadratic_product_certificate(vs, y)
             if witness is not None:
@@ -667,7 +674,7 @@ def _all_sampled_z_fail(vs: list[QuaternionMatrix], region: Region,
         z_adj = z.adjoint()
         cs = [(z_adj @ v).entry(0, 0) for v in vs]
         top = max(c.modulus() for c in cs)
-        if top <= INDUCED_VANISHING_REL * max(vmax, SCALE_FLOOR):
+        if top <= INDUCED_VANISHING_REL * vmax:
             continue  # identically zero polynomial: fails everywhere
         degree = max(i for i, c in enumerate(cs) if c.modulus() > DEGREE_TRIM_REL * top)
         if degree == 0:

@@ -20,7 +20,6 @@ ROOT_RESIDUAL_REL = 1e-10  # residual of a norm-polynomial root, times sum |c_i|
 BISECTION_WIDTH = 1e-12  # absolute bracket width that ends the root bisection
 
 # Zeros of scalar quaternion polynomials.
-CHAR_POLY_IMAG_REL = 1e-10  # imaginary part of a characteristic coefficient, times sum |a_i|^2
 IDENTITY_ABS = 1e-12  # a coefficient equals the identity (monic, identity leading)
 ROOT_CLUSTER_REL = 1e-7  # characteristic roots in one class, times max(1, largest |root|)
 REAL_CLASS_REL = 1e-9  # a class is real below this imaginary part, times max(1, |class|)
@@ -40,7 +39,7 @@ DRAW_NORM_MIN = 1e-12  # a random Gaussian draw shorter than this is drawn again
 VANISHING_REL = 1e-13  # P(t) y vanishes, times max(||A_i||_F)
 INDUCED_VANISHING_REL = 1e-12  # z* P(t) y vanishes, times max(||A_i y||)
 DEGREE_TRIM_REL = 1e-12  # sampled coefficients below this times the largest are dropped
-SPAN_ZERO_ABS = 1e-14  # a realified span candidate this short is skipped
+SPAN_ZERO_REL = 1e-14  # a realified span candidate this short is skipped, max(||A_i y||) scaled into [1/2, 1)
 SPAN_INDEPENDENT_REL = 1e-10  # Gram-Schmidt remainder that adds a basis vector, times its start
 PROPORTIONAL_REL = 1e-10  # A_0 y = (A_2 y) q residual, times max(||A_0 y||, ||A_2 y||)
 PRODUCT_MODULUS_SLACK = 1e-12  # slack on |q| <= 1 in the quadratic product certificate

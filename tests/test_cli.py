@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -269,6 +270,16 @@ def test_non_finite_and_boolean_inputs_exit_2(tmp_path, capsys, command, poly, r
                                           "radius": 10 ** 400}, id="huge-integer-radius"),
     pytest.param("stable", {"coeffs": [[[[10 ** 400, 0, 0, 0]]], [[ONE_Q]]]}, FINITE_SET,
                  id="huge-integer-coefficient"),
+    pytest.param("stable", {"coeffs": [[[[0, False, 0, 0]]], [[ONE_Q]]]}, FINITE_SET,
+                 id="bool-coefficient-entry"),
+    pytest.param("eig", {"coeffs": [[[[0, 0, "1", 0]]], [[ONE_Q]]]}, FINITE_SET,
+                 id="string-coefficient-entry"),
+    pytest.param("bounds", {"coeffs": [[[[1, 0, 0]]], [[ONE_Q]]]}, FINITE_SET,
+                 id="three-array-coefficient-entry"),
+    pytest.param("nrange", {"coeffs": [[[None]], [[ONE_Q]]]}, FINITE_SET,
+                 id="null-coefficient-entry"),
+    pytest.param("hyperstable", {"coeffs": [[[ONE_Q, ZERO], [ONE_Q]], EYE2]}, FINITE_SET,
+                 id="ragged-coefficient-rows"),
 ])
 def test_non_numbers_where_numbers_belong_exit_2(tmp_path, capsys, command, poly, region):
     # Strings would pass float() and int(), true would count as 1, and an
@@ -410,6 +421,52 @@ def test_scaled_polynomial_keeps_spectrum_and_annulus(tmp_path, capsys, scale):
     assert moduli == pytest.approx(result("eig", 1.0)["moduli"], rel=1e-12)
     bounds, reference = result("bounds", scale), result("bounds", 1.0)
     assert [bounds["r"], bounds["R"]] == pytest.approx([reference["r"], reference["R"]], rel=1e-12)
+
+
+def _scaled_reports(tmp_path, capsys, s):
+    # nrange of s*P, and hyperstable over the open ball of radius 0.5 at 0
+    # and over the closed unit ball (the quadratic product certificate), all
+    # without the inputs block, which names the files.
+    coeffs = np.random.default_rng(31).standard_normal((3, 3, 3, 4))
+    p = write(tmp_path, f"p{s!r}.json", {"coeffs": (s * coeffs).tolist()})
+    r = write(tmp_path, "r.json", {"kind": "open_ball", "center": ZERO, "radius": 0.5})
+    unit = write(tmp_path, "unit.json", {"kind": "closed_ball", "center": ZERO, "radius": 1.0})
+    reports = []
+    for argv in (["nrange"], ["hyperstable", "--region", r],
+                 ["hyperstable", "--region", r, "--closed"], ["hyperstable", "--region", unit]):
+        code, out, err = run_cli(capsys, argv + ["--input", p, "--samples", "128"])
+        assert code == 0, err
+        report = json.loads(out)
+        del report["inputs"]
+        reports.append(json.dumps(report))
+    return reports
+
+
+@pytest.mark.parametrize("k", [-990, -600, -60, 60, 600, 660])
+def test_power_of_two_scale_keeps_zeros_and_hyperstability(tmp_path, capsys, k):
+    # 2^k * P has the zeros, the numerical range and the verdicts of P, bit for bit.
+    assert _scaled_reports(tmp_path, capsys, 2.0 ** k) == _scaled_reports(tmp_path, capsys, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200])
+def test_extreme_scales_end_without_error_or_warning(tmp_path, capsys, scale):
+    _scaled_reports(tmp_path, capsys, scale)
+
+
+def test_one_call_builds_one_argument_parser(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    p = write(tmp_path, "p.json", GOLDEN_POLY)
+    code, _, _ = run_cli(capsys, ["eig", "--input", p])
+    assert code == 0
+    assert len(built) == 1
 
 
 def test_tiny_polynomial_reports_a_true_action_residual(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from quatpoly import (
@@ -40,6 +43,22 @@ def test_matrix_roundtrip():
     assert back.allclose(a, 0.0)
     with pytest.raises(InputFormatError):
         matrix_from_json([[[1, 0, 0, 0]], [[1, 0, 0, 0], [0, 0, 0, 0]]])
+
+
+def test_matrix_reader_is_exact():
+    # One pass into the complex pair equals the per-entry reading, down to
+    # signed zeros, subnormals, the float range and integers rounded to a float.
+    rows = [[[1, -0.0, 5e-324, 1e308], [2 ** 53 + 1, 0, -5e-324, -0.0]],
+            [[-0.0, 0.1, -1e308, 10 ** 20], [0, 0, 0, -3]]]
+    got = matrix_from_json(rows)
+    ref = QuaternionMatrix.from_rows([[Quaternion(*q) for q in row] for row in rows])
+    for a, b in ((got.a1, ref.a1), (got.a2, ref.a2)):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        assert np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    q = quaternion_from_json([-0.0, 5e-324, 2 ** 53 + 1, -1e308])
+    assert [math.copysign(1.0, v) for v in q.as_array()] == [-1.0, 1.0, 1.0, -1.0]
+    assert q.as_array() == [0.0, 5e-324, float(2 ** 53 + 1), -1e308]
 
 
 def test_polynomial_with_partition():

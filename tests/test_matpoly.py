@@ -343,8 +343,8 @@ def test_scalar_char_poly_real_square():
 
 
 def test_char_poly_coefficients_always_real():
-    # The sums are conjugation-invariant, so the reality guard must never
-    # fire on genuine monic polynomials.
+    # The sums are conjugation-invariant, so only their real parts are
+    # formed: one float per coefficient of the degree-2m polynomial.
     assert scalar_char_poly(ScalarQPolynomial([I, ONE])) == pytest.approx([1.0, 0.0, 1.0])
     rng = np.random.default_rng(39)
     for _ in range(50):
