@@ -180,7 +180,7 @@ class QuaternionMatrix:
             return math.sqrt(squares)
         # Squares under- or overflowed: redo on the entries divided by a
         # power of two near the largest one, which is exact.
-        s = math.ldexp(1.0, min(max(math.frexp(self.max_entry_modulus())[1], -1020), 1020))
+        s = _pow2_near(self.max_entry_modulus())
         return s * math.sqrt(float(np.sum(np.abs(self.a1 / s) ** 2 + np.abs(self.a2 / s) ** 2)))
 
     def max_entry_modulus(self) -> float:
@@ -199,6 +199,11 @@ class QuaternionMatrix:
 
     def __repr__(self) -> str:
         return f"QuaternionMatrix({self.n_rows}x{self.n_cols})"
+
+
+def _pow2_near(x: float) -> float:
+    """2^e with x / 2^e in [1/2, 1), e clamped so 2^e and 2^-e are normal floats."""
+    return math.ldexp(1.0, min(max(math.frexp(x)[1], -1020), 1020))
 
 
 def qvec(entries: Iterable) -> QuaternionMatrix:

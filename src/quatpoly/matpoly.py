@@ -34,6 +34,7 @@ from .errors import (
 from .linalg import (
     QuaternionMatrix,
     _pairing_scale,
+    _pow2_near,
     _standard_eigenpairs,
     chi_vector_to_qvec,
     complex_adjoint,
@@ -325,7 +326,9 @@ def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
     else ("nonsingular", None, None).
     """
     n = terms[0][1].n_rows
-    lefts = [(word, real_rep_left(a).reshape(4 * n, n, 4)) for word, a in terms]
+    # One exact power-of-two scale keeps the operators finite; no rank decision moves.
+    scale = _pow2_near(max(a.max_entry_modulus() for _, a in terms))
+    lefts = [(word, (real_rep_left(a) / scale).reshape(4 * n, n, 4)) for word, a in terms]
     cap = max(1, SWEEP_CHUNK_DOUBLES // (4 * n) ** 2)
     tuples = iter(tuples)
     undecided = False

@@ -12,6 +12,7 @@ refute it but never establish it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import (
     DegenerateCoefficientsError,
+    NoConvergenceError,
     NoSignChangeError,
     SingularCoefficientError,
     SingularLeadingCoefficientError,
@@ -28,14 +30,16 @@ from .errors import (
 )
 from .linalg import (
     QuaternionMatrix,
+    _pow2_near,
     inverse,
     qvec,
+    real_rep_left,
     spectral_norm,
-    vec4,
     vec4_to_qvec,
 )
 from .matpoly import (
     MatrixPolynomial,
+    PolynomialZero,
     ScalarQPolynomial,
     eigenvector_at,
     is_eigenvalue_oracle,
@@ -49,11 +53,13 @@ from .quaternion import (
     class_distance,
     class_distance_extremes,
     class_point,
+    left_action_matrix,
+    right_action_matrices,
 )
 from .tolerances import (BISECTION_WIDTH, BOUNDARY_BAND, DEGREE_TRIM_REL, DRAW_NORM_MIN,
                          FINITE_SET_REL, IDENTITY_ABS, INDUCED_VANISHING_REL, INV_FLOOR,
                          PRODUCT_MODULUS_SLACK, PROPORTIONAL_REL, ROOT_RESIDUAL_REL,
-                         SCALE_FLOOR, SPAN_INDEPENDENT_REL, SPAN_ZERO_REL, STRUCTURE_REL,
+                         SPAN_INDEPENDENT_REL, SPAN_ZERO_REL, STRUCTURE_REL,
                          UNIT_BALL_ABS, VANISHING_REL)
 
 
@@ -66,6 +72,7 @@ class RegionKind(str, Enum):
 
 
 _BALL_KINDS = (RegionKind.OPEN_BALL, RegionKind.CLOSED_BALL)
+_SEARCH_KINDS = (*_BALL_KINDS, RegionKind.FINITE_SET)
 
 
 @dataclass(frozen=True)
@@ -84,8 +91,7 @@ class Region:
         values += [v for q in (self.center, *self.points) for v in q.as_array()]
         if not all(math.isfinite(v) for v in values):
             raise ValueError("region values must be finite")
-        if self.kind in (RegionKind.OPEN_BALL, RegionKind.CLOSED_BALL,
-                         RegionKind.COMPLEMENT_CLOSED_BALL):
+        if self.kind in (*_BALL_KINDS, RegionKind.COMPLEMENT_CLOSED_BALL):
             if not self.radius > 0.0:
                 raise ValueError("ball kinds need a positive radius")
         elif self.kind is RegionKind.ANNULUS:
@@ -193,18 +199,19 @@ def _unit_sphere_point(u1: float, u2: float, u3: float) -> tuple[float, float, f
     return (a * math.sin(t1), a * math.cos(t1), b * math.sin(t2), b * math.cos(t2))
 
 
+def _ball_grid_point(center: Quaternion, radius: float, index: int) -> Quaternion:
+    u0, u1, u2, u3 = _halton4(index)
+    rho = radius * u0 ** 0.25
+    s = _unit_sphere_point(u1, u2, u3)
+    return Quaternion(center.w + rho * s[0], center.x + rho * s[1],
+                      center.y + rho * s[2], center.z + rho * s[3])
+
+
 def quaternion_ball_grid(center: Quaternion, radius: float,
                          count: int) -> list[Quaternion]:
     """Deterministic low-discrepancy grid of ``count`` points in the open
     ball around ``center`` (all moduli strictly below ``radius``)."""
-    points = []
-    for t in range(1, count + 1):
-        u0, u1, u2, u3 = _halton4(t)
-        rho = radius * u0 ** 0.25
-        s = _unit_sphere_point(u1, u2, u3)
-        points.append(Quaternion(center.w + rho * s[0], center.x + rho * s[1],
-                                 center.y + rho * s[2], center.z + rho * s[3]))
-    return points
+    return [_ball_grid_point(center, radius, t) for t in range(1, count + 1)]
 
 
 def region_sample_grid(region: Region, count: int) -> list[Quaternion]:
@@ -221,12 +228,8 @@ def region_sample_grid(region: Region, count: int) -> list[Quaternion]:
     index = 1
     budget = 60 * count + 64
     while len(points) < count and index <= budget:
-        u0, u1, u2, u3 = _halton4(index)
+        q = _ball_grid_point(region.center, base_radius, index)
         index += 1
-        rho = base_radius * u0 ** 0.25
-        s = _unit_sphere_point(u1, u2, u3)
-        q = Quaternion(region.center.w + rho * s[0], region.center.x + rho * s[1],
-                       region.center.y + rho * s[2], region.center.z + rho * s[3])
         if region.contains(q):
             points.append(q)
     return points
@@ -244,9 +247,8 @@ def _orthogonal_imaginary(direction: Quaternion) -> Quaternion:
     if nv == 0.0:
         return Quaternion.J
     v /= nv
-    axes = np.eye(3)
-    pick = int(np.argmin(np.abs(axes @ v)))
-    w = axes[pick] - (axes[pick] @ v) * v
+    pick = int(np.argmin(np.abs(v)))
+    w = np.eye(3)[pick] - v[pick] * v
     w /= np.linalg.norm(w)
     return Quaternion(0.0, w[0], w[1], w[2])
 
@@ -360,12 +362,26 @@ def _sampled_stability(p: MatrixPolynomial, region: Region,
 # ---------------------------------------------------------------------------
 
 
+# Every positive root of a real polynomial with nonzero float end
+# coefficients lies within 2^(+-2100) (Cauchy's bound on a ratio of floats).
+_ROOT_EXPONENT_SPAN = 2200
+
+
+def _substituted(coeffs: Sequence[float], s: int) -> list[float]:
+    """Coefficients of f(2^s t), divided by one power of two so the largest
+    is in [1/2, 1); exact except for terms that fall below the float range."""
+    top = max(math.frexp(c)[1] + s * i for i, c in enumerate(coeffs) if c != 0.0)
+    return [math.ldexp(c, s * i - top) for i, c in enumerate(coeffs)]
+
+
 def unique_positive_root(coeffs: Sequence[float]) -> float:
     """The unique positive zero of a real polynomial whose coefficient
     sequence has exactly one sign change.
 
-    Brackets by doubling from [0, 1], bisects to absolute width 1e-12, then
-    polishes with a few Newton steps.
+    Bisects over exponents k for 2^(k-1) < z <= 2^k and substitutes z = 2^k t,
+    which is exact; bisects t in [1/2, 1] to width BISECTION_WIDTH and
+    polishes with a few Newton steps.  A root that fails its residual check
+    or is no positive finite float raises NoConvergenceError.
     """
     coeffs = [float(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0.0:
@@ -379,6 +395,16 @@ def unique_positive_root(coeffs: Sequence[float]) -> float:
         raise NoSignChangeError(
             f"expected exactly one sign change, found {changes}")
 
+    sign0 = coeffs[0] < 0
+    lo_exp, binade = -_ROOT_EXPONENT_SPAN, _ROOT_EXPONENT_SPAN
+    while binade - lo_exp > 1:
+        mid = (lo_exp + binade) // 2
+        if (math.fsum(_substituted(coeffs, mid)) < 0) == sign0:
+            lo_exp = mid
+        else:
+            binade = mid
+    coeffs = _substituted(coeffs, binade)
+
     def f(z: float) -> float:
         acc = 0.0
         for c in reversed(coeffs):
@@ -391,15 +417,7 @@ def unique_positive_root(coeffs: Sequence[float]) -> float:
             acc = acc * z + i * coeffs[i]
         return acc
 
-    sign0 = coeffs[0] < 0
-    hi = 1.0
-    guard = 0
-    while (f(hi) < 0) == sign0 and f(hi) != 0.0:
-        hi *= 2.0
-        guard += 1
-        if guard > 2000:
-            raise NoSignChangeError("failed to bracket a positive root")
-    lo = 0.0
+    lo, hi = 0.5, 1.0
     for _ in range(300):
         if hi - lo <= BISECTION_WIDTH:
             break
@@ -428,8 +446,11 @@ def unique_positive_root(coeffs: Sequence[float]) -> float:
             break
         root, froot = cand, fcand
     scale = sum(abs(c) * root ** i for i, c in enumerate(coeffs))
-    if abs(f(root)) > ROOT_RESIDUAL_REL * max(scale, SCALE_FLOOR):
-        raise RuntimeError("positive root failed its residual check")
+    if abs(f(root)) > ROOT_RESIDUAL_REL * scale:
+        raise NoConvergenceError("positive root failed its residual check")
+    root = math.ldexp(root, binade)
+    if not 0.0 < root < math.inf:
+        raise NoConvergenceError("positive root lies outside the float range")
     return root
 
 
@@ -452,16 +473,18 @@ def eigenvalue_annulus(p: MatrixPolynomial) -> tuple[float, float]:
     except SingularMatrixError as exc:
         raise SingularCoefficientError("leading coefficient is singular") from exc
     norms = [spectral_norm(a) for a in p.coeffs]
-    lower_coeffs = [-1.0 / spectral_norm(a0_inv)]
-    lower_coeffs.extend(norms[1:])
-    upper_coeffs = [-norms[i] for i in range(p.degree)]
-    upper_coeffs.append(1.0 / spectral_norm(am_inv))
+    lower_coeffs = [-1.0 / spectral_norm(a0_inv), *norms[1:]]
+    upper_coeffs = [-c for c in norms[:-1]] + [1.0 / spectral_norm(am_inv)]
     return unique_positive_root(lower_coeffs), unique_positive_root(upper_coeffs)
 
 
 # ---------------------------------------------------------------------------
 # Numerical range sampling
 # ---------------------------------------------------------------------------
+#
+# A probe vector is a row of a real (S, 4n) array in vec4 order.  Both
+# samplers form every coefficient set u* A_i v of their scalar polynomials
+# at once, as an (S, m+1, 4) array, and hand each row to _sampled_zeros.
 
 
 @dataclass(frozen=True)
@@ -475,12 +498,57 @@ class NumericalRangeResult(NamedTuple):
     skipped: int
 
 
-def _random_unit_qvec(rng: np.random.Generator, n: int) -> QuaternionMatrix:
-    while True:
-        raw = rng.standard_normal(4 * n)
-        norm = float(np.linalg.norm(raw))
+# Components of conj(q) are _CONJ * q, and component k of conj(u) v is the
+# sum over a, b of u_a T[a, k, b] v_b with T = _CONJ_PRODUCT.
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+_CONJ_PRODUCT = np.stack([c * left_action_matrix(Quaternion(*e)) for c, e in zip(_CONJ, np.eye(4))])
+# Column block u of p -> p @ _UNIT_RIGHT_ACTIONS is p u, for u = 1, i, j, k.
+_UNIT_RIGHT_ACTIONS = right_action_matrices(np.eye(4)).transpose(2, 0, 1).reshape(4, 16)
+
+
+def _unit_draws(rng: np.random.Generator, count: int, length: int) -> np.ndarray:
+    """``count`` unit rows, each a Gaussian draw of ``length`` normalized
+    and drawn again while shorter than DRAW_NORM_MIN."""
+    rows = []
+    while len(rows) < count:
+        raw = rng.standard_normal(length)
+        norm = math.sqrt(raw @ raw)
         if norm > DRAW_NORM_MIN:
-            return vec4_to_qvec(raw / norm)
+            rows.append(raw / norm)
+    return np.array(rows).reshape(count, length)
+
+
+def _scaled_actions(p: MatrixPolynomial, ys: np.ndarray) -> tuple[np.ndarray, float]:
+    """vec4(A_i y) for every row y, as an (S, m+1, 4n) array, and max ||A_i||_F,
+    both divided by one power of two near the largest entry modulus: exact,
+    and it moves no zero and no threshold scaled by them."""
+    scale = _pow2_near(max(a.max_entry_modulus() for a in p.coeffs))
+    lefts = np.stack([real_rep_left(a) for a in p.coeffs]) / scale
+    coeff_scale = max(a.frobenius_norm() for a in p.coeffs) / scale
+    return (lefts @ ys.T).transpose(2, 0, 1), coeff_scale
+
+
+def _qinner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Quaternion inner products u_s* v = sum_t conj(u_st) v_t of vec4 rows:
+    u is (S, 4n) and v is (S, R, 4n) or (R, 4n), broadcast to (S, R, 4)."""
+    # The (4n, 4) real matrix of v -> u_s* v, for every s.
+    forms = (u.reshape(len(u), -1, 4) @ _CONJ_PRODUCT.reshape(4, 16)).reshape(len(u), -1, 4, 4)
+    return v @ forms.transpose(0, 1, 3, 2).reshape(len(u), -1, 4)
+
+
+def _sampled_zeros(cs: np.ndarray, floor: float) -> Optional[list[PolynomialZero]]:
+    """Zeros of the scalar polynomial with (m+1, 4) coefficients ``cs``: None
+    when no coefficient modulus exceeds ``floor``, else ``scalar_zeros`` of cs
+    trimmed above its last coefficient over DEGREE_TRIM_REL times the largest
+    (no zeros for a nonzero constant)."""
+    rows = cs.tolist()
+    moduli = [math.hypot(*c) for c in rows]
+    top = max(moduli)
+    if top <= floor:
+        return None
+    degree = max(i for i, modulus in enumerate(moduli) if modulus > DEGREE_TRIM_REL * top)
+    coeffs = [Quaternion(*c) for c in rows[:degree + 1]]
+    return scalar_zeros(ScalarQPolynomial(coeffs)) if degree else []
 
 
 def sample_numerical_range(p: MatrixPolynomial, samples: int,
@@ -494,25 +562,16 @@ def sample_numerical_range(p: MatrixPolynomial, samples: int,
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    n = p.size
-    coeff_scale = max(a.frobenius_norm() for a in p.coeffs)
+    ys = _unit_draws(np.random.default_rng(seed), samples, 4 * p.size)
+    actions, coeff_scale = _scaled_actions(p, ys)
     points: list[RangePoint] = []
     skipped = 0
-    for _ in range(samples):
-        y = _random_unit_qvec(rng, n)
-        y_adj = y.adjoint()
-        cs = [(y_adj @ (a @ y)).entry(0, 0) for a in p.coeffs]
-        top = max(c.modulus() for c in cs)
-        if top <= VANISHING_REL * coeff_scale:
+    for cs in _qinner(ys, actions):
+        zeros = _sampled_zeros(cs, VANISHING_REL * coeff_scale)
+        if zeros is None:
             skipped += 1
             continue
-        degree = max(i for i, c in enumerate(cs) if c.modulus() > DEGREE_TRIM_REL * top)
-        if degree == 0:
-            continue  # nonzero constant: no zeros contributed
-        poly = ScalarQPolynomial(cs[:degree + 1])
-        for zero in scalar_zeros(poly):
-            points.append(RangePoint(zero.point, zero.spherical))
+        points.extend(RangePoint(zero.point, zero.spherical) for zero in zeros)
     if skipped == samples:
         raise DegenerateCoefficientsError(
             "every sample produced identically vanishing coefficients")
@@ -529,17 +588,6 @@ class SearchWitness(NamedTuple):
     certificate: str
 
 
-def _canonical_unit_vectors(n: int) -> list[QuaternionMatrix]:
-    units = [Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K]
-    out = []
-    for t in range(n):
-        for u in units:
-            entries = [Quaternion.ZERO] * n
-            entries[t] = u
-            out.append(qvec(entries))
-    return out
-
-
 def _region_contains_closed_unit_ball(region: Region) -> bool:
     if region.center.modulus() > UNIT_BALL_ABS:
         return False
@@ -550,25 +598,23 @@ def _region_contains_closed_unit_ball(region: Region) -> bool:
     return False
 
 
-def _span_basis(vectors: list[QuaternionMatrix]) -> list[np.ndarray]:
-    """Orthonormal real basis of the realified right span of the vectors.
-
-    The longest vector has norm in [1/2, 1), so SPAN_ZERO_REL acts relative to it.
-    """
+def _span_basis(vs: np.ndarray) -> np.ndarray:
+    """Orthonormal real basis, as rows, of the realified right span of the
+    rows of ``vs``; the longest has norm in [1/2, 1), which SPAN_ZERO_REL assumes."""
+    width = vs.shape[1]
+    candidates = (vs.reshape(len(vs), -1, 4) @ _UNIT_RIGHT_ACTIONS).reshape(len(vs), -1, 4, 4)
+    candidates = candidates.transpose(0, 2, 1, 3).reshape(-1, width)
     basis: list[np.ndarray] = []
-    units = [Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K]
-    for v in vectors:
-        for u in units:
-            cand = vec4(v.scale_right(u))
-            norm0 = float(np.linalg.norm(cand))
-            if norm0 <= SPAN_ZERO_REL:
-                continue
-            for b in basis:
-                cand = cand - (b @ cand) * b
-            norm = float(np.linalg.norm(cand))
-            if norm > SPAN_INDEPENDENT_REL * norm0:
-                basis.append(cand / norm)
-    return basis
+    for cand in candidates:
+        norm0 = math.sqrt(cand @ cand)
+        if norm0 <= SPAN_ZERO_REL:
+            continue
+        for b in basis:
+            cand = cand - (b @ cand) * b
+        norm = math.sqrt(cand @ cand)
+        if norm > SPAN_INDEPENDENT_REL * norm0:
+            basis.append(cand / norm)
+    return np.array(basis).reshape(-1, width)
 
 
 def _zero_meets_region(zero, region: Region, band: float) -> bool:
@@ -589,112 +635,75 @@ def not_hyperstable_search(p: MatrixPolynomial, region: Region, *,
                            y_samples: int = 16, seed: int = 42) -> Optional[SearchWitness]:
     """Search for a vector y witnessing failure of hyperstability.
 
-    For each candidate y the scalar polynomials z* P(t) y are examined over
-    z drawn from the realified span of {A_i y}: y is a witness when every
-    such polynomial vanishes somewhere in the region.  Two certificates can
-    back a hit: the exact quadratic product-of-roots argument (constant and
+    For each candidate y (the 4n canonical unit vectors, then ``y_samples``
+    random ones) the scalar polynomials z* P(t) y are examined over z drawn
+    from the realified span of {A_i y}: y is a witness when every such
+    polynomial vanishes somewhere in the region.  Two certificates can back
+    a hit: the exact quadratic product-of-roots argument (constant and
     leading coefficient proportional by a factor of modulus <= 1, with the
     region containing the closed unit ball), or exhaustion of all sampled z.
     """
-    if region.kind not in (RegionKind.OPEN_BALL, RegionKind.CLOSED_BALL,
-                           RegionKind.FINITE_SET):
+    if region.kind not in _SEARCH_KINDS:
         raise ValueError("search supports ball regions and finite sets only")
     rng = np.random.default_rng(seed)
-    n = p.size
-    candidates = _canonical_unit_vectors(n)
-    for _ in range(max(0, y_samples)):
-        candidates.append(_random_unit_qvec(rng, n))
-    unit_ball_region = _region_contains_closed_unit_ball(region)
-    coeff_scale = max(a.frobenius_norm() for a in p.coeffs)
-    for y in candidates:
-        vs = [a @ y for a in p.coeffs]
-        vnorm = max(v.frobenius_norm() for v in vs)
+    width = 4 * p.size
+    ys = np.vstack([np.eye(width), _unit_draws(rng, max(0, y_samples), width)])
+    actions, coeff_scale = _scaled_actions(p, ys)
+    quadratic_certificate = p.degree == 2 and _region_contains_closed_unit_ball(region)
+    for y, vs in zip(ys, actions):
+        vnorm = float(np.linalg.norm(vs, axis=1).max())
         if vnorm <= VANISHING_REL * coeff_scale:
             # P(t) y vanishes identically for every t and z.
-            return SearchWitness(y, "universal-kernel")
+            return SearchWitness(vec4_to_qvec(y), "universal-kernel")
         # An exact power-of-two scale moves no zero of any z* P(t) y and
-        # puts max ||A_i y|| in [1/2, 1), clear of under- and overflow
-        # (2^1023 is the largest power of two a float holds).
-        vs = [v * math.ldexp(1.0, -max(math.frexp(vnorm)[1], -1023)) for v in vs]
-        if p.degree == 2 and unit_ball_region:
-            witness = _quadratic_product_certificate(vs, y)
-            if witness is not None:
-                return witness
+        # puts max ||A_i y|| in [1/2, 1).
+        vs = vs / _pow2_near(vnorm)
+        if quadratic_certificate and _quadratic_product_certificate(vs):
+            return SearchWitness(vec4_to_qvec(y), "quadratic-product-certificate")
         if _all_sampled_z_fail(vs, region, rng):
-            return SearchWitness(y, "sampled-z-exhaustion")
+            return SearchWitness(vec4_to_qvec(y), "sampled-z-exhaustion")
     return None
 
 
-def _quadratic_product_certificate(vs: list[QuaternionMatrix],
-                                   y: QuaternionMatrix) -> Optional[SearchWitness]:
+def _quadratic_product_certificate(vs: np.ndarray) -> bool:
     """Exact certificate for quadratics over regions containing the closed
     unit ball: if A_0 y = (A_2 y) q with |q| <= 1, then for every z the
     induced scalar polynomial has the root-moduli product |q| <= 1, so some
     root stays inside the unit ball (degenerate cases fall back to the root
-    at zero)."""
-    v2, v0 = vs[2], vs[0]
-    n2 = v2.frobenius_norm()
+    at zero).  ``vs`` holds the rows vec4(A_i y)."""
+    v0, v2 = vs[0], vs[2]
+    n0, n2 = math.hypot(*v0), math.hypot(*v2)
     if n2 <= INV_FLOOR:
-        if v0.frobenius_norm() <= INV_FLOOR:
-            # Induced polynomials are multiples of t: root at 0.
-            return SearchWitness(y, "quadratic-product-certificate")
-        return None
-    inner = (v2.adjoint() @ v0).entry(0, 0)
-    q = inner / (n2 * n2)
-    residual = (v0 - v2.scale_right(q)).frobenius_norm()
-    if residual > PROPORTIONAL_REL * max(v0.frobenius_norm(), n2):
-        return None
-    if q.modulus() <= 1.0 + PRODUCT_MODULUS_SLACK:
-        return SearchWitness(y, "quadratic-product-certificate")
-    return None
+        # Induced polynomials are multiples of t: root at 0.
+        return n0 <= INV_FLOOR
+    q = _qinner(v2[None], v0[None])[0, 0] / n2 / n2
+    residual = np.linalg.norm(v0 - (v2.reshape(-1, 4) @ right_action_matrices(q).T).ravel())
+    if residual > PROPORTIONAL_REL * max(n0, n2):
+        return False
+    return math.hypot(*q) <= 1.0 + PRODUCT_MODULUS_SLACK
 
 
-def _all_sampled_z_fail(vs: list[QuaternionMatrix], region: Region,
+def _all_sampled_z_fail(vs: np.ndarray, region: Region,
                         rng: np.random.Generator) -> bool:
+    """Whether every sampled z makes z* P(t) y vanish somewhere in the region;
+    z runs over each span basis vector b and then -b, then (b_a + b_b)/sqrt(2)
+    for a < b, then 48 random unit combinations."""
     basis = _span_basis(vs)
-    if not basis:
+    if not len(basis):
         return True  # no z sees the action at all
-    dim = len(basis)
-    zs: list[np.ndarray] = []
-    for b in basis:
-        zs.append(b)
-        zs.append(-b)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            zs.append((basis[a] + basis[b]) / math.sqrt(2.0))
-    while len(zs) < 2 * dim + dim * (dim - 1) // 2 + 48:  # and 48 random directions
-        w = rng.standard_normal(dim)
-        norm = float(np.linalg.norm(w))
-        if norm <= DRAW_NORM_MIN:
-            continue
-        zs.append(sum(c * b for c, b in zip(w / norm, basis)))
-    vmax = max(v.frobenius_norm() for v in vs)
-    for z_arr in zs:
-        z = vec4_to_qvec(z_arr)
-        z_adj = z.adjoint()
-        cs = [(z_adj @ v).entry(0, 0) for v in vs]
-        top = max(c.modulus() for c in cs)
-        if top <= INDUCED_VANISHING_REL * vmax:
-            continue  # identically zero polynomial: fails everywhere
-        degree = max(i for i, c in enumerate(cs) if c.modulus() > DEGREE_TRIM_REL * top)
-        if degree == 0:
-            return False  # nonzero constant: this z never vanishes on the region
-        zeros = scalar_zeros(ScalarQPolynomial(cs[:degree + 1]))
-        if not any(_zero_meets_region(zero, region, BOUNDARY_BAND)
-                   for zero in zeros):
+    first, second = np.triu_indices(len(basis), 1)
+    zs = np.vstack([np.stack([basis, -basis], axis=1).reshape(-1, basis.shape[1]),
+                    (basis[first] + basis[second]) / math.sqrt(2.0),
+                    _unit_draws(rng, 48, len(basis)) @ basis])
+    floor = INDUCED_VANISHING_REL * float(np.linalg.norm(vs, axis=1).max())
+    # Every z* A_i y at once, as the conjugates of (A_i y)* z.
+    for cs in _qinner(vs, zs).swapaxes(0, 1) * _CONJ:
+        zeros = _sampled_zeros(cs, floor)
+        # A vanishing polynomial fails everywhere; one without zeros in the
+        # region (a nonzero constant has none) ends the search for this y.
+        if zeros is not None and not any(_zero_meets_region(zero, region, BOUNDARY_BAND)
+                                         for zero in zeros):
             return False
-    return True
-
-
-def _is_identity(a: QuaternionMatrix) -> bool:
-    return (a - QuaternionMatrix.identity(a.n_rows)).max_entry_modulus() <= IDENTITY_ABS
-
-
-def _is_upper_triangular(a: QuaternionMatrix, tol: float) -> bool:
-    for i in range(a.n_rows):
-        for j in range(i):
-            if a.entry(i, j).modulus() > tol:
-                return False
     return True
 
 
@@ -702,23 +711,17 @@ def _block_partition_slices(partition: Sequence[int], n: int) -> list[slice]:
     sizes = [int(s) for s in partition]
     if any(s < 1 for s in sizes) or sum(sizes) != n:
         raise ValueError(f"partition {sizes} does not tile dimension {n}")
-    slices = []
-    start = 0
-    for s in sizes:
-        slices.append(slice(start, start + s))
-        start += s
-    return slices
+    return [slice(end - s, end) for s, end in zip(sizes, itertools.accumulate(sizes))]
 
 
-def _is_block_upper_triangular(a: QuaternionMatrix, slices: list[slice],
+def _is_block_upper_triangular(p: MatrixPolynomial, slices: list[slice],
                                tol: float) -> bool:
-    for bi in range(len(slices)):
-        for bj in range(bi):
-            block = QuaternionMatrix(a.a1[slices[bi], slices[bj]],
-                                     a.a2[slices[bi], slices[bj]])
-            if block.max_entry_modulus() > tol:
-                return False
-    return True
+    """Whether every coefficient is zero, to ``tol`` in entry modulus,
+    strictly below the diagonal blocks; triangular is the case of 1 x 1 blocks."""
+    blocks = np.concatenate([np.full(sl.stop - sl.start, b) for b, sl in enumerate(slices)])
+    below = blocks[:, None] > blocks[None, :]
+    return all(np.hypot(np.abs(a.a1), np.abs(a.a2))[below].max(initial=0.0) <= tol
+               for a in p.coeffs)
 
 
 def _diagonal_block_polynomial(p: MatrixPolynomial, sl: slice) -> Optional[MatrixPolynomial]:
@@ -726,12 +729,6 @@ def _diagonal_block_polynomial(p: MatrixPolynomial, sl: slice) -> Optional[Matri
     if all(c.is_zero() for c in coeffs):
         return None
     return MatrixPolynomial(coeffs, trim=True)
-
-
-def _negative_witness(p: MatrixPolynomial, mu: Optional[Quaternion]) -> Optional[QuaternionMatrix]:
-    if mu is None:
-        return None
-    return eigenvector_at(p, mu)
 
 
 def check_hyperstability(p: MatrixPolynomial, region: Region, *,
@@ -754,30 +751,22 @@ def check_hyperstability(p: MatrixPolynomial, region: Region, *,
     if p.size == 1:
         return _equivalence_verdict(p, region, band, "scalar-equivalence")
 
-    if _is_identity(p.coeffs[-1]) and all(
-            _is_upper_triangular(a, struct_tol) for a in p.coeffs):
+    identity = QuaternionMatrix.identity(p.size)
+    if p.coeffs[-1].allclose(identity, IDENTITY_ABS) and _is_block_upper_triangular(
+            p, _block_partition_slices([1] * p.size, p.size), struct_tol):
         return _equivalence_verdict(p, region, band, "triangular-equivalence")
 
     if partition is not None and len(partition) >= 2:
         slices = _block_partition_slices(partition, p.size)
-        if all(_is_block_upper_triangular(a, slices, struct_tol) for a in p.coeffs):
-            sub_ok = True
-            for sl in slices:
-                block_poly = _diagonal_block_polynomial(p, sl)
-                if block_poly is None:
-                    sub_ok = False
-                    break
-                sub = check_hyperstability(block_poly, region, band=band,
-                                           y_samples=y_samples, seed=seed,
-                                           evidence_samples=evidence_samples)
-                if sub.status is not HyperStatus.HYPERSTABLE:
-                    sub_ok = False
-                    break
-            if sub_ok:
-                return HyperVerdict(HyperStatus.HYPERSTABLE, "block-composition")
+        blocks = (_diagonal_block_polynomial(p, sl) for sl in slices)
+        if _is_block_upper_triangular(p, slices, struct_tol) and all(
+                block is not None and check_hyperstability(
+                    block, region, band=band, y_samples=y_samples, seed=seed,
+                    evidence_samples=evidence_samples).status is HyperStatus.HYPERSTABLE
+                for block in blocks):
+            return HyperVerdict(HyperStatus.HYPERSTABLE, "block-composition")
 
-    if region.kind in (RegionKind.OPEN_BALL, RegionKind.CLOSED_BALL,
-                       RegionKind.FINITE_SET):
+    if region.kind in _SEARCH_KINDS:
         hit = not_hyperstable_search(p, region, y_samples=y_samples, seed=seed)
         if hit is not None:
             return HyperVerdict(HyperStatus.NOT_HYPERSTABLE_SAMPLED,
@@ -795,7 +784,7 @@ def _equivalence_verdict(p: MatrixPolynomial, region: Region, band: float,
     if stab.status is StabilityStatus.STABLE:
         return HyperVerdict(HyperStatus.HYPERSTABLE, certificate)
     if stab.status is StabilityStatus.NOT_STABLE:
-        witness = _negative_witness(p, stab.witness)
+        witness = eigenvector_at(p, stab.witness)
         if witness is None and p.size == 1:
             witness = qvec([Quaternion.ONE])
         return HyperVerdict(HyperStatus.NOT_HYPERSTABLE_SAMPLED, certificate,

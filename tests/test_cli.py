@@ -192,6 +192,18 @@ def test_determinism_byte_identical(tmp_path, capsys):
     _, out2, _ = run_cli(capsys, ["nrange", "--input", poly, "--samples", "50"])
     assert out1 == out2
 
+    # A non-triangular 2 x 2 quadratic runs the sampled search, and then the
+    # numerical-range evidence of an inconclusive verdict.
+    full = write(tmp_path, "p3.json", {"coeffs": [[[ONE_Q, I_Q], [J_Q, K_Q]],
+                                                  [[ZERO, ONE_Q], [ONE_Q, ZERO]], EYE2]})
+    region = write(tmp_path, "r.json", {"kind": "open_ball", "center": ZERO, "radius": 0.5})
+    argv = ["hyperstable", "--input", full, "--region", region, "--samples", "64", "--seed", "5"]
+    code, out1, _ = run_cli(capsys, argv)
+    _, out2, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out1 == out2
+    assert '"status": "UNKNOWN"' in out1
+
 
 def test_exit_codes_for_input_errors(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["eig", "--input", str(tmp_path / "missing.json")])
@@ -452,6 +464,42 @@ def test_power_of_two_scale_keeps_zeros_and_hyperstability(tmp_path, capsys, k):
 @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200])
 def test_extreme_scales_end_without_error_or_warning(tmp_path, capsys, scale):
     _scaled_reports(tmp_path, capsys, scale)
+
+
+# a1 t + a0 with |a1| = 1e308: its one eigenvalue has modulus |a0|/|a1| ~ 3e-308.
+NEAR_MAX_POLY = {"coeffs": [[[[1, -0.0, 5e-324, 3]]], [[[2, 1e308, 0, 1]]]]}
+
+
+def test_bounds_near_the_float_range_find_the_root(tmp_path, capsys):
+    p = write(tmp_path, "p.json", NEAR_MAX_POLY)
+    code, out, err = run_cli(capsys, ["bounds", "--input", p])
+    assert code == 0, err
+    modulus = math.hypot(1.0, 3.0) / math.hypot(2.0, 1e308, 1.0)
+    result = json.loads(out)["result"]
+    assert [result["r"], result["R"]] == pytest.approx([modulus, modulus], rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_realified_sweep_near_the_float_range_decides(tmp_path, capsys):
+    p = write(tmp_path, "p.json", NEAR_MAX_POLY)
+    r = write(tmp_path, "r.json", {"kind": "finite_set", "points": [[2, 0, 0, 0], [0, 3, 0, 1]]})
+    code, out, err = run_cli(capsys, ["stable", "--input", p, "--region", r])
+    assert code == 0, err
+    report = json.loads(out)
+    assert (report["result"]["status"], report["certificate"]) == ("STABLE", "pointwise-oracle")
+
+
+def test_hyperstable_with_a_tiny_leading_action_ends_cleanly(tmp_path, capsys):
+    # A_2 e_1 = 1e-200 e_1 beside A_0 e_1 ~ 1: the quadratic product
+    # certificate once divided by ||A_2 y||^2, which underflows to 0.
+    poly = {"coeffs": [[[ONE_Q, [0.3, 0, 0, 0]], [[0.2, 0, 0, 0], I_Q]],
+                       [[J_Q, ZERO], [ONE_Q, K_Q]],
+                       [[[1e-200, 0, 0, 0], ONE_Q], [ZERO, ONE_Q]]]}
+    p = write(tmp_path, "p.json", poly)
+    r = write(tmp_path, "r.json", {"kind": "closed_ball", "center": ZERO, "radius": 1.0})
+    code, _, err = run_cli(capsys, ["hyperstable", "--input", p, "--region", r,
+                                    "--samples", "64"])
+    assert code == 0, err
 
 
 def test_one_call_builds_one_argument_parser(tmp_path, capsys, monkeypatch):

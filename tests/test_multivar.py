@@ -241,8 +241,16 @@ def _record_sweep_operators(monkeypatch):
     return seen
 
 
-def _assert_columns_are_actions(op, action, n):
-    """Column j of op is vec4 of the action on the j-th real unit vector."""
+def _sweep_scale(coeffs):
+    """The sweep divides every coefficient by one scale: the power of two
+    2^e with the largest entry modulus in [2^(e-1), 2^e)."""
+    return 2.0 ** np.frexp(max(a.max_entry_modulus() for a in coeffs))[1]
+
+
+def _assert_columns_are_actions(op, action, n, coeffs):
+    """Column j of op, times the sweep's scale, is vec4 of the action on the
+    j-th real unit vector."""
+    op = op * _sweep_scale(coeffs)
     atol = 1e-12 * (1.0 + np.abs(op).max())
     for j in range(4 * n):
         unit = np.zeros(4 * n)
@@ -261,7 +269,8 @@ def test_sweep_operator_matches_univariate_action(monkeypatch):
             seen.clear()
             is_eigenvalue_oracle(p, mu)
             assert len(seen) == 1
-            _assert_columns_are_actions(seen[0], lambda y: evaluate_action(p, y, mu), n)
+            _assert_columns_are_actions(seen[0], lambda y: evaluate_action(p, y, mu), n,
+                                        p.coeffs)
 
 
 def test_sweep_operator_matches_two_variable_action(monkeypatch):
@@ -277,7 +286,8 @@ def test_sweep_operator_matches_two_variable_action(monkeypatch):
         tuples = list(itertools.product(points, repeat=2))
         assert len(seen) == len(tuples)
         for op, tup in zip(seen, tuples):
-            _assert_columns_are_actions(op, lambda y: eval_action_multi(p, y, tup), n)
+            _assert_columns_are_actions(op, lambda y: eval_action_multi(p, y, tup), n,
+                                        [a for _, a in p.terms])
 
 
 def _sweep_one_tuple_at_a_time(terms, tuples):
@@ -309,7 +319,7 @@ def _assert_same_sweep(terms, tuples):
 
 def test_sweep_operators_equal_the_per_tuple_build(monkeypatch):
     # Batched word products and block products repeat the per-tuple
-    # floating-point operations exactly.
+    # floating-point operations exactly, and the power-of-two scale is exact.
     seen = _record_sweep_operators(monkeypatch)
     rng = np.random.default_rng(4107)
     words = [w for length in range(4) for w in itertools.product((1, 2), repeat=length)]
@@ -323,7 +333,8 @@ def test_sweep_operators_equal_the_per_tuple_build(monkeypatch):
             want = np.zeros((4 * n, n, 4))
             for word, a in p.terms:
                 want += real_rep_left(a).reshape(4 * n, n, 4) @ right_action_matrix(eval_word(word, tup))
-            assert np.array_equal(op, want.reshape(4 * n, 4 * n))
+            assert np.array_equal(op * _sweep_scale([a for _, a in p.terms]),
+                                  want.reshape(4 * n, 4 * n))
 
 
 # I t - diag(2, 3): 3 is an exact eigenvalue, and the operator at

@@ -516,10 +516,14 @@ def test_isolated_zero_on_ball_boundary_is_in_the_dead_band(kind):
 
 
 def test_overflowing_realified_action_stays_unknown():
-    # At t = 1e80 the t^3 term of the action overflows to inf: the oracle
-    # must refuse to decide rather than read a verdict off non-finite entries.
+    # At t = 1e120 the t^3 term overflows to inf even with the coefficients
+    # scaled to modulus ~1: the oracle must refuse to decide rather than read
+    # a verdict off non-finite entries.
     p = MatrixPolynomial([QuaternionMatrix.identity(1) * 1e100] * 4)
-    with np.errstate(over="ignore"):
-        verdict = check_stability(p, Region.finite_set([Quaternion(1e80)]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        verdict = check_stability(p, Region.finite_set([Quaternion(1e120)]))
     assert verdict.status is StabilityStatus.UNKNOWN
     assert verdict.certificate == "pointwise-oracle-deadband"
+    # At t = 1e80 only the unscaled action, 1e100 * 1e240, would overflow.
+    verdict = check_stability(p, Region.finite_set([Quaternion(1e80)]))
+    assert (verdict.status, verdict.certificate) == (StabilityStatus.STABLE, "pointwise-oracle")
