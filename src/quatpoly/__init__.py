@@ -43,7 +43,6 @@ from .linalg import (
     rank_decisions,
     real_rep_left,
     real_rep_right_scalar,
-    right_eigenpairs,
     right_eigenvalues,
     spectral_norm,
     vec4,
@@ -99,7 +98,7 @@ __all__ = [
     "class_distance", "class_distance_extremes", "class_point",
     "QuaternionMatrix", "qvec", "vec_entries", "vec4", "vec4_to_qvec",
     "complex_adjoint", "real_rep_left", "real_rep_right_scalar",
-    "rank_decision", "rank_decisions", "eig_complex", "right_eigenvalues", "right_eigenpairs",
+    "rank_decision", "rank_decisions", "eig_complex", "right_eigenvalues",
     "spectral_norm", "inverse",
     "MatrixPolynomial", "ScalarQPolynomial", "PolynomialZero",
     "evaluate_action", "companion",

@@ -2,14 +2,14 @@
 
 Eigenvalues, with or without eigenvectors, come from one ``zgeev`` call, the
 spectral norm from ``zgesdd``, the singular values (and on request the right
-singular vectors) of a stack of real matrices from one batched ``dgesdd``
-call, inverses and solves from ``gesv``; every ``LinAlgError`` is reported
-as NoConvergenceError.  Two LU kernels stay in Python because they need the
-pivots LAPACK does not expose: one with a pivot threshold (the package-wide
-invertibility test) and one with a pivot floor (shifted inverse iteration
-against a matrix that is singular by design).  ``tests/_qr_reference.py``
-holds the plain QR eigensolver LAPACK is checked against.  Everything is
-deterministic for a fixed input.
+singular vectors) of a stack of real or complex matrices from one batched
+``dgesdd`` or ``zgesdd`` call, inverses and solves from ``gesv``; every
+``LinAlgError`` is reported as NoConvergenceError.  Two LU kernels stay in
+Python because they need the pivots LAPACK does not expose: one with a pivot
+threshold (the package-wide invertibility test) and one with a pivot floor
+(shifted inverse iteration against a matrix that is singular by design).
+``tests/_qr_reference.py`` holds the plain QR eigensolver LAPACK is checked
+against.  Everything is deterministic for a fixed input.
 """
 
 from __future__ import annotations
@@ -80,12 +80,13 @@ def norm2(matrix) -> float:
 
 
 def singular_values(stack, *, vectors: bool = False):
-    """Descending singular values of every matrix in a real (..., m, n) stack.
+    """Descending singular values of every matrix in a real or complex (..., m, n) stack.
 
     With ``vectors=True`` returns (values, vt), the rows of each n x n slice
-    of vt being the right singular vectors in the order of the values.
+    of vt being the (conjugated) right singular vectors in the order of the
+    values.
     """
-    a = _checked(np.asarray(stack, dtype=np.float64))
+    a = _checked(np.asarray(stack, dtype=np.complex128 if np.iscomplexobj(stack) else np.float64))
     with _lapack("singular value decomposition"):
         if vectors:
             _, values, vt = np.linalg.svd(a)

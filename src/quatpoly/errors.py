@@ -14,7 +14,7 @@ class DimensionMismatchError(QuatPolyError):
 
 
 class NoConvergenceError(QuatPolyError):
-    """A LAPACK routine or an inverse iteration failed to converge."""
+    """A LAPACK routine or an inverse iteration failed to converge, or a result overflowed."""
 
 
 class PairingFailureError(QuatPolyError):

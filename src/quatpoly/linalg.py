@@ -35,14 +35,12 @@ __all__ = [
     "vec4_to_qvec",
     "complex_adjoint",
     "from_complex_adjoint_blocks",
-    "chi_vector_to_qvec",
     "real_rep_left",
     "real_rep_right_scalar",
     "rank_decision",
     "rank_decisions",
     "eig_complex",
     "right_eigenvalues",
-    "right_eigenpairs",
     "spectral_norm",
     "inverse",
 ]
@@ -258,17 +256,6 @@ def from_complex_adjoint_blocks(m: np.ndarray, n: int) -> QuaternionMatrix:
     return QuaternionMatrix(m[:n, :n], m[:n, n:])
 
 
-def chi_vector_to_qvec(v: np.ndarray) -> QuaternionMatrix:
-    """Map a lifted eigenvector [v1; v2] to the quaternion vector v1 - conj(v2)*j."""
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 1 or v.size % 2 != 0:
-        raise ValueError("expected a flat complex vector of even length")
-    half = v.size // 2
-    c1 = v[:half]
-    c2 = -np.conj(v[half:])
-    return QuaternionMatrix(c1.reshape(-1, 1), c2.reshape(-1, 1))
-
-
 def real_rep_left(a: QuaternionMatrix) -> np.ndarray:
     """4n x 4n real matrix L with vec4(A y) = L vec4(y) for all y."""
     if a.n_rows != a.n_cols:
@@ -411,18 +398,6 @@ def right_eigenvalues(a: QuaternionMatrix) -> list[StandardEigenvalue]:
     if a.n_rows != a.n_cols:
         raise NonSquareError("right eigenvalues are defined for square matrices")
     return _standards(eig_complex(complex_adjoint(a)), _pairing_scale(a))
-
-
-def right_eigenpairs(a: QuaternionMatrix) -> list[tuple[StandardEigenvalue, QuaternionMatrix]]:
-    """Standard eigenvalues together with quaternion eigenvectors.
-
-    Vectors are recovered from lifted eigenvectors through the mapping
-    [v1; v2] -> v1 - conj(v2) j.
-    """
-    if a.n_rows != a.n_cols:
-        raise NonSquareError("right eigenpairs are defined for square matrices")
-    return [(ev, chi_vector_to_qvec(vec))
-            for ev, vec in _standard_eigenpairs(complex_adjoint(a), _pairing_scale(a))]
 
 
 def spectral_norm(a: QuaternionMatrix) -> float:

@@ -56,6 +56,18 @@ def random_polynomial(rng, n, m, invertible_ends=False):
     return MatrixPolynomial(coeffs)
 
 
+def spread_polynomial(rng, n, m, s):
+    """Degree m, n x n: each coefficient a complex Gaussian pair scaled to Frobenius norm 10^U(-s, s)."""
+    coeffs = []
+    for _ in range(m + 1):
+        a1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        norm = np.sqrt(np.sum(np.abs(a1) ** 2 + np.abs(a2) ** 2))
+        scale = 10 ** rng.uniform(-s, s)
+        coeffs.append(QuaternionMatrix(a1 / norm * scale, a2 / norm * scale))
+    return MatrixPolynomial(coeffs)
+
+
 def random_unit_qvec(rng, n):
     while True:
         raw = rng.standard_normal(4 * n)

@@ -489,6 +489,34 @@ def test_realified_sweep_near_the_float_range_decides(tmp_path, capsys):
     assert (report["result"]["status"], report["certificate"]) == ("STABLE", "pointwise-oracle")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eig_with_a_huge_middle_coefficient(tmp_path, capsys):
+    # t^2 + 1e200 t has the eigenvalues 0 and -1e200: powers of 1/mu keep
+    # the residual of the large one finite.
+    p = write(tmp_path, "p.json", {"coeffs": [[[ZERO]], [[[1e200, 0, 0, 0]]], [[ONE_Q]]]})
+    code, out, err = run_cli(capsys, ["eig", "--input", p])
+    assert code == 0, err
+    assert json.loads(out)["result"]["moduli"] == pytest.approx([0.0, 1e200], rel=1e-12)
+    # With a constant term 1 the computed 0 is wrong (the true eigenvalue is
+    # -1e-200), and its residual must say so.
+    q = write(tmp_path, "q.json", {"coeffs": [[[ONE_Q]], [[[1e200, 0, 0, 0]]], [[ONE_Q]]]})
+    code, out, err = run_cli(capsys, ["eig", "--input", q])
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error_kind"] == "ResidualFailureError"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["eig", "stable"])
+def test_overflowing_monic_normalization_exits_3(tmp_path, capsys, command):
+    # 1e-300 t^2 + 1e300: inverse(A_2) A_0 = 1e600 is no float.
+    p = write(tmp_path, "p.json", {"coeffs": [[[[1e300, 0, 0, 0]]], [[ZERO]],
+                                              [[[1e-300, 0, 0, 0]]]]})
+    r = write(tmp_path, "r.json", {"kind": "open_ball", "center": ZERO, "radius": 0.5})
+    code, out, err = run_cli(capsys, [command, "--input", p, "--region", r])
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error_kind"] == "NoConvergenceError"
+
+
 def test_hyperstable_with_a_tiny_leading_action_ends_cleanly(tmp_path, capsys):
     # A_2 e_1 = 1e-200 e_1 beside A_0 e_1 ~ 1: the quadratic product
     # certificate once divided by ||A_2 y||^2, which underflows to 0.

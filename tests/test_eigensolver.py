@@ -213,4 +213,9 @@ def test_singular_values_of_a_stack():
     assert np.allclose(np.linalg.norm(stack[7] @ vt[7].T, axis=0), values[7])
     with pytest.raises(ValueError):
         singular_values(np.zeros((1, MAX_DIM + 1, 2)))
+    # A complex stack is not cast to its real part.
+    lifted = stack[:4] + 1j * rng.standard_normal((4, 5, 3))
+    values, vt = singular_values(lifted, vectors=True)
+    assert np.allclose(values[2], np.linalg.svd(lifted[2], compute_uv=False))
+    assert np.allclose(np.linalg.norm(lifted[2] @ vt[2].conj().T, axis=0), values[2])
 

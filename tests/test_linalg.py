@@ -184,20 +184,6 @@ def test_pairing_rejects_non_conjugate_spectra():
         _pair_conjugates(np.array([1.0j]), tol=1e-6)
 
 
-def test_right_eigenpairs_satisfy_eigen_relation():
-    from quatpoly import right_eigenpairs
-
-    rng = np.random.default_rng(29)
-    for _ in range(10):
-        a = random_qmatrix(rng, 3)
-        scale = max(a.frobenius_norm(), 1.0)
-        for ev, v in right_eigenpairs(a):
-            # A v = v mu for the lifted representative.
-            lhs = a @ v
-            rhs = v.scale_right(ev.lift())
-            assert (lhs - rhs).frobenius_norm() <= 1e-8 * scale * v.frobenius_norm()
-
-
 def test_spectral_norm_examples():
     assert spectral_norm(QuaternionMatrix.identity(4)) == pytest.approx(1.0, abs=1e-12)
     assert spectral_norm(QuaternionMatrix.diagonal([I, J])) == pytest.approx(1.0, abs=1e-12)

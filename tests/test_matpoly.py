@@ -9,6 +9,7 @@ from quatpoly import (
     NotMonicError,
     Quaternion,
     QuaternionMatrix,
+    ResidualFailureError,
     ScalarQPolynomial,
     SingularLeadingCoefficientError,
     SingularMatrixError,
@@ -20,20 +21,26 @@ from quatpoly import (
     inverse,
     is_eigenvalue_oracle,
     polyeig,
+    polyeig_with_residuals,
     qvec,
+    real_rep_left,
+    real_rep_right_scalar,
     reversal,
     right_eigenvalues,
     scalar_char_poly,
     scalar_zeros,
     similar,
+    spectral_norm,
     standardize,
     vec_entries,
 )
+from quatpoly.tolerances import POLYEIG_RESIDUAL_REL
 from _helpers import (
     random_invertible_qmatrix,
     random_polynomial,
     random_qmatrix,
     random_quaternion,
+    spread_polynomial,
 )
 
 ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
@@ -236,8 +243,7 @@ def test_oracle_equivalence_with_polyeig():
 
 def test_polyeig_on_badly_scaled_coefficients():
     # Coefficient norms spanning twelve orders of magnitude: the companion
-    # form is terribly scaled, so eigenvector recovery must fall back to
-    # refinement against the lifted polynomial itself.
+    # form is terribly scaled, far worse than the polynomial itself.
     rng = np.random.default_rng(77)
     a0 = random_qmatrix(rng, 2)
     a0.a1 *= 1e6
@@ -251,6 +257,56 @@ def test_polyeig_on_badly_scaled_coefficients():
     assert len(evs) == 4
     for e in (evs[0], evs[-1]):
         assert is_eigenvalue_oracle(p, e.lift()) is True
+
+
+def _realified_backward_error(p, ev):
+    """sigma_min of the realified y -> sum_i A_i y mu^i over sum_i ||A_i|| |mu|^i."""
+    mu = ev.lift()
+    op = np.zeros((4 * p.size, 4 * p.size))
+    power = ONE
+    scale = 0.0
+    for a in p.coeffs:
+        op += real_rep_left(a) @ real_rep_right_scalar(power, p.size)
+        scale += spectral_norm(a) * power.modulus()
+        power = power * mu
+    return np.linalg.svd(op, compute_uv=False)[-1] / scale
+
+
+@pytest.mark.parametrize("seed", [1136, 541])
+def test_backward_error_certifies_eigenvalues_no_block_does(seed):
+    # Coefficient norms 10^U(-6, 6): for the small eigenvalues no block of
+    # the companion eigenvector passes, but the backward error does, and
+    # the realified operator gives the same number.
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    p = spread_polynomial(rng, n, m, 6)
+    pairs = polyeig_with_residuals(p)
+    assert len(pairs) == m * n
+    etas = [_realified_backward_error(p, ev) for ev, _ in pairs]
+    for (_, r), eta in zip(pairs, etas):
+        assert eta <= POLYEIG_RESIDUAL_REL
+        # No vector beats the backward error, up to rounding.
+        assert eta <= r * (1.0 + 1e-6) + 1e-15
+    assert max(r for _, r in pairs) == pytest.approx(max(etas), rel=1e-6)
+
+
+def test_residual_check_across_coefficient_spreads():
+    # 60 draws per spread 10^U(-s, s), n 1-6, m 1-4, one generator for all
+    # s: every draw passes up to s = 4.  At s = 6 the bound is the 9 of 60
+    # that fail with inverse-iteration refinement in place of the backward
+    # error.
+    rng = np.random.default_rng(1)
+    failures = {}
+    for s in (2, 4, 6):
+        failures[s] = 0
+        for _ in range(60):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            try:
+                polyeig_with_residuals(spread_polynomial(rng, n, m, s))
+            except ResidualFailureError:
+                failures[s] += 1
+    assert failures[2] == failures[4] == 0
+    assert failures[6] <= 9
 
 
 def test_oracle_deadband_returns_unknown():
