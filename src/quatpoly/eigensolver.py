@@ -3,7 +3,7 @@
 Eigenvalues, with or without eigenvectors, come from one ``zgeev`` call, the
 spectral norm from ``zgesdd``, the singular values (and on request the right
 singular vectors) of a stack of real or complex matrices from one batched
-``dgesdd`` or ``zgesdd`` call, inverses and solves from ``gesv``; every
+``dgesdd`` or ``zgesdd`` call, inverses from ``gesv``; every
 ``LinAlgError`` is reported as NoConvergenceError.  Two LU kernels stay in
 Python because they need the pivots LAPACK does not expose: one with a pivot
 threshold (the package-wide invertibility test) and one with a pivot floor
@@ -92,12 +92,6 @@ def singular_values(stack, *, vectors: bool = False):
             _, values, vt = np.linalg.svd(a)
             return values, vt
         return np.linalg.svd(a, compute_uv=False)
-
-
-def solve(a, b) -> np.ndarray:
-    """The solution x of the dense system a x = b."""
-    with _lapack("solve"):
-        return np.linalg.solve(a, b)
 
 
 def lu_factor(a: np.ndarray, *, min_pivot: float = 0.0,

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .eigensolver import eig_complex, singular_values, solve
+from .eigensolver import eig_complex, singular_values
 from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
@@ -44,10 +44,15 @@ from .linalg import (
     spectral_norm,
     vec4_to_qvec,
 )
-from .quaternion import Quaternion, StandardEigenvalue, right_action_matrices, standardize
-from .tolerances import (BLOCK_NORM_REL, DIFF_STEP, GN_DAMPING, GN_STEP_REL, IDENTITY_ABS,
-                         POLYEIG_RESIDUAL_REL, REAL_CLASS_REL, ROOT_CLUSTER_REL, SCALE_FLOOR,
-                         SLOPE_REL, SPHERE_REL, SPHERE_TRY_REL)
+from .quaternion import (Quaternion, StandardEigenvalue, left_action_matrix,
+                         right_action_matrices, standardize)
+from .tolerances import (BLOCK_NORM_REL, IDENTITY_ABS, MULTIPLE_ROOT_REL, POLYEIG_RESIDUAL_REL,
+                         REAL_CLASS_REL, ROOT_CLUSTER_REL, SLOPE_REL, SPHERE_REL)
+
+# Components of conj(q) are _CONJ * q, and (q @ _RIGHT_UNITS).reshape(4, 4)
+# is the right action matrix of q, linear in q.
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+_RIGHT_UNITS = right_action_matrices(np.eye(4)).reshape(4, 16)
 
 # A chunk of operators in the realified sweep holds at most this many doubles.
 SWEEP_CHUNK_DOUBLES = 2 ** 16
@@ -201,8 +206,7 @@ def polyeig_with_residuals(p: MatrixPolynomial) -> list[tuple[StandardEigenvalue
     # zero action, which counts as exact.
     w = np.tensordot(powers, lifts, axes=1) / np.where(weights > 0.0, weights, 1.0)[:, None, None]
     lengths = np.linalg.norm(blocks, axis=2)
-    eligible = lengths >= BLOCK_NORM_REL * np.maximum(lengths.max(axis=1, keepdims=True),
-                                                      SCALE_FLOOR)
+    eligible = lengths >= BLOCK_NORM_REL * lengths.max(axis=1, keepdims=True)
     actions = np.linalg.norm(w @ blocks.transpose(0, 2, 1), axis=1)
     rel = np.divide(actions, lengths, out=np.full(actions.shape, np.inf), where=eligible)
     rel = np.take_along_axis(rel, np.argsort(-lengths, axis=1, kind="stable"), axis=1)
@@ -260,13 +264,24 @@ def _word_values(word: Sequence[int], mus: np.ndarray) -> np.ndarray:
 
 
 def _realified_operators(lefts, chunk) -> np.ndarray:
-    """The (P, 4n, 4n) realified actions of a chunk of substitution tuples."""
+    """The (P, 4n, 4n) realified actions of a chunk of substitution tuples.
+
+    With each letter value in units of a power of two 2^e near its modulus,
+    w(mu) is 2^E times a value of modulus below 1, E the sum of its letters'
+    e; every term of a tuple is divided by its largest 2^E (exact, no overflow).
+    """
     mus = np.array([[(q.w, q.x, q.y, q.z) for q in tup] for tup in chunk],
                    dtype=float).reshape(len(chunk), -1, 4)
+    exps = np.frexp(np.hypot.reduce(mus, axis=2))[1]
+    units = np.ldexp(mus, -exps[..., None])
+    values = np.array([_word_values(word, units) for word, _ in lefts])
+    counts = [[word.count(letter) for letter in range(1, mus.shape[1] + 1)] for word, _ in lefts]
+    word_exps = np.array(counts) @ exps.T
+    actions = right_action_matrices(np.ldexp(values, (word_exps - word_exps.max(axis=0))[..., None]))
     rows, n = lefts[0][1].shape[:2]
     ops = np.zeros((len(chunk), rows, n, 4))
-    for word, left in lefts:
-        ops += left[None] @ right_action_matrices(_word_values(word, mus))[:, None]
+    for (_, left), action in zip(lefts, actions):
+        ops += left[None] @ action[:, None]
     return ops.reshape(len(chunk), rows, rows)
 
 
@@ -329,14 +344,11 @@ class ScalarQPolynomial:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence[Quaternion], *, trim: bool = False):
+    def __init__(self, coeffs: Sequence[Quaternion]):
         coeffs = [c if isinstance(c, Quaternion) else Quaternion(float(c))
                   for c in coeffs]
         if not coeffs:
             raise ValueError("a scalar polynomial needs at least one coefficient")
-        if trim:
-            while len(coeffs) > 1 and coeffs[-1].modulus() == 0.0:
-                coeffs.pop()
         if coeffs[-1].modulus() == 0.0:
             raise ValueError("leading coefficient must be nonzero")
         self.coeffs = tuple(coeffs)
@@ -368,26 +380,25 @@ class ScalarQPolynomial:
         return f"ScalarQPolynomial(degree={self.degree})"
 
 
+def _char_coefficients(a: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of C = sum_c P_c^2 for the (d+1, 4) component
+    array a of P: c_k = sum_{i+j=k} <a_i, a_j>, the anti-diagonal sums of the
+    Gram matrix a a^T."""
+    steps = np.arange(len(a))
+    return np.bincount(np.add.outer(steps, steps).ravel(), weights=(a @ a.T).ravel())
+
+
 def scalar_char_poly(p: ScalarQPolynomial) -> list[float]:
     """Real coefficients c_k = sum_{i+j=k} a_i conj(a_j), k = 0..2m.
 
-    Requires p monic.  Zeros of this degree-2m real polynomial with
-    nonnegative imaginary part are exactly the standard eigenvalues of p;
-    the k = 0 term |a_0|^2 is included so the constant coefficient is kept.
+    Requires p monic.  Zeros of this degree-2m real polynomial, sum_c P_c^2
+    for the real component polynomials P_c of p (Janovska and Opfer, SIAM J.
+    Numer. Anal. 48, 2010), with nonnegative imaginary part are exactly the
+    standard eigenvalues of p.
     """
     if not p.is_monic():
         raise NotMonicError("characteristic coefficients need a monic polynomial")
-    m = p.degree
-    a = p.coeffs
-    out = []
-    for k in range(2 * m + 1):
-        # Terms i and k - i are conjugates: only the real parts add up.
-        acc = 0.0
-        for i in range(max(0, k - m), min(m, k) + 1):
-            b = a[k - i]
-            acc = acc + (a[i].w * b.w + a[i].x * b.x + a[i].y * b.y + a[i].z * b.z)
-        out.append(acc)
-    return out
+    return _char_coefficients(np.array([c.as_array() for c in p.coeffs])).tolist()
 
 
 @dataclass(frozen=True)
@@ -396,214 +407,126 @@ class PolynomialZero:
 
     ``point`` is the zero itself for the isolated case, or the class
     representative when the whole similarity sphere is a zero set.
+    ``multiplicity`` is the class's share of the degree: k for a k-fold
+    isolated or real zero, 2k for a sphere whose real quadratic divides the
+    polynomial k times (one more for an extra zero on that sphere).
     """
 
     eigenvalue_class: StandardEigenvalue
     point: Quaternion
     spherical: bool
     residual: float
+    multiplicity: int = 1
 
 
-def _poly_eval_real(coeffs: Sequence[float], z: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+def _char_roots(char: np.ndarray) -> np.ndarray:
+    """Roots of the real polynomial with ascending coefficients ``char``
+    (nonzero leading), from one ``eig_complex`` call on its companion."""
+    d = len(char) - 1
+    comp = np.eye(d, d, 1, dtype=np.complex128)
+    comp[-1] = -(char[:-1] / char[-1])
+    return eig_complex(comp)
 
 
-def _poly_eval_real_deriv(coeffs: Sequence[float], z: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = acc * z + i * coeffs[i]
-    return acc
+def _root_groups(roots: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, size and mean |Im| of each group of roots, one group per multiple root.
 
-
-def _real_poly_roots(coeffs: Sequence[float]) -> list[complex]:
-    """Roots of a real polynomial (ascending coefficients) via its companion."""
-    coeffs = [float(c) for c in coeffs]
-    while len(coeffs) > 1 and coeffs[-1] == 0.0:
-        coeffs.pop()
-    d = len(coeffs) - 1
-    if d < 1:
-        return []
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
-    comp = np.zeros((d, d), dtype=np.complex128)
-    for r in range(d - 1):
-        comp[r, r + 1] = 1.0
-    comp[d - 1, :] = [-c for c in monic[:-1]]
-    roots = list(eig_complex(comp))
-    polished = []
-    for z in roots:
-        # Newton, accepting only residual-decreasing steps: at multiple
-        # roots both f and f' sit at noise level and a raw step diverges.
-        fz = _poly_eval_real(monic, z)
-        for _ in range(5):
-            if fz == 0:
-                break
-            dz = _poly_eval_real_deriv(monic, z)
-            if dz == 0:
-                break
-            step = fz / dz
-            if not np.isfinite(step):
-                break
-            cand = z - step
-            f_cand = _poly_eval_real(monic, cand)
-            if abs(f_cand) >= abs(fz):
-                break
-            z, fz = cand, f_cand
-        polished.append(complex(z))
-    return polished
-
-
-def _divide_by_real_linear(coeffs: Sequence[Quaternion], x: float) -> Quaternion:
-    """Remainder of division by (t - x); equals the evaluation at x."""
-    work = list(coeffs)
-    for i in range(len(work) - 1, 0, -1):
-        work[i - 1] = work[i - 1] + work[i] * x
-    return work[0]
-
-
-def _divide_by_real_quadratic(coeffs: Sequence[Quaternion], u: float,
-                              v: float) -> tuple[Quaternion, Quaternion]:
-    """Remainder beta*t + alpha of division by t^2 + u t + v.
-
-    Real divisor coefficients commute with quaternions, so the division is
-    well defined and the remainder equals the polynomial on the whole class
-    sphere cut out by the divisor.
+    A root and its k - 1 nearest form a k-fold group when all k lie within
+    r_k = MULTIPLE_ROOT_REL^(1/k) * scale of their mean, the spread of a
+    k-fold root under that relative perturbation (Zeng, Math. Comp. 74, 2005).
+    Each root takes the largest k of its first run of passing sizes; a group
+    stands when all its members take it, and every other root joins the
+    first earlier such root within ROOT_CLUSTER_REL * scale.
     """
-    work = list(coeffs)
-    for i in range(len(work) - 1, 1, -1):
-        q = work[i]
-        work[i - 1] = work[i - 1] - q * u
-        work[i - 2] = work[i - 2] - q * v
-    if len(work) == 1:
-        return Quaternion.ZERO, work[0]
-    return work[1], work[0]
-
-
-def _remainder_vector(coeffs, u, v) -> np.ndarray:
-    beta, alpha = _divide_by_real_quadratic(coeffs, u, v)
-    return np.array(beta.as_array() + alpha.as_array())
-
-
-def _refine_quadratic_factor(coeffs, u: float,
-                             v: float) -> tuple[float, float, Quaternion, Quaternion]:
-    """Gauss-Newton on (u, v) minimizing the division remainder.
-
-    Used to pin down class spheres that divide the polynomial exactly but
-    arrive with the O(sqrt(eps)) noise of multiple characteristic roots.
-    """
-    for _ in range(6):
-        r = _remainder_vector(coeffs, u, v)
-        du = max(DIFF_STEP, DIFF_STEP * abs(u))
-        dv = max(DIFF_STEP, DIFF_STEP * abs(v))
-        ju = (_remainder_vector(coeffs, u + du, v) - _remainder_vector(coeffs, u - du, v)) / (2 * du)
-        jv = (_remainder_vector(coeffs, u, v + dv) - _remainder_vector(coeffs, u, v - dv)) / (2 * dv)
-        jac = np.column_stack([ju, jv])
-        jtj = jac.T @ jac
-        rhs = -jac.T @ r
-        try:
-            delta = solve(jtj + GN_DAMPING * np.eye(2), rhs)
-        except NoConvergenceError:
-            break
-        if not np.all(np.isfinite(delta)):
-            break
-        u += float(delta[0])
-        v += float(delta[1])
-        if np.linalg.norm(delta) <= GN_STEP_REL * max(1.0, abs(u), abs(v)):
-            break
-    beta, alpha = _divide_by_real_quadratic(coeffs, u, v)
-    return u, v, beta, alpha
-
-
-def _cluster_classes(roots: list[complex], span: float) -> list[tuple[float, float]]:
-    reps = sorted((z.real, abs(z.imag)) for z in roots)
-    tol = ROOT_CLUSTER_REL * max(1.0, span)
-    clusters: list[list[tuple[float, float]]] = []
-    for rep in reps:
-        for group in clusters:
-            gx, gy = group[0]
-            if abs(rep[0] - gx) <= tol and abs(rep[1] - gy) <= tol:
-                group.append(rep)
-                break
-        else:
-            clusters.append([rep])
-    out = []
-    for group in clusters:
-        xs = [g[0] for g in group]
-        ys = [g[1] for g in group]
-        out.append((sum(xs) / len(xs), sum(ys) / len(ys)))
-    return out
+    count = len(roots)
+    radii = MULTIPLE_ROOT_REL ** (1.0 / np.arange(1, count + 1)) * scale
+    gaps = np.abs(roots[:, None] - roots[None, :])
+    # The k - 1 nearest of a passing k-fold group lie within 2 r_k.
+    if not (np.sort(gaps, axis=1)[:, 1:] <= 2.0 * radii[1:]).any():
+        return roots, np.ones(count), np.abs(roots.imag)  # every root is simple
+    np.fill_diagonal(gaps, -1.0)  # each root is its own nearest
+    nearest = np.argsort(gaps, axis=1, kind="stable")
+    near = roots[nearest]
+    means = np.cumsum(near, axis=1) / np.arange(1, count + 1)
+    # hits[i, j]: root i and its j + 1 nearest lie within r_(j+2) of their mean.
+    hits = (np.abs(np.tril(near[:, None, :] - means[:, :, None])).max(axis=2) <= radii)[:, 1:]
+    picks = []
+    for row, passing in zip(nearest, hits):
+        first = int(passing.argmax())
+        k = first + 1 + int(np.cumprod(passing[first:]).sum()) if passing[first] else 1
+        picks.append(frozenset(row[:k].tolist()))
+    standing = [all(picks[j] == pick for j in pick) for pick in picks]
+    labels = np.arange(count)
+    for i, pick in enumerate(picks):
+        labels[i] = min(pick) if standing[i] else next(
+            (h for h in range(i) if not standing[h] and labels[h] == h
+             and abs(roots[i] - roots[h]) <= ROOT_CLUSTER_REL * scale), i)
+    member = (np.unique(labels)[:, None] == labels).astype(float)
+    sizes = member.sum(axis=1)
+    return member @ roots / sizes, sizes, member @ np.abs(roots.imag) / sizes
 
 
 def scalar_zeros(p: ScalarQPolynomial) -> list[PolynomialZero]:
-    """Zeros of p, one entry per eigenvalue class.
+    """Zeros of p, one entry per eigenvalue class, counted with multiplicity.
 
-    Each class either contains exactly one zero (extracted from the division
-    remainder as -inv(beta) * alpha) or consists entirely of zeros, in which
-    case the entry is marked spherical and carries the class representative.
+    p becomes the (d+1, 4) array of its real component polynomials P_c,
+    scaled and made monic, and the 2d roots of C = sum_c P_c^2 are grouped
+    by ``_root_groups``.  A group above the real axis is a class x + i s of
+    share its size, one on the axis a real class of half its size (or, where
+    p(x) is not small, the near-real class of s its mean |Im|).  p takes the
+    remainder beta t + alpha of the division by t^2 - 2x t + x^2 + s^2 on
+    the class sphere: beta = Im P_c(z) / s and alpha = Re P_c(z) - beta x at
+    z = x + i s.  Below SPHERE_REL the class is a sphere of zeros, given by
+    its representative; otherwise its one zero is -inv(beta) * alpha.
     """
-    poly = ScalarQPolynomial(p.coeffs, trim=True)
-    if poly.degree == 0:
+    if p.degree == 0:
         return []
     # Dividing by a power of two near the largest coefficient is exact and
     # moves no zero, and the leading coefficient stays invertible.
-    e = math.frexp(max(c.modulus() for c in poly.coeffs))[1]
-    monic = ScalarQPolynomial([Quaternion(*(math.ldexp(v, -e) for v in c.as_array()))
-                               for c in poly.coeffs]).monic()
-    coeffs = list(monic.coeffs)
-    char = scalar_char_poly(monic)
-    roots = _real_poly_roots(char)
-    if not roots:
-        return []
-    span = max(abs(z) for z in roots)
-    classes = _cluster_classes(roots, span)
+    a = np.ldexp(np.array([c.as_array() for c in p.coeffs]),
+                 -math.frexp(max(c.modulus() for c in p.coeffs))[1])
+    a = a @ left_action_matrix(Quaternion(*a[-1]).inverse()).T
+    a[-1] = (1.0, 0.0, 0.0, 0.0)
+    roots = _char_roots(_char_coefficients(a))
+    means, sizes, folded = _root_groups(roots, max(1.0, float(np.abs(roots).max())))
+    axis = np.abs(means.imag) <= REAL_CLASS_REL * np.maximum(1.0, np.abs(means))
+    kept = axis | (means.imag > 0.0)
+    x, s, axis, sizes = means.real[kept], np.where(axis, 0.0, means.imag)[kept], axis[kept], sizes[kept]
+    steps = np.arange(p.degree + 1)
+    grow = np.maximum(1.0, np.hypot(x, s))
+    pscale = grow[:, None] ** steps @ np.hypot.reduce(a, axis=1)
+    values = (x + 1j * s)[:, None] ** steps @ a
+    real = axis & (np.hypot.reduce(values.real, axis=1) <= SPHERE_REL * pscale)
+    if (axis & ~real).any():
+        # A group on the axis where p is not small: its s is the mean |Im| of its roots.
+        s = np.where(axis & ~real, folded[kept], s)
+        values = (x + 1j * s)[:, None] ** steps @ a
+    beta = np.divide(values.imag, s[:, None], out=np.zeros_like(values.real),
+                     where=(s > 0.0)[:, None])
+    alpha = values.real - beta * x[:, None]
+    slope = np.hypot.reduce(beta, axis=1)
+    remainder = slope * grow + np.hypot.reduce(alpha, axis=1)
+    spherical = ~real & (remainder <= SPHERE_REL * pscale)
+    isolated = ~real & ~spherical & (slope > SLOPE_REL * pscale)
+    # The one zero -inv(beta) alpha = -conj(beta) alpha / |beta|^2 of each
+    # isolated class, and p there by Horner's rule.
+    zeta = (alpha @ _RIGHT_UNITS).reshape(-1, 4, 4) @ (beta * -_CONJ)[:, :, None]
+    zeta = zeta / np.where(isolated, slope, 1.0)[:, None, None] ** 2
+    times_zeta = (zeta[:, :, 0] @ _RIGHT_UNITS).reshape(-1, 4, 4)
+    value = zeta + a[-2][:, None]  # the monic leading term gives 1 zeta
+    for c in a[-3::-1]:
+        value = times_zeta @ value + c[:, None]
+    residuals = np.where(isolated, np.hypot.reduce(value[:, :, 0], axis=1), remainder)
     out = []
-    for x, s in classes:
-        rho = math.hypot(x, s)
-        pscale = sum(c.modulus() * max(1.0, rho) ** i for i, c in enumerate(coeffs))
-        if s <= REAL_CLASS_REL * max(1.0, rho):
-            alpha = _divide_by_real_linear(coeffs, x)
-            point = Quaternion(x)
-            out.append(PolynomialZero(StandardEigenvalue(x, 0.0), point,
-                                      False, alpha.modulus()))
-            continue
-        u = -2.0 * x
-        v = x * x + s * s
-        beta, alpha = _divide_by_real_quadratic(coeffs, u, v)
-        rem = beta.modulus() * max(1.0, rho) + alpha.modulus()
-        if rem <= SPHERE_TRY_REL * pscale:
-            u2, v2, beta2, alpha2 = _refine_quadratic_factor(coeffs, u, v)
-            rem2 = beta2.modulus() * max(1.0, rho) + alpha2.modulus()
-            if rem2 <= SPHERE_REL * pscale:
-                x2 = -u2 / 2.0
-                s2 = math.sqrt(max(v2 - x2 * x2, 0.0))
-                cls = StandardEigenvalue(x2, s2)
-                out.append(PolynomialZero(cls, cls.lift(), True, rem2))
-                continue
-            beta, alpha = beta2, alpha2
-        if beta.modulus() <= SLOPE_REL * pscale:
-            # Residual class with no recoverable zero; numerically spurious.
-            continue
-        zeta = -(beta.inverse() * alpha)
-        best = zeta
-        best_res = monic.evaluate(zeta).modulus()
-        for _ in range(2):
-            cls = standardize(best)
-            if cls.im <= REAL_CLASS_REL * max(1.0, cls.modulus()):
-                break
-            b2, a2 = _divide_by_real_quadratic(
-                coeffs, -2.0 * cls.re, cls.re ** 2 + cls.im ** 2)
-            if b2.modulus() <= SLOPE_REL * pscale:
-                break
-            cand = -(b2.inverse() * a2)
-            res = monic.evaluate(cand).modulus()
-            if res < best_res:
-                best, best_res = cand, res
-            else:
-                break
-        out.append(PolynomialZero(standardize(best), best, False, best_res))
+    for i in np.flatnonzero(real | spherical | isolated).tolist():
+        share = (int(sizes[i]) + 1) // 2 if axis[i] else int(sizes[i])
+        if isolated[i]:
+            point = Quaternion(*zeta[i, :, 0].tolist())
+            cls = standardize(point)
+        else:
+            cls = StandardEigenvalue(float(x[i]), float(s[i]))
+            point = cls.lift()
+        out.append(PolynomialZero(cls, point, bool(spherical[i]), float(residuals[i]), share))
     out.sort(key=lambda z: (z.eigenvalue_class.modulus(),
                             z.eigenvalue_class.re, z.eigenvalue_class.im))
     return out

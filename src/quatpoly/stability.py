@@ -38,6 +38,7 @@ from .linalg import (
     vec4_to_qvec,
 )
 from .matpoly import (
+    _CONJ,
     MatrixPolynomial,
     PolynomialZero,
     ScalarQPolynomial,
@@ -498,9 +499,8 @@ class NumericalRangeResult(NamedTuple):
     skipped: int
 
 
-# Components of conj(q) are _CONJ * q, and component k of conj(u) v is the
-# sum over a, b of u_a T[a, k, b] v_b with T = _CONJ_PRODUCT.
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+# Component k of conj(u) v is the sum over a, b of u_a T[a, k, b] v_b with
+# T = _CONJ_PRODUCT.
 _CONJ_PRODUCT = np.stack([c * left_action_matrix(Quaternion(*e)) for c, e in zip(_CONJ, np.eye(4))])
 # Column block u of p -> p @ _UNIT_RIGHT_ACTIONS is p u, for u = 1, i, j, k.
 _UNIT_RIGHT_ACTIONS = right_action_matrices(np.eye(4)).transpose(2, 0, 1).reshape(4, 16)
@@ -556,9 +556,12 @@ def sample_numerical_range(p: MatrixPolynomial, samples: int,
     """Inner approximation of the numerical range of P.
 
     For each of ``samples`` unit vectors y the scalar polynomial with
-    coefficients y* A_i y is formed and all its zeros are collected; a
-    spherical zero set contributes its class representative, flagged as
-    such.  Samples whose coefficients all vanish are skipped and counted.
+    coefficients y* A_i y is formed and all its zeros are collected with
+    multiplicity: an isolated or real zero once per unit of its share, a
+    spherical zero set once per two units as its class representative,
+    flagged as such, and an odd unit as that representative unflagged (it is
+    itself a zero).  Samples whose coefficients all vanish are skipped and
+    counted.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -571,7 +574,10 @@ def sample_numerical_range(p: MatrixPolynomial, samples: int,
         if zeros is None:
             skipped += 1
             continue
-        points.extend(RangePoint(zero.point, zero.spherical) for zero in zeros)
+        for zero in zeros:
+            spheres = zero.multiplicity // 2 if zero.spherical else 0
+            points += [RangePoint(zero.point, True)] * spheres
+            points += [RangePoint(zero.point, False)] * (zero.multiplicity - 2 * spheres)
     if skipped == samples:
         raise DegenerateCoefficientsError(
             "every sample produced identically vanishing coefficients")

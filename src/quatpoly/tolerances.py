@@ -21,14 +21,11 @@ BISECTION_WIDTH = 1e-12  # bracket width that ends the root bisection, times the
 
 # Zeros of scalar quaternion polynomials.
 IDENTITY_ABS = 1e-12  # a coefficient equals the identity (monic, identity leading)
-ROOT_CLUSTER_REL = 1e-7  # characteristic roots in one class, times max(1, largest |root|)
-REAL_CLASS_REL = 1e-9  # a class is real below this imaginary part, times max(1, |class|)
-SPHERE_TRY_REL = 1e-6  # division remainder worth refining, times the polynomial scale
-SPHERE_REL = 1e-9  # refined remainder of a spherical zero set, times the polynomial scale
+MULTIPLE_ROOT_REL = 1e-10  # k-fold characteristic roots lie this to the 1/k from their mean, times max(1, largest |root|)
+ROOT_CLUSTER_REL = 1e-7  # roots of no standing k-fold group join one within this, times max(1, largest |root|)
+REAL_CLASS_REL = 1e-9  # a root group is on the real axis below this mean Im, times max(1, |mean|)
+SPHERE_REL = 1e-9  # remainder of a spherical zero set or p at a real one, times the polynomial scale
 SLOPE_REL = 1e-12  # remainder slope with no isolated zero, times the polynomial scale
-DIFF_STEP = 1e-7  # central-difference step of the quadratic-factor fit, times max(1, |u|)
-GN_DAMPING = 1e-300  # added to the diagonal of the Gauss-Newton normal equations
-GN_STEP_REL = 1e-15  # Gauss-Newton step that ends the fit, times max(1, |u|, |v|)
 
 # Regions, verdicts, sampled numerical ranges and the hyperstability search.
 BOUNDARY_BAND = 1e-9  # dead band around a region boundary, default of --boundary-band

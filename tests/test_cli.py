@@ -368,9 +368,9 @@ def test_hyperstable_zero_on_closed_boundary_is_unknown(tmp_path, capsys, monkey
     from quatpoly import matpoly
 
     if root is not None:
-        roots = matpoly._real_poly_roots
-        monkeypatch.setattr(matpoly, "_real_poly_roots", lambda coeffs: [
-            complex(root) if abs(z - 1.0) < 1e-6 else z for z in roots(coeffs)])
+        roots = matpoly._char_roots
+        monkeypatch.setattr(matpoly, "_char_roots", lambda char: np.array([
+            complex(root) if abs(z - 1.0) < 1e-6 else z for z in roots(char)]))
     p = write(tmp_path, "p.json", TRI)
     r = write(tmp_path, "r.json", {"kind": "open_ball", "center": ZERO, "radius": 1.0})
     code, out, _ = run_cli(capsys, ["hyperstable", "--input", p, "--region", r, "--closed"])
@@ -503,6 +503,34 @@ def test_eig_with_a_huge_middle_coefficient(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["eig", "--input", q])
     assert (code, out) == (3, "")
     assert json.loads(err)["error_kind"] == "ResidualFailureError"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("region", [
+    {"kind": "complement_closed_ball", "center": ZERO, "radius": 1.0},
+    {"kind": "finite_set", "points": [[-1e200, 0, 0, 0]]},
+], ids=["complement_closed_ball", "finite_set"])
+def test_stable_confirms_a_huge_eigenvalue(tmp_path, capsys, region):
+    # The oracle confirms -1e200 on t^2 + 1e200 t although mu^2 is no float:
+    # each word value is taken in units of a power of two near |mu|^2.
+    p = write(tmp_path, "p.json", {"coeffs": [[[ZERO]], [[[1e200, 0, 0, 0]]], [[ONE_Q]]]})
+    r = write(tmp_path, "r.json", region)
+    code, out, err = run_cli(capsys, ["stable", "--input", p, "--region", r])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["result"]["status"] == "NOT_STABLE"
+    assert report["witness"] == [-1e200, 0.0, 0.0, 0.0]
+
+
+def test_nrange_lists_a_double_zero_twice(tmp_path, capsys):
+    # Every sampled polynomial of the 1 x 1 (t - 1)^2 is |y|^2 (t - 1)^2: one
+    # real class of multiplicity 2, listed once per unit.
+    p = write(tmp_path, "p.json", {"coeffs": [[[ONE_Q]], [[[-2, 0, 0, 0]]], [[ONE_Q]]]})
+    code, out, err = run_cli(capsys, ["nrange", "--input", p, "--samples", "5"])
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["skipped"] == 0
+    assert result["points"] == [{"point": [1.0, 0.0, 0.0, 0.0], "spherical": False}] * 10
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -21,7 +21,7 @@ from quatpoly import (
     scalar_char_poly,
 )
 from quatpoly.eigensolver import (MAX_DIM, eigenvector, inverse_complex, lu_factor, lu_solve,
-                                  singular_values, solve)
+                                  norm2, singular_values)
 
 
 def sorted_vals(vals):
@@ -182,15 +182,19 @@ def test_eigenvector_columns_follow_sorted_values():
 
 
 def test_lapack_failure_is_no_convergence(monkeypatch):
-    with pytest.raises(NoConvergenceError):
-        solve(np.zeros((2, 2)), np.ones(2))
-
+    # One failing LAPACK call for each seam function that makes one.
     def failing(*_args, **_kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvals", failing)
     monkeypatch.setattr(np.linalg, "eig", failing)
     monkeypatch.setattr(np.linalg, "svd", failing)
+    monkeypatch.setattr(np.linalg, "inv", failing)
+    monkeypatch.setattr(np.linalg, "norm", failing)
+    with pytest.raises(NoConvergenceError):
+        inverse_complex(np.eye(3), 1e-12)
+    with pytest.raises(NoConvergenceError):
+        norm2(np.eye(3))
     with pytest.raises(NoConvergenceError):
         eig_complex(np.eye(3))
     with pytest.raises(NoConvergenceError):

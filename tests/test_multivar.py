@@ -241,16 +241,20 @@ def _record_sweep_operators(monkeypatch):
     return seen
 
 
-def _sweep_scale(coeffs):
-    """The sweep divides every coefficient by one scale: the power of two
-    2^e with the largest entry modulus in [2^(e-1), 2^e)."""
-    return 2.0 ** np.frexp(max(a.max_entry_modulus() for a in coeffs))[1]
+def _sweep_scale(terms, tup):
+    """What the sweep divides a tuple's operator by: the power of two 2^e
+    with the largest entry modulus of the coefficients in [2^(e-1), 2^e),
+    times 2^E, E the largest over the words of the sum of their letters'
+    exponents, each letter's the e of its modulus."""
+    letters = [np.frexp(np.hypot.reduce(q.as_array()))[1] for q in tup]
+    word_exp = max(sum(letters[letter - 1] for letter in word) for word, _ in terms)
+    return 2.0 ** (np.frexp(max(a.max_entry_modulus() for _, a in terms))[1] + word_exp)
 
 
-def _assert_columns_are_actions(op, action, n, coeffs):
+def _assert_columns_are_actions(op, action, n, terms, tup):
     """Column j of op, times the sweep's scale, is vec4 of the action on the
     j-th real unit vector."""
-    op = op * _sweep_scale(coeffs)
+    op = op * _sweep_scale(terms, tup)
     atol = 1e-12 * (1.0 + np.abs(op).max())
     for j in range(4 * n):
         unit = np.zeros(4 * n)
@@ -270,7 +274,7 @@ def test_sweep_operator_matches_univariate_action(monkeypatch):
             is_eigenvalue_oracle(p, mu)
             assert len(seen) == 1
             _assert_columns_are_actions(seen[0], lambda y: evaluate_action(p, y, mu), n,
-                                        p.coeffs)
+                                        p.terms, (mu,))
 
 
 def test_sweep_operator_matches_two_variable_action(monkeypatch):
@@ -287,7 +291,7 @@ def test_sweep_operator_matches_two_variable_action(monkeypatch):
         assert len(seen) == len(tuples)
         for op, tup in zip(seen, tuples):
             _assert_columns_are_actions(op, lambda y: eval_action_multi(p, y, tup), n,
-                                        [a for _, a in p.terms])
+                                        p.terms, tup)
 
 
 def _sweep_one_tuple_at_a_time(terms, tuples):
@@ -319,7 +323,7 @@ def _assert_same_sweep(terms, tuples):
 
 def test_sweep_operators_equal_the_per_tuple_build(monkeypatch):
     # Batched word products and block products repeat the per-tuple
-    # floating-point operations exactly, and the power-of-two scale is exact.
+    # floating-point operations exactly, and the power-of-two scales are exact.
     seen = _record_sweep_operators(monkeypatch)
     rng = np.random.default_rng(4107)
     words = [w for length in range(4) for w in itertools.product((1, 2), repeat=length)]
@@ -333,8 +337,7 @@ def test_sweep_operators_equal_the_per_tuple_build(monkeypatch):
             want = np.zeros((4 * n, n, 4))
             for word, a in p.terms:
                 want += real_rep_left(a).reshape(4 * n, n, 4) @ right_action_matrix(eval_word(word, tup))
-            assert np.array_equal(op * _sweep_scale([a for _, a in p.terms]),
-                                  want.reshape(4 * n, 4 * n))
+            assert np.array_equal(op * _sweep_scale(p.terms, tup), want.reshape(4 * n, 4 * n))
 
 
 # I t - diag(2, 3): 3 is an exact eigenvalue, and the operator at

@@ -515,15 +515,17 @@ def test_isolated_zero_on_ball_boundary_is_in_the_dead_band(kind):
     assert _zero_meets_region(spherical, region, BOUNDARY_BAND)
 
 
-def test_overflowing_realified_action_stays_unknown():
-    # At t = 1e120 the t^3 term overflows to inf even with the coefficients
-    # scaled to modulus ~1: the oracle must refuse to decide rather than read
-    # a verdict off non-finite entries.
+def test_huge_realified_action_is_decided():
+    # At t = 1e120 the unscaled t^3 term, 1e100 * 1e360, is far outside the
+    # float range; each term in units of its own power of two keeps the
+    # operator finite, and no such t is an eigenvalue of 1e100 (1 + t + t^2 + t^3).
     p = MatrixPolynomial([QuaternionMatrix.identity(1) * 1e100] * 4)
-    with np.errstate(over="ignore", invalid="ignore"):
-        verdict = check_stability(p, Region.finite_set([Quaternion(1e120)]))
-    assert verdict.status is StabilityStatus.UNKNOWN
-    assert verdict.certificate == "pointwise-oracle-deadband"
-    # At t = 1e80 only the unscaled action, 1e100 * 1e240, would overflow.
-    verdict = check_stability(p, Region.finite_set([Quaternion(1e80)]))
-    assert (verdict.status, verdict.certificate) == (StabilityStatus.STABLE, "pointwise-oracle")
+    with np.errstate(over="raise", invalid="raise"):
+        for t in (1e80, 1e120, 1e300):
+            verdict = check_stability(p, Region.finite_set([Quaternion(t)]))
+            assert (verdict.status, verdict.certificate) == (StabilityStatus.STABLE,
+                                                             "pointwise-oracle")
+        # 1 + t + t^2 + t^3 = (1 + t)(1 + t^2) vanishes at -1 and on the sphere of i.
+        for point in (Quaternion(-1.0), Quaternion(0.0, 0.6, 0.0, 0.8)):
+            verdict = check_stability(p, Region.finite_set([point]))
+            assert verdict.status is StabilityStatus.NOT_STABLE
