@@ -380,14 +380,6 @@ class ScalarQPolynomial:
         return f"ScalarQPolynomial(degree={self.degree})"
 
 
-def _char_coefficients(a: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of C = sum_c P_c^2 for the (d+1, 4) component
-    array a of P: c_k = sum_{i+j=k} <a_i, a_j>, the anti-diagonal sums of the
-    Gram matrix a a^T."""
-    steps = np.arange(len(a))
-    return np.bincount(np.add.outer(steps, steps).ravel(), weights=(a @ a.T).ravel())
-
-
 def scalar_char_poly(p: ScalarQPolynomial) -> list[float]:
     """Real coefficients c_k = sum_{i+j=k} a_i conj(a_j), k = 0..2m.
 
@@ -398,7 +390,10 @@ def scalar_char_poly(p: ScalarQPolynomial) -> list[float]:
     """
     if not p.is_monic():
         raise NotMonicError("characteristic coefficients need a monic polynomial")
-    return _char_coefficients(np.array([c.as_array() for c in p.coeffs])).tolist()
+    a = np.array([c.as_array() for c in p.coeffs])
+    steps = np.arange(len(a))
+    # c_k = sum_{i+j=k} <a_i, a_j>, the anti-diagonal sums of the Gram matrix a a^T.
+    return np.bincount(np.add.outer(steps, steps).ravel(), weights=(a @ a.T).ravel()).tolist()
 
 
 @dataclass(frozen=True)
@@ -419,61 +414,80 @@ class PolynomialZero:
     multiplicity: int = 1
 
 
-def _char_roots(char: np.ndarray) -> np.ndarray:
-    """Roots of the real polynomial with ascending coefficients ``char``
-    (nonzero leading), from one ``eig_complex`` call on its companion."""
-    d = len(char) - 1
-    comp = np.eye(d, d, 1, dtype=np.complex128)
-    comp[-1] = -(char[:-1] / char[-1])
+def _lift_roots(a: np.ndarray) -> np.ndarray:
+    """The 2d roots of C for the monic component array a, from one
+    ``eig_complex`` call on the block companion of the 2 x 2 complex lift
+    [[A1, A2], [-conj(A2), conj(A1)]] of p, whose determinant is C.
+
+    A simple real zero or sphere of p is a double root of C but a semisimple
+    eigenvalue of this companion, so it comes out to rounding, not to its
+    square root as from the coefficients of C.
+    """
+    d = len(a) - 1
+    lift = np.ascontiguousarray(a[:-1]).view(np.complex128)  # rows (A1, A2)
+    comp = np.eye(2 * d, 2 * d, 2, dtype=np.complex128)
+    comp[-2] = -lift.ravel()
+    comp[-1] = (lift[:, ::-1].conj() * (1.0, -1.0)).ravel()
     return eig_complex(comp)
 
 
-def _root_groups(roots: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _root_groups(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean, size and mean |Im| of each group of roots, one group per multiple root.
 
-    A root and its k - 1 nearest form a k-fold group when all k lie within
-    r_k = MULTIPLE_ROOT_REL^(1/k) * scale of their mean, the spread of a
-    k-fold root under that relative perturbation (Zeng, Math. Comp. 74, 2005).
-    Each root takes the largest k of its first run of passing sizes; a group
+    A root and its k - 1 nearest form a k-fold group when their offsets h
+    from their mean, in units of max(1, |root|), lie within
+    r_k = MULTIPLE_ROOT_REL^(1/k) and have power sums |sum h^q| <=
+    MULTIPLE_ROOT_REL for q = 2..k.  The group's factor is then within about
+    that of (t - mean)^k, coefficient by coefficient, so C is within that
+    relative perturbation of a polynomial with a k-fold root there (Zeng,
+    Math. Comp. 74, 2005); two distinct zeros closer than that are one zero
+    at this precision.  Each root takes its largest passing k; a group
     stands when all its members take it, and every other root joins the
-    first earlier such root within ROOT_CLUSTER_REL * scale.
+    first earlier such root within ROOT_CLUSTER_REL.
     """
     count = len(roots)
-    radii = MULTIPLE_ROOT_REL ** (1.0 / np.arange(1, count + 1)) * scale
-    gaps = np.abs(roots[:, None] - roots[None, :])
+    scales = np.maximum(1.0, np.abs(roots))
+    sizes = np.arange(1, count + 1)
+    radii = MULTIPLE_ROOT_REL ** (1.0 / sizes)
+    gaps = np.abs(roots[:, None] - roots[None, :]) / scales[:, None]
     # The k - 1 nearest of a passing k-fold group lie within 2 r_k.
     if not (np.sort(gaps, axis=1)[:, 1:] <= 2.0 * radii[1:]).any():
         return roots, np.ones(count), np.abs(roots.imag)  # every root is simple
     np.fill_diagonal(gaps, -1.0)  # each root is its own nearest
     nearest = np.argsort(gaps, axis=1, kind="stable")
     near = roots[nearest]
-    means = np.cumsum(near, axis=1) / np.arange(1, count + 1)
-    # hits[i, j]: root i and its j + 1 nearest lie within r_(j+2) of their mean.
-    hits = (np.abs(np.tril(near[:, None, :] - means[:, :, None])).max(axis=2) <= radii)[:, 1:]
+    # offsets[i, k - 1]: root i and its k - 1 nearest less their mean, zero past k.
+    offsets = np.tril(near[:, None, :] - (np.cumsum(near, axis=1) / sizes)[:, :, None])
+    offsets /= scales[:, None, None]
+    passing = np.abs(offsets).max(axis=2) <= radii
+    power = offsets.copy()
+    for q in range(2, count + 1):
+        power *= offsets
+        passing[:, q - 1:] &= np.abs(power[:, q - 1:].sum(axis=2)) <= MULTIPLE_ROOT_REL
     picks = []
-    for row, passing in zip(nearest, hits):
-        first = int(passing.argmax())
-        k = first + 1 + int(np.cumprod(passing[first:]).sum()) if passing[first] else 1
+    for row, hits in zip(nearest, passing):
+        k = 1 + int(np.flatnonzero(hits)[-1])
         picks.append(frozenset(row[:k].tolist()))
     standing = [all(picks[j] == pick for j in pick) for pick in picks]
     labels = np.arange(count)
     for i, pick in enumerate(picks):
         labels[i] = min(pick) if standing[i] else next(
             (h for h in range(i) if not standing[h] and labels[h] == h
-             and abs(roots[i] - roots[h]) <= ROOT_CLUSTER_REL * scale), i)
+             and abs(roots[i] - roots[h]) <= ROOT_CLUSTER_REL * scales[i]), i)
     member = (np.unique(labels)[:, None] == labels).astype(float)
-    sizes = member.sum(axis=1)
-    return member @ roots / sizes, sizes, member @ np.abs(roots.imag) / sizes
+    counts = member.sum(axis=1)
+    return member @ roots / counts, counts, member @ np.abs(roots.imag) / counts
 
 
 def scalar_zeros(p: ScalarQPolynomial) -> list[PolynomialZero]:
     """Zeros of p, one entry per eigenvalue class, counted with multiplicity.
 
     p becomes the (d+1, 4) array of its real component polynomials P_c,
-    scaled and made monic, and the 2d roots of C = sum_c P_c^2 are grouped
-    by ``_root_groups``.  A group above the real axis is a class x + i s of
-    share its size, one on the axis a real class of half its size (or, where
-    p(x) is not small, the near-real class of s its mean |Im|).  p takes the
+    scaled and made monic; the 2d roots of C = sum_c P_c^2 come from
+    ``_lift_roots`` and are grouped by ``_root_groups``.  A group above the
+    real axis is a class x + i s of share its size, one on the axis a real
+    class of half its size (or, where p(x) is not small, the near-real class
+    of s its mean |Im|).  p takes the
     remainder beta t + alpha of the division by t^2 - 2x t + x^2 + s^2 on
     the class sphere: beta = Im P_c(z) / s and alpha = Re P_c(z) - beta x at
     z = x + i s.  Below SPHERE_REL the class is a sphere of zeros, given by
@@ -487,8 +501,8 @@ def scalar_zeros(p: ScalarQPolynomial) -> list[PolynomialZero]:
                  -math.frexp(max(c.modulus() for c in p.coeffs))[1])
     a = a @ left_action_matrix(Quaternion(*a[-1]).inverse()).T
     a[-1] = (1.0, 0.0, 0.0, 0.0)
-    roots = _char_roots(_char_coefficients(a))
-    means, sizes, folded = _root_groups(roots, max(1.0, float(np.abs(roots).max())))
+    roots = _lift_roots(a)
+    means, sizes, folded = _root_groups(roots)
     axis = np.abs(means.imag) <= REAL_CLASS_REL * np.maximum(1.0, np.abs(means))
     kept = axis | (means.imag > 0.0)
     x, s, axis, sizes = means.real[kept], np.where(axis, 0.0, means.imag)[kept], axis[kept], sizes[kept]

@@ -21,8 +21,8 @@ BISECTION_WIDTH = 1e-12  # bracket width that ends the root bisection, times the
 
 # Zeros of scalar quaternion polynomials.
 IDENTITY_ABS = 1e-12  # a coefficient equals the identity (monic, identity leading)
-MULTIPLE_ROOT_REL = 1e-10  # k-fold characteristic roots lie this to the 1/k from their mean, times max(1, largest |root|)
-ROOT_CLUSTER_REL = 1e-7  # roots of no standing k-fold group join one within this, times max(1, largest |root|)
+MULTIPLE_ROOT_REL = 1e-11  # offsets of a k-fold root group within this to the 1/k, power sums of the offsets below it, in units of max(1, |root|)
+ROOT_CLUSTER_REL = 1e-7  # roots of no standing k-fold group join one within this, times max(1, |root|)
 REAL_CLASS_REL = 1e-9  # a root group is on the real axis below this mean Im, times max(1, |mean|)
 SPHERE_REL = 1e-9  # remainder of a spherical zero set or p at a real one, times the polynomial scale
 SLOPE_REL = 1e-12  # remainder slope with no isolated zero, times the polynomial scale

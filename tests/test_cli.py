@@ -368,9 +368,9 @@ def test_hyperstable_zero_on_closed_boundary_is_unknown(tmp_path, capsys, monkey
     from quatpoly import matpoly
 
     if root is not None:
-        roots = matpoly._char_roots
-        monkeypatch.setattr(matpoly, "_char_roots", lambda char: np.array([
-            complex(root) if abs(z - 1.0) < 1e-6 else z for z in roots(char)]))
+        roots = matpoly._lift_roots
+        monkeypatch.setattr(matpoly, "_lift_roots", lambda a: np.array([
+            complex(root) if abs(z - 1.0) < 1e-6 else z for z in roots(a)]))
     p = write(tmp_path, "p.json", TRI)
     r = write(tmp_path, "r.json", {"kind": "open_ball", "center": ZERO, "radius": 1.0})
     code, out, _ = run_cli(capsys, ["hyperstable", "--input", p, "--region", r, "--closed"])

@@ -70,11 +70,26 @@ def test_isolated_repeated_zeros_sit_at_the_right_point():
     assert scalar_zeros(ScalarQPolynomial(product(linear(I), linear(I))))[0].point.approx_eq(I, 1e-12)
 
 
-def test_two_close_real_zeros_stay_two_classes():
-    zeros = scalar_zeros(ScalarQPolynomial(product(linear(Quaternion(0.3)),
-                                                   linear(Quaternion(0.301)))))
-    assert [(z.spherical, z.multiplicity) for z in zeros] == [(False, 1), (False, 1)]
-    assert [z.point.w for z in zeros] == pytest.approx([0.3, 0.301], abs=1e-7)
+@pytest.mark.parametrize("factors, want", [
+    ([linear(Quaternion(0.3)), linear(Quaternion(0.301))], [(0.3, 0.0, 1), (0.301, 0.0, 1)]),
+    ([linear(Quaternion(0.3)), linear(Quaternion(0.3005))], [(0.3, 0.0, 1), (0.3005, 0.0, 1)]),
+    ([linear(Quaternion(0.3)), linear(Quaternion(0.5)), linear(Quaternion(1000.0))],
+     [(0.3, 0.0, 1), (0.5, 0.0, 1), (1000.0, 0.0, 1)]),
+    ([linear(Quaternion(0.3 + 0.01 * i)) for i in range(3)],
+     [(0.3, 0.0, 1), (0.31, 0.0, 1), (0.32, 0.0, 1)]),
+    ([linear(Quaternion(0.5, 0.8)), linear(Quaternion(0.5, 0.0, 0.80001))],
+     [(0.5, 0.8, 1), (0.5, 0.80001, 1)]),
+    ([linear(Quaternion(0.5, 0.8)), linear(Quaternion(0.50001, 0.0, 0.8))],
+     [(0.5, 0.8, 1), (0.50001, 0.8, 1)]),
+    ([quadratic(0.3, 1.0), quadratic(0.301, 1.0)], [(0.3, 1.0, 2), (0.301, 1.0, 2)]),
+], ids=["real-1e-3", "real-5e-4", "real-0.3-0.5-1000", "three-real-1e-2", "isolated-1e-5-im",
+        "isolated-1e-5-re", "spheres-1e-3"])
+def test_close_distinct_zeros_stay_apart(factors, want):
+    zeros = scalar_zeros(ScalarQPolynomial(product(*factors)))
+    got = sorted((z.eigenvalue_class.re, z.eigenvalue_class.im, z.multiplicity) for z in zeros)
+    assert [m for *_, m in got] == [m for *_, m in want]
+    for (re, im, _), (wre, wim, _) in zip(got, want):
+        assert abs(complex(re - wre, im - wim)) <= 1e-10 * max(1.0, abs(complex(wre, wim)))
 
 
 def _planted(rng, kind, k):
@@ -155,17 +170,17 @@ def test_zeros_agree_with_the_companion_and_the_oracle(sphere):
 
 
 def test_groups_that_do_not_stand_fall_back_to_the_fixed_radius():
-    # Roots 0 and 1 each take all four roots as their group, while 2 and 3
-    # take the pair {2, 3}: only the pair stands, and 0 and 1, farther apart
-    # than the fixed radius, stay alone.
+    # Each pair of neighbours is a 1e-11 perturbation of a double root, the
+    # three together are not.  Roots 0 and 1 both take the pair {0, 1}, which
+    # stands; root 2 takes {1, 2}, which does not, and, farther than the fixed
+    # radius from any other root, stays alone.
     from quatpoly.matpoly import _root_groups
 
-    roots = np.array([-2.2059e-3 + 1.174e-4j, -1.0025e-3 + 1.2133e-3j,
-                      -1.58e-5 + 1.1e-6j, 2.1e-6 - 1.4e-6j])
-    means, sizes, folded = _root_groups(roots, 1.0)
-    assert sizes.tolist() == [1.0, 1.0, 2.0]
-    np.testing.assert_allclose(means, [roots[0], roots[1], (roots[2] + roots[3]) / 2], rtol=1e-15)
-    np.testing.assert_allclose(folded, [1.174e-4, 1.2133e-3, 1.25e-6], rtol=1e-12)
+    roots = np.array([0.0, 3e-6, 6.1e-6 + 1e-7j])
+    means, sizes, folded = _root_groups(roots)
+    assert sizes.tolist() == [2.0, 1.0]
+    np.testing.assert_allclose(means, [1.5e-6, roots[2]], rtol=1e-15)
+    np.testing.assert_allclose(folded, [0.0, 1e-7], rtol=1e-15)
 
 
 def test_a_near_real_zero_keeps_its_imaginary_part():
