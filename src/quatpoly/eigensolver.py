@@ -1,7 +1,8 @@
 """Dense kernels behind one seam, backed by LAPACK through numpy.
 
-Eigenvalues, with or without eigenvectors, come from one ``zgeev`` call, the
-spectral norm from ``zgesdd``, the singular values (and on request the right
+Eigenvalues, with or without eigenvectors, of one matrix or of every matrix
+of a (..., n, n) stack come from one batched ``zgeev`` call, the spectral
+norm from ``zgesdd``, the singular values (and on request the right
 singular vectors) of a stack of real or complex matrices from one batched
 ``dgesdd`` or ``zgesdd`` call, inverses from ``gesv``; every
 ``LinAlgError`` is reported as NoConvergenceError.  Two LU kernels stay in
@@ -38,7 +39,7 @@ def _checked(a: np.ndarray) -> np.ndarray:
 
 def _as_square(matrix) -> np.ndarray:
     a = np.array(matrix, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
     return _checked(a)
 
@@ -52,10 +53,13 @@ def _lapack(task: str):
 
 
 def eig_complex(matrix, *, vectors: bool = False):
-    """All eigenvalues of a dense complex matrix, sorted by (real, imag).
+    """All eigenvalues of a dense complex matrix, or of every matrix of a
+    (..., n, n) stack, sorted by (real, imag) along the last axis.
 
     With ``vectors=True`` returns (values, vectors): the unit eigenvector
-    columns, permuted alike, from the same single LAPACK call.
+    columns, permuted alike, from the same single LAPACK call.  A stack is
+    solved slice by slice in one batched call, and each slice comes out bit
+    for bit as from a call of its own.
     """
     a = _as_square(matrix)
     with _lapack("eigensolver"):
@@ -63,10 +67,11 @@ def eig_complex(matrix, *, vectors: bool = False):
             vals, vecs = np.linalg.eig(a)
         else:
             vals = np.linalg.eigvals(a)
-    order = np.lexsort((vals.imag, vals.real))
+    order = np.lexsort((vals.imag, vals.real), axis=-1)
     if vectors:
-        return vals[order], vecs[:, order]
-    return vals[order]
+        return (np.take_along_axis(vals, order, axis=-1),
+                np.take_along_axis(vecs, order[..., None, :], axis=-1))
+    return np.take_along_axis(vals, order, axis=-1)
 
 
 def norm2(matrix) -> float:

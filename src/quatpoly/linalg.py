@@ -272,10 +272,12 @@ def real_rep_right_scalar(q: Quaternion, n: int) -> np.ndarray:
     return np.kron(np.eye(n), right_action_matrix(q))
 
 
-def rank_decisions(stack) -> tuple[np.ndarray, np.ndarray]:
+def rank_decisions(stack, scale=None) -> tuple[np.ndarray, np.ndarray]:
     """Tri-state rank decisions for a stack of real matrices from one values-only SVD.
 
-    With tau = RANK_PIVOT_REL * sigma_max, each singular value below
+    With tau = RANK_PIVOT_REL * max(sigma_max, scale[b]), where the optional
+    per-slice ``scale`` is the size of the terms a slice sums (its own
+    sigma_max may be their cancellation noise), each singular value below
     tau / RANK_BAND is a kernel direction, a least one above tau * RANK_BAND
     means full column rank, and one in between is refused as "unknown".  A
     wide matrix always has a kernel; the zero matrix is singular with kernel
@@ -293,7 +295,7 @@ def rank_decisions(stack) -> tuple[np.ndarray, np.ndarray]:
     kernels = np.zeros((count, n_cols))
     finite = np.flatnonzero(np.isfinite(stack).all(axis=(1, 2)))
     sigma = singular_values(stack[finite])
-    tau = RANK_PIVOT_REL * sigma[:, 0]
+    tau = RANK_PIVOT_REL * (sigma[:, 0] if scale is None else np.maximum(sigma[:, 0], scale[finite]))
     nullity = (sigma < tau[:, None] / RANK_BAND).sum(axis=1) + max(n_cols - n_rows, 0)
     code[finite] = np.select(
         [~np.isfinite(tau), (nullity > 0) | (tau == 0.0), sigma[:, -1] > tau * RANK_BAND],

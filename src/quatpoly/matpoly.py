@@ -33,6 +33,7 @@ from .errors import (
 )
 from .linalg import (
     QuaternionMatrix,
+    _lift,
     _pairing_scale,
     _pow2_near,
     _standard_eigenpairs,
@@ -44,15 +45,15 @@ from .linalg import (
     spectral_norm,
     vec4_to_qvec,
 )
-from .quaternion import (Quaternion, StandardEigenvalue, left_action_matrix,
-                         right_action_matrices, standardize)
+from .quaternion import Quaternion, StandardEigenvalue, left_action_matrix, right_action_matrices
 from .tolerances import (BLOCK_NORM_REL, IDENTITY_ABS, MULTIPLE_ROOT_REL, POLYEIG_RESIDUAL_REL,
                          REAL_CLASS_REL, ROOT_CLUSTER_REL, SLOPE_REL, SPHERE_REL)
 
 # Components of conj(q) are _CONJ * q, and (q @ _RIGHT_UNITS).reshape(4, 4)
-# is the right action matrix of q, linear in q.
+# is the right action matrix of q, linear in q; _LEFT_UNITS the same for the left.
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 _RIGHT_UNITS = right_action_matrices(np.eye(4)).reshape(4, 16)
+_LEFT_UNITS = np.stack([left_action_matrix(Quaternion(*e)) for e in np.eye(4)]).reshape(4, 16)
 
 # A chunk of operators in the realified sweep holds at most this many doubles.
 SWEEP_CHUNK_DOUBLES = 2 ** 16
@@ -263,8 +264,10 @@ def _word_values(word: Sequence[int], mus: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _realified_operators(lefts, chunk) -> np.ndarray:
-    """The (P, 4n, 4n) realified actions of a chunk of substitution tuples.
+def _realified_operators(lefts, norms, chunk) -> tuple[np.ndarray, np.ndarray]:
+    """The (P, 4n, 4n) realified actions of a chunk of substitution tuples,
+    and each one's term scale sum_w ||A_w||_2 |w(mu)|, ``norms`` the ||A_w||_2
+    in the units of ``lefts``.
 
     With each letter value in units of a power of two 2^e near its modulus,
     w(mu) is 2^E times a value of modulus below 1, E the sum of its letters'
@@ -277,12 +280,13 @@ def _realified_operators(lefts, chunk) -> np.ndarray:
     values = np.array([_word_values(word, units) for word, _ in lefts])
     counts = [[word.count(letter) for letter in range(1, mus.shape[1] + 1)] for word, _ in lefts]
     word_exps = np.array(counts) @ exps.T
-    actions = right_action_matrices(np.ldexp(values, (word_exps - word_exps.max(axis=0))[..., None]))
+    values = np.ldexp(values, (word_exps - word_exps.max(axis=0))[..., None])
     rows, n = lefts[0][1].shape[:2]
     ops = np.zeros((len(chunk), rows, n, 4))
-    for (_, left), action in zip(lefts, actions):
+    for (_, left), action in zip(lefts, right_action_matrices(values)):
         ops += left[None] @ action[:, None]
-    return ops.reshape(len(chunk), rows, rows)
+    # R(w) is |w| times an orthogonal matrix and realification keeps 2-norms.
+    return ops.reshape(len(chunk), rows, rows), norms @ np.linalg.norm(values, axis=2)
 
 
 def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
@@ -293,7 +297,9 @@ def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
     each left factor is realified once, and the right factor w(mu) is
     applied per 4 x 4 block.  Tuples are drawn lazily in chunks of 1, 4,
     16, ... operators (at most SWEEP_CHUNK_DOUBLES doubles a chunk), and
-    each chunk is decided by one ``rank_decisions`` pass.  Returns
+    each chunk is decided by one ``rank_decisions`` pass, scaled by the
+    terms' sizes (at an eigenvalue they cancel, and so would the operator's
+    own sigma_max).  Returns
     ("singular", tuple, unit kernel vector) for the first singular tuple,
     else ("unknown", None, None) when some tuple fell in the rank dead band,
     else ("nonsingular", None, None).
@@ -302,12 +308,13 @@ def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
     # One exact power-of-two scale keeps the operators finite; no rank decision moves.
     scale = _pow2_near(max(a.max_entry_modulus() for _, a in terms))
     lefts = [(word, (real_rep_left(a) / scale).reshape(4 * n, n, 4)) for word, a in terms]
+    norms = singular_values(np.array([_lift(a) for _, a in terms]))[:, 0] / scale
     cap = max(1, SWEEP_CHUNK_DOUBLES // (4 * n) ** 2)
     tuples = iter(tuples)
     undecided = False
     size = 1
     while chunk := list(itertools.islice(tuples, size)):
-        status, kernels = rank_decisions(_realified_operators(lefts, chunk))
+        status, kernels = rank_decisions(*_realified_operators(lefts, norms, chunk))
         hits = np.flatnonzero(status == "singular")
         if hits.size:
             kernel = kernels[hits[0]]
@@ -415,19 +422,20 @@ class PolynomialZero:
 
 
 def _lift_roots(a: np.ndarray) -> np.ndarray:
-    """The 2d roots of C for the monic component array a, from one
-    ``eig_complex`` call on the block companion of the 2 x 2 complex lift
-    [[A1, A2], [-conj(A2), conj(A1)]] of p, whose determinant is C.
+    """The 2d roots of C for every monic component array of an (S, d+1, 4)
+    stack, from one ``eig_complex`` call on the block companions of the
+    2 x 2 complex lifts [[A1, A2], [-conj(A2), conj(A1)]], whose determinants
+    are the C.
 
     A simple real zero or sphere of p is a double root of C but a semisimple
     eigenvalue of this companion, so it comes out to rounding, not to its
     square root as from the coefficients of C.
     """
-    d = len(a) - 1
-    lift = np.ascontiguousarray(a[:-1]).view(np.complex128)  # rows (A1, A2)
-    comp = np.eye(2 * d, 2 * d, 2, dtype=np.complex128)
-    comp[-2] = -lift.ravel()
-    comp[-1] = (lift[:, ::-1].conj() * (1.0, -1.0)).ravel()
+    count, d = a.shape[0], a.shape[1] - 1
+    lift = np.ascontiguousarray(a[:, :-1]).view(np.complex128)  # rows (A1, A2)
+    comp = np.tile(np.eye(2 * d, 2 * d, 2, dtype=np.complex128), (count, 1, 1))
+    comp[:, -2] = -lift.reshape(count, -1)
+    comp[:, -1] = (lift[..., ::-1].conj() * (1.0, -1.0)).reshape(count, -1)
     return eig_complex(comp)
 
 
@@ -450,9 +458,6 @@ def _root_groups(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     sizes = np.arange(1, count + 1)
     radii = MULTIPLE_ROOT_REL ** (1.0 / sizes)
     gaps = np.abs(roots[:, None] - roots[None, :]) / scales[:, None]
-    # The k - 1 nearest of a passing k-fold group lie within 2 r_k.
-    if not (np.sort(gaps, axis=1)[:, 1:] <= 2.0 * radii[1:]).any():
-        return roots, np.ones(count), np.abs(roots.imag)  # every root is simple
     np.fill_diagonal(gaps, -1.0)  # each root is its own nearest
     nearest = np.argsort(gaps, axis=1, kind="stable")
     near = roots[nearest]
@@ -479,68 +484,87 @@ def _root_groups(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return member @ roots / counts, counts, member @ np.abs(roots.imag) / counts
 
 
-def scalar_zeros(p: ScalarQPolynomial) -> list[PolynomialZero]:
-    """Zeros of p, one entry per eigenvalue class, counted with multiplicity.
+def stacked_zeros(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Zeros of every polynomial of an (S, d+1, 4) stack of component arrays
+    P_c (d >= 1, leading rows nonzero), one entry per class, counted with
+    multiplicity.
 
-    p becomes the (d+1, 4) array of its real component polynomials P_c,
-    scaled and made monic; the 2d roots of C = sum_c P_c^2 come from
-    ``_lift_roots`` and are grouped by ``_root_groups``.  A group above the
-    real axis is a class x + i s of share its size, one on the axis a real
-    class of half its size (or, where p(x) is not small, the near-real class
-    of s its mean |Im|).  p takes the
-    remainder beta t + alpha of the division by t^2 - 2x t + x^2 + s^2 on
-    the class sphere: beta = Im P_c(z) / s and alpha = Re P_c(z) - beta x at
-    z = x + i s.  Below SPHERE_REL the class is a sphere of zeros, given by
-    its representative; otherwise its one zero is -inv(beta) * alpha.
+    Each row is divided by a power of two near its largest coefficient and
+    made monic; the 2d roots of C = sum_c P_c^2 come from ``_lift_roots``.
+    Only a row with roots within 2 r_k of each other (a k-fold group may
+    stand there) is grouped by ``_root_groups``; every other root is simple.
+    A group above the real axis is a class x + i s of share its size, one on
+    the axis a real class of half its size (or, where p(x) is not small, the
+    near-real class of s its mean |Im|).  p takes the remainder beta t + alpha
+    of the division by t^2 - 2x t + x^2 + s^2 on the class sphere:
+    beta = Im P_c(z) / s and alpha = Re P_c(z) - beta x at z = x + i s.
+    Below SPHERE_REL the class is a sphere of zeros, given by its
+    representative; otherwise its one zero is -inv(beta) * alpha.
+
+    Returns the row, class (re, im), point, sphere flag, share and residual
+    of every class, by row and within a row by (modulus, re, im).
     """
-    if p.degree == 0:
-        return []
-    # Dividing by a power of two near the largest coefficient is exact and
-    # moves no zero, and the leading coefficient stays invertible.
-    a = np.ldexp(np.array([c.as_array() for c in p.coeffs]),
-                 -math.frexp(max(c.modulus() for c in p.coeffs))[1])
-    a = a @ left_action_matrix(Quaternion(*a[-1]).inverse()).T
-    a[-1] = (1.0, 0.0, 0.0, 0.0)
+    count, d = a.shape[0], a.shape[1] - 1
+    a = np.ldexp(a, -np.frexp(np.hypot.reduce(a, axis=2).max(axis=1))[1][:, None, None])
+    # inv(q) = conj(q) / |q|^2, with q first divided by its largest component.
+    big = np.abs(a[:, -1]).max(axis=1, keepdims=True)
+    lead = a[:, -1] / big
+    inv = lead * _CONJ / ((lead * lead).sum(axis=1, keepdims=True) * big)
+    a = a @ (inv @ _LEFT_UNITS).reshape(-1, 4, 4).transpose(0, 2, 1)
+    a[:, -1] = (1.0, 0.0, 0.0, 0.0)
     roots = _lift_roots(a)
-    means, sizes, folded = _root_groups(roots)
-    axis = np.abs(means.imag) <= REAL_CLASS_REL * np.maximum(1.0, np.abs(means))
-    kept = axis | (means.imag > 0.0)
-    x, s, axis, sizes = means.real[kept], np.where(axis, 0.0, means.imag)[kept], axis[kept], sizes[kept]
-    steps = np.arange(p.degree + 1)
+    means, sizes, folded = roots.copy(), np.ones(roots.shape), np.abs(roots.imag)
+    valid = np.ones(roots.shape, dtype=bool)
+    gaps = np.abs(roots[:, :, None] - roots[:, None, :]) / np.maximum(1.0, np.abs(roots))[..., None]
+    radii = 2.0 * MULTIPLE_ROOT_REL ** (1.0 / np.arange(2, 2 * d + 1))
+    for r in np.flatnonzero((np.sort(gaps, axis=2)[:, :, 1:] <= radii).any(axis=(1, 2))):
+        groups = _root_groups(roots[r])
+        valid[r, len(groups[0]):] = False
+        for out, got in zip((means, sizes, folded), groups):
+            out[r] = np.pad(got, (0, 2 * d - len(got)))
+    axis = valid & (np.abs(means.imag) <= REAL_CLASS_REL * np.maximum(1.0, np.abs(means)))
+    kept = axis | valid & (means.imag > 0.0)
+    x, s = means.real, np.where(axis, 0.0, means.imag)
+    steps = np.arange(d + 1)
     grow = np.maximum(1.0, np.hypot(x, s))
-    pscale = grow[:, None] ** steps @ np.hypot.reduce(a, axis=1)
-    values = (x + 1j * s)[:, None] ** steps @ a
-    real = axis & (np.hypot.reduce(values.real, axis=1) <= SPHERE_REL * pscale)
+    pscale = (grow[..., None] ** steps @ np.hypot.reduce(a, axis=2)[..., None])[..., 0]
+    values = (x + 1j * s)[..., None] ** steps @ a
+    real = axis & (np.hypot.reduce(values.real, axis=2) <= SPHERE_REL * pscale)
     if (axis & ~real).any():
         # A group on the axis where p is not small: its s is the mean |Im| of its roots.
-        s = np.where(axis & ~real, folded[kept], s)
-        values = (x + 1j * s)[:, None] ** steps @ a
-    beta = np.divide(values.imag, s[:, None], out=np.zeros_like(values.real),
-                     where=(s > 0.0)[:, None])
-    alpha = values.real - beta * x[:, None]
-    slope = np.hypot.reduce(beta, axis=1)
-    remainder = slope * grow + np.hypot.reduce(alpha, axis=1)
+        s = np.where(axis & ~real, folded, s)
+        values = (x + 1j * s)[..., None] ** steps @ a
+    beta = np.divide(values.imag, s[..., None], out=np.zeros_like(values.real),
+                     where=(s > 0.0)[..., None])
+    alpha = values.real - beta * x[..., None]
+    slope = np.hypot.reduce(beta, axis=2)
+    remainder = slope * grow + np.hypot.reduce(alpha, axis=2)
     spherical = ~real & (remainder <= SPHERE_REL * pscale)
     isolated = ~real & ~spherical & (slope > SLOPE_REL * pscale)
     # The one zero -inv(beta) alpha = -conj(beta) alpha / |beta|^2 of each
     # isolated class, and p there by Horner's rule.
-    zeta = (alpha @ _RIGHT_UNITS).reshape(-1, 4, 4) @ (beta * -_CONJ)[:, :, None]
-    zeta = zeta / np.where(isolated, slope, 1.0)[:, None, None] ** 2
-    times_zeta = (zeta[:, :, 0] @ _RIGHT_UNITS).reshape(-1, 4, 4)
-    value = zeta + a[-2][:, None]  # the monic leading term gives 1 zeta
-    for c in a[-3::-1]:
-        value = times_zeta @ value + c[:, None]
-    residuals = np.where(isolated, np.hypot.reduce(value[:, :, 0], axis=1), remainder)
-    out = []
-    for i in np.flatnonzero(real | spherical | isolated).tolist():
-        share = (int(sizes[i]) + 1) // 2 if axis[i] else int(sizes[i])
-        if isolated[i]:
-            point = Quaternion(*zeta[i, :, 0].tolist())
-            cls = standardize(point)
-        else:
-            cls = StandardEigenvalue(float(x[i]), float(s[i]))
-            point = cls.lift()
-        out.append(PolynomialZero(cls, point, bool(spherical[i]), float(residuals[i]), share))
-    out.sort(key=lambda z: (z.eigenvalue_class.modulus(),
-                            z.eigenvalue_class.re, z.eigenvalue_class.im))
-    return out
+    zeta = ((alpha @ _RIGHT_UNITS).reshape(count, -1, 4, 4) @ (beta * -_CONJ)[..., None])[..., 0]
+    zeta = zeta / np.where(isolated, slope, 1.0)[..., None] ** 2
+    times_zeta = (zeta @ _RIGHT_UNITS).reshape(count, -1, 4, 4)
+    value = zeta + a[:, -2, None]  # the monic leading term gives 1 zeta
+    for i in range(d - 2, -1, -1):
+        value = (times_zeta @ value[..., None])[..., 0] + a[:, i, None]
+    rows, cols = np.nonzero(kept & (real | spherical | isolated))
+    zeta, isolated, x, s = zeta[rows, cols], isolated[rows, cols], x[rows, cols], s[rows, cols]
+    points = np.where(isolated[:, None], zeta, np.stack([x, s, *np.zeros((2, len(s)))], axis=1))
+    classes = np.stack([points[:, 0], np.where(isolated, np.hypot.reduce(zeta[:, 1:], axis=1), s)], 1)
+    residuals = np.where(isolated, np.hypot.reduce(value[rows, cols], axis=1), remainder[rows, cols])
+    shares = np.where(axis, (sizes + 1) // 2, sizes).astype(int)[rows, cols]
+    order = np.lexsort((classes[:, 1], classes[:, 0], np.hypot(*classes.T), rows))
+    return (rows[order], classes[order], points[order], spherical[rows, cols][order],
+            shares[order], residuals[order])
+
+
+def scalar_zeros(p: ScalarQPolynomial) -> list[PolynomialZero]:
+    """Zeros of p, one entry per eigenvalue class, counted with multiplicity
+    and sorted by (modulus, re, im): ``stacked_zeros`` of a stack of one."""
+    if p.degree == 0:
+        return []
+    _, *zeros = stacked_zeros(np.array([[c.as_array() for c in p.coeffs]]))
+    return [PolynomialZero(StandardEigenvalue(*c), Quaternion(*q), spherical, residual, share)
+            for c, q, spherical, share, residual in zip(*(z.tolist() for z in zeros))]

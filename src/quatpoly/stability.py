@@ -40,13 +40,13 @@ from .linalg import (
 from .matpoly import (
     _CONJ,
     MatrixPolynomial,
-    PolynomialZero,
     ScalarQPolynomial,
     eigenvector_at,
     is_eigenvalue_oracle,
     polyeig,
     realified_sweep,
     scalar_zeros,
+    stacked_zeros,
 )
 from .quaternion import (
     Quaternion,
@@ -485,7 +485,7 @@ def eigenvalue_annulus(p: MatrixPolynomial) -> tuple[float, float]:
 #
 # A probe vector is a row of a real (S, 4n) array in vec4 order.  Both
 # samplers form every coefficient set u* A_i v of their scalar polynomials
-# at once, as an (S, m+1, 4) array, and hand each row to _sampled_zeros.
+# at once, as an (S, m+1, 4) array, screened and trimmed by _trimmed.
 
 
 @dataclass(frozen=True)
@@ -508,14 +508,22 @@ _UNIT_RIGHT_ACTIONS = right_action_matrices(np.eye(4)).transpose(2, 0, 1).reshap
 
 def _unit_draws(rng: np.random.Generator, count: int, length: int) -> np.ndarray:
     """``count`` unit rows, each a Gaussian draw of ``length`` normalized
-    and drawn again while shorter than DRAW_NORM_MIN."""
+    and drawn again while shorter than DRAW_NORM_MIN.  One block draw reads
+    the generator as row-by-row draws do; a short row puts the generator
+    back and the rows are drawn one by one, so the redraws match too."""
+    state = rng.bit_generator.state
+    block = rng.standard_normal((count, length))
+    norms = np.array([math.sqrt(r @ r) for r in block]).reshape(count, 1)
+    if (norms > DRAW_NORM_MIN).all():
+        return block / norms
+    rng.bit_generator.state = state
     rows = []
     while len(rows) < count:
         raw = rng.standard_normal(length)
         norm = math.sqrt(raw @ raw)
         if norm > DRAW_NORM_MIN:
             rows.append(raw / norm)
-    return np.array(rows).reshape(count, length)
+    return np.array(rows)
 
 
 def _scaled_actions(p: MatrixPolynomial, ys: np.ndarray) -> tuple[np.ndarray, float]:
@@ -536,19 +544,14 @@ def _qinner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v @ forms.transpose(0, 1, 3, 2).reshape(len(u), -1, 4)
 
 
-def _sampled_zeros(cs: np.ndarray, floor: float) -> Optional[list[PolynomialZero]]:
-    """Zeros of the scalar polynomial with (m+1, 4) coefficients ``cs``: None
-    when no coefficient modulus exceeds ``floor``, else ``scalar_zeros`` of cs
-    trimmed above its last coefficient over DEGREE_TRIM_REL times the largest
-    (no zeros for a nonzero constant)."""
-    rows = cs.tolist()
-    moduli = [math.hypot(*c) for c in rows]
-    top = max(moduli)
-    if top <= floor:
-        return None
-    degree = max(i for i, modulus in enumerate(moduli) if modulus > DEGREE_TRIM_REL * top)
-    coeffs = [Quaternion(*c) for c in rows[:degree + 1]]
-    return scalar_zeros(ScalarQPolynomial(coeffs)) if degree else []
+def _trimmed(cs: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """For an (S, m+1, 4) stack of scalar polynomials: which vanish (no
+    coefficient modulus above ``floor``), and each one's degree, that of its
+    last coefficient over DEGREE_TRIM_REL times the largest."""
+    moduli = np.hypot.reduce(cs, axis=2)
+    top = moduli.max(axis=1)
+    above = moduli > DEGREE_TRIM_REL * top[:, None]
+    return top <= floor, cs.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)
 
 
 def sample_numerical_range(p: MatrixPolynomial, samples: int,
@@ -567,21 +570,24 @@ def sample_numerical_range(p: MatrixPolynomial, samples: int,
         raise ValueError("need at least one sample")
     ys = _unit_draws(np.random.default_rng(seed), samples, 4 * p.size)
     actions, coeff_scale = _scaled_actions(p, ys)
-    points: list[RangePoint] = []
-    skipped = 0
-    for cs in _qinner(ys, actions):
-        zeros = _sampled_zeros(cs, VANISHING_REL * coeff_scale)
-        if zeros is None:
-            skipped += 1
-            continue
-        for zero in zeros:
-            spheres = zero.multiplicity // 2 if zero.spherical else 0
-            points += [RangePoint(zero.point, True)] * spheres
-            points += [RangePoint(zero.point, False)] * (zero.multiplicity - 2 * spheres)
+    cs = _qinner(ys, actions)
+    vanishing, degrees = _trimmed(cs, VANISHING_REL * coeff_scale)
+    skipped = int(vanishing.sum())
     if skipped == samples:
         raise DegenerateCoefficientsError(
             "every sample produced identically vanishing coefficients")
-    return NumericalRangeResult(points, skipped)
+    # One stacked zero call per degree; a nonzero constant has no zeros.
+    points = []
+    for degree in np.unique(degrees[~vanishing & (degrees > 0)]).tolist():
+        rows = np.flatnonzero(~vanishing & (degrees == degree))
+        found, _, zeros, spherical, shares, _ = stacked_zeros(cs[rows, :degree + 1])
+        spheres = np.where(spherical, shares // 2, 0)
+        flags = np.repeat(np.tile([True, False], len(shares)),
+                          np.column_stack([spheres, shares - 2 * spheres]).ravel())
+        take = np.repeat(np.arange(len(shares)), shares - spheres)
+        points += zip(rows[found][take].tolist(), zeros[take].tolist(), flags.tolist())
+    points.sort(key=lambda point: point[0])  # by sample, stable within one
+    return NumericalRangeResult([RangePoint(Quaternion(*q), f) for _, q, f in points], skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -703,12 +709,14 @@ def _all_sampled_z_fail(vs: np.ndarray, region: Region,
                     _unit_draws(rng, 48, len(basis)) @ basis])
     floor = INDUCED_VANISHING_REL * float(np.linalg.norm(vs, axis=1).max())
     # Every z* A_i y at once, as the conjugates of (A_i y)* z.
-    for cs in _qinner(vs, zs).swapaxes(0, 1) * _CONJ:
-        zeros = _sampled_zeros(cs, floor)
-        # A vanishing polynomial fails everywhere; one without zeros in the
-        # region (a nonzero constant has none) ends the search for this y.
-        if zeros is not None and not any(_zero_meets_region(zero, region, BOUNDARY_BAND)
-                                         for zero in zeros):
+    css = _qinner(vs, zs).swapaxes(0, 1) * _CONJ
+    vanishing, degrees = _trimmed(css, floor)
+    # A vanishing polynomial fails everywhere; one without zeros in the
+    # region (a nonzero constant has none) ends the search for this y.
+    for cs, degree in zip(css[~vanishing], degrees[~vanishing].tolist()):
+        coeffs = [Quaternion(*c) for c in cs[:degree + 1].tolist()]
+        zeros = scalar_zeros(ScalarQPolynomial(coeffs)) if degree else []
+        if not any(_zero_meets_region(zero, region, BOUNDARY_BAND) for zero in zeros):
             return False
     return True
 

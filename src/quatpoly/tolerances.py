@@ -8,7 +8,7 @@ is compared as it stands.  The README's Tolerances table says what each compares
 SCALE_FLOOR = 1e-290  # least norm a relative test is scaled by
 INV_FLOOR = 1e-300  # a quaternion or vector norm at or below this is not divided by
 SQUARES_MIN = 2.0 ** -960  # a smaller sum of squares may have lost digits to underflow
-RANK_PIVOT_REL = 1e-10  # least singular value threshold, times the largest singular value
+RANK_PIVOT_REL = 1e-10  # least singular value threshold, times max(sigma_max, the term scale)
 RANK_BAND = 10.0  # undecided band: one such factor to either side of that threshold
 INVERTIBILITY_REL = 1e-12  # least LU pivot of the lift, times its Frobenius norm
 PAIRING_REL = 1e-6  # conjugate partners of the lift, times the lift's Frobenius norm

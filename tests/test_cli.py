@@ -369,8 +369,8 @@ def test_hyperstable_zero_on_closed_boundary_is_unknown(tmp_path, capsys, monkey
 
     if root is not None:
         roots = matpoly._lift_roots
-        monkeypatch.setattr(matpoly, "_lift_roots", lambda a: np.array([
-            complex(root) if abs(z - 1.0) < 1e-6 else z for z in roots(a)]))
+        monkeypatch.setattr(matpoly, "_lift_roots", lambda a: np.where(
+            np.abs(roots(a) - 1.0) < 1e-6, complex(root), roots(a)))
     p = write(tmp_path, "p.json", TRI)
     r = write(tmp_path, "r.json", {"kind": "open_ball", "center": ZERO, "radius": 1.0})
     code, out, _ = run_cli(capsys, ["hyperstable", "--input", p, "--region", r, "--closed"])
@@ -520,6 +520,28 @@ def test_stable_confirms_a_huge_eigenvalue(tmp_path, capsys, region):
     report = json.loads(out)
     assert report["result"]["status"] == "NOT_STABLE"
     assert report["witness"] == [-1e200, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("coeffs, region", [
+    ([-2.0, 0.0, 1.0], {"kind": "finite_set", "points": [[math.sqrt(2.0), 0, 0, 0]]}),
+    ([1.0, 0.0, 1.0], {"kind": "closed_ball", "center": ZERO, "radius": 2.0}),
+    ([0.25, 0.0, 1.0], {"kind": "closed_ball", "center": ZERO, "radius": 2.0}),
+    ([2.0, -3.0, 1.0], {"kind": "closed_ball", "center": ZERO, "radius": 2.0}),
+], ids=["t^2-2-at-sqrt2", "t^2+1-in-ball", "t^2+0.25-in-ball", "(t-1)(t-2)-in-ball"])
+def test_stable_finds_eigenvalues_whose_terms_cancel(tmp_path, capsys, coeffs, region):
+    # At an eigenvalue of a 1 x 1 polynomial the realified terms cancel to
+    # rounding noise; the rank test is scaled by the terms, not by that noise.
+    from quatpoly import MatrixPolynomial, Quaternion, QuaternionMatrix, is_eigenvalue_oracle
+
+    p = write(tmp_path, "p.json", {"coeffs": [[[[c, 0, 0, 0]]] for c in coeffs]})
+    r = write(tmp_path, "r.json", region)
+    code, out, err = run_cli(capsys, ["stable", "--input", p, "--region", r])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["result"]["status"] == "NOT_STABLE"
+    assert not report["certificate"].endswith("deadband")
+    poly = MatrixPolynomial([QuaternionMatrix.from_rows([[Quaternion(c)]]) for c in coeffs])
+    assert is_eigenvalue_oracle(poly, Quaternion(*report["witness"])) is True
 
 
 def test_nrange_lists_a_double_zero_twice(tmp_path, capsys):

@@ -181,6 +181,21 @@ def test_eigenvector_columns_follow_sorted_values():
     assert np.linalg.norm(a @ vecs - vecs * vals) <= 1e-12 * np.linalg.norm(a)
 
 
+@pytest.mark.parametrize("shape", [(1, 4, 4), (9, 6, 6), (2, 3, 5, 5)])
+def test_a_stack_equals_its_slices_bit_for_bit(shape):
+    rng = np.random.default_rng(710)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stack[0, ..., 0, :] = stack[0, ..., 1, :]  # a singular slice
+    slices = stack.reshape(-1, *shape[-2:])
+    vals, vecs = eig_complex(stack, vectors=True)
+    assert np.array_equal(eig_complex(stack), vals)
+    assert np.array_equal(vals.reshape(len(slices), -1), [eig_complex(m) for m in slices])
+    for got_vals, got_vecs, m in zip(vals.reshape(len(slices), -1),
+                                     vecs.reshape(slices.shape), slices):
+        want_vals, want_vecs = eig_complex(m, vectors=True)
+        assert np.array_equal(got_vals, want_vals) and np.array_equal(got_vecs, want_vecs)
+
+
 def test_lapack_failure_is_no_convergence(monkeypatch):
     # One failing LAPACK call for each seam function that makes one.
     def failing(*_args, **_kwargs):

@@ -34,6 +34,7 @@ from quatpoly import (
     standardize,
     vec_entries,
 )
+from quatpoly.quaternion import class_distance, class_point
 from quatpoly.tolerances import POLYEIG_RESIDUAL_REL
 from _helpers import (
     random_invertible_qmatrix,
@@ -239,6 +240,30 @@ def test_oracle_equivalence_with_polyeig():
                 continue
             assert is_eigenvalue_oracle(p, q) is False
             rejected += 1
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["quaternion", "real"])
+def test_oracle_confirms_two_points_of_every_class(real):
+    # Real coefficients make many classes spheres at whose points the
+    # realified terms cancel to rounding noise; the rank test is scaled by
+    # the terms, so the oracle still confirms them, and no point 1e-4 away
+    # from every class reads singular.
+    rng = np.random.default_rng(4300 + real)
+    for trial in range(60):
+        n, m = 1 + trial % 3, 1 + (trial // 3) % 3
+        if real:
+            p = MatrixPolynomial([QuaternionMatrix.from_rows(
+                [[Quaternion(v) for v in row] for row in rng.standard_normal((n, n))])
+                for _ in range(m + 1)])
+        else:
+            p = random_polynomial(rng, n, m)
+        evs = polyeig(p)
+        for e in evs:
+            assert is_eigenvalue_oracle(p, e.lift()) is True
+            assert is_eigenvalue_oracle(p, class_point(e, Quaternion(0.0, 0.0, 1.0, 1.0))) is True
+        q = random_quaternion(rng, scale=2.0)
+        if all(class_distance(e, q) >= 1e-4 * max(1.0, e.modulus()) for e in evs):
+            assert is_eigenvalue_oracle(p, q) is not True
 
 
 def test_polyeig_on_badly_scaled_coefficients():

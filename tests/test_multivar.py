@@ -233,7 +233,7 @@ def _record_sweep_operators(monkeypatch):
 
     seen = []
 
-    def record(stack):
+    def record(stack, scale=None):
         seen.extend(np.array(m) for m in stack)
         return np.full(len(stack), "nonsingular"), np.zeros(stack.shape[:2])
 

@@ -232,15 +232,15 @@ def test_search_hits_and_certificates_match_the_per_vector_sampler():
 
 
 def test_search_hands_the_same_polynomials_to_the_zero_finder(monkeypatch):
-    # Every coefficient set z* A_i y the search examines, in order: the
-    # draws, the probe order and the conjugation must all match.
+    # Every polynomial z* P(t) y the search hands to scalar_zeros, in order:
+    # the draws, the probe order, the conjugation and the trim must all match.
     got, want = [], []
-    array_zeros, object_zeros = stability._sampled_zeros, _ref_zeros
-    monkeypatch.setattr(stability, "_sampled_zeros",
-                        lambda cs, floor: got.append(cs) or array_zeros(cs, floor))
-    monkeypatch.setattr(sys.modules[__name__], "_ref_zeros",
-                        lambda cs, floor: want.append([c.as_array() for c in cs])
-                        or object_zeros(cs, floor))
+
+    def recording(seen, zeros=scalar_zeros):
+        return lambda p: seen.append([c.as_array() for c in p.coeffs]) or zeros(p)
+
+    monkeypatch.setattr(stability, "scalar_zeros", recording(got))
+    monkeypatch.setattr(sys.modules[__name__], "scalar_zeros", recording(want))
     rng = np.random.default_rng(8200)
     for n, m in [(2, 2), (3, 1), (3, 3)]:
         p = random_polynomial(rng, n, m)
@@ -250,7 +250,8 @@ def test_search_hands_the_same_polynomials_to_the_zero_finder(monkeypatch):
             not_hyperstable_search(p, region, y_samples=2, seed=13)
             ref_search(p, region, 2, 13)
             assert len(got) == len(want)
-            np.testing.assert_allclose(np.array(got), np.array(want), rtol=0.0, atol=1e-12)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(np.array(g), np.array(w), rtol=0.0, atol=1e-12)
 
 
 def test_quadratic_certificate_survives_a_tiny_leading_action():
@@ -259,3 +260,28 @@ def test_quadratic_certificate_survives_a_tiny_leading_action():
     vs = np.zeros((3, 8))
     vs[0, 0], vs[2, 0] = 0.75, 1e-200
     assert not _quadratic_product_certificate(vs)
+
+
+def _loop_draws(rng, count, length, floor):
+    """Unit rows drawn one by one, a row again while its norm is at most floor."""
+    rows = []
+    while len(rows) < count:
+        raw = rng.standard_normal(length)
+        norm = math.sqrt(raw @ raw)
+        if norm > floor:
+            rows.append(raw / norm)
+    return np.array(rows).reshape(count, length)
+
+
+@pytest.mark.parametrize("floor", [DRAW_NORM_MIN, 1.0], ids=["block", "forced-rejection"])
+def test_block_draws_equal_the_row_by_row_loop(monkeypatch, floor):
+    # A floor of 1 rejects many rows (every short one of length 1 or 2), so
+    # the block draw must put the generator back and redraw row by row.
+    monkeypatch.setattr(stability, "DRAW_NORM_MIN", floor)
+    for count, length in [(0, 4), (1, 4), (5, 1), (16, 8), (48, 3), (7, 12), (100, 2)]:
+        for seed in range(20):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = stability._unit_draws(rng, count, length)
+            assert got.shape == (count, length)
+            assert np.array_equal(got, _loop_draws(ref, count, length, floor))
+            assert rng.bit_generator.state == ref.bit_generator.state

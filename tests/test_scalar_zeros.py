@@ -3,18 +3,24 @@
 Planted repeated zeros check the class count, the shares of the degree and
 the accuracy of every class; seeded generic 1 x 1 polynomials are checked
 against the two other routes to their eigenvalues, the companion lift
-(``polyeig``) and the realified oracle at every isolated zero.
+(``polyeig``) and the realified oracle at every isolated zero and at two
+points of every sphere.
 """
+
+import math
 
 import numpy as np
 import pytest
 from _helpers import random_quaternion
 
-from quatpoly import Quaternion, ScalarQPolynomial, is_eigenvalue_oracle, polyeig, scalar_zeros
-from quatpoly.quaternion import standardize
+from quatpoly import (MatrixPolynomial, Quaternion, QuaternionMatrix, ScalarQPolynomial,
+                      StandardEigenvalue, is_eigenvalue_oracle, polyeig, sample_numerical_range,
+                      scalar_zeros, stability)
+from quatpoly.quaternion import class_point, standardize
+from quatpoly.tolerances import DEGREE_TRIM_REL
 
 ONE = Quaternion(1.0)
-I, J = Quaternion(0.0, 1.0), Quaternion(0.0, 0.0, 1.0)
+I, J, K = Quaternion(0.0, 1.0), Quaternion(0.0, 0.0, 1.0), Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
 def product(*factors):
@@ -160,12 +166,11 @@ def test_zeros_agree_with_the_companion_and_the_oracle(sphere):
         eigen = sorted((e.re, e.im) for e in polyeig(mp))
         for (re, im), (ere, eim) in zip(classes, eigen, strict=True):
             assert abs(complex(re - ere, im - eim)) <= 1e-8 * max(1.0, abs(complex(ere, eim)))
-        # At a point of a sphere of a 1 x 1 polynomial the whole realified
-        # action cancels to rounding noise, which the oracle's rank test,
-        # scaled by that noise, cannot tell from a nonsingular operator; the
-        # companion comparison above covers the spheres.
+        # The oracle confirms every isolated zero and two points of every
+        # sphere, where the realified terms cancel to rounding noise.
         for z in zeros:
-            assert z.spherical or is_eigenvalue_oracle(mp, z.point) is True
+            points = [z.point, class_point(z.eigenvalue_class, J + K)] if z.spherical else [z.point]
+            assert all(is_eigenvalue_oracle(mp, point) is True for point in points)
         assert any(z.spherical for z in zeros) == sphere
 
 
@@ -190,3 +195,91 @@ def test_a_near_real_zero_keeps_its_imaginary_part():
     zeros = scalar_zeros(ScalarQPolynomial([-zeta, ONE]))
     assert [(z.spherical, z.multiplicity) for z in zeros] == [(False, 1)]
     assert zeros[0].point.approx_eq(zeta, 1e-15)
+
+
+def _sampler_stack(rng):
+    """An (S, 6, 4) stack of scalar polynomials of degrees 0 to 5 in a
+    shuffled order, as the numerical-range sampler forms them: planted
+    repeated, close, real and spherical zeros, generic rows, a row that
+    trims to a lower degree, vanishing rows, and copies scaled by 2^600 and
+    2^-600.  Returns the stack, the vanishing rows and the (plain, scaled)
+    row pairs."""
+    zeta, x = random_quaternion(rng), rng.uniform(-2.0, 2.0)
+
+    def lead(*factors):
+        return product([random_quaternion(rng)], *factors)
+
+    polys = [
+        lead(linear(Quaternion(x)), linear(Quaternion(x))),
+        lead(linear(zeta), linear(zeta)),
+        lead(quadratic(0.4, 1.3), quadratic(0.4, 1.3)),
+        lead(*[linear(Quaternion(r)) for r in (-1.5, 0.2, 0.7, 2.5)]),
+        lead(*[linear(Quaternion(0.3 + 1e-5 * k)) for k in range(3)]),
+        lead(*[linear(zeta + Quaternion(0.0, 1e-6 * k)) for k in range(3)]),
+        lead(quadratic(-0.5, 0.8)),
+        lead(quadratic(0.0, 1.0), linear(J)),
+        lead(quadratic(x, 0.6), linear(zeta)),
+        lead(quadratic(0.3, 1.0), quadratic(-1.0, 0.5), linear(Quaternion(x))),
+        [random_quaternion(rng)],
+        *[[random_quaternion(rng) for _ in range(d + 1)] for d in range(1, 6)],
+    ]
+    rows = [np.array([c.as_array() for c in p] + [[0.0] * 4] * (6 - len(p))) for p in polys]
+    trimmed = np.array([c.as_array() for c in lead(linear(zeta), quadratic(0.1, 0.9))] + [[0.0] * 4] * 2)
+    trimmed[5] = 1e-14 * np.abs(trimmed).max()  # below DEGREE_TRIM_REL times the largest
+    scaled = [0, 2, 4, 7, 9]
+    rows += [trimmed, np.zeros((6, 4)), np.full((6, 4), 1e-300)]
+    rows += [np.ldexp(rows[i], 600) for i in scaled] + [np.ldexp(rows[i], -600) for i in scaled]
+    order = rng.permutation(len(rows))
+    where = np.argsort(order)
+    pairs = [(where[i], where[len(polys) + 3 + k]) for k, i in enumerate(scaled + scaled)]
+    vanishing = {where[len(polys) + 1], where[len(polys) + 2]}
+    return np.array(rows)[order], vanishing, pairs
+
+
+def _one_at_a_time(cs):
+    """(class, point, spherical, share, residual) of every zero of one
+    (6, 4) row after the sampler's trim, from scalar_zeros alone."""
+    moduli = [math.hypot(*c) for c in cs]
+    degree = max(i for i, m in enumerate(moduli) if m > DEGREE_TRIM_REL * max(moduli))
+    zeros = scalar_zeros(ScalarQPolynomial([Quaternion(*c) for c in cs[:degree + 1]]))
+    return [(z.eigenvalue_class, z.point.as_array(), z.spherical, z.multiplicity, z.residual)
+            for z in zeros]
+
+
+def test_stacked_zeros_match_one_at_a_time(monkeypatch):
+    # One numerical-range call over the whole stack: every stacked zero call
+    # must give each row exactly what scalar_zeros gives it alone.
+    stack, vanishing, pairs = _sampler_stack(np.random.default_rng(8300))
+    calls = []
+
+    def recording(a, zeros=stability.stacked_zeros):
+        calls.append((a, zeros(a)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(stability, "stacked_zeros", recording)
+    monkeypatch.setattr(stability, "_qinner", lambda ys, actions: stack)
+    # A floor far below every row but the vanishing ones.
+    monkeypatch.setattr(stability, "_scaled_actions", lambda p, ys: (None, 2.0 ** -900))
+    result = sample_numerical_range(MatrixPolynomial([QuaternionMatrix.from_rows([[ONE]])] * 6),
+                                    len(stack), seed=0)
+    assert result.skipped == len(vanishing)
+    assert sorted(len(a[0]) - 1 for a, _ in calls) == [1, 2, 3, 4, 5]
+    want = {i: _one_at_a_time(cs) for i, cs in enumerate(stack) if i not in vanishing}
+    seen = dict.fromkeys(want, [])  # a nonzero constant has no zeros
+    for a, (rows, classes, points, spherical, shares, residuals) in calls:
+        got = [(StandardEigenvalue(*c), q, f, k, r) for c, q, f, k, r in zip(
+            classes.tolist(), points.tolist(), spherical.tolist(), shares.tolist(), residuals.tolist())]
+        for row, cs in enumerate(a):
+            [index] = np.flatnonzero((stack[:, :len(cs)] == cs).all(axis=(1, 2))).tolist()
+            seen[index] = [g for g, r in zip(got, rows) if r == row]
+    assert seen == want
+    for plain, scaled in pairs:
+        assert want[scaled] == want[plain]
+    assert any(f for zeros in want.values() for _, _, f, _, _ in zeros)
+    assert max(k for zeros in want.values() for _, _, _, k, _ in zeros) >= 4
+    points = []
+    for i in sorted(want):
+        for cls, point, sphere, share, _ in want[i]:
+            spheres = share // 2 if sphere else 0
+            points += [(point, True)] * spheres + [(point, False)] * (share - 2 * spheres)
+    assert [(p.point.as_array(), p.spherical) for p in result.points] == points
