@@ -3,10 +3,12 @@
 A quaternion matrix A splits uniquely as A = A1 + A2*j with complex blocks
 A1, A2; the lift chi(A) = [[A1, A2], [-conj(A2), conj(A1)]] is an injective
 algebra homomorphism into 2n x 2n complex matrices, so spectra, norms and
-inverses transfer back and forth.  Realification instead represents the
-one-sided actions y -> A y and y -> y q as 4n x 4n real matrices; their
-singular values decide the singularity oracle used throughout the stability
-checks.
+inverses transfer back and forth: a class x + s i shows in a lift spectrum as
+x +- s i, a k-fold class as k such pairs, which ``_standard_classes`` reads
+back for matrix and matrix polynomial eigenvalues and scalar zeros alike.
+Realification instead represents the one-sided actions y -> A y and y -> y q
+as 4n x 4n real matrices; their singular values decide the singularity
+oracle used throughout the stability checks.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .quaternion import (
     left_action_matrix,
     right_action_matrix,
 )
-from .tolerances import (APPROX_EQ_ABS, INVERTIBILITY_REL, PAIRING_ABS, PAIRING_REL,
-                         RANK_BAND, RANK_PIVOT_REL, SQUARES_MIN)
+from .tolerances import (APPROX_EQ_ABS, INVERTIBILITY_REL, MULTIPLE_ROOT_REL, RANK_BAND,
+                         RANK_PIVOT_REL, ROOT_CLUSTER_REL, SCALE_FLOOR, SQUARES_MIN)
 
 __all__ = [
     "QuaternionMatrix",
@@ -335,71 +337,128 @@ def rank_decision(m: np.ndarray) -> tuple[str, np.ndarray | None]:
     return status, (kernels[0] if status == "singular" else None)
 
 
-def _pairing_scale(a: QuaternionMatrix) -> float:
-    # Frobenius norm of the lift: an operator-norm proxy that never
-    # undershoots the spectral norm.
-    return math.sqrt(2.0) * a.frobenius_norm()
+def _nearest(roots: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each root's neighbours, nearest first, and the sizes k at which it may be in a k-fold group.
 
-
-def _pair_conjugates(vals: np.ndarray, tol: float) -> list[StandardEigenvalue]:
-    count = vals.size
-    if count % 2 != 0:
-        raise PairingFailureError("odd number of eigenvalues cannot pair")
-    used = np.zeros(count, dtype=bool)
-    order = sorted(range(count), key=lambda t: (-abs(vals[t].imag), vals[t].real))
-    out = []
-    for t in order:
-        if used[t]:
-            continue
-        used[t] = True
-        target = np.conj(vals[t])
-        best = -1
-        best_dist = math.inf
-        for s in range(count):
-            if used[s]:
-                continue
-            d = abs(vals[s] - target)
-            if d < best_dist:
-                best_dist = d
-                best = s
-        if best < 0 or best_dist > max(tol, PAIRING_ABS):
-            raise PairingFailureError(
-                f"no conjugate partner for {vals[t]:.6g} within {tol:.3e} "
-                f"(closest at {best_dist:.3e})")
-        used[best] = True
-        a, b = vals[t], vals[best]
-        out.append(StandardEigenvalue(0.5 * (a.real + b.real),
-                                      0.5 * abs(a.imag - b.imag)))
-    return out
-
-
-def _standards(vals: np.ndarray, scale: float) -> list[StandardEigenvalue]:
-    standards = _pair_conjugates(vals, PAIRING_REL * scale)
-    standards.sort(key=lambda e: (e.modulus(), e.re, e.im))
-    return standards
-
-
-def _standard_eigenpairs(chi: np.ndarray, scale: float) -> list[tuple[StandardEigenvalue, np.ndarray]]:
-    """Standard eigenvalues of a lift, each with a unit lifted eigenvector.
-
-    One eigensolve gives every value and vector; each standard eigenvalue
-    takes the column whose lifted eigenvalue lies nearest to it.
+    nearest[..., i, :] orders a row of an (..., N) stack by distance from
+    root i in units of scales[..., i], root i first.  candidate[..., i, k - 1]
+    holds when the k-th lies within 2 MULTIPLE_ROOT_REL^(1/k) and the offsets h
+    of the k nearest from their mean have |sum h^2| <= MULTIPLE_ROOT_REL: both
+    are necessary for ``_root_groups``, and cumulative sums test every k at
+    once in O(N^2) memory a row.
     """
-    vals, vecs = eig_complex(chi, vectors=True)
-    return [(ev, vecs[:, int(np.argmin(np.abs(vals - ev.as_complex())))])
-            for ev in _standards(vals, scale)]
+    count = roots.shape[-1]
+    per_size = 1.0 / np.arange(1, count + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # far offsets fail the first test anyway
+        # (r_j - r_i) / scale_i at [..., i, j], as an add: a broadcast complex subtract is slow.
+        offsets = (roots[..., None, :] + -roots[..., :, None]) * (1.0 / scales)[..., None]
+        gaps = np.abs(offsets)
+        gaps[..., range(count), range(count)] = -1.0  # each root is its own nearest
+        nearest = np.argsort(gaps, axis=-1)
+        candidate = np.sort(gaps, axis=-1) <= 2.0 * MULTIPLE_ROOT_REL ** per_size
+        if candidate[..., 1:].any():
+            d = np.take_along_axis(offsets, nearest, axis=-1)
+            sums = np.cumsum(d, axis=-1)
+            candidate &= np.abs(np.cumsum(d * d, axis=-1) - sums * sums * per_size) <= MULTIPLE_ROOT_REL
+    return nearest, candidate
+
+
+def _root_groups(roots: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mean, size and mean |Im| of each group of one row of roots, one group per multiple root.
+
+    A root and its k - 1 nearest form a k-fold group when their offsets h
+    from their mean, in units of the root's scale, lie within
+    r_k = MULTIPLE_ROOT_REL^(1/k) and have power sums |sum h^q| <=
+    MULTIPLE_ROOT_REL for q = 2..k.  The group's factor is then within about
+    that of (t - mean)^k, coefficient by coefficient, so the characteristic
+    polynomial is within that relative perturbation of one with a k-fold root
+    there (Zeng, Math. Comp. 74, 2005).  Each root takes its largest passing
+    k, tried downward over the candidates of ``_nearest``; a group stands
+    when all its members take it, and every other root joins the first
+    earlier such root within ROOT_CLUSTER_REL.
+    """
+    count = len(roots)
+    nearest, candidate = _nearest(roots, scales)
+    picks = [frozenset([i]) for i in range(count)]
+    for i in np.flatnonzero(candidate[:, 1:].any(axis=1)):
+        near = roots[nearest[i]]
+        for k in np.flatnonzero(candidate[i, 1:])[::-1] + 2:
+            h = (near[:k] - near[:k].mean()) / scales[i]
+            sums = np.vander(h, k + 1, increasing=True)[:, 2:].sum(axis=0)
+            if max(np.abs(h).max() ** k, np.abs(sums).max()) <= MULTIPLE_ROOT_REL:
+                picks[i] = frozenset(nearest[i, :k].tolist())
+                break
+    standing = [all(picks[j] == pick for j in pick) for pick in picks]
+    labels = np.arange(count)
+    for i, pick in enumerate(picks):
+        labels[i] = min(pick) if standing[i] else next(
+            (h for h in range(i) if not standing[h] and labels[h] == h
+             and abs(roots[i] - roots[h]) <= ROOT_CLUSTER_REL * scales[i]), i)
+    member = (np.unique(labels)[:, None] == labels).astype(float)
+    counts = member.sum(axis=1)
+    return member @ roots / counts, counts, member @ np.abs(roots.imag) / counts
+
+
+def _standard_classes(roots, scales) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Classes x + i s of a conjugate-closed lift spectrum, or of an (S, N)
+    stack of them: (x, s, share, axis), each (S, N), a class where share > 0.
+
+    Only a row in which ``_nearest`` leaves some root a multiple candidate
+    is grouped by ``_root_groups``.  A group's mirror is the group whose mean
+    lies nearest the conjugate of its mean.  A group that is its own mirror
+    is on the real axis, a class of share half its size with s the mean |Im|
+    of its roots.  Any other group must pair back with its mirror of its
+    size; the one above the axis is the class, at the mean of its mean and
+    its mirror's conjugate, of share its size.  Unless every row's shares
+    sum to N / 2 the spectrum is not conjugate-closed: PairingFailureError.
+    """
+    roots, scales = np.atleast_2d(roots), np.atleast_2d(scales)
+    count, width = roots.shape
+    means, sizes, folded = roots.copy(), np.ones(roots.shape, dtype=int), np.abs(roots.imag)
+    for r in np.flatnonzero(_nearest(roots, scales)[1][..., 1:].any(axis=(1, 2))):
+        for out, got in zip((means, sizes, folded), _root_groups(roots[r], scales[r])):
+            out[r] = np.pad(got, (0, width - len(got)))
+    gaps = np.where(sizes[:, None] > 0, np.abs(means[:, None] + -means.conj()[..., None]), np.inf)
+    mirror = gaps.argmin(axis=2)
+    rows, slots = np.ogrid[:count, :width]
+    axis = mirror == slots
+    kept = (mirror[rows, mirror] == slots) & (sizes[rows, mirror] == sizes) & (means.imag > 0.0)
+    share = np.where(axis, sizes / 2, sizes * kept)
+    if (share % 1).any() or (share.sum(axis=1) != width / 2).any():
+        raise PairingFailureError(f"lift spectrum of {width} values is not conjugate-closed: class "
+                                  f"shares sum to {share.sum(axis=1).tolist()}, not {width / 2}")
+    other = means[rows, mirror]
+    return (np.where(axis, means.real, 0.5 * (means.real + other.real)),
+            np.where(axis, folded, 0.5 * (means.imag - other.imag)), share.astype(int), axis)
+
+
+def _standard_eigenvalues(vals: np.ndarray, norms: np.ndarray) -> list[StandardEigenvalue]:
+    """The classes of the lift spectrum of a polynomial with coefficient norms
+    ``norms``, each as often as its share, sorted by (modulus, re, im).
+
+    Roots are compared in units of max(|root|, tau), tau the least tropical
+    root of the norms (Gaubert and Sharify, 2009): below it an eigenvalue is
+    zero at the scale of the coefficients.  One pair on the axis keeps the
+    mean |Im| of its roots, split to first order; a multiple class there,
+    split by a root of the rounding, is real.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        tau = max(SCALE_FLOOR, np.nanmin((norms[0] / norms[1:]) ** (1.0 / np.arange(1, len(norms)))))
+    x, s, share, axis = (c[0] for c in _standard_classes(vals, np.maximum(np.abs(vals), tau)))
+    s = np.where(axis & (share > 1), 0.0, s)
+    evs = map(StandardEigenvalue, np.repeat(x, share).tolist(), np.repeat(s, share).tolist())
+    return sorted(evs, key=lambda e: (e.modulus(), e.re, e.im))
 
 
 def right_eigenvalues(a: QuaternionMatrix) -> list[StandardEigenvalue]:
-    """The n standard right eigenvalues of a square quaternion matrix.
+    """The n standard right eigenvalues of a square quaternion matrix, with multiplicity.
 
-    Eigenvalues of the complex lift come in conjugate pairs; each pair is
-    merged into its representative with nonnegative imaginary part.  Output
-    is sorted by (modulus, real part).
+    They are the classes of the complex lift, as of the polynomial t I - A.
+    Output is sorted by (modulus, real part).
     """
     if a.n_rows != a.n_cols:
         raise NonSquareError("right eigenvalues are defined for square matrices")
-    return _standards(eig_complex(complex_adjoint(a)), _pairing_scale(a))
+    return _standard_eigenvalues(eig_complex(complex_adjoint(a)), np.array([spectral_norm(a), 1.0]))
 
 
 def spectral_norm(a: QuaternionMatrix) -> float:

@@ -34,9 +34,9 @@ from .errors import (
 from .linalg import (
     QuaternionMatrix,
     _lift,
-    _pairing_scale,
     _pow2_near,
-    _standard_eigenpairs,
+    _standard_classes,
+    _standard_eigenvalues,
     complex_adjoint,
     inverse,
     qvec,
@@ -46,8 +46,7 @@ from .linalg import (
     vec4_to_qvec,
 )
 from .quaternion import Quaternion, StandardEigenvalue, left_action_matrix, right_action_matrices
-from .tolerances import (BLOCK_NORM_REL, IDENTITY_ABS, MULTIPLE_ROOT_REL, POLYEIG_RESIDUAL_REL,
-                         REAL_CLASS_REL, ROOT_CLUSTER_REL, SLOPE_REL, SPHERE_REL)
+from .tolerances import BLOCK_NORM_REL, IDENTITY_ABS, POLYEIG_RESIDUAL_REL, SLOPE_REL, SPHERE_REL
 
 # Components of conj(q) are _CONJ * q, and (q @ _RIGHT_UNITS).reshape(4, 4)
 # is the right action matrix of q, linear in q; _LEFT_UNITS the same for the left.
@@ -165,7 +164,9 @@ def companion(p: MatrixPolynomial) -> QuaternionMatrix:
 def polyeig_with_residuals(p: MatrixPolynomial) -> list[tuple[StandardEigenvalue, float]]:
     """Standard eigenvalues paired with their relative action residuals.
 
-    The residual for mu is ||sum_i A_i y mu^i|| / ((sum_i ||A_i|| |mu|^i) ||y||),
+    ``linalg._standard_eigenvalues`` reads the classes off the spectrum of
+    the lifted companion; a k-fold class comes k times, at the mean of its
+    roots.  The residual for mu is ||sum_i A_i y mu^i|| / ((sum_i ||A_i|| |mu|^i) ||y||),
     taken in the complex lift: the lifted vector v of y gives the action as
     W(mu) v with W(mu) = sum_i chi(A_i) mu^i.  Every block of the companion
     eigenvector at least BLOCK_NORM_REL times the longest is a candidate y,
@@ -182,22 +183,22 @@ def polyeig_with_residuals(p: MatrixPolynomial) -> list[tuple[StandardEigenvalue
             raise SingularLeadingCoefficientError(
                 "degree-zero polynomial with singular coefficient") from exc
         return []
-    comp = companion(p)
-    pairs = _standard_eigenpairs(complex_adjoint(comp), _pairing_scale(comp))
-    n = p.size
-    m = p.degree
-    # Lifted block b of a companion eigenvector [v1; v2] is (v1[b], v2[b]).
-    blocks = np.array([vec for _, vec in pairs]).reshape(-1, 2, m, n)
+    n, m = p.size, p.degree
+    norms = np.array([spectral_norm(a) for a in p.coeffs])
+    vals, vecs = eig_complex(complex_adjoint(companion(p)), vectors=True)
+    evs = _standard_eigenvalues(vals, norms)
+    z = np.array([ev.as_complex() for ev in evs])
+    # Each eigenvalue takes the eigenvector of its nearest lift eigenvalue; lifted
+    # block b of a companion eigenvector [v1; v2] is (v1[b], v2[b]).
+    blocks = vecs[:, np.abs(z[:, None] - vals).argmin(axis=1)].T.reshape(-1, 2, m, n)
     blocks = blocks.transpose(0, 2, 1, 3).reshape(-1, m, 2 * n)
     # Coefficients are taken in units of the power of two just below the
     # largest norm: exact scaling, and no underflow of the scale for tiny
     # polynomials.
-    norms = np.array([spectral_norm(a) for a in p.coeffs])
     unit = math.ldexp(1.0, math.frexp(norms.max())[1] - 1)
     lifts = np.array([complex_adjoint(a) for a in p.coeffs]) / unit
     # For |mu| > 1 both sides are divided by mu^m, so mu^i becomes
     # (1/mu)^(m-i): the same ratio, and no power exceeds 1.
-    z = np.array([ev.as_complex() for ev, _ in pairs])
     big = np.abs(z) > 1.0
     z[big] = 1.0 / z[big]
     powers = z[:, None] ** np.arange(m + 1)
@@ -212,23 +213,24 @@ def polyeig_with_residuals(p: MatrixPolynomial) -> list[tuple[StandardEigenvalue
     rel = np.divide(actions, lengths, out=np.full(actions.shape, np.inf), where=eligible)
     rel = np.take_along_axis(rel, np.argsort(-lengths, axis=1, kind="stable"), axis=1)
     passing = rel <= POLYEIG_RESIDUAL_REL
-    first = rel[np.arange(len(pairs)), passing.argmax(axis=1)]
+    first = rel[np.arange(len(evs)), passing.argmax(axis=1)]
     residuals = np.where(passing.any(axis=1), first, rel.min(axis=1))
     fallback = ~(residuals <= POLYEIG_RESIDUAL_REL)
     if fallback.any():
         residuals[fallback] = singular_values(w[fallback])[:, -1]
-    for (ev, _), r in zip(pairs, residuals):
+    for ev, r in zip(evs, residuals):
         if not r <= POLYEIG_RESIDUAL_REL:
             raise ResidualFailureError(
                 f"eigenvalue {ev.as_complex():.6g} failed the action residual check")
-    return [(ev, float(r)) for (ev, _), r in zip(pairs, residuals)]
+    return [(ev, float(r)) for ev, r in zip(evs, residuals)]
 
 
 def polyeig(p: MatrixPolynomial) -> list[StandardEigenvalue]:
     """All m*n standard eigenvalues via the companion linearization.
 
-    Every returned eigenvalue is backed by a recovered eigenvector passing
-    the action residual check; output is sorted by (modulus, real part).
+    A k-fold class is listed k times, at the mean of its lift eigenvalues;
+    each passes the action residual check or its backward error.  Output is
+    sorted by (modulus, real part).
     """
     return [ev for ev, _ in polyeig_with_residuals(p)]
 
@@ -439,67 +441,21 @@ def _lift_roots(a: np.ndarray) -> np.ndarray:
     return eig_complex(comp)
 
 
-def _root_groups(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean, size and mean |Im| of each group of roots, one group per multiple root.
-
-    A root and its k - 1 nearest form a k-fold group when their offsets h
-    from their mean, in units of max(1, |root|), lie within
-    r_k = MULTIPLE_ROOT_REL^(1/k) and have power sums |sum h^q| <=
-    MULTIPLE_ROOT_REL for q = 2..k.  The group's factor is then within about
-    that of (t - mean)^k, coefficient by coefficient, so C is within that
-    relative perturbation of a polynomial with a k-fold root there (Zeng,
-    Math. Comp. 74, 2005); two distinct zeros closer than that are one zero
-    at this precision.  Each root takes its largest passing k; a group
-    stands when all its members take it, and every other root joins the
-    first earlier such root within ROOT_CLUSTER_REL.
-    """
-    count = len(roots)
-    scales = np.maximum(1.0, np.abs(roots))
-    sizes = np.arange(1, count + 1)
-    radii = MULTIPLE_ROOT_REL ** (1.0 / sizes)
-    gaps = np.abs(roots[:, None] - roots[None, :]) / scales[:, None]
-    np.fill_diagonal(gaps, -1.0)  # each root is its own nearest
-    nearest = np.argsort(gaps, axis=1, kind="stable")
-    near = roots[nearest]
-    # offsets[i, k - 1]: root i and its k - 1 nearest less their mean, zero past k.
-    offsets = np.tril(near[:, None, :] - (np.cumsum(near, axis=1) / sizes)[:, :, None])
-    offsets /= scales[:, None, None]
-    passing = np.abs(offsets).max(axis=2) <= radii
-    power = offsets.copy()
-    for q in range(2, count + 1):
-        power *= offsets
-        passing[:, q - 1:] &= np.abs(power[:, q - 1:].sum(axis=2)) <= MULTIPLE_ROOT_REL
-    picks = []
-    for row, hits in zip(nearest, passing):
-        k = 1 + int(np.flatnonzero(hits)[-1])
-        picks.append(frozenset(row[:k].tolist()))
-    standing = [all(picks[j] == pick for j in pick) for pick in picks]
-    labels = np.arange(count)
-    for i, pick in enumerate(picks):
-        labels[i] = min(pick) if standing[i] else next(
-            (h for h in range(i) if not standing[h] and labels[h] == h
-             and abs(roots[i] - roots[h]) <= ROOT_CLUSTER_REL * scales[i]), i)
-    member = (np.unique(labels)[:, None] == labels).astype(float)
-    counts = member.sum(axis=1)
-    return member @ roots / counts, counts, member @ np.abs(roots.imag) / counts
-
-
 def stacked_zeros(a: np.ndarray) -> tuple[np.ndarray, ...]:
     """Zeros of every polynomial of an (S, d+1, 4) stack of component arrays
     P_c (d >= 1, leading rows nonzero), one entry per class, counted with
     multiplicity.
 
     Each row is divided by a power of two near its largest coefficient and
-    made monic; the 2d roots of C = sum_c P_c^2 come from ``_lift_roots``.
-    Only a row with roots within 2 r_k of each other (a k-fold group may
-    stand there) is grouped by ``_root_groups``; every other root is simple.
-    A group above the real axis is a class x + i s of share its size, one on
-    the axis a real class of half its size (or, where p(x) is not small, the
-    near-real class of s its mean |Im|).  p takes the remainder beta t + alpha
-    of the division by t^2 - 2x t + x^2 + s^2 on the class sphere:
-    beta = Im P_c(z) / s and alpha = Re P_c(z) - beta x at z = x + i s.
-    Below SPHERE_REL the class is a sphere of zeros, given by its
-    representative; otherwise its one zero is -inv(beta) * alpha.
+    made monic; the 2d roots of C = sum_c P_c^2 come from ``_lift_roots``
+    and their classes x + i s, with shares of d, from the classifier of the
+    matrix spectra, ``linalg._standard_classes``, in units of max(1, |root|).
+    p takes the remainder beta t + alpha of the division by t^2 - 2x t + x^2
+    + s^2: beta = Im P_c(z) / s and alpha = Re P_c(z) - beta x at z = x + i s.
+    A class on the real axis (s the mean |Im| of its roots) is a real zero
+    where Re P_c(z), the remainder at x, is below SPHERE_REL; any other
+    class below it is a sphere of zeros, given by its representative, else
+    its one zero is -inv(beta) * alpha.
 
     Returns the row, class (re, im), point, sphere flag, share and residual
     of every class, by row and within a row by (modulus, re, im).
@@ -513,27 +469,13 @@ def stacked_zeros(a: np.ndarray) -> tuple[np.ndarray, ...]:
     a = a @ (inv @ _LEFT_UNITS).reshape(-1, 4, 4).transpose(0, 2, 1)
     a[:, -1] = (1.0, 0.0, 0.0, 0.0)
     roots = _lift_roots(a)
-    means, sizes, folded = roots.copy(), np.ones(roots.shape), np.abs(roots.imag)
-    valid = np.ones(roots.shape, dtype=bool)
-    gaps = np.abs(roots[:, :, None] - roots[:, None, :]) / np.maximum(1.0, np.abs(roots))[..., None]
-    radii = 2.0 * MULTIPLE_ROOT_REL ** (1.0 / np.arange(2, 2 * d + 1))
-    for r in np.flatnonzero((np.sort(gaps, axis=2)[:, :, 1:] <= radii).any(axis=(1, 2))):
-        groups = _root_groups(roots[r])
-        valid[r, len(groups[0]):] = False
-        for out, got in zip((means, sizes, folded), groups):
-            out[r] = np.pad(got, (0, 2 * d - len(got)))
-    axis = valid & (np.abs(means.imag) <= REAL_CLASS_REL * np.maximum(1.0, np.abs(means)))
-    kept = axis | valid & (means.imag > 0.0)
-    x, s = means.real, np.where(axis, 0.0, means.imag)
+    x, s, shares, axis = _standard_classes(roots, np.maximum(1.0, np.abs(roots)))
     steps = np.arange(d + 1)
     grow = np.maximum(1.0, np.hypot(x, s))
     pscale = (grow[..., None] ** steps @ np.hypot.reduce(a, axis=2)[..., None])[..., 0]
     values = (x + 1j * s)[..., None] ** steps @ a
     real = axis & (np.hypot.reduce(values.real, axis=2) <= SPHERE_REL * pscale)
-    if (axis & ~real).any():
-        # A group on the axis where p is not small: its s is the mean |Im| of its roots.
-        s = np.where(axis & ~real, folded, s)
-        values = (x + 1j * s)[..., None] ** steps @ a
+    s = np.where(real, 0.0, s)
     beta = np.divide(values.imag, s[..., None], out=np.zeros_like(values.real),
                      where=(s > 0.0)[..., None])
     alpha = values.real - beta * x[..., None]
@@ -549,12 +491,12 @@ def stacked_zeros(a: np.ndarray) -> tuple[np.ndarray, ...]:
     value = zeta + a[:, -2, None]  # the monic leading term gives 1 zeta
     for i in range(d - 2, -1, -1):
         value = (times_zeta @ value[..., None])[..., 0] + a[:, i, None]
-    rows, cols = np.nonzero(kept & (real | spherical | isolated))
+    rows, cols = np.nonzero((shares > 0) & (real | spherical | isolated))
     zeta, isolated, x, s = zeta[rows, cols], isolated[rows, cols], x[rows, cols], s[rows, cols]
     points = np.where(isolated[:, None], zeta, np.stack([x, s, *np.zeros((2, len(s)))], axis=1))
     classes = np.stack([points[:, 0], np.where(isolated, np.hypot.reduce(zeta[:, 1:], axis=1), s)], 1)
     residuals = np.where(isolated, np.hypot.reduce(value[rows, cols], axis=1), remainder[rows, cols])
-    shares = np.where(axis, (sizes + 1) // 2, sizes).astype(int)[rows, cols]
+    shares = shares[rows, cols]
     order = np.lexsort((classes[:, 1], classes[:, 0], np.hypot(*classes.T), rows))
     return (rows[order], classes[order], points[order], spherical[rows, cols][order],
             shares[order], residuals[order])

@@ -11,8 +11,6 @@ SQUARES_MIN = 2.0 ** -960  # a smaller sum of squares may have lost digits to un
 RANK_PIVOT_REL = 1e-10  # least singular value threshold, times max(sigma_max, the term scale)
 RANK_BAND = 10.0  # undecided band: one such factor to either side of that threshold
 INVERTIBILITY_REL = 1e-12  # least LU pivot of the lift, times its Frobenius norm
-PAIRING_REL = 1e-6  # conjugate partners of the lift, times the lift's Frobenius norm
-PAIRING_ABS = 5e-14  # least pairing distance always accepted
 POLYEIG_RESIDUAL_REL = 1e-7  # largest relative action residual of an eigenpair
 BLOCK_NORM_REL = 1e-8  # companion-vector blocks below this times the largest are skipped
 INVERSE_ITERATION_REL = 1e-10  # residual that ends inverse iteration, times max(||M||_F, 1)
@@ -21,9 +19,8 @@ BISECTION_WIDTH = 1e-12  # bracket width that ends the root bisection, times the
 
 # Zeros of scalar quaternion polynomials.
 IDENTITY_ABS = 1e-12  # a coefficient equals the identity (monic, identity leading)
-MULTIPLE_ROOT_REL = 1e-11  # offsets of a k-fold root group within this to the 1/k, power sums of the offsets below it, in units of max(1, |root|)
-ROOT_CLUSTER_REL = 1e-7  # roots of no standing k-fold group join one within this, times max(1, |root|)
-REAL_CLASS_REL = 1e-9  # a root group is on the real axis below this mean Im, times max(1, |mean|)
+MULTIPLE_ROOT_REL = 1e-11  # offsets of a k-fold group of lift eigenvalues (matrix or scalar) within this to the 1/k, their power sums below it, in units of the root's scale
+ROOT_CLUSTER_REL = 1e-7  # lift eigenvalues of no standing k-fold group join one within this, times the root's scale
 SPHERE_REL = 1e-9  # remainder of a spherical zero set or p at a real one, times the polynomial scale
 SLOPE_REL = 1e-12  # remainder slope with no isolated zero, times the polynomial scale
 

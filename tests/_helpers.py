@@ -68,6 +68,27 @@ def spread_polynomial(rng, n, m, s):
     return MatrixPolynomial(coeffs)
 
 
+def product(*factors):
+    """Coefficients (ascending) of the product of scalar polynomials in a central t."""
+    out = [Quaternion(1.0)]
+    for f in factors:
+        acc = [Quaternion(0.0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                acc[i + j] = acc[i + j] + a * b
+        out = acc
+    return out
+
+
+def linear(z):
+    return [-z, Quaternion(1.0)]
+
+
+def quadratic(x, s):
+    """t^2 - 2x t + x^2 + s^2, whose zeros are the class sphere of x + s i."""
+    return [Quaternion(x * x + s * s), Quaternion(-2.0 * x), Quaternion(1.0)]
+
+
 def random_unit_qvec(rng, n):
     while True:
         raw = rng.standard_normal(4 * n)

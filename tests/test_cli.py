@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from _helpers import random_invertible_qmatrix
 
+from quatpoly import Quaternion, QuaternionMatrix, inverse
 from quatpoly.cli import main
 
 GOLDEN_LO = (-1.0 + math.sqrt(5.0)) / 2.0
@@ -503,6 +505,48 @@ def test_eig_with_a_huge_middle_coefficient(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["eig", "--input", q])
     assert (code, out) == (3, "")
     assert json.loads(err)["error_kind"] == "ResidualFailureError"
+
+
+def _rows(a):
+    return [[a.entry(i, j).as_array() for j in range(a.n_cols)] for i in range(a.n_rows)]
+
+
+def _jordan(rng, q, n):
+    """S J S^-1 for the n x n Jordan block J at q and a random invertible S."""
+    block = QuaternionMatrix.diagonal([q] * n)
+    block.a1[range(n - 1), range(1, n)] = 1.0
+    s = random_invertible_qmatrix(rng, n)
+    return s @ block @ inverse(s)
+
+
+# The planted non-real eigenvalue: its class is 0.3 + sqrt(0.65) i.
+PLANTED = Quaternion(0.3, 0.5, 0.6, -0.2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", ["(t-1)^2", "(t-1)^3", "(t-1)^4", "3x3 linear", "2x2 quadratic"])
+def test_eig_groups_a_defective_eigenvalue(tmp_path, capsys, case):
+    # A k-fold class splits by about the k-th root of the rounding in the
+    # lift; it is read as one class, k times, at the mean of its roots.
+    rng = np.random.default_rng(12)
+    if case.startswith("(t-1)"):
+        coeffs = [[[[c, 0, 0, 0]]] for c in np.poly([1.0] * int(case[-1]))[::-1].tolist()]
+        want = 1.0
+    elif case == "3x3 linear":
+        coeffs = [_rows(-_jordan(rng, PLANTED, 3)), _rows(QuaternionMatrix.identity(3))]
+        want = complex(0.3, math.sqrt(0.65))
+    else:
+        b = _jordan(rng, PLANTED, 2)
+        coeffs = [_rows(b @ b), _rows(-2.0 * b), _rows(QuaternionMatrix.identity(2))]
+        want = complex(0.3, math.sqrt(0.65))
+    p = write(tmp_path, "p.json", {"coeffs": coeffs})
+    code, out, err = run_cli(capsys, ["eig", "--input", p])
+    assert code == 0, err
+    report = json.loads(out)
+    values = [complex(e["re"], e["im"]) for e in report["result"]["eigenvalues"]]
+    assert len(values) == (len(coeffs) - 1) * len(coeffs[0])
+    assert max(abs(v - want) for v in values) <= 1e-6
+    assert report["diagnostics"]["residuals"]["max_action_residual"] <= 1e-7
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -173,15 +173,13 @@ def test_conjugate_pairing_on_random_matrices():
 
 def test_pairing_rejects_non_conjugate_spectra():
     from quatpoly import PairingFailureError
-    from quatpoly.linalg import _pair_conjugates
+    from quatpoly.linalg import _standard_classes
 
     # A lifted spectrum is always conjugate-closed; a fabricated one that
     # is not must be refused rather than silently averaged.
-    vals = np.array([1.0 + 1.0j, 1.0 + 0.5j])
-    with pytest.raises(PairingFailureError):
-        _pair_conjugates(vals, tol=1e-6)
-    with pytest.raises(PairingFailureError):
-        _pair_conjugates(np.array([1.0j]), tol=1e-6)
+    for vals in (np.array([1.0 + 1.0j, 1.0 + 0.5j]), np.array([1.0j])):
+        with pytest.raises(PairingFailureError):
+            _standard_classes(vals, np.maximum(1.0, np.abs(vals)))
 
 
 def test_spectral_norm_examples():

@@ -7,6 +7,7 @@ from quatpoly import (
     DimensionMismatchError,
     MatrixPolynomial,
     NotMonicError,
+    PairingFailureError,
     Quaternion,
     QuaternionMatrix,
     ResidualFailureError,
@@ -37,6 +38,9 @@ from quatpoly import (
 from quatpoly.quaternion import class_distance, class_point
 from quatpoly.tolerances import POLYEIG_RESIDUAL_REL
 from _helpers import (
+    linear,
+    product,
+    quadratic,
     random_invertible_qmatrix,
     random_polynomial,
     random_qmatrix,
@@ -319,7 +323,8 @@ def test_residual_check_across_coefficient_spreads():
     # 60 draws per spread 10^U(-s, s), n 1-6, m 1-4, one generator for all
     # s: every draw passes up to s = 4.  At s = 6 the bound is the 9 of 60
     # that fail with inverse-iteration refinement in place of the backward
-    # error.
+    # error; 2 of them now stop earlier, at a lift spectrum that is not
+    # conjugate-closed.
     rng = np.random.default_rng(1)
     failures = {}
     for s in (2, 4, 6):
@@ -328,7 +333,7 @@ def test_residual_check_across_coefficient_spreads():
             n, m = int(rng.integers(1, 7)), int(rng.integers(1, 5))
             try:
                 polyeig_with_residuals(spread_polynomial(rng, n, m, s))
-            except ResidualFailureError:
+            except (ResidualFailureError, PairingFailureError):
                 failures[s] += 1
     assert failures[2] == failures[4] == 0
     assert failures[6] <= 9
@@ -369,6 +374,37 @@ def test_scalar_char_poly_roots_match_companion():
         for a, b in zip(char_standards, comp_standards):
             assert abs(a[0] - b[0]) <= 1e-7 * max(1.0, abs(b[0]))
             assert abs(a[1] - b[1]) <= 1e-7 * max(1.0, abs(b[1]))
+
+
+def _planted_scalar(rng, kind):
+    """A 1 x 1 polynomial with a random leading coefficient and a planted
+    double real zero, double sphere or three real zeros 1e-4 apart; and the
+    tolerance its classes meet."""
+    x = rng.uniform(-2.0, 2.0)
+    if kind == "double-real":
+        factors, tol = [linear(Quaternion(x))] * 2 + [linear(random_quaternion(rng))], 1e-8
+    elif kind == "double-sphere":
+        factors, tol = [quadratic(x, rng.uniform(0.3, 1.5))] * 2, 1e-8
+    else:
+        # Rounding moves each of these zeros by up to about 1e-6.
+        factors, tol = [linear(Quaternion(x + 1e-4 * k)) for k in range(3)], 1e-5
+    return ScalarQPolynomial(product([random_quaternion(rng)], *factors)), tol
+
+
+@pytest.mark.parametrize("kind", ["double-real", "double-sphere", "three-close-real"])
+def test_polyeig_classes_match_scalar_zeros_with_multiplicity(kind):
+    # Two routes to the classes of a 1 x 1 polynomial, through one
+    # classifier but two lifts: each zero class, as often as its share of
+    # the degree (a sphere twice per quadratic factor), is an eigenvalue.
+    rng = np.random.default_rng(["double-real", "double-sphere", "three-close-real"].index(kind))
+    for _ in range(20):
+        p, tol = _planted_scalar(rng, kind)
+        zeros = sorted((z.eigenvalue_class.re, z.eigenvalue_class.im)
+                       for z in scalar_zeros(p) for _ in range(z.multiplicity))
+        eigen = sorted((e.re, e.im) for e in polyeig(p.as_matrix_polynomial()))
+        assert len(zeros) == len(eigen) == p.degree
+        for (re, im), (ere, eim) in zip(zeros, eigen):
+            assert abs(complex(re - ere, im - eim)) <= tol * max(1.0, abs(complex(ere, eim)))
 
 
 def test_scalar_zeros_linear():

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from _helpers import random_quaternion
+from _helpers import linear, product, quadratic, random_quaternion
 
 from quatpoly import (MatrixPolynomial, Quaternion, QuaternionMatrix, ScalarQPolynomial,
                       StandardEigenvalue, is_eigenvalue_oracle, polyeig, sample_numerical_range,
@@ -21,27 +21,6 @@ from quatpoly.tolerances import DEGREE_TRIM_REL
 
 ONE = Quaternion(1.0)
 I, J, K = Quaternion(0.0, 1.0), Quaternion(0.0, 0.0, 1.0), Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
-def product(*factors):
-    """Coefficients (ascending) of the product of polynomials in a central t."""
-    out = [ONE]
-    for f in factors:
-        acc = [Quaternion(0.0)] * (len(out) + len(f) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(f):
-                acc[i + j] = acc[i + j] + a * b
-        out = acc
-    return out
-
-
-def linear(z):
-    return [-z, ONE]
-
-
-def quadratic(x, s):
-    """t^2 - 2x t + x^2 + s^2, whose zeros are the class sphere of x + s i."""
-    return [Quaternion(x * x + s * s), Quaternion(-2.0 * x), ONE]
 
 
 def summary(coeffs):
@@ -59,8 +38,10 @@ def summary(coeffs):
     ([linear(I)] * 2, [(False, 2)]),
     ([linear(I), linear(J)], [(False, 2)]),
     ([quadratic(0.0, 1.0), linear(J)], [(True, 3)]),
+    ([linear(Quaternion(0.3 + 1e-5 * i)) for i in range(3)], [(False, 1)] * 3),
+    ([linear(Quaternion(0.3 + 1e-4 * i)) for i in range(3)], [(False, 1)] * 3),
 ], ids=["(t-1)^2", "(t-1)^3", "(t^2+1)^2", "(t^2+1)^3", "(t-2)^2(t^2+1)", "(t-i)^2",
-        "(t-i)(t-j)", "(t^2+1)(t-j)"])
+        "(t-i)(t-j)", "(t^2+1)(t-j)", "three-real-1e-5", "three-real-1e-4"])
 def test_repeated_zeros_give_one_class_each(factors, want):
     coeffs = product(*factors)
     got, zeros = summary(coeffs)
@@ -92,10 +73,12 @@ def test_isolated_repeated_zeros_sit_at_the_right_point():
         "isolated-1e-5-re", "spheres-1e-3"])
 def test_close_distinct_zeros_stay_apart(factors, want):
     zeros = scalar_zeros(ScalarQPolynomial(product(*factors)))
-    got = sorted((z.eigenvalue_class.re, z.eigenvalue_class.im, z.multiplicity) for z in zeros)
-    assert [m for *_, m in got] == [m for *_, m in want]
-    for (re, im, _), (wre, wim, _) in zip(got, want):
-        assert abs(complex(re - wre, im - wim)) <= 1e-10 * max(1.0, abs(complex(wre, wim)))
+    assert len(zeros) == len(want)
+    for wre, wim, wm in want:
+        # Classes with equal real parts come in no fixed order: match by distance.
+        [z] = [z for z in zeros if abs(complex(z.eigenvalue_class.re - wre, z.eigenvalue_class.im - wim))
+               <= 1e-10 * max(1.0, abs(complex(wre, wim)))]
+        assert z.multiplicity == wm
 
 
 def _planted(rng, kind, k):
@@ -179,10 +162,10 @@ def test_groups_that_do_not_stand_fall_back_to_the_fixed_radius():
     # three together are not.  Roots 0 and 1 both take the pair {0, 1}, which
     # stands; root 2 takes {1, 2}, which does not, and, farther than the fixed
     # radius from any other root, stays alone.
-    from quatpoly.matpoly import _root_groups
+    from quatpoly.linalg import _root_groups
 
     roots = np.array([0.0, 3e-6, 6.1e-6 + 1e-7j])
-    means, sizes, folded = _root_groups(roots)
+    means, sizes, folded = _root_groups(roots, np.maximum(1.0, np.abs(roots)))
     assert sizes.tolist() == [2.0, 1.0]
     np.testing.assert_allclose(means, [1.5e-6, roots[2]], rtol=1e-15)
     np.testing.assert_allclose(folded, [0.0, 1e-7], rtol=1e-15)
@@ -267,6 +250,8 @@ def test_stacked_zeros_match_one_at_a_time(monkeypatch):
     want = {i: _one_at_a_time(cs) for i, cs in enumerate(stack) if i not in vanishing}
     seen = dict.fromkeys(want, [])  # a nonzero constant has no zeros
     for a, (rows, classes, points, spherical, shares, residuals) in calls:
+        # Every row's shares sum to its degree.
+        assert np.bincount(rows, weights=shares, minlength=len(a)).tolist() == [len(a[0]) - 1] * len(a)
         got = [(StandardEigenvalue(*c), q, f, k, r) for c, q, f, k, r in zip(
             classes.tolist(), points.tolist(), spherical.tolist(), shares.tolist(), residuals.tolist())]
         for row, cs in enumerate(a):
