@@ -353,7 +353,7 @@ def _nearest(roots: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndar
         # (r_j - r_i) / scale_i at [..., i, j], as an add: a broadcast complex subtract is slow.
         offsets = (roots[..., None, :] + -roots[..., :, None]) * (1.0 / scales)[..., None]
         gaps = np.abs(offsets)
-        gaps[..., range(count), range(count)] = -1.0  # each root is its own nearest
+        gaps.reshape(*gaps.shape[:-2], -1)[..., ::count + 1] = -1.0  # each root is its own nearest
         nearest = np.argsort(gaps, axis=-1)
         candidate = np.sort(gaps, axis=-1) <= 2.0 * MULTIPLE_ROOT_REL ** per_size
         if candidate[..., 1:].any():
@@ -427,9 +427,9 @@ def _standard_classes(roots, scales) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if (share % 1).any() or (share.sum(axis=1) != width / 2).any():
         raise PairingFailureError(f"lift spectrum of {width} values is not conjugate-closed: class "
                                   f"shares sum to {share.sum(axis=1).tolist()}, not {width / 2}")
-    other = means[rows, mirror]
-    return (np.where(axis, means.real, 0.5 * (means.real + other.real)),
-            np.where(axis, folded, 0.5 * (means.imag - other.imag)), share.astype(int), axis)
+    other = means[rows, mirror]  # a group on the axis is its own mirror
+    return (0.5 * (means.real + other.real), np.where(axis, folded, 0.5 * (means.imag - other.imag)),
+            share.astype(int), axis)
 
 
 def _standard_eigenvalues(vals: np.ndarray, norms: np.ndarray) -> list[StandardEigenvalue]:
