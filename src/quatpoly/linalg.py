@@ -384,11 +384,14 @@ def _root_groups(roots: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, ...
         near = roots[nearest[i]]
         for k in np.flatnonzero(candidate[i, 1:])[::-1] + 2:
             h = (near[:k] - near[:k].mean()) / scales[i]
-            sums = np.vander(h, k + 1, increasing=True)[:, 2:].sum(axis=0)
-            if max(np.abs(h).max() ** k, np.abs(sums).max()) <= MULTIPLE_ROOT_REL:
+            bound = np.abs(h).max()
+            # |sum h^q| <= k max|h|^2 for q >= 2 spares a tight group its power sums.
+            if bound ** k <= MULTIPLE_ROOT_REL and (k * bound * bound <= MULTIPLE_ROOT_REL or np.abs(
+                    np.vander(h, k + 1, increasing=True)[:, 2:].sum(axis=0)).max() <= MULTIPLE_ROOT_REL):
                 picks[i] = frozenset(nearest[i, :k].tolist())
                 break
-    standing = [all(picks[j] == pick for j in pick) for pick in picks]
+    picks = list(map({pick: pick for pick in picks}.__getitem__, picks))  # one object per distinct pick
+    standing = [all(picks[j] is pick for j in pick) for pick in picks]
     labels = np.arange(count)
     for i, pick in enumerate(picks):
         labels[i] = min(pick) if standing[i] else next(
@@ -451,11 +454,9 @@ def _standard_eigenvalues(vals: np.ndarray, norms: np.ndarray) -> list[StandardE
 
 
 def right_eigenvalues(a: QuaternionMatrix) -> list[StandardEigenvalue]:
-    """The n standard right eigenvalues of a square quaternion matrix, with multiplicity.
-
-    They are the classes of the complex lift, as of the polynomial t I - A.
-    Output is sorted by (modulus, real part).
-    """
+    """The n standard right eigenvalues of a square quaternion matrix, with
+    multiplicity, sorted by (modulus, real part): the classes of its complex
+    lift, read as those of the polynomial t I - A."""
     if a.n_rows != a.n_cols:
         raise NonSquareError("right eigenvalues are defined for square matrices")
     return _standard_eigenvalues(eig_complex(complex_adjoint(a)), np.array([spectral_norm(a), 1.0]))
