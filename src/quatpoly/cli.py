@@ -172,12 +172,9 @@ def run(args: argparse.Namespace) -> tuple[int, dict]:
             raise qio.InputFormatError(
                 f"--boundary-band must be finite and nonnegative, got {args.boundary_band!r}")
         payload = _RUNNERS[args.command](args)
-    except _NUMERICAL_FAILURES as exc:
-        return 3, {"command": args.command, "error": str(exc),
-                   "error_kind": type(exc).__name__}
     except (qio.InputFormatError, QuatPolyError, ValueError, OSError) as exc:
-        return 2, {"command": args.command, "error": str(exc),
-                   "error_kind": type(exc).__name__}
+        return (3 if isinstance(exc, _NUMERICAL_FAILURES) else 2), {
+            "command": args.command, "error": str(exc), "error_kind": type(exc).__name__}
     elapsed_ms = 1000.0 * (time.perf_counter() - started)
     report = {
         "command": args.command,
@@ -218,10 +215,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--timings", action="store_true",
                         help="include wall-clock timings in the report")
     code, report = run(parser.parse_args(argv))
-    if code == 0:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
-    else:
-        sys.stderr.write(json.dumps(report, indent=2) + "\n")
+    (sys.stdout if code == 0 else sys.stderr).write(json.dumps(report, indent=2) + "\n")
     return code
 
 

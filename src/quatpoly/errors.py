@@ -18,7 +18,11 @@ class NoConvergenceError(QuatPolyError):
 
 
 class PairingFailureError(QuatPolyError):
-    """Eigenvalues of a lifted matrix could not be matched into conjugate pairs."""
+    """Lift eigenvalues could not be matched into conjugate pairs; ``rows``: the failing spectra."""
+
+    def __init__(self, message: str, rows=()):
+        super().__init__(message)
+        self.rows = rows
 
 
 class SingularMatrixError(QuatPolyError):

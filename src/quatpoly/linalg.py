@@ -27,7 +27,7 @@ from .quaternion import (
     right_action_matrix,
 )
 from .tolerances import (APPROX_EQ_ABS, INVERTIBILITY_REL, MULTIPLE_ROOT_REL, RANK_BAND,
-                         RANK_PIVOT_REL, ROOT_CLUSTER_REL, SCALE_FLOOR, SQUARES_MIN)
+                         RANK_PIVOT_REL, ROOT_CLUSTER_REL, SCALE_FLOOR, SPHERE_REL, SQUARES_MIN)
 
 __all__ = [
     "QuaternionMatrix",
@@ -353,7 +353,7 @@ def _nearest(roots: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndar
         # (r_j - r_i) / scale_i at [..., i, j], as an add: a broadcast complex subtract is slow.
         offsets = (roots[..., None, :] + -roots[..., :, None]) * (1.0 / scales)[..., None]
         gaps = np.abs(offsets)
-        gaps.reshape(*gaps.shape[:-2], -1)[..., ::count + 1] = -1.0  # each root is its own nearest
+        gaps.reshape(*gaps.shape[:-2], count * count)[..., ::count + 1] = -1.0  # a root is its own nearest
         nearest = np.argsort(gaps, axis=-1)
         candidate = np.sort(gaps, axis=-1) <= 2.0 * MULTIPLE_ROOT_REL ** per_size
         if candidate[..., 1:].any():
@@ -363,8 +363,10 @@ def _nearest(roots: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndar
     return nearest, candidate
 
 
-def _root_groups(roots: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Mean, size and mean |Im| of each group of one row of roots, one group per multiple root.
+def _root_groups(roots: np.ndarray, scales: np.ndarray, nearest: np.ndarray,
+                 candidate: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mean, size and mean |Im| of each group of one row of roots, one group
+    per multiple root, from that row's ``_nearest`` (nearest, candidate).
 
     A root and its k - 1 nearest form a k-fold group when their offsets h
     from their mean, in units of the root's scale, lie within
@@ -373,12 +375,11 @@ def _root_groups(roots: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, ...
     that of (t - mean)^k, coefficient by coefficient, so the characteristic
     polynomial is within that relative perturbation of one with a k-fold root
     there (Zeng, Math. Comp. 74, 2005).  Each root takes its largest passing
-    k, tried downward over the candidates of ``_nearest``; a group stands
-    when all its members take it, and every other root joins the first
-    earlier such root within ROOT_CLUSTER_REL.
+    k, tried downward over its candidates; a group stands when all its
+    members take it, and every other root joins the first earlier such root
+    within ROOT_CLUSTER_REL.
     """
     count = len(roots)
-    nearest, candidate = _nearest(roots, scales)
     picks = [frozenset([i]) for i in range(count)]
     for i in np.flatnonzero(candidate[:, 1:].any(axis=1)):
         near = roots[nearest[i]]
@@ -407,48 +408,88 @@ def _standard_classes(roots, scales) -> tuple[np.ndarray, np.ndarray, np.ndarray
     stack of them: (x, s, share, axis), each (S, N), a class where share > 0.
 
     Only a row in which ``_nearest`` leaves some root a multiple candidate
-    is grouped by ``_root_groups``.  A group's mirror is the group whose mean
-    lies nearest the conjugate of its mean.  A group that is its own mirror
-    is on the real axis, a class of share half its size with s the mean |Im|
-    of its roots.  Any other group must pair back with its mirror of its
-    size; the one above the axis is the class, at the mean of its mean and
-    its mirror's conjugate, of share its size.  Unless every row's shares
-    sum to N / 2 the spectrum is not conjugate-closed: PairingFailureError.
+    is grouped by ``_root_groups``.  Groups are matched to mirrors in
+    rounds: each takes the group left whose mean lies nearest the conjugate
+    of its mean, itself only at an even size, and a mutual choice is a
+    match.  A group that is its own mirror is on the real axis, a class of
+    share half its size with s the mean |Im| of its roots.  Any other group
+    must have its mirror's size and lie on the other side of the axis; the
+    one above is the class, at the mean of its mean and its mirror's
+    conjugate, of share its size.  A row whose shares are not whole or do
+    not sum to N / 2 is not conjugate-closed: PairingFailureError names
+    every such row.
     """
     roots, scales = np.atleast_2d(roots), np.atleast_2d(scales)
     count, width = roots.shape
     means, sizes, folded = roots.copy(), np.ones(roots.shape, dtype=int), np.abs(roots.imag)
-    for r in np.flatnonzero(_nearest(roots, scales)[1][..., 1:].any(axis=(1, 2))):
-        for out, got in zip((means, sizes, folded), _root_groups(roots[r], scales[r])):
+    nearest, candidate = _nearest(roots, scales)
+    for r in np.flatnonzero(candidate[..., 1:].any(axis=(1, 2))):
+        groups = _root_groups(roots[r], scales[r], nearest[r], candidate[r])
+        for out, got in zip((means, sizes, folded), groups):
             out[r] = np.pad(got, (0, width - len(got)))
     gaps = np.where(sizes[:, None] > 0, np.abs(means[:, None] + -means.conj()[..., None]), np.inf)
-    mirror = gaps.argmin(axis=2)
     rows, slots = np.ogrid[:count, :width]
+    near = gaps.argmin(axis=2)
+    odd = sizes % 2 == 1
+    mirror = np.where((near[rows, near] == slots) & ~(odd & (near == slots)), near, -1)
+    # Further rounds match the groups left the same way; gaps is symmetric,
+    # so the closest pair left is always mutual.
+    while (left := (mirror < 0) & (sizes > 0)).any():
+        free = left[:, None] & left[..., None] & ~(odd[..., None] & np.eye(width, dtype=bool))
+        near = np.where(free, gaps, np.inf).argmin(axis=2)
+        mutual = left & (near[rows, near] == slots)
+        if not mutual.any():
+            break
+        mirror = np.where(mutual, near, mirror)
     axis = mirror == slots
-    kept = (mirror[rows, mirror] == slots) & (sizes[rows, mirror] == sizes) & (means.imag > 0.0)
-    share = np.where(axis, sizes / 2, sizes * kept)
-    if (share % 1).any() or (share.sum(axis=1) != width / 2).any():
-        raise PairingFailureError(f"lift spectrum of {width} values is not conjugate-closed: class "
-                                  f"shares sum to {share.sum(axis=1).tolist()}, not {width / 2}")
     other = means[rows, mirror]  # a group on the axis is its own mirror
+    kept = (mirror >= 0) & (sizes[rows, mirror] == sizes) & (means.imag > 0.0) & (other.imag <= 0.0)
+    share = np.where(axis, sizes / 2, sizes * kept)
+    failing = np.flatnonzero((share % 1).any(axis=1) | (share.sum(axis=1) != width / 2))
+    if len(failing):
+        raise PairingFailureError(f"lift spectrum of {width} values is not conjugate-closed: class "
+                                  f"shares sum to {share[failing].sum(axis=1).tolist()}, not {width / 2}",
+                                  rows=failing)
     return (0.5 * (means.real + other.real), np.where(axis, folded, 0.5 * (means.imag - other.imag)),
             share.astype(int), axis)
 
 
-def _standard_eigenvalues(vals: np.ndarray, norms: np.ndarray) -> list[StandardEigenvalue]:
-    """The classes of the lift spectrum of a polynomial with coefficient norms
-    ``norms``, each as often as its share, sorted by (modulus, re, im).
+def _relative_actions(z: np.ndarray, lifts: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """W(mu) = sum_i lifts[i] mu^i over its scale sum_i norms[i] |mu|^i, for each mu of z,
+    both in units of the power of two below the largest norm (exact, and no
+    underflow of tiny scales) and, for |mu| > 1, divided by mu^m so that no
+    power exceeds 1.  A zero scale means a zero action."""
+    unit = math.ldexp(1.0, math.frexp(norms.max())[1] - 1)
+    big = np.abs(z) > 1.0
+    z = z.astype(complex)
+    z[big] = 1.0 / z[big]
+    powers = z[:, None] ** np.arange(len(norms))
+    powers[big] = powers[big, ::-1]
+    weights = np.abs(powers) @ (norms / unit)
+    return np.tensordot(powers, lifts / unit, axes=1) / np.where(weights > 0.0, weights, 1.0)[:, None, None]
+
+
+def _standard_eigenvalues(vals, lifts, norms) -> list[StandardEigenvalue]:
+    """The classes of the lift spectrum of a polynomial with coefficient
+    lifts ``lifts`` of norms ``norms``, each as often as its share, sorted
+    by (modulus, re, im).
 
     Roots are compared in units of max(|root|, tau), tau the least tropical
-    root of the norms (Gaubert and Sharify, 2009): below it an eigenvalue is
-    zero at the scale of the coefficients.  One pair on the axis keeps the
-    mean |Im| of its roots, split to first order; a multiple class there,
-    split by a root of the rounding, is real.
+    root of the norms from the first nonzero one on (Gaubert and Sharify,
+    2009): below it an eigenvalue is zero at the scale of the coefficients.
+    An axis class of share 1 keeps the mean |Im| of its roots, split to first
+    order.  A multiple one, split by a root of the rounding, is real where
+    x is an eigenvalue to SPHERE_REL, by its backward error sigma_min(W(x))
+    (``_relative_actions``), as a real scalar zero is decided at x.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        tau = max(SCALE_FLOOR, np.nanmin((norms[0] / norms[1:]) ** (1.0 / np.arange(1, len(norms)))))
+    lead = norms[np.flatnonzero(norms)[0]:]
+    with np.errstate(divide="ignore", over="ignore"):
+        tau = max(SCALE_FLOOR, min((lead[0] / lead[1:]) ** (1.0 / np.arange(1, len(lead))), default=np.inf))
     x, s, share, axis = (c[0] for c in _standard_classes(vals, np.maximum(np.abs(vals), tau)))
-    s = np.where(axis & (share > 1), 0.0, s)
+    multiple = np.flatnonzero(axis & (share > 1))
+    if len(multiple):
+        errors = singular_values(_relative_actions(x[multiple], lifts, norms))[:, -1]
+        s[multiple[errors <= SPHERE_REL]] = 0.0
     evs = map(StandardEigenvalue, np.repeat(x, share).tolist(), np.repeat(s, share).tolist())
     return sorted(evs, key=lambda e: (e.modulus(), e.re, e.im))
 
@@ -459,7 +500,9 @@ def right_eigenvalues(a: QuaternionMatrix) -> list[StandardEigenvalue]:
     lift, read as those of the polynomial t I - A."""
     if a.n_rows != a.n_cols:
         raise NonSquareError("right eigenvalues are defined for square matrices")
-    return _standard_eigenvalues(eig_complex(complex_adjoint(a)), np.array([spectral_norm(a), 1.0]))
+    chi = complex_adjoint(a)
+    lifts = np.stack([-chi, np.eye(len(chi))])
+    return _standard_eigenvalues(eig_complex(chi), lifts, np.array([spectral_norm(a), 1.0]))
 
 
 def spectral_norm(a: QuaternionMatrix) -> float:

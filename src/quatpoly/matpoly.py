@@ -15,7 +15,6 @@ Three independent routes to the same eigenvalues are kept side by side:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -35,6 +34,7 @@ from .linalg import (
     QuaternionMatrix,
     _lift,
     _pow2_near,
+    _relative_actions,
     _standard_classes,
     _standard_eigenvalues,
     complex_adjoint,
@@ -142,20 +142,13 @@ def companion(p: MatrixPolynomial) -> QuaternionMatrix:
     except SingularMatrixError as exc:
         raise SingularLeadingCoefficientError(
             "leading coefficient is singular; the realified oracle still applies") from exc
-    n = p.size
-    m = p.degree
+    n, m = p.size, p.degree
     c = QuaternionMatrix.zeros(m * n, m * n)
-    for r in range(m - 1):
-        rows = slice(r * n, (r + 1) * n)
-        cols = slice((r + 1) * n, (r + 2) * n)
-        c.a1[rows, cols] = np.eye(n)
-    last = slice((m - 1) * n, m * n)
+    c.a1[:-n, n:] = np.eye((m - 1) * n)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(m):
             tilde = am_inv @ p.coeffs[i]
-            cols = slice(i * n, (i + 1) * n)
-            c.a1[last, cols] = -tilde.a1
-            c.a2[last, cols] = -tilde.a2
+            c.a1[-n:, i * n:(i + 1) * n], c.a2[-n:, i * n:(i + 1) * n] = -tilde.a1, -tilde.a2
     if not c.is_finite():
         raise NoConvergenceError("the monic normalization inverse(A_m) * A_i overflows")
     return c
@@ -185,28 +178,15 @@ def polyeig_with_residuals(p: MatrixPolynomial) -> list[tuple[StandardEigenvalue
         return []
     n, m = p.size, p.degree
     norms = np.array([spectral_norm(a) for a in p.coeffs])
+    lifts = np.array([complex_adjoint(a) for a in p.coeffs])
     vals, vecs = eig_complex(complex_adjoint(companion(p)), vectors=True)
-    evs = _standard_eigenvalues(vals, norms)
+    evs = _standard_eigenvalues(vals, lifts, norms)
     z = np.array([ev.as_complex() for ev in evs])
     # Each eigenvalue takes the eigenvector of its nearest lift eigenvalue; lifted
     # block b of a companion eigenvector [v1; v2] is (v1[b], v2[b]).
     blocks = vecs[:, np.abs(z[:, None] - vals).argmin(axis=1)].T.reshape(-1, 2, m, n)
     blocks = blocks.transpose(0, 2, 1, 3).reshape(-1, m, 2 * n)
-    # Coefficients are taken in units of the power of two just below the
-    # largest norm: exact scaling, and no underflow of the scale for tiny
-    # polynomials.
-    unit = math.ldexp(1.0, math.frexp(norms.max())[1] - 1)
-    lifts = np.array([complex_adjoint(a) for a in p.coeffs]) / unit
-    # For |mu| > 1 both sides are divided by mu^m, so mu^i becomes
-    # (1/mu)^(m-i): the same ratio, and no power exceeds 1.
-    big = np.abs(z) > 1.0
-    z[big] = 1.0 / z[big]
-    powers = z[:, None] ** np.arange(m + 1)
-    powers[big] = powers[big, ::-1]
-    weights = np.abs(powers) @ (norms / unit)
-    # W(mu) over its scale before any norm is taken; a zero scale means a
-    # zero action, which counts as exact.
-    w = np.tensordot(powers, lifts, axes=1) / np.where(weights > 0.0, weights, 1.0)[:, None, None]
+    w = _relative_actions(z, lifts, norms)  # a zero action counts as exact
     lengths = np.linalg.norm(blocks, axis=2)
     eligible = lengths >= BLOCK_NORM_REL * lengths.max(axis=1, keepdims=True)
     actions = np.linalg.norm(w @ blocks.transpose(0, 2, 1), axis=1)
@@ -436,8 +416,8 @@ def _lift_roots(a: np.ndarray) -> np.ndarray:
     count, d = a.shape[0], a.shape[1] - 1
     lift = np.ascontiguousarray(a[:, :-1]).view(np.complex128)  # rows (A1, A2)
     comp = np.tile(np.eye(2 * d, 2 * d, 2, dtype=np.complex128), (count, 1, 1))
-    comp[:, -2] = -lift.reshape(count, -1)
-    comp[:, -1] = (lift[..., ::-1].conj() * (1.0, -1.0)).reshape(count, -1)
+    comp[:, -2] = -lift.reshape(count, 2 * d)
+    comp[:, -1] = (lift[..., ::-1].conj() * (1.0, -1.0)).reshape(count, 2 * d)
     return eig_complex(comp)
 
 
@@ -485,9 +465,9 @@ def stacked_zeros(a: np.ndarray) -> tuple[np.ndarray, ...]:
     isolated = ~real & ~spherical & (slope > SLOPE_REL * pscale)
     # The one zero -inv(beta) alpha = -conj(beta) alpha / |beta|^2 of each
     # isolated class, and p there by Horner's rule.
-    zeta = ((alpha @ _RIGHT_UNITS).reshape(count, -1, 4, 4) @ (beta * -_CONJ)[..., None])[..., 0]
+    zeta = ((alpha @ _RIGHT_UNITS).reshape(count, 2 * d, 4, 4) @ (beta * -_CONJ)[..., None])[..., 0]
     zeta = zeta / np.where(isolated, slope, 1.0)[..., None] ** 2
-    times_zeta = (zeta @ _RIGHT_UNITS).reshape(count, -1, 4, 4)
+    times_zeta = (zeta @ _RIGHT_UNITS).reshape(count, 2 * d, 4, 4)
     value = zeta + a[:, -2, None]  # the monic leading term gives 1 zeta
     for i in range(d - 2, -1, -1):
         value = (times_zeta @ value[..., None])[..., 0] + a[:, i, None]

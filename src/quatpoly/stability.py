@@ -24,6 +24,7 @@ from .errors import (
     DegenerateCoefficientsError,
     NoConvergenceError,
     NoSignChangeError,
+    PairingFailureError,
     SingularCoefficientError,
     SingularLeadingCoefficientError,
     SingularMatrixError,
@@ -563,8 +564,8 @@ def sample_numerical_range(p: MatrixPolynomial, samples: int,
     multiplicity: an isolated or real zero once per unit of its share, a
     spherical zero set once per two units as its class representative,
     flagged as such, and an odd unit as that representative unflagged (it is
-    itself a zero).  Samples whose coefficients all vanish are skipped and
-    counted.
+    itself a zero).  Samples whose coefficients all vanish, or whose zeros
+    cannot be classified (PairingFailureError), are skipped and counted.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -580,7 +581,12 @@ def sample_numerical_range(p: MatrixPolynomial, samples: int,
     points = []
     for degree in np.unique(degrees[~vanishing & (degrees > 0)]).tolist():
         rows = np.flatnonzero(~vanishing & (degrees == degree))
-        found, _, zeros, spherical, shares, _ = stacked_zeros(cs[rows, :degree + 1])
+        try:
+            found, _, zeros, spherical, shares, _ = stacked_zeros(cs[rows, :degree + 1])
+        except PairingFailureError as exc:  # the other rows classify as they do alone
+            skipped += len(exc.rows)
+            rows = np.delete(rows, exc.rows)
+            found, _, zeros, spherical, shares, _ = stacked_zeros(cs[rows, :degree + 1])
         spheres = np.where(spherical, shares // 2, 0)
         flags = np.repeat(np.tile([True, False], len(shares)),
                           np.column_stack([spheres, shares - 2 * spheres]).ravel())

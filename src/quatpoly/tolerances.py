@@ -21,7 +21,7 @@ BISECTION_WIDTH = 1e-12  # bracket width that ends the root bisection, times the
 IDENTITY_ABS = 1e-12  # a coefficient equals the identity (monic, identity leading)
 MULTIPLE_ROOT_REL = 1e-11  # offsets of a k-fold group of lift eigenvalues (matrix or scalar) within this to the 1/k, their power sums below it, in units of the root's scale
 ROOT_CLUSTER_REL = 1e-7  # lift eigenvalues of no standing k-fold group join one within this, times the root's scale
-SPHERE_REL = 1e-9  # remainder of a spherical zero set, or at x of a real one, times the polynomial scale
+SPHERE_REL = 1e-9  # remainder of a spherical zero set, or at x of a real one, times the polynomial scale; backward error at x of a real multiple matrix class
 SLOPE_REL = 1e-12  # remainder slope with no isolated zero, times the polynomial scale
 
 # Regions, verdicts, sampled numerical ranges and the hyperstability search.

@@ -524,14 +524,22 @@ PLANTED = Quaternion(0.3, 0.5, 0.6, -0.2)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("case", ["(t-1)^2", "(t-1)^3", "(t-1)^4", "3x3 linear", "2x2 quadratic"])
+@pytest.mark.parametrize("case", ["(t-1)^2", "(t-1)^3", "(t-1)^4", "3x3 linear", "2x2 quadratic",
+                                  "2x2 split copies"])
 def test_eig_groups_a_defective_eigenvalue(tmp_path, capsys, case):
     # A k-fold class splits by about the k-th root of the rounding in the
-    # lift; it is read as one class, k times, at the mean of its roots.
+    # lift; it is read as one class, k times, at the mean of its roots.  Two
+    # copies of 1 + 1e-6 j lie near the axis but not on it, and keep their |Im|.
     rng = np.random.default_rng(12)
+    tol = 1e-6
     if case.startswith("(t-1)"):
         coeffs = [[[[c, 0, 0, 0]]] for c in np.poly([1.0] * int(case[-1]))[::-1].tolist()]
         want = 1.0
+    elif case == "2x2 split copies":
+        s = random_invertible_qmatrix(rng, 2)
+        a = s @ QuaternionMatrix.diagonal([Quaternion(1.0, 0.0, 1e-6, 0.0)] * 2) @ inverse(s)
+        coeffs = [_rows(-a), _rows(QuaternionMatrix.identity(2))]
+        want, tol = complex(1.0, 1e-6), 1e-12
     elif case == "3x3 linear":
         coeffs = [_rows(-_jordan(rng, PLANTED, 3)), _rows(QuaternionMatrix.identity(3))]
         want = complex(0.3, math.sqrt(0.65))
@@ -545,7 +553,7 @@ def test_eig_groups_a_defective_eigenvalue(tmp_path, capsys, case):
     report = json.loads(out)
     values = [complex(e["re"], e["im"]) for e in report["result"]["eigenvalues"]]
     assert len(values) == (len(coeffs) - 1) * len(coeffs[0])
-    assert max(abs(v - want) for v in values) <= 1e-6
+    assert max(abs(v - want) for v in values) <= tol
     assert report["diagnostics"]["residuals"]["max_action_residual"] <= 1e-7
 
 

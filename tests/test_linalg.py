@@ -20,7 +20,7 @@ from quatpoly import (
     vec_entries,
 )
 from quatpoly.quaternion import left_action_matrix, right_action_matrix
-from _helpers import random_qmatrix, random_quaternion, random_unit_qvec
+from _helpers import random_invertible_qmatrix, random_qmatrix, random_quaternion, random_unit_qvec
 
 ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
 BASIS = [ONE, I, J, K]
@@ -161,6 +161,12 @@ def test_right_eigenvalues_examples():
     assert len(evs) == 3
     assert all(e.re == 0.0 and e.im == 0.0 for e in evs)
 
+    # Two copies of 1 + 1e-6 j: a multiple class near the axis is real only
+    # where 1 itself is an eigenvalue to SPHERE_REL, which it is not here.
+    s = random_invertible_qmatrix(np.random.default_rng(12), 2)
+    evs = right_eigenvalues(s @ QuaternionMatrix.diagonal([Quaternion(1.0, 0.0, 1e-6, 0.0)] * 2) @ inverse(s))
+    assert [abs(complex(e.re, e.im) - complex(1.0, 1e-6)) <= 1e-12 for e in evs] == [True, True]
+
 
 def test_conjugate_pairing_on_random_matrices():
     rng = np.random.default_rng(24)
@@ -180,6 +186,24 @@ def test_pairing_rejects_non_conjugate_spectra():
     for vals in (np.array([1.0 + 1.0j, 1.0 + 0.5j]), np.array([1.0j])):
         with pytest.raises(PairingFailureError):
             _standard_classes(vals, np.maximum(1.0, np.abs(vals)))
+
+
+def test_mirrors_are_matched_in_rounds():
+    from quatpoly.linalg import _standard_classes
+
+    # The lift spectrum of a 1x1 cubic with three real zeros 1e-5 apart
+    # behind a quaternion leading coefficient, as LAPACK returned it:
+    # rounding scatters the six roots by about their gap.  By nearest mirror
+    # alone the last root, a single one, took itself; matched in rounds
+    # every root finds a mirror across the axis, and the classes lie within
+    # the scatter of the zeros.
+    x = 1.6968675860272966
+    roots = x + 1e-5 * np.array([-0.5976409964 + 1.0516188537j, -0.2044272426 - 1.3760469539j,
+                                 0.1612868639 + 1.5506757659j, 0.6950178765 - 1.6674073199j,
+                                 2.9026231202 + 0.6157884663j, 3.0431403785 - 0.1746288121j])
+    cx, cs, share, _ = _standard_classes(roots, np.maximum(1.0, np.abs(roots)))
+    assert sorted(share[share > 0].tolist()) == [1, 1, 1]
+    assert np.abs(cx[share > 0] - x).max() <= 4e-5 and cs[share > 0].max() <= 2e-5
 
 
 def test_spectral_norm_examples():

@@ -196,6 +196,13 @@ def test_zero_eigenvalue_iff_singular_constant():
             constant_singular = True
         has_zero = any(e.modulus() <= 1e-8 for e in polyeig(p))
         assert has_zero == constant_singular
+    # A0 = 0 and a dense singular A1: n exact zeros and one from A1, carrying
+    # its rounding, are all read at the scale of the coefficients.
+    for trial in range(12):
+        n = 2 + trial % 3
+        a1 = random_qmatrix(rng, n) @ QuaternionMatrix.diagonal([0.0] + [1.0] * (n - 1)) @ random_qmatrix(rng, n)
+        p = MatrixPolynomial([QuaternionMatrix.zeros(n, n), a1, random_invertible_qmatrix(rng, n)])
+        assert sum(e.modulus() <= 1e-8 for e in polyeig(p)) == n + 1
 
 
 def test_lift_transfer_consistency():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from _helpers import linear, product, quadratic, random_quaternion
 
-from quatpoly import (MatrixPolynomial, Quaternion, QuaternionMatrix, ScalarQPolynomial,
+from quatpoly import (MatrixPolynomial, PairingFailureError, Quaternion, QuaternionMatrix, ScalarQPolynomial,
                       StandardEigenvalue, is_eigenvalue_oracle, polyeig, sample_numerical_range,
                       scalar_zeros, stability)
 from quatpoly.quaternion import class_point, standardize
@@ -162,10 +162,11 @@ def test_groups_that_do_not_stand_fall_back_to_the_fixed_radius():
     # three together are not.  Roots 0 and 1 both take the pair {0, 1}, which
     # stands; root 2 takes {1, 2}, which does not, and, farther than the fixed
     # radius from any other root, stays alone.
-    from quatpoly.linalg import _root_groups
+    from quatpoly.linalg import _nearest, _root_groups
 
     roots = np.array([0.0, 3e-6, 6.1e-6 + 1e-7j])
-    means, sizes, folded = _root_groups(roots, np.maximum(1.0, np.abs(roots)))
+    scales = np.maximum(1.0, np.abs(roots))
+    means, sizes, folded = _root_groups(roots, scales, *_nearest(roots, scales))
     assert sizes.tolist() == [2.0, 1.0]
     np.testing.assert_allclose(means, [1.5e-6, roots[2]], rtol=1e-15)
     np.testing.assert_allclose(folded, [0.0, 1e-7], rtol=1e-15)
@@ -229,6 +230,16 @@ def _one_at_a_time(cs):
             for z in zeros]
 
 
+def _sampled_points(zeros):
+    """The sampler's (point, spherical) entries for ``_one_at_a_time`` zeros:
+    a sphere once per two units of its share, any other unit once unflagged."""
+    points = []
+    for _, point, sphere, share, _ in zeros:
+        spheres = share // 2 if sphere else 0
+        points += [(point, True)] * spheres + [(point, False)] * (share - 2 * spheres)
+    return points
+
+
 def test_stacked_zeros_match_one_at_a_time(monkeypatch):
     # One numerical-range call over the whole stack: every stacked zero call
     # must give each row exactly what scalar_zeros gives it alone.
@@ -262,9 +273,33 @@ def test_stacked_zeros_match_one_at_a_time(monkeypatch):
         assert want[scaled] == want[plain]
     assert any(f for zeros in want.values() for _, _, f, _, _ in zeros)
     assert max(k for zeros in want.values() for _, _, _, k, _ in zeros) >= 4
-    points = []
-    for i in sorted(want):
-        for cls, point, sphere, share, _ in want[i]:
-            spheres = share // 2 if sphere else 0
-            points += [(point, True)] * spheres + [(point, False)] * (share - 2 * spheres)
+    points = [point for i in sorted(want) for point in _sampled_points(want[i])]
     assert [(p.point.as_array(), p.spherical) for p in result.points] == points
+
+
+def test_sampler_skips_and_counts_rows_it_cannot_classify(monkeypatch):
+    # Three real zeros 1e-5 apart behind a random quaternion leading
+    # coefficient: rounding moves them by about their gap, and some such rows
+    # come out not conjugate-closed.  The sampler skips and counts each of
+    # them, also when every row of a degree fails, and reads every other row
+    # as scalar_zeros reads it alone.
+    rng = np.random.default_rng(2)
+    close = [product([random_quaternion(rng)], *[linear(Quaternion(x + 1e-5 * k)) for k in range(3)])
+             for x in rng.uniform(-2.0, 2.0, 12)]
+    polys = close + [product([random_quaternion(rng)], linear(random_quaternion(rng)))]
+    stack = np.array([[c.as_array() for c in p] + [[0.0] * 4] * (4 - len(p)) for p in polys])
+    failing = []
+    for i, cs in enumerate(stack):
+        try:
+            _one_at_a_time(cs)
+        except PairingFailureError:
+            failing.append(i)
+    assert 0 < len(failing) < len(close)
+    for rows in (range(len(stack)), failing + [len(close)]):
+        monkeypatch.setattr(stability, "_qinner", lambda ys, actions: stack[list(rows)])
+        monkeypatch.setattr(stability, "_scaled_actions", lambda p, ys: (None, 2.0 ** -900))
+        result = sample_numerical_range(MatrixPolynomial([QuaternionMatrix.from_rows([[ONE]])] * 4),
+                                        len(rows), seed=0)
+        assert result.skipped == len(failing)
+        points = [point for i in rows if i not in failing for point in _sampled_points(_one_at_a_time(stack[i]))]
+        assert [(p.point.as_array(), p.spherical) for p in result.points] == points
