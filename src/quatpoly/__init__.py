@@ -67,7 +67,6 @@ from .stability import (
     HyperStatus,
     HyperVerdict,
     NumericalRangeResult,
-    RangePoint,
     Region,
     RegionKind,
     StabilityStatus,
@@ -105,7 +104,7 @@ __all__ = [
     "polyeig", "polyeig_with_residuals", "reversal", "is_eigenvalue_oracle",
     "eigenvector_at", "scalar_char_poly", "scalar_zeros",
     "Region", "RegionKind", "StabilityStatus", "HyperStatus",
-    "StabilityVerdict", "HyperVerdict", "RangePoint", "NumericalRangeResult",
+    "StabilityVerdict", "HyperVerdict", "NumericalRangeResult",
     "check_stability", "eigenvalue_annulus", "unique_positive_root",
     "sample_numerical_range", "check_hyperstability", "not_hyperstable_search",
     "quaternion_ball_grid", "region_sample_grid",

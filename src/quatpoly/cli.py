@@ -10,7 +10,6 @@ seed (wall-clock timings only appear under --timings).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -111,8 +110,7 @@ def _run_hyperstable(args: argparse.Namespace) -> dict:
 def _run_nrange(args: argparse.Namespace) -> dict:
     poly, _ = _load_polynomial(args)
     sampled = sample_numerical_range(poly, args.samples, args.seed)
-    points = [{"point": qio.quaternion_to_json(rp.point),
-               "spherical": rp.spherical} for rp in sampled.points]
+    points = qio.FlaggedPoints(sampled.points, sampled.spherical)
     return {"result": {"points": points, "skipped": sampled.skipped},
             "certificate": None, "witness": None,
             "residuals": {}}
@@ -215,7 +213,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--timings", action="store_true",
                         help="include wall-clock timings in the report")
     code, report = run(parser.parse_args(argv))
-    (sys.stdout if code == 0 else sys.stderr).write(json.dumps(report, indent=2) + "\n")
+    (sys.stdout if code == 0 else sys.stderr).write(qio.dumps(report) + "\n")
     return code
 
 

@@ -5,14 +5,16 @@ a polynomial file is {"coeffs": [A_0, ..., A_m]} with an optional
 "partition" list of diagonal block sizes; a region file carries a "kind"
 plus the fields that kind needs; a multivariate polynomial file is
 {"k": ..., "terms": [{"word": [...], "coeff": ...}]}.  All numbers are
-plain decimal JSON numbers.
+plain decimal JSON numbers.  Reports are written by ``dumps``, byte for
+byte as ``json.dumps(report, indent=2)``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -84,10 +86,6 @@ def matrix_from_json(data) -> QuaternionMatrix:
     return QuaternionMatrix(pairs[..., 0], pairs[..., 1])
 
 
-def matrix_to_json(a: QuaternionMatrix) -> list[list[list[float]]]:
-    return [[quaternion_to_json(q) for q in row] for row in a.to_rows()]
-
-
 def vector_to_json(v: QuaternionMatrix) -> list[list[float]]:
     return [quaternion_to_json(q) for q in vec_entries(v)]
 
@@ -134,20 +132,6 @@ def region_from_json(data) -> Region:
         raise InputFormatError(f"bad region file: {exc}") from exc
 
 
-def region_to_json(region: Region) -> dict[str, Any]:
-    out: dict[str, Any] = {"kind": region.kind.value}
-    if region.kind is RegionKind.FINITE_SET:
-        out["points"] = [quaternion_to_json(p) for p in region.points]
-        return out
-    out["center"] = quaternion_to_json(region.center)
-    if region.kind is RegionKind.ANNULUS:
-        out["inner_radius"] = round_sig(region.inner_radius)
-        out["outer_radius"] = round_sig(region.outer_radius)
-    else:
-        out["radius"] = round_sig(region.radius)
-    return out
-
-
 def multipolynomial_from_json(data) -> MultiPolynomial:
     if not isinstance(data, dict) or "k" not in data or "terms" not in data:
         raise InputFormatError('multivariate file needs "k" and "terms"')
@@ -174,12 +158,104 @@ def standard_eigenvalue_to_json(e: StandardEigenvalue) -> dict[str, float]:
     return {"re": round_sig(e.re), "im": round_sig(e.im)}
 
 
-def round_sig(value: float, digits: int = 12) -> float:
+_SIG = "%.12g"
+
+
+def round_sig(value: float) -> float:
     """Quantize to 12 significant digits for stable decimal output."""
     v = float(value)
     if v == 0.0:
         return 0.0
-    return float(f"{v:.{digits}g}")
+    return float(_SIG % v)
+
+
+@dataclass(frozen=True)
+class FlaggedPoints:
+    """(P, 4) quaternion rows and their (P,) flags, written by ``dumps`` as
+    the list [{"point": [w, x, y, z], "spherical": flag}, ...] with every
+    component rounded by ``round_sig``."""
+
+    points: np.ndarray
+    spherical: np.ndarray
+
+    def encode(self, indent: str) -> str:
+        """The list as ``json.dumps(indent=2)`` writes it on a line that
+        starts with ``indent``."""
+        if not len(self.points):
+            return "[]"
+        if not np.isfinite(self.points).all():  # "%r" would write nan and inf
+            return _encode([{"point": [round_sig(v) for v in q], "spherical": f}
+                            for q, f in zip(self.points.tolist(), self.spherical.tolist())], indent)
+        # round_sig in one pass: adding 0.0 turns -0.0 into 0.0 and keeps
+        # every other value; no nonzero value prints as zero.
+        flat = (self.points + 0.0).ravel().tolist()
+        rounded = map(float, ((_SIG + " ") * len(flat) % tuple(flat)).split())
+        item, field, value = indent + "  ", indent + "    ", indent + "      "
+        point = (f'{{\n{field}"point": [\n{value}' + f",\n{value}".join(["%r"] * 4)
+                 + f'\n{field}],\n{field}"spherical": %s\n{item}}}')
+        flags = ["true" if f else "false" for f in self.spherical.tolist()]
+        return (f"[\n{item}" + f",\n{item}".join([
+            point % (*q, f) for q, f in zip(zip(*[rounded] * 4), flags)])  # 4 at a time
+            + f"\n{indent}]")
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _encode(obj, indent: str) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2)`` writes it on a line that
+    starts with ``indent``."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return (f"[\n{inner}" + f",\n{inner}".join([_encode(v, inner) for v in obj])
+                + f"\n{indent}]")
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return (f"{{\n{inner}" + f",\n{inner}".join([
+            f"{_quote(_key(k))}: {_encode(v, inner)}" for k, v in obj.items()])
+            + f"\n{indent}}}")
+    if isinstance(obj, FlaggedPoints):
+        return obj.encode(indent)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _encode(key, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def dumps(report) -> str:
+    """``report`` as ``json.dumps(report, indent=2)`` writes it, byte for
+    byte, with any FlaggedPoints value written as its list of dicts."""
+    return _encode(report, "")
 
 
 def load_json(path: str):

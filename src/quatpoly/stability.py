@@ -489,14 +489,11 @@ def eigenvalue_annulus(p: MatrixPolynomial) -> tuple[float, float]:
 # at once, as an (S, m+1, 4) array, screened and trimmed by _trimmed.
 
 
-@dataclass(frozen=True)
-class RangePoint:
-    point: Quaternion
-    spherical: bool
-
-
 class NumericalRangeResult(NamedTuple):
-    points: list[RangePoint]
+    """Sampled zeros as (P, 4) [w, x, y, z] rows, ordered by sample and
+    stable within one, their (P,) sphere flags, and the skipped samples."""
+    points: np.ndarray
+    spherical: np.ndarray
     skipped: int
 
 
@@ -578,7 +575,7 @@ def sample_numerical_range(p: MatrixPolynomial, samples: int,
         raise DegenerateCoefficientsError(
             "every sample produced identically vanishing coefficients")
     # One stacked zero call per degree; a nonzero constant has no zeros.
-    points = []
+    sample_of, points, flags = [np.empty(0, int)], [np.empty((0, 4))], [np.empty(0, bool)]
     for degree in np.unique(degrees[~vanishing & (degrees > 0)]).tolist():
         rows = np.flatnonzero(~vanishing & (degrees == degree))
         try:
@@ -588,12 +585,13 @@ def sample_numerical_range(p: MatrixPolynomial, samples: int,
             rows = np.delete(rows, exc.rows)
             found, _, zeros, spherical, shares, _ = stacked_zeros(cs[rows, :degree + 1])
         spheres = np.where(spherical, shares // 2, 0)
-        flags = np.repeat(np.tile([True, False], len(shares)),
-                          np.column_stack([spheres, shares - 2 * spheres]).ravel())
+        flags.append(np.repeat(np.tile([True, False], len(shares)),
+                               np.column_stack([spheres, shares - 2 * spheres]).ravel()))
         take = np.repeat(np.arange(len(shares)), shares - spheres)
-        points += zip(rows[found][take].tolist(), zeros[take].tolist(), flags.tolist())
-    points.sort(key=lambda point: point[0])  # by sample, stable within one
-    return NumericalRangeResult([RangePoint(Quaternion(*q), f) for _, q, f in points], skipped)
+        sample_of.append(rows[found][take])
+        points.append(zeros[take])
+    order = np.argsort(np.concatenate(sample_of), kind="stable")  # by sample, stable within one
+    return NumericalRangeResult(np.concatenate(points)[order], np.concatenate(flags)[order], skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +817,7 @@ def _numerical_range_evidence(p: MatrixPolynomial, region: Region,
         result = sample_numerical_range(p, samples, seed)
     except DegenerateCoefficientsError:
         return "numerical-range sampling degenerate"
-    hits = sum(1 for rp in result.points if region.contains(rp.point))
+    hits = sum(region.contains(Quaternion(*q)) for q in result.points.tolist())
     if hits:
         return (f"sampled numerical range meets the region "
                 f"({hits} of {len(result.points)} points)")

@@ -112,9 +112,9 @@ def test_criterion_2_projection_polynomial():
 
     sampled = sample_numerical_range(p, 500, seed=42)
     assert sampled.skipped == 0
-    for rp in sampled.points:
-        assert rp.point.vec_norm() <= 1e-9
-        assert -1e-9 <= rp.point.w <= 1.0 + 1e-9
+    for point in map(Quaternion, *sampled.points.T.tolist()):
+        assert point.vec_norm() <= 1e-9
+        assert -1e-9 <= point.w <= 1.0 + 1e-9
     print("\nACCEPTANCE 2 PASS: projection polynomial (eigenvalues {0,1}, "
           "triangular-equivalence hyperstability, numerical range in [0,1])")
 

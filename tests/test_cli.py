@@ -207,6 +207,50 @@ def test_determinism_byte_identical(tmp_path, capsys):
     assert '"status": "UNKNOWN"' in out1
 
 
+def _indent_2(text):
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, poly, region", [
+    pytest.param(["eig"], GOLDEN_POLY, None, id="eig"),
+    pytest.param(["bounds"], GOLDEN_POLY, None, id="bounds"),
+    pytest.param(["stable"], J_SHIFT_POLY, {"kind": "open_ball", "center": J_Q, "radius": 1.0},
+                 id="stable"),
+    pytest.param(["hyperstable", "--closed"], NO_EIG_POLY,
+                 {"kind": "open_ball", "center": ZERO, "radius": 1.0}, id="hyperstable"),
+    pytest.param(["hyperstable", "--samples", "64", "--seed", "5"],
+                 {"coeffs": [[[ONE_Q, I_Q], [J_Q, K_Q]], [[ZERO, ONE_Q], [ONE_Q, ZERO]], EYE2]},
+                 {"kind": "open_ball", "center": ZERO, "radius": 0.5}, id="hyperstable-evidence"),
+    pytest.param(["nrange", "--samples", "50"], GOLDEN_POLY, None, id="nrange"),
+    pytest.param(["nrange", "--samples", "20"], J_SHIFT_POLY, None, id="nrange-spheres"),
+    pytest.param(["multivar"], MIXED_MULTI,
+                 {"kind": "finite_set", "points": [[-0.5, 0, 0, 0], [0.5, 0, 0, 0]]}, id="multivar"),
+])
+def test_reports_are_written_as_json_dumps_indent_2(tmp_path, capsys, argv, poly, region):
+    argv = [argv[0], "--input", write(tmp_path, "p.json", poly), *argv[1:]]
+    if region is not None:
+        argv += ["--region", write(tmp_path, "r.json", region)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == _indent_2(out)
+
+
+def test_nrange_of_nonzero_constants_writes_no_points(tmp_path, capsys):
+    # Every sample of a degree-0 polynomial is a nonzero constant.
+    p = write(tmp_path, "p.json", {"coeffs": [EYE2]})
+    code, out, _ = run_cli(capsys, ["nrange", "--input", p, "--samples", "8"])
+    assert code == 0
+    assert json.loads(out)["result"] == {"points": [], "skipped": 0}
+    assert '"points": []' in out and out == _indent_2(out)
+
+
+def test_error_report_is_written_as_json_dumps_indent_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, ["eig", "--input", str(tmp_path / "missing-é.json")])
+    assert (code, out) == (2, "")
+    assert err == _indent_2(err)
+    assert "\\u00e9" in err
+
+
 def test_exit_codes_for_input_errors(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["eig", "--input", str(tmp_path / "missing.json")])
     assert code == 2

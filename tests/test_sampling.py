@@ -162,9 +162,9 @@ def test_numerical_range_matches_the_per_vector_sampler(n, m):
     want, skipped = ref_numerical_range(p, samples, seed)
     assert got.skipped == skipped
     assert len(got.points) == len(want)
-    assert [rp.spherical for rp in got.points] == [spherical for _, spherical in want]
-    for rp, (point, _) in zip(got.points, want):
-        assert (rp.point - point).modulus() <= 1e-12 * max(1.0, point.modulus())
+    assert got.spherical.tolist() == [spherical for _, spherical in want]
+    for q, (point, _) in zip(map(Quaternion, *got.points.T.tolist()), want):
+        assert (q - point).modulus() <= 1e-12 * max(1.0, point.modulus())
 
 
 @pytest.mark.parametrize("example", [example_golden_poly, example_j_shift_poly,
@@ -175,9 +175,9 @@ def test_numerical_range_of_the_examples_matches_the_per_vector_sampler(example)
     got = sample_numerical_range(p, 40, 5)
     want, skipped = ref_numerical_range(p, 40, 5)
     assert (got.skipped, len(got.points)) == (skipped, len(want))
-    assert [rp.spherical for rp in got.points] == [spherical for _, spherical in want]
-    for rp, (point, _) in zip(got.points, want):
-        assert (rp.point - point).modulus() <= 1e-12 * max(1.0, point.modulus())
+    assert got.spherical.tolist() == [spherical for _, spherical in want]
+    for q, (point, _) in zip(map(Quaternion, *got.points.T.tolist()), want):
+        assert (q - point).modulus() <= 1e-12 * max(1.0, point.modulus())
 
 
 def _regions():

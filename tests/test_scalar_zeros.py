@@ -274,7 +274,7 @@ def test_stacked_zeros_match_one_at_a_time(monkeypatch):
     assert any(f for zeros in want.values() for _, _, f, _, _ in zeros)
     assert max(k for zeros in want.values() for _, _, _, k, _ in zeros) >= 4
     points = [point for i in sorted(want) for point in _sampled_points(want[i])]
-    assert [(p.point.as_array(), p.spherical) for p in result.points] == points
+    assert list(zip(result.points.tolist(), result.spherical.tolist())) == points
 
 
 def test_sampler_skips_and_counts_rows_it_cannot_classify(monkeypatch):
@@ -302,4 +302,4 @@ def test_sampler_skips_and_counts_rows_it_cannot_classify(monkeypatch):
                                         len(rows), seed=0)
         assert result.skipped == len(failing)
         points = [point for i in rows if i not in failing for point in _sampled_points(_one_at_a_time(stack[i]))]
-        assert [(p.point.as_array(), p.spherical) for p in result.points] == points
+        assert list(zip(result.points.tolist(), result.spherical.tolist())) == points

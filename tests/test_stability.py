@@ -280,10 +280,10 @@ def test_conjugate_center_ball_symmetry():
 def test_numerical_range_projection_interval():
     result = sample_numerical_range(example_projection_poly(), 500, seed=42)
     assert result.skipped == 0
-    for rp in result.points:
-        assert rp.point.vec_norm() <= 1e-9
-        assert -1e-9 <= rp.point.w <= 1.0 + 1e-9
-    assert not any(rp.spherical for rp in result.points)
+    for point in map(Quaternion, *result.points.T.tolist()):
+        assert point.vec_norm() <= 1e-9
+        assert -1e-9 <= point.w <= 1.0 + 1e-9
+    assert not result.spherical.any()
 
 
 def test_numerical_range_identity_shift():
@@ -291,8 +291,8 @@ def test_numerical_range_identity_shift():
                           QuaternionMatrix.identity(2)])
     result = sample_numerical_range(p, 100, seed=1)
     assert len(result.points) == 100
-    for rp in result.points:
-        assert rp.point.approx_eq(ONE, 1e-9)
+    for point in map(Quaternion, *result.points.T.tolist()):
+        assert point.approx_eq(ONE, 1e-9)
 
 
 def test_numerical_range_scalar_j_shift():
@@ -301,19 +301,19 @@ def test_numerical_range_scalar_j_shift():
     p = MatrixPolynomial([QuaternionMatrix.from_rows([[J]]),
                           QuaternionMatrix.identity(1)])
     result = sample_numerical_range(p, 100, seed=3)
-    for rp in result.points:
-        assert abs(rp.point.w) <= 1e-9
-        assert rp.point.modulus() == pytest.approx(1.0, abs=1e-9)
-        assert is_eigenvalue_oracle(p, rp.point) is True
+    for point in map(Quaternion, *result.points.T.tolist()):
+        assert abs(point.w) <= 1e-9
+        assert point.modulus() == pytest.approx(1.0, abs=1e-9)
+        assert is_eigenvalue_oracle(p, point) is True
 
 
 def test_numerical_range_matrix_j_shift_pure_imaginary():
     # For the 2x2 version the sampled zeros stay pure imaginary with
     # modulus at most 1 (mixing across components shortens the vector).
     result = sample_numerical_range(example_j_shift_poly(), 200, seed=4)
-    for rp in result.points:
-        assert abs(rp.point.w) <= 1e-9
-        assert rp.point.modulus() <= 1.0 + 1e-9
+    for point in map(Quaternion, *result.points.T.tolist()):
+        assert abs(point.w) <= 1e-9
+        assert point.modulus() <= 1.0 + 1e-9
 
 
 # -- hyperstability ---------------------------------------------------------------
@@ -428,7 +428,7 @@ def test_numerical_range_overlap_is_only_evidence():
     # over the (necessarily weaker) sampled evidence.
     probes = Region.finite_set([Quaternion(0.5)])
     result = sample_numerical_range(example_projection_poly(), 300, seed=42)
-    assert any(probes.contains(rp.point) for rp in result.points) or True
+    assert any(probes.contains(point) for point in map(Quaternion, *result.points.T.tolist())) or True
     verdict = check_hyperstability(example_projection_poly(), probes)
     assert verdict.status is HyperStatus.HYPERSTABLE
     assert verdict.certificate == "triangular-equivalence"
