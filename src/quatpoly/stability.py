@@ -40,6 +40,7 @@ from .linalg import (
 )
 from .matpoly import (
     _CONJ,
+    SWEEP_CHUNK_DOUBLES,
     MatrixPolynomial,
     ScalarQPolynomial,
     eigenvector_at,
@@ -502,26 +503,41 @@ class NumericalRangeResult(NamedTuple):
 _CONJ_PRODUCT = np.stack([c * left_action_matrix(Quaternion(*e)) for c, e in zip(_CONJ, np.eye(4))])
 # Column block u of p -> p @ _UNIT_RIGHT_ACTIONS is p u, for u = 1, i, j, k.
 _UNIT_RIGHT_ACTIONS = right_action_matrices(np.eye(4)).transpose(2, 0, 1).reshape(4, 16)
+# Random unit combinations of a span basis the search tries as probes z.
+RANDOM_PROBES = 48
 
 
-def _unit_draws(rng: np.random.Generator, count: int, length: int) -> np.ndarray:
+def _unit_draws(rng: np.random.Generator, count: int,
+                length: int | Sequence[int]) -> np.ndarray:
     """``count`` unit rows, each a Gaussian draw of ``length`` normalized
-    and drawn again while shorter than DRAW_NORM_MIN.  One block draw reads
-    the generator as row-by-row draws do; a short row puts the generator
-    back and the rows are drawn one by one, so the redraws match too."""
+    and drawn again while shorter than DRAW_NORM_MIN.  For a sequence of
+    lengths, ``count`` rows of each length in turn, as consecutive calls
+    draw them, zero-padded to one (len(length), count, max(length)) array.
+    One block draw reads the generator as row-by-row draws do; a short row
+    puts the generator back and the rows are drawn one by one, so the
+    redraws match too."""
+    lengths = np.atleast_1d(length)
     state = rng.bit_generator.state
-    block = rng.standard_normal((count, length))
-    norms = np.array([math.sqrt(r @ r) for r in block]).reshape(count, 1)
-    if (norms > DRAW_NORM_MIN).all():
-        return block / norms
-    rng.bit_generator.state = state
-    rows = []
-    while len(rows) < count:
-        raw = rng.standard_normal(length)
-        norm = math.sqrt(raw @ raw)
-        if norm > DRAW_NORM_MIN:
-            rows.append(raw / norm)
-    return np.array(rows)
+    block = rng.standard_normal(count * int(lengths.sum()))
+    starts = count * (np.cumsum(lengths) - lengths)
+    draws = np.zeros((len(lengths), count, int(lengths.max(initial=0))))
+    for size in np.unique(lengths).tolist():
+        group = np.flatnonzero(lengths == size)
+        rows = block[starts[group, None] + np.arange(count * size)].reshape(-1, size)
+        norms = np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]
+        if not (norms > DRAW_NORM_MIN).all():
+            rng.bit_generator.state = state
+            for out, n in zip(draws, lengths.tolist()):
+                k = 0
+                while k < count:
+                    raw = rng.standard_normal(n)
+                    norm = math.sqrt(raw @ raw)
+                    if norm > DRAW_NORM_MIN:
+                        out[k, :n] = raw / norm
+                        k += 1
+            break
+        draws[group, :, :size] = (rows / norms).reshape(len(group), count, size)
+    return draws if np.ndim(length) else draws[0]
 
 
 def _scaled_actions(p: MatrixPolynomial, ys: np.ndarray) -> tuple[np.ndarray, float]:
@@ -536,20 +552,20 @@ def _scaled_actions(p: MatrixPolynomial, ys: np.ndarray) -> tuple[np.ndarray, fl
 
 def _qinner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Quaternion inner products u_s* v = sum_t conj(u_st) v_t of vec4 rows:
-    u is (S, 4n) and v is (S, R, 4n) or (R, 4n), broadcast to (S, R, 4)."""
+    u is (..., S, 4n) and v is (..., S, R, 4n), broadcast, to (..., S, R, 4)."""
     # The (4n, 4) real matrix of v -> u_s* v, for every s.
-    forms = (u.reshape(len(u), -1, 4) @ _CONJ_PRODUCT.reshape(4, 16)).reshape(len(u), -1, 4, 4)
-    return v @ forms.transpose(0, 1, 3, 2).reshape(len(u), -1, 4)
+    forms = (u.reshape(*u.shape[:-1], -1, 4) @ _CONJ_PRODUCT.reshape(4, 16))
+    return v @ forms.reshape(*u.shape[:-1], -1, 4, 4).swapaxes(-1, -2).reshape(*u.shape, 4)
 
 
-def _trimmed(cs: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """For an (S, m+1, 4) stack of scalar polynomials: which vanish (no
-    coefficient modulus above ``floor``), and each one's degree, that of its
-    last coefficient over DEGREE_TRIM_REL times the largest."""
-    moduli = np.hypot.reduce(cs, axis=2)
-    top = moduli.max(axis=1)
-    above = moduli > DEGREE_TRIM_REL * top[:, None]
-    return top <= floor, cs.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)
+def _trimmed(cs: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
+    """For an (..., m+1, 4) stack of scalar polynomials: which vanish (no
+    coefficient modulus above ``floor``, broadcast), and each one's degree,
+    that of its last coefficient over DEGREE_TRIM_REL times the largest."""
+    moduli = np.hypot.reduce(cs, axis=-1)
+    top = moduli.max(axis=-1)
+    above = moduli > DEGREE_TRIM_REL * top[..., None]
+    return top <= floor, cs.shape[-2] - 1 - np.argmax(above[..., ::-1], axis=-1)
 
 
 def sample_numerical_range(p: MatrixPolynomial, samples: int,
@@ -614,23 +630,34 @@ def _region_contains_closed_unit_ball(region: Region) -> bool:
     return False
 
 
-def _span_basis(vs: np.ndarray) -> np.ndarray:
-    """Orthonormal real basis, as rows, of the realified right span of the
-    rows of ``vs``; the longest has norm in [1/2, 1), which SPAN_ZERO_REL assumes."""
-    width = vs.shape[1]
-    candidates = (vs.reshape(len(vs), -1, 4) @ _UNIT_RIGHT_ACTIONS).reshape(len(vs), -1, 4, 4)
-    candidates = candidates.transpose(0, 2, 1, 3).reshape(-1, width)
-    basis: list[np.ndarray] = []
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_s . v_s for the rows of two (S, k) arrays, each one dot product as
+    ``u_s @ v_s`` computes it."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _span_bases(vss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal real bases, as rows, of the realified right spans of the
+    rows of each (m+1, 4n) stack of ``vss``, zero-padded to one (Y, K, 4n)
+    array, and their sizes.  Gram-Schmidt takes the candidates (A_i y) u,
+    u = 1, i, j, k, in order, masked per stack: a padding row projects out
+    nothing, so every stack goes through the operations it would go through
+    alone.  The longest row of a stack has norm in [1/2, 1), which
+    SPAN_ZERO_REL assumes."""
+    count, rows, width = vss.shape
+    candidates = (vss.reshape(count, rows, -1, 4) @ _UNIT_RIGHT_ACTIONS).reshape(count, rows, -1, 4, 4)
+    candidates = candidates.transpose(1, 3, 0, 2, 4).reshape(-1, count, width)
+    bases = np.zeros((count, min(len(candidates), width), width))
+    sizes = np.zeros(count, int)
     for cand in candidates:
-        norm0 = math.sqrt(cand @ cand)
-        if norm0 <= SPAN_ZERO_REL:
-            continue
-        for b in basis:
-            cand = cand - (b @ cand) * b
-        norm = math.sqrt(cand @ cand)
-        if norm > SPAN_INDEPENDENT_REL * norm0:
-            basis.append(cand / norm)
-    return np.array(basis).reshape(-1, width)
+        norm0 = np.sqrt(_row_dots(cand, cand))
+        for b in bases.swapaxes(0, 1)[:sizes.max()]:
+            cand = cand - _row_dots(b, cand)[:, None] * b
+        norm = np.sqrt(_row_dots(cand, cand))
+        new = np.flatnonzero((norm0 > SPAN_ZERO_REL) & (norm > SPAN_INDEPENDENT_REL * norm0))
+        bases[new, sizes[new]] = cand[new] / norm[new, None]
+        sizes[new] += 1
+    return bases, sizes
 
 
 def _zero_meets_region(zero, region: Region, band: float) -> bool:
@@ -658,6 +685,9 @@ def not_hyperstable_search(p: MatrixPolynomial, region: Region, *,
     a hit: the exact quadratic product-of-roots argument (constant and
     leading coefficient proportional by a factor of modulus <= 1, with the
     region containing the closed unit ball), or exhaustion of all sampled z.
+    The candidates are taken in chunks of 1, 4, 16, ... (at most
+    SWEEP_CHUNK_DOUBLES doubles of probes z a chunk), in order, and the
+    first witness is returned.
     """
     if region.kind not in _SEARCH_KINDS:
         raise ValueError("search supports ball regions and finite sets only")
@@ -666,19 +696,44 @@ def not_hyperstable_search(p: MatrixPolynomial, region: Region, *,
     ys = np.vstack([np.eye(width), _unit_draws(rng, max(0, y_samples), width)])
     actions, coeff_scale = _scaled_actions(p, ys)
     quadratic_certificate = p.degree == 2 and _region_contains_closed_unit_ball(region)
-    for y, vs in zip(ys, actions):
-        vnorm = float(np.linalg.norm(vs, axis=1).max())
+    # A span basis has at most rank = min(4n, 4(m+1)) vectors, and it gives
+    # each vector and its negative, the pairwise sums and RANDOM_PROBES
+    # random combinations as probes z.
+    rank = min(width, 4 * len(p.coeffs))
+    cap = max(1, SWEEP_CHUNK_DOUBLES // ((2 * rank + rank * (rank - 1) // 2 + RANDOM_PROBES) * width))
+    start, size = 0, 1
+    while start < len(ys):
+        hit = _chunk_witness(actions[start:start + size], coeff_scale, quadratic_certificate,
+                             region, rng)
+        if hit is not None:
+            return SearchWitness(vec4_to_qvec(ys[start + hit[0]]), hit[1])
+        start += size
+        size = min(4 * size, cap)
+    return None
+
+
+def _chunk_witness(actions: np.ndarray, coeff_scale: float, quadratic_certificate: bool,
+                   region: Region, rng: np.random.Generator) -> Optional[tuple[int, str]]:
+    """The first witness (row, certificate) of a chunk of candidates y, given
+    their rows vec4(A_i y) as a (Y, m+1, 4n) array, or None.  The exact
+    tests run per y in order up to the first hit; the y before it are then
+    decided by their sampled z, drawing from ``rng`` as they would one by one."""
+    vnorms = np.linalg.norm(actions, axis=2).max(axis=1).tolist()
+    # An exact power-of-two scale moves no zero of any z* P(t) y and puts
+    # max ||A_i y|| in [1/2, 1).
+    vss = actions / np.array([_pow2_near(v) for v in vnorms])[:, None, None]
+    exact = None
+    for row, vnorm in enumerate(vnorms):
         if vnorm <= VANISHING_REL * coeff_scale:
             # P(t) y vanishes identically for every t and z.
-            return SearchWitness(vec4_to_qvec(y), "universal-kernel")
-        # An exact power-of-two scale moves no zero of any z* P(t) y and
-        # puts max ||A_i y|| in [1/2, 1).
-        vs = vs / _pow2_near(vnorm)
-        if quadratic_certificate and _quadratic_product_certificate(vs):
-            return SearchWitness(vec4_to_qvec(y), "quadratic-product-certificate")
-        if _all_sampled_z_fail(vs, region, rng):
-            return SearchWitness(vec4_to_qvec(y), "sampled-z-exhaustion")
-    return None
+            exact = row, "universal-kernel"
+            break
+        if quadratic_certificate and _quadratic_product_certificate(vss[row]):
+            exact = row, "quadratic-product-certificate"
+            break
+    end = len(vnorms) if exact is None else exact[0]
+    sampled = _first_sampled_witness(vss[:end], region, rng) if end else None
+    return exact if sampled is None else (sampled, "sampled-z-exhaustion")
 
 
 def _quadratic_product_certificate(vs: np.ndarray) -> bool:
@@ -699,30 +754,47 @@ def _quadratic_product_certificate(vs: np.ndarray) -> bool:
     return math.hypot(*q) <= 1.0 + PRODUCT_MODULUS_SLACK
 
 
-def _all_sampled_z_fail(vs: np.ndarray, region: Region,
-                        rng: np.random.Generator) -> bool:
-    """Whether every sampled z makes z* P(t) y vanish somewhere in the region;
-    z runs over each span basis vector b and then -b, then (b_a + b_b)/sqrt(2)
-    for a < b, then 48 random unit combinations."""
-    basis = _span_basis(vs)
-    if not len(basis):
-        return True  # no z sees the action at all
-    first, second = np.triu_indices(len(basis), 1)
-    zs = np.vstack([np.stack([basis, -basis], axis=1).reshape(-1, basis.shape[1]),
-                    (basis[first] + basis[second]) / math.sqrt(2.0),
-                    _unit_draws(rng, 48, len(basis)) @ basis])
-    floor = INDUCED_VANISHING_REL * float(np.linalg.norm(vs, axis=1).max())
-    # Every z* A_i y at once, as the conjugates of (A_i y)* z.
-    css = _qinner(vs, zs).swapaxes(0, 1) * _CONJ
-    vanishing, degrees = _trimmed(css, floor)
+def _first_sampled_witness(vss: np.ndarray, region: Region,
+                           rng: np.random.Generator) -> Optional[int]:
+    """The first of a chunk of candidates y, given their scaled rows
+    vec4(A_i y) as a (Y, m+1, 4n) array, for which every sampled z makes
+    z* P(t) y vanish somewhere in the region, or None.  z runs over each
+    span basis vector b and then -b, then (b_a + b_b)/sqrt(2) for a < b,
+    then RANDOM_PROBES random unit combinations.  One product per basis size
+    gives the coefficients z* A_i y of every y of that size."""
+    bases, sizes = _span_bases(vss)
+    # No basis is empty: max ||A_i y|| lies in [1/2, 1) and a unit right
+    # factor keeps norms, so the candidate (A_i y) 1 of that row is far
+    # above SPAN_ZERO_REL, and the first candidate kept always joins.
+    draws = _unit_draws(rng, RANDOM_PROBES, sizes)
+    floors = INDUCED_VANISHING_REL * np.linalg.norm(vss, axis=2).max(axis=1)
+    probes = {}
+    for size in np.unique(sizes).tolist():
+        group = np.flatnonzero(sizes == size)
+        basis = bases[group, :size]
+        first, second = np.triu_indices(size, 1)
+        zs = np.concatenate([np.stack([basis, -basis], axis=2).reshape(len(group), 2 * size, -1),
+                             (basis[:, first] + basis[:, second]) / math.sqrt(2.0),
+                             draws[group, :, :size] @ basis], axis=1)
+        # Every z* A_i y at once, as the conjugates of (A_i y)* z.
+        css = _qinner(vss[group], zs[:, None])
+        css *= _CONJ
+        css = css.swapaxes(1, 2)
+        vanishing, degrees = _trimmed(css, floors[group, None])
+        probes.update(zip(group.tolist(), zip(css, vanishing, degrees)))
     # A vanishing polynomial fails everywhere; one without zeros in the
-    # region (a nonzero constant has none) ends the search for this y.
-    for cs, degree in zip(css[~vanishing], degrees[~vanishing].tolist()):
-        coeffs = [Quaternion(*c) for c in cs[:degree + 1].tolist()]
-        zeros = scalar_zeros(ScalarQPolynomial(coeffs)) if degree else []
-        if not any(_zero_meets_region(zero, region, BOUNDARY_BAND) for zero in zeros):
-            return False
-    return True
+    # region (a nonzero constant has none) ends the search for this y.  The
+    # zeros are found one z at a time, so a y stops at its first such z.
+    for row in range(len(vss)):
+        css, vanishing, degrees = probes[row]
+        for cs, degree in zip(css[~vanishing], degrees[~vanishing].tolist()):
+            coeffs = [Quaternion(*c) for c in cs[:degree + 1].tolist()]
+            zeros = scalar_zeros(ScalarQPolynomial(coeffs)) if degree else []
+            if not any(_zero_meets_region(zero, region, BOUNDARY_BAND) for zero in zeros):
+                break
+        else:
+            return row
+    return None
 
 
 def _block_partition_slices(partition: Sequence[int], n: int) -> list[slice]:

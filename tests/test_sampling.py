@@ -285,3 +285,129 @@ def test_block_draws_equal_the_row_by_row_loop(monkeypatch, floor):
             assert got.shape == (count, length)
             assert np.array_equal(got, _loop_draws(ref, count, length, floor))
             assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# The search takes its candidates in chunks [0], [1, 4], [5, 20], [21, 84],
+# ...  With n = 5 the candidates 0-19 are the canonical e_t u (position
+# 4t + u for u = 1, i, j, k) and 20 on are random.  An exact certificate of
+# e_t u is one of e_t too, since A_i e_t u = (A_i e_t) u, so it lands at
+# position 4t; only a sampled one can be planted at e_t i.
+BOUNDARY_N, BOUNDARY_Y_SAMPLES, BOUNDARY_SEED = 5, 4, 17
+EIGENVALUE = Quaternion(0.3, 0.0, 0.5, 0.0)  # i EIGENVALUE / i = 0.3 - 0.5j
+PRODUCT_FACTOR = Quaternion(0.3, 0.2, -0.4, 0.1)
+
+
+def _ref_candidates(n, y_samples, seed):
+    rng = np.random.default_rng(seed)
+    canonical = [qvec([u if s == t else Quaternion.ZERO for s in range(n)])
+                 for t in range(n) for u in UNITS]
+    return canonical + [_ref_unit_qvec(rng, n) for _ in range(y_samples)]
+
+
+def _planted(coeffs, x, certificate):
+    """Coefficients changed on the unit vector x alone so that x backs
+    ``certificate``: x in the kernel of every A_i (for a canonical x, a
+    zeroed column), A_0 x = (A_2 x) PRODUCT_FACTOR, or x a right eigenvector
+    for EIGENVALUE, so that every z* P(t) x vanishes there."""
+    coeffs = list(coeffs)
+    x_adj = x.adjoint()
+    if certificate == "universal-kernel":
+        return [a - (a @ x) @ x_adj for a in coeffs]
+    if certificate == "quadratic-product-certificate":
+        target = (coeffs[2] @ x).scale_right(PRODUCT_FACTOR)
+    else:
+        target, power = QuaternionMatrix.zeros(len(coeffs[0].a1), 1), Quaternion.ONE
+        for a in coeffs[1:]:
+            power = power * EIGENVALUE
+            target = target - (a @ x).scale_right(power)
+    coeffs[0] = coeffs[0] + (target - coeffs[0] @ x) @ x_adj
+    return coeffs
+
+
+def _boundary_case(plants, region, seed):
+    """A random quadratic with A_0 made large, so that no unplanted
+    candidate is a witness, and ``plants`` as (certificate, position)."""
+    rng = np.random.default_rng(seed)
+    base = random_polynomial(rng, BOUNDARY_N, 2)
+    coeffs = [base.coeffs[0] * 8.0, *base.coeffs[1:]]
+    ys = _ref_candidates(BOUNDARY_N, BOUNDARY_Y_SAMPLES, BOUNDARY_SEED)
+    for certificate, position in plants:
+        coeffs = _planted(coeffs, ys[position], certificate)
+    p = MatrixPolynomial(coeffs)
+    got = not_hyperstable_search(p, region, y_samples=BOUNDARY_Y_SAMPLES, seed=BOUNDARY_SEED)
+    _assert_same_hit(got, ref_search(p, region, BOUNDARY_Y_SAMPLES, BOUNDARY_SEED))
+    return got, ys
+
+
+UNIT_BALL = Region.closed_ball(Quaternion.ZERO, 1.0)
+AT_EIGENVALUE = Region.finite_set([EIGENVALUE])
+BOUNDARY_CASES = ([("universal-kernel", position) for position in (0, 4, 20, 21)]
+                  + [("quadratic-product-certificate", position) for position in (0, 4, 20, 21)]
+                  + [("sampled-z-exhaustion", position) for position in (0, 1, 4, 5, 20, 21)])
+
+
+@pytest.mark.parametrize("certificate,position", BOUNDARY_CASES)
+def test_search_finds_witnesses_on_both_sides_of_each_chunk_boundary(certificate, position):
+    region = UNIT_BALL if certificate == "quadratic-product-certificate" else AT_EIGENVALUE
+    got, ys = _boundary_case([(certificate, position)], region, 8300 + position)
+    assert got.certificate == certificate
+    assert np.array_equal(vec4(got.vector), vec4(ys[position]))
+
+
+@pytest.mark.parametrize("sampled,certificate,exact,region", [
+    (1, "universal-kernel", 4, AT_EIGENVALUE),
+    (8, "quadratic-product-certificate", 12, UNIT_BALL),
+], ids=["kernel", "quadratic"])
+def test_an_earlier_sampled_witness_beats_a_later_exact_one_in_its_chunk(sampled, certificate,
+                                                                         exact, region):
+    # The exact test of the later candidate fires first within the chunk, but
+    # the earlier candidate, decided by its sampled z, is the witness.
+    plants = [("sampled-z-exhaustion", sampled), (certificate, exact)]
+    got, ys = _boundary_case(plants, region, 8400 + sampled)
+    assert got.certificate == "sampled-z-exhaustion"
+    assert np.array_equal(vec4(got.vector), vec4(ys[sampled]))
+    alone, _ = _boundary_case(plants[1:], region, 8400 + sampled)
+    assert (alone.certificate, alone.vector.allclose(ys[exact])) == (certificate, True)
+
+
+def _span_stacks(rng):
+    """(Y, m+1, 4n) stacks of rows vec4(A_i y): full rank, a repeated row,
+    a row in the right span of another, zero rows, an all-zero stack, at
+    scales 1e-3 to 1e3."""
+    n, m = 4, 3
+    stacks = rng.standard_normal((12, m + 1, 4 * n))
+    stacks[1, 2] = stacks[1, 0]
+    stacks[2, 3] = vec4(vec4_to_qvec(stacks[2, 1]).scale_right(Quaternion.I))
+    stacks[3, 1:] = 0.0
+    stacks[4, 0] = 0.0
+    stacks[5] = 0.0
+    stacks[6, :, 4:8] = 0.0
+    stacks[7, 3] = stacks[7, 0] * 2.0 - stacks[7, 1]
+    return stacks * 10.0 ** rng.integers(-3, 4, size=(12, 1, 1))
+
+
+def test_batched_span_bases_equal_the_per_stack_gram_schmidt():
+    for seed in range(5):
+        stacks = _span_stacks(np.random.default_rng(8500 + seed))
+        bases, sizes = stability._span_bases(stacks)
+        assert bases.shape[:2] == (len(stacks), min(4 * stacks.shape[1], stacks.shape[2]))
+        for basis, size, stack in zip(bases, sizes.tolist(), stacks):
+            want = _ref_span_basis([vec4_to_qvec(row) for row in stack])
+            assert size == len(want)
+            assert np.array_equal(basis[:size], np.array(want).reshape(size, stacks.shape[2]))
+            assert not basis[size:].any()
+
+
+@pytest.mark.parametrize("floor", [DRAW_NORM_MIN, 1.0], ids=["block", "forced-rejection"])
+def test_draws_of_many_lengths_equal_consecutive_calls(monkeypatch, floor):
+    monkeypatch.setattr(stability, "DRAW_NORM_MIN", floor)
+    for count, lengths in [(48, [3]), (48, [1, 2, 12]), (48, [16, 16, 7, 16]), (5, [2, 1, 2]),
+                           (0, [4, 8]), (3, [])]:
+        for seed in range(10):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = stability._unit_draws(rng, count, np.array(lengths, int))
+            assert got.shape == (len(lengths), count, max(lengths, default=0))
+            for rows, length in zip(got, lengths):
+                assert np.array_equal(rows[:, :length], _loop_draws(ref, count, length, floor))
+                assert not rows[:, length:].any()
+            assert rng.bit_generator.state == ref.bit_generator.state
