@@ -127,10 +127,6 @@ class QuaternionMatrix:
     def entry(self, i: int, j: int) -> Quaternion:
         return Quaternion.from_complex_pair(self.a1[i, j], self.a2[i, j])
 
-    def to_rows(self) -> list[list[Quaternion]]:
-        return [[self.entry(i, j) for j in range(self.n_cols)]
-                for i in range(self.n_rows)]
-
     def copy(self) -> "QuaternionMatrix":
         return QuaternionMatrix(self.a1.copy(), self.a2.copy())
 

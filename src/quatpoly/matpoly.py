@@ -7,8 +7,8 @@ Three independent routes to the same eigenvalues are kept side by side:
 
 * companion linearization plus the complex lift (the fast path),
 * the realified 4n x 4n singularity oracle (the exact brute-force check),
-  which is the one-letter case of the realified sweep that finite sets,
-  sample grids and multivariate tuples share,
+  which is the one-letter case of the realified sweep that stability
+  verdicts and multivariate tuples share,
 * for 1 x 1 polynomials, the real characteristic polynomial of degree 2m.
 """
 

@@ -33,7 +33,6 @@ from .linalg import (
     QuaternionMatrix,
     _pow2_near,
     inverse,
-    qvec,
     real_rep_left,
     spectral_norm,
     vec4_to_qvec,
@@ -43,8 +42,6 @@ from .matpoly import (
     SWEEP_CHUNK_DOUBLES,
     MatrixPolynomial,
     ScalarQPolynomial,
-    eigenvector_at,
-    is_eigenvalue_oracle,
     polyeig,
     realified_sweep,
     scalar_zeros,
@@ -59,7 +56,7 @@ from .quaternion import (
     left_action_matrix,
     right_action_matrices,
 )
-from .tolerances import (BISECTION_WIDTH, BOUNDARY_BAND, DEGREE_TRIM_REL, DRAW_NORM_MIN,
+from .tolerances import (BOUNDARY_BAND, DEGREE_TRIM_REL, DRAW_NORM_MIN,
                          FINITE_SET_REL, IDENTITY_ABS, INDUCED_VANISHING_REL, INV_FLOOR,
                          PRODUCT_MODULUS_SLACK, PROPORTIONAL_REL, ROOT_RESIDUAL_REL,
                          SPAN_INDEPENDENT_REL, SPAN_ZERO_REL, STRUCTURE_REL,
@@ -160,9 +157,13 @@ class HyperStatus(str, Enum):
 
 @dataclass
 class StabilityVerdict:
+    """``witness`` is a point of the region where the realified oracle found
+    P singular and ``vector`` a unit kernel vector there (NOT_STABLE only)."""
+
     status: StabilityStatus
     certificate: str
     witness: Optional[Quaternion] = None
+    vector: Optional[QuaternionMatrix] = None
 
 
 @dataclass
@@ -244,12 +245,10 @@ def region_sample_grid(region: Region, count: int) -> list[Quaternion]:
 
 
 def _orthogonal_imaginary(direction: Quaternion) -> Quaternion:
-    """A unit pure-imaginary quaternion orthogonal to the given vector part."""
+    """A unit pure-imaginary quaternion orthogonal to the given nonzero
+    vector part."""
     v = np.array([direction.x, direction.y, direction.z])
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return Quaternion.J
-    v /= nv
+    v /= np.linalg.norm(v)
     pick = int(np.argmin(np.abs(v)))
     w = np.eye(3)[pick] - v[pick] * v
     w /= np.linalg.norm(w)
@@ -258,13 +257,10 @@ def _orthogonal_imaginary(direction: Quaternion) -> Quaternion:
 
 def _class_point_at_distance(e: StandardEigenvalue, center: Quaternion,
                              target: float) -> Quaternion:
-    """A point of the class of e at (approximately) the target distance
-    from the center; exact whenever the target is attainable."""
+    """A point of the class of e (e.im > 0) at (approximately) the target
+    distance from a center with a nonzero vector part; exact whenever the
+    target is attainable."""
     v = center.vec_norm()
-    if e.im == 0.0:
-        return Quaternion(e.re)
-    if v == 0.0:
-        return class_point(e, Quaternion.I)
     u_hat = Quaternion(0.0, center.x / v, center.y / v, center.z / v)
     gap = e.re - center.w
     cos_t = (e.im ** 2 + v ** 2 + gap ** 2 - target ** 2) / (2.0 * e.im * v)
@@ -278,6 +274,25 @@ def _class_point_at_distance(e: StandardEigenvalue, center: Quaternion,
     return class_point(e, direction)
 
 
+def _class_witness(e: StandardEigenvalue, region: Region, dmin: float,
+                   dmax: float) -> Quaternion:
+    """A point of the class of e inside the region: the nearest point to the
+    center for a ball, the farthest for its complement (both aligned with
+    the center's vector part, so exact), and for an annulus the point at the
+    middle of the distances the class and the annulus share."""
+    center = region.center
+    if e.im == 0.0:
+        return Quaternion(e.re)
+    if center.vec_norm() == 0.0:
+        return class_point(e, Quaternion.I)
+    if region.kind in _BALL_KINDS:
+        return class_point(e, center)
+    if region.kind is RegionKind.COMPLEMENT_CLOSED_BALL:
+        return class_point(e, -center)
+    target = 0.5 * (max(dmin, region.inner_radius) + min(dmax, region.outer_radius))
+    return _class_point_at_distance(e, center, target)
+
+
 def _class_region_relation(e: StandardEigenvalue, region: Region,
                            band: float) -> tuple[str, Optional[Quaternion]]:
     """Whether the class sphere of e meets the region.
@@ -289,13 +304,7 @@ def _class_region_relation(e: StandardEigenvalue, region: Region,
     dmin, dmax = class_distance_extremes(e, region.center)
     margin = region.margin(dmin, dmax)
     if margin > band:
-        if region.kind in _BALL_KINDS:
-            target = dmin
-        elif region.kind is RegionKind.COMPLEMENT_CLOSED_BALL:
-            target = dmax
-        else:
-            target = 0.5 * (max(dmin, region.inner_radius) + min(dmax, region.outer_radius))
-        return "inside", _class_point_at_distance(e, region.center, target)
+        return "inside", _class_witness(e, region, dmin, dmax)
     if margin < -band:
         return "outside", None
     return "boundary", None
@@ -310,54 +319,39 @@ def check_stability(p: MatrixPolynomial, region: Region, *,
                     band: float = BOUNDARY_BAND, samples: int = 500) -> StabilityVerdict:
     """Decide whether P has no right eigenvalue in the region.
 
-    Finite sets are decided pointwise by the realified oracle.  For ball,
-    complement and annulus regions the full spectrum is computed through the
-    companion linearization and each similarity class is compared against
-    the region geometry exactly; polynomials with a singular leading
-    coefficient fall back to deterministic oracle sampling, which can refute
-    stability but never certify it.
+    First the points to confirm are collected: a finite set's own points;
+    for ball, complement and annulus regions, one witness point of each
+    similarity class of the companion spectrum that meets the region, in
+    spectrum order, each class compared against the region geometry
+    exactly; and, when the leading coefficient is singular, a deterministic
+    sample grid of the region, which can refute stability but never
+    certify it.  One realified sweep then decides them all.  NOT_STABLE
+    carries the first singular point and the sweep's unit kernel vector
+    there.  A spectrum class inside the region that the oracle does not
+    confirm, or one within the dead band of the boundary, gives UNKNOWN.
     """
-    if region.kind is RegionKind.FINITE_SET:
-        status, tup, _ = realified_sweep(p.terms, ((q,) for q in region.points))
-        if status == "singular":
-            return StabilityVerdict(StabilityStatus.NOT_STABLE,
-                                    "pointwise-oracle", tup[0])
-        if status == "unknown":
-            return StabilityVerdict(StabilityStatus.UNKNOWN,
-                                    "pointwise-oracle-deadband")
-        return StabilityVerdict(StabilityStatus.STABLE, "pointwise-oracle")
-
-    try:
-        spectrum = polyeig(p)
-    except SingularLeadingCoefficientError:
-        return _sampled_stability(p, region, samples)
-
     boundary_seen = False
-    for ev in spectrum:
-        relation, witness = _class_region_relation(ev, region, band)
-        if relation == "inside":
-            confirmed = is_eigenvalue_oracle(p, witness)
-            if confirmed is True:
-                return StabilityVerdict(StabilityStatus.NOT_STABLE,
-                                        "spectrum-class-geometry", witness)
-            # Eigenvalue noise pushed the witness into the oracle dead band.
-            boundary_seen = True
-        elif relation == "boundary":
-            boundary_seen = True
-    if boundary_seen:
-        return StabilityVerdict(StabilityStatus.UNKNOWN,
-                                "spectrum-class-geometry-deadband")
-    return StabilityVerdict(StabilityStatus.STABLE, "spectrum-class-geometry")
-
-
-def _sampled_stability(p: MatrixPolynomial, region: Region,
-                       samples: int) -> StabilityVerdict:
-    grid = region_sample_grid(region, samples)
-    status, tup, _ = realified_sweep(p.terms, ((q,) for q in grid))
+    if region.kind is RegionKind.FINITE_SET:
+        points, route = region.points, "pointwise-oracle"
+    else:
+        try:
+            spectrum = polyeig(p)
+        except SingularLeadingCoefficientError:
+            points, route = region_sample_grid(region, samples), "oracle-sampling"
+        else:
+            relations = [_class_region_relation(ev, region, band) for ev in spectrum]
+            points = [witness for relation, witness in relations if relation == "inside"]
+            boundary_seen = any(relation != "outside" for relation, _ in relations)
+            route = "spectrum-class-geometry"
+    status, tup, vector = (realified_sweep(p.terms, ((q,) for q in points)) if points
+                           else ("nonsingular", None, None))
     if status == "singular":
-        return StabilityVerdict(StabilityStatus.NOT_STABLE, "oracle-sampling", tup[0])
-    return StabilityVerdict(StabilityStatus.UNKNOWN,
-                            "oracle-sampling-inconclusive")
+        return StabilityVerdict(StabilityStatus.NOT_STABLE, route, tup[0], vector)
+    if route == "oracle-sampling":
+        return StabilityVerdict(StabilityStatus.UNKNOWN, "oracle-sampling-inconclusive")
+    if boundary_seen or status == "unknown":
+        return StabilityVerdict(StabilityStatus.UNKNOWN, route + "-deadband")
+    return StabilityVerdict(StabilityStatus.STABLE, route)
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +376,9 @@ def unique_positive_root(coeffs: Sequence[float]) -> float:
     sequence has exactly one sign change.
 
     Bisects over exponents k for 2^(k-1) < z <= 2^k and substitutes z = 2^k t,
-    which is exact; bisects t in [1/2, 1] to width BISECTION_WIDTH and
-    polishes with a few Newton steps.  A root that fails its residual check
-    or is no positive finite float raises NoConvergenceError.
+    which is exact; bisects t in [1/2, 1] until the bracket is two adjacent
+    doubles and keeps the one with the smaller |f|.  A root that fails its
+    residual check or is no positive finite float raises NoConvergenceError.
     """
     coeffs = [float(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0.0:
@@ -414,40 +408,13 @@ def unique_positive_root(coeffs: Sequence[float]) -> float:
             acc = acc * z + c
         return acc
 
-    def fprime(z: float) -> float:
-        acc = 0.0
-        for i in range(len(coeffs) - 1, 0, -1):
-            acc = acc * z + i * coeffs[i]
-        return acc
-
     lo, hi = 0.5, 1.0
-    for _ in range(300):
-        if hi - lo <= BISECTION_WIDTH:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm < 0) == sign0:
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if (f(mid) < 0) == sign0:
             lo = mid
         else:
             hi = mid
-    root = 0.5 * (lo + hi)
-    froot = f(root)
-    for _ in range(3):
-        d = fprime(root)
-        if d == 0.0 or froot == 0.0:
-            break
-        cand = root - froot / d
-        if cand <= 0.0 or not math.isfinite(cand):
-            break
-        fcand = f(cand)
-        if abs(fcand) >= abs(froot):
-            break
-        root, froot = cand, fcand
+    root = min(lo, hi, key=lambda t: abs(f(t)))
     scale = sum(abs(c) * root ** i for i, c in enumerate(coeffs))
     if abs(f(root)) > ROOT_RESIDUAL_REL * scale:
         raise NoConvergenceError("positive root failed its residual check")
@@ -874,11 +841,8 @@ def _equivalence_verdict(p: MatrixPolynomial, region: Region, band: float,
     if stab.status is StabilityStatus.STABLE:
         return HyperVerdict(HyperStatus.HYPERSTABLE, certificate)
     if stab.status is StabilityStatus.NOT_STABLE:
-        witness = eigenvector_at(p, stab.witness)
-        if witness is None and p.size == 1:
-            witness = qvec([Quaternion.ONE])
         return HyperVerdict(HyperStatus.NOT_HYPERSTABLE_SAMPLED, certificate,
-                            witness=witness,
+                            witness=stab.vector,
                             details={"witness_eigenvalue": stab.witness})
     return HyperVerdict(HyperStatus.UNKNOWN, certificate + "-inconclusive")
 

@@ -15,7 +15,6 @@ POLYEIG_RESIDUAL_REL = 1e-7  # largest relative action residual of an eigenpair
 BLOCK_NORM_REL = 1e-8  # companion-vector blocks below this times the largest are skipped
 INVERSE_ITERATION_REL = 1e-10  # residual that ends inverse iteration, times max(||M||_F, 1)
 ROOT_RESIDUAL_REL = 1e-10  # residual of a norm-polynomial root, times sum |c_i| r^i
-BISECTION_WIDTH = 1e-12  # bracket width that ends the root bisection, times the root's binade
 
 # Zeros of scalar quaternion polynomials.
 IDENTITY_ABS = 1e-12  # a coefficient equals the identity (monic, identity leading)

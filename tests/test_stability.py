@@ -529,3 +529,84 @@ def test_huge_realified_action_is_decided():
         for point in (Quaternion(-1.0), Quaternion(0.0, 0.6, 0.0, 0.8)):
             verdict = check_stability(p, Region.finite_set([point]))
             assert verdict.status is StabilityStatus.NOT_STABLE
+
+
+# -- one realified sweep per verdict ---------------------------------------------
+
+
+def test_not_stable_verdicts_carry_the_kernel_vector_at_their_witness():
+    # The finite-set, spectrum and sampled routes all end in one sweep; the
+    # vector it returns is the kernel vector of the realified action at the
+    # witness, whichever chunk of the sweep held it.
+    from quatpoly import eigenvector_at
+
+    rng = np.random.default_rng(46)
+    cases = []
+    for trial in range(12):
+        p = random_polynomial(rng, 1 + trial % 3, 1 + trial % 2, invertible_ends=True)
+        points = [random_quaternion(rng, scale=1.5) for _ in range(7)]
+        evs = polyeig(p)
+        points.insert((0, 1, 3, 6)[trial % 4], evs[trial % len(evs)].lift())
+        cases += [(p, Region.finite_set(points)),
+                  (p, Region.closed_ball(random_quaternion(rng), 2.0)),
+                  (p, Region.complement_closed_ball(random_quaternion(rng), 0.5)),
+                  (p, Region.annulus(Quaternion(0), 0.5, 2.0))]
+    # A vanishing first row makes every quaternion an eigenvalue, and its
+    # singular leading coefficient sends the verdict to the sample grid.
+    everywhere = MatrixPolynomial([QuaternionMatrix.diagonal([Quaternion(0), ONE])] * 2)
+    cases.append((everywhere, Region.closed_ball(Quaternion(0), 1.0)))
+    certificates = set()
+    for p, region in cases:
+        verdict = check_stability(p, region, samples=60)
+        if verdict.status is StabilityStatus.NOT_STABLE:
+            certificates.add(verdict.certificate)
+            direct = eigenvector_at(p, verdict.witness)
+            assert np.array_equal(verdict.vector.a1, direct.a1)
+            assert np.array_equal(verdict.vector.a2, direct.a2)
+        else:
+            assert verdict.vector is None
+    assert certificates == {"pointwise-oracle", "spectrum-class-geometry", "oracle-sampling"}
+
+
+def test_scalar_equivalence_verdict_makes_one_realified_sweep(monkeypatch):
+    # The equivalence rung takes its witness vector from the stability
+    # verdict's own sweep rather than sweeping the same point again.
+    from quatpoly import matpoly, stability
+
+    calls = []
+
+    def counting(original):
+        def sweep(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        return sweep
+
+    for module in (matpoly, stability):
+        monkeypatch.setattr(module, "realified_sweep", counting(module.realified_sweep))
+    p = ScalarQPolynomial([Quaternion(-2.0), Quaternion(0.0), ONE]).as_matrix_polynomial()
+    verdict = check_hyperstability(p, Region.closed_ball(Quaternion(0), 2.0))
+    assert (verdict.status, verdict.certificate) == (HyperStatus.NOT_HYPERSTABLE_SAMPLED,
+                                                     "scalar-equivalence")
+    assert len(calls) == 1
+
+
+def test_ball_and_complement_witnesses_are_the_aligned_class_points():
+    # A class sphere is nearest to a center along the center's vector part
+    # and farthest against it.  Solving for the angle from the distances
+    # instead meets cos t = +-1 exactly there, where rounding leaves
+    # sin t ~ sqrt(eps) and turns the witness by about 1e-8.
+    from quatpoly.quaternion import StandardEigenvalue
+    from quatpoly.stability import BOUNDARY_BAND, _class_region_relation
+
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        e = StandardEigenvalue(rng.standard_normal(), abs(rng.standard_normal()) + 0.1)
+        center = random_quaternion(rng)
+        axis = np.array([center.x, center.y, center.z]) / center.vec_norm()
+        for region, sign in ((Region.closed_ball(center, 10.0), 1.0),
+                             (Region.complement_closed_ball(center, 1e-3), -1.0)):
+            relation, witness = _class_region_relation(e, region, BOUNDARY_BAND)
+            assert relation == "inside"
+            assert witness.w == e.re
+            turn = np.array([witness.x, witness.y, witness.z]) - sign * e.im * axis
+            assert np.linalg.norm(turn) <= 1e-15 * e.im
