@@ -1,16 +1,16 @@
 """Dense kernels behind one seam, backed by LAPACK through numpy.
 
 Eigenvalues, with or without eigenvectors, of one matrix or of every matrix
-of a (..., n, n) stack come from one batched ``zgeev`` call, the spectral
-norm from ``zgesdd``, the singular values (and on request the right
-singular vectors) of a stack of real or complex matrices from one batched
-``dgesdd`` or ``zgesdd`` call, inverses from ``gesv``; every
-``LinAlgError`` is reported as NoConvergenceError.  Two LU kernels stay in
-Python because they need the pivots LAPACK does not expose: one with a pivot
-threshold (the package-wide invertibility test) and one with a pivot floor
-(shifted inverse iteration against a matrix that is singular by design).
-``tests/_qr_reference.py`` holds the plain QR eigensolver LAPACK is checked
-against.  Everything is deterministic for a fixed input.
+of a (..., n, n) stack come from one batched ``zgeev`` call, the singular
+values (and on request the right singular vectors) of a stack of real or
+complex matrices from one batched ``dgesdd`` or ``zgesdd`` call, inverses
+from ``gesv``; every ``LinAlgError`` is reported as NoConvergenceError.
+Spectral norms and the package-wide invertibility test are read off
+``singular_values`` (``linalg.lift_singular_values``).  One LU kernel with a
+pivot floor stays in Python for shifted inverse iteration against a matrix
+that is singular by design; no command calls it.  ``tests/_qr_reference.py``
+holds the plain QR eigensolver LAPACK is checked against.  Everything is
+deterministic for a fixed input.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import NoConvergenceError, NonSquareError, SingularMatrixError
+from .errors import NoConvergenceError, NonSquareError
 from .tolerances import INVERSE_ITERATION_REL, SCALE_FLOOR
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -74,16 +74,6 @@ def eig_complex(matrix, *, vectors: bool = False):
     return np.take_along_axis(vals, order, axis=-1)
 
 
-def norm2(matrix) -> float:
-    """Largest singular value of a dense complex matrix, any shape."""
-    a = np.array(matrix, dtype=np.complex128)
-    if a.size == 0:
-        return 0.0
-    a = _checked(a)
-    with _lapack("singular value decomposition"):
-        return float(np.linalg.norm(a, 2))
-
-
 def singular_values(stack, *, vectors: bool = False):
     """Descending singular values of every matrix in a real or complex (..., m, n) stack.
 
@@ -99,13 +89,11 @@ def singular_values(stack, *, vectors: bool = False):
         return np.linalg.svd(a, compute_uv=False)
 
 
-def lu_factor(a: np.ndarray, *, min_pivot: float = 0.0,
-              pivot_floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def lu_factor(a: np.ndarray, *, pivot_floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """LU with partial pivoting.
 
-    ``min_pivot`` > 0 raises SingularMatrixError on any smaller pivot;
-    ``pivot_floor`` > 0 instead replaces tiny pivots (used by inverse
-    iteration where the shifted matrix is singular by design).
+    ``pivot_floor`` > 0 replaces smaller pivots (used by inverse iteration,
+    where the shifted matrix is singular by design).
     """
     lu = np.array(a, dtype=np.complex128)
     n = lu.shape[0]
@@ -116,14 +104,10 @@ def lu_factor(a: np.ndarray, *, min_pivot: float = 0.0,
             lu[[k, p], :] = lu[[p, k], :]
             piv[[k, p]] = piv[[p, k]]
         pivot = lu[k, k]
-        if pivot_floor > 0.0:
-            if abs(pivot) < pivot_floor:
-                phase = 1.0 if pivot == 0 else pivot / abs(pivot)
-                pivot = pivot_floor * phase
-                lu[k, k] = pivot
-        elif abs(pivot) <= min_pivot:
-            raise SingularMatrixError(
-                f"pivot magnitude {abs(pivot):.3e} at step {k} is below threshold {min_pivot:.3e}")
+        if abs(pivot) < pivot_floor:
+            phase = 1.0 if pivot == 0 else pivot / abs(pivot)
+            pivot = pivot_floor * phase
+            lu[k, k] = pivot
         if k + 1 < n:
             lu[k + 1:, k] /= pivot
             lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
@@ -140,14 +124,9 @@ def lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def inverse_complex(a: np.ndarray, min_pivot: float) -> np.ndarray:
-    """Dense inverse; SingularMatrixError when an LU pivot is below ``min_pivot``.
-
-    The pivot test runs on the in-repo LU; the inverse itself is one LAPACK
-    solve.
-    """
+def inverse_complex(a: np.ndarray) -> np.ndarray:
+    """Dense inverse from one LAPACK solve; invertibility is the caller's test."""
     a = _as_square(a)
-    lu_factor(a, min_pivot=min_pivot)
     with _lapack("solve"):
         return np.linalg.inv(a)
 

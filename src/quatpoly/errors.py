@@ -26,7 +26,7 @@ class PairingFailureError(QuatPolyError):
 
 
 class SingularMatrixError(QuatPolyError):
-    """Matrix is singular at the configured pivot threshold."""
+    """Matrix is singular by the invertibility test on the singular values of its lift."""
 
 
 class SingularLeadingCoefficientError(QuatPolyError):

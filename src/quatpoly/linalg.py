@@ -18,8 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .eigensolver import eig_complex, inverse_complex, norm2, singular_values
-from .errors import NonSquareError, PairingFailureError
+from .eigensolver import eig_complex, inverse_complex, singular_values
+from .errors import NonSquareError, PairingFailureError, SingularMatrixError
 from .quaternion import (
     Quaternion,
     StandardEigenvalue,
@@ -454,7 +454,10 @@ def _relative_actions(z: np.ndarray, lifts: np.ndarray, norms: np.ndarray) -> np
     """W(mu) = sum_i lifts[i] mu^i over its scale sum_i norms[i] |mu|^i, for each mu of z,
     both in units of the power of two below the largest norm (exact, and no
     underflow of tiny scales) and, for |mu| > 1, divided by mu^m so that no
-    power exceeds 1.  A zero scale means a zero action."""
+    power exceeds 1.  A scale below 1/2 and its W(mu) are scaled up by a power
+    of two of their own (exact): numpy divides a complex array by the
+    reciprocal of a real, which a subnormal scale would overflow.  A zero
+    scale means a zero action."""
     unit = math.ldexp(1.0, math.frexp(norms.max())[1] - 1)
     big = np.abs(z) > 1.0
     z = z.astype(complex)
@@ -462,7 +465,10 @@ def _relative_actions(z: np.ndarray, lifts: np.ndarray, norms: np.ndarray) -> np
     powers = z[:, None] ** np.arange(len(norms))
     powers[big] = powers[big, ::-1]
     weights = np.abs(powers) @ (norms / unit)
-    return np.tensordot(powers, lifts / unit, axes=1) / np.where(weights > 0.0, weights, 1.0)[:, None, None]
+    shift = -np.minimum(np.frexp(weights)[1], 0)
+    w = np.ldexp(np.tensordot(powers, lifts / unit, axes=1).view(np.float64), shift[:, None, None])
+    weights = np.ldexp(weights, shift)
+    return w.view(complex) / np.where(weights > 0.0, weights, 1.0)[:, None, None]
 
 
 def _standard_eigenvalues(vals, lifts, norms) -> list[StandardEigenvalue]:
@@ -501,21 +507,33 @@ def right_eigenvalues(a: QuaternionMatrix) -> list[StandardEigenvalue]:
     return _standard_eigenvalues(eig_complex(chi), lifts, np.array([spectral_norm(a), 1.0]))
 
 
+def lift_singular_values(matrices: Sequence[QuaternionMatrix]) -> np.ndarray:
+    """Descending singular values of the lift of each same-shape matrix, a row
+    each from one batched SVD: ||A_b||_2 first and 1 / ||A_b^-1||_2 last."""
+    return singular_values(np.array([_lift(a) for a in matrices]))
+
+
+def invertible(sigma: np.ndarray):
+    """The invertibility test on rows of ``lift_singular_values``:
+    sigma_min > INVERTIBILITY_REL * sigma_max, elementwise over leading axes."""
+    return sigma[..., -1] > INVERTIBILITY_REL * sigma[..., 0]
+
+
 def spectral_norm(a: QuaternionMatrix) -> float:
-    """Largest singular value: the LAPACK 2-norm of the complex lift."""
-    return norm2(_lift(a))
+    """Largest singular value: sigma_max of the complex lift."""
+    return float(lift_singular_values([a])[0, 0])
 
 
 def inverse(a: QuaternionMatrix) -> QuaternionMatrix:
-    """Inverse on the complex lift.
+    """Inverse on the complex lift, one LAPACK solve.
 
-    Raises SingularMatrixError when an LU pivot falls below
-    INVERTIBILITY_REL times the lift's Frobenius norm; this same threshold
-    is the package-wide invertibility test.
+    Raises SingularMatrixError when ``invertible`` refuses the lift's
+    singular values.
     """
     if a.n_rows != a.n_cols:
         raise NonSquareError("inverse is defined for square matrices")
-    chi = complex_adjoint(a)
-    tol = INVERTIBILITY_REL * math.sqrt(2.0) * a.frobenius_norm()
-    inv_chi = inverse_complex(chi, min_pivot=tol)
-    return from_complex_adjoint_blocks(inv_chi, a.n_rows)
+    sigma = lift_singular_values([a])[0]
+    if not invertible(sigma):
+        raise SingularMatrixError(f"least singular value {sigma[-1]:.3e} of the lift is not above "
+                                  f"{INVERTIBILITY_REL:g} times its largest, {sigma[0]:.3e}")
+    return from_complex_adjoint_blocks(inverse_complex(complex_adjoint(a)), a.n_rows)

@@ -31,28 +31,28 @@ from .errors import (
     ZeroLeadingError,
 )
 from .linalg import (
+    _UNIT_LEFT_ACTIONS,
     QuaternionMatrix,
-    _lift,
     _pow2_near,
     _relative_actions,
     _standard_classes,
     _standard_eigenvalues,
     complex_adjoint,
     inverse,
+    invertible,
+    lift_singular_values,
     qvec,
     rank_decisions,
     real_rep_left,
-    spectral_norm,
     vec4_to_qvec,
 )
-from .quaternion import Quaternion, StandardEigenvalue, left_action_matrix, right_action_matrices
+from .quaternion import Quaternion, StandardEigenvalue, right_action_matrices
 from .tolerances import BLOCK_NORM_REL, IDENTITY_ABS, POLYEIG_RESIDUAL_REL, SLOPE_REL, SPHERE_REL
 
 # Components of conj(q) are _CONJ * q, and (q @ _RIGHT_UNITS).reshape(4, 4)
-# is the right action matrix of q, linear in q; _LEFT_UNITS the same for the left.
+# is the right action matrix of q, linear in q.
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 _RIGHT_UNITS = right_action_matrices(np.eye(4)).reshape(4, 16)
-_LEFT_UNITS = np.stack([left_action_matrix(Quaternion(*e)) for e in np.eye(4)]).reshape(4, 16)
 
 # A chunk of operators in the realified sweep holds at most this many doubles.
 SWEEP_CHUNK_DOUBLES = 2 ** 16
@@ -169,15 +169,13 @@ def polyeig_with_residuals(p: MatrixPolynomial) -> list[tuple[StandardEigenvalue
     LAA 309, 2000; Higham, Li and Tisseur, SIMAX 29, 2007).  Anything not
     at or below POLYEIG_RESIDUAL_REL raises ResidualFailureError.
     """
+    sigma = lift_singular_values(p.coeffs)
     if p.degree == 0:
-        try:
-            inverse(p.coeffs[0])
-        except SingularMatrixError as exc:
-            raise SingularLeadingCoefficientError(
-                "degree-zero polynomial with singular coefficient") from exc
+        if not invertible(sigma[0]):
+            raise SingularLeadingCoefficientError("degree-zero polynomial with singular coefficient")
         return []
     n, m = p.size, p.degree
-    norms = np.array([spectral_norm(a) for a in p.coeffs])
+    norms = sigma[:, 0]
     lifts = np.array([complex_adjoint(a) for a in p.coeffs])
     vals, vecs = eig_complex(complex_adjoint(companion(p)), vectors=True)
     evs = _standard_eigenvalues(vals, lifts, norms)
@@ -290,7 +288,7 @@ def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
     # One exact power-of-two scale keeps the operators finite; no rank decision moves.
     scale = _pow2_near(max(a.max_entry_modulus() for _, a in terms))
     lefts = [(word, (real_rep_left(a) / scale).reshape(4 * n, n, 4)) for word, a in terms]
-    norms = singular_values(np.array([_lift(a) for _, a in terms]))[:, 0] / scale
+    norms = lift_singular_values([a for _, a in terms])[:, 0] / scale
     cap = max(1, SWEEP_CHUNK_DOUBLES // (4 * n) ** 2)
     tuples = iter(tuples)
     undecided = False
@@ -446,7 +444,7 @@ def stacked_zeros(a: np.ndarray) -> tuple[np.ndarray, ...]:
     big = np.abs(a[:, -1]).max(axis=1, keepdims=True)
     lead = a[:, -1] / big
     inv = lead * _CONJ / ((lead * lead).sum(axis=1, keepdims=True) * big)
-    a = a @ (inv @ _LEFT_UNITS).reshape(-1, 4, 4).transpose(0, 2, 1)
+    a = a @ (inv @ _UNIT_LEFT_ACTIONS.reshape(4, 16)).reshape(-1, 4, 4).transpose(0, 2, 1)
     a[:, -1] = (1.0, 0.0, 0.0, 0.0)
     roots = _lift_roots(a)
     x, s, shares, axis = _standard_classes(roots, np.maximum(1.0, np.abs(roots)))

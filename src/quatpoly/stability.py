@@ -27,14 +27,14 @@ from .errors import (
     PairingFailureError,
     SingularCoefficientError,
     SingularLeadingCoefficientError,
-    SingularMatrixError,
 )
 from .linalg import (
+    _UNIT_LEFT_ACTIONS,
     QuaternionMatrix,
     _pow2_near,
-    inverse,
+    invertible,
+    lift_singular_values,
     real_rep_left,
-    spectral_norm,
     vec4_to_qvec,
 )
 from .matpoly import (
@@ -53,7 +53,6 @@ from .quaternion import (
     class_distance,
     class_distance_extremes,
     class_point,
-    left_action_matrix,
     right_action_matrices,
 )
 from .tolerances import (BOUNDARY_BAND, DEGREE_TRIM_REL, DRAW_NORM_MIN,
@@ -430,21 +429,20 @@ def eigenvalue_annulus(p: MatrixPolynomial) -> tuple[float, float]:
     r is the unique positive zero of
     ||A_m|| z^m + ... + ||A_1|| z - 1/||A_0^-1||, and R of
     (1/||A_m^-1||) z^m - ||A_{m-1}|| z^{m-1} - ... - ||A_0||; all norms are
-    spectral.  Both the constant and leading coefficients must be invertible.
+    spectral, and all come from one SVD of the coefficient lifts: ||A_i|| is
+    sigma_max(A_i) and 1/||A^-1|| is sigma_min(A).  Both the constant and
+    leading coefficients must be invertible.
     """
     if p.degree < 1:
         raise ValueError("annulus bounds need degree at least 1")
-    try:
-        a0_inv = inverse(p.coeffs[0])
-    except SingularMatrixError as exc:
-        raise SingularCoefficientError("constant coefficient is singular") from exc
-    try:
-        am_inv = inverse(p.coeffs[-1])
-    except SingularMatrixError as exc:
-        raise SingularCoefficientError("leading coefficient is singular") from exc
-    norms = [spectral_norm(a) for a in p.coeffs]
-    lower_coeffs = [-1.0 / spectral_norm(a0_inv), *norms[1:]]
-    upper_coeffs = [-c for c in norms[:-1]] + [1.0 / spectral_norm(am_inv)]
+    sigma = lift_singular_values(p.coeffs)
+    if not invertible(sigma[0]):
+        raise SingularCoefficientError("constant coefficient is singular")
+    if not invertible(sigma[-1]):
+        raise SingularCoefficientError("leading coefficient is singular")
+    norms = sigma[:, 0].tolist()
+    lower_coeffs = [-sigma[0, -1], *norms[1:]]
+    upper_coeffs = [-c for c in norms[:-1]] + [sigma[-1, -1]]
     return unique_positive_root(lower_coeffs), unique_positive_root(upper_coeffs)
 
 
@@ -467,7 +465,7 @@ class NumericalRangeResult(NamedTuple):
 
 # Component k of conj(u) v is the sum over a, b of u_a T[a, k, b] v_b with
 # T = _CONJ_PRODUCT.
-_CONJ_PRODUCT = np.stack([c * left_action_matrix(Quaternion(*e)) for c, e in zip(_CONJ, np.eye(4))])
+_CONJ_PRODUCT = _CONJ[:, None, None] * _UNIT_LEFT_ACTIONS
 # Column block u of p -> p @ _UNIT_RIGHT_ACTIONS is p u, for u = 1, i, j, k.
 _UNIT_RIGHT_ACTIONS = right_action_matrices(np.eye(4)).transpose(2, 0, 1).reshape(4, 16)
 # Random unit combinations of a span basis the search tries as probes z.
@@ -641,14 +639,15 @@ def _zero_meets_region(zero, region: Region, band: float) -> bool:
     return region.margin(dmin, dmax) > band
 
 
-def not_hyperstable_search(p: MatrixPolynomial, region: Region, *,
+def not_hyperstable_search(p: MatrixPolynomial, region: Region, *, band: float = BOUNDARY_BAND,
                            y_samples: int = 16, seed: int = 42) -> Optional[SearchWitness]:
     """Search for a vector y witnessing failure of hyperstability.
 
     For each candidate y (the 4n canonical unit vectors, then ``y_samples``
     random ones) the scalar polynomials z* P(t) y are examined over z drawn
     from the realified span of {A_i y}: y is a witness when every such
-    polynomial vanishes somewhere in the region.  Two certificates can back
+    polynomial vanishes somewhere in the region, a zero within ``band`` of
+    its boundary not counting as inside.  Two certificates can back
     a hit: the exact quadratic product-of-roots argument (constant and
     leading coefficient proportional by a factor of modulus <= 1, with the
     region containing the closed unit ball), or exhaustion of all sampled z.
@@ -671,7 +670,7 @@ def not_hyperstable_search(p: MatrixPolynomial, region: Region, *,
     start, size = 0, 1
     while start < len(ys):
         hit = _chunk_witness(actions[start:start + size], coeff_scale, quadratic_certificate,
-                             region, rng)
+                             region, band, rng)
         if hit is not None:
             return SearchWitness(vec4_to_qvec(ys[start + hit[0]]), hit[1])
         start += size
@@ -680,7 +679,8 @@ def not_hyperstable_search(p: MatrixPolynomial, region: Region, *,
 
 
 def _chunk_witness(actions: np.ndarray, coeff_scale: float, quadratic_certificate: bool,
-                   region: Region, rng: np.random.Generator) -> Optional[tuple[int, str]]:
+                   region: Region, band: float,
+                   rng: np.random.Generator) -> Optional[tuple[int, str]]:
     """The first witness (row, certificate) of a chunk of candidates y, given
     their rows vec4(A_i y) as a (Y, m+1, 4n) array, or None.  The exact
     tests run per y in order up to the first hit; the y before it are then
@@ -699,7 +699,7 @@ def _chunk_witness(actions: np.ndarray, coeff_scale: float, quadratic_certificat
             exact = row, "quadratic-product-certificate"
             break
     end = len(vnorms) if exact is None else exact[0]
-    sampled = _first_sampled_witness(vss[:end], region, rng) if end else None
+    sampled = _first_sampled_witness(vss[:end], region, band, rng) if end else None
     return exact if sampled is None else (sampled, "sampled-z-exhaustion")
 
 
@@ -721,7 +721,7 @@ def _quadratic_product_certificate(vs: np.ndarray) -> bool:
     return math.hypot(*q) <= 1.0 + PRODUCT_MODULUS_SLACK
 
 
-def _first_sampled_witness(vss: np.ndarray, region: Region,
+def _first_sampled_witness(vss: np.ndarray, region: Region, band: float,
                            rng: np.random.Generator) -> Optional[int]:
     """The first of a chunk of candidates y, given their scaled rows
     vec4(A_i y) as a (Y, m+1, 4n) array, for which every sampled z makes
@@ -757,7 +757,7 @@ def _first_sampled_witness(vss: np.ndarray, region: Region,
         for cs, degree in zip(css[~vanishing], degrees[~vanishing].tolist()):
             coeffs = [Quaternion(*c) for c in cs[:degree + 1].tolist()]
             zeros = scalar_zeros(ScalarQPolynomial(coeffs)) if degree else []
-            if not any(_zero_meets_region(zero, region, BOUNDARY_BAND) for zero in zeros):
+            if not any(_zero_meets_region(zero, region, band) for zero in zeros):
                 break
         else:
             return row
@@ -824,7 +824,7 @@ def check_hyperstability(p: MatrixPolynomial, region: Region, *,
             return HyperVerdict(HyperStatus.HYPERSTABLE, "block-composition")
 
     if region.kind in _SEARCH_KINDS:
-        hit = not_hyperstable_search(p, region, y_samples=y_samples, seed=seed)
+        hit = not_hyperstable_search(p, region, band=band, y_samples=y_samples, seed=seed)
         if hit is not None:
             return HyperVerdict(HyperStatus.NOT_HYPERSTABLE_SAMPLED,
                                 hit.certificate, witness=hit.vector)

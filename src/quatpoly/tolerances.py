@@ -10,7 +10,7 @@ INV_FLOOR = 1e-300  # a quaternion or vector norm at or below this is not divide
 SQUARES_MIN = 2.0 ** -960  # a smaller sum of squares may have lost digits to underflow
 RANK_PIVOT_REL = 1e-10  # least singular value threshold, times max(sigma_max, the term scale)
 RANK_BAND = 10.0  # undecided band: one such factor to either side of that threshold
-INVERTIBILITY_REL = 1e-12  # least LU pivot of the lift, times its Frobenius norm
+INVERTIBILITY_REL = 1e-12  # least singular value of the lift, times its largest
 POLYEIG_RESIDUAL_REL = 1e-7  # largest relative action residual of an eigenpair
 BLOCK_NORM_REL = 1e-8  # companion-vector blocks below this times the largest are skipped
 INVERSE_ITERATION_REL = 1e-10  # residual that ends inverse iteration, times max(||M||_F, 1)

@@ -712,3 +712,40 @@ def test_timings_flag(tmp_path, capsys):
     assert code == 0
     timings = json.loads(out)["diagnostics"]["timings_ms"]
     assert timings is not None and timings["total"] >= 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2])
+def test_eig_at_subnormal_eigenvalues(tmp_path, capsys, n):
+    # t I + 1e-319 I: the action scale sum_i ||A_i|| |mu|^i is about 2e-319
+    # there, whose reciprocal is no float.
+    eye = [[ONE_Q if i == j else ZERO for j in range(n)] for i in range(n)]
+    tiny = [[[1e-319, 0, 0, 0] if i == j else ZERO for j in range(n)] for i in range(n)]
+    p = write(tmp_path, "p.json", {"coeffs": [tiny, eye]})
+    code, out, err = run_cli(capsys, ["eig", "--input", p])
+    assert code == 0, err
+    assert json.loads(out)["result"]["eigenvalues"] == [{"re": -1e-319, "im": 0.0}] * n
+
+
+# A_1 t + A_0 with both rows of A_1 e_1 equal to 1 and of A_0 e_1 to -0.85:
+# P(t) e_1 = (1, 1)^T (t - 0.85), so every z* P(t) e_1 has its zero 0.85,
+# 0.15 inside the open unit ball.
+BAND_POLY = {"coeffs": [[[[-0.85, 0, 0, 0], [0.3, 0, 0.2, 0]], [[-0.85, 0, 0, 0], [0.7, 0.1, 0, 0]]],
+                        [[ONE_Q, [0.5, 0, 0, 0.4]], [ONE_Q, [-0.2, 0.3, 0, 0]]]]}
+E1 = [ONE_Q, ZERO]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hyperstability_search_keeps_the_boundary_band(tmp_path, capsys):
+    p = write(tmp_path, "p.json", BAND_POLY)
+    r = write(tmp_path, "r.json", {"kind": "open_ball", "center": ZERO, "radius": 1.0})
+    witnesses = {}
+    for band in ([], ["--boundary-band", "0.1"], ["--boundary-band", "0.2"]):
+        code, out, err = run_cli(capsys, ["hyperstable", "--input", p, "--region", r, *band])
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["certificate"] == "sampled-z-exhaustion"
+        witnesses[tuple(band)] = report["witness"]
+    assert witnesses[()] == witnesses[("--boundary-band", "0.1")] == E1
+    # With the band wider than 0.15 the zero of e_1 lies in the dead band.
+    assert witnesses[("--boundary-band", "0.2")] != E1

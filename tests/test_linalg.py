@@ -2,12 +2,18 @@ import numpy as np
 import pytest
 
 from quatpoly import (
+    MatrixPolynomial,
     NonSquareError,
     Quaternion,
     QuaternionMatrix,
+    SingularCoefficientError,
+    SingularLeadingCoefficientError,
     SingularMatrixError,
+    companion,
     complex_adjoint,
+    eigenvalue_annulus,
     inverse,
+    polyeig,
     qvec,
     rank_decision,
     rank_decisions,
@@ -20,7 +26,8 @@ from quatpoly import (
     vec_entries,
 )
 from quatpoly.quaternion import left_action_matrix, right_action_matrix
-from _helpers import random_invertible_qmatrix, random_qmatrix, random_quaternion, random_unit_qvec
+from _helpers import (random_invertible_qmatrix, random_qmatrix, random_quaternion,
+                      random_unit_quaternion, random_unit_qvec)
 
 ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
 BASIS = [ONE, I, J, K]
@@ -234,6 +241,48 @@ def test_inverse_examples():
     assert inv_j.entry(0, 0).approx_eq(-J, 1e-14)
     with pytest.raises(SingularMatrixError):
         inverse(QuaternionMatrix.diagonal([Quaternion(1), Quaternion(0)]))
+
+
+def _random_unitary(rng, n):
+    """A complex unitary, a diagonal of unit quaternions, a complex unitary."""
+    def complex_unitary():
+        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return QuaternionMatrix(q * (np.diag(r) / np.abs(np.diag(r))), np.zeros((n, n)))
+    phases = QuaternionMatrix.diagonal([random_unit_quaternion(rng) for _ in range(n)])
+    return complex_unitary() @ phases @ complex_unitary()
+
+
+def _planted(rng, n, ratio):
+    """U diag(sigma) V with sigma_max = 1, sigma_min = ratio, the rest between."""
+    sigma = np.concatenate([[1.0], 10.0 ** rng.uniform(np.log10(ratio), 0.0, n - 2), [ratio]])
+    return _random_unitary(rng, n) @ QuaternionMatrix.diagonal(sigma.tolist()) @ _random_unitary(rng, n)
+
+
+@pytest.mark.parametrize("ratio, invertible", [(1e-9, True), (2e-12, True),
+                                                (5e-13, False), (1e-14, False)])
+def test_invertibility_is_decided_by_the_singular_values_of_the_lift(ratio, invertible):
+    # Invertible means sigma_min / sigma_max above INVERTIBILITY_REL = 1e-12,
+    # for inverse and for the coefficients eig and bounds must invert.  (A
+    # nonzero 1 x 1 lift is |a| times a unitary, so n starts at 2.)
+    rng = np.random.default_rng(1601)
+    for trial in range(25):
+        n = 2 + trial % 5
+        eye = QuaternionMatrix.identity(n)
+        a = _planted(rng, n, ratio)
+        if invertible:
+            inverse(a)
+            companion(MatrixPolynomial([eye, a]))  # where eig inverts A_m
+            eigenvalue_annulus(MatrixPolynomial([eye, a]))
+            eigenvalue_annulus(MatrixPolynomial([a, eye]))
+            continue
+        with pytest.raises(SingularMatrixError):
+            inverse(a)
+        with pytest.raises(SingularLeadingCoefficientError):
+            polyeig(MatrixPolynomial([eye, a]))
+        with pytest.raises(SingularCoefficientError, match="leading"):
+            eigenvalue_annulus(MatrixPolynomial([eye, a]))
+        with pytest.raises(SingularCoefficientError, match="constant"):
+            eigenvalue_annulus(MatrixPolynomial([a, eye]))
 
 
 def test_inverse_roundtrip_random():

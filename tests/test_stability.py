@@ -229,6 +229,21 @@ def test_annulus_soundness_random():
             assert r - 1e-9 <= e.modulus() <= big_r + 1e-9
 
 
+def test_annulus_matches_radii_from_explicit_inverses():
+    # r and R from one SVD of the lifts equal those built from 2-norms of
+    # the lifts and of their explicit inverses.
+    rng = np.random.default_rng(1602)
+    for trial in range(100):
+        n, m = 1 + trial % 6, 1 + trial // 6 % 3
+        p = random_polynomial(rng, n, m, invertible_ends=True)
+        chis = [complex_adjoint(a) for a in p.coeffs]
+        norms = [np.linalg.norm(chi, 2) for chi in chis]
+        lower = [-1.0 / np.linalg.norm(np.linalg.inv(chis[0]), 2), *norms[1:]]
+        upper = [-c for c in norms[:-1]] + [1.0 / np.linalg.norm(np.linalg.inv(chis[-1]), 2)]
+        want = unique_positive_root(lower), unique_positive_root(upper)
+        assert eigenvalue_annulus(p) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_complement_transfer_matches_reversal():
     rng = np.random.default_rng(41)
     rho = 1.7
