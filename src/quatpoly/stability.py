@@ -57,7 +57,8 @@ from .quaternion import (
 )
 from .tolerances import (BOUNDARY_BAND, DEGREE_TRIM_REL, DRAW_NORM_MIN,
                          FINITE_SET_REL, IDENTITY_ABS, INDUCED_VANISHING_REL, INV_FLOOR,
-                         PRODUCT_MODULUS_SLACK, PROPORTIONAL_REL, ROOT_RESIDUAL_REL,
+                         MODULUS_BOUND_SLACK, PRODUCT_MODULUS_SLACK,
+                         PROPORTIONAL_REL, ROOT_RESIDUAL_REL,
                          SPAN_INDEPENDENT_REL, SPAN_ZERO_REL, STRUCTURE_REL,
                          UNIT_BALL_ABS, VANISHING_REL)
 
@@ -138,6 +139,20 @@ class Region:
             return any((q - p).modulus() <= FINITE_SET_REL * max(1.0, p.modulus())
                        for p in self.points)
         d = (q - self.center).modulus()
+        strict = self.kind in (RegionKind.OPEN_BALL, RegionKind.COMPLEMENT_CLOSED_BALL)
+        return self.margin(d, d) > 0.0 if strict else self.margin(d, d) >= 0.0
+
+    def contains_rows(self, points: np.ndarray) -> np.ndarray:
+        """``contains`` for every [w, x, y, z] row of a (P, 4) array, by the
+        same strict and closed comparisons.  Distances come from np.hypot,
+        which may differ from math.hypot in the last bit."""
+        if self.kind is RegionKind.FINITE_SET:
+            ps = np.array([p.as_array() for p in self.points])
+            reach = FINITE_SET_REL * np.maximum(1.0, np.hypot.reduce(ps, axis=1))
+            return (np.hypot.reduce(points[:, None] - ps, axis=2) <= reach).any(axis=1)
+        d = np.hypot.reduce(points - self.center.as_array(), axis=1)
+        if self.kind is RegionKind.ANNULUS:
+            return np.minimum(self.outer_radius - d, d - self.inner_radius) >= 0.0
         strict = self.kind in (RegionKind.OPEN_BALL, RegionKind.COMPLEMENT_CLOSED_BALL)
         return self.margin(d, d) > 0.0 if strict else self.margin(d, d) >= 0.0
 
@@ -727,41 +742,109 @@ def _first_sampled_witness(vss: np.ndarray, region: Region, band: float,
     vec4(A_i y) as a (Y, m+1, 4n) array, for which every sampled z makes
     z* P(t) y vanish somewhere in the region, or None.  z runs over each
     span basis vector b and then -b, then (b_a + b_b)/sqrt(2) for a < b,
-    then RANDOM_PROBES random unit combinations.  One product per basis size
-    gives the coefficients z* A_i y of every y of that size."""
+    then RANDOM_PROBES random unit combinations.  The random combinations
+    are drawn for every y, but only the first probe b_0 of every y is formed
+    at once; a y it does not refute forms its other probes."""
     bases, sizes = _span_bases(vss)
     # No basis is empty: max ||A_i y|| lies in [1/2, 1) and a unit right
     # factor keeps norms, so the candidate (A_i y) 1 of that row is far
     # above SPAN_ZERO_REL, and the first candidate kept always joins.
     draws = _unit_draws(rng, RANDOM_PROBES, sizes)
     floors = INDUCED_VANISHING_REL * np.linalg.norm(vss, axis=2).max(axis=1)
-    probes = {}
-    for size in np.unique(sizes).tolist():
-        group = np.flatnonzero(sizes == size)
-        basis = bases[group, :size]
-        first, second = np.triu_indices(size, 1)
-        zs = np.concatenate([np.stack([basis, -basis], axis=2).reshape(len(group), 2 * size, -1),
-                             (basis[:, first] + basis[:, second]) / math.sqrt(2.0),
-                             draws[group, :, :size] @ basis], axis=1)
-        # Every z* A_i y at once, as the conjugates of (A_i y)* z.
-        css = _qinner(vss[group], zs[:, None])
-        css *= _CONJ
-        css = css.swapaxes(1, 2)
-        vanishing, degrees = _trimmed(css, floors[group, None])
-        probes.update(zip(group.tolist(), zip(css, vanishing, degrees)))
-    # A vanishing polynomial fails everywhere; one without zeros in the
-    # region (a nonzero constant has none) ends the search for this y.  The
-    # zeros are found one z at a time, so a y stops at its first such z.
-    for row in range(len(vss)):
-        css, vanishing, degrees = probes[row]
-        for cs, degree in zip(css[~vanishing], degrees[~vanishing].tolist()):
-            coeffs = [Quaternion(*c) for c in cs[:degree + 1].tolist()]
-            zeros = scalar_zeros(ScalarQPolynomial(coeffs)) if degree else []
-            if not any(_zero_meets_region(zero, region, band) for zero in zeros):
-                break
-        else:
+    reach = _modulus_reach(region, band)
+    firsts = _probe_coefficients(vss, bases[:, :1])
+    vanishing, degrees = _trimmed(firsts[:, 0], floors)
+    refuted = ~vanishing & _outside_moduli(firsts[:, 0], degrees, *reach)
+    for row in np.flatnonzero(~refuted).tolist():
+        if not _every_probe_meets(firsts[row], floors[row], reach, region, band):
+            continue
+        size = sizes[row]
+        later = _probes(bases[row, :size], draws[row, :, :size])[1:]
+        if _every_probe_meets(_probe_coefficients(vss[row], later), floors[row], reach, region, band):
             return row
     return None
+
+
+def _probes(basis: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The probes z of one span basis, as rows in search order: b_0, -b_0,
+    b_1, -b_1, ..., the pair sums and the unit combinations ``draws``."""
+    first, second = np.triu_indices(len(basis), 1)
+    return np.concatenate([np.stack([basis, -basis], axis=1).reshape(-1, basis.shape[1]),
+                           (basis[first] + basis[second]) / math.sqrt(2.0),
+                           draws @ basis])
+
+
+def _probe_coefficients(vs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Every z* A_i y, as the conjugates of (A_i y)* z: an (..., Z, m+1, 4)
+    array from rows vec4(A_i y) (..., m+1, 4n) and probes z (..., Z, 4n)."""
+    return (_qinner(vs, zs[..., None, :, :]) * _CONJ).swapaxes(-3, -2)
+
+
+def _every_probe_meets(css: np.ndarray, floor: float, reach: tuple[np.ndarray, np.ndarray],
+                       region: Region, band: float) -> bool:
+    """Whether every polynomial of a (Z, m+1, 4) stack vanishes somewhere in
+    the region, taken in order up to the first that does not.  A vanishing
+    polynomial vanishes everywhere; one the modulus bound puts outside
+    ``reach`` (a nonzero constant among them) has no zero there; the zeros
+    of the others are found one polynomial at a time."""
+    vanishing, degrees = _trimmed(css, floor)
+    outside = _outside_moduli(css, degrees, *reach)
+    for cs, degree, out in zip(css[~vanishing], degrees[~vanishing].tolist(),
+                               outside[~vanishing].tolist()):
+        if out:
+            return False
+        zeros = scalar_zeros(ScalarQPolynomial([Quaternion(*c) for c in cs[:degree + 1].tolist()]))
+        if not any(_zero_meets_region(zero, region, band) for zero in zeros):
+            return False
+    return True
+
+
+def _modulus_reach(region: Region, band: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lows, highs) on the modulus of a zero that counts as inside a
+    ball or finite-set region for _zero_meets_region, one pair for a ball,
+    one per point of a finite set: a zero within ``band`` of a ball's boundary
+    does not count, and one counts for a point p within max(band,
+    FINITE_SET_REL max(1, |p|)).  Each end is widened by MODULUS_BOUND_SLACK
+    times max(1, end), for the rounding of the zero finder and of the bound,
+    and kept within [0, the largest float]."""
+    if region.kind is RegionKind.FINITE_SET:
+        moduli = np.array([p.modulus() for p in region.points])
+        radii = np.maximum(band, FINITE_SET_REL * np.maximum(1.0, moduli))
+    else:
+        moduli, radii = np.array([region.center.modulus()]), np.array([region.radius - band])
+    with np.errstate(over="ignore", invalid="ignore"):
+        lows, highs = moduli - radii, moduli + radii
+        lows = lows - MODULUS_BOUND_SLACK * np.maximum(1.0, lows)
+        highs = highs + MODULUS_BOUND_SLACK * np.maximum(1.0, highs)
+    top = np.finfo(float).max
+    return np.clip(np.nan_to_num(lows), 0.0, top), np.clip(np.nan_to_num(highs, nan=top), 0.0, top)
+
+
+def _outside_moduli(css: np.ndarray, degrees: np.ndarray, lows: np.ndarray,
+                    highs: np.ndarray) -> np.ndarray:
+    """Which polynomials of an (N, m+1, 4) stack, trimmed to ``degrees``,
+    have no zero with modulus in any [lows[k], highs[k]].  As |a_i t^i| =
+    |a_i| |t|^i in the quaternions, q(t) = sum a_i t^i of degree d has no
+    zero of modulus <= h when |a_0| > sum_{i>=1} |a_i| h^i, and none of
+    modulus >= l when |a_d| l^d > sum_{i<d} |a_i| l^i; a nonzero constant
+    passes both.  Each term |a_i| t^i is formed as the product of the
+    mantissas of |a_i| and t^i and a power of two, scaled by the largest
+    power of its sum, so no term overflows."""
+    powers = np.arange(css.shape[-2])
+    moduli = np.where(powers <= degrees[:, None], np.hypot.reduce(css, axis=-1), 0.0)
+    mantissas, exponents = np.frexp(moduli)
+    t_mantissas, t_exponents = np.frexp(np.concatenate([highs, lows]))
+    mant = mantissas[:, None, :] * t_mantissas[:, None] ** powers
+    expo = exponents[:, None, :] + t_exponents[:, None] * powers
+    # A zero term sets no scale; a sum of zero terms stays 0 under any.
+    top = np.where(mant > 0.0, expo, np.iinfo(np.int32).min).max(axis=-1, keepdims=True)
+    terms = np.ldexp(mant, np.minimum(expo - top, 0))
+    k = len(highs)
+    below_high = terms[:, :k, 0] > terms[:, :k, 1:].sum(axis=-1)
+    at_low = terms[:, k:]
+    lead = np.take_along_axis(at_low, degrees[:, None, None], axis=-1)[..., 0]
+    above_low = lead > np.where(powers < degrees[:, None, None], at_low, 0.0).sum(axis=-1)
+    return (below_high | above_low).all(axis=1)
 
 
 def _block_partition_slices(partition: Sequence[int], n: int) -> list[slice]:
@@ -853,7 +936,7 @@ def _numerical_range_evidence(p: MatrixPolynomial, region: Region,
         result = sample_numerical_range(p, samples, seed)
     except DegenerateCoefficientsError:
         return "numerical-range sampling degenerate"
-    hits = sum(region.contains(Quaternion(*q)) for q in result.points.tolist())
+    hits = int(region.contains_rows(result.points).sum())
     if hits:
         return (f"sampled numerical range meets the region "
                 f"({hits} of {len(result.points)} points)")

@@ -9,6 +9,7 @@ the same random draws in the same order.
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from quatpoly import (
     Quaternion,
     QuaternionMatrix,
     Region,
+    RegionKind,
     ScalarQPolynomial,
     not_hyperstable_search,
     sample_numerical_range,
@@ -31,7 +33,8 @@ from quatpoly.stability import (
     _zero_meets_region,
 )
 from quatpoly.tolerances import (BOUNDARY_BAND, DEGREE_TRIM_REL, DRAW_NORM_MIN,
-                                 INDUCED_VANISHING_REL, INV_FLOOR, PRODUCT_MODULUS_SLACK,
+                                 FINITE_SET_REL, INDUCED_VANISHING_REL, INV_FLOOR,
+                                 MODULUS_BOUND_SLACK, PRODUCT_MODULUS_SLACK,
                                  PROPORTIONAL_REL, SPAN_INDEPENDENT_REL, SPAN_ZERO_REL,
                                  VANISHING_REL)
 from test_matpoly import (
@@ -53,13 +56,46 @@ def _ref_unit_qvec(rng, n):
             return vec4_to_qvec(raw / norm)
 
 
-def _ref_zeros(cs, floor):
-    """None for a vanishing polynomial, else its zeros after the degree trim."""
+def _ref_trimmed(cs, floor):
+    """None for a vanishing polynomial, else its coefficients after the degree trim."""
     top = max(c.modulus() for c in cs)
     if top <= floor:
         return None
     degree = max(i for i, c in enumerate(cs) if c.modulus() > DEGREE_TRIM_REL * top)
-    return scalar_zeros(ScalarQPolynomial(cs[:degree + 1])) if degree else []
+    return cs[:degree + 1]
+
+
+def _ref_zeros(cs, floor):
+    """None for a vanishing polynomial, else its zeros after the degree trim."""
+    cs = _ref_trimmed(cs, floor)
+    if cs is None:
+        return None
+    return scalar_zeros(ScalarQPolynomial(cs)) if len(cs) > 1 else []
+
+
+def _widened(low, high):
+    low = max(0.0, low - MODULUS_BOUND_SLACK * max(1.0, low))
+    high = max(0.0, high + MODULUS_BOUND_SLACK * max(1.0, high))
+    return low, min(high, sys.float_info.max)
+
+
+def _ref_outside_moduli(cs, region, band):
+    """The modulus bound for one trimmed polynomial, in exact rational
+    arithmetic: no zero can have a modulus that counts as inside the region."""
+    if region.kind is RegionKind.FINITE_SET:
+        reach = [(p.modulus(), max(band, FINITE_SET_REL * max(1.0, p.modulus())))
+                 for p in region.points]
+    else:
+        reach = [(region.center.modulus(), region.radius - band)]
+    moduli = [Fraction(c.modulus()) for c in cs]
+    d = len(cs) - 1
+    for center, radius in reach:
+        low, high = map(Fraction, _widened(center - radius, center + radius))
+        below_high = moduli[0] > sum(m * high ** i for i, m in enumerate(moduli) if i)
+        above_low = moduli[d] * low ** d > sum(m * low ** i for i, m in enumerate(moduli[:d]))
+        if not (below_high or above_low):
+            return False
+    return True
 
 
 def ref_numerical_range(p, samples, seed):
@@ -94,7 +130,7 @@ def _ref_span_basis(vs):
     return basis
 
 
-def _ref_all_sampled_z_fail(vs, region, rng):
+def _ref_all_sampled_z_fail(vs, region, rng, bound):
     basis = _ref_span_basis(vs)
     if not basis:
         return True
@@ -108,9 +144,14 @@ def _ref_all_sampled_z_fail(vs, region, rng):
         if norm > DRAW_NORM_MIN:
             zs.append(sum(c * b for c, b in zip(w / norm, basis)))
     vmax = max(v.frobenius_norm() for v in vs)
+    floor = INDUCED_VANISHING_REL * vmax
     for z_arr in zs:
         z_adj = vec4_to_qvec(z_arr).adjoint()
-        zeros = _ref_zeros([(z_adj @ v).entry(0, 0) for v in vs], INDUCED_VANISHING_REL * vmax)
+        cs = [(z_adj @ v).entry(0, 0) for v in vs]
+        if bound and (kept := _ref_trimmed(cs, floor)) is not None and _ref_outside_moduli(
+                kept, region, BOUNDARY_BAND):
+            return False
+        zeros = _ref_zeros(cs, floor)
         if zeros is not None and not any(_zero_meets_region(zero, region, BOUNDARY_BAND)
                                          for zero in zeros):
             return False
@@ -129,7 +170,9 @@ def _ref_quadratic_certificate(vs):
     return q.modulus() <= 1.0 + PRODUCT_MODULUS_SLACK
 
 
-def ref_search(p, region, y_samples, seed):
+def ref_search(p, region, y_samples, seed, bound=False):
+    """The former per-vector search; with ``bound``, a probe the modulus
+    bound puts outside the region refutes y before any zero is found."""
     rng = np.random.default_rng(seed)
     n = p.size
     candidates = [qvec([u if s == t else Quaternion.ZERO for s in range(n)])
@@ -145,7 +188,7 @@ def ref_search(p, region, y_samples, seed):
         if (p.degree == 2 and _region_contains_closed_unit_ball(region)
                 and _ref_quadratic_certificate(vs)):
             return y, "quadratic-product-certificate"
-        if _ref_all_sampled_z_fail(vs, region, rng):
+        if _ref_all_sampled_z_fail(vs, region, rng, bound):
             return y, "sampled-z-exhaustion"
     return None
 
@@ -233,7 +276,8 @@ def test_search_hits_and_certificates_match_the_per_vector_sampler():
 
 def test_search_hands_the_same_polynomials_to_the_zero_finder(monkeypatch):
     # Every polynomial z* P(t) y the search hands to scalar_zeros, in order:
-    # the draws, the probe order, the conjugation and the trim must all match.
+    # the draws, the probe order, the conjugation, the trim and the modulus
+    # bound, which keeps a probe from the zero finder, must all match.
     got, want = [], []
 
     def recording(seen, zeros=scalar_zeros):
@@ -248,7 +292,7 @@ def test_search_hands_the_same_polynomials_to_the_zero_finder(monkeypatch):
             got.clear()
             want.clear()
             not_hyperstable_search(p, region, y_samples=2, seed=13)
-            ref_search(p, region, 2, 13)
+            ref_search(p, region, 2, 13, bound=True)
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 np.testing.assert_allclose(np.array(g), np.array(w), rtol=0.0, atol=1e-12)

@@ -62,6 +62,24 @@ def test_region_membership():
     assert not finite.contains(K)
 
 
+def test_row_membership_equals_pointwise_membership():
+    # Random points, the centers and points on every boundary, where the
+    # strict and closed comparisons differ.
+    rng = np.random.default_rng(47)
+    center = Quaternion(0.5, 0.0, -1.0, 0.0)
+    regions = [Region.open_ball(center, 1.0), Region.closed_ball(center, 1.0),
+               Region.complement_closed_ball(center, 1.0), Region.annulus(center, 1.0, 2.0),
+               Region.finite_set([I, Quaternion(3.0), Quaternion(1e15)])]
+    points = [center, I, Quaternion(3.0 + 1e-12), Quaternion(1e15 + 1.0), Quaternion(1e15 + 8.0)]
+    points += [center + u * r for u in (ONE, I, J, K, -J) for r in (1.0, 2.0)]
+    points += [center + Quaternion(*q) for q in rng.uniform(-2.5, 2.5, (400, 4)).tolist()]
+    rows = np.array([q.as_array() for q in points])
+    for region in regions:
+        got = region.contains_rows(rows)
+        assert got.tolist() == [region.contains(q) for q in points]
+        assert got.any() and not got.all()
+
+
 def test_region_validation():
     with pytest.raises(ValueError):
         Region.open_ball(J, 0.0)
