@@ -1,10 +1,11 @@
 """Dense kernels behind one seam, backed by LAPACK through numpy.
 
-Eigenvalues, with or without eigenvectors, of one matrix or of every matrix
-of a (..., n, n) stack come from one batched ``zgeev`` call, the singular
-values (and on request the right singular vectors) of a stack of real or
-complex matrices from one batched ``dgesdd`` or ``zgesdd`` call, inverses
-from ``gesv``; every ``LinAlgError`` is reported as NoConvergenceError.
+Eigenvalues (no eigenvectors) of one matrix or of every matrix of a
+(..., n, n) stack come from one batched ``zgeev`` call, the singular values
+(and on request the right singular vectors) of a stack of real or complex
+matrices from one batched ``dgesdd`` or ``zgesdd`` call, solutions and
+inverses from ``gesv``; every ``LinAlgError`` but a singular solve is
+reported as NoConvergenceError.
 Spectral norms and the package-wide invertibility test are read off
 ``singular_values`` (``linalg.lift_singular_values``).  One LU kernel with a
 pivot floor stays in Python for shifted inverse iteration against a matrix
@@ -52,26 +53,34 @@ def _lapack(task: str):
         raise NoConvergenceError(f"LAPACK {task} failed: {exc}") from exc
 
 
-def eig_complex(matrix, *, vectors: bool = False):
+def eig_complex(matrix):
     """All eigenvalues of a dense complex matrix, or of every matrix of a
-    (..., n, n) stack, sorted by (real, imag) along the last axis.
-
-    With ``vectors=True`` returns (values, vectors): the unit eigenvector
-    columns, permuted alike, from the same single LAPACK call.  A stack is
-    solved slice by slice in one batched call, and each slice comes out bit
-    for bit as from a call of its own.
+    (..., n, n) stack, sorted by (real, imag) along the last axis.  A stack is
+    solved slice by slice in one batched values-only ``zgeev`` call, and each
+    slice comes out bit for bit as from a call of its own.
     """
     a = _as_square(matrix)
     with _lapack("eigensolver"):
-        if vectors:
-            vals, vecs = np.linalg.eig(a)
-        else:
-            vals = np.linalg.eigvals(a)
+        vals = np.linalg.eigvals(a)
     order = np.lexsort((vals.imag, vals.real), axis=-1)
-    if vectors:
-        return (np.take_along_axis(vals, order, axis=-1),
-                np.take_along_axis(vecs, order[..., None, :], axis=-1))
     return np.take_along_axis(vals, order, axis=-1)
+
+
+def solve(stack, rhs) -> np.ndarray:
+    """x with A x = b for every matrix A of a (..., n, n) stack, b of ``rhs`` (..., n),
+    from one batched ``gesv`` call.  Singularity raises and warns of nothing: a
+    slice with an exactly zero pivot, which makes numpy refuse the whole stack,
+    comes back NaN, the others solved one by one; an overflow comes back non-finite."""
+    a = _as_square(stack)
+    b = np.broadcast_to(np.asarray(rhs, dtype=np.complex128), a.shape[:-1])[..., None]
+    with np.errstate(all="ignore"):
+        try:
+            return np.linalg.solve(a, b)[..., 0]
+        except np.linalg.LinAlgError:
+            if a.ndim == 2:
+                return np.full(len(a), np.nan, dtype=np.complex128)
+    n = a.shape[-1]
+    return np.array([solve(*ab) for ab in zip(a.reshape(-1, n, n), b.reshape(-1, n))]).reshape(b.shape[:-1])
 
 
 def singular_values(stack, *, vectors: bool = False):

@@ -524,15 +524,15 @@ def spectral_norm(a: QuaternionMatrix) -> float:
     return float(lift_singular_values([a])[0, 0])
 
 
-def inverse(a: QuaternionMatrix) -> QuaternionMatrix:
+def inverse(a: QuaternionMatrix, sigma: np.ndarray | None = None) -> QuaternionMatrix:
     """Inverse on the complex lift, one LAPACK solve.
 
     Raises SingularMatrixError when ``invertible`` refuses the lift's
-    singular values.
+    singular values: ``sigma`` when the caller has them, else one SVD here.
     """
     if a.n_rows != a.n_cols:
         raise NonSquareError("inverse is defined for square matrices")
-    sigma = lift_singular_values([a])[0]
+    sigma = lift_singular_values([a])[0] if sigma is None else sigma
     if not invertible(sigma):
         raise SingularMatrixError(f"least singular value {sigma[-1]:.3e} of the lift is not above "
                                   f"{INVERTIBILITY_REL:g} times its largest, {sigma[0]:.3e}")

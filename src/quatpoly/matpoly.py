@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .eigensolver import eig_complex, singular_values
+from .eigensolver import eig_complex, singular_values, solve
 from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
@@ -47,7 +47,7 @@ from .linalg import (
     vec4_to_qvec,
 )
 from .quaternion import Quaternion, StandardEigenvalue, right_action_matrices
-from .tolerances import BLOCK_NORM_REL, IDENTITY_ABS, POLYEIG_RESIDUAL_REL, SLOPE_REL, SPHERE_REL
+from .tolerances import IDENTITY_ABS, POLYEIG_RESIDUAL_REL, SLOPE_REL, SPHERE_REL
 
 # Components of conj(q) are _CONJ * q, and (q @ _RIGHT_UNITS).reshape(4, 4)
 # is the right action matrix of q, linear in q.
@@ -128,17 +128,18 @@ def reversal(p: MatrixPolynomial) -> MatrixPolynomial:
     return MatrixPolynomial(tuple(reversed(p.coeffs)))
 
 
-def companion(p: MatrixPolynomial) -> QuaternionMatrix:
+def companion(p: MatrixPolynomial, sigma: np.ndarray | None = None) -> QuaternionMatrix:
     """Block companion of the monic normalization inverse(A_m) * P.
 
     Identity blocks sit on the superdiagonal and the last block row holds
     the negated normalized coefficients; a normalized coefficient that
-    overflows raises NoConvergenceError.
+    overflows raises NoConvergenceError.  ``sigma``, the lift singular
+    values of A_m when the caller has them, spares ``inverse`` its SVD.
     """
     if p.degree < 1:
         raise ValueError("companion linearization needs degree at least 1")
     try:
-        am_inv = inverse(p.coeffs[-1])
+        am_inv = inverse(p.coeffs[-1], sigma)
     except SingularMatrixError as exc:
         raise SingularLeadingCoefficientError(
             "leading coefficient is singular; the realified oracle still applies") from exc
@@ -157,42 +158,33 @@ def companion(p: MatrixPolynomial) -> QuaternionMatrix:
 def polyeig_with_residuals(p: MatrixPolynomial) -> list[tuple[StandardEigenvalue, float]]:
     """Standard eigenvalues paired with their relative action residuals.
 
-    ``linalg._standard_eigenvalues`` reads the classes off the spectrum of
-    the lifted companion; a k-fold class comes k times, at the mean of its
-    roots.  The residual for mu is ||sum_i A_i y mu^i|| / ((sum_i ||A_i|| |mu|^i) ||y||),
-    taken in the complex lift: the lifted vector v of y gives the action as
-    W(mu) v with W(mu) = sum_i chi(A_i) mu^i.  Every block of the companion
-    eigenvector at least BLOCK_NORM_REL times the longest is a candidate y,
-    longest first; the first passing block is reported, else the least
-    residual.  When no block passes, the residual is sigma_min(W(mu)) over the
-    same scale, the backward error of mu, which no vector beats (Tisseur,
-    LAA 309, 2000; Higham, Li and Tisseur, SIMAX 29, 2007).  Anything not
-    at or below POLYEIG_RESIDUAL_REL raises ResidualFailureError.
+    ``linalg._standard_eigenvalues`` reads the classes off the values-only
+    spectrum of the lifted companion; a k-fold class comes k times, at the
+    mean of its roots.  The residual for mu is ||sum_i A_i y mu^i|| /
+    ((sum_i ||A_i|| |mu|^i) ||y||), taken in the lift, where W(mu) = sum_i
+    chi(A_i) mu^i acts on the lifted y.  Each y comes from one batched step of
+    inverse iteration, W(mu) y = b for a fixed b.  Where W(mu) is exactly
+    singular or y does not pass, the residual is sigma_min(W(mu)) over the
+    same scale, the backward error of mu, which no vector beats (Tisseur, LAA
+    309, 2000; Higham, Li and Tisseur, SIMAX 29, 2007).  Anything not at or
+    below POLYEIG_RESIDUAL_REL raises ResidualFailureError.
     """
-    sigma = lift_singular_values(p.coeffs)
+    lifts = np.array([complex_adjoint(a) for a in p.coeffs])
+    sigma = singular_values(lifts)
     if p.degree == 0:
         if not invertible(sigma[0]):
             raise SingularLeadingCoefficientError("degree-zero polynomial with singular coefficient")
         return []
-    n, m = p.size, p.degree
     norms = sigma[:, 0]
-    lifts = np.array([complex_adjoint(a) for a in p.coeffs])
-    vals, vecs = eig_complex(complex_adjoint(companion(p)), vectors=True)
-    evs = _standard_eigenvalues(vals, lifts, norms)
-    z = np.array([ev.as_complex() for ev in evs])
-    # Each eigenvalue takes the eigenvector of its nearest lift eigenvalue; lifted
-    # block b of a companion eigenvector [v1; v2] is (v1[b], v2[b]).
-    blocks = vecs[:, np.abs(z[:, None] - vals).argmin(axis=1)].T.reshape(-1, 2, m, n)
-    blocks = blocks.transpose(0, 2, 1, 3).reshape(-1, m, 2 * n)
-    w = _relative_actions(z, lifts, norms)  # a zero action counts as exact
-    lengths = np.linalg.norm(blocks, axis=2)
-    eligible = lengths >= BLOCK_NORM_REL * lengths.max(axis=1, keepdims=True)
-    actions = np.linalg.norm(w @ blocks.transpose(0, 2, 1), axis=1)
-    rel = np.divide(actions, lengths, out=np.full(actions.shape, np.inf), where=eligible)
-    rel = np.take_along_axis(rel, np.argsort(-lengths, axis=1, kind="stable"), axis=1)
-    passing = rel <= POLYEIG_RESIDUAL_REL
-    first = rel[np.arange(len(evs)), passing.argmax(axis=1)]
-    residuals = np.where(passing.any(axis=1), first, rel.min(axis=1))
+    evs = _standard_eigenvalues(eig_complex(complex_adjoint(companion(p, sigma[-1]))), lifts, norms)
+    w = _relative_actions(np.array([ev.as_complex() for ev in evs]), lifts, norms)
+    # b_k = e^(2 pi i k g), g = 0.618... the golden section: unlike all ones, not orthogonal
+    # to [1, -1] and its like.  As ||W(mu)|| <= 1, max |y_k| >= 1 unless y is not
+    # finite (a zero pivot, or overflow).
+    y = solve(w, np.exp(1j * np.pi * (5.0 ** 0.5 - 1.0) * np.arange(2 * p.size)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y /= np.abs(y).max(axis=1, keepdims=True)
+        residuals = np.linalg.norm((w @ y[..., None])[..., 0], axis=1) / np.linalg.norm(y, axis=1)
     fallback = ~(residuals <= POLYEIG_RESIDUAL_REL)
     if fallback.any():
         residuals[fallback] = singular_values(w[fallback])[:, -1]

@@ -12,7 +12,6 @@ RANK_PIVOT_REL = 1e-10  # least singular value threshold, times max(sigma_max, t
 RANK_BAND = 10.0  # undecided band: one such factor to either side of that threshold
 INVERTIBILITY_REL = 1e-12  # least singular value of the lift, times its largest
 POLYEIG_RESIDUAL_REL = 1e-7  # largest relative action residual of an eigenpair
-BLOCK_NORM_REL = 1e-8  # companion-vector blocks below this times the largest are skipped
 INVERSE_ITERATION_REL = 1e-10  # residual that ends inverse iteration, times max(||M||_F, 1)
 ROOT_RESIDUAL_REL = 1e-10  # residual of a norm-polynomial root, times sum |c_i| r^i
 

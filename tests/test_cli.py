@@ -443,12 +443,27 @@ def test_exit_code_3_when_lapack_fails(tmp_path, capsys, monkeypatch):
     def failing(*_args, **_kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eig", failing)
+    monkeypatch.setattr(np.linalg, "eigvals", failing)  # eig asks for no eigenvectors
     p = write(tmp_path, "p.json", GOLDEN_POLY)
     code, out, err = run_cli(capsys, ["eig", "--input", p])
     assert code == 3
     assert out == ""
     assert json.loads(err)["error_kind"] == "NoConvergenceError"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("payload, values", [
+    ({"coeffs": [[[[-1, 0, 0, 0], ZERO], [ZERO, [-2, 0, 0, 0]]], EYE2]}, [1.0, 2.0]),
+    ({"coeffs": [[[[2, 0, 0, 0]]], [[ONE_Q]]]}, [-2.0]),
+])
+def test_eig_with_an_exactly_singular_action(tmp_path, capsys, payload, values):
+    # W(mu) is exactly singular at every eigenvalue, so the solve for the
+    # residual vector refuses it and the backward error, 0, certifies it.
+    code, out, _ = run_cli(capsys, ["eig", "--input", write(tmp_path, "p.json", payload)])
+    assert code == 0
+    report = json.loads(out)
+    assert [(v["re"], v["im"]) for v in report["result"]["eigenvalues"]] == [(x, 0.0) for x in values]
+    assert report["diagnostics"]["residuals"]["max_action_residual"] == 0.0
 
 
 def test_exit_code_3_when_the_rank_oracle_fails(tmp_path, capsys, monkeypatch):

@@ -35,7 +35,9 @@ from quatpoly import (
     standardize,
     vec_entries,
 )
-from quatpoly.quaternion import class_distance, class_point
+from quatpoly import matpoly
+from quatpoly.eigensolver import singular_values
+from quatpoly.quaternion import StandardEigenvalue, class_distance, class_point
 from quatpoly.tolerances import POLYEIG_RESIDUAL_REL
 from _helpers import (
     linear,
@@ -309,10 +311,9 @@ def _realified_backward_error(p, ev):
 
 
 @pytest.mark.parametrize("seed", [1136, 541])
-def test_backward_error_certifies_eigenvalues_no_block_does(seed):
-    # Coefficient norms 10^U(-6, 6): for the small eigenvalues no block of
-    # the companion eigenvector passes, but the backward error does, and
-    # the realified operator gives the same number.
+def test_no_residual_beats_the_backward_error(seed):
+    # Coefficient norms 10^U(-6, 6): every residual passes, and none beats
+    # the backward error that the realified operator gives.
     rng = np.random.default_rng(seed)
     n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     p = spread_polynomial(rng, n, m, 6)
@@ -323,7 +324,63 @@ def test_backward_error_certifies_eigenvalues_no_block_does(seed):
         assert eta <= POLYEIG_RESIDUAL_REL
         # No vector beats the backward error, up to rounding.
         assert eta <= r * (1.0 + 1e-6) + 1e-15
+
+
+def _fallback_sizes(monkeypatch):
+    """Stack sizes of the SVDs polyeig_with_residuals takes after the coefficient one."""
+    sizes = []
+
+    def spy(stack, **kwargs):
+        sizes.append(len(stack))
+        return singular_values(stack, **kwargs)
+
+    monkeypatch.setattr(matpoly, "singular_values", spy)
+    return sizes
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_backward_error_only_where_the_solve_fails(monkeypatch):
+    # t I - diag(1, B): W(1) is exactly singular and takes the backward error,
+    # 0; the two classes of B keep the residuals of their solved vectors.
+    b = random_qmatrix(np.random.default_rng(5), 2)
+    a = QuaternionMatrix.zeros(3, 3)
+    a.a1[0, 0] = 1.0
+    a.a1[1:, 1:], a.a2[1:, 1:] = b.a1, b.a2
+    p = MatrixPolynomial([-a, QuaternionMatrix.identity(3)])
+    sizes = _fallback_sizes(monkeypatch)
+    pairs = polyeig_with_residuals(p)
+    assert sizes == [2, 1]
+    assert pairs[0] == (StandardEigenvalue(1.0, 0.0), 0.0)
+    for ev, r in pairs[1:]:
+        assert 0.0 < r <= POLYEIG_RESIDUAL_REL
+        assert _realified_backward_error(p, ev) <= r * (1.0 + 1e-6) + 1e-15
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [1136, 541])
+def test_backward_error_is_the_fallback(seed, monkeypatch):
+    # Coefficient norms 10^U(-6, 6): the vector of the worst class does not
+    # pass, and its residual is its backward error.
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    p = spread_polynomial(rng, n, m, 6)
+    sizes = _fallback_sizes(monkeypatch)
+    pairs = polyeig_with_residuals(p)
+    assert len(sizes) == 2 and 1 <= sizes[1] < m * n
+    etas = [_realified_backward_error(p, ev) for ev, _ in pairs]
     assert max(r for _, r in pairs) == pytest.approx(max(etas), rel=1e-6)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_every_residual_lies_between_the_backward_error_and_the_tolerance():
+    # 40 draws, n 1-6, m 1-4, coefficient norms 10^U(-2, 2).
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        p = spread_polynomial(rng, n, m, 2)
+        for ev, r in polyeig_with_residuals(p):
+            eta = _realified_backward_error(p, ev)
+            assert eta * (1.0 - 1e-6) - 1e-15 <= r <= POLYEIG_RESIDUAL_REL
 
 
 def test_residual_check_across_coefficient_spreads():
