@@ -4,8 +4,8 @@ Eigenvalues (no eigenvectors) of one matrix or of every matrix of a
 (..., n, n) stack come from one batched ``zgeev`` call, the singular values
 (and on request the right singular vectors) of a stack of real or complex
 matrices from one batched ``dgesdd`` or ``zgesdd`` call, solutions and
-inverses from ``gesv``; every ``LinAlgError`` but a singular solve is
-reported as NoConvergenceError.
+inverses from ``gesv``; every ``LinAlgError`` but a singular solve or
+inverse is reported as NoConvergenceError.
 Spectral norms and the package-wide invertibility test are read off
 ``singular_values`` (``linalg.lift_singular_values``).  One LU kernel with a
 pivot floor stays in Python for shifted inverse iteration against a matrix
@@ -38,8 +38,8 @@ def _checked(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_square(matrix) -> np.ndarray:
-    a = np.array(matrix, dtype=np.complex128)
+def _as_square(matrix, dtype=np.complex128) -> np.ndarray:
+    a = np.asarray(matrix, dtype=dtype)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
     return _checked(a)
@@ -133,11 +133,26 @@ def lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def inverses(stack) -> np.ndarray:
+    """Inverse of every matrix of a real or complex (..., n, n) stack, from one
+    batched ``gesv`` call.  Singularity raises and warns of nothing: a slice
+    with an exactly zero pivot makes numpy refuse the whole stack, which then
+    comes back NaN; an overflow comes back non-finite."""
+    a = _as_square(stack, np.complex128 if np.iscomplexobj(stack) else np.float64)
+    with np.errstate(all="ignore"):
+        try:
+            return np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            return np.full(a.shape, np.nan, dtype=a.dtype)
+
+
 def inverse_complex(a: np.ndarray) -> np.ndarray:
-    """Dense inverse from one LAPACK solve; invertibility is the caller's test."""
-    a = _as_square(a)
-    with _lapack("solve"):
-        return np.linalg.inv(a)
+    """Dense complex inverse through ``inverses``; invertibility is the
+    caller's test, and a matrix LAPACK refuses raises NoConvergenceError."""
+    inv = inverses(np.asarray(a, dtype=np.complex128))
+    if np.isnan(inv).all():
+        raise NoConvergenceError("LAPACK solve failed: the matrix is exactly singular")
+    return inv
 
 
 def eigenvector(matrix, eigenvalue: complex) -> tuple[np.ndarray, float]:

@@ -51,7 +51,9 @@ def _quaternion_array(data, ndim: int) -> np.ndarray:
     integers too large for a float, entries that are not 4-arrays and
     ragged or empty rows are refused with InputFormatError.
     """
-    entries = [data] if ndim == 0 else [e for row in data for e in row]
+    entries = [data]
+    for _ in range(ndim):
+        entries = [e for row in entries for e in row]
     try:
         arr = np.array(data, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -120,7 +122,7 @@ def region_from_json(data) -> Region:
             points = data.get("points")
             if not isinstance(points, list) or not points:
                 raise InputFormatError('finite_set region needs a nonempty "points" list')
-            return Region.finite_set([quaternion_from_json(p) for p in points])
+            return Region.finite_set([Quaternion(*q) for q in _quaternion_array(points, 1).tolist()])
         center = quaternion_from_json(data.get("center", [0, 0, 0, 0]))
         if kind is RegionKind.ANNULUS:
             return Region.annulus(center, _number(data["inner_radius"], "inner_radius"),

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .eigensolver import eig_complex, inverse_complex, singular_values
+from .eigensolver import _EPS, eig_complex, inverse_complex, inverses, singular_values
 from .errors import NonSquareError, PairingFailureError, SingularMatrixError
 from .quaternion import (
     Quaternion,
@@ -282,6 +282,14 @@ def rank_decisions(stack, scale=None) -> tuple[np.ndarray, np.ndarray]:
     e_0.  A matrix with a non-finite entry never reaches LAPACK and is
     "unknown", as is one whose sigma_max overflows.
 
+    A square slice that ``_cleared`` certifies skips the SVD: its
+    sigma_min is proved above RANK_BAND^2 tau_F, tau_F = RANK_PIVOT_REL *
+    max(||M||_F, scale[b]) >= tau, with ||M||_F RANK_BAND times within the
+    float range.  LAPACK's singular values are within p(n) eps sigma_max <<
+    tau of the exact ones, so the SVD would find a finite tau, no value below
+    tau / RANK_BAND and sigma_min above tau * RANK_BAND: "nonsingular".  Every
+    other slice takes the SVD, so no status and no kernel moves.
+
     Returns (status, kernels): status[b] is "nonsingular", "singular" or
     "unknown"; kernels[b] is ``_canonical_kernel`` of a singular matrix, else 0.
     """
@@ -292,16 +300,52 @@ def rank_decisions(stack, scale=None) -> tuple[np.ndarray, np.ndarray]:
     code = np.full(count, 2)
     kernels = np.zeros((count, n_cols))
     finite = np.flatnonzero(np.isfinite(stack).all(axis=(1, 2)))
-    sigma = singular_values(stack[finite])
-    tau = RANK_PIVOT_REL * (sigma[:, 0] if scale is None else np.maximum(sigma[:, 0], scale[finite]))
-    nullity = (sigma < tau[:, None] / RANK_BAND).sum(axis=1) + max(n_cols - n_rows, 0)
-    code[finite] = np.select(
-        [~np.isfinite(tau), (nullity > 0) | (tau == 0.0), sigma[:, -1] > tau * RANK_BAND],
-        [2, 1, 0], 2)
-    for b, d in zip(finite, nullity):
-        if code[b] == 1:
-            kernels[b] = _canonical_kernel(stack[b], d)
+    if n_rows == n_cols and finite.size > 1:  # one SVD costs less than the certificate
+        cleared = _cleared(stack[finite], None if scale is None else scale[finite])
+        code[finite[cleared]] = 0
+        finite = finite[~cleared]
+    if finite.size:
+        sigma = singular_values(stack[finite])
+        tau = RANK_PIVOT_REL * (sigma[:, 0] if scale is None else np.maximum(sigma[:, 0], scale[finite]))
+        nullity = (sigma < tau[:, None] / RANK_BAND).sum(axis=1) + max(n_cols - n_rows, 0)
+        code[finite] = np.select(
+            [~np.isfinite(tau), (nullity > 0) | (tau == 0.0), sigma[:, -1] > tau * RANK_BAND],
+            [2, 1, 0], 2)
+        for b, d in zip(finite, nullity):
+            if code[b] == 1:
+                kernels[b] = _canonical_kernel(stack[b], d)
     return np.array(_RANK_STATUSES)[code], kernels
+
+
+def _cleared(stack: np.ndarray, scale) -> np.ndarray:
+    """Which slices M of a finite square (B, N, N) stack have a certified
+    sigma_min(M) > RANK_BAND^2 tau_F (``rank_decisions``), from one batched
+    inverse.
+
+    Each slice is divided by a power of two near its largest entry (exact up
+    to subnormal rounding of entries far below it), so no norm below over-
+    or underflows.  With X ~ M^-1 and E = I - M X, ||E|| < 1 gives
+    M^-1 = X (I - E)^-1 and sigma_min(M) >= (1 - ||E||) / ||X||_F.  The
+    computed R = fl(I - M X) is within gamma_(N+1) (|I| + |M| |X|) of E
+    entrywise (Higham, Accuracy and Stability, 2002, sec. 3.5), so
+    ||E||_F <= ||R||_F + gamma_(N+1) (sqrt N + ||M||_F ||X||_F).  The few
+    roundings of the norms themselves are relative and far inside the one
+    spare RANK_BAND factor.  A stack that LAPACK refuses for an exactly
+    singular slice, and a slice whose inverse overflows, clear nothing.
+    """
+    count, n, _ = stack.shape
+    exps = np.frexp(np.abs(stack).max(axis=(1, 2)))[1]
+    m = np.ldexp(stack, -exps[:, None, None])
+    x = inverses(m)
+    with np.errstate(all="ignore"):
+        r = -(m @ x)
+        r.reshape(count, n * n)[:, ::n + 1] += 1.0
+        m_f, x_f, r_f = (np.sqrt(np.einsum("bij,bij->b", a, a)) for a in (m, x, r))
+        u = (n + 1) * 0.5 * _EPS  # gamma_(N+1) = (N + 1) u / (1 - (N + 1) u), u = eps / 2
+        e_f = r_f + u / (1.0 - u) * (math.sqrt(n) + m_f * x_f)
+        size = m_f if scale is None else np.maximum(m_f, np.ldexp(scale, -exps))
+        return ((e_f < 1.0) & np.isfinite(np.ldexp(RANK_BAND * m_f, exps))
+                & ((1.0 - e_f) / x_f > RANK_BAND * (RANK_BAND * RANK_PIVOT_REL * size)))
 
 
 def _canonical_kernel(m: np.ndarray, nullity: int) -> np.ndarray:

@@ -61,7 +61,7 @@ SWEEP_CHUNK_DOUBLES = 2 ** 16
 class MatrixPolynomial:
     """Coefficient list (A_0, ..., A_m) of square quaternion matrices."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_sigma")
 
     def __init__(self, coeffs: Sequence[QuaternionMatrix], *, trim: bool = False):
         coeffs = list(coeffs)
@@ -81,6 +81,14 @@ class MatrixPolynomial:
         if coeffs[-1].is_zero():
             raise ValueError("leading coefficient must be nonzero")
         self.coeffs = tuple(c.copy() for c in coeffs)
+        self._sigma = None
+
+    @property
+    def lift_sigma(self) -> np.ndarray:
+        """``lift_singular_values`` of the coefficients, taken once per polynomial."""
+        if self._sigma is None:
+            self._sigma = lift_singular_values(self.coeffs)
+        return self._sigma
 
     @property
     def degree(self) -> int:
@@ -170,7 +178,7 @@ def polyeig_with_residuals(p: MatrixPolynomial) -> list[tuple[StandardEigenvalue
     below POLYEIG_RESIDUAL_REL raises ResidualFailureError.
     """
     lifts = np.array([complex_adjoint(a) for a in p.coeffs])
-    sigma = singular_values(lifts)
+    sigma = p.lift_sigma
     if p.degree == 0:
         if not invertible(sigma[0]):
             raise SingularLeadingCoefficientError("degree-zero polynomial with singular coefficient")
@@ -262,7 +270,7 @@ def _realified_operators(lefts, norms, chunk) -> tuple[np.ndarray, np.ndarray]:
 
 
 def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
-                    tuples: Iterable[Sequence[Quaternion]]):
+                    tuples: Iterable[Sequence[Quaternion]], norms: np.ndarray | None = None):
     """The realified oracle over an ordered iterable of substitution tuples.
 
     ``terms`` are (word, A_w) pairs of y -> sum_w A_w y w(mu_1, ..., mu_k);
@@ -274,13 +282,16 @@ def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
     own sigma_max).  Returns
     ("singular", tuple, unit kernel vector) for the first singular tuple,
     else ("unknown", None, None) when some tuple fell in the rank dead band,
-    else ("nonsingular", None, None).
+    else ("nonsingular", None, None).  ``norms``, the ||A_w||_2 when the
+    caller has them, spares the sweep its SVD of the term lifts.
     """
     n = terms[0][1].n_rows
     # One exact power-of-two scale keeps the operators finite; no rank decision moves.
     scale = _pow2_near(max(a.max_entry_modulus() for _, a in terms))
     lefts = [(word, (real_rep_left(a) / scale).reshape(4 * n, n, 4)) for word, a in terms]
-    norms = lift_singular_values([a for _, a in terms])[:, 0] / scale
+    if norms is None:
+        norms = lift_singular_values([a for _, a in terms])[:, 0]
+    norms = norms / scale
     cap = max(1, SWEEP_CHUNK_DOUBLES // (4 * n) ** 2)
     tuples = iter(tuples)
     undecided = False
@@ -302,7 +313,7 @@ def is_eigenvalue_oracle(p: MatrixPolynomial, mu: Quaternion):
     The one-point sweep of y -> sum_i A_i y mu^i.  Returns True, False, or
     None when the pivot lands in the undecided band.
     """
-    status, _, _ = realified_sweep(p.terms, [(mu,)])
+    status, _, _ = realified_sweep(p.terms, [(mu,)], p.lift_sigma[:, 0])
     if status == "unknown":
         return None
     return status == "singular"
@@ -310,7 +321,7 @@ def is_eigenvalue_oracle(p: MatrixPolynomial, mu: Quaternion):
 
 def eigenvector_at(p: MatrixPolynomial, mu: Quaternion) -> QuaternionMatrix | None:
     """A unit kernel vector of the realified action at mu, if one exists."""
-    return realified_sweep(p.terms, [(mu,)])[2]
+    return realified_sweep(p.terms, [(mu,)], p.lift_sigma[:, 0])[2]
 
 
 # ---------------------------------------------------------------------------

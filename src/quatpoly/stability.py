@@ -33,7 +33,6 @@ from .linalg import (
     QuaternionMatrix,
     _pow2_near,
     invertible,
-    lift_singular_values,
     real_rep_left,
     vec4_to_qvec,
 )
@@ -357,8 +356,8 @@ def check_stability(p: MatrixPolynomial, region: Region, *,
             points = [witness for relation, witness in relations if relation == "inside"]
             boundary_seen = any(relation != "outside" for relation, _ in relations)
             route = "spectrum-class-geometry"
-    status, tup, vector = (realified_sweep(p.terms, ((q,) for q in points)) if points
-                           else ("nonsingular", None, None))
+    status, tup, vector = (realified_sweep(p.terms, ((q,) for q in points), p.lift_sigma[:, 0])
+                           if points else ("nonsingular", None, None))
     if status == "singular":
         return StabilityVerdict(StabilityStatus.NOT_STABLE, route, tup[0], vector)
     if route == "oracle-sampling":
@@ -450,7 +449,7 @@ def eigenvalue_annulus(p: MatrixPolynomial) -> tuple[float, float]:
     """
     if p.degree < 1:
         raise ValueError("annulus bounds need degree at least 1")
-    sigma = lift_singular_values(p.coeffs)
+    sigma = p.lift_sigma
     if not invertible(sigma[0]):
         raise SingularCoefficientError("constant coefficient is singular")
     if not invertible(sigma[-1]):

@@ -23,8 +23,8 @@ from quatpoly import (
     scalar_char_poly,
     spectral_norm,
 )
-from quatpoly.eigensolver import (MAX_DIM, eigenvector, inverse_complex, lu_factor, lu_solve,
-                                  singular_values, solve)
+from quatpoly.eigensolver import (MAX_DIM, eigenvector, inverse_complex, inverses, lu_factor,
+                                  lu_solve, singular_values, solve)
 
 
 def sorted_vals(vals):
@@ -224,6 +224,28 @@ def test_solve_hands_back_singular_slices_as_nan():
         assert np.array_equal(x[k], solve(stack[k], b))
         assert np.allclose(stack[k] @ x[k], b)
     assert np.isnan(solve(np.zeros((1, 1)), [1.0])).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_inverses_of_a_stack_never_raise_for_singularity():
+    rng = np.random.default_rng(721)
+    real = rng.standard_normal((6, 5, 5))
+    lifted = real + 1j * rng.standard_normal((6, 5, 5))
+    for stack in (real, lifted):
+        x = inverses(stack)
+        assert x.dtype == stack.dtype
+        assert np.allclose(stack @ x, np.eye(5))
+        # One exactly zero pivot: numpy refuses the whole stack, which comes back NaN.
+        singular = stack.copy()
+        singular[3, :, 1] = 0.0
+        assert np.isnan(inverses(singular)).all()
+        # A subnormal slice inverts to an overflow, quietly.
+        tiny = stack.copy()
+        tiny[2] *= 1e-310
+        assert not np.isfinite(inverses(tiny)[2]).all()
+    assert np.array_equal(inverse_complex(lifted[0]), inverses(lifted[:1])[0])
+    with pytest.raises(NoConvergenceError):
+        inverse_complex(np.zeros((2, 2)))
 
 
 def test_singular_values_of_a_stack():

@@ -103,6 +103,25 @@ def test_region_roundtrips_all_kinds():
         region_from_json({"kind": "open_ball", "center": [0, 0, 0, 0]})
 
 
+@pytest.mark.parametrize("bad, message", [
+    (True, "expected a 4-array [w, x, y, z], got True"),
+    ([1, 2, 3], "expected a 4-array [w, x, y, z], got [1, 2, 3]"),
+    ([math.nan, 0, 0, 0], "quaternion entries must be finite, got [nan, 0, 0, 0]"),
+    ([0, False, 0, 0], "quaternion entry must be a number, got False"),
+])
+def test_finite_set_reader_names_the_first_bad_point(bad, message):
+    # The points are read in one array pass; a bad one is named as a
+    # per-point reader would name it, after two good ones and before a worse one.
+    points = [[1, 0, 0, 0], [0, 1.5, -0.0, 5e-324], bad, "worse"]
+    with pytest.raises(InputFormatError) as info:
+        region_from_json({"kind": "finite_set", "points": points})
+    assert str(info.value) == message
+    region = region_from_json({"kind": "finite_set", "points": points[:2]})
+    assert [q.as_array() for q in region.points] == [quaternion_from_json(p).as_array()
+                                                     for p in points[:2]]
+    assert math.copysign(1.0, region.points[1].y) == -1.0
+
+
 def test_multipolynomial_schema():
     multi = multipolynomial_from_json(
         {"k": 2, "terms": [{"word": [1, 2], "coeff": EYE1},

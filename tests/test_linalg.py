@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,12 @@ from quatpoly import (
     NonSquareError,
     Quaternion,
     QuaternionMatrix,
+    Region,
     SingularCoefficientError,
     SingularLeadingCoefficientError,
     SingularMatrixError,
+    StabilityStatus,
+    check_stability,
     companion,
     complex_adjoint,
     eigenvalue_annulus,
@@ -26,7 +31,7 @@ from quatpoly import (
     vec_entries,
 )
 from quatpoly.quaternion import left_action_matrix, right_action_matrix
-from _helpers import (random_invertible_qmatrix, random_qmatrix, random_quaternion,
+from _helpers import (random_invertible_qmatrix, random_polynomial, random_qmatrix, random_quaternion,
                       random_unit_quaternion, random_unit_qvec)
 
 ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
@@ -488,6 +493,119 @@ def test_rank_decisions_refuse_non_finite_and_overflowing_matrices():
 def test_rank_decisions_of_an_empty_stack():
     status, kernels = rank_decisions(np.zeros((0, 3, 3)))
     assert status.shape == (0,) and kernels.shape == (0, 3)
+
+
+def _planted_stack(rng, n, ratios):
+    """U diag(sigma) V^T per ratio, sigma descending from 1 to the ratio."""
+    out = []
+    for ratio in ratios:
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        sigma = np.sort(np.concatenate([[1.0, ratio], 10 ** rng.uniform(np.log10(ratio), 0, n - 2)]))
+        out.append((u * sigma[::-1]) @ v.T)
+    return np.stack(out)
+
+
+def _svd_only(monkeypatch, stack, scale=None):
+    """rank_decisions with no slice cleared: every finite slice takes the SVD."""
+    from quatpoly import linalg
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_cleared", lambda s, _scale: np.zeros(len(s), dtype=bool))
+        return rank_decisions(stack, scale)
+
+
+def _svd_slices(monkeypatch):
+    """A list that gets the slice count of every stacked SVD made in linalg:
+    those of rank_decisions, not the one-matrix SVD of a kernel."""
+    from quatpoly import linalg
+    counts = []
+    original = linalg.singular_values
+
+    def counting(stack, **kwargs):
+        if np.ndim(stack) == 3:
+            counts.append(len(stack))
+        return original(stack, **kwargs)
+
+    monkeypatch.setattr(linalg, "singular_values", counting)
+    return counts
+
+
+# The least singular value at the dead band's two edges, the clearing
+# threshold, and either side of each, in units of sigma_max.
+_EDGES = [1e-14, 1e-12, 9e-12, 1e-11, 1.1e-11, 3e-11, 9e-10, 1e-9, 1.1e-9, 5e-9, 1e-8,
+          2e-8, 5e-8, 1e-7, 1e-6, 1e-4, 1e-2]
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+@pytest.mark.parametrize("with_scale", [False, True], ids=["own-size", "term-scale"])
+def test_cleared_slices_decide_as_the_svd(monkeypatch, n, with_scale):
+    rng = np.random.default_rng(50 + n)
+    ratios = np.concatenate([_EDGES, 10 ** rng.uniform(-14, -2, 40)])
+    stack = _planted_stack(rng, n, ratios)
+    scale = 10 ** rng.uniform(-1, 2, len(stack)) if with_scale else None
+    counts = _svd_slices(monkeypatch)
+    status, kernels = rank_decisions(stack, scale)
+    ref_status, ref_kernels = _svd_only(monkeypatch, stack, scale)
+    assert list(status) == list(ref_status)
+    assert np.array_equal(kernels, ref_kernels)
+    assert set(status) == {"nonsingular", "singular", "unknown"}
+    # The well-conditioned slices were cleared without an SVD.
+    assert counts[0] <= len(stack) - np.sum(ratios >= 1e-6)
+
+
+def test_an_exactly_singular_slice_clears_nothing(monkeypatch):
+    # LAPACK refuses the whole stack for one zero pivot: every slice takes the SVD.
+    rng = np.random.default_rng(51)
+    stack = _planted_stack(rng, 8, [1e-1, 1e-3, 1e-2])
+    stack[1, :, 3] = 0.0
+    stack = np.concatenate([stack, np.diag([1.0, 2.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0])[None]])
+    counts = _svd_slices(monkeypatch)
+    status, kernels = rank_decisions(stack)
+    assert list(status) == ["nonsingular", "singular", "nonsingular", "singular"]
+    assert counts[0] == len(stack)
+    assert np.array_equal(kernels[3], np.eye(8)[2])
+
+
+def test_non_finite_slices_stay_unknown_beside_cleared_ones(monkeypatch):
+    rng = np.random.default_rng(52)
+    stack = _planted_stack(rng, 8, [1e-1, 1e-2, 1e-3, 1e-1])
+    stack[1, 2, 5] = np.nan
+    stack[3, 0, 0] = -np.inf
+    counts = _svd_slices(monkeypatch)
+    status, kernels = rank_decisions(stack, np.ones(4))
+    assert list(status) == ["nonsingular", "unknown", "nonsingular", "unknown"]
+    assert not kernels.any() and counts == []
+
+
+@pytest.mark.parametrize("exponent", [-1000, 1000])
+def test_cleared_decisions_survive_extreme_scales_silently(monkeypatch, exponent):
+    rng = np.random.default_rng(53)
+    ratios = [1e-1, 1e-4, 5e-9, 3e-11, 1e-13, 1e-2, 1e-7, 1.1e-9]
+    stack = _planted_stack(rng, 8, ratios)
+    scale = 10 ** rng.uniform(-1, 1, len(stack))
+    counts = _svd_slices(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for plain in (None, scale):
+            status, _ = rank_decisions(stack, plain)
+            scaled = None if plain is None else np.ldexp(plain, exponent)
+            got_status, got_kernels = rank_decisions(np.ldexp(stack, exponent), scaled)
+            # As many slices cleared at 2^exponent as at 1, four of them.
+            assert counts[-2:] == [4, 4]
+            ref_status, ref_kernels = _svd_only(monkeypatch, np.ldexp(stack, exponent), scaled)
+            assert list(got_status) == list(status) == list(ref_status)
+            assert np.array_equal(got_kernels, ref_kernels)
+
+
+def test_a_finite_set_sweep_clears_most_operators(monkeypatch):
+    rng = np.random.default_rng(54)
+    p = random_polynomial(rng, 2, 2)
+    points = [random_quaternion(rng) for _ in range(200)]
+    assert p.lift_sigma.shape == (3, 4)  # the coefficient lifts' SVD, taken before counting
+    counts = _svd_slices(monkeypatch)
+    verdict = check_stability(p, Region.finite_set(points))
+    assert verdict.status is StabilityStatus.STABLE
+    assert sum(counts) < 0.1 * len(points)
 
 
 def test_vec4_roundtrip():

@@ -35,7 +35,7 @@ from quatpoly import (
     standardize,
     vec_entries,
 )
-from quatpoly import matpoly
+from quatpoly import linalg, matpoly
 from quatpoly.eigensolver import singular_values
 from quatpoly.quaternion import StandardEigenvalue, class_distance, class_point
 from quatpoly.tolerances import POLYEIG_RESIDUAL_REL
@@ -327,14 +327,16 @@ def test_no_residual_beats_the_backward_error(seed):
 
 
 def _fallback_sizes(monkeypatch):
-    """Stack sizes of the SVDs polyeig_with_residuals takes after the coefficient one."""
+    """Stack sizes of the SVDs polyeig_with_residuals takes: the coefficient
+    lifts' (``MatrixPolynomial.lift_sigma``, in linalg), then the fallback ones."""
     sizes = []
 
     def spy(stack, **kwargs):
         sizes.append(len(stack))
         return singular_values(stack, **kwargs)
 
-    monkeypatch.setattr(matpoly, "singular_values", spy)
+    for module in (linalg, matpoly):
+        monkeypatch.setattr(module, "singular_values", spy)
     return sizes
 
 

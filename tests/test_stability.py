@@ -37,6 +37,7 @@ from test_matpoly import (
     example_projection_poly,
 )
 from _helpers import random_polynomial, random_quaternion
+from quatpoly.eigensolver import singular_values
 
 ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
 
@@ -643,3 +644,26 @@ def test_ball_and_complement_witnesses_are_the_aligned_class_points():
             assert witness.w == e.re
             turn = np.array([witness.x, witness.y, witness.z]) - sign * e.im * axis
             assert np.linalg.norm(turn) <= 1e-15 * e.im
+
+
+def test_stable_over_a_ball_takes_one_svd_of_the_coefficient_lifts(monkeypatch):
+    # The spectrum and the realified sweep share the singular values of the
+    # coefficient lifts, taken once per polynomial.
+    from quatpoly import linalg, matpoly
+
+    shapes = []
+
+    def counting(stack, **kwargs):
+        shapes.append(np.shape(stack))
+        return singular_values(stack, **kwargs)
+
+    for module in (linalg, matpoly):
+        monkeypatch.setattr(module, "singular_values", counting)
+    rows = [[[[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, 1]]],
+            [[[0, 0, 0, 0], [1, 0, 0, 0]], [[1, 0, 0, 0], [0, 0, 0, 0]]],
+            [[[1, 0, 0, 0], [0, 0, 0, 0]], [[0, 0, 0, 0], [1, 0, 0, 0]]]]
+    p = MatrixPolynomial([QuaternionMatrix.from_rows([[Quaternion(*e) for e in row] for row in a])
+                          for a in rows])
+    verdict = check_stability(p, Region.open_ball(Quaternion(0), 2.0))
+    assert verdict.status is StabilityStatus.NOT_STABLE
+    assert shapes.count((3, 4, 4)) == 1
