@@ -20,12 +20,7 @@ import numpy as np
 
 from .eigensolver import _EPS, eig_complex, inverse_complex, inverses, singular_values
 from .errors import NonSquareError, PairingFailureError, SingularMatrixError
-from .quaternion import (
-    Quaternion,
-    StandardEigenvalue,
-    left_action_matrix,
-    right_action_matrix,
-)
+from .quaternion import UNIT_LEFT_ACTIONS, Quaternion, StandardEigenvalue, right_action_matrix
 from .tolerances import (APPROX_EQ_ABS, INVERTIBILITY_REL, MULTIPLE_ROOT_REL, RANK_BAND,
                          RANK_PIVOT_REL, ROOT_CLUSTER_REL, SCALE_FLOOR, SPHERE_REL, SQUARES_MIN)
 
@@ -48,9 +43,6 @@ __all__ = [
 ]
 
 _RANK_STATUSES = ("nonsingular", "singular", "unknown")
-
-# Left actions of 1, i, j, k on (w, x, y, z): real_rep_left is linear in them.
-_UNIT_LEFT_ACTIONS = np.stack([left_action_matrix(Quaternion(*e)) for e in np.eye(4)])
 
 
 def _coerce_entry(value) -> Quaternion:
@@ -260,7 +252,7 @@ def real_rep_left(a: QuaternionMatrix) -> np.ndarray:
         raise NonSquareError("realification is defined for square matrices")
     n = a.n_rows
     planes = np.stack([a.a1.real, a.a1.imag, a.a2.real, a.a2.imag])
-    return np.einsum("krc,kpq->rpcq", planes, _UNIT_LEFT_ACTIONS).reshape(4 * n, 4 * n)
+    return np.einsum("krc,kpq->rpcq", planes, UNIT_LEFT_ACTIONS).reshape(4 * n, 4 * n)
 
 
 def real_rep_right_scalar(q: Quaternion, n: int) -> np.ndarray:

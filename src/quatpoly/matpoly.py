@@ -31,7 +31,6 @@ from .errors import (
     ZeroLeadingError,
 )
 from .linalg import (
-    _UNIT_LEFT_ACTIONS,
     QuaternionMatrix,
     _pow2_near,
     _relative_actions,
@@ -46,13 +45,9 @@ from .linalg import (
     real_rep_left,
     vec4_to_qvec,
 )
-from .quaternion import Quaternion, StandardEigenvalue, right_action_matrices
+from .quaternion import (CONJ, UNIT_LEFT_ACTIONS, UNIT_RIGHT_ACTIONS, Quaternion,
+                         StandardEigenvalue, right_action_matrices)
 from .tolerances import IDENTITY_ABS, POLYEIG_RESIDUAL_REL, SLOPE_REL, SPHERE_REL
-
-# Components of conj(q) are _CONJ * q, and (q @ _RIGHT_UNITS).reshape(4, 4)
-# is the right action matrix of q, linear in q.
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-_RIGHT_UNITS = right_action_matrices(np.eye(4)).reshape(4, 16)
 
 # A chunk of operators in the realified sweep holds at most this many doubles.
 SWEEP_CHUNK_DOUBLES = 2 ** 16
@@ -446,8 +441,8 @@ def stacked_zeros(a: np.ndarray) -> tuple[np.ndarray, ...]:
     # inv(q) = conj(q) / |q|^2, with q first divided by its largest component.
     big = np.abs(a[:, -1]).max(axis=1, keepdims=True)
     lead = a[:, -1] / big
-    inv = lead * _CONJ / ((lead * lead).sum(axis=1, keepdims=True) * big)
-    a = a @ (inv @ _UNIT_LEFT_ACTIONS.reshape(4, 16)).reshape(-1, 4, 4).transpose(0, 2, 1)
+    inv = lead * CONJ / ((lead * lead).sum(axis=1, keepdims=True) * big)
+    a = a @ (inv @ UNIT_LEFT_ACTIONS.reshape(4, 16)).reshape(-1, 4, 4).transpose(0, 2, 1)
     a[:, -1] = (1.0, 0.0, 0.0, 0.0)
     roots = _lift_roots(a)
     x, s, shares, axis = _standard_classes(roots, np.maximum(1.0, np.abs(roots)))
@@ -465,10 +460,12 @@ def stacked_zeros(a: np.ndarray) -> tuple[np.ndarray, ...]:
     spherical = ~real & (remainder <= SPHERE_REL * pscale)
     isolated = ~real & ~spherical & (slope > SLOPE_REL * pscale)
     # The one zero -inv(beta) alpha = -conj(beta) alpha / |beta|^2 of each
-    # isolated class, and p there by Horner's rule.
-    zeta = ((alpha @ _RIGHT_UNITS).reshape(count, 2 * d, 4, 4) @ (beta * -_CONJ)[..., None])[..., 0]
+    # isolated class, and p there by Horner's rule; (q @ right).reshape(4, 4)
+    # is the right action matrix of q.
+    right = UNIT_RIGHT_ACTIONS.reshape(4, 16)
+    zeta = ((alpha @ right).reshape(count, 2 * d, 4, 4) @ (beta * -CONJ)[..., None])[..., 0]
     zeta = zeta / np.where(isolated, slope, 1.0)[..., None] ** 2
-    times_zeta = (zeta @ _RIGHT_UNITS).reshape(count, 2 * d, 4, 4)
+    times_zeta = (zeta @ right).reshape(count, 2 * d, 4, 4)
     value = zeta + a[:, -2, None]  # the monic leading term gives 1 zeta
     for i in range(d - 2, -1, -1):
         value = (times_zeta @ value[..., None])[..., 0] + a[:, i, None]

@@ -246,3 +246,13 @@ def right_action_matrices(q: np.ndarray) -> np.ndarray:
                      x, w, z, -y,
                      y, -z, w, x,
                      z, y, -x, w], axis=-1).reshape(q.shape[:-1] + (4, 4))
+
+
+# Components of conj(q) are CONJ * q.
+CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+# The left and right action matrices of u = 1, i, j, k, as (4, 4, 4) arrays
+# indexed by u; both actions are linear in the acting quaternion.
+UNIT_LEFT_ACTIONS = np.stack([left_action_matrix(Quaternion(*e)) for e in np.eye(4)])
+UNIT_RIGHT_ACTIONS = right_action_matrices(np.eye(4))
+# Component k of conj(u) v is the sum over a, b of u_a CONJ_PRODUCT[a, k, b] v_b.
+CONJ_PRODUCT = CONJ[:, None, None] * UNIT_LEFT_ACTIONS

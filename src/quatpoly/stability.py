@@ -29,7 +29,6 @@ from .errors import (
     SingularLeadingCoefficientError,
 )
 from .linalg import (
-    _UNIT_LEFT_ACTIONS,
     QuaternionMatrix,
     _pow2_near,
     invertible,
@@ -37,7 +36,6 @@ from .linalg import (
     vec4_to_qvec,
 )
 from .matpoly import (
-    _CONJ,
     SWEEP_CHUNK_DOUBLES,
     MatrixPolynomial,
     ScalarQPolynomial,
@@ -47,9 +45,11 @@ from .matpoly import (
     stacked_zeros,
 )
 from .quaternion import (
+    CONJ,
+    CONJ_PRODUCT,
+    UNIT_RIGHT_ACTIONS,
     Quaternion,
     StandardEigenvalue,
-    class_distance,
     class_distance_extremes,
     class_point,
     right_action_matrices,
@@ -71,6 +71,7 @@ class RegionKind(str, Enum):
 
 
 _BALL_KINDS = (RegionKind.OPEN_BALL, RegionKind.CLOSED_BALL)
+_OPEN_KINDS = (RegionKind.OPEN_BALL, RegionKind.COMPLEMENT_CLOSED_BALL)
 _SEARCH_KINDS = (*_BALL_KINDS, RegionKind.FINITE_SET)
 
 
@@ -122,38 +123,73 @@ class Region:
     def finite_set(cls, points: Sequence[Quaternion]) -> "Region":
         return cls(RegionKind.FINITE_SET, points=tuple(points))
 
-    def margin(self, dmin: float, dmax: float) -> float:
-        """Signed margin by which a set at distances [dmin, dmax] from the
-        center meets this region: positive inside, negative outside."""
-        if self.kind in _BALL_KINDS:
-            return self.radius - dmin
-        if self.kind is RegionKind.COMPLEMENT_CLOSED_BALL:
-            return dmax - self.radius
-        if self.kind is RegionKind.ANNULUS:
-            return min(self.outer_radius - dmin, dmax - self.inner_radius)
-        raise ValueError("class geometry does not apply to finite sets")
+    def margins(self, rows, spherical=False) -> np.ndarray:
+        """Signed margins by which every [w, x, y, z] row of a (P, 4) array,
+        or where ``spherical`` flags it its class sphere {w + |vec| u : u unit
+        pure imaginary}, meets this region: positive inside, negative
+        outside.  A ball, its complement and an annulus map the least and
+        greatest distances (dmin, dmax) from the center; a finite set gives
+        the largest FINITE_SET_REL max(1, |p|) - dmin over its points p."""
+        rows = np.asarray(rows, dtype=float).reshape(-1, 4)
+        spherical = np.broadcast_to(spherical, len(rows))[:, None]
+        finite = self.kind is RegionKind.FINITE_SET
+        targets = np.array([q.as_array() for q in (self.points if finite else [self.center])])
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = rows[:, None, 0] - targets[:, 0]
+            vecs = np.hypot.reduce(rows[:, 1:], axis=1)[:, None]
+            target_vecs = np.hypot.reduce(targets[:, 1:], axis=1)
+            dists = np.hypot.reduce(rows[:, None] - targets, axis=2)
+            dmin = np.where(spherical, np.hypot(gaps, vecs - target_vecs), dists)
+            if finite:
+                reach = FINITE_SET_REL * np.maximum(1.0, np.hypot.reduce(targets, axis=1))
+                return np.fmax.reduce(reach - dmin, axis=1)
+            dmin = dmin[:, 0]
+            dmax = np.where(spherical[:, 0], np.hypot(gaps, vecs + target_vecs)[:, 0], dmin)
+            if self.kind in _BALL_KINDS:
+                return self.radius - dmin
+            if self.kind is RegionKind.COMPLEMENT_CLOSED_BALL:
+                return dmax - self.radius
+            return np.minimum(self.outer_radius - dmin, dmax - self.inner_radius)
+
+    def contains_rows(self, rows, spherical=False) -> np.ndarray:
+        """Which rows of a (P, 4) array, or their class spheres where
+        ``spherical`` flags them, meet the region: a positive margin for the
+        open ball and the complement of the closed ball, else a nonnegative one."""
+        margins = self.margins(rows, spherical)
+        return margins > 0.0 if self.kind in _OPEN_KINDS else margins >= 0.0
 
     def contains(self, q: Quaternion) -> bool:
-        if self.kind is RegionKind.FINITE_SET:
-            return any((q - p).modulus() <= FINITE_SET_REL * max(1.0, p.modulus())
-                       for p in self.points)
-        d = (q - self.center).modulus()
-        strict = self.kind in (RegionKind.OPEN_BALL, RegionKind.COMPLEMENT_CLOSED_BALL)
-        return self.margin(d, d) > 0.0 if strict else self.margin(d, d) >= 0.0
+        return bool(self.contains_rows(q.as_array())[0])
 
-    def contains_rows(self, points: np.ndarray) -> np.ndarray:
-        """``contains`` for every [w, x, y, z] row of a (P, 4) array, by the
-        same strict and closed comparisons.  Distances come from np.hypot,
-        which may differ from math.hypot in the last bit."""
+    def meets(self, rows, spherical, band: float) -> np.ndarray:
+        """Which rows, or their class spheres where flagged, count as inside
+        for a verdict: a margin above ``band``, so nothing within the dead
+        band of the boundary counts.  A finite set has no dead band; its
+        rule is that of ``contains_rows``."""
         if self.kind is RegionKind.FINITE_SET:
-            ps = np.array([p.as_array() for p in self.points])
-            reach = FINITE_SET_REL * np.maximum(1.0, np.hypot.reduce(ps, axis=1))
-            return (np.hypot.reduce(points[:, None] - ps, axis=2) <= reach).any(axis=1)
-        d = np.hypot.reduce(points - self.center.as_array(), axis=1)
-        if self.kind is RegionKind.ANNULUS:
-            return np.minimum(self.outer_radius - d, d - self.inner_radius) >= 0.0
-        strict = self.kind in (RegionKind.OPEN_BALL, RegionKind.COMPLEMENT_CLOSED_BALL)
-        return self.margin(d, d) > 0.0 if strict else self.margin(d, d) >= 0.0
+            return self.contains_rows(rows, spherical)
+        return self.margins(rows, spherical) > band
+
+    def modulus_reach(self, band: float) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds (lows, highs) on the modulus of a zero that ``meets``
+        counts as inside a ball or a finite set, one pair for a ball and one
+        per point of a finite set: within the radius less ``band`` of the
+        center's modulus, or within FINITE_SET_REL max(1, |p|) of a point's
+        (every point of a class sphere has the modulus of its class).  Each
+        end is widened by MODULUS_BOUND_SLACK times max(1, end), for the
+        rounding of the zero finder and of the bound, and kept within [0,
+        the largest float]."""
+        if self.kind is RegionKind.FINITE_SET:
+            moduli = np.array([p.modulus() for p in self.points])
+            radii = FINITE_SET_REL * np.maximum(1.0, moduli)
+        else:
+            moduli, radii = np.array([self.center.modulus()]), np.array([self.radius - band])
+        with np.errstate(over="ignore", invalid="ignore"):
+            lows, highs = moduli - radii, moduli + radii
+            lows = lows - MODULUS_BOUND_SLACK * np.maximum(1.0, lows)
+            highs = highs + MODULUS_BOUND_SLACK * np.maximum(1.0, highs)
+        top = np.finfo(float).max
+        return np.clip(np.nan_to_num(lows), 0.0, top), np.clip(np.nan_to_num(highs, nan=top), 0.0, top)
 
 
 class StabilityStatus(str, Enum):
@@ -192,47 +228,37 @@ class HyperVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _radical_inverse(index: int, base: int) -> float:
-    out = 0.0
-    f = 1.0 / base
-    while index > 0:
-        out += f * (index % base)
-        index //= base
-        f /= base
-    return out
-
-
-def _halton4(index: int) -> tuple[float, float, float, float]:
-    return (_radical_inverse(index, 2), _radical_inverse(index, 3),
-            _radical_inverse(index, 5), _radical_inverse(index, 7))
-
-
-def _unit_sphere_point(u1: float, u2: float, u3: float) -> tuple[float, float, float, float]:
-    # Uniform distribution on the unit 3-sphere.
-    a = math.sqrt(max(0.0, 1.0 - u1))
-    b = math.sqrt(u1)
-    t1 = 2.0 * math.pi * u2
-    t2 = 2.0 * math.pi * u3
-    return (a * math.sin(t1), a * math.cos(t1), b * math.sin(t2), b * math.cos(t2))
-
-
-def _ball_grid_point(center: Quaternion, radius: float, index: int) -> Quaternion:
-    u0, u1, u2, u3 = _halton4(index)
-    rho = radius * u0 ** 0.25
-    s = _unit_sphere_point(u1, u2, u3)
-    return Quaternion(center.w + rho * s[0], center.x + rho * s[1],
-                      center.y + rho * s[2], center.z + rho * s[3])
+def _ball_grid(center: Quaternion, radius: float, start: int, stop: int) -> np.ndarray:
+    """Points start, ..., stop - 1 of the ball grid as [w, x, y, z] rows: the
+    radical inverses u_0..u_3 of the index in bases 2, 3, 5, 7 (a Halton
+    point) give the radius ``radius`` u_0^(1/4) and a uniform direction on
+    the unit 3-sphere."""
+    index = np.arange(start, stop)
+    u = np.zeros((4, len(index)))
+    for row, base in zip(u, (2, 3, 5, 7)):
+        rest, f = index, 1.0 / base
+        while rest.any():
+            row += f * (rest % base)
+            rest, f = rest // base, f / base
+    # Python's pow: numpy's differs from it in the last bit for some u.
+    rho = radius * np.array([v ** 0.25 for v in u[0].tolist()])
+    a, b = np.sqrt(np.maximum(0.0, 1.0 - u[1])), np.sqrt(u[1])
+    t1, t2 = 2.0 * math.pi * u[2], 2.0 * math.pi * u[3]
+    sphere = np.stack([a * np.sin(t1), a * np.cos(t1), b * np.sin(t2), b * np.cos(t2)], axis=1)
+    return np.array(center.as_array()) + rho[:, None] * sphere
 
 
 def quaternion_ball_grid(center: Quaternion, radius: float,
                          count: int) -> list[Quaternion]:
     """Deterministic low-discrepancy grid of ``count`` points in the open
     ball around ``center`` (all moduli strictly below ``radius``)."""
-    return [_ball_grid_point(center, radius, t) for t in range(1, count + 1)]
+    return [Quaternion(*q) for q in _ball_grid(center, radius, 1, count + 1).tolist()]
 
 
 def region_sample_grid(region: Region, count: int) -> list[Quaternion]:
-    """Deterministic probe points inside a region (rejection off a ball grid)."""
+    """Deterministic probe points inside a region: for an annulus or a
+    complement, the first ``count`` points of a ball grid inside it, among
+    at most 60 count + 64, drawn in blocks of 2 count."""
     if region.kind is RegionKind.FINITE_SET:
         return list(region.points)
     if region.kind in _BALL_KINDS:
@@ -241,19 +267,17 @@ def region_sample_grid(region: Region, count: int) -> list[Quaternion]:
         base_radius = region.outer_radius
     else:  # complement: probe a shell just outside the excluded ball
         base_radius = 2.0 * region.radius + 1.0
-    points = []
-    index = 1
-    budget = 60 * count + 64
-    while len(points) < count and index <= budget:
-        q = _ball_grid_point(region.center, base_radius, index)
-        index += 1
-        if region.contains(q):
-            points.append(q)
-    return points
+    points, start, budget = np.empty((0, 4)), 1, 60 * count + 64
+    while len(points) < count and start <= budget:
+        stop = min(start + 2 * count, budget + 1)
+        block = _ball_grid(region.center, base_radius, start, stop)
+        points = np.concatenate([points, block[region.contains_rows(block)]])
+        start = stop
+    return [Quaternion(*q) for q in points[:count].tolist()]
 
 
 # ---------------------------------------------------------------------------
-# Class sphere versus region geometry
+# Witness points of class spheres
 # ---------------------------------------------------------------------------
 
 
@@ -287,8 +311,7 @@ def _class_point_at_distance(e: StandardEigenvalue, center: Quaternion,
     return class_point(e, direction)
 
 
-def _class_witness(e: StandardEigenvalue, region: Region, dmin: float,
-                   dmax: float) -> Quaternion:
+def _class_witness(e: StandardEigenvalue, region: Region) -> Quaternion:
     """A point of the class of e inside the region: the nearest point to the
     center for a ball, the farthest for its complement (both aligned with
     the center's vector part, so exact), and for an annulus the point at the
@@ -302,25 +325,9 @@ def _class_witness(e: StandardEigenvalue, region: Region, dmin: float,
         return class_point(e, center)
     if region.kind is RegionKind.COMPLEMENT_CLOSED_BALL:
         return class_point(e, -center)
+    dmin, dmax = class_distance_extremes(e, center)
     target = 0.5 * (max(dmin, region.inner_radius) + min(dmax, region.outer_radius))
     return _class_point_at_distance(e, center, target)
-
-
-def _class_region_relation(e: StandardEigenvalue, region: Region,
-                           band: float) -> tuple[str, Optional[Quaternion]]:
-    """Whether the class sphere of e meets the region.
-
-    Returns ("inside", witness), ("outside", None) or ("boundary", None);
-    "inside"/"outside" refer to the intersection test, and any margin inside
-    the dead band is reported as "boundary".
-    """
-    dmin, dmax = class_distance_extremes(e, region.center)
-    margin = region.margin(dmin, dmax)
-    if margin > band:
-        return "inside", _class_witness(e, region, dmin, dmax)
-    if margin < -band:
-        return "outside", None
-    return "boundary", None
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +342,10 @@ def check_stability(p: MatrixPolynomial, region: Region, *,
     First the points to confirm are collected: a finite set's own points;
     for ball, complement and annulus regions, one witness point of each
     similarity class of the companion spectrum that meets the region, in
-    spectrum order, each class compared against the region geometry
-    exactly; and, when the leading coefficient is singular, a deterministic
-    sample grid of the region, which can refute stability but never
-    certify it.  One realified sweep then decides them all.  NOT_STABLE
+    spectrum order, all class spheres compared against the region by one
+    ``Region.margins`` call; and, when the leading coefficient is singular,
+    a deterministic sample grid of the region, which can refute stability
+    but never certify it.  One realified sweep then decides them all.  NOT_STABLE
     carries the first singular point and the sweep's unit kernel vector
     there.  A spectrum class inside the region that the oracle does not
     confirm, or one within the dead band of the boundary, gives UNKNOWN.
@@ -352,9 +359,10 @@ def check_stability(p: MatrixPolynomial, region: Region, *,
         except SingularLeadingCoefficientError:
             points, route = region_sample_grid(region, samples), "oracle-sampling"
         else:
-            relations = [_class_region_relation(ev, region, band) for ev in spectrum]
-            points = [witness for relation, witness in relations if relation == "inside"]
-            boundary_seen = any(relation != "outside" for relation, _ in relations)
+            margins = region.margins([[ev.re, ev.im, 0.0, 0.0] for ev in spectrum], True)
+            points = [_class_witness(ev, region)
+                      for ev, margin in zip(spectrum, margins.tolist()) if margin > band]
+            boundary_seen = not (margins < -band).all()
             route = "spectrum-class-geometry"
     status, tup, vector = (realified_sweep(p.terms, ((q,) for q in points), p.lift_sigma[:, 0])
                            if points else ("nonsingular", None, None))
@@ -477,11 +485,6 @@ class NumericalRangeResult(NamedTuple):
     skipped: int
 
 
-# Component k of conj(u) v is the sum over a, b of u_a T[a, k, b] v_b with
-# T = _CONJ_PRODUCT.
-_CONJ_PRODUCT = _CONJ[:, None, None] * _UNIT_LEFT_ACTIONS
-# Column block u of p -> p @ _UNIT_RIGHT_ACTIONS is p u, for u = 1, i, j, k.
-_UNIT_RIGHT_ACTIONS = right_action_matrices(np.eye(4)).transpose(2, 0, 1).reshape(4, 16)
 # Random unit combinations of a span basis the search tries as probes z.
 RANDOM_PROBES = 48
 
@@ -533,7 +536,7 @@ def _qinner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Quaternion inner products u_s* v = sum_t conj(u_st) v_t of vec4 rows:
     u is (..., S, 4n) and v is (..., S, R, 4n), broadcast, to (..., S, R, 4)."""
     # The (4n, 4) real matrix of v -> u_s* v, for every s.
-    forms = (u.reshape(*u.shape[:-1], -1, 4) @ _CONJ_PRODUCT.reshape(4, 16))
+    forms = (u.reshape(*u.shape[:-1], -1, 4) @ CONJ_PRODUCT.reshape(4, 16))
     return v @ forms.reshape(*u.shape[:-1], -1, 4, 4).swapaxes(-1, -2).reshape(*u.shape, 4)
 
 
@@ -624,7 +627,9 @@ def _span_bases(vss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     alone.  The longest row of a stack has norm in [1/2, 1), which
     SPAN_ZERO_REL assumes."""
     count, rows, width = vss.shape
-    candidates = (vss.reshape(count, rows, -1, 4) @ _UNIT_RIGHT_ACTIONS).reshape(count, rows, -1, 4, 4)
+    # Column block u of p @ units is p u, for u = 1, i, j, k.
+    units = UNIT_RIGHT_ACTIONS.transpose(2, 0, 1).reshape(4, 16)
+    candidates = (vss.reshape(count, rows, -1, 4) @ units).reshape(count, rows, -1, 4, 4)
     candidates = candidates.transpose(1, 3, 0, 2, 4).reshape(-1, count, width)
     bases = np.zeros((count, min(len(candidates), width), width))
     sizes = np.zeros(count, int)
@@ -637,20 +642,6 @@ def _span_bases(vss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bases[new, sizes[new]] = cand[new] / norm[new, None]
         sizes[new] += 1
     return bases, sizes
-
-
-def _zero_meets_region(zero, region: Region, band: float) -> bool:
-    if region.kind is RegionKind.FINITE_SET:
-        if zero.spherical:
-            return any(class_distance(zero.eigenvalue_class, q) <= band
-                       for q in region.points)
-        return region.contains(zero.point)
-    if zero.spherical:
-        dmin, dmax = class_distance_extremes(zero.eigenvalue_class, region.center)
-    else:
-        dmin = dmax = (zero.point - region.center).modulus()
-    # A zero within the dead band of the boundary does not count as inside.
-    return region.margin(dmin, dmax) > band
 
 
 def not_hyperstable_search(p: MatrixPolynomial, region: Region, *, band: float = BOUNDARY_BAND,
@@ -750,7 +741,7 @@ def _first_sampled_witness(vss: np.ndarray, region: Region, band: float,
     # above SPAN_ZERO_REL, and the first candidate kept always joins.
     draws = _unit_draws(rng, RANDOM_PROBES, sizes)
     floors = INDUCED_VANISHING_REL * np.linalg.norm(vss, axis=2).max(axis=1)
-    reach = _modulus_reach(region, band)
+    reach = region.modulus_reach(band)
     firsts = _probe_coefficients(vss, bases[:, :1])
     vanishing, degrees = _trimmed(firsts[:, 0], floors)
     refuted = ~vanishing & _outside_moduli(firsts[:, 0], degrees, *reach)
@@ -776,7 +767,7 @@ def _probes(basis: np.ndarray, draws: np.ndarray) -> np.ndarray:
 def _probe_coefficients(vs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Every z* A_i y, as the conjugates of (A_i y)* z: an (..., Z, m+1, 4)
     array from rows vec4(A_i y) (..., m+1, 4n) and probes z (..., Z, 4n)."""
-    return (_qinner(vs, zs[..., None, :, :]) * _CONJ).swapaxes(-3, -2)
+    return (_qinner(vs, zs[..., None, :, :]) * CONJ).swapaxes(-3, -2)
 
 
 def _every_probe_meets(css: np.ndarray, floor: float, reach: tuple[np.ndarray, np.ndarray],
@@ -793,30 +784,10 @@ def _every_probe_meets(css: np.ndarray, floor: float, reach: tuple[np.ndarray, n
         if out:
             return False
         zeros = scalar_zeros(ScalarQPolynomial([Quaternion(*c) for c in cs[:degree + 1].tolist()]))
-        if not any(_zero_meets_region(zero, region, band) for zero in zeros):
+        rows = [zero.point.as_array() for zero in zeros]
+        if not region.meets(rows, [zero.spherical for zero in zeros], band).any():
             return False
     return True
-
-
-def _modulus_reach(region: Region, band: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds (lows, highs) on the modulus of a zero that counts as inside a
-    ball or finite-set region for _zero_meets_region, one pair for a ball,
-    one per point of a finite set: a zero within ``band`` of a ball's boundary
-    does not count, and one counts for a point p within max(band,
-    FINITE_SET_REL max(1, |p|)).  Each end is widened by MODULUS_BOUND_SLACK
-    times max(1, end), for the rounding of the zero finder and of the bound,
-    and kept within [0, the largest float]."""
-    if region.kind is RegionKind.FINITE_SET:
-        moduli = np.array([p.modulus() for p in region.points])
-        radii = np.maximum(band, FINITE_SET_REL * np.maximum(1.0, moduli))
-    else:
-        moduli, radii = np.array([region.center.modulus()]), np.array([region.radius - band])
-    with np.errstate(over="ignore", invalid="ignore"):
-        lows, highs = moduli - radii, moduli + radii
-        lows = lows - MODULUS_BOUND_SLACK * np.maximum(1.0, lows)
-        highs = highs + MODULUS_BOUND_SLACK * np.maximum(1.0, highs)
-    top = np.finfo(float).max
-    return np.clip(np.nan_to_num(lows), 0.0, top), np.clip(np.nan_to_num(highs, nan=top), 0.0, top)
 
 
 def _outside_moduli(css: np.ndarray, degrees: np.ndarray, lows: np.ndarray,
@@ -935,7 +906,7 @@ def _numerical_range_evidence(p: MatrixPolynomial, region: Region,
         result = sample_numerical_range(p, samples, seed)
     except DegenerateCoefficientsError:
         return "numerical-range sampling degenerate"
-    hits = int(region.contains_rows(result.points).sum())
+    hits = int(region.contains_rows(result.points, result.spherical).sum())
     if hits:
         return (f"sampled numerical range meets the region "
                 f"({hits} of {len(result.points)} points)")

@@ -764,3 +764,41 @@ def test_hyperstability_search_keeps_the_boundary_band(tmp_path, capsys):
     assert witnesses[()] == witnesses[("--boundary-band", "0.1")] == E1
     # With the band wider than 0.15 the zero of e_1 lies in the dead band.
     assert witnesses[("--boundary-band", "0.2")] != E1
+
+
+# P(t) e_1 = (1, 1)^T (t^2 + 1): every z* P(t) e_1 vanishes on the unit
+# sphere, which misses the point 0.8 j by 0.2.
+SPHERE_POLY = {"coeffs": [[[ONE_Q, [0.3, 0, 0.2, 0]], [ONE_Q, [0.7, 0.1, 0, 0]]],
+                          [[ZERO, [0.4, 0, 0, 0.1]], [ZERO, [-0.2, 0.5, 0, 0]]],
+                          [[ONE_Q, [0.5, 0, 0, 0.4]], [ONE_Q, [-0.2, 0.3, 0, 0]]]]}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_boundary_band_does_not_widen_a_finite_set(tmp_path, capsys):
+    p = write(tmp_path, "p.json", SPHERE_POLY)
+    r = write(tmp_path, "r.json", {"kind": "finite_set", "points": [[0, 0, 0.8, 0]]})
+    reports = set()
+    for band in ("1e-9", "0.1", "0.3"):
+        code, out, err = run_cli(capsys, ["hyperstable", "--input", p, "--region", r,
+                                          "--boundary-band", band])
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["result"]["status"] == "UNKNOWN"
+        reports.add((report["certificate"], report["witness"]))
+    assert len(reports) == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spherical_numerical_range_samples_count_as_spheres(tmp_path, capsys):
+    # Every y* P(t) y of P = (t^2 + 1) M has the unit sphere as its zeros,
+    # and the sphere passes through the center j of the annulus.
+    m = [[ONE_Q, [0.5, 0.2, 0, 0]], [[0.3, 0, 0.4, 0], [1, 0, 0, 0.1]]]
+    p = write(tmp_path, "p.json", {"coeffs": [m, [[ZERO, ZERO], [ZERO, ZERO]], m]})
+    r = write(tmp_path, "r.json", {"kind": "annulus", "center": J_Q,
+                                   "inner_radius": 0, "outer_radius": 0.1})
+    code, out, err = run_cli(capsys, ["hyperstable", "--input", p, "--region", r,
+                                      "--samples", "64"])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["result"]["status"] == "UNKNOWN"
+    assert "meets the region (16 of 16 points)" in report["certificate"]

@@ -19,7 +19,6 @@ import pytest
 from quatpoly import PairingFailureError, Quaternion, Region, ScalarQPolynomial
 from quatpoly import stability
 from quatpoly.matpoly import scalar_zeros
-from quatpoly.stability import _zero_meets_region
 from quatpoly.tolerances import BOUNDARY_BAND, FINITE_SET_REL
 
 SPREADS = [0, 8, 50, 150]
@@ -57,7 +56,11 @@ def _spread_polynomials(rng, count, degree, spread):
 
 
 def _outside(css, degrees, region, band):
-    return stability._outside_moduli(css, degrees, *stability._modulus_reach(region, band))
+    return stability._outside_moduli(css, degrees, *region.modulus_reach(band))
+
+
+def _meets(zero, region, band):
+    return region.meets([zero.point.as_array()], [zero.spherical], band)[0]
 
 
 def _credible_zeros(cs):
@@ -99,7 +102,7 @@ def test_an_excluded_polynomial_has_no_zero_in_the_region(spread):
                 excluded += int(outside.sum())
                 kept += int((~outside).sum())
                 assert not [row for row in np.flatnonzero(outside).tolist() if zeros[row] and any(
-                    _zero_meets_region(zero, region, band) for zero in zeros[row])]
+                    _meets(zero, region, band) for zero in zeros[row])]
     # The bound decides a real share of these probes either way, and the
     # zero finder answers for nearly all of them.
     assert excluded > 1000 and kept > 1000

@@ -166,3 +166,17 @@ def test_class_point_lies_on_class():
     e = StandardEigenvalue(2.0, 3.0)
     p = class_point(e, Quaternion(0.5, 1.0, -2.0, 0.25))
     assert similar(p, e.lift())
+
+
+def test_unit_action_tables():
+    from quatpoly.quaternion import CONJ, CONJ_PRODUCT, UNIT_LEFT_ACTIONS, UNIT_RIGHT_ACTIONS
+
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        p, q = random_quaternion(rng), random_quaternion(rng)
+        for unit, left, right in zip((ONE, I, J, K), UNIT_LEFT_ACTIONS, UNIT_RIGHT_ACTIONS):
+            assert np.array_equal(left @ p.as_array(), (unit * p).as_array())
+            assert np.array_equal(right @ p.as_array(), (p * unit).as_array())
+        assert np.array_equal(CONJ * p.as_array(), p.conj().as_array())
+        got = np.einsum("a,akb,b->k", p.as_array(), CONJ_PRODUCT, q.as_array())
+        np.testing.assert_allclose(got, (p.conj() * q).as_array(), rtol=0, atol=1e-15)

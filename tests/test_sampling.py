@@ -30,7 +30,6 @@ from quatpoly.matpoly import scalar_zeros
 from quatpoly.stability import (
     _quadratic_product_certificate,
     _region_contains_closed_unit_ball,
-    _zero_meets_region,
 )
 from quatpoly.tolerances import (BOUNDARY_BAND, DEGREE_TRIM_REL, DRAW_NORM_MIN,
                                  FINITE_SET_REL, INDUCED_VANISHING_REL, INV_FLOOR,
@@ -83,8 +82,7 @@ def _ref_outside_moduli(cs, region, band):
     """The modulus bound for one trimmed polynomial, in exact rational
     arithmetic: no zero can have a modulus that counts as inside the region."""
     if region.kind is RegionKind.FINITE_SET:
-        reach = [(p.modulus(), max(band, FINITE_SET_REL * max(1.0, p.modulus())))
-                 for p in region.points]
+        reach = [(p.modulus(), FINITE_SET_REL * max(1.0, p.modulus())) for p in region.points]
     else:
         reach = [(region.center.modulus(), region.radius - band)]
     moduli = [Fraction(c.modulus()) for c in cs]
@@ -152,8 +150,9 @@ def _ref_all_sampled_z_fail(vs, region, rng, bound):
                 kept, region, BOUNDARY_BAND):
             return False
         zeros = _ref_zeros(cs, floor)
-        if zeros is not None and not any(_zero_meets_region(zero, region, BOUNDARY_BAND)
-                                         for zero in zeros):
+        if zeros is not None and not region.meets([zero.point.as_array() for zero in zeros],
+                                                  [zero.spherical for zero in zeros],
+                                                  BOUNDARY_BAND).any():
             return False
     return True
 

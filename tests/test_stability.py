@@ -8,6 +8,7 @@ from quatpoly import (
     Quaternion,
     QuaternionMatrix,
     Region,
+    RegionKind,
     ScalarQPolynomial,
     SingularCoefficientError,
     StabilityStatus,
@@ -37,6 +38,7 @@ from test_matpoly import (
     example_projection_poly,
 )
 from _helpers import random_polynomial, random_quaternion
+import _reference
 from quatpoly.eigensolver import singular_values
 
 ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
@@ -63,9 +65,10 @@ def test_region_membership():
     assert not finite.contains(K)
 
 
-def test_row_membership_equals_pointwise_membership():
-    # Random points, the centers and points on every boundary, where the
-    # strict and closed comparisons differ.
+def test_row_membership_equals_a_scalar_reference():
+    # Random points and class spheres, the centers, and points on every
+    # boundary, where the strict and closed comparisons differ, against
+    # math.hypot one row at a time.
     rng = np.random.default_rng(47)
     center = Quaternion(0.5, 0.0, -1.0, 0.0)
     regions = [Region.open_ball(center, 1.0), Region.closed_ball(center, 1.0),
@@ -75,10 +78,37 @@ def test_row_membership_equals_pointwise_membership():
     points += [center + u * r for u in (ONE, I, J, K, -J) for r in (1.0, 2.0)]
     points += [center + Quaternion(*q) for q in rng.uniform(-2.5, 2.5, (400, 4)).tolist()]
     rows = np.array([q.as_array() for q in points])
+    # Spheres: through I (and so meeting the finite set), touching the
+    # balls' boundary from outside, the real point on it, and random ones.
+    spheres = [J, Quaternion(0.5, 0.0, 0.0, 2.0), Quaternion(0.5, 3.0), Quaternion(3.0),
+               Quaternion(0.5)]
+    spheres += [Quaternion(*q) for q in rng.uniform(-2.5, 2.5, (200, 4)).tolist()]
+    sphere_rows = np.array([q.as_array() for q in spheres])
     for region in regions:
         got = region.contains_rows(rows)
-        assert got.tolist() == [region.contains(q) for q in points]
+        assert got.tolist() == [_reference.contains(region, q) for q in points]
         assert got.any() and not got.all()
+        got = region.contains_rows(sphere_rows, True)
+        assert got.tolist() == [_reference.contains(region, q, True) for q in spheres]
+        assert got.any() and not got.all()
+        flags = np.arange(len(spheres)) % 2 == 0
+        mixed = region.contains_rows(sphere_rows, flags)
+        assert mixed.tolist() == [_reference.contains(region, q, bool(f))
+                                  for q, f in zip(spheres, flags)]
+
+
+def test_finite_set_membership_ignores_the_band():
+    # The unit sphere misses 0.8 j by 0.2: no band makes it match, and a
+    # point matches within FINITE_SET_REL max(1, |p|) whatever the band.
+    region = Region.finite_set([Quaternion(0.0, 0.0, 0.8)])
+    near = [0.0, 0.0, 0.8 + 1e-13, 0.0]
+    for band in (0.0, 1e-9, 0.3):
+        assert region.meets([[0.0, 1.0, 0.0, 0.0], near], [True, False], band).tolist() == [
+            False, True]
+        lows, highs = region.modulus_reach(band)
+        assert np.array_equal(lows, region.modulus_reach(0.0)[0])
+        assert np.array_equal(highs, region.modulus_reach(0.0)[1])
+        assert highs[0] < 0.81
 
 
 def test_region_validation():
@@ -109,6 +139,38 @@ def test_region_sample_grid_annulus_and_complement():
     pts = region_sample_grid(comp, 50)
     assert len(pts) == 50
     assert all(comp.contains(q) for q in pts)
+
+
+@pytest.mark.parametrize("region", [
+    Region.open_ball(J, 1.0),
+    Region.closed_ball(Quaternion(0.3, -0.4, 0.1, 0.2), 2.5),
+    Region.annulus(Quaternion(0), 0.5, 1.5),
+    Region.annulus(J, 1.0, 3.0),
+    Region.complement_closed_ball(Quaternion(0), 1.0),
+    Region.complement_closed_ball(Quaternion(0.5, 0.0, -1.0, 2.0), 0.3),
+    # About 1.2 % of the ball grid: 60 c + 64 points hold fewer than c from c = 3 on.
+    Region.annulus(Quaternion(0.2, 0.0, 0.0, -0.1), 0.997, 1.0),
+], ids=["open", "closed", "annulus", "off-center-annulus", "complement",
+        "off-center-complement", "thin-annulus"])
+def test_grids_equal_the_scalar_reference_bit_for_bit(region):
+    top = 500
+    if region.kind in (RegionKind.OPEN_BALL, RegionKind.CLOSED_BALL):
+        grid = quaternion_ball_grid(region.center, region.radius, top)
+        expected = [_reference.ball_grid_point(region.center, region.radius, t)
+                    for t in range(1, top + 1)]
+        assert grid == expected
+        assert region_sample_grid(region, top) == grid
+        counts = range(1, top + 1)
+        assert all(quaternion_ball_grid(region.center, region.radius, c) == grid[:c] for c in counts)
+        return
+    expected = _reference.region_sample_grids(region, top)
+    counts = range(1, top + 1)
+    if region.kind is RegionKind.ANNULUS and region.outer_radius - region.inner_radius < 0.01:
+        # Every count draws its whole budget here, so a sample of them.
+        assert len(expected[top]) < top
+        counts = [*range(1, 41), 97, 250, 499, top]
+    for count in counts:
+        assert region_sample_grid(region, count) == expected[count], count
 
 
 # -- stability ----------------------------------------------------------------
@@ -532,21 +594,16 @@ def test_sample_numerical_range_needs_samples():
 def test_isolated_zero_on_ball_boundary_is_in_the_dead_band(kind):
     # A zero on the sphere must not be decided by its last bit: 1.0 and its
     # neighbours 1 - 2^-53 and 1 + 2^-52 all sit in the dead band.
-    from quatpoly.matpoly import PolynomialZero
-    from quatpoly.quaternion import StandardEigenvalue, standardize
-    from quatpoly.stability import BOUNDARY_BAND, _zero_meets_region
+    from quatpoly.stability import BOUNDARY_BAND
 
     region = getattr(Region, kind)(Quaternion(0), 1.0)
 
     def meets(x):
-        point = Quaternion(x)
-        return _zero_meets_region(PolynomialZero(standardize(point), point, False, 0.0),
-                                  region, BOUNDARY_BAND)
+        return region.meets([[x, 0.0, 0.0, 0.0]], False, BOUNDARY_BAND)[0]
 
     assert {meets(1.0 - 2.0 ** -53), meets(1.0), meets(1.0 + 2.0 ** -52)} == {False}
     assert meets(1.0 - 1e-6) and not meets(1.0 + 1e-6)
-    spherical = PolynomialZero(StandardEigenvalue(0.0, 0.5), Quaternion(0.0, 0.5), True, 0.0)
-    assert _zero_meets_region(spherical, region, BOUNDARY_BAND)
+    assert region.meets([[0.0, 0.5, 0.0, 0.0]], True, BOUNDARY_BAND)[0]
 
 
 def test_huge_realified_action_is_decided():
@@ -630,7 +687,7 @@ def test_ball_and_complement_witnesses_are_the_aligned_class_points():
     # instead meets cos t = +-1 exactly there, where rounding leaves
     # sin t ~ sqrt(eps) and turns the witness by about 1e-8.
     from quatpoly.quaternion import StandardEigenvalue
-    from quatpoly.stability import BOUNDARY_BAND, _class_region_relation
+    from quatpoly.stability import BOUNDARY_BAND, _class_witness
 
     rng = np.random.default_rng(47)
     for _ in range(200):
@@ -639,8 +696,8 @@ def test_ball_and_complement_witnesses_are_the_aligned_class_points():
         axis = np.array([center.x, center.y, center.z]) / center.vec_norm()
         for region, sign in ((Region.closed_ball(center, 10.0), 1.0),
                              (Region.complement_closed_ball(center, 1e-3), -1.0)):
-            relation, witness = _class_region_relation(e, region, BOUNDARY_BAND)
-            assert relation == "inside"
+            assert region.margins([[e.re, e.im, 0.0, 0.0]], True)[0] > BOUNDARY_BAND
+            witness = _class_witness(e, region)
             assert witness.w == e.re
             turn = np.array([witness.x, witness.y, witness.z]) - sign * e.im * axis
             assert np.linalg.norm(turn) <= 1e-15 * e.im
