@@ -86,8 +86,6 @@ from .multivar import (
     check_stability_multi,
     derive_hyperstability_cubic,
     derive_hyperstability_quadratic,
-    eval_action_multi,
-    eval_word,
 )
 
 __version__ = "0.1.0"
@@ -108,8 +106,7 @@ __all__ = [
     "check_stability", "eigenvalue_annulus", "unique_positive_root",
     "sample_numerical_range", "check_hyperstability", "not_hyperstable_search",
     "quaternion_ball_grid", "region_sample_grid",
-    "MultiPolynomial", "MultiStabilityVerdict", "eval_word",
-    "eval_action_multi", "check_stability_multi",
+    "MultiPolynomial", "MultiStabilityVerdict", "check_stability_multi",
     "derive_hyperstability_quadratic", "derive_hyperstability_cubic",
     "QuatPolyError", "NonSquareError", "DimensionMismatchError",
     "NoConvergenceError", "PairingFailureError", "SingularMatrixError",

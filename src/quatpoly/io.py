@@ -122,7 +122,7 @@ def region_from_json(data) -> Region:
             points = data.get("points")
             if not isinstance(points, list) or not points:
                 raise InputFormatError('finite_set region needs a nonempty "points" list')
-            return Region.finite_set([Quaternion(*q) for q in _quaternion_array(points, 1).tolist()])
+            return Region.finite_set(_quaternion_array(points, 1))
         center = quaternion_from_json(data.get("center", [0, 0, 0, 0]))
         if kind is RegionKind.ANNULUS:
             return Region.annulus(center, _number(data["inner_radius"], "inner_radius"),

@@ -7,16 +7,15 @@ Three independent routes to the same eigenvalues are kept side by side:
 
 * companion linearization plus the complex lift (the fast path),
 * the realified 4n x 4n singularity oracle (the exact brute-force check),
-  which is the one-letter case of the realified sweep that stability
-  verdicts and multivariate tuples share,
+  which is the one-letter case of the realified sweep over (P, 4) point
+  rows that stability verdicts and multivariate tuples share,
 * for 1 x 1 polynomials, the real characteristic polynomial of degree 2m.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -208,22 +207,11 @@ def polyeig(p: MatrixPolynomial) -> list[StandardEigenvalue]:
     return [ev for ev, _ in polyeig_with_residuals(p)]
 
 
-def eval_word(word: Sequence[int], mus: Sequence[Quaternion]) -> Quaternion:
-    """Ordered left-to-right product of the substituted letters."""
-    acc = Quaternion.ONE
-    for letter in word:
-        idx = int(letter) - 1
-        if idx < 0 or idx >= len(mus):
-            raise ValueError(f"letter {letter} outside 1..{len(mus)}")
-        acc = acc * mus[idx]
-    return acc
-
-
 def _word_values(word: Sequence[int], mus: np.ndarray) -> np.ndarray:
     """w(mu) for every row of a (P, k, 4) array of substituted components.
 
     The letters are multiplied left to right with the operation order of
-    ``Quaternion.__mul__``, so each row equals ``eval_word`` bit for bit.
+    ``Quaternion.__mul__``, so each row equals their Quaternion product bit for bit.
     """
     acc = np.zeros((mus.shape[0], 4))
     acc[:, 0] = 1.0
@@ -239,17 +227,15 @@ def _word_values(word: Sequence[int], mus: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _realified_operators(lefts, norms, chunk) -> tuple[np.ndarray, np.ndarray]:
-    """The (P, 4n, 4n) realified actions of a chunk of substitution tuples,
-    and each one's term scale sum_w ||A_w||_2 |w(mu)|, ``norms`` the ||A_w||_2
-    in the units of ``lefts``.
+def _realified_operators(lefts, norms, mus) -> tuple[np.ndarray, np.ndarray]:
+    """The (C, 4n, 4n) realified actions of a (C, k, 4) array of substitution
+    tuples, and each one's term scale sum_w ||A_w||_2 |w(mu)|, ``norms`` the
+    ||A_w||_2 in the units of ``lefts``.
 
     With each letter value in units of a power of two 2^e near its modulus,
     w(mu) is 2^E times a value of modulus below 1, E the sum of its letters'
     e; every term of a tuple is divided by its largest 2^E (exact, no overflow).
     """
-    mus = np.array([[(q.w, q.x, q.y, q.z) for q in tup] for tup in chunk],
-                   dtype=float).reshape(len(chunk), -1, 4)
     exps = np.frexp(np.hypot.reduce(mus, axis=2))[1]
     units = np.ldexp(mus, -exps[..., None])
     values = np.array([_word_values(word, units) for word, _ in lefts])
@@ -257,28 +243,30 @@ def _realified_operators(lefts, norms, chunk) -> tuple[np.ndarray, np.ndarray]:
     word_exps = np.array(counts) @ exps.T
     values = np.ldexp(values, (word_exps - word_exps.max(axis=0))[..., None])
     rows, n = lefts[0][1].shape[:2]
-    ops = np.zeros((len(chunk), rows, n, 4))
+    ops = np.zeros((len(mus), rows, n, 4))
     for (_, left), action in zip(lefts, right_action_matrices(values)):
         ops += left[None] @ action[:, None]
     # R(w) is |w| times an orthogonal matrix and realification keeps 2-norms.
-    return ops.reshape(len(chunk), rows, rows), norms @ np.linalg.norm(values, axis=2)
+    return ops.reshape(len(mus), rows, rows), norms @ np.linalg.norm(values, axis=2)
 
 
 def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
-                    tuples: Iterable[Sequence[Quaternion]], norms: np.ndarray | None = None):
-    """The realified oracle over an ordered iterable of substitution tuples.
+                    points: np.ndarray, k: int = 1, norms: np.ndarray | None = None):
+    """The realified oracle over every k-tuple of the (P, 4) [w, x, y, z]
+    rows ``points``, in lexicographic order (that of ``itertools.product``).
 
     ``terms`` are (word, A_w) pairs of y -> sum_w A_w y w(mu_1, ..., mu_k);
     each left factor is realified once, and the right factor w(mu) is
-    applied per 4 x 4 block.  Tuples are drawn lazily in chunks of 1, 4,
-    16, ... operators (at most SWEEP_CHUNK_DOUBLES doubles a chunk), and
-    each chunk is decided by one ``rank_decisions`` pass, scaled by the
-    terms' sizes (at an eigenvalue they cancel, and so would the operator's
-    own sigma_max).  Returns
-    ("singular", tuple, unit kernel vector) for the first singular tuple,
-    else ("unknown", None, None) when some tuple fell in the rank dead band,
-    else ("nonsingular", None, None).  ``norms``, the ||A_w||_2 when the
-    caller has them, spares the sweep its SVD of the term lifts.
+    applied per 4 x 4 block.  The P^k tuples go in chunks of 1, 4, 16, ...
+    operators (at most SWEEP_CHUNK_DOUBLES doubles a chunk), each indexed
+    out of ``points`` by the base-P digits of its tuple numbers (what
+    ``np.unravel_index`` gives, without its limit of 64 letters) and
+    decided by one ``rank_decisions`` pass, scaled by the terms' sizes (at an eigenvalue
+    they cancel, and so would the operator's own sigma_max).  Returns
+    ("singular", its (k, 4) rows, unit kernel vector) for the first singular
+    tuple, else ("unknown", None, None) when some tuple fell in the rank
+    dead band, else ("nonsingular", None, None).  ``norms``, the ||A_w||_2
+    when the caller has them, spares the sweep its SVD of the term lifts.
     """
     n = terms[0][1].n_rows
     # One exact power-of-two scale keeps the operators finite; no rank decision moves.
@@ -288,16 +276,19 @@ def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
         norms = lift_singular_values([a for _, a in terms])[:, 0]
     norms = norms / scale
     cap = max(1, SWEEP_CHUNK_DOUBLES // (4 * n) ** 2)
-    tuples = iter(tuples)
+    count = len(points) ** k
+    strides = len(points) ** np.arange(k - 1, -1, -1)
     undecided = False
-    size = 1
-    while chunk := list(itertools.islice(tuples, size)):
-        status, kernels = rank_decisions(*_realified_operators(lefts, norms, chunk))
+    start, size = 0, 1
+    while start < count:
+        tuples = points[np.arange(start, min(start + size, count))[:, None] // strides % len(points)]
+        status, kernels = rank_decisions(*_realified_operators(lefts, norms, tuples))
         hits = np.flatnonzero(status == "singular")
         if hits.size:
             kernel = kernels[hits[0]]
-            return "singular", chunk[hits[0]], vec4_to_qvec(kernel / np.linalg.norm(kernel))
+            return "singular", tuples[hits[0]], vec4_to_qvec(kernel / np.linalg.norm(kernel))
         undecided = undecided or bool((status == "unknown").any())
+        start += size
         size = min(4 * size, cap)
     return ("unknown" if undecided else "nonsingular"), None, None
 
@@ -308,7 +299,7 @@ def is_eigenvalue_oracle(p: MatrixPolynomial, mu: Quaternion):
     The one-point sweep of y -> sum_i A_i y mu^i.  Returns True, False, or
     None when the pivot lands in the undecided band.
     """
-    status, _, _ = realified_sweep(p.terms, [(mu,)], p.lift_sigma[:, 0])
+    status, _, _ = realified_sweep(p.terms, np.array([mu.as_array()]), norms=p.lift_sigma[:, 0])
     if status == "unknown":
         return None
     return status == "singular"
@@ -316,7 +307,7 @@ def is_eigenvalue_oracle(p: MatrixPolynomial, mu: Quaternion):
 
 def eigenvector_at(p: MatrixPolynomial, mu: Quaternion) -> QuaternionMatrix | None:
     """A unit kernel vector of the realified action at mu, if one exists."""
-    return realified_sweep(p.terms, [(mu,)], p.lift_sigma[:, 0])[2]
+    return realified_sweep(p.terms, np.array([mu.as_array()]), norms=p.lift_sigma[:, 0])[2]
 
 
 # ---------------------------------------------------------------------------

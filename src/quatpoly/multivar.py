@@ -3,8 +3,8 @@
 Terms are (word, coefficient) pairs where a word is an ordered tuple of
 variable indices; substituting quaternions multiplies the letters left to
 right, so word order matters.  Stability over a finite probe set is decided
-exactly through realification, in chunks of tuples, by the realified sweep
-in ``matpoly`` that the univariate oracle shares as its one-letter case.
+exactly through realification, over tuples of its rows, by the realified
+sweep in ``matpoly`` that the univariate oracle shares as its one-letter case.
 The quadratic and cubic derivation rules turn multivariate stability into
 hyperstability of the matching univariate polynomial.  The rules are
 one-directional: when multivariate stability fails, the univariate verdict
@@ -13,13 +13,14 @@ stays UNKNOWN.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatchError, ZeroInOmegaError
-from .linalg import QuaternionMatrix, qvec
-from .matpoly import eval_word, realified_sweep
+import numpy as np
+
+from .errors import ZeroInOmegaError
+from .linalg import QuaternionMatrix
+from .matpoly import realified_sweep
 from .quaternion import Quaternion
 from .stability import HyperStatus, HyperVerdict, Region, RegionKind, StabilityStatus
 from .tolerances import OMEGA_ZERO_ABS
@@ -76,21 +77,6 @@ class MultiPolynomial:
         return max(len(w) for w, _ in self.terms)
 
 
-def eval_action_multi(p: MultiPolynomial, y, mus: Sequence[Quaternion]) -> QuaternionMatrix:
-    """sum over terms of A_w y w(mu_1, ..., mu_k)."""
-    if len(mus) != p.k:
-        raise DimensionMismatchError(
-            f"expected {p.k} substitution values, got {len(mus)}")
-    v = y if isinstance(y, QuaternionMatrix) else qvec(y)
-    if v.n_cols != 1 or v.n_rows != p.size:
-        raise DimensionMismatchError(
-            f"vector has shape {v.shape}, expected ({p.size}, 1)")
-    acc = QuaternionMatrix.zeros(p.size, 1)
-    for word, coeff in p.terms:
-        acc = acc + (coeff @ v).scale_right(eval_word(word, mus))
-    return acc
-
-
 @dataclass
 class MultiStabilityVerdict:
     status: StabilityStatus
@@ -113,12 +99,10 @@ def check_stability_multi(p: MultiPolynomial, omega: Region) -> MultiStabilityVe
     if p.k * len(omega.points) ** min(p.k, 64) > MAX_TUPLES:
         raise ValueError(f"{len(omega.points)}^{p.k} probe tuples of {p.k} letters "
                          f"exceed the limit of {MAX_TUPLES}")
-    status, tup, vec = realified_sweep(p.terms,
-                                       itertools.product(omega.points, repeat=p.k))
+    status, tup, vec = realified_sweep(p.terms, omega.points, p.k)
     if status == "singular":
-        return MultiStabilityVerdict(StabilityStatus.NOT_STABLE,
-                                     "realified-tuple-test",
-                                     witness_tuple=tup, witness_vector=vec)
+        return MultiStabilityVerdict(StabilityStatus.NOT_STABLE, "realified-tuple-test",
+                                     tuple(Quaternion(*q) for q in tup), vec)
     if status == "unknown":
         return MultiStabilityVerdict(StabilityStatus.UNKNOWN,
                                      "realified-tuple-test-deadband")
@@ -126,7 +110,7 @@ def check_stability_multi(p: MultiPolynomial, omega: Region) -> MultiStabilityVe
 
 
 def _require_zero_free(omega: Region) -> None:
-    if any(q.modulus() <= OMEGA_ZERO_ABS for q in omega.points):
+    if (np.hypot.reduce(omega.points, axis=1) <= OMEGA_ZERO_ABS).any():
         raise ZeroInOmegaError("the probe set must not contain 0")
 
 

@@ -75,7 +75,7 @@ _OPEN_KINDS = (RegionKind.OPEN_BALL, RegionKind.COMPLEMENT_CLOSED_BALL)
 _SEARCH_KINDS = (*_BALL_KINDS, RegionKind.FINITE_SET)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Region:
     """A subset of the quaternions with a total membership predicate."""
 
@@ -84,12 +84,15 @@ class Region:
     radius: float = 0.0
     inner_radius: float = 0.0
     outer_radius: float = 0.0
-    points: tuple[Quaternion, ...] = ()
+    points: np.ndarray = ()  # a finite set: (P, 4) rows or Quaternions, kept as read-only rows
 
     def __post_init__(self):
-        values = [self.radius, self.inner_radius, self.outer_radius]
-        values += [v for q in (self.center, *self.points) for v in q.as_array()]
-        if not all(math.isfinite(v) for v in values):
+        rows = self.points if isinstance(self.points, np.ndarray) else [q.as_array() for q in self.points]
+        points = np.array(rows, dtype=float).reshape(len(rows), 4)
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
+        values = [self.radius, self.inner_radius, self.outer_radius, *self.center.as_array()]
+        if not (np.isfinite(values).all() and np.isfinite(points).all()):
             raise ValueError("region values must be finite")
         if self.kind in (*_BALL_KINDS, RegionKind.COMPLEMENT_CLOSED_BALL):
             if not self.radius > 0.0:
@@ -98,7 +101,7 @@ class Region:
             if self.inner_radius < 0.0 or self.inner_radius > self.outer_radius:
                 raise ValueError("annulus needs 0 <= inner_radius <= outer_radius")
         elif self.kind is RegionKind.FINITE_SET:
-            if not self.points:
+            if not len(points):
                 raise ValueError("finite set region needs at least one point")
 
     @classmethod
@@ -120,8 +123,8 @@ class Region:
                    inner_radius=inner_radius, outer_radius=outer_radius)
 
     @classmethod
-    def finite_set(cls, points: Sequence[Quaternion]) -> "Region":
-        return cls(RegionKind.FINITE_SET, points=tuple(points))
+    def finite_set(cls, points: np.ndarray | Sequence[Quaternion]) -> "Region":
+        return cls(RegionKind.FINITE_SET, points=points)
 
     def margins(self, rows, spherical=False) -> np.ndarray:
         """Signed margins by which every [w, x, y, z] row of a (P, 4) array,
@@ -133,7 +136,7 @@ class Region:
         rows = np.asarray(rows, dtype=float).reshape(-1, 4)
         spherical = np.broadcast_to(spherical, len(rows))[:, None]
         finite = self.kind is RegionKind.FINITE_SET
-        targets = np.array([q.as_array() for q in (self.points if finite else [self.center])])
+        targets = self.points if finite else np.array([self.center.as_array()])
         with np.errstate(over="ignore", invalid="ignore"):
             gaps = rows[:, None, 0] - targets[:, 0]
             vecs = np.hypot.reduce(rows[:, 1:], axis=1)[:, None]
@@ -180,7 +183,7 @@ class Region:
         rounding of the zero finder and of the bound, and kept within [0,
         the largest float]."""
         if self.kind is RegionKind.FINITE_SET:
-            moduli = np.array([p.modulus() for p in self.points])
+            moduli = np.hypot.reduce(self.points, axis=1)
             radii = FINITE_SET_REL * np.maximum(1.0, moduli)
         else:
             moduli, radii = np.array([self.center.modulus()]), np.array([self.radius - band])
@@ -255,14 +258,14 @@ def quaternion_ball_grid(center: Quaternion, radius: float,
     return [Quaternion(*q) for q in _ball_grid(center, radius, 1, count + 1).tolist()]
 
 
-def region_sample_grid(region: Region, count: int) -> list[Quaternion]:
-    """Deterministic probe points inside a region: for an annulus or a
-    complement, the first ``count`` points of a ball grid inside it, among
-    at most 60 count + 64, drawn in blocks of 2 count."""
+def region_sample_grid(region: Region, count: int) -> np.ndarray:
+    """Deterministic probe points inside a region, as (P, 4) rows: for an
+    annulus or a complement, the first ``count`` points of a ball grid inside
+    it, among at most 60 count + 64, drawn in blocks of 2 count."""
     if region.kind is RegionKind.FINITE_SET:
-        return list(region.points)
+        return region.points
     if region.kind in _BALL_KINDS:
-        return quaternion_ball_grid(region.center, region.radius, count)
+        return _ball_grid(region.center, region.radius, 1, count + 1)
     if region.kind is RegionKind.ANNULUS:
         base_radius = region.outer_radius
     else:  # complement: probe a shell just outside the excluded ball
@@ -273,7 +276,7 @@ def region_sample_grid(region: Region, count: int) -> list[Quaternion]:
         block = _ball_grid(region.center, base_radius, start, stop)
         points = np.concatenate([points, block[region.contains_rows(block)]])
         start = stop
-    return [Quaternion(*q) for q in points[:count].tolist()]
+    return points[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +348,10 @@ def check_stability(p: MatrixPolynomial, region: Region, *,
     spectrum order, all class spheres compared against the region by one
     ``Region.margins`` call; and, when the leading coefficient is singular,
     a deterministic sample grid of the region, which can refute stability
-    but never certify it.  One realified sweep then decides them all.  NOT_STABLE
-    carries the first singular point and the sweep's unit kernel vector
-    there.  A spectrum class inside the region that the oracle does not
-    confirm, or one within the dead band of the boundary, gives UNKNOWN.
+    but never certify it.  One realified sweep then decides their (P, 4)
+    rows.  NOT_STABLE carries the first singular point and the sweep's unit
+    kernel vector there.  A spectrum class inside the region that the oracle
+    does not confirm, or one within the dead band of the boundary, gives UNKNOWN.
     """
     boundary_seen = False
     if region.kind is RegionKind.FINITE_SET:
@@ -360,14 +363,14 @@ def check_stability(p: MatrixPolynomial, region: Region, *,
             points, route = region_sample_grid(region, samples), "oracle-sampling"
         else:
             margins = region.margins([[ev.re, ev.im, 0.0, 0.0] for ev in spectrum], True)
-            points = [_class_witness(ev, region)
-                      for ev, margin in zip(spectrum, margins.tolist()) if margin > band]
+            points = np.array([_class_witness(ev, region).as_array() for ev, margin
+                               in zip(spectrum, margins.tolist()) if margin > band]).reshape(-1, 4)
             boundary_seen = not (margins < -band).all()
             route = "spectrum-class-geometry"
-    status, tup, vector = (realified_sweep(p.terms, ((q,) for q in points), p.lift_sigma[:, 0])
-                           if points else ("nonsingular", None, None))
+    status, hit, vector = (realified_sweep(p.terms, points, norms=p.lift_sigma[:, 0])
+                           if len(points) else ("nonsingular", None, None))
     if status == "singular":
-        return StabilityVerdict(StabilityStatus.NOT_STABLE, route, tup[0], vector)
+        return StabilityVerdict(StabilityStatus.NOT_STABLE, route, Quaternion(*hit[0]), vector)
     if route == "oracle-sampling":
         return StabilityVerdict(StabilityStatus.UNKNOWN, "oracle-sampling-inconclusive")
     if boundary_seen or status == "unknown":

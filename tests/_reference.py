@@ -1,12 +1,41 @@
 """Scalar references for array code of the package: region membership of one
-point or class sphere by ``math.hypot``, and the Halton ball grid and its
-rejection sampler one point at a time, as the package once computed them."""
+point or class sphere by ``math.hypot``, the Halton ball grid and its
+rejection sampler one point at a time, as the package once computed them,
+and a multivariate action from ``Quaternion`` products of the letters."""
 
 import math
+from typing import Sequence
 
-from quatpoly import Quaternion, Region, RegionKind, class_distance, class_distance_extremes
+from quatpoly import (DimensionMismatchError, MultiPolynomial, Quaternion, QuaternionMatrix,
+                      Region, RegionKind, class_distance, class_distance_extremes, qvec)
 from quatpoly.quaternion import standardize
 from quatpoly.tolerances import FINITE_SET_REL
+
+
+def eval_word(word: Sequence[int], mus: Sequence[Quaternion]) -> Quaternion:
+    """Ordered left-to-right product of the substituted letters."""
+    acc = Quaternion.ONE
+    for letter in word:
+        idx = int(letter) - 1
+        if idx < 0 or idx >= len(mus):
+            raise ValueError(f"letter {letter} outside 1..{len(mus)}")
+        acc = acc * mus[idx]
+    return acc
+
+
+def eval_action_multi(p: MultiPolynomial, y, mus: Sequence[Quaternion]) -> QuaternionMatrix:
+    """sum over terms of A_w y w(mu_1, ..., mu_k)."""
+    if len(mus) != p.k:
+        raise DimensionMismatchError(
+            f"expected {p.k} substitution values, got {len(mus)}")
+    v = y if isinstance(y, QuaternionMatrix) else qvec(y)
+    if v.n_cols != 1 or v.n_rows != p.size:
+        raise DimensionMismatchError(
+            f"vector has shape {v.shape}, expected ({p.size}, 1)")
+    acc = QuaternionMatrix.zeros(p.size, 1)
+    for word, coeff in p.terms:
+        acc = acc + (coeff @ v).scale_right(eval_word(word, mus))
+    return acc
 
 
 def contains(region: Region, q: Quaternion, spherical: bool = False) -> bool:
@@ -14,7 +43,8 @@ def contains(region: Region, q: Quaternion, spherical: bool = False) -> bool:
     e = standardize(q)
     if region.kind is RegionKind.FINITE_SET:
         return any((class_distance(e, p) if spherical else (q - p).modulus())
-                   <= FINITE_SET_REL * max(1.0, p.modulus()) for p in region.points)
+                   <= FINITE_SET_REL * max(1.0, p.modulus())
+                   for p in map(Quaternion, *region.points.T.tolist()))
     if spherical:
         dmin, dmax = class_distance_extremes(e, region.center)
     else:

@@ -113,7 +113,7 @@ def _inside_point(rng, region, band):
     """A point at margin 1e-6 inside the region: a zero there counts as inside."""
     u = Quaternion(*_units(rng, 1)[0])
     if region.kind is stability.RegionKind.FINITE_SET:
-        p = region.points[rng.integers(len(region.points))]
+        p = Quaternion(*region.points[rng.integers(len(region.points))])
         return p + u * ((1.0 - 1e-6) * FINITE_SET_REL * max(1.0, p.modulus()))
     return region.center + u * ((1.0 - 1e-6) * (region.radius - band))
 

@@ -18,8 +18,6 @@ from quatpoly import (
     derive_hyperstability_cubic,
     derive_hyperstability_quadratic,
     eigenvector_at,
-    eval_action_multi,
-    eval_word,
     evaluate_action,
     is_eigenvalue_oracle,
     polyeig,
@@ -37,6 +35,7 @@ from _helpers import (
     random_quaternion,
     random_unit_qvec,
 )
+from _reference import eval_action_multi, eval_word
 
 ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
 
@@ -309,35 +308,45 @@ def _sweep_one_tuple_at_a_time(terms, tuples):
     return ("unknown" if undecided else "nonsingular"), None, None
 
 
-def _assert_same_sweep(terms, tuples):
-    got = realified_sweep(terms, iter(tuples))
+def _assert_same_sweep(terms, points, k=1):
+    """The sweep over the k-tuples of ``points`` against the reference over
+    ``itertools.product`` of them; the reference's witness tuple, found by
+    identity, is returned with the sweep's status and vector."""
+    tuples = list(itertools.product(points, repeat=k))
+    got = realified_sweep(terms, np.array([q.as_array() for q in points]), k)
     want = _sweep_one_tuple_at_a_time(terms, tuples)
     assert got[0] == want[0]
-    assert got[1] is want[1]
+    if want[1] is None:
+        assert got[1] is None
+    else:
+        rows = np.array([q.as_array() for q in want[1]])
+        assert np.array_equal(got[1], rows) and np.array_equal(np.signbit(got[1]), np.signbit(rows))
     if want[2] is not None:
         for a, b in ((got[2].a1, want[2].a1), (got[2].a2, want[2].a2)):
             a, b = a.view(float), b.view(float)
             assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-    return got
+    return got[0], want[1], got[2]
 
 
 def test_sweep_operators_equal_the_per_tuple_build(monkeypatch):
     # Batched word products and block products repeat the per-tuple
     # floating-point operations exactly, and the power-of-two scales are exact.
+    # With three letters the 125 tuples are indexed in itertools.product order too.
     seen = _record_sweep_operators(monkeypatch)
     rng = np.random.default_rng(4107)
-    words = [w for length in range(4) for w in itertools.product((1, 2), repeat=length)]
-    for n in range(1, 5):
-        picks = rng.choice(len(words), size=6, replace=False)
-        p = MultiPolynomial.build(2, [(words[t], random_qmatrix(rng, n)) for t in picks])
-        points = [random_quaternion(rng) for _ in range(5)]
-        seen.clear()
-        check_stability_multi(p, Region.finite_set(points))
-        for op, tup in zip(seen, itertools.product(points, repeat=2), strict=True):
-            want = np.zeros((4 * n, n, 4))
-            for word, a in p.terms:
-                want += real_rep_left(a).reshape(4 * n, n, 4) @ right_action_matrix(eval_word(word, tup))
-            assert np.array_equal(op * _sweep_scale(p.terms, tup), want.reshape(4 * n, 4 * n))
+    for k in (2, 3):
+        words = [w for length in range(4) for w in itertools.product(range(1, k + 1), repeat=length)]
+        for n in range(1, 5):
+            picks = rng.choice(len(words), size=6, replace=False)
+            p = MultiPolynomial.build(k, [(words[t], random_qmatrix(rng, n)) for t in picks])
+            points = [random_quaternion(rng) for _ in range(5)]
+            seen.clear()
+            check_stability_multi(p, Region.finite_set(points))
+            for op, tup in zip(seen, itertools.product(points, repeat=k), strict=True):
+                want = np.zeros((4 * n, n, 4))
+                for word, a in p.terms:
+                    want += real_rep_left(a).reshape(4 * n, n, 4) @ right_action_matrix(eval_word(word, tup))
+                assert np.array_equal(op * _sweep_scale(p.terms, tup), want.reshape(4 * n, 4 * n))
 
 
 # I t - diag(2, 3): 3 is an exact eigenvalue, and the operator at
@@ -347,46 +356,62 @@ _SHIFTED = MatrixPolynomial([QuaternionMatrix.diagonal([Quaternion(-2.0), Quater
 
 
 def _far_points(rng, count):
-    return [(Quaternion(10.0) + random_quaternion(rng),) for _ in range(count)]
+    return [Quaternion(10.0) + random_quaternion(rng) for _ in range(count)]
 
 
 @pytest.mark.parametrize("planted", [0, 1, 4, 5, 20, 21, 84, 85, 99])
 def test_sweep_reports_the_first_singular_tuple_across_chunks(planted):
     # Chunks hold tuples 0, 1-4, 5-20, 21-84 and 85 on: plant an exact
-    # eigenvalue on either side of every boundary, and a second one later.
-    tuples = _far_points(np.random.default_rng(4104), 100)
-    tuples[planted] = (Quaternion(3.0),)
-    tuples[min(planted + 3, 99)] = (Quaternion(3.0),)
-    status, tup, _ = _assert_same_sweep(_SHIFTED.terms, tuples)
-    assert status == "singular" and tup is tuples[planted]
+    # eigenvalue on either side of every boundary, and a second one later,
+    # the other eigenvalue, so that the rows tell the two apart.
+    points = _far_points(np.random.default_rng(4104), 100)
+    points[planted] = Quaternion(3.0)
+    points[min(planted + 3, 99)] = Quaternion(2.0)
+    status, tup, _ = _assert_same_sweep(_SHIFTED.terms, points)
+    assert status == "singular" and tup[0] is points[planted]
 
 
 def test_sweep_prefers_a_later_singular_tuple_to_an_earlier_dead_band():
-    tuples = _far_points(np.random.default_rng(4105), 30)
-    tuples[3] = (Quaternion(2.0 + 5e-11),)
-    assert _assert_same_sweep(_SHIFTED.terms, tuples)[0] == "unknown"
-    tuples[25] = (Quaternion(3.0),)
-    status, tup, _ = _assert_same_sweep(_SHIFTED.terms, tuples)
-    assert status == "singular" and tup is tuples[25]
-    assert _assert_same_sweep(_SHIFTED.terms, tuples[:3])[0] == "nonsingular"
+    points = _far_points(np.random.default_rng(4105), 30)
+    points[3] = Quaternion(2.0 + 5e-11)
+    assert _assert_same_sweep(_SHIFTED.terms, points)[0] == "unknown"
+    points[25] = Quaternion(3.0)
+    status, tup, _ = _assert_same_sweep(_SHIFTED.terms, points)
+    assert status == "singular" and tup[0] is points[25]
+    assert _assert_same_sweep(_SHIFTED.terms, points[:3])[0] == "nonsingular"
 
 
 def test_sweep_matches_one_tuple_at_a_time_on_random_multivariate_input():
+    # 6^2 = 36 tuples of two letters, then 5^3 = 125 of three, across the
+    # chunk edges 1, 5, 21 and 85.
     rng = np.random.default_rng(4106)
-    words = [w for length in range(4) for w in itertools.product((1, 2), repeat=length)]
-    statuses = set()
-    for trial in range(12):
-        n = 1 + trial % 4
-        picks = rng.choice(len(words), size=4, replace=False)
-        p = MultiPolynomial.build(2, [(words[t], random_qmatrix(rng, n)) for t in picks])
-        points = [random_quaternion(rng) for _ in range(6)]
-        if trial % 2:
-            # A zero column makes every tuple singular, from the first chunk on.
-            for _, a in p.terms:
-                a.a1[:, 0] = 0.0
-                a.a2[:, 0] = 0.0
-        statuses.add(_assert_same_sweep(p.terms, list(itertools.product(points, repeat=2)))[0])
-    assert statuses == {"singular", "nonsingular"}
+    for k, count in ((2, 6), (3, 5)):
+        words = [w for length in range(4) for w in itertools.product(range(1, k + 1), repeat=length)]
+        statuses = set()
+        for trial in range(12):
+            n = 1 + trial % 4
+            picks = rng.choice(len(words), size=4, replace=False)
+            p = MultiPolynomial.build(k, [(words[t], random_qmatrix(rng, n)) for t in picks])
+            points = [random_quaternion(rng) for _ in range(count)]
+            if trial % 2:
+                # A zero column makes every tuple singular, from the first chunk on.
+                for _, a in p.terms:
+                    a.a1[:, 0] = 0.0
+                    a.a2[:, 0] = 0.0
+            statuses.add(_assert_same_sweep(p.terms, points, k)[0])
+        assert statuses == {"singular", "nonsingular"}, k
+
+
+def test_one_point_set_takes_more_letters_than_an_array_has_axes():
+    # A one-point set passes the tuple cap at any number of letters, and its
+    # one tuple is formed without an array axis per letter (numpy allows 64).
+    k = 70
+    eye = QuaternionMatrix.identity(1)
+    p = MultiPolynomial.build(k, [(tuple(range(1, k + 1)), eye), ((), eye * -1.0)])
+    verdict = check_stability_multi(p, Region.finite_set([ONE]))
+    assert verdict.status is StabilityStatus.NOT_STABLE
+    assert verdict.witness_tuple == (ONE,) * k
+    assert check_stability_multi(p, Region.finite_set([Quaternion(2.0)])).status is StabilityStatus.STABLE
 
 
 def test_check_stability_matches_one_letter_multivariate():

@@ -82,7 +82,8 @@ def _ref_outside_moduli(cs, region, band):
     """The modulus bound for one trimmed polynomial, in exact rational
     arithmetic: no zero can have a modulus that counts as inside the region."""
     if region.kind is RegionKind.FINITE_SET:
-        reach = [(p.modulus(), FINITE_SET_REL * max(1.0, p.modulus())) for p in region.points]
+        reach = [(p.modulus(), FINITE_SET_REL * max(1.0, p.modulus()))
+                 for p in map(Quaternion, *region.points.T.tolist())]
     else:
         reach = [(region.center.modulus(), region.radius - band)]
     moduli = [Fraction(c.modulus()) for c in cs]
