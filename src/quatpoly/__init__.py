@@ -75,7 +75,6 @@ from .stability import (
     check_stability,
     eigenvalue_annulus,
     not_hyperstable_search,
-    quaternion_ball_grid,
     region_sample_grid,
     sample_numerical_range,
     unique_positive_root,
@@ -105,7 +104,7 @@ __all__ = [
     "StabilityVerdict", "HyperVerdict", "NumericalRangeResult",
     "check_stability", "eigenvalue_annulus", "unique_positive_root",
     "sample_numerical_range", "check_hyperstability", "not_hyperstable_search",
-    "quaternion_ball_grid", "region_sample_grid",
+    "region_sample_grid",
     "MultiPolynomial", "MultiStabilityVerdict", "check_stability_multi",
     "derive_hyperstability_quadratic", "derive_hyperstability_cubic",
     "QuatPolyError", "NonSquareError", "DimensionMismatchError",

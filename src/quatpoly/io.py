@@ -5,8 +5,8 @@ a polynomial file is {"coeffs": [A_0, ..., A_m]} with an optional
 "partition" list of diagonal block sizes; a region file carries a "kind"
 plus the fields that kind needs; a multivariate polynomial file is
 {"k": ..., "terms": [{"word": [...], "coeff": ...}]}.  All numbers are
-plain decimal JSON numbers.  Reports are written by ``dumps``, byte for
-byte as ``json.dumps(report, indent=2)``.
+plain decimal JSON numbers.  Reports are written by ``dumps``: the standard
+encoder at indent 2, with the ``FlaggedPoints.encode`` text spliced in.
 """
 
 from __future__ import annotations
@@ -183,11 +183,10 @@ class FlaggedPoints:
     def encode(self, indent: str) -> str:
         """The list as ``json.dumps(indent=2)`` writes it on a line that
         starts with ``indent``."""
-        if not len(self.points):
-            return "[]"
-        if not np.isfinite(self.points).all():  # "%r" would write nan and inf
-            return _encode([{"point": [round_sig(v) for v in q], "spherical": f}
-                            for q, f in zip(self.points.tolist(), self.spherical.tolist())], indent)
+        if not (len(self.points) and np.isfinite(self.points).all()):  # [], or "%r" says nan
+            return json.dumps([{"point": [round_sig(v) for v in q], "spherical": f}
+                               for q, f in zip(self.points.tolist(), self.spherical.tolist())],
+                              indent=2).replace("\n", "\n" + indent)
         # round_sig in one pass: adding 0.0 turns -0.0 into 0.0 and keeps
         # every other value; no nonzero value prints as zero.
         flat = (self.points + 0.0).ravel().tolist()
@@ -201,63 +200,24 @@ class FlaggedPoints:
             + f"\n{indent}]")
 
 
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _encode(obj, indent: str) -> str:
-    """``obj`` as ``json.dumps(obj, indent=2)`` writes it on a line that
-    starts with ``indent``."""
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _float_text(obj)
-    inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return (f"[\n{inner}" + f",\n{inner}".join([_encode(v, inner) for v in obj])
-                + f"\n{indent}]")
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        return (f"{{\n{inner}" + f",\n{inner}".join([
-            f"{_quote(_key(k))}: {_encode(v, inner)}" for k, v in obj.items()])
-            + f"\n{indent}}}")
-    if isinstance(obj, FlaggedPoints):
-        return obj.encode(indent)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _key(key) -> str:
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _encode(key, "")
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def dumps(report) -> str:
-    """``report`` as ``json.dumps(report, indent=2)`` writes it, byte for
-    byte, with any FlaggedPoints value written as its list of dicts."""
-    return _encode(report, "")
+    """``report`` as ``json.dumps(report, indent=2)`` writes it, with each
+    FlaggedPoints value written by its ``encode``.  The encoder yields the
+    value's ``null`` stand-in right after it calls ``default`` for it, so the
+    splice goes by position: no string in the report can pass for the spot."""
+    pending, chunks = [], []
+
+    def default(obj):
+        if not isinstance(obj, FlaggedPoints):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        pending.append(obj)
+
+    for chunk in json.JSONEncoder(indent=2, default=default).iterencode(report):
+        if pending:  # the stand-in, on a line that starts with the indent
+            line = "".join(chunks).rpartition("\n")[2]
+            chunk = pending.pop().encode(line[:len(line) - len(line.lstrip(" "))])
+        chunks.append(chunk)
+    return "".join(chunks)
 
 
 def load_json(path: str):

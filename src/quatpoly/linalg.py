@@ -262,12 +262,12 @@ def real_rep_right_scalar(q: Quaternion, n: int) -> np.ndarray:
     return np.kron(np.eye(n), right_action_matrix(q))
 
 
-def rank_decisions(stack, scale=None) -> tuple[np.ndarray, np.ndarray]:
+def rank_decisions(stack, scale) -> tuple[np.ndarray, np.ndarray]:
     """Tri-state rank decisions for a stack of real matrices from one values-only SVD.
 
-    With tau = RANK_PIVOT_REL * max(sigma_max, scale[b]), where the optional
-    per-slice ``scale`` is the size of the terms a slice sums (its own
-    sigma_max may be their cancellation noise), each singular value below
+    With tau = RANK_PIVOT_REL * max(sigma_max, scale[b]), where the per-slice
+    ``scale`` is the size of the terms a slice sums (its own sigma_max may be
+    their cancellation noise) or 0 for a slice that sums none, each singular value below
     tau / RANK_BAND is a kernel direction, a least one above tau * RANK_BAND
     means full column rank, and one in between is refused as "unknown".  A
     wide matrix always has a kernel; the zero matrix is singular with kernel
@@ -293,12 +293,12 @@ def rank_decisions(stack, scale=None) -> tuple[np.ndarray, np.ndarray]:
     kernels = np.zeros((count, n_cols))
     finite = np.flatnonzero(np.isfinite(stack).all(axis=(1, 2)))
     if n_rows == n_cols and finite.size > 1:  # one SVD costs less than the certificate
-        cleared = _cleared(stack[finite], None if scale is None else scale[finite])
+        cleared = _cleared(stack[finite], scale[finite])
         code[finite[cleared]] = 0
         finite = finite[~cleared]
     if finite.size:
         sigma = singular_values(stack[finite])
-        tau = RANK_PIVOT_REL * (sigma[:, 0] if scale is None else np.maximum(sigma[:, 0], scale[finite]))
+        tau = RANK_PIVOT_REL * np.maximum(sigma[:, 0], scale[finite])
         nullity = (sigma < tau[:, None] / RANK_BAND).sum(axis=1) + max(n_cols - n_rows, 0)
         code[finite] = np.select(
             [~np.isfinite(tau), (nullity > 0) | (tau == 0.0), sigma[:, -1] > tau * RANK_BAND],
@@ -335,7 +335,7 @@ def _cleared(stack: np.ndarray, scale) -> np.ndarray:
         m_f, x_f, r_f = (np.sqrt(np.einsum("bij,bij->b", a, a)) for a in (m, x, r))
         u = (n + 1) * 0.5 * _EPS  # gamma_(N+1) = (N + 1) u / (1 - (N + 1) u), u = eps / 2
         e_f = r_f + u / (1.0 - u) * (math.sqrt(n) + m_f * x_f)
-        size = m_f if scale is None else np.maximum(m_f, np.ldexp(scale, -exps))
+        size = np.maximum(m_f, np.ldexp(scale, -exps))
         return ((e_f < 1.0) & np.isfinite(np.ldexp(RANK_BAND * m_f, exps))
                 & ((1.0 - e_f) / x_f > RANK_BAND * (RANK_BAND * RANK_PIVOT_REL * size)))
 
@@ -364,7 +364,7 @@ def rank_decision(m: np.ndarray) -> tuple[str, np.ndarray | None]:
     Returns ("nonsingular", None), ("singular", kernel_vector) or
     ("unknown", None); see ``rank_decisions``.
     """
-    status, kernels = rank_decisions(np.asarray(m, dtype=float)[None])
+    status, kernels = rank_decisions(np.asarray(m, dtype=float)[None], np.zeros(1))
     status = str(status[0])
     return status, (kernels[0] if status == "singular" else None)
 

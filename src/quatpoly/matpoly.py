@@ -227,10 +227,11 @@ def _word_values(word: Sequence[int], mus: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _realified_operators(lefts, norms, mus) -> tuple[np.ndarray, np.ndarray]:
+def _realified_operators(lefts, counts, norms, mus) -> tuple[np.ndarray, np.ndarray]:
     """The (C, 4n, 4n) realified actions of a (C, k, 4) array of substitution
     tuples, and each one's term scale sum_w ||A_w||_2 |w(mu)|, ``norms`` the
-    ||A_w||_2 in the units of ``lefts``.
+    ||A_w||_2 in the units of ``lefts`` and ``counts`` the (W, k) times each
+    letter occurs in each word.
 
     With each letter value in units of a power of two 2^e near its modulus,
     w(mu) is 2^E times a value of modulus below 1, E the sum of its letters'
@@ -239,8 +240,7 @@ def _realified_operators(lefts, norms, mus) -> tuple[np.ndarray, np.ndarray]:
     exps = np.frexp(np.hypot.reduce(mus, axis=2))[1]
     units = np.ldexp(mus, -exps[..., None])
     values = np.array([_word_values(word, units) for word, _ in lefts])
-    counts = [[word.count(letter) for letter in range(1, mus.shape[1] + 1)] for word, _ in lefts]
-    word_exps = np.array(counts) @ exps.T
+    word_exps = counts @ exps.T
     values = np.ldexp(values, (word_exps - word_exps.max(axis=0))[..., None])
     rows, n = lefts[0][1].shape[:2]
     ops = np.zeros((len(mus), rows, n, 4))
@@ -275,6 +275,7 @@ def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
     if norms is None:
         norms = lift_singular_values([a for _, a in terms])[:, 0]
     norms = norms / scale
+    counts = np.array([np.bincount(word, minlength=k + 1)[1:k + 1] for word, _ in terms])
     cap = max(1, SWEEP_CHUNK_DOUBLES // (4 * n) ** 2)
     count = len(points) ** k
     strides = len(points) ** np.arange(k - 1, -1, -1)
@@ -282,7 +283,7 @@ def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
     start, size = 0, 1
     while start < count:
         tuples = points[np.arange(start, min(start + size, count))[:, None] // strides % len(points)]
-        status, kernels = rank_decisions(*_realified_operators(lefts, norms, tuples))
+        status, kernels = rank_decisions(*_realified_operators(lefts, counts, norms, tuples))
         hits = np.flatnonzero(status == "singular")
         if hits.size:
             kernel = kernels[hits[0]]

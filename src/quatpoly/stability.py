@@ -251,13 +251,6 @@ def _ball_grid(center: Quaternion, radius: float, start: int, stop: int) -> np.n
     return np.array(center.as_array()) + rho[:, None] * sphere
 
 
-def quaternion_ball_grid(center: Quaternion, radius: float,
-                         count: int) -> list[Quaternion]:
-    """Deterministic low-discrepancy grid of ``count`` points in the open
-    ball around ``center`` (all moduli strictly below ``radius``)."""
-    return [Quaternion(*q) for q in _ball_grid(center, radius, 1, count + 1).tolist()]
-
-
 def region_sample_grid(region: Region, count: int) -> np.ndarray:
     """Deterministic probe points inside a region, as (P, 4) rows: for an
     annulus or a complement, the first ``count`` points of a ball grid inside

@@ -1,7 +1,8 @@
 """Scalar references for array code of the package: region membership of one
 point or class sphere by ``math.hypot``, the Halton ball grid and its
 rejection sampler one point at a time, as the package once computed them,
-and a multivariate action from ``Quaternion`` products of the letters."""
+and a multivariate action from ``Quaternion`` products of the letters.  Also
+the ball grid as ``Quaternion`` objects, for tests that probe with them."""
 
 import math
 from typing import Sequence
@@ -9,6 +10,7 @@ from typing import Sequence
 from quatpoly import (DimensionMismatchError, MultiPolynomial, Quaternion, QuaternionMatrix,
                       Region, RegionKind, class_distance, class_distance_extremes, qvec)
 from quatpoly.quaternion import standardize
+from quatpoly.stability import _ball_grid
 from quatpoly.tolerances import FINITE_SET_REL
 
 
@@ -86,6 +88,13 @@ def ball_grid_point(center: Quaternion, radius: float, index: int) -> Quaternion
     s = _unit_sphere_point(u1, u2, u3)
     return Quaternion(center.w + rho * s[0], center.x + rho * s[1],
                       center.y + rho * s[2], center.z + rho * s[3])
+
+
+def quaternion_ball_grid(center: Quaternion, radius: float,
+                         count: int) -> list[Quaternion]:
+    """Deterministic low-discrepancy grid of ``count`` points in the open
+    ball around ``center`` (all moduli strictly below ``radius``)."""
+    return [Quaternion(*q) for q in _ball_grid(center, radius, 1, count + 1).tolist()]
 
 
 def region_sample_grids(region: Region, top: int) -> dict[int, list[Quaternion]]:

@@ -36,7 +36,6 @@ from quatpoly import (
     is_eigenvalue_oracle,
     not_hyperstable_search,
     polyeig,
-    quaternion_ball_grid,
     reversal,
     right_eigenvalues,
     sample_numerical_range,
@@ -53,6 +52,7 @@ from _helpers import (
     random_quaternion,
     random_unit_qvec,
 )
+from _reference import quaternion_ball_grid
 
 ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
 GOLDEN_LO = (-1.0 + math.sqrt(5.0)) / 2.0

@@ -235,6 +235,24 @@ def test_reports_are_written_as_json_dumps_indent_2(tmp_path, capsys, argv, poly
     assert out == _indent_2(out)
 
 
+@pytest.mark.parametrize("region", [
+    "\x00", "\x00FlaggedPoints\x00", "\\u0000FlaggedPoints\\u0000", '"\x00FlaggedPoints\x00"',
+    "null", "\x00null",
+], ids=["nul", "nul-name", "escaped-name", "quoted-name", "null", "nul-null"])
+def test_nrange_points_land_in_result_whatever_inputs_spell(tmp_path, capsys, region):
+    # nrange never opens --region, so any string reaches inputs.region,
+    # which the report writes before result.points.  Texts that a marker for
+    # the points could spell, raw, escaped or quoted, must not draw them there.
+    p = write(tmp_path, "p.json", GOLDEN_POLY)
+    _, plain, _ = run_cli(capsys, ["nrange", "--input", p, "--samples", "8"])
+    code, out, err = run_cli(capsys, ["nrange", "--input", p, "--samples", "8", "--region", region])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    report = json.loads(out)
+    assert report["inputs"]["region"] == region
+    assert report["result"] == json.loads(plain)["result"] and report["result"]["points"]
+
+
 def test_nrange_of_nonzero_constants_writes_no_points(tmp_path, capsys):
     # Every sample of a degree-0 polynomial is a nonzero constant.
     p = write(tmp_path, "p.json", {"coeffs": [EYE2]})

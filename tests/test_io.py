@@ -156,53 +156,6 @@ def test_library_constructors_reject_non_finite(bad):
 
 # -- report writer ----------------------------------------------------------------
 
-EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf,
-               0.1, 1e16, 1e-5, 2.0 ** 53, 1.0 / 3.0]
-EDGE_INTS = [0, -1, 2 ** 63, -(10 ** 40), 10 ** 300]
-EDGE_STRINGS = ["", "plain", 'say "hi"', "back\\slash", "tab\tline\nfeed\r\x00\x1f\x7f",
-                "naïve — ünïcode ∑ 漢字", "\U0001f600", "\ud800"]
-
-
-def _random_json(rng, depth=0):
-    """A seeded JSON value of every kind the writer meets, nested up to 4 deep."""
-    kind = int(rng.integers(9 if depth < 4 else 7))
-    if kind == 0:
-        return EDGE_FLOATS[rng.integers(len(EDGE_FLOATS))]
-    if kind == 1:
-        return float(np.ldexp(rng.standard_normal(), int(rng.integers(-1074, 1020))))
-    if kind == 2:
-        return EDGE_INTS[rng.integers(len(EDGE_INTS))] + int(rng.integers(-5, 5))
-    if kind == 3:
-        return bool(rng.integers(2))
-    if kind == 4:
-        return None
-    if kind in (5, 6):
-        return EDGE_STRINGS[rng.integers(len(EDGE_STRINGS))]
-    size = int(rng.integers(4))
-    if kind == 7:
-        return [_random_json(rng, depth + 1) for _ in range(size)]
-    return {EDGE_STRINGS[rng.integers(len(EDGE_STRINGS))] + str(i): _random_json(rng, depth + 1)
-            for i in range(size)}
-
-
-@pytest.mark.parametrize("seed", range(60))
-def test_writer_equals_json_dumps_indent_2(seed):
-    obj = _random_json(np.random.default_rng(seed))
-    assert dumps(obj) == json.dumps(obj, indent=2)
-    nested = {"result": [obj, {"deeper": [obj]}], "empty": [[], {}], "top": EDGE_FLOATS + EDGE_INTS}
-    assert dumps(nested) == json.dumps(nested, indent=2)
-
-
-def test_writer_keys_and_refusals_follow_json():
-    obj = {"s": 1, 2: [], 2.5: {}, -0.0: None, math.nan: 1, None: True, False: "x"}
-    assert dumps(obj) == json.dumps(obj, indent=2)
-    for bad in ({(1, 2): 0}, {1, 2}, np.float32(1.0), np.int64(3), np.bool_(True)):
-        with pytest.raises(TypeError):
-            json.dumps(bad, indent=2)
-        with pytest.raises(TypeError):
-            dumps(bad)
-
-
 def _point_set(rng, count):
     """(count, 4) components over the whole float range, with signed zeros,
     subnormals, the largest floats and round values, and random flags."""
@@ -232,3 +185,75 @@ def test_flagged_points_spell_non_finite_components_as_json_does():
     spherical = np.array([True, False])
     assert (dumps({"points": FlaggedPoints(points, spherical)})
             == json.dumps({"points": _per_point_dicts(points, spherical)}, indent=2))
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf,
+               0.1, 1e16, 1e-5, 2.0 ** 53, 1.0 / 3.0]
+EDGE_INTS = [0, -1, 2 ** 63, -(10 ** 40), 10 ** 300]
+EDGE_STRINGS = ["", "plain", "null", 'say "hi"', "back\\slash", "tab\tline\nfeed\r\x00\x1f\x7f",
+                "naïve — ünïcode ∑ 漢字", "\U0001f600", "\ud800"]
+
+
+def _random_report(rng, depth=0):
+    """A seeded JSON value of every kind, nested up to 4 deep, with
+    FlaggedPoints values (some with non-finite components) among the leaves."""
+    kind = int(rng.integers(10 if depth < 4 else 8))
+    if kind == 0:
+        return EDGE_FLOATS[rng.integers(len(EDGE_FLOATS))]
+    if kind == 1:
+        return float(np.ldexp(rng.standard_normal(), int(rng.integers(-1074, 1020))))
+    if kind == 2:
+        return EDGE_INTS[rng.integers(len(EDGE_INTS))] + int(rng.integers(-5, 5))
+    if kind == 3:
+        return bool(rng.integers(2))
+    if kind == 4:
+        return None
+    if kind == 5:
+        return EDGE_STRINGS[rng.integers(len(EDGE_STRINGS))]
+    if kind in (6, 7):
+        points, spherical = _point_set(rng, int(rng.integers(4)))
+        if len(points) and rng.random() < 0.25:
+            points[0, rng.integers(4)] = EDGE_FLOATS[6 + rng.integers(3)]
+        return FlaggedPoints(points, spherical)
+    size = int(rng.integers(4))
+    if kind == 8:
+        return [_random_report(rng, depth + 1) for _ in range(size)]
+    return {EDGE_STRINGS[rng.integers(len(EDGE_STRINGS))] + str(i): _random_report(rng, depth + 1)
+            for i in range(size)}
+
+
+def _as_dicts(report):
+    """``report`` with each FlaggedPoints value replaced by its per-point dicts."""
+    if isinstance(report, FlaggedPoints):
+        return _per_point_dicts(report.points, report.spherical)
+    if isinstance(report, list):
+        return [_as_dicts(v) for v in report]
+    if isinstance(report, dict):
+        return {k: _as_dicts(v) for k, v in report.items()}
+    return report
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_writer_equals_json_dumps_indent_2(seed):
+    # The points are spliced in at their own place, however deep, next to
+    # nulls and strings that spell "null" or hold NUL.
+    rng = np.random.default_rng(seed)
+    obj = _random_report(rng)
+    assert dumps(obj) == json.dumps(_as_dicts(obj), indent=2)
+    points = FlaggedPoints(*_point_set(rng, 3))
+    nested = {"inputs": {"region": "null\x00"}, "empty": [[], {}], "top": EDGE_FLOATS + EDGE_INTS,
+              "result": [obj, {"deeper": [None, obj, "null"], "points": points}]}
+    assert dumps(nested) == json.dumps(_as_dicts(nested), indent=2)
+
+
+def test_writer_keys_and_refusals_follow_json():
+    value = FlaggedPoints(np.array([[1.0, -0.0, 0.1, 2.5]]), np.array([True]))
+    obj = {"s": 1, 2: [], 2.5: value, -0.0: None, math.nan: value, None: True, False: "x"}
+    assert dumps(obj) == json.dumps(_as_dicts(obj), indent=2)
+    # Only a FlaggedPoints value may reach the encoder's default hook.
+    for bad in ({(1, 2): 0}, {1, 2}, np.float32(1.0), np.int64(3), np.bool_(True),
+                {"result": [object()]}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            dumps(bad)

@@ -424,7 +424,7 @@ def _mixed_stack(rng, n_rows, n_cols):
 def test_rank_decisions_matches_row_loop_per_slice(shape):
     rng = np.random.default_rng(30)
     stack = _mixed_stack(rng, *shape)
-    status, kernels = rank_decisions(stack)
+    status, kernels = rank_decisions(stack, np.zeros(len(stack)))
     assert len(status) == len(kernels) == len(stack)
     seen = set()
     for index, (m, got, kernel) in enumerate(zip(stack, status, kernels)):
@@ -483,7 +483,7 @@ def test_rank_decisions_refuse_non_finite_and_overflowing_matrices():
     huge[0, 1] = -1.7e308
     stack = np.stack([np.diag([np.nan, 1.0, 1.0, 1.0]), np.diag([np.inf, 0.0, 1.0, 1.0]),
                       huge, np.diag([1.0, 1.0, 1.0, 0.0])])
-    status, kernels = rank_decisions(stack)
+    status, kernels = rank_decisions(stack, np.zeros(4))
     # The finite entries of huge give a largest singular value beyond the
     # float range, which no threshold can be scaled by.
     assert list(status) == ["unknown", "unknown", "unknown", "singular"]
@@ -491,7 +491,7 @@ def test_rank_decisions_refuse_non_finite_and_overflowing_matrices():
 
 
 def test_rank_decisions_of_an_empty_stack():
-    status, kernels = rank_decisions(np.zeros((0, 3, 3)))
+    status, kernels = rank_decisions(np.zeros((0, 3, 3)), np.zeros(0))
     assert status.shape == (0,) and kernels.shape == (0, 3)
 
 
@@ -506,7 +506,7 @@ def _planted_stack(rng, n, ratios):
     return np.stack(out)
 
 
-def _svd_only(monkeypatch, stack, scale=None):
+def _svd_only(monkeypatch, stack, scale):
     """rank_decisions with no slice cleared: every finite slice takes the SVD."""
     from quatpoly import linalg
     with monkeypatch.context() as patch:
@@ -542,7 +542,7 @@ def test_cleared_slices_decide_as_the_svd(monkeypatch, n, with_scale):
     rng = np.random.default_rng(50 + n)
     ratios = np.concatenate([_EDGES, 10 ** rng.uniform(-14, -2, 40)])
     stack = _planted_stack(rng, n, ratios)
-    scale = 10 ** rng.uniform(-1, 2, len(stack)) if with_scale else None
+    scale = 10 ** rng.uniform(-1, 2, len(stack)) if with_scale else np.zeros(len(stack))
     counts = _svd_slices(monkeypatch)
     status, kernels = rank_decisions(stack, scale)
     ref_status, ref_kernels = _svd_only(monkeypatch, stack, scale)
@@ -560,7 +560,7 @@ def test_an_exactly_singular_slice_clears_nothing(monkeypatch):
     stack[1, :, 3] = 0.0
     stack = np.concatenate([stack, np.diag([1.0, 2.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0])[None]])
     counts = _svd_slices(monkeypatch)
-    status, kernels = rank_decisions(stack)
+    status, kernels = rank_decisions(stack, np.zeros(len(stack)))
     assert list(status) == ["nonsingular", "singular", "nonsingular", "singular"]
     assert counts[0] == len(stack)
     assert np.array_equal(kernels[3], np.eye(8)[2])
@@ -586,9 +586,9 @@ def test_cleared_decisions_survive_extreme_scales_silently(monkeypatch, exponent
     counts = _svd_slices(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for plain in (None, scale):
+        for plain in (np.zeros(len(stack)), scale):
             status, _ = rank_decisions(stack, plain)
-            scaled = None if plain is None else np.ldexp(plain, exponent)
+            scaled = np.ldexp(plain, exponent)
             got_status, got_kernels = rank_decisions(np.ldexp(stack, exponent), scaled)
             # As many slices cleared at 2^exponent as at 1, four of them.
             assert counts[-2:] == [4, 4]

@@ -232,7 +232,7 @@ def _record_sweep_operators(monkeypatch):
 
     seen = []
 
-    def record(stack, scale=None):
+    def record(stack, scale):
         seen.extend(np.array(m) for m in stack)
         return np.full(len(stack), "nonsingular"), np.zeros(stack.shape[:2])
 
@@ -411,6 +411,21 @@ def test_one_point_set_takes_more_letters_than_an_array_has_axes():
     verdict = check_stability_multi(p, Region.finite_set([ONE]))
     assert verdict.status is StabilityStatus.NOT_STABLE
     assert verdict.witness_tuple == (ONE,) * k
+    assert check_stability_multi(p, Region.finite_set([Quaternion(2.0)])).status is StabilityStatus.STABLE
+
+
+def test_a_thousand_letter_word_keeps_its_verdicts():
+    # Each word's letters are counted once per sweep.  At 1 both terms are
+    # 2^-1000 after scaling and cancel exactly; at 2 the word's 2^1000 sets
+    # the scale and the constant term is negligible beside it.
+    k = 1000
+    eye = QuaternionMatrix.identity(1)
+    p = MultiPolynomial.build(k, [(tuple(range(1, k + 1)), eye), ((), eye * -1.0)])
+    verdict = check_stability_multi(p, Region.finite_set([ONE]))
+    assert verdict.status is StabilityStatus.NOT_STABLE
+    assert verdict.witness_tuple == (ONE,) * k
+    (y,) = vec_entries(verdict.witness_vector)
+    assert y.approx_eq(ONE, 0.0)
     assert check_stability_multi(p, Region.finite_set([Quaternion(2.0)])).status is StabilityStatus.STABLE
 
 

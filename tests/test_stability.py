@@ -21,7 +21,6 @@ from quatpoly import (
     companion,
     not_hyperstable_search,
     polyeig,
-    quaternion_ball_grid,
     region_sample_grid,
     reversal,
     sample_numerical_range,
@@ -39,6 +38,7 @@ from test_matpoly import (
 )
 from _helpers import random_polynomial, random_quaternion
 import _reference
+from _reference import quaternion_ball_grid
 from quatpoly.eigensolver import singular_values
 
 ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
