@@ -4,8 +4,11 @@ Eigenvalues (no eigenvectors) of one matrix or of every matrix of a
 (..., n, n) stack come from one batched ``zgeev`` call, the singular values
 (and on request the right singular vectors) of a stack of real or complex
 matrices from one batched ``dgesdd`` or ``zgesdd`` call, solutions and
-inverses from ``gesv``; every ``LinAlgError`` but a singular solve or
-inverse is reported as NoConvergenceError.
+inverses from ``gesv``, and whether the Cholesky factorization of each
+slice of a real stack completes from one batched ``potrf`` call that
+reports every slice on its own (``linalg._cleared`` proves sigma_min bounds
+with it); every ``LinAlgError`` but a singular solve is reported as
+NoConvergenceError.
 Spectral norms and the package-wide invertibility test are read off
 ``singular_values`` (``linalg.lift_singular_values``).  One LU kernel with a
 pivot floor stays in Python for shifted inverse iteration against a matrix
@@ -20,6 +23,7 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NoConvergenceError, NonSquareError
 from .tolerances import INVERSE_ITERATION_REL, SCALE_FLOOR
@@ -98,6 +102,18 @@ def singular_values(stack, *, vectors: bool = False):
         return np.linalg.svd(a, compute_uv=False)
 
 
+def cholesky_completes(stack) -> np.ndarray:
+    """Whether LAPACK's lower Cholesky factorization (``potrf``) of each
+    matrix of a finite real (..., n, n) stack runs to completion, every
+    pivot positive, from one batched call; only the lower triangle is read.
+    A slice that fails is False alone: numpy's ``cholesky_lo`` gufunc hands
+    it back as NaN where ``np.linalg.cholesky`` would refuse the whole stack.
+    """
+    a = _as_square(stack, np.float64)
+    with np.errstate(invalid="ignore"):
+        return ~np.isnan(_umath_linalg.cholesky_lo(a)[..., 0, 0])
+
+
 def lu_factor(a: np.ndarray, *, pivot_floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """LU with partial pivoting.
 
@@ -133,26 +149,12 @@ def lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def inverses(stack) -> np.ndarray:
-    """Inverse of every matrix of a real or complex (..., n, n) stack, from one
-    batched ``gesv`` call.  Singularity raises and warns of nothing: a slice
-    with an exactly zero pivot makes numpy refuse the whole stack, which then
-    comes back NaN; an overflow comes back non-finite."""
-    a = _as_square(stack, np.complex128 if np.iscomplexobj(stack) else np.float64)
-    with np.errstate(all="ignore"):
-        try:
-            return np.linalg.inv(a)
-        except np.linalg.LinAlgError:
-            return np.full(a.shape, np.nan, dtype=a.dtype)
-
-
 def inverse_complex(a: np.ndarray) -> np.ndarray:
-    """Dense complex inverse through ``inverses``; invertibility is the
+    """Dense complex inverse from one ``gesv`` call; invertibility is the
     caller's test, and a matrix LAPACK refuses raises NoConvergenceError."""
-    inv = inverses(np.asarray(a, dtype=np.complex128))
-    if np.isnan(inv).all():
-        raise NoConvergenceError("LAPACK solve failed: the matrix is exactly singular")
-    return inv
+    a = _as_square(a)
+    with _lapack("solve"):
+        return np.linalg.inv(a)
 
 
 def eigenvector(matrix, eigenvalue: complex) -> tuple[np.ndarray, float]:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .eigensolver import _EPS, eig_complex, inverse_complex, inverses, singular_values
+from .eigensolver import _EPS, cholesky_completes, eig_complex, inverse_complex, singular_values
 from .errors import NonSquareError, PairingFailureError, SingularMatrixError
 from .quaternion import UNIT_LEFT_ACTIONS, Quaternion, StandardEigenvalue, right_action_matrix
 from .tolerances import (APPROX_EQ_ABS, INVERTIBILITY_REL, MULTIPLE_ROOT_REL, RANK_BAND,
@@ -274,13 +274,15 @@ def rank_decisions(stack, scale) -> tuple[np.ndarray, np.ndarray]:
     e_0.  A matrix with a non-finite entry never reaches LAPACK and is
     "unknown", as is one whose sigma_max overflows.
 
-    A square slice that ``_cleared`` certifies skips the SVD: its
-    sigma_min is proved above RANK_BAND^2 tau_F, tau_F = RANK_PIVOT_REL *
+    A square slice that ``_cleared`` certifies skips the SVD: a shifted
+    Cholesky factorization of its Gram matrix proves its sigma_min above
+    RANK_BAND^2 tau_F, tau_F = RANK_PIVOT_REL *
     max(||M||_F, scale[b]) >= tau, with ||M||_F RANK_BAND times within the
     float range.  LAPACK's singular values are within p(n) eps sigma_max <<
     tau of the exact ones, so the SVD would find a finite tau, no value below
     tau / RANK_BAND and sigma_min above tau * RANK_BAND: "nonsingular".  Every
-    other slice takes the SVD, so no status and no kernel moves.
+    other slice takes the SVD, each on its own beside the cleared ones, so
+    no status and no kernel moves.
 
     Returns (status, kernels): status[b] is "nonsingular", "singular" or
     "unknown"; kernels[b] is ``_canonical_kernel`` of a singular matrix, else 0.
@@ -311,33 +313,49 @@ def rank_decisions(stack, scale) -> tuple[np.ndarray, np.ndarray]:
 
 def _cleared(stack: np.ndarray, scale) -> np.ndarray:
     """Which slices M of a finite square (B, N, N) stack have a certified
-    sigma_min(M) > RANK_BAND^2 tau_F (``rank_decisions``), from one batched
-    inverse.
+    sigma_min(M) > theta = RANK_BAND^2 tau_F (``rank_decisions``), from one
+    batched Gram product and one batched Cholesky factorization.
 
     Each slice is divided by a power of two near its largest entry (exact up
-    to subnormal rounding of entries far below it), so no norm below over-
-    or underflows.  With X ~ M^-1 and E = I - M X, ||E|| < 1 gives
-    M^-1 = X (I - E)^-1 and sigma_min(M) >= (1 - ||E||) / ||X||_F.  The
-    computed R = fl(I - M X) is within gamma_(N+1) (|I| + |M| |X|) of E
-    entrywise (Higham, Accuracy and Stability, 2002, sec. 3.5), so
-    ||E||_F <= ||R||_F + gamma_(N+1) (sqrt N + ||M||_F ||X||_F).  The few
-    roundings of the norms themselves are relative and far inside the one
-    spare RANK_BAND factor.  A stack that LAPACK refuses for an exactly
-    singular slice, and a slice whose inverse overflows, clear nothing.
+    to subnormal rounding of entries far below it), so nothing over- or
+    underflows and ||M||_F >= 1/2, theta^2 > 2^-56.  With u = eps / 2 and
+    gamma_k = k u / (1 - k u):
+
+    - G = fl(M^T M) is within gamma_N |M|^T |M| of M^T M entrywise, so within
+      gamma_N ||M||_F^2 in the 2-norm, as || |M|^T |M| ||_2 <= ||M||_F^2
+      (Higham, Accuracy and Stability, 2002, sec. 3.5).
+    - If the floating-point Cholesky factorization of A = fl(G - s I)
+      completes, then A + dA = R^T R with R nonsingular and |dA_ij| <=
+      alpha sqrt(a_ii a_jj), alpha = gamma_(N+1) / (1 - gamma_(N+1)), so
+      lambda_min(A) > -alpha tr(A) (S. M. Rump, "Verification of positive
+      definiteness", BIT 46, 2006).  Completion needs every a_ii > 0, so
+      g_ii > s and the diagonal subtraction rounds A by less than u tr(G).
+
+    So the shift s = theta^2 + c_N tr(G), c_N = gamma_N + alpha + u, gives
+    lambda_min(M^T M) > theta^2 up to what is left out: the roundings of
+    theta and s, and tr(G) and tr(A) against ||M||_F^2, are relative errors
+    of order N u on terms already there; Rump's underflow term and the
+    scaling's subnormal rounding are absolute and below 2^-1000.  Both fit
+    many times into the one spare RANK_BAND factor.  Squaring costs reach:
+    only a slice with sigma_min above about sqrt(c_N) ||M||_F, near
+    1e-7 ||M||_F at N = 32, can clear.  A slice clears exactly when its
+    factorization completes and RANK_BAND ||M||_F and s are finite at
+    scale; one that fails takes the SVD alone.
     """
     count, n, _ = stack.shape
     exps = np.frexp(np.abs(stack).max(axis=(1, 2)))[1]
     m = np.ldexp(stack, -exps[:, None, None])
-    x = inverses(m)
-    with np.errstate(all="ignore"):
-        r = -(m @ x)
-        r.reshape(count, n * n)[:, ::n + 1] += 1.0
-        m_f, x_f, r_f = (np.sqrt(np.einsum("bij,bij->b", a, a)) for a in (m, x, r))
-        u = (n + 1) * 0.5 * _EPS  # gamma_(N+1) = (N + 1) u / (1 - (N + 1) u), u = eps / 2
-        e_f = r_f + u / (1.0 - u) * (math.sqrt(n) + m_f * x_f)
-        size = np.maximum(m_f, np.ldexp(scale, -exps))
-        return ((e_f < 1.0) & np.isfinite(np.ldexp(RANK_BAND * m_f, exps))
-                & ((1.0 - e_f) / x_f > RANK_BAND * (RANK_BAND * RANK_PIVOT_REL * size)))
+    gram = np.swapaxes(m, 1, 2) @ m
+    diagonal = gram.reshape(count, n * n)[:, ::n + 1]
+    trace = diagonal.sum(axis=1)
+    u = 0.5 * _EPS
+    gamma_n, gamma_n1 = (k * u / (1.0 - k * u) for k in (n, n + 1))
+    with np.errstate(over="ignore"):
+        theta = RANK_BAND * RANK_BAND * RANK_PIVOT_REL * np.maximum(np.sqrt(trace), np.ldexp(scale, -exps))
+        shift = theta * theta + (gamma_n + gamma_n1 / (1.0 - gamma_n1) + u) * trace
+        ok = np.isfinite(shift) & np.isfinite(np.ldexp(RANK_BAND * np.sqrt(trace), exps))
+    diagonal -= np.where(ok, shift, 0.0)[:, None]  # never a non-finite entry for the kernel
+    return ok & cholesky_completes(gram)
 
 
 def _canonical_kernel(m: np.ndarray, nullity: int) -> np.ndarray:

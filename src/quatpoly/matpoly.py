@@ -50,6 +50,9 @@ from .tolerances import IDENTITY_ABS, POLYEIG_RESIDUAL_REL, SLOPE_REL, SPHERE_RE
 
 # A chunk of operators in the realified sweep holds at most this many doubles.
 SWEEP_CHUNK_DOUBLES = 2 ** 16
+# A word's running product is renormalised after this many letters of modulus
+# in [1/2, 1): it stays above 2^-513, far from underflow.
+RENORM_LETTERS = 512
 
 
 class MatrixPolynomial:
@@ -207,15 +210,20 @@ def polyeig(p: MatrixPolynomial) -> list[StandardEigenvalue]:
     return [ev for ev, _ in polyeig_with_residuals(p)]
 
 
-def _word_values(word: Sequence[int], mus: np.ndarray) -> np.ndarray:
-    """w(mu) for every row of a (P, k, 4) array of substituted components.
+def _word_values(word: Sequence[int], mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w(mu) for every row of a (P, k, 4) array of substituted components, as
+    (values, exps) with w(mu) = values * 2^exps row by row.
 
     The letters are multiplied left to right with the operation order of
-    ``Quaternion.__mul__``, so each row equals their Quaternion product bit for bit.
+    ``Quaternion.__mul__``.  After every RENORM_LETTERS letters each row is
+    divided by a power of two near its largest component (exact), so a long
+    word of letters below 1 does not underflow; a shorter word is not
+    touched, and its values equal the Quaternion product bit for bit.
     """
     acc = np.zeros((mus.shape[0], 4))
     acc[:, 0] = 1.0
-    for letter in word:
+    exps = np.zeros(mus.shape[0], dtype=int)
+    for done, letter in enumerate(word, 1):
         if not 1 <= letter <= mus.shape[1]:
             raise ValueError(f"letter {letter} outside 1..{mus.shape[1]}")
         pw, px, py, pz = acc.T
@@ -224,7 +232,11 @@ def _word_values(word: Sequence[int], mus: np.ndarray) -> np.ndarray:
                         pw * qx + px * qw + py * qz - pz * qy,
                         pw * qy - px * qz + py * qw + pz * qx,
                         pw * qz + px * qy - py * qx + pz * qw], axis=1)
-    return acc
+        if done % RENORM_LETTERS == 0:
+            shift = np.frexp(np.abs(acc).max(axis=1))[1]
+            acc = np.ldexp(acc, -shift[:, None])
+            exps += shift
+    return acc, exps
 
 
 def _realified_operators(lefts, counts, norms, mus) -> tuple[np.ndarray, np.ndarray]:
@@ -234,13 +246,14 @@ def _realified_operators(lefts, counts, norms, mus) -> tuple[np.ndarray, np.ndar
     letter occurs in each word.
 
     With each letter value in units of a power of two 2^e near its modulus,
-    w(mu) is 2^E times a value of modulus below 1, E the sum of its letters'
-    e; every term of a tuple is divided by its largest 2^E (exact, no overflow).
+    w(mu) is 2^E times a value of modulus below 2, E the sum of its letters'
+    e and of ``_word_values``' renormalisations; every term of a tuple is
+    divided by its largest 2^E (exact, no overflow).
     """
     exps = np.frexp(np.hypot.reduce(mus, axis=2))[1]
     units = np.ldexp(mus, -exps[..., None])
-    values = np.array([_word_values(word, units) for word, _ in lefts])
-    word_exps = counts @ exps.T
+    values, renorms = map(np.array, zip(*(_word_values(word, units) for word, _ in lefts)))
+    word_exps = counts @ exps.T + renorms
     values = np.ldexp(values, (word_exps - word_exps.max(axis=0))[..., None])
     rows, n = lefts[0][1].shape[:2]
     ops = np.zeros((len(mus), rows, n, 4))

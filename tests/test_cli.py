@@ -724,6 +724,19 @@ def test_one_call_builds_one_argument_parser(tmp_path, capsys, monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["--help"], 0, "out", "usage: quatpoly"),
+    (["eig"], 2, "err", "the following arguments are required: --input"),
+    (["solve", "--input", "p.json"], 2, "err", "invalid choice: 'solve'"),
+    (["eig", "--input", "p.json", "--samples", "many"], 2, "err", "invalid int value: 'many'"),
+])
+def test_help_and_bad_arguments_exit_from_argparse(capsys, argv, code, stream, text):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == code
+    assert text in getattr(capsys.readouterr(), stream)
+
+
 def test_tiny_polynomial_reports_a_true_action_residual(tmp_path, capsys):
     # The relative residual does not depend on the scale of P, also where
     # the coefficient norms are near the bottom of the exponent range.

@@ -7,6 +7,7 @@ compared with it on lifted and characteristic-polynomial companions.
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 from _helpers import random_polynomial, random_quaternion
 from _qr_reference import qr_eig
 
@@ -23,7 +24,7 @@ from quatpoly import (
     scalar_char_poly,
     spectral_norm,
 )
-from quatpoly.eigensolver import (MAX_DIM, eigenvector, inverse_complex, inverses, lu_factor,
+from quatpoly.eigensolver import (MAX_DIM, cholesky_completes, eigenvector, inverse_complex, lu_factor,
                                   lu_solve, singular_values, solve)
 
 
@@ -138,6 +139,8 @@ def test_inverse_complex_and_singularity():
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     inv = inverse_complex(a)
     assert np.linalg.norm(a @ inv - np.eye(5)) <= 1e-9
+    with pytest.raises(NoConvergenceError):
+        inverse_complex(np.zeros((2, 2)))
     # The invertibility test is linalg.inverse's, on the singular values of the lift.
     singular = QuaternionMatrix(np.ones((3, 3)), np.zeros((3, 3)))
     with pytest.raises(SingularMatrixError):
@@ -227,25 +230,28 @@ def test_solve_hands_back_singular_slices_as_nan():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_inverses_of_a_stack_never_raise_for_singularity():
-    rng = np.random.default_rng(721)
-    real = rng.standard_normal((6, 5, 5))
-    lifted = real + 1j * rng.standard_normal((6, 5, 5))
-    for stack in (real, lifted):
-        x = inverses(stack)
-        assert x.dtype == stack.dtype
-        assert np.allclose(stack @ x, np.eye(5))
-        # One exactly zero pivot: numpy refuses the whole stack, which comes back NaN.
-        singular = stack.copy()
-        singular[3, :, 1] = 0.0
-        assert np.isnan(inverses(singular)).all()
-        # A subnormal slice inverts to an overflow, quietly.
-        tiny = stack.copy()
-        tiny[2] *= 1e-310
-        assert not np.isfinite(inverses(tiny)[2]).all()
-    assert np.array_equal(inverse_complex(lifted[0]), inverses(lifted[:1])[0])
-    with pytest.raises(NoConvergenceError):
-        inverse_complex(np.zeros((2, 2)))
+def test_a_failed_cholesky_slice_fails_alone():
+    rng = np.random.default_rng(722)
+    a = rng.standard_normal((6, 5, 5))
+    stack = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(5)
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    stack[1] = (q * [3.0, 2.0, 1.0, -1e-3, 1.0]) @ q.T  # indefinite
+    stack[4, 2, :] = stack[4, :, 2] = 0.0  # exactly singular: a zero pivot
+    assert list(cholesky_completes(stack)) == [True, False, True, True, False, True]
+    assert [bool(cholesky_completes(m)) for m in stack] == [True, False, True, True, False, True]
+    # numpy's gufunc hands a failed slice back as NaN, alone; the public
+    # routine refuses the whole stack.
+    with np.errstate(invalid="ignore"):
+        factors = _umath_linalg.cholesky_lo(stack)
+    assert np.isnan(factors[[1, 4]]).all() and np.isfinite(factors[[0, 2, 3, 5]]).all()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(stack)
+    # Only the lower triangle is read.
+    upper = stack + np.triu(np.full((5, 5), 7.0), 1)
+    assert list(cholesky_completes(upper)) == [True, False, True, True, False, True]
+    stack[3, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        cholesky_completes(stack)
 
 
 def test_singular_values_of_a_stack():

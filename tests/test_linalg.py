@@ -31,6 +31,7 @@ from quatpoly import (
     vec_entries,
 )
 from quatpoly.quaternion import left_action_matrix, right_action_matrix
+from quatpoly.tolerances import RANK_BAND, RANK_PIVOT_REL
 from _helpers import (random_invertible_qmatrix, random_polynomial, random_qmatrix, random_quaternion,
                       random_unit_quaternion, random_unit_qvec)
 
@@ -554,7 +555,8 @@ def test_cleared_slices_decide_as_the_svd(monkeypatch, n, with_scale):
 
 
 def test_an_exactly_singular_slice_clears_nothing(monkeypatch):
-    # LAPACK refuses the whole stack for one zero pivot: every slice takes the SVD.
+    # A singular slice fails its own factorization and takes the SVD alone;
+    # the others clear beside it.
     rng = np.random.default_rng(51)
     stack = _planted_stack(rng, 8, [1e-1, 1e-3, 1e-2])
     stack[1, :, 3] = 0.0
@@ -562,7 +564,7 @@ def test_an_exactly_singular_slice_clears_nothing(monkeypatch):
     counts = _svd_slices(monkeypatch)
     status, kernels = rank_decisions(stack, np.zeros(len(stack)))
     assert list(status) == ["nonsingular", "singular", "nonsingular", "singular"]
-    assert counts[0] == len(stack)
+    assert counts == [2]
     assert np.array_equal(kernels[3], np.eye(8)[2])
 
 
@@ -595,6 +597,41 @@ def test_cleared_decisions_survive_extreme_scales_silently(monkeypatch, exponent
             ref_status, ref_kernels = _svd_only(monkeypatch, np.ldexp(stack, exponent), scaled)
             assert list(got_status) == list(status) == list(ref_status)
             assert np.array_equal(got_kernels, ref_kernels)
+
+
+@pytest.mark.parametrize("n", [4, 12, 32])
+@pytest.mark.parametrize("with_scale", [False, True], ids=["own-size", "term-scale"])
+def test_the_cholesky_certificate_is_sound_and_useful(monkeypatch, n, with_scale):
+    # sigma_min / ||M||_F log-uniform over [1e-11, 1e-5]: across the dead band
+    # [theta / RANK_BAND^2, theta] below the claim sigma_min > theta, and
+    # across the band that squaring puts out of the certificate's reach.  The
+    # Gram product's rounding lifts about one dead-band slice in a hundred
+    # over theta^2: many slices, so that a shift of theta^2 alone shows.
+    from quatpoly import linalg
+    rng = np.random.default_rng(55 + n)
+    count = 1500
+    ratio = 10 ** rng.uniform(-11, -5, count)
+    u, _ = np.linalg.qr(rng.standard_normal((count, n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((count, n, n)))
+    rest = np.concatenate([np.ones((count, 1)), 10 ** rng.uniform(-4, 0, (count, n - 2))], axis=1)
+    least = ratio * np.linalg.norm(rest, axis=1) / np.sqrt(1.0 - ratio * ratio)
+    stack = (u * np.append(rest, least[:, None], axis=1)[:, None]) @ np.swapaxes(v, 1, 2)
+    fro = np.linalg.norm(stack, axis=(1, 2))
+    scale = fro * 10 ** rng.uniform(-1, 1, len(stack)) if with_scale else np.zeros(len(stack))
+    sigma_min = np.linalg.svd(stack, compute_uv=False)[:, -1]
+    theta = RANK_BAND * RANK_BAND * RANK_PIVOT_REL * np.maximum(fro, scale)
+    dead_band = (sigma_min >= theta / RANK_BAND ** 2) & (sigma_min <= theta)
+    reachable = sigma_min >= 1e-6 * fro
+    assert dead_band.sum() >= 10 and reachable.sum() >= 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for exponent in (0, -1000, 1000):
+            scaled, scaled_scale = np.ldexp(stack, exponent), np.ldexp(scale, exponent)
+            cleared = linalg._cleared(scaled, scaled_scale)
+            ref_status, _ = _svd_only(monkeypatch, scaled, scaled_scale)
+            assert set(ref_status[cleared]) == {"nonsingular"}
+            assert not (cleared & (sigma_min <= theta)).any()
+            assert cleared[reachable].all()
 
 
 def test_a_finite_set_sweep_clears_most_operators(monkeypatch):

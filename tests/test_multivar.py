@@ -27,7 +27,7 @@ from quatpoly import (
     vec4_to_qvec,
     vec_entries,
 )
-from quatpoly.matpoly import realified_sweep
+from quatpoly.matpoly import _word_values, realified_sweep
 from quatpoly.quaternion import right_action_matrix
 from _helpers import (
     random_polynomial,
@@ -414,19 +414,57 @@ def test_one_point_set_takes_more_letters_than_an_array_has_axes():
     assert check_stability_multi(p, Region.finite_set([Quaternion(2.0)])).status is StabilityStatus.STABLE
 
 
+def _word_minus_one(k):
+    """t_1 ... t_k - 1 with 1 x 1 identity coefficients."""
+    eye = QuaternionMatrix.identity(1)
+    return MultiPolynomial.build(k, [(tuple(range(1, k + 1)), eye), ((), eye * -1.0)])
+
+
 def test_a_thousand_letter_word_keeps_its_verdicts():
     # Each word's letters are counted once per sweep.  At 1 both terms are
-    # 2^-1000 after scaling and cancel exactly; at 2 the word's 2^1000 sets
-    # the scale and the constant term is negligible beside it.
+    # equal powers of two after scaling and cancel exactly; at 2 the word's
+    # 2^1000 sets the scale and the constant term is negligible beside it.
     k = 1000
-    eye = QuaternionMatrix.identity(1)
-    p = MultiPolynomial.build(k, [(tuple(range(1, k + 1)), eye), ((), eye * -1.0)])
+    p = _word_minus_one(k)
     verdict = check_stability_multi(p, Region.finite_set([ONE]))
     assert verdict.status is StabilityStatus.NOT_STABLE
     assert verdict.witness_tuple == (ONE,) * k
     (y,) = vec_entries(verdict.witness_vector)
     assert y.approx_eq(ONE, 0.0)
     assert check_stability_multi(p, Region.finite_set([Quaternion(2.0)])).status is StabilityStatus.STABLE
+
+
+@pytest.mark.parametrize("k, point, status", [
+    (1100, 2.0, StabilityStatus.STABLE),
+    (2000, 2.0, StabilityStatus.STABLE),
+    (4000, 1.5, StabilityStatus.STABLE),
+    (1100, 1.0, StabilityStatus.NOT_STABLE),
+])
+def test_a_word_past_the_exponent_range_keeps_its_verdicts(k, point, status):
+    # Each letter is scaled into [1/2, 1) before the product: unrenormalised,
+    # k such letters fall below 2^-1074 and the operator to the zero matrix.
+    verdict = check_stability_multi(_word_minus_one(k), Region.finite_set([Quaternion(point)]))
+    assert verdict.status is status
+    if status is StabilityStatus.NOT_STABLE:
+        assert verdict.witness_tuple == (Quaternion(point),) * k
+        (y,) = vec_entries(verdict.witness_vector)
+        assert y.approx_eq(ONE, 0.0)
+
+
+def test_word_values_renormalise_exactly():
+    # Powers of two commute with every rounding away from underflow, so a
+    # renormalised 1,100-letter product equals the Quaternion product bit for bit.
+    rng = np.random.default_rng(4108)
+    units = rng.standard_normal((3, 2, 4))
+    units /= np.linalg.norm(units, axis=2, keepdims=True) * rng.uniform(1.0, 1.04, (3, 2, 1))
+    word = tuple(int(v) for v in rng.integers(1, 3, 1100))
+    values, exps = _word_values(word, units)
+    assert (exps < 0).all()
+    for row, (value, e) in enumerate(zip(values, exps)):
+        want = ONE
+        for letter in word:
+            want = want * Quaternion(*units[row, letter - 1])
+        assert np.array_equal(np.ldexp(value, e), want.as_array())
 
 
 def test_check_stability_matches_one_letter_multivariate():
