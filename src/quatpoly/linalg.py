@@ -282,7 +282,8 @@ def rank_decisions(stack, scale) -> tuple[np.ndarray, np.ndarray]:
     tau of the exact ones, so the SVD would find a finite tau, no value below
     tau / RANK_BAND and sigma_min above tau * RANK_BAND: "nonsingular".  Every
     other slice takes the SVD, each on its own beside the cleared ones, so
-    no status and no kernel moves.
+    no status and no kernel moves.  The stack is only read: an all-finite
+    one goes to the certificate as it is, without a copy.
 
     Returns (status, kernels): status[b] is "nonsingular", "singular" or
     "unknown"; kernels[b] is ``_canonical_kernel`` of a singular matrix, else 0.
@@ -295,7 +296,7 @@ def rank_decisions(stack, scale) -> tuple[np.ndarray, np.ndarray]:
     kernels = np.zeros((count, n_cols))
     finite = np.flatnonzero(np.isfinite(stack).all(axis=(1, 2)))
     if n_rows == n_cols and finite.size > 1:  # one SVD costs less than the certificate
-        cleared = _cleared(stack[finite], scale[finite])
+        cleared = _cleared(stack if finite.size == count else stack[finite], scale[finite])
         code[finite[cleared]] = 0
         finite = finite[~cleared]
     if finite.size:

@@ -14,6 +14,7 @@ Three independent routes to the same eigenvalues are kept side by side:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -210,57 +211,79 @@ def polyeig(p: MatrixPolynomial) -> list[StandardEigenvalue]:
     return [ev for ev, _ in polyeig_with_residuals(p)]
 
 
-def _word_values(word: Sequence[int], mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """w(mu) for every row of a (P, k, 4) array of substituted components, as
-    (values, exps) with w(mu) = values * 2^exps row by row.
+def _word_values(words: Sequence[tuple[int, ...]], letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w(mu) of every word at every row of the (P, k, 4, 4) right action
+    matrices R of the substituted letters, as (W, P, 4) values and (W, P)
+    exps with w(mu) = values * 2^exps.
 
-    The letters are multiplied left to right with the operation order of
-    ``Quaternion.__mul__``.  After every RENORM_LETTERS letters each row is
-    divided by a power of two near its largest component (exact), so a long
-    word of letters below 1 does not underflow; a shorter word is not
-    touched, and its values equal the Quaternion product bit for bit.
+    The letters act left to right, each as p -> R p = p mu_j with the four
+    products R[a, i] p_i summed in the order i = 0..3 of ``Quaternion.__mul__``
+    (R holds the letter's components and their negations, exactly).  After
+    every RENORM_LETTERS letters of a word, counted from its start, each row
+    is divided by a power of two near its largest component (exact), so a
+    long word of letters below 1 does not underflow; a shorter word is not
+    touched, and its values equal the Quaternion product bit for bit.  Each
+    distinct prefix is multiplied out once: the words go in sorted order, and
+    each starts from the longest prefix it shares with the word before, kept
+    on a stack that holds a prefix only at a length two neighbours share.
     """
-    acc = np.zeros((mus.shape[0], 4))
-    acc[:, 0] = 1.0
-    exps = np.zeros(mus.shape[0], dtype=int)
-    for done, letter in enumerate(word, 1):
-        if not 1 <= letter <= mus.shape[1]:
-            raise ValueError(f"letter {letter} outside 1..{mus.shape[1]}")
-        pw, px, py, pz = acc.T
-        qw, qx, qy, qz = mus[:, letter - 1].T
-        acc = np.stack([pw * qw - px * qx - py * qy - pz * qz,
-                        pw * qx + px * qw + py * qz - pz * qy,
-                        pw * qy - px * qz + py * qw + pz * qx,
-                        pw * qz + px * qy - py * qx + pz * qw], axis=1)
-        if done % RENORM_LETTERS == 0:
-            shift = np.frexp(np.abs(acc).max(axis=1))[1]
-            acc = np.ldexp(acc, -shift[:, None])
-            exps += shift
-    return acc, exps
+    count, k = letters.shape[:2]
+    order = sorted(range(len(words)), key=words.__getitem__)
+    shared = [0] + [next((i for i, (a, b) in enumerate(zip(words[s], words[t])) if a != b),
+                         min(len(words[s]), len(words[t]))) for s, t in zip(order, order[1:])]
+    kept = set(shared)
+    one = np.zeros((count, 4))
+    one[:, 0] = 1.0
+    stack = [(0, one, np.zeros(count, dtype=int))]
+    values = np.empty((len(words), count, 4))
+    exps = np.empty((len(words), count), dtype=int)
+    for t, start in zip(order, shared):
+        while stack[-1][0] > start:
+            stack.pop()
+        _, acc, shift_sum = stack[-1]
+        for done, letter in enumerate(words[t][start:], start + 1):
+            if not 1 <= letter <= k:
+                raise ValueError(f"letter {letter} outside 1..{k}")
+            terms = letters[:, letter - 1] * acc[:, None, :]
+            acc = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
+            if done % RENORM_LETTERS == 0:
+                shift = np.frexp(np.abs(acc).max(axis=1))[1]
+                acc = np.ldexp(acc, -shift[:, None])
+                shift_sum = shift_sum + shift
+            if done in kept:
+                stack.append((done, acc, shift_sum))
+        values[t], exps[t] = acc, shift_sum
+    return values, exps
 
 
-def _realified_operators(lefts, counts, norms, mus) -> tuple[np.ndarray, np.ndarray]:
+def _realified_operators(lefts, words, counts, norms, mus) -> tuple[np.ndarray, np.ndarray]:
     """The (C, 4n, 4n) realified actions of a (C, k, 4) array of substitution
-    tuples, and each one's term scale sum_w ||A_w||_2 |w(mu)|, ``norms`` the
-    ||A_w||_2 in the units of ``lefts`` and ``counts`` the (W, k) times each
-    letter occurs in each word.
+    tuples, and each one's term scale sum_w ||A_w||_2 |w(mu)|.  ``lefts`` is
+    the (4n n, 4T) stack of the realified left factors, term t's (4n, n, 4)
+    blocks flattened into columns 4t..4t+3, ``norms`` the ||A_w||_2 in its
+    units and ``counts`` the (T, k) times each letter occurs in each word.
 
     With each letter value in units of a power of two 2^e near its modulus,
     w(mu) is 2^E times a value of modulus below 2, E the sum of its letters'
     e and of ``_word_values``' renormalisations; every term of a tuple is
-    divided by its largest 2^E (exact, no overflow).
+    divided by its largest 2^E (exact, no overflow).  Each term adds one
+    (4n n, 4) x (4, 4C) product, its blocks times every tuple's right action,
+    into one buffer in term order; one transposed copy makes the stack.
     """
     exps = np.frexp(np.hypot.reduce(mus, axis=2))[1]
     units = np.ldexp(mus, -exps[..., None])
-    values, renorms = map(np.array, zip(*(_word_values(word, units) for word, _ in lefts)))
+    values, renorms = _word_values(words, right_action_matrices(units))
     word_exps = counts @ exps.T + renorms
     values = np.ldexp(values, (word_exps - word_exps.max(axis=0))[..., None])
-    rows, n = lefts[0][1].shape[:2]
-    ops = np.zeros((len(mus), rows, n, 4))
-    for (_, left), action in zip(lefts, right_action_matrices(values)):
-        ops += left[None] @ action[:, None]
+    count, n = len(mus), math.isqrt(len(lefts) // 4)
+    # Term t's (4, 4C) action: R(w(mu_c))[a, b] in row a, column b C + c.
+    actions = right_action_matrices(np.moveaxis(values, 2, 1), axis=1).reshape(len(words), 4, 4 * count)
+    products = np.zeros((len(lefts), 4 * count))
+    for t, action in enumerate(actions):
+        products += lefts[:, 4 * t:4 * t + 4] @ action
+    ops = products.reshape(4 * n, n, 4, count).transpose(3, 0, 1, 2).reshape(count, 4 * n, 4 * n)
     # R(w) is |w| times an orthogonal matrix and realification keeps 2-norms.
-    return ops.reshape(len(mus), rows, rows), norms @ np.linalg.norm(values, axis=2)
+    return ops, norms @ np.linalg.norm(values, axis=2)
 
 
 def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
@@ -269,9 +292,9 @@ def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
     rows ``points``, in lexicographic order (that of ``itertools.product``).
 
     ``terms`` are (word, A_w) pairs of y -> sum_w A_w y w(mu_1, ..., mu_k);
-    each left factor is realified once, and the right factor w(mu) is
-    applied per 4 x 4 block.  The P^k tuples go in chunks of 1, 4, 16, ...
-    operators (at most SWEEP_CHUNK_DOUBLES doubles a chunk), each indexed
+    the left factors are realified once, side by side in one array, and the
+    right factor w(mu) is applied per 4 x 4 block.  The P^k tuples go in
+    chunks of 1, 4, 16, ... operators (at most SWEEP_CHUNK_DOUBLES doubles a chunk), each indexed
     out of ``points`` by the base-P digits of its tuple numbers (what
     ``np.unravel_index`` gives, without its limit of 64 letters) and
     decided by one ``rank_decisions`` pass, scaled by the terms' sizes (at an eigenvalue
@@ -284,11 +307,12 @@ def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
     n = terms[0][1].n_rows
     # One exact power-of-two scale keeps the operators finite; no rank decision moves.
     scale = _pow2_near(max(a.max_entry_modulus() for _, a in terms))
-    lefts = [(word, (real_rep_left(a) / scale).reshape(4 * n, n, 4)) for word, a in terms]
+    lefts = np.concatenate([(real_rep_left(a) / scale).reshape(4 * n * n, 4) for _, a in terms], axis=1)
+    words = [tuple(word) for word, _ in terms]
     if norms is None:
         norms = lift_singular_values([a for _, a in terms])[:, 0]
     norms = norms / scale
-    counts = np.array([np.bincount(word, minlength=k + 1)[1:k + 1] for word, _ in terms])
+    counts = np.array([np.bincount(word, minlength=k + 1)[1:k + 1] for word in words])
     cap = max(1, SWEEP_CHUNK_DOUBLES // (4 * n) ** 2)
     count = len(points) ** k
     strides = len(points) ** np.arange(k - 1, -1, -1)
@@ -296,7 +320,7 @@ def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
     start, size = 0, 1
     while start < count:
         tuples = points[np.arange(start, min(start + size, count))[:, None] // strides % len(points)]
-        status, kernels = rank_decisions(*_realified_operators(lefts, counts, norms, tuples))
+        status, kernels = rank_decisions(*_realified_operators(lefts, words, counts, norms, tuples))
         hits = np.flatnonzero(status == "singular")
         if hits.size:
             kernel = kernels[hits[0]]

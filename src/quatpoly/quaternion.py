@@ -238,14 +238,16 @@ def right_action_matrix(q: Quaternion) -> np.ndarray:
     return right_action_matrices(np.array(q.as_array()))
 
 
-def right_action_matrices(q: np.ndarray) -> np.ndarray:
-    """``right_action_matrix`` of every quaternion in a (..., 4) array of
-    components (w, x, y, z), as a (..., 4, 4) array."""
-    w, x, y, z = np.moveaxis(q, -1, 0)
-    return np.stack([w, -x, -y, -z,
-                     x, w, z, -y,
-                     y, -z, w, x,
-                     z, y, -x, w], axis=-1).reshape(q.shape[:-1] + (4, 4))
+# Entry [a, b] of right_action_matrix(q) is component _RIGHT_ACTION_INDEX[a, b] of (q, -q):
+# [[w, -x, -y, -z], [x, w, z, -y], [y, -z, w, x], [z, y, -x, w]].
+_RIGHT_ACTION_INDEX = np.array([[0, 5, 6, 7], [1, 0, 3, 6], [2, 7, 0, 1], [3, 2, 5, 0]])
+
+
+def right_action_matrices(q: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``right_action_matrix`` of every quaternion in an array of components
+    (w, x, y, z) along ``axis``, which the (4, 4) matrices take the place of:
+    a (..., 4) array gives a (..., 4, 4) one."""
+    return np.take(np.concatenate([q, -q], axis=axis), _RIGHT_ACTION_INDEX, axis=axis)
 
 
 # Components of conj(q) are CONJ * q.

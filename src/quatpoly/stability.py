@@ -254,9 +254,10 @@ def _ball_grid(center: Quaternion, radius: float, start: int, stop: int) -> np.n
 def region_sample_grid(region: Region, count: int) -> np.ndarray:
     """Deterministic probe points inside a region, as (P, 4) rows: for an
     annulus or a complement, the first ``count`` points of a ball grid inside
-    it, among at most 60 count + 64, drawn in blocks of 2 count."""
+    it, among at most 60 count + 64, drawn in blocks of 2 count.  A finite
+    set is its own probe set and raises ValueError."""
     if region.kind is RegionKind.FINITE_SET:
-        return region.points
+        raise ValueError("a finite set has no sample grid: its points are the probes")
     if region.kind in _BALL_KINDS:
         return _ball_grid(region.center, region.radius, 1, count + 1)
     if region.kind is RegionKind.ANNULUS:

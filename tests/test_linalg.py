@@ -446,6 +446,36 @@ def test_rank_decisions_matches_row_loop_per_slice(shape):
     assert {"singular", "unknown"} <= seen
 
 
+@pytest.mark.parametrize("poison", [False, True], ids=["finite", "one-non-finite"])
+def test_rank_decisions_leave_the_stack_untouched(monkeypatch, poison):
+    # An all-finite stack goes to the certificate as it is, and the kernels
+    # of its singular slices are read from it afterwards: nothing may write it.
+    from quatpoly import linalg
+
+    passed = []
+
+    def cleared(stack, scale):
+        passed.append(stack)
+        return certify(stack, scale)
+
+    certify = linalg._cleared
+    monkeypatch.setattr(linalg, "_cleared", cleared)
+    rng = np.random.default_rng(32)
+    stack = _mixed_stack(rng, 6, 6)
+    if poison:
+        stack[0, 2, 3] = np.nan
+    scale = np.where(rng.random(len(stack)) < 0.5, 0.0, 2.0)
+    before = stack.copy()
+    status, kernels = rank_decisions(stack, scale)
+    assert np.array_equal(stack.view(np.uint64), before.view(np.uint64))
+    assert (passed[0] is stack) is not poison
+    for b in range(len(stack)):
+        one_status, one_kernel = rank_decisions(before[b:b + 1], scale[b:b + 1])
+        assert status[b] == one_status[0]
+        assert np.array_equal(kernels[b].view(np.uint64), one_kernel[0].view(np.uint64))
+    assert {"nonsingular", "singular", "unknown"} <= set(status)
+
+
 def _planted_realified_operator(rng, n, mu):
     """Realified action y -> sum_i A_i y mu^i of a random quadratic whose
     A_0 is corrected so that a random y lies in its kernel."""

@@ -27,8 +27,9 @@ from quatpoly import (
     vec4_to_qvec,
     vec_entries,
 )
+from quatpoly.linalg import lift_singular_values
 from quatpoly.matpoly import _word_values, realified_sweep
-from quatpoly.quaternion import right_action_matrix
+from quatpoly.quaternion import right_action_matrices, right_action_matrix
 from _helpers import (
     random_polynomial,
     random_qmatrix,
@@ -331,6 +332,9 @@ def _assert_same_sweep(terms, points, k=1):
 def test_sweep_operators_equal_the_per_tuple_build(monkeypatch):
     # Batched word products and block products repeat the per-tuple
     # floating-point operations exactly, and the power-of-two scales are exact.
+    # Each block product is taken flat, (4n n, 4) x (4, 4), as the sweep's one
+    # product per term is: at n = 1 numpy takes (4n, n, 4) @ (4, 4) through its
+    # one-row path, which rounds otherwise.
     # With three letters the 125 tuples are indexed in itertools.product order too.
     seen = _record_sweep_operators(monkeypatch)
     rng = np.random.default_rng(4107)
@@ -345,7 +349,8 @@ def test_sweep_operators_equal_the_per_tuple_build(monkeypatch):
             for op, tup in zip(seen, itertools.product(points, repeat=k), strict=True):
                 want = np.zeros((4 * n, n, 4))
                 for word, a in p.terms:
-                    want += real_rep_left(a).reshape(4 * n, n, 4) @ right_action_matrix(eval_word(word, tup))
+                    block = real_rep_left(a).reshape(4 * n * n, 4) @ right_action_matrix(eval_word(word, tup))
+                    want += block.reshape(4 * n, n, 4)
                 assert np.array_equal(op * _sweep_scale(p.terms, tup), want.reshape(4 * n, 4 * n))
 
 
@@ -458,13 +463,143 @@ def test_word_values_renormalise_exactly():
     units = rng.standard_normal((3, 2, 4))
     units /= np.linalg.norm(units, axis=2, keepdims=True) * rng.uniform(1.0, 1.04, (3, 2, 1))
     word = tuple(int(v) for v in rng.integers(1, 3, 1100))
-    values, exps = _word_values(word, units)
+    (values,), (exps,) = _word_values([word], right_action_matrices(units))
     assert (exps < 0).all()
     for row, (value, e) in enumerate(zip(values, exps)):
         want = ONE
         for letter in word:
             want = want * Quaternion(*units[row, letter - 1])
         assert np.array_equal(np.ldexp(value, e), want.as_array())
+
+
+class _CountedLetters(np.ndarray):
+    """Counts the letters' action matrices read from it, one per letter product."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        _CountedLetters.reads += 1
+        return np.asarray(self)[key]
+
+
+@pytest.mark.parametrize("words, products", [
+    ([(1,) * i for i in range(6)], 5),
+    ([(), (1,), (2,), (1, 2), (2, 1)], 4),
+    ([(2, 2, 2), (1, 2), (1,), ()], 5),
+    ([(1, 2) * 300, (1, 2) * 550, (2,)], 1101),
+])
+def test_word_values_multiply_each_prefix_once(words, products):
+    # A degree-m univariate polynomial takes m letter products, not m(m+1)/2.
+    # The renormalisations still fall every RENORM_LETTERS letters from the
+    # start of each word: values and exps equal each word's own, bit for bit.
+    units = np.random.default_rng(4111).uniform(0.5, 0.6, (3, 2, 4))
+    letters = right_action_matrices(units).view(_CountedLetters)
+    _CountedLetters.reads = 0
+    values, exps = _word_values(words, letters)
+    assert _CountedLetters.reads == products
+    for word, value, e in zip(words, values, exps, strict=True):
+        (alone,), (alone_exps,) = _word_values([word], letters)
+        assert np.array_equal(value, alone) and np.array_equal(e, alone_exps)
+
+
+def _record_sweep_chunks(monkeypatch):
+    """Capture every (stack, term scales) pair the realified sweep hands to
+    the rank test."""
+    from quatpoly import matpoly
+
+    seen = []
+
+    def record(stack, scale):
+        seen.append((np.array(stack), np.array(scale)))
+        return np.full(len(stack), "nonsingular"), np.zeros(stack.shape[:2])
+
+    monkeypatch.setattr(matpoly, "rank_decisions", record)
+    return seen
+
+
+def _assert_chunks_equal_the_per_tuple_build(seen, terms, points, k):
+    """Each recorded operator, times the sweep's scale, is the sum in term
+    order of the flat block products at that tuple's word values, and each
+    chunk's term scales are the norms of the lefts times those values' moduli."""
+    n = terms[0][1].n_rows
+    pow2 = 2.0 ** np.frexp(max(a.max_entry_modulus() for _, a in terms))[1]
+    norms = lift_singular_values([a for _, a in terms])[:, 0] / pow2
+    lefts = [real_rep_left(a).reshape(4 * n * n, 4) for _, a in terms]
+    tuples = iter(itertools.product(points, repeat=k))
+    for stack, scale in seen:
+        values = np.empty((len(terms), len(stack), 4))
+        for c, op in enumerate(stack):
+            tup = next(tuples)
+            want = np.zeros((4 * n, n, 4))
+            for t, ((word, _), left) in enumerate(zip(terms, lefts)):
+                value = eval_word(word, tup)
+                want += (left @ right_action_matrix(value)).reshape(4 * n, n, 4)
+                values[t, c] = value.as_array()
+            sweep_scale = _sweep_scale(terms, tup)
+            assert np.array_equal(op * sweep_scale, want.reshape(4 * n, 4 * n))
+            values[:, c] /= sweep_scale / pow2
+        assert np.array_equal(scale, norms @ np.linalg.norm(values, axis=2))
+    assert next(tuples, None) is None
+
+
+def _near_unit_quaternion(rng):
+    # Modulus in [0.97, 1): a unit of the sweep as it is, and 1,100 such
+    # letters stay far above underflow in the unrenormalised reference.
+    q = rng.standard_normal(4)
+    return Quaternion(*(q * rng.uniform(0.97, 0.999) / np.linalg.norm(q)))
+
+
+_SHARED_PREFIX_WORDS = {
+    1: [[(), (1,), (1, 1), (1, 1, 1)]],
+    2: [[(), (1,), (2,), (1, 2), (2, 1)], [(2, 2, 2), (1, 2), (1,), ()]],
+    3: [[(), (1,), (2,), (1, 2), (2, 1)], [(2, 2, 2), (1, 2), (1,), ()],
+        [(3, 1, 2), (3, 1), (1, 3), ()]],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_prefix_cache_equals_the_per_tuple_build(monkeypatch, k, n):
+    # Each distinct prefix is multiplied out once per chunk and reused, and
+    # the renormalisation schedule counts from the start of each word, so a
+    # 1,100-letter word beside its own 600-letter prefix (renormalised at
+    # letter 512, inside the cached prefix) is exact too.  A chunk cap of 6
+    # operators gives chunks of 1, 4 and the cap.
+    from quatpoly import matpoly
+
+    monkeypatch.setattr(matpoly, "SWEEP_CHUNK_DOUBLES", 6 * (4 * n) ** 2)
+    seen = _record_sweep_chunks(monkeypatch)
+    rng = np.random.default_rng([4109, k, n])
+    count = {1: 20, 2: 5, 3: 3}[k]
+    long_word = tuple(int(v) for v in rng.integers(1, k + 1, 1100))
+    cases = [(words, random_quaternion) for words in _SHARED_PREFIX_WORDS[k]]
+    cases.append(([long_word, (), long_word[:600]], _near_unit_quaternion))
+    for words, draw in cases:
+        p = MultiPolynomial.build(k, [(w, random_qmatrix(rng, n)) for w in words])
+        points = [draw(rng) for _ in range(count)]
+        seen.clear()
+        realified_sweep(p.terms, np.array([q.as_array() for q in points]), k)
+        assert [len(stack) for stack, _ in seen[:3]] == [1, 4, 6]
+        _assert_chunks_equal_the_per_tuple_build(seen, p.terms, points, k)
+
+
+def test_prefix_cache_equals_the_per_tuple_build_at_the_chunk_cap(monkeypatch):
+    # At n = 4 the cap is 256 operators: 343 tuples go in chunks of 1, 4, 16, 64, 256 and 2.
+    seen = _record_sweep_chunks(monkeypatch)
+    rng = np.random.default_rng(4110)
+    p = MultiPolynomial.build(3, [(w, random_qmatrix(rng, 4)) for w in _SHARED_PREFIX_WORDS[3][0]])
+    points = [random_quaternion(rng) for _ in range(7)]
+    realified_sweep(p.terms, np.array([q.as_array() for q in points]), 3)
+    assert [len(stack) for stack, _ in seen] == [1, 4, 16, 64, 256, 2]
+    _assert_chunks_equal_the_per_tuple_build(seen, p.terms, points, 3)
+
+
+def test_a_letter_out_of_range_after_a_cached_prefix_raises():
+    a = QuaternionMatrix.identity(1)
+    points = np.array([[0.5, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    for terms in ([((1, 2), a), ((1, 2, 3), a)], [((1, 2, 0), a), ((1, 2), a)]):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            realified_sweep(terms, points, 2)
 
 
 def test_check_stability_matches_one_letter_multivariate():

@@ -141,6 +141,12 @@ def test_region_sample_grid_annulus_and_complement():
     assert all(comp.contains(q) for q in map(Quaternion, *pts.T.tolist()))
 
 
+def test_region_sample_grid_refuses_a_finite_set():
+    # check_stability decides a finite set's own points and asks for no grid.
+    with pytest.raises(ValueError, match="finite set"):
+        region_sample_grid(Region.finite_set([ONE, J]), 4)
+
+
 def _rows(quaternions):
     return np.array([q.as_array() for q in quaternions]).reshape(-1, 4)
 
