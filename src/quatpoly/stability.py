@@ -173,20 +173,35 @@ class Region:
             return self.contains_rows(rows, spherical)
         return self.margins(rows, spherical) > band
 
-    def modulus_reach(self, band: float) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds (lows, highs) on the modulus of a zero that ``meets``
-        counts as inside a ball or a finite set, one pair for a ball and one
-        per point of a finite set: within the radius less ``band`` of the
-        center's modulus, or within FINITE_SET_REL max(1, |p|) of a point's
-        (every point of a class sphere has the modulus of its class).  Each
-        end is widened by MODULUS_BOUND_SLACK times max(1, end), for the
-        rounding of the zero finder and of the bound, and kept within [0,
-        the largest float]."""
+    def _balls(self, band: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The balls in which ``meets`` counts a zero of a ball or a finite
+        set, as centers (K, 4), their moduli and radii: the radius less
+        ``band`` around the center, or FINITE_SET_REL max(1, |p|) around
+        each point p (a class sphere counts where it meets one)."""
         if self.kind is RegionKind.FINITE_SET:
             moduli = np.hypot.reduce(self.points, axis=1)
-            radii = FINITE_SET_REL * np.maximum(1.0, moduli)
-        else:
-            moduli, radii = np.array([self.center.modulus()]), np.array([self.radius - band])
+            return self.points, moduli, FINITE_SET_REL * np.maximum(1.0, moduli)
+        return (np.array([self.center.as_array()]), np.array([self.center.modulus()]),
+                np.array([self.radius - band]))
+
+    def center_reach(self, band: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The balls of ``_balls`` as (centers, center moduli, radii), each
+        radius kept >= 0 and widened by MODULUS_BOUND_SLACK max(1, |c| +
+        radius), as ``modulus_reach`` widens its ends."""
+        centers, moduli, radii = self._balls(band)
+        radii = np.maximum(radii, 0.0)
+        with np.errstate(over="ignore"):
+            return centers, moduli, radii + MODULUS_BOUND_SLACK * np.maximum(1.0, moduli + radii)
+
+    def modulus_reach(self, band: float) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds (lows, highs) on the modulus of a zero that ``meets``
+        counts as inside a ball or a finite set, one pair per ball of
+        ``_balls``: within its radius of its center's modulus (every point
+        of a class sphere has the modulus of its class).  Each end is
+        widened by MODULUS_BOUND_SLACK times max(1, end), for the rounding
+        of the zero finder and of the bound, and kept within [0, the largest
+        float]."""
+        _, moduli, radii = self._balls(band)
         with np.errstate(over="ignore", invalid="ignore"):
             lows, highs = moduli - radii, moduli + radii
             lows = lows - MODULUS_BOUND_SLACK * np.maximum(1.0, lows)
@@ -619,25 +634,32 @@ def _span_bases(vss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal real bases, as rows, of the realified right spans of the
     rows of each (m+1, 4n) stack of ``vss``, zero-padded to one (Y, K, 4n)
     array, and their sizes.  Gram-Schmidt takes the candidates (A_i y) u,
-    u = 1, i, j, k, in order, masked per stack: a padding row projects out
-    nothing, so every stack goes through the operations it would go through
-    alone.  The longest row of a stack has norm in [1/2, 1), which
-    SPAN_ZERO_REL assumes."""
+    u = 1, i, j, k, in order, right-looking: a vector that joins the basis
+    of a stack is projected out of all later candidates of that stack at
+    once, so each candidate goes through the projections, in the order,
+    that it would go through alone.  The longest row of a stack has norm in
+    [1/2, 1), which SPAN_ZERO_REL assumes."""
     count, rows, width = vss.shape
     # Column block u of p @ units is p u, for u = 1, i, j, k.
     units = UNIT_RIGHT_ACTIONS.transpose(2, 0, 1).reshape(4, 16)
     candidates = (vss.reshape(count, rows, -1, 4) @ units).reshape(count, rows, -1, 4, 4)
     candidates = candidates.transpose(1, 3, 0, 2, 4).reshape(-1, count, width)
+    starts = np.sqrt(_row_dots(candidates.reshape(-1, width), candidates.reshape(-1, width)))
+    starts = starts.reshape(len(candidates), count)
     bases = np.zeros((count, min(len(candidates), width), width))
     sizes = np.zeros(count, int)
-    for cand in candidates:
-        norm0 = np.sqrt(_row_dots(cand, cand))
-        for b in bases.swapaxes(0, 1)[:sizes.max()]:
-            cand = cand - _row_dots(b, cand)[:, None] * b
+    for step, (cand, norm0) in enumerate(zip(candidates, starts)):
         norm = np.sqrt(_row_dots(cand, cand))
         new = np.flatnonzero((norm0 > SPAN_ZERO_REL) & (norm > SPAN_INDEPENDENT_REL * norm0))
-        bases[new, sizes[new]] = cand[new] / norm[new, None]
+        if not len(new):
+            continue
+        b = cand[new] / norm[new, None]
+        bases[new, sizes[new]] = b
         sizes[new] += 1
+        stacks = slice(None) if len(new) == count else new  # no copy in the common case
+        later = candidates[step + 1:, stacks]
+        dots = _row_dots(np.broadcast_to(b, later.shape).reshape(-1, width), later.reshape(-1, width))
+        candidates[step + 1:, stacks] = later - dots.reshape(later.shape[:2] + (1,)) * b
     return bases, sizes
 
 
@@ -738,10 +760,10 @@ def _first_sampled_witness(vss: np.ndarray, region: Region, band: float,
     # above SPAN_ZERO_REL, and the first candidate kept always joins.
     draws = _unit_draws(rng, RANDOM_PROBES, sizes)
     floors = INDUCED_VANISHING_REL * np.linalg.norm(vss, axis=2).max(axis=1)
-    reach = region.modulus_reach(band)
+    reach = (*region.modulus_reach(band), *region.center_reach(band))
     firsts = _probe_coefficients(vss, bases[:, :1])
     vanishing, degrees = _trimmed(firsts[:, 0], floors)
-    refuted = ~vanishing & _outside_moduli(firsts[:, 0], degrees, *reach)
+    refuted = ~vanishing & _excluded(firsts[:, 0], degrees, reach)
     for row in np.flatnonzero(~refuted).tolist():
         if not _every_probe_meets(firsts[row], floors[row], reach, region, band):
             continue
@@ -767,15 +789,15 @@ def _probe_coefficients(vs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return (_qinner(vs, zs[..., None, :, :]) * CONJ).swapaxes(-3, -2)
 
 
-def _every_probe_meets(css: np.ndarray, floor: float, reach: tuple[np.ndarray, np.ndarray],
-                       region: Region, band: float) -> bool:
+def _every_probe_meets(css: np.ndarray, floor: float, reach: tuple, region: Region,
+                       band: float) -> bool:
     """Whether every polynomial of a (Z, m+1, 4) stack vanishes somewhere in
     the region, taken in order up to the first that does not.  A vanishing
-    polynomial vanishes everywhere; one the modulus bound puts outside
+    polynomial vanishes everywhere; one that ``_excluded`` puts outside
     ``reach`` (a nonzero constant among them) has no zero there; the zeros
     of the others are found one polynomial at a time."""
     vanishing, degrees = _trimmed(css, floor)
-    outside = _outside_moduli(css, degrees, *reach)
+    outside = _excluded(css, degrees, reach)
     for cs, degree, out in zip(css[~vanishing], degrees[~vanishing].tolist(),
                                outside[~vanishing].tolist()):
         if out:
@@ -787,15 +809,25 @@ def _every_probe_meets(css: np.ndarray, floor: float, reach: tuple[np.ndarray, n
     return True
 
 
+def _excluded(css: np.ndarray, degrees: np.ndarray, reach: tuple) -> np.ndarray:
+    """Which polynomials of an (N, m+1, 4) stack, trimmed to ``degrees``,
+    have no zero that ``Region.meets`` counts, given the region's
+    ``modulus_reach`` and ``center_reach`` as one tuple: for every ball,
+    the modulus test or the center-value test excludes it."""
+    lows, highs, centers, moduli, radii = reach
+    return (_outside_moduli(css, degrees, lows, highs)
+            | _center_excluded(css, degrees, centers, moduli, radii)).all(axis=1)
+
+
 def _outside_moduli(css: np.ndarray, degrees: np.ndarray, lows: np.ndarray,
                     highs: np.ndarray) -> np.ndarray:
     """Which polynomials of an (N, m+1, 4) stack, trimmed to ``degrees``,
-    have no zero with modulus in any [lows[k], highs[k]].  As |a_i t^i| =
-    |a_i| |t|^i in the quaternions, q(t) = sum a_i t^i of degree d has no
-    zero of modulus <= h when |a_0| > sum_{i>=1} |a_i| h^i, and none of
-    modulus >= l when |a_d| l^d > sum_{i<d} |a_i| l^i; a nonzero constant
-    passes both.  Each term |a_i| t^i is formed as the product of the
-    mantissas of |a_i| and t^i and a power of two, scaled by the largest
+    have no zero with modulus in [lows[k], highs[k]], as an (N, K) array.
+    As |a_i t^i| = |a_i| |t|^i in the quaternions, q(t) = sum a_i t^i of
+    degree d has no zero of modulus <= h when |a_0| > sum_{i>=1} |a_i| h^i,
+    and none of modulus >= l when |a_d| l^d > sum_{i<d} |a_i| l^i; a nonzero
+    constant passes both.  Each term |a_i| t^i is formed as the product of
+    the mantissas of |a_i| and t^i and a power of two, scaled by the largest
     power of its sum, so no term overflows."""
     powers = np.arange(css.shape[-2])
     moduli = np.where(powers <= degrees[:, None], np.hypot.reduce(css, axis=-1), 0.0)
@@ -811,7 +843,47 @@ def _outside_moduli(css: np.ndarray, degrees: np.ndarray, lows: np.ndarray,
     at_low = terms[:, k:]
     lead = np.take_along_axis(at_low, degrees[:, None, None], axis=-1)[..., 0]
     above_low = lead > np.where(powers < degrees[:, None, None], at_low, 0.0).sum(axis=-1)
-    return (below_high | above_low).all(axis=1)
+    return below_high | above_low
+
+
+def _center_excluded(css: np.ndarray, degrees: np.ndarray, centers: np.ndarray,
+                     moduli: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Which polynomials of an (N, m+1, 4) stack, trimmed to ``degrees``,
+    have no zero within radii[k] of centers[k] (of modulus moduli[k]), as
+    an (N, K) array.  For t = c + u with |u| <= rho, every word of
+    (c + u)^i that contains u has modulus at most |c|^(i-j) |u|^j, so
+    |q(t) - q(c)| <= sum_i |a_i| ((|c| + rho)^i - |c|^i), and q(t) = sum
+    a_i t^i has no zero in the ball when |q(c)| exceeds that.  Both sides
+    are formed for the ball scaled by 2^-e, with 2^e near |c| + rho, and q
+    by the power of two that puts its largest |a_i| 2^(e i) in [1/2, 1), so
+    nothing overflows; q(c) is one Horner pass over the right actions of
+    the scaled centers.  The rounding slack is the widening of the radii in
+    ``Region.center_reach``: whenever a zero lies in the ball, it adds at
+    least MODULUS_BOUND_SLACK / 2 sum |a_i| (|c| + rho)^i to the right side,
+    far above the rounding of either side."""
+    powers = np.arange(css.shape[-2])
+    kept = powers <= degrees[:, None]
+    with np.errstate(over="ignore"):
+        ends = moduli + radii
+    # A ball beyond the float range is never excluded; it is computed as the unit ball.
+    finite = np.isfinite(ends)
+    centers = np.where(finite[:, None], centers, 0.0)
+    moduli, ends = np.where(finite, moduli, 0.0), np.where(finite, ends, 1.0)
+    _, e = np.frexp(ends)
+    mods = np.where(kept, np.hypot.reduce(css, axis=-1), 0.0)
+    _, expo = np.frexp(mods)
+    scaled = expo[:, None, :] + e[:, None] * powers
+    # A zero term sets no scale; every other term gets a factor 2^(e i - top) <= 1.
+    top = np.where(mods[:, None, :] > 0.0, scaled, np.iinfo(np.int32).min).max(axis=-1, keepdims=True)
+    shifts = np.minimum(scaled - top, 0) - expo[:, None, :]
+    coeffs = np.ldexp(np.where(kept[..., None], css, 0.0)[:, None], shifts[..., None])
+    actions = right_action_matrices(np.ldexp(centers, -e[:, None]))
+    value = coeffs[:, :, -1]
+    for i in range(len(powers) - 2, -1, -1):
+        value = (actions @ value[..., None])[..., 0] + coeffs[:, :, i]
+    spread = np.ldexp(ends, -e)[:, None] ** powers - np.ldexp(moduli, -e)[:, None] ** powers
+    bound = (np.ldexp(mods[:, None], shifts) * spread).sum(axis=-1)
+    return finite & (np.hypot.reduce(value, axis=-1) > bound)
 
 
 def _block_partition_slices(partition: Sequence[int], n: int) -> list[slice]:

@@ -56,7 +56,7 @@ def _spread_polynomials(rng, count, degree, spread):
 
 
 def _outside(css, degrees, region, band):
-    return stability._outside_moduli(css, degrees, *region.modulus_reach(band))
+    return stability._outside_moduli(css, degrees, *region.modulus_reach(band)).all(axis=1)
 
 
 def _meets(zero, region, band):
@@ -163,3 +163,119 @@ def test_a_constant_is_outside_every_region_and_a_zero_constant_term_is_inside_t
     line = np.array([[[0.0] * 4, [1.0, 0, 0, 0], [1.0, 0, 0, 0]],
                      [[1.0, 0, 0, 0], [1e-300, 0, 0, 0], [0.0] * 4]])
     assert _outside(line, np.array([2, 1]), ball, BOUNDARY_BAND).tolist() == [False, True]
+
+
+# The center-value bound: no zero of q within rho of c when |q(c)| > sum
+# |a_i| ((|c| + rho)^i - |c|^i).  Zeros of moduli 1e-3 to 3e4 are planted
+# strictly inside a ball of radius 1e-9 to 1e3, or within the tolerance of
+# a finite-set point, in polynomials scaled by 2^0 and 2^(+-500); some carry
+# a coefficient beyond their degree that the trim drops.
+CENTER_SCALES = [0, 500, -500]
+CENTER_RADII = [10.0 ** k for k in range(-9, 4)]
+ZERO_KINDS = ["isolated", "real", "spherical"]
+CENTER_WIDTH = 6  # coefficients a_0..a_5: degrees 1 to 4 and one trimmed tail
+
+
+def _product(r, f):
+    """Coefficients of r(t) f(t) for t central: a zero of f is one of the product."""
+    out = [Quaternion.ZERO] * (len(r) + len(f) - 1)
+    for i, a in enumerate(r):
+        for j, b in enumerate(f):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _planted_at(rng, kind, point, k):
+    """Coefficients (CENTER_WIDTH, 4), times 2^k, and the degree of a
+    polynomial of degree 1 to 4 that vanishes at ``point`` (for "spherical",
+    on its whole class sphere)."""
+    if kind == "spherical":
+        factor = [Quaternion(point.modulus_sq()), Quaternion(-2.0 * point.w), Quaternion.ONE]
+    else:
+        factor = [-point, Quaternion.ONE]
+    degree = int(rng.integers(len(factor) - 1, 5))
+    r = [Quaternion(*c) for c in _spread_polynomials(rng, 1, degree - len(factor) + 1, 1)[0]]
+    coeffs = np.ldexp(np.array([c.as_array() for c in _product(r, factor)]), k)
+    out = np.zeros((CENTER_WIDTH, 4))
+    out[:degree + 1] = coeffs
+    if degree + 1 < CENTER_WIDTH and rng.random() < 0.5:
+        # Below DEGREE_TRIM_REL times the largest modulus: the trim drops it.
+        top = np.hypot.reduce(coeffs, axis=1).max()
+        out[degree + 1] = _units(rng, 1)[0] * top * 10.0 ** rng.uniform(-14.0, -12.5)
+    return out, degree
+
+
+def _offset(rng, reach):
+    """A step shorter than ``reach``: anywhere in the ball, or just inside its edge."""
+    fraction = rng.choice([rng.random(), 1.0 - 2.0 ** -20, 1.0 - 2.0 ** -40, 0.0])
+    return Quaternion(*_units(rng, 1)[0]) * (fraction * reach)
+
+
+def _center_cases(rng, k, radius, finite, kind, count):
+    """A region, its band, the index of a ball of it and ``count`` planted
+    polynomials with a zero in that ball that ``Region.meets`` counts (none
+    where rounding puts the zero outside)."""
+    point = Quaternion(*(_units(rng, 1)[0] * 10.0 ** rng.uniform(-3.0, 4.5)))
+    if kind == "real":
+        point = Quaternion(point.w)
+    if finite:
+        center = point + _offset(rng, FINITE_SET_REL * max(1.0, point.modulus()))
+        region = Region.finite_set([Quaternion(3.0, 0.0, -1.0, 2.0), center])
+        band, ball = BOUNDARY_BAND, 1
+    else:
+        band = BOUNDARY_BAND if radius > 10.0 * BOUNDARY_BAND else 0.0
+        center = point + _offset(rng, radius - band)
+        kinds = (Region.open_ball, Region.closed_ball)
+        region, ball = kinds[rng.integers(2)](center, radius), 0
+    if not region.meets([point.as_array()], [kind == "spherical"], band)[0]:
+        return region, band, ball, []
+    return region, band, ball, [_planted_at(rng, kind, point, k) for _ in range(count)]
+
+
+def test_a_zero_planted_in_a_ball_is_never_excluded_by_its_center_value():
+    rng = np.random.default_rng(9300)
+    cases = excluded_elsewhere = 0
+    for k in CENTER_SCALES:
+        for radius in CENTER_RADII:
+            for finite in (False, True):
+                for kind in ZERO_KINDS * 3:
+                    region, band, ball, planted = _center_cases(rng, k, radius, finite, kind, 16)
+                    if not planted:
+                        continue
+                    css = np.array([cs for cs, _ in planted])
+                    _, degrees = stability._trimmed(css, 0.0)
+                    assert degrees.tolist() == [d for _, d in planted]
+                    reach = region.center_reach(band)
+                    excluded = stability._center_excluded(css, degrees, *reach)
+                    assert not excluded[:, ball].any()
+                    bounds = (*region.modulus_reach(band), *reach)
+                    assert not stability._excluded(css, degrees, bounds).any()
+                    cases += len(planted)
+                    excluded_elsewhere += int(excluded[:, 0].sum()) if finite else 0
+    assert cases >= 10_000
+    # The test does exclude: the other point of a finite set is mostly far
+    # from every zero.
+    assert excluded_elsewhere > 1000
+
+
+@pytest.mark.parametrize("spread", SPREADS)
+def test_a_center_excluded_polynomial_has_no_zero_in_the_ball(spread):
+    # Balls of radius 1e200 and 1e-200 and centers near 1e150: the scaled
+    # Horner pass neither overflows nor excludes a credible zero.
+    rng = np.random.default_rng(9400 + spread)
+    excluded = 0
+    for degree in DEGREES:
+        css = _spread_polynomials(rng, 100, degree, spread)
+        _, degrees = stability._trimmed(css, 0.0)
+        zeros = [_credible_zeros(cs[:d + 1]) if d else [] for cs, d in zip(css, degrees.tolist())]
+        for region in REGIONS:
+            for band in BANDS:
+                centers, moduli, radii = region.center_reach(band)
+                out = stability._center_excluded(css, degrees, centers, moduli, radii)
+                excluded += int(out.sum())
+                for row, ball in zip(*np.nonzero(out)):
+                    near = [z for z in zeros[row] or []
+                            if Region.closed_ball(Quaternion(*centers[ball]), radii[ball]).meets(
+                                [z.point.as_array()], [z.spherical], 0.0)[0]]
+                    assert not near
+    assert excluded > 1000

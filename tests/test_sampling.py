@@ -78,23 +78,52 @@ def _widened(low, high):
     return low, min(high, sys.float_info.max)
 
 
-def _ref_outside_moduli(cs, region, band):
-    """The modulus bound for one trimmed polynomial, in exact rational
-    arithmetic: no zero can have a modulus that counts as inside the region."""
+def _ref_balls(region, band):
+    """(center, radius) of each ball in which a zero counts as inside."""
     if region.kind is RegionKind.FINITE_SET:
-        reach = [(p.modulus(), FINITE_SET_REL * max(1.0, p.modulus()))
-                 for p in map(Quaternion, *region.points.T.tolist())]
-    else:
-        reach = [(region.center.modulus(), region.radius - band)]
+        return [(p, FINITE_SET_REL * max(1.0, p.modulus()))
+                for p in map(Quaternion, *region.points.T.tolist())]
+    return [(region.center, region.radius - band)]
+
+
+def _ref_outside_moduli(cs, center, radius):
+    """The modulus bound for one trimmed polynomial and one ball, in exact
+    rational arithmetic: no zero can have a modulus that counts as inside it."""
     moduli = [Fraction(c.modulus()) for c in cs]
     d = len(cs) - 1
-    for center, radius in reach:
-        low, high = map(Fraction, _widened(center - radius, center + radius))
-        below_high = moduli[0] > sum(m * high ** i for i, m in enumerate(moduli) if i)
-        above_low = moduli[d] * low ** d > sum(m * low ** i for i, m in enumerate(moduli[:d]))
-        if not (below_high or above_low):
-            return False
-    return True
+    low, high = map(Fraction, _widened(center.modulus() - radius, center.modulus() + radius))
+    below_high = moduli[0] > sum(m * high ** i for i, m in enumerate(moduli) if i)
+    above_low = moduli[d] * low ** d > sum(m * low ** i for i, m in enumerate(moduli[:d]))
+    return below_high or above_low
+
+
+def _ref_qmul(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3, a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1, a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+
+
+def _ref_center_excluded(cs, center, radius):
+    """The center-value bound for one trimmed polynomial and one ball, in
+    exact rational arithmetic: |q(c)| > sum |a_i| ((|c| + rho)^i - |c|^i),
+    with the radius widened as ``Region.center_reach`` widens it."""
+    radius = max(0.0, radius)
+    rho = Fraction(radius + MODULUS_BOUND_SLACK * max(1.0, center.modulus() + radius))
+    c = tuple(map(Fraction, center.as_array()))
+    value = (Fraction(0),) * 4
+    for a in reversed(cs):
+        value = tuple(v + Fraction(x) for v, x in zip(_ref_qmul(value, c), a.as_array()))
+    modulus = Fraction(center.modulus())
+    bound = sum(Fraction(a.modulus()) * ((modulus + rho) ** i - modulus ** i)
+                for i, a in enumerate(cs))
+    return sum(v * v for v in value) > bound * bound
+
+
+def _ref_excluded(cs, region, band):
+    """Every ball that counts is ruled out by one of the two bounds."""
+    return all(_ref_outside_moduli(cs, center, radius) or _ref_center_excluded(cs, center, radius)
+               for center, radius in _ref_balls(region, band))
 
 
 def ref_numerical_range(p, samples, seed):
@@ -147,7 +176,7 @@ def _ref_all_sampled_z_fail(vs, region, rng, bound):
     for z_arr in zs:
         z_adj = vec4_to_qvec(z_arr).adjoint()
         cs = [(z_adj @ v).entry(0, 0) for v in vs]
-        if bound and (kept := _ref_trimmed(cs, floor)) is not None and _ref_outside_moduli(
+        if bound and (kept := _ref_trimmed(cs, floor)) is not None and _ref_excluded(
                 kept, region, BOUNDARY_BAND):
             return False
         zeros = _ref_zeros(cs, floor)
@@ -171,8 +200,9 @@ def _ref_quadratic_certificate(vs):
 
 
 def ref_search(p, region, y_samples, seed, bound=False):
-    """The former per-vector search; with ``bound``, a probe the modulus
-    bound puts outside the region refutes y before any zero is found."""
+    """The former per-vector search; with ``bound``, a probe that the
+    modulus bound or the center-value bound puts outside every ball of the
+    region refutes y before any zero is found."""
     rng = np.random.default_rng(seed)
     n = p.size
     candidates = [qvec([u if s == t else Quaternion.ZERO for s in range(n)])
@@ -277,7 +307,8 @@ def test_search_hits_and_certificates_match_the_per_vector_sampler():
 def test_search_hands_the_same_polynomials_to_the_zero_finder(monkeypatch):
     # Every polynomial z* P(t) y the search hands to scalar_zeros, in order:
     # the draws, the probe order, the conjugation, the trim and the modulus
-    # bound, which keeps a probe from the zero finder, must all match.
+    # and center-value bounds, which keep a probe from the zero finder, must
+    # all match.
     got, want = [], []
 
     def recording(seen, zeros=scalar_zeros):
