@@ -6,8 +6,9 @@ spheres, membership against balls, ball complements and annuli reduces to
 closed-form distances between the region center and each class; a thin dead
 band around every boundary yields UNKNOWN instead of a guess.
 Hyperstability is strictly stronger and is only ever certified through a
-structural theorem (scalar, triangular, or block composition); sampling can
-refute it but never establish it.
+structural theorem (scalar, triangular, or block composition) or, over a
+finite set, through stability itself; sampling can refute it but never
+establish it.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ class RegionKind(str, Enum):
 
 _BALL_KINDS = (RegionKind.OPEN_BALL, RegionKind.CLOSED_BALL)
 _OPEN_KINDS = (RegionKind.OPEN_BALL, RegionKind.COMPLEMENT_CLOSED_BALL)
-_SEARCH_KINDS = (*_BALL_KINDS, RegionKind.FINITE_SET)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,48 +166,32 @@ class Region:
 
     def meets(self, rows, spherical, band: float) -> np.ndarray:
         """Which rows, or their class spheres where flagged, count as inside
-        for a verdict: a margin above ``band``, so nothing within the dead
-        band of the boundary counts.  A finite set has no dead band; its
-        rule is that of ``contains_rows``."""
-        if self.kind is RegionKind.FINITE_SET:
-            return self.contains_rows(rows, spherical)
+        a ball, a complement or an annulus for a verdict: a margin above
+        ``band``, so nothing within the dead band of the boundary counts."""
         return self.margins(rows, spherical) > band
 
-    def _balls(self, band: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The balls in which ``meets`` counts a zero of a ball or a finite
-        set, as centers (K, 4), their moduli and radii: the radius less
-        ``band`` around the center, or FINITE_SET_REL max(1, |p|) around
-        each point p (a class sphere counts where it meets one)."""
-        if self.kind is RegionKind.FINITE_SET:
-            moduli = np.hypot.reduce(self.points, axis=1)
-            return self.points, moduli, FINITE_SET_REL * np.maximum(1.0, moduli)
-        return (np.array([self.center.as_array()]), np.array([self.center.modulus()]),
-                np.array([self.radius - band]))
+    def center_reach(self, band: float) -> tuple[np.ndarray, float, float]:
+        """The ball in which ``meets`` counts a zero of a ball region, as
+        (center row, center modulus, radius): the radius less ``band``, kept
+        >= 0 and widened by MODULUS_BOUND_SLACK max(1, |c| + radius), as
+        ``modulus_reach`` widens its ends."""
+        modulus, radius = self.center.modulus(), max(self.radius - band, 0.0)
+        return (np.array(self.center.as_array()), modulus,
+                radius + MODULUS_BOUND_SLACK * max(1.0, modulus + radius))
 
-    def center_reach(self, band: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The balls of ``_balls`` as (centers, center moduli, radii), each
-        radius kept >= 0 and widened by MODULUS_BOUND_SLACK max(1, |c| +
-        radius), as ``modulus_reach`` widens its ends."""
-        centers, moduli, radii = self._balls(band)
-        radii = np.maximum(radii, 0.0)
-        with np.errstate(over="ignore"):
-            return centers, moduli, radii + MODULUS_BOUND_SLACK * np.maximum(1.0, moduli + radii)
-
-    def modulus_reach(self, band: float) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds (lows, highs) on the modulus of a zero that ``meets``
-        counts as inside a ball or a finite set, one pair per ball of
-        ``_balls``: within its radius of its center's modulus (every point
-        of a class sphere has the modulus of its class).  Each end is
-        widened by MODULUS_BOUND_SLACK times max(1, end), for the rounding
-        of the zero finder and of the bound, and kept within [0, the largest
-        float]."""
-        _, moduli, radii = self._balls(band)
-        with np.errstate(over="ignore", invalid="ignore"):
-            lows, highs = moduli - radii, moduli + radii
-            lows = lows - MODULUS_BOUND_SLACK * np.maximum(1.0, lows)
-            highs = highs + MODULUS_BOUND_SLACK * np.maximum(1.0, highs)
+    def modulus_reach(self, band: float) -> tuple[float, float]:
+        """Bounds (low, high) on the modulus of a zero that ``meets`` counts
+        as inside a ball region: within the radius less ``band`` of the
+        center's modulus (every point of a class sphere has the modulus of
+        its class).  Each end is widened by MODULUS_BOUND_SLACK times max(1,
+        end), for the rounding of the zero finder and of the bound, and kept
+        within [0, the largest float]."""
+        modulus, radius = self.center.modulus(), self.radius - band
+        low, high = modulus - radius, modulus + radius
+        low -= MODULUS_BOUND_SLACK * max(1.0, low)
+        high += MODULUS_BOUND_SLACK * max(1.0, high)
         top = np.finfo(float).max
-        return np.clip(np.nan_to_num(lows), 0.0, top), np.clip(np.nan_to_num(highs, nan=top), 0.0, top)
+        return min(max(low, 0.0), top), min(max(high, 0.0), top)
 
 
 class StabilityStatus(str, Enum):
@@ -679,8 +663,8 @@ def not_hyperstable_search(p: MatrixPolynomial, region: Region, *, band: float =
     SWEEP_CHUNK_DOUBLES doubles of probes z a chunk), in order, and the
     first witness is returned.
     """
-    if region.kind not in _SEARCH_KINDS:
-        raise ValueError("search supports ball regions and finite sets only")
+    if region.kind not in _BALL_KINDS:
+        raise ValueError("search supports ball regions only")
     rng = np.random.default_rng(seed)
     width = 4 * p.size
     ys = np.vstack([np.eye(width), _unit_draws(rng, max(0, y_samples), width)])
@@ -811,79 +795,74 @@ def _every_probe_meets(css: np.ndarray, floor: float, reach: tuple, region: Regi
 
 def _excluded(css: np.ndarray, degrees: np.ndarray, reach: tuple) -> np.ndarray:
     """Which polynomials of an (N, m+1, 4) stack, trimmed to ``degrees``,
-    have no zero that ``Region.meets`` counts, given the region's
-    ``modulus_reach`` and ``center_reach`` as one tuple: for every ball,
-    the modulus test or the center-value test excludes it."""
-    lows, highs, centers, moduli, radii = reach
-    return (_outside_moduli(css, degrees, lows, highs)
-            | _center_excluded(css, degrees, centers, moduli, radii)).all(axis=1)
+    have no zero that ``Region.meets`` counts, given the ball region's
+    ``modulus_reach`` and ``center_reach`` as one tuple: the modulus test or
+    the center-value test excludes it."""
+    low, high, center, modulus, radius = reach
+    return (_outside_moduli(css, degrees, low, high)
+            | _center_excluded(css, degrees, center, modulus, radius))
 
 
-def _outside_moduli(css: np.ndarray, degrees: np.ndarray, lows: np.ndarray,
-                    highs: np.ndarray) -> np.ndarray:
+def _outside_moduli(css: np.ndarray, degrees: np.ndarray, low: float,
+                    high: float) -> np.ndarray:
     """Which polynomials of an (N, m+1, 4) stack, trimmed to ``degrees``,
-    have no zero with modulus in [lows[k], highs[k]], as an (N, K) array.
-    As |a_i t^i| = |a_i| |t|^i in the quaternions, q(t) = sum a_i t^i of
-    degree d has no zero of modulus <= h when |a_0| > sum_{i>=1} |a_i| h^i,
-    and none of modulus >= l when |a_d| l^d > sum_{i<d} |a_i| l^i; a nonzero
-    constant passes both.  Each term |a_i| t^i is formed as the product of
-    the mantissas of |a_i| and t^i and a power of two, scaled by the largest
-    power of its sum, so no term overflows."""
+    have no zero with modulus in [low, high].  As |a_i t^i| = |a_i| |t|^i
+    in the quaternions, q(t) = sum a_i t^i of degree d has no zero of
+    modulus <= h when |a_0| > sum_{i>=1} |a_i| h^i, and none of modulus >= l
+    when |a_d| l^d > sum_{i<d} |a_i| l^i; a nonzero constant passes both.
+    Each term |a_i| t^i is formed as the product of the mantissas of |a_i|
+    and t^i and a power of two, scaled by the largest power of its sum, so
+    no term overflows."""
     powers = np.arange(css.shape[-2])
     moduli = np.where(powers <= degrees[:, None], np.hypot.reduce(css, axis=-1), 0.0)
     mantissas, exponents = np.frexp(moduli)
-    t_mantissas, t_exponents = np.frexp(np.concatenate([highs, lows]))
+    t_mantissas, t_exponents = np.frexp([high, low])
     mant = mantissas[:, None, :] * t_mantissas[:, None] ** powers
     expo = exponents[:, None, :] + t_exponents[:, None] * powers
     # A zero term sets no scale; a sum of zero terms stays 0 under any.
     top = np.where(mant > 0.0, expo, np.iinfo(np.int32).min).max(axis=-1, keepdims=True)
-    terms = np.ldexp(mant, np.minimum(expo - top, 0))
-    k = len(highs)
-    below_high = terms[:, :k, 0] > terms[:, :k, 1:].sum(axis=-1)
-    at_low = terms[:, k:]
-    lead = np.take_along_axis(at_low, degrees[:, None, None], axis=-1)[..., 0]
-    above_low = lead > np.where(powers < degrees[:, None, None], at_low, 0.0).sum(axis=-1)
+    at_high, at_low = np.ldexp(mant, np.minimum(expo - top, 0)).swapaxes(0, 1)
+    below_high = at_high[:, 0] > at_high[:, 1:].sum(axis=-1)
+    lead = np.take_along_axis(at_low, degrees[:, None], axis=-1)[:, 0]
+    above_low = lead > np.where(powers < degrees[:, None], at_low, 0.0).sum(axis=-1)
     return below_high | above_low
 
 
-def _center_excluded(css: np.ndarray, degrees: np.ndarray, centers: np.ndarray,
-                     moduli: np.ndarray, radii: np.ndarray) -> np.ndarray:
+def _center_excluded(css: np.ndarray, degrees: np.ndarray, center: np.ndarray,
+                     modulus: float, radius: float) -> np.ndarray:
     """Which polynomials of an (N, m+1, 4) stack, trimmed to ``degrees``,
-    have no zero within radii[k] of centers[k] (of modulus moduli[k]), as
-    an (N, K) array.  For t = c + u with |u| <= rho, every word of
-    (c + u)^i that contains u has modulus at most |c|^(i-j) |u|^j, so
-    |q(t) - q(c)| <= sum_i |a_i| ((|c| + rho)^i - |c|^i), and q(t) = sum
-    a_i t^i has no zero in the ball when |q(c)| exceeds that.  Both sides
-    are formed for the ball scaled by 2^-e, with 2^e near |c| + rho, and q
-    by the power of two that puts its largest |a_i| 2^(e i) in [1/2, 1), so
-    nothing overflows; q(c) is one Horner pass over the right actions of
-    the scaled centers.  The rounding slack is the widening of the radii in
-    ``Region.center_reach``: whenever a zero lies in the ball, it adds at
-    least MODULUS_BOUND_SLACK / 2 sum |a_i| (|c| + rho)^i to the right side,
-    far above the rounding of either side."""
+    have no zero within ``radius`` of ``center`` (of modulus ``modulus``).
+    For t = c + u with |u| <= rho, every word of (c + u)^i that contains u
+    has modulus at most |c|^(i-j) |u|^j, so |q(t) - q(c)| <= sum_i |a_i|
+    ((|c| + rho)^i - |c|^i), and q(t) = sum a_i t^i has no zero in the ball
+    when |q(c)| exceeds that.  Both sides are formed for the ball scaled by
+    2^-e, with 2^e near |c| + rho, and q by the power of two that puts its
+    largest |a_i| 2^(e i) in [1/2, 1), so nothing overflows; q(c) is one
+    Horner pass over the right action of the scaled center.  The rounding
+    slack is the widening of the radius in ``Region.center_reach``:
+    whenever a zero lies in the ball, it adds at least MODULUS_BOUND_SLACK
+    / 2 sum |a_i| (|c| + rho)^i to the right side, far above the rounding of
+    either side.  A ball beyond the float range is never excluded."""
+    end = modulus + radius
+    if not math.isfinite(end):
+        return np.zeros(len(css), bool)
     powers = np.arange(css.shape[-2])
     kept = powers <= degrees[:, None]
-    with np.errstate(over="ignore"):
-        ends = moduli + radii
-    # A ball beyond the float range is never excluded; it is computed as the unit ball.
-    finite = np.isfinite(ends)
-    centers = np.where(finite[:, None], centers, 0.0)
-    moduli, ends = np.where(finite, moduli, 0.0), np.where(finite, ends, 1.0)
-    _, e = np.frexp(ends)
+    _, e = np.frexp(end)
     mods = np.where(kept, np.hypot.reduce(css, axis=-1), 0.0)
     _, expo = np.frexp(mods)
-    scaled = expo[:, None, :] + e[:, None] * powers
+    scaled = expo + e * powers
     # A zero term sets no scale; every other term gets a factor 2^(e i - top) <= 1.
-    top = np.where(mods[:, None, :] > 0.0, scaled, np.iinfo(np.int32).min).max(axis=-1, keepdims=True)
-    shifts = np.minimum(scaled - top, 0) - expo[:, None, :]
-    coeffs = np.ldexp(np.where(kept[..., None], css, 0.0)[:, None], shifts[..., None])
-    actions = right_action_matrices(np.ldexp(centers, -e[:, None]))
-    value = coeffs[:, :, -1]
+    top = np.where(mods > 0.0, scaled, np.iinfo(np.int32).min).max(axis=-1, keepdims=True)
+    shifts = np.minimum(scaled - top, 0) - expo
+    coeffs = np.ldexp(np.where(kept[..., None], css, 0.0), shifts[..., None])
+    action = right_action_matrices(np.ldexp(center, -e))
+    value = coeffs[:, -1]
     for i in range(len(powers) - 2, -1, -1):
-        value = (actions @ value[..., None])[..., 0] + coeffs[:, :, i]
-    spread = np.ldexp(ends, -e)[:, None] ** powers - np.ldexp(moduli, -e)[:, None] ** powers
-    bound = (np.ldexp(mods[:, None], shifts) * spread).sum(axis=-1)
-    return finite & (np.hypot.reduce(value, axis=-1) > bound)
+        value = (action @ value[..., None])[..., 0] + coeffs[:, i]
+    spread = np.ldexp(end, -e) ** powers - np.ldexp(modulus, -e) ** powers
+    bound = (np.ldexp(mods, shifts) * spread).sum(axis=-1)
+    return np.hypot.reduce(value, axis=-1) > bound
 
 
 def _block_partition_slices(partition: Sequence[int], n: int) -> list[slice]:
@@ -921,9 +900,18 @@ def check_hyperstability(p: MatrixPolynomial, region: Region, *,
     (2) upper triangular with identity leading coefficient: likewise;
     (3) block upper triangular with a declared partition: hyperstable when
         every diagonal block is (composition is one-directional);
-    (4) counterexample search producing a sampled negative witness;
-    (5) otherwise UNKNOWN, with sampled numerical-range disjointness quoted
+    (4) finite sets {p_1, ..., p_K}: hyperstable iff stable.  A witness y
+        needs every z in one of the K real subspaces {z : z* P(p_k) y = 0},
+        and a real vector space is no finite union of proper subspaces, so
+        P(p_k) y = 0 for some k;
+    (5) balls: counterexample search producing a sampled negative witness;
+    (6) otherwise UNKNOWN, with sampled numerical-range disjointness quoted
         as evidence in the certificate text but never as a proof.
+
+    Rungs (1), (2) and (4) refute with an exact witness, the oracle's kernel
+    vector at ``details["witness_eigenvalue"]``, yet report it under
+    NOT_HYPERSTABLE_SAMPLED like the search: the status set stays that of
+    the report contract, and the certificate names the rung.
     """
     struct_tol = STRUCTURE_REL * max(1.0, max(a.max_entry_modulus() for a in p.coeffs))
 
@@ -945,7 +933,10 @@ def check_hyperstability(p: MatrixPolynomial, region: Region, *,
                 for block in blocks):
             return HyperVerdict(HyperStatus.HYPERSTABLE, "block-composition")
 
-    if region.kind in _SEARCH_KINDS:
+    if region.kind is RegionKind.FINITE_SET:
+        return _equivalence_verdict(p, region, band, "finite-set-equivalence")
+
+    if region.kind in _BALL_KINDS:
         hit = not_hyperstable_search(p, region, band=band, y_samples=y_samples, seed=seed)
         if hit is not None:
             return HyperVerdict(HyperStatus.NOT_HYPERSTABLE_SAMPLED,

@@ -814,9 +814,9 @@ def test_boundary_band_does_not_widen_a_finite_set(tmp_path, capsys):
                                           "--boundary-band", band])
         assert code == 0, err
         report = json.loads(out)
-        assert report["result"]["status"] == "UNKNOWN"
-        reports.add((report["certificate"], report["witness"]))
+        reports.add(json.dumps([report["result"], report["certificate"], report["witness"]]))
     assert len(reports) == 1
+    assert json.loads(reports.pop()) == [{"status": "HYPERSTABLE"}, "finite-set-equivalence", None]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

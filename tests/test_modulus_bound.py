@@ -5,9 +5,8 @@ candidate without finding any zero: no zero of q(t) = sum a_i t^i has
 modulus <= h when |a_0| > sum_{i>=1} |a_i| h^i, and none has modulus >= l
 when |a_d| l^d > sum_{i<d} |a_i| l^i.  Here polynomials with coefficient
 moduli spread over up to 300 decades meet balls of radius 1 to 1e200 and
-1e-200 and finite sets: wherever the bound excludes, the zero finder finds
-no credible zero in the region, and a zero planted just inside is never
-excluded.
+1e-200: wherever the bound excludes, the zero finder finds no credible zero
+in the region, and a zero planted just inside is never excluded.
 """
 
 import math
@@ -19,7 +18,7 @@ import pytest
 from quatpoly import PairingFailureError, Quaternion, Region, ScalarQPolynomial
 from quatpoly import stability
 from quatpoly.matpoly import scalar_zeros
-from quatpoly.tolerances import BOUNDARY_BAND, FINITE_SET_REL
+from quatpoly.tolerances import BOUNDARY_BAND
 
 SPREADS = [0, 8, 50, 150]
 DEGREES = [1, 2, 3, 4]
@@ -31,8 +30,6 @@ REGIONS = [
     Region.closed_ball(Quaternion(0.6, 0.0, 0.8, 0.0), 1e-200),
     Region.open_ball(Quaternion(0.0, 3e-201, 0.0, 4e-201), 1e-200),
     Region.closed_ball(Quaternion(1e150, 0.0, 0.0, 1e150), 1e-200),
-    Region.finite_set([Quaternion.ZERO, Quaternion(0.5, 0.0, 1.0, 0.0), Quaternion(-40.0, 3.0)]),
-    Region.finite_set([Quaternion(1e-200, 1e-200), Quaternion(0.0, 0.0, 1e200)]),
 ]
 BANDS = [0.0, BOUNDARY_BAND]
 
@@ -56,7 +53,7 @@ def _spread_polynomials(rng, count, degree, spread):
 
 
 def _outside(css, degrees, region, band):
-    return stability._outside_moduli(css, degrees, *region.modulus_reach(band)).all(axis=1)
+    return stability._outside_moduli(css, degrees, *region.modulus_reach(band))
 
 
 def _meets(zero, region, band):
@@ -112,9 +109,6 @@ def test_an_excluded_polynomial_has_no_zero_in_the_region(spread):
 def _inside_point(rng, region, band):
     """A point at margin 1e-6 inside the region: a zero there counts as inside."""
     u = Quaternion(*_units(rng, 1)[0])
-    if region.kind is stability.RegionKind.FINITE_SET:
-        p = Quaternion(*region.points[rng.integers(len(region.points))])
-        return p + u * ((1.0 - 1e-6) * FINITE_SET_REL * max(1.0, p.modulus()))
     return region.center + u * ((1.0 - 1e-6) * (region.radius - band))
 
 
@@ -142,7 +136,7 @@ def test_a_zero_planted_inside_the_region_is_never_excluded(spread):
     planted = 0
     for region in REGIONS:
         for band in BANDS:
-            if region.kind is not stability.RegionKind.FINITE_SET and region.radius <= band:
+            if region.radius <= band:
                 continue  # no zero counts as inside
             for degree in DEGREES:
                 for _ in range(12):
@@ -167,9 +161,9 @@ def test_a_constant_is_outside_every_region_and_a_zero_constant_term_is_inside_t
 
 # The center-value bound: no zero of q within rho of c when |q(c)| > sum
 # |a_i| ((|c| + rho)^i - |c|^i).  Zeros of moduli 1e-3 to 3e4 are planted
-# strictly inside a ball of radius 1e-9 to 1e3, or within the tolerance of
-# a finite-set point, in polynomials scaled by 2^0 and 2^(+-500); some carry
-# a coefficient beyond their degree that the trim drops.
+# strictly inside a ball of radius 1e-9 to 1e3, in polynomials scaled by
+# 2^0 and 2^(+-500); some carry a coefficient beyond their degree that the
+# trim drops.
 CENTER_SCALES = [0, 500, -500]
 CENTER_RADII = [10.0 ** k for k in range(-9, 4)]
 ZERO_KINDS = ["isolated", "real", "spherical"]
@@ -211,25 +205,25 @@ def _offset(rng, reach):
     return Quaternion(*_units(rng, 1)[0]) * (fraction * reach)
 
 
-def _center_cases(rng, k, radius, finite, kind, count):
-    """A region, its band, the index of a ball of it and ``count`` planted
-    polynomials with a zero in that ball that ``Region.meets`` counts (none
-    where rounding puts the zero outside)."""
+def _center_cases(rng, k, radius, kind, count):
+    """A ball region, its band and ``count`` planted polynomials with a zero
+    in it that ``Region.meets`` counts (none where rounding puts the zero
+    outside)."""
     point = Quaternion(*(_units(rng, 1)[0] * 10.0 ** rng.uniform(-3.0, 4.5)))
     if kind == "real":
         point = Quaternion(point.w)
-    if finite:
-        center = point + _offset(rng, FINITE_SET_REL * max(1.0, point.modulus()))
-        region = Region.finite_set([Quaternion(3.0, 0.0, -1.0, 2.0), center])
-        band, ball = BOUNDARY_BAND, 1
-    else:
-        band = BOUNDARY_BAND if radius > 10.0 * BOUNDARY_BAND else 0.0
-        center = point + _offset(rng, radius - band)
-        kinds = (Region.open_ball, Region.closed_ball)
-        region, ball = kinds[rng.integers(2)](center, radius), 0
+    band = BOUNDARY_BAND if radius > 10.0 * BOUNDARY_BAND else 0.0
+    center = point + _offset(rng, radius - band)
+    kinds = (Region.open_ball, Region.closed_ball)
+    region = kinds[rng.integers(2)](center, radius)
     if not region.meets([point.as_array()], [kind == "spherical"], band)[0]:
-        return region, band, ball, []
-    return region, band, ball, [_planted_at(rng, kind, point, k) for _ in range(count)]
+        return region, band, []
+    return region, band, [_planted_at(rng, kind, point, k) for _ in range(count)]
+
+
+# A tiny ball far from most planted zeros, on which the center-value test
+# must exclude, so that the test above is not vacuous.
+FAR_BALL = Region.closed_ball(Quaternion(3.0, 0.0, -1.0, 2.0), 1e-9)
 
 
 def test_a_zero_planted_in_a_ball_is_never_excluded_by_its_center_value():
@@ -237,24 +231,22 @@ def test_a_zero_planted_in_a_ball_is_never_excluded_by_its_center_value():
     cases = excluded_elsewhere = 0
     for k in CENTER_SCALES:
         for radius in CENTER_RADII:
-            for finite in (False, True):
-                for kind in ZERO_KINDS * 3:
-                    region, band, ball, planted = _center_cases(rng, k, radius, finite, kind, 16)
-                    if not planted:
-                        continue
-                    css = np.array([cs for cs, _ in planted])
-                    _, degrees = stability._trimmed(css, 0.0)
-                    assert degrees.tolist() == [d for _, d in planted]
-                    reach = region.center_reach(band)
-                    excluded = stability._center_excluded(css, degrees, *reach)
-                    assert not excluded[:, ball].any()
-                    bounds = (*region.modulus_reach(band), *reach)
-                    assert not stability._excluded(css, degrees, bounds).any()
-                    cases += len(planted)
-                    excluded_elsewhere += int(excluded[:, 0].sum()) if finite else 0
+            for kind in ZERO_KINDS * 6:
+                region, band, planted = _center_cases(rng, k, radius, kind, 16)
+                if not planted:
+                    continue
+                css = np.array([cs for cs, _ in planted])
+                _, degrees = stability._trimmed(css, 0.0)
+                assert degrees.tolist() == [d for _, d in planted]
+                reach = region.center_reach(band)
+                assert not stability._center_excluded(css, degrees, *reach).any()
+                bounds = (*region.modulus_reach(band), *reach)
+                assert not stability._excluded(css, degrees, bounds).any()
+                cases += len(planted)
+                far = stability._center_excluded(css, degrees, *FAR_BALL.center_reach(0.0))
+                excluded_elsewhere += int(far.sum())
     assert cases >= 10_000
-    # The test does exclude: the other point of a finite set is mostly far
-    # from every zero.
+    # The test does exclude: the far ball is mostly far from every zero.
     assert excluded_elsewhere > 1000
 
 
@@ -270,12 +262,12 @@ def test_a_center_excluded_polynomial_has_no_zero_in_the_ball(spread):
         zeros = [_credible_zeros(cs[:d + 1]) if d else [] for cs, d in zip(css, degrees.tolist())]
         for region in REGIONS:
             for band in BANDS:
-                centers, moduli, radii = region.center_reach(band)
-                out = stability._center_excluded(css, degrees, centers, moduli, radii)
+                center, modulus, radius = region.center_reach(band)
+                out = stability._center_excluded(css, degrees, center, modulus, radius)
                 excluded += int(out.sum())
-                for row, ball in zip(*np.nonzero(out)):
+                ball = Region.closed_ball(Quaternion(*center), radius)
+                for row in np.flatnonzero(out).tolist():
                     near = [z for z in zeros[row] or []
-                            if Region.closed_ball(Quaternion(*centers[ball]), radii[ball]).meets(
-                                [z.point.as_array()], [z.spherical], 0.0)[0]]
+                            if ball.meets([z.point.as_array()], [z.spherical], 0.0)[0]]
                     assert not near
     assert excluded > 1000

@@ -98,17 +98,17 @@ def test_row_membership_equals_a_scalar_reference():
 
 
 def test_finite_set_membership_ignores_the_band():
-    # The unit sphere misses 0.8 j by 0.2: no band makes it match, and a
-    # point matches within FINITE_SET_REL max(1, |p|) whatever the band.
+    # The unit sphere misses 0.8 j by 0.2, and a point matches within
+    # FINITE_SET_REL max(1, |p|); membership has no band, and the verdicts
+    # over a finite set, decided point by point, take none.
     region = Region.finite_set([Quaternion(0.0, 0.0, 0.8)])
     near = [0.0, 0.0, 0.8 + 1e-13, 0.0]
+    assert region.contains_rows([[0.0, 1.0, 0.0, 0.0], near], [True, False]).tolist() == [
+        False, True]
+    sphere = ScalarQPolynomial([ONE, Quaternion(0.0), ONE]).as_matrix_polynomial()  # t^2 + 1
     for band in (0.0, 1e-9, 0.3):
-        assert region.meets([[0.0, 1.0, 0.0, 0.0], near], [True, False], band).tolist() == [
-            False, True]
-        lows, highs = region.modulus_reach(band)
-        assert np.array_equal(lows, region.modulus_reach(0.0)[0])
-        assert np.array_equal(highs, region.modulus_reach(0.0)[1])
-        assert highs[0] < 0.81
+        verdict = check_stability(sphere, region, band=band)
+        assert (verdict.status, verdict.certificate) == (StabilityStatus.STABLE, "pointwise-oracle")
 
 
 def test_region_validation():
@@ -483,10 +483,17 @@ def test_block_composition():
     assert verdict.status is HyperStatus.HYPERSTABLE
     assert verdict.certificate == "block-composition"
 
-    # Without the declared partition the ladder cannot certify and ends at
-    # the sampled search / inconclusive steps.
+    # Without the declared partition a finite set is still decided, by its
+    # stability.
     loose = check_hyperstability(p, probes)
-    assert loose.status is not HyperStatus.HYPERSTABLE
+    assert (loose.status, loose.certificate) == (HyperStatus.HYPERSTABLE, "finite-set-equivalence")
+
+    # Over a ball clear of the classes the partition certifies, and without
+    # it the ladder ends at the search and the inconclusive step.
+    ball = Region.closed_ball(Quaternion(3), 0.5)
+    verdict = check_hyperstability(p, ball, partition=[1, 2])
+    assert (verdict.status, verdict.certificate) == (HyperStatus.HYPERSTABLE, "block-composition")
+    assert check_hyperstability(p, ball).status is not HyperStatus.HYPERSTABLE
 
 
 def test_negative_witness_kills_the_action():
@@ -551,13 +558,49 @@ def test_search_no_witness_cases():
     # Region far from the class of 1.
     assert not_hyperstable_search(p, Region.closed_ball(Quaternion(5), 1.0)) is None
     proj = example_projection_poly()
-    assert not_hyperstable_search(proj, Region.finite_set([Quaternion(0.5)])) is None
+    assert not_hyperstable_search(proj, Region.closed_ball(Quaternion(0.5), 0.1)) is None
 
 
 def test_search_rejects_unsupported_region():
-    with pytest.raises(ValueError):
-        not_hyperstable_search(example_projection_poly(),
-                               Region.complement_closed_ball(Quaternion(0), 1.0))
+    # A finite set is decided exactly by its stability, never searched.
+    for region in (Region.complement_closed_ball(Quaternion(0), 1.0),
+                   Region.finite_set([Quaternion(0.5)])):
+        with pytest.raises(ValueError, match="ball regions only"):
+            not_hyperstable_search(example_projection_poly(), region)
+
+
+def test_finite_set_hyperstability_is_stability():
+    # Over {p_1, ..., p_K}, hyperstable iff stable: a witness y would need
+    # every z in one of K proper real subspaces {z : z* P(p_k) y = 0}, so
+    # P(p_k) y = 0 at some k.  Every draw gets the stability verdict,
+    # translated, with the oracle's kernel vector as an exact witness.
+    from quatpoly import evaluate_action
+
+    rng = np.random.default_rng(48)
+    translated = {StabilityStatus.STABLE: HyperStatus.HYPERSTABLE,
+                  StabilityStatus.NOT_STABLE: HyperStatus.NOT_HYPERSTABLE_SAMPLED,
+                  StabilityStatus.UNKNOWN: HyperStatus.UNKNOWN}
+    seen = set()
+    for trial in range(60):
+        n, m = 2 + trial % 3, 1 + (trial // 3) % 3
+        p = random_polynomial(rng, n, m, invertible_ends=True)
+        points = [random_quaternion(rng, scale=1.5) for _ in range(3)]
+        if trial % 2 == 0:
+            evs = polyeig(p)
+            points.insert(int(rng.integers(4)), evs[int(rng.integers(len(evs)))].lift())
+        region = Region.finite_set(points)
+        stab = check_stability(p, region)
+        hyper = check_hyperstability(p, region)
+        assert hyper.status is translated[stab.status]
+        assert hyper.certificate.startswith("finite-set-equivalence")
+        seen.add(hyper.status)
+        if hyper.status is HyperStatus.NOT_HYPERSTABLE_SAMPLED:
+            mu, y = hyper.details["witness_eigenvalue"], hyper.witness
+            assert mu == stab.witness and region.contains(mu)
+            scale = sum(a.frobenius_norm() * mu.modulus() ** i for i, a in enumerate(p.coeffs))
+            residual = evaluate_action(p, y, mu).frobenius_norm()
+            assert residual <= 1e-9 * scale * y.frobenius_norm()
+    assert seen == {HyperStatus.HYPERSTABLE, HyperStatus.NOT_HYPERSTABLE_SAMPLED}
 
 
 def test_finite_set_verdict_matches_oracle_both_directions():
