@@ -182,22 +182,30 @@ class FlaggedPoints:
 
     def encode(self, indent: str) -> str:
         """The list as ``json.dumps(indent=2)`` writes it on a line that
-        starts with ``indent``."""
+        starts with ``indent``.  A component's ``_SIG`` text is ``repr`` of
+        its float but for whole numbers and subnormals, which take the
+        ``repr(float(text))`` of ``round_sig``."""
         if not (len(self.points) and np.isfinite(self.points).all()):  # [], or "%r" says nan
             return json.dumps([{"point": [round_sig(v) for v in q], "spherical": f}
                                for q, f in zip(self.points.tolist(), self.spherical.tolist())],
                               indent=2).replace("\n", "\n" + indent)
-        # round_sig in one pass: adding 0.0 turns -0.0 into 0.0 and keeps
-        # every other value; no nonzero value prints as zero.
-        flat = (self.points + 0.0).ravel().tolist()
-        rounded = map(float, ((_SIG + " ") * len(flat) % tuple(flat)).split())
+        # Adding 0.0 turns -0.0 into 0.0 and keeps every other value; no
+        # nonzero value prints as zero.
+        flat = (self.points + 0.0).ravel()
+        texts = ((_SIG + " ") * flat.size % tuple(flat.tolist())).split()
+        # Rounding moves v by at most |v| / 2e11: a v that rounds to a whole
+        # number lies within |v| / 1e11 of an integer, as every v from 5e10
+        # up does (1e12 to 1e16 among them, where only _SIG writes "e+").
+        size = np.abs(flat)
+        for k in np.flatnonzero((size < np.finfo(float).tiny)
+                                | (np.abs(flat - np.rint(flat)) * 1e11 <= size)).tolist():
+            texts[k] = repr(float(texts[k]))
         item, field, value = indent + "  ", indent + "    ", indent + "      "
-        point = (f'{{\n{field}"point": [\n{value}' + f",\n{value}".join(["%r"] * 4)
-                 + f'\n{field}],\n{field}"spherical": %s\n{item}}}')
-        flags = ["true" if f else "false" for f in self.spherical.tolist()]
-        return (f"[\n{item}" + f",\n{item}".join([
-            point % (*q, f) for q, f in zip(zip(*[rounded] * 4), flags)])  # 4 at a time
-            + f"\n{indent}]")
+        head = (f'{{\n{field}"point": [\n{value}' + f",\n{value}".join(["%s"] * 4)
+                + f'\n{field}],\n{field}"spherical": ')
+        point = {True: f"{head}true\n{item}}}", False: f"{head}false\n{item}}}"}
+        return (f"[\n{item}" + f",\n{item}".join([point[f] for f in self.spherical.tolist()])
+                + f"\n{indent}]") % tuple(texts)
 
 
 def dumps(report) -> str:

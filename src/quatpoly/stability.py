@@ -608,42 +608,33 @@ def _region_contains_closed_unit_ball(region: Region) -> bool:
     return False
 
 
-def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u_s . v_s for the rows of two (S, k) arrays, each one dot product as
-    ``u_s @ v_s`` computes it."""
-    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
 def _span_bases(vss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal real bases, as rows, of the realified right spans of the
     rows of each (m+1, 4n) stack of ``vss``, zero-padded to one (Y, K, 4n)
-    array, and their sizes.  Gram-Schmidt takes the candidates (A_i y) u,
-    u = 1, i, j, k, in order, right-looking: a vector that joins the basis
-    of a stack is projected out of all later candidates of that stack at
-    once, so each candidate goes through the projections, in the order,
-    that it would go through alone.  The longest row of a stack has norm in
-    [1/2, 1), which SPAN_ZERO_REL assumes."""
+    array, and their sizes, multiples of 4.  The candidates (A_i y) u, u = 1,
+    i, j, k, come in orthogonal quadruples of equal norm, so Gram-Schmidt
+    runs over the A_i y in the quaternion inner product: a remainder b that
+    joins a basis adds the four rows b u, exact signed permutations of b, and
+    leaves every later A_i y of its stack at once as v - b (b* v).  The
+    longest row of a stack has norm in [1/2, 1), which SPAN_ZERO_REL assumes."""
     count, rows, width = vss.shape
     # Column block u of p @ units is p u, for u = 1, i, j, k.
     units = UNIT_RIGHT_ACTIONS.transpose(2, 0, 1).reshape(4, 16)
-    candidates = (vss.reshape(count, rows, -1, 4) @ units).reshape(count, rows, -1, 4, 4)
-    candidates = candidates.transpose(1, 3, 0, 2, 4).reshape(-1, count, width)
-    starts = np.sqrt(_row_dots(candidates.reshape(-1, width), candidates.reshape(-1, width)))
-    starts = starts.reshape(len(candidates), count)
-    bases = np.zeros((count, min(len(candidates), width), width))
+    candidates, starts = vss.copy(), np.linalg.norm(vss, axis=2)
+    bases = np.zeros((count, min(4 * rows, width), width))
     sizes = np.zeros(count, int)
-    for step, (cand, norm0) in enumerate(zip(candidates, starts)):
-        norm = np.sqrt(_row_dots(cand, cand))
-        new = np.flatnonzero((norm0 > SPAN_ZERO_REL) & (norm > SPAN_INDEPENDENT_REL * norm0))
-        if not len(new):
-            continue
-        b = cand[new] / norm[new, None]
-        bases[new, sizes[new]] = b
-        sizes[new] += 1
+    for step in range(rows):
+        norm = np.linalg.norm(candidates[:, step], axis=1)
+        new = np.flatnonzero((starts[:, step] > SPAN_ZERO_REL)
+                             & (norm > SPAN_INDEPENDENT_REL * starts[:, step]))
+        b = candidates[new, step] / norm[new, None]
+        quads = (b.reshape(-1, width // 4, 4) @ units).reshape(-1, width // 4, 4, 4)
+        quads = quads.swapaxes(1, 2).reshape(-1, 4, width)
+        bases[new[:, None], sizes[new, None] + np.arange(4)] = quads
+        sizes[new] += 4
         stacks = slice(None) if len(new) == count else new  # no copy in the common case
-        later = candidates[step + 1:, stacks]
-        dots = _row_dots(np.broadcast_to(b, later.shape).reshape(-1, width), later.reshape(-1, width))
-        candidates[step + 1:, stacks] = later - dots.reshape(later.shape[:2] + (1,)) * b
+        later = candidates[stacks, step + 1:]
+        candidates[stacks, step + 1:] = later - (later @ quads.swapaxes(1, 2)) @ quads
     return bases, sizes
 
 

@@ -156,13 +156,20 @@ def test_library_constructors_reject_non_finite(bad):
 
 # -- report writer ----------------------------------------------------------------
 
+# Where "%.12g" and repr part ways: subnormals (digits), whole numbers (".0")
+# and 1e12 to 1e16 (exponent form), the last two also after the rounding.
+TINY = float(np.finfo(float).tiny)
+FORMAT_BOUNDARIES = [12345678901234.5, 1e15 + 0.5, 1e12, 2.9999999999999, 999999999999.9,
+                     9.9999999999999e15, TINY, float(np.nextafter(TINY, 0.0)), -0.0]
+SPECIAL_COMPONENTS = np.array([0.0, 5e-324, 1e308, 1.0, 2.5, 0.1] + FORMAT_BOUNDARIES)
+
+
 def _point_set(rng, count):
     """(count, 4) components over the whole float range, with signed zeros,
     subnormals, the largest floats and round values, and random flags."""
     points = np.ldexp(rng.standard_normal((count, 4)), rng.integers(-1074, 1020, (count, 4)))
-    special = np.array([0.0, -0.0, 5e-324, -1e308, 1e308, 1.0, -2.5, 0.1])
     mask = rng.random((count, 4)) < 0.3
-    points[mask] = rng.choice(special, mask.sum())
+    points[mask] = rng.choice(SPECIAL_COMPONENTS, mask.sum()) * rng.choice([1.0, -1.0], mask.sum())
     return points, rng.random(count) < 0.5
 
 
@@ -178,6 +185,22 @@ def test_flagged_points_equal_the_per_point_round_sig_dicts(count):
     assert dumps(value) == json.dumps(dicts, indent=2)
     report = {"result": {"points": value, "skipped": 3}}
     assert dumps(report) == json.dumps({"result": {"points": dicts, "skipped": 3}}, indent=2)
+
+
+def test_flagged_points_write_every_format_boundary_as_repr_does():
+    points, spherical = _point_set(np.random.default_rng(27), 2000)
+    flat = points.ravel()
+    rounded = np.array([round_sig(v) for v in flat])
+    classes = {
+        "exponent from 1e12 to 1e16": (np.abs(rounded) >= 1e12) & (np.abs(rounded) < 1e16),
+        "whole only after the rounding": (flat != np.rint(flat)) & (rounded == np.rint(rounded)),
+        "largest subnormal": np.abs(flat) == np.nextafter(TINY, 0.0),
+        "smallest normal": np.abs(flat) == TINY,
+        "negative zero": (flat == 0.0) & np.signbit(flat),
+    }
+    assert {name: int(hit.sum()) >= 20 for name, hit in classes.items()} == dict.fromkeys(classes, True)
+    assert (dumps({"points": FlaggedPoints(points, spherical)})
+            == json.dumps({"points": _per_point_dicts(points, spherical)}, indent=2))
 
 
 def test_flagged_points_spell_non_finite_components_as_json_does():
