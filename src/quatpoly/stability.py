@@ -170,29 +170,6 @@ class Region:
         ``band``, so nothing within the dead band of the boundary counts."""
         return self.margins(rows, spherical) > band
 
-    def center_reach(self, band: float) -> tuple[np.ndarray, float, float]:
-        """The ball in which ``meets`` counts a zero of a ball region, as
-        (center row, center modulus, radius): the radius less ``band``, kept
-        >= 0 and widened by MODULUS_BOUND_SLACK max(1, |c| + radius), as
-        ``modulus_reach`` widens its ends."""
-        modulus, radius = self.center.modulus(), max(self.radius - band, 0.0)
-        return (np.array(self.center.as_array()), modulus,
-                radius + MODULUS_BOUND_SLACK * max(1.0, modulus + radius))
-
-    def modulus_reach(self, band: float) -> tuple[float, float]:
-        """Bounds (low, high) on the modulus of a zero that ``meets`` counts
-        as inside a ball region: within the radius less ``band`` of the
-        center's modulus (every point of a class sphere has the modulus of
-        its class).  Each end is widened by MODULUS_BOUND_SLACK times max(1,
-        end), for the rounding of the zero finder and of the bound, and kept
-        within [0, the largest float]."""
-        modulus, radius = self.center.modulus(), self.radius - band
-        low, high = modulus - radius, modulus + radius
-        low -= MODULUS_BOUND_SLACK * max(1.0, low)
-        high += MODULUS_BOUND_SLACK * max(1.0, high)
-        top = np.finfo(float).max
-        return min(max(low, 0.0), top), min(max(high, 0.0), top)
-
 
 class StabilityStatus(str, Enum):
     STABLE = "STABLE"
@@ -539,7 +516,12 @@ def _qinner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _trimmed(cs: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
     """For an (..., m+1, 4) stack of scalar polynomials: which vanish (no
     coefficient modulus above ``floor``, broadcast), and each one's degree,
-    that of its last coefficient over DEGREE_TRIM_REL times the largest."""
+    that of its last coefficient over DEGREE_TRIM_REL times the largest.
+    The trim drops only zeros of large modulus, so in the search it can lose
+    a witness but never make one.  A trim weighted by the ball's radius rho
+    would keep |a_i / a_d| up to 1e12 rho^(d-i), past the float range at rho
+    = 1e200 once d - i >= 2, where the zero finder's monic form overflows;
+    it needs a zero finder that works in the ball's scaled frame."""
     moduli = np.hypot.reduce(cs, axis=-1)
     top = moduli.max(axis=-1)
     above = moduli > DEGREE_TRIM_REL * top[..., None]
@@ -735,16 +717,15 @@ def _first_sampled_witness(vss: np.ndarray, region: Region, band: float,
     # above SPAN_ZERO_REL, and the first candidate kept always joins.
     draws = _unit_draws(rng, RANDOM_PROBES, sizes)
     floors = INDUCED_VANISHING_REL * np.linalg.norm(vss, axis=2).max(axis=1)
-    reach = (*region.modulus_reach(band), *region.center_reach(band))
     firsts = _probe_coefficients(vss, bases[:, :1])
     vanishing, degrees = _trimmed(firsts[:, 0], floors)
-    refuted = ~vanishing & _excluded(firsts[:, 0], degrees, reach)
+    refuted = ~vanishing & _excluded(firsts[:, 0], degrees, region, band)
     for row in np.flatnonzero(~refuted).tolist():
-        if not _every_probe_meets(firsts[row], floors[row], reach, region, band):
+        if not _every_probe_meets(firsts[row], floors[row], region, band):
             continue
         size = sizes[row]
         later = _probes(bases[row, :size], draws[row, :, :size])[1:]
-        if _every_probe_meets(_probe_coefficients(vss[row], later), floors[row], reach, region, band):
+        if _every_probe_meets(_probe_coefficients(vss[row], later), floors[row], region, band):
             return row
     return None
 
@@ -764,15 +745,14 @@ def _probe_coefficients(vs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return (_qinner(vs, zs[..., None, :, :]) * CONJ).swapaxes(-3, -2)
 
 
-def _every_probe_meets(css: np.ndarray, floor: float, reach: tuple, region: Region,
-                       band: float) -> bool:
+def _every_probe_meets(css: np.ndarray, floor: float, region: Region, band: float) -> bool:
     """Whether every polynomial of a (Z, m+1, 4) stack vanishes somewhere in
     the region, taken in order up to the first that does not.  A vanishing
-    polynomial vanishes everywhere; one that ``_excluded`` puts outside
-    ``reach`` (a nonzero constant among them) has no zero there; the zeros
-    of the others are found one polynomial at a time."""
+    polynomial vanishes everywhere; one that ``_excluded`` excludes (a
+    nonzero constant among them) has no zero there; the zeros of the others
+    are found one polynomial at a time."""
     vanishing, degrees = _trimmed(css, floor)
-    outside = _excluded(css, degrees, reach)
+    outside = _excluded(css, degrees, region, band)
     for cs, degree, out in zip(css[~vanishing], degrees[~vanishing].tolist(),
                                outside[~vanishing].tolist()):
         if out:
@@ -784,56 +764,28 @@ def _every_probe_meets(css: np.ndarray, floor: float, reach: tuple, region: Regi
     return True
 
 
-def _excluded(css: np.ndarray, degrees: np.ndarray, reach: tuple) -> np.ndarray:
-    """Which polynomials of an (N, m+1, 4) stack, trimmed to ``degrees``,
-    have no zero that ``Region.meets`` counts, given the ball region's
-    ``modulus_reach`` and ``center_reach`` as one tuple: the modulus test or
-    the center-value test excludes it."""
-    low, high, center, modulus, radius = reach
-    return (_outside_moduli(css, degrees, low, high)
-            | _center_excluded(css, degrees, center, modulus, radius))
-
-
-def _outside_moduli(css: np.ndarray, degrees: np.ndarray, low: float,
-                    high: float) -> np.ndarray:
-    """Which polynomials of an (N, m+1, 4) stack, trimmed to ``degrees``,
-    have no zero with modulus in [low, high].  As |a_i t^i| = |a_i| |t|^i
-    in the quaternions, q(t) = sum a_i t^i of degree d has no zero of
-    modulus <= h when |a_0| > sum_{i>=1} |a_i| h^i, and none of modulus >= l
-    when |a_d| l^d > sum_{i<d} |a_i| l^i; a nonzero constant passes both.
-    Each term |a_i| t^i is formed as the product of the mantissas of |a_i|
-    and t^i and a power of two, scaled by the largest power of its sum, so
-    no term overflows."""
-    powers = np.arange(css.shape[-2])
-    moduli = np.where(powers <= degrees[:, None], np.hypot.reduce(css, axis=-1), 0.0)
-    mantissas, exponents = np.frexp(moduli)
-    t_mantissas, t_exponents = np.frexp([high, low])
-    mant = mantissas[:, None, :] * t_mantissas[:, None] ** powers
-    expo = exponents[:, None, :] + t_exponents[:, None] * powers
-    # A zero term sets no scale; a sum of zero terms stays 0 under any.
-    top = np.where(mant > 0.0, expo, np.iinfo(np.int32).min).max(axis=-1, keepdims=True)
-    at_high, at_low = np.ldexp(mant, np.minimum(expo - top, 0)).swapaxes(0, 1)
-    below_high = at_high[:, 0] > at_high[:, 1:].sum(axis=-1)
-    lead = np.take_along_axis(at_low, degrees[:, None], axis=-1)[:, 0]
-    above_low = lead > np.where(powers < degrees[:, None], at_low, 0.0).sum(axis=-1)
-    return below_high | above_low
-
-
-def _center_excluded(css: np.ndarray, degrees: np.ndarray, center: np.ndarray,
-                     modulus: float, radius: float) -> np.ndarray:
-    """Which polynomials of an (N, m+1, 4) stack, trimmed to ``degrees``,
-    have no zero within ``radius`` of ``center`` (of modulus ``modulus``).
+def _excluded(css: np.ndarray, degrees: np.ndarray, region: Region, band: float) -> np.ndarray:
+    """Which polynomials q(t) = sum a_i t^i of an (N, m+1, 4) stack, trimmed
+    to ``degrees``, have no zero that ``Region.meets`` counts in the ball
+    region, that is none within rho of its center c: the radius less
+    ``band``, kept >= 0 and widened by MODULUS_BOUND_SLACK max(1, |c| + rho).
     For t = c + u with |u| <= rho, every word of (c + u)^i that contains u
     has modulus at most |c|^(i-j) |u|^j, so |q(t) - q(c)| <= sum_i |a_i|
-    ((|c| + rho)^i - |c|^i), and q(t) = sum a_i t^i has no zero in the ball
-    when |q(c)| exceeds that.  Both sides are formed for the ball scaled by
-    2^-e, with 2^e near |c| + rho, and q by the power of two that puts its
-    largest |a_i| 2^(e i) in [1/2, 1), so nothing overflows; q(c) is one
-    Horner pass over the right action of the scaled center.  The rounding
-    slack is the widening of the radius in ``Region.center_reach``:
-    whenever a zero lies in the ball, it adds at least MODULUS_BOUND_SLACK
-    / 2 sum |a_i| (|c| + rho)^i to the right side, far above the rounding of
-    either side.  A ball beyond the float range is never excluded."""
+    ((|c| + rho)^i - |c|^i): no zero when |q(c)| exceeds that.  As |a_i t^i|
+    = |a_i| |t|^i, no zero has modulus >= l = max(|c| - rho, 0) when |a_d|
+    l^d > sum_{i<d} |a_i| l^i (result (3)); this decides balls that nearly
+    reach the origin.  The other half of (3), |a_0| > sum_{i>=1} |a_i| (|c|
+    + rho)^i, implies the first test, as |q(c)| >= |a_0| - sum_{i>=1} |a_i|
+    |c|^i.  Both are formed for the ball scaled by 2^-e, 2^e near |c| + rho,
+    and q by the power of two that puts its largest |a_i| 2^(e i) in [1/2,
+    1), so nothing overflows; q(c) is one Horner pass over the right action
+    of the scaled center.  The widening is the rounding slack: a zero in the
+    ball adds at least MODULUS_BOUND_SLACK / 2 sum |a_i| (|c| + rho)^i to the
+    first bound, and one that counts has a modulus r above l by at least the
+    widening, which lifts the sum at l over |a_d| l^d by the factor r / l.
+    A ball beyond the float range is never excluded."""
+    modulus, radius = region.center.modulus(), max(region.radius - band, 0.0)
+    radius += MODULUS_BOUND_SLACK * max(1.0, modulus + radius)
     end = modulus + radius
     if not math.isfinite(end):
         return np.zeros(len(css), bool)
@@ -847,13 +799,16 @@ def _center_excluded(css: np.ndarray, degrees: np.ndarray, center: np.ndarray,
     top = np.where(mods > 0.0, scaled, np.iinfo(np.int32).min).max(axis=-1, keepdims=True)
     shifts = np.minimum(scaled - top, 0) - expo
     coeffs = np.ldexp(np.where(kept[..., None], css, 0.0), shifts[..., None])
-    action = right_action_matrices(np.ldexp(center, -e))
+    action = right_action_matrices(np.ldexp(region.center.as_array(), -e))
     value = coeffs[:, -1]
     for i in range(len(powers) - 2, -1, -1):
         value = (action @ value[..., None])[..., 0] + coeffs[:, i]
+    terms = np.ldexp(mods, shifts)
     spread = np.ldexp(end, -e) ** powers - np.ldexp(modulus, -e) ** powers
-    bound = (np.ldexp(mods, shifts) * spread).sum(axis=-1)
-    return np.hypot.reduce(value, axis=-1) > bound
+    at_low = terms * np.ldexp(max(modulus - radius, 0.0), -e) ** powers
+    lead = np.take_along_axis(at_low, degrees[:, None], axis=-1)[:, 0]
+    return ((np.hypot.reduce(value, axis=-1) > (terms * spread).sum(axis=-1))
+            | (lead > np.where(powers < degrees[:, None], at_low, 0.0).sum(axis=-1)))
 
 
 def _block_partition_slices(partition: Sequence[int], n: int) -> list[slice]:

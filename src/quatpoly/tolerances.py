@@ -34,7 +34,7 @@ DEGREE_TRIM_REL = 1e-12  # sampled coefficients below this times the largest are
 SPAN_ZERO_REL = 1e-14  # a realified span candidate this short is skipped, max(||A_i y||) scaled into [1/2, 1)
 SPAN_INDEPENDENT_REL = 1e-10  # Gram-Schmidt remainder that adds a basis vector, times its start
 PROPORTIONAL_REL = 1e-10  # A_0 y = (A_2 y) q residual, times max(||A_0 y||, ||A_2 y||)
-MODULUS_BOUND_SLACK = 1e-6  # widening of the zero moduli and of the balls the search's two bounds must exclude, times max(1, modulus)
+MODULUS_BOUND_SLACK = 1e-6  # widening of the radius of the one ball the search's exclusion test must exclude, times max(1, |c| + radius)
 PRODUCT_MODULUS_SLACK = 1e-12  # slack on |q| <= 1 in the quadratic product certificate
 STRUCTURE_REL = 1e-14  # (block) triangular zeros, times max(1, largest entry modulus)
 

@@ -1,16 +1,21 @@
-"""Soundness of the search's modulus bound on scalar quaternion polynomials.
+"""Soundness of the search's exclusion test on scalar quaternion polynomials.
 
-``stability._outside_moduli`` lets the hyperstability search refute a
-candidate without finding any zero: no zero of q(t) = sum a_i t^i has
-modulus <= h when |a_0| > sum_{i>=1} |a_i| h^i, and none has modulus >= l
-when |a_d| l^d > sum_{i<d} |a_i| l^i.  Here polynomials with coefficient
-moduli spread over up to 300 decades meet balls of radius 1 to 1e200 and
-1e-200: wherever the bound excludes, the zero finder finds no credible zero
-in the region, and a zero planted just inside is never excluded.
+``stability._excluded`` lets the hyperstability search refute a candidate
+without finding any zero.  It widens the ball in which ``Region.meets``
+counts a zero, of center c and radius rho, and excludes q(t) = sum a_i t^i
+when |q(c)| > sum |a_i| ((|c| + rho)^i - |c|^i) (the center-value bound) or
+when |a_d| l^d > sum_{i<d} |a_i| l^i with l = max(|c| - rho, 0) (the low
+half of the paper's annulus).  Here polynomials with coefficient moduli
+spread over up to 300 decades meet balls of radius 1 to 1e200 and 1e-200:
+wherever the test excludes, the zero finder finds no credible zero in the
+region, a zero planted just inside is never excluded, the annulus's upper
+half excludes nothing that the test keeps, and the low half decides alone
+where the center-value bound cannot.
 """
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from quatpoly import PairingFailureError, Quaternion, Region, ScalarQPolynomial
 from quatpoly import stability
 from quatpoly.matpoly import scalar_zeros
 from quatpoly.tolerances import BOUNDARY_BAND
+from test_sampling import _ref_center_excluded, _ref_radius
 
 SPREADS = [0, 8, 50, 150]
 DEGREES = [1, 2, 3, 4]
@@ -53,7 +59,7 @@ def _spread_polynomials(rng, count, degree, spread):
 
 
 def _outside(css, degrees, region, band):
-    return stability._outside_moduli(css, degrees, *region.modulus_reach(band))
+    return stability._excluded(css, degrees, region, band)
 
 
 def _meets(zero, region, band):
@@ -159,11 +165,10 @@ def test_a_constant_is_outside_every_region_and_a_zero_constant_term_is_inside_t
     assert _outside(line, np.array([2, 1]), ball, BOUNDARY_BAND).tolist() == [False, True]
 
 
-# The center-value bound: no zero of q within rho of c when |q(c)| > sum
-# |a_i| ((|c| + rho)^i - |c|^i).  Zeros of moduli 1e-3 to 3e4 are planted
-# strictly inside a ball of radius 1e-9 to 1e3, in polynomials scaled by
-# 2^0 and 2^(+-500); some carry a coefficient beyond their degree that the
-# trim drops.
+# Balls around planted zeros, where the center-value bound does the work:
+# zeros of moduli 1e-3 to 3e4 are planted strictly inside a ball of radius
+# 1e-9 to 1e3, in polynomials scaled by 2^0 and 2^(+-500); some carry a
+# coefficient beyond their degree that the trim drops.
 CENTER_SCALES = [0, 500, -500]
 CENTER_RADII = [10.0 ** k for k in range(-9, 4)]
 ZERO_KINDS = ["isolated", "real", "spherical"]
@@ -221,7 +226,7 @@ def _center_cases(rng, k, radius, kind, count):
     return region, band, [_planted_at(rng, kind, point, k) for _ in range(count)]
 
 
-# A tiny ball far from most planted zeros, on which the center-value test
+# A tiny ball far from most planted zeros, on which the exclusion test
 # must exclude, so that the test above is not vacuous.
 FAR_BALL = Region.closed_ball(Quaternion(3.0, 0.0, -1.0, 2.0), 1e-9)
 
@@ -238,12 +243,9 @@ def test_a_zero_planted_in_a_ball_is_never_excluded_by_its_center_value():
                 css = np.array([cs for cs, _ in planted])
                 _, degrees = stability._trimmed(css, 0.0)
                 assert degrees.tolist() == [d for _, d in planted]
-                reach = region.center_reach(band)
-                assert not stability._center_excluded(css, degrees, *reach).any()
-                bounds = (*region.modulus_reach(band), *reach)
-                assert not stability._excluded(css, degrees, bounds).any()
+                assert not _outside(css, degrees, region, band).any()
                 cases += len(planted)
-                far = stability._center_excluded(css, degrees, *FAR_BALL.center_reach(0.0))
+                far = _outside(css, degrees, FAR_BALL, 0.0)
                 excluded_elsewhere += int(far.sum())
     assert cases >= 10_000
     # The test does exclude: the far ball is mostly far from every zero.
@@ -262,12 +264,54 @@ def test_a_center_excluded_polynomial_has_no_zero_in_the_ball(spread):
         zeros = [_credible_zeros(cs[:d + 1]) if d else [] for cs, d in zip(css, degrees.tolist())]
         for region in REGIONS:
             for band in BANDS:
-                center, modulus, radius = region.center_reach(band)
-                out = stability._center_excluded(css, degrees, center, modulus, radius)
+                out = _outside(css, degrees, region, band)
                 excluded += int(out.sum())
-                ball = Region.closed_ball(Quaternion(*center), radius)
+                ball = Region.closed_ball(region.center, float(_ref_radius(region.center, region.radius - band)))
                 for row in np.flatnonzero(out).tolist():
                     near = [z for z in zeros[row] or []
                             if ball.meets([z.point.as_array()], [z.spherical], 0.0)[0]]
                     assert not near
     assert excluded > 1000
+
+
+def test_the_annulus_upper_half_excludes_nothing_that_the_test_keeps():
+    # |a_0| > sum_{i>=1} |a_i| (|c| + rho)^i, in exact rationals over the
+    # widened ball, makes |q(c)| >= |a_0| - sum_{i>=1} |a_i| |c|^i exceed
+    # the center-value bound, so that half of the annulus needs no test.
+    rng = np.random.default_rng(9500)
+    below = 0
+    for spread in SPREADS:
+        for degree in DEGREES:
+            css = _spread_polynomials(rng, 60, degree, spread)
+            _, degrees = stability._trimmed(css, 0.0)
+            moduli = [[Fraction(m) for m in row] for row in np.hypot.reduce(css, axis=-1).tolist()]
+            for region in REGIONS:
+                for band in BANDS:
+                    end = Fraction(region.center.modulus()) + _ref_radius(region.center, region.radius - band)
+                    out = _outside(css, degrees, region, band).tolist()
+                    for row, d in enumerate(degrees.tolist()):
+                        m = moduli[row]
+                        if m[0] > sum(m[i] * end ** i for i in range(1, d + 1)):
+                            below += 1
+                            assert out[row]
+    assert below > 3000
+
+
+# Balls that nearly reach the origin, with every zero of modulus below
+# max(|c| - rho, 0): t^2 - 1e-6 over the closed ball of center 1 and radius
+# 0.9 (|q(c)| about 1 against a center bound of 2.61), and i t^3 + 1e-7 t +
+# 1e-9 j over the open ball of center 0.6 + 0.8j and radius 0.95.
+LOW_MODULUS_CASES = [
+    ([[-1e-6, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]], Region.closed_ball(Quaternion.ONE, 0.9)),
+    ([[0, 0, 1e-9, 0], [1e-7, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]],
+     Region.open_ball(Quaternion(0.6, 0.0, 0.8, 0.0), 0.95)),
+]
+
+
+@pytest.mark.parametrize("coeffs, region", LOW_MODULUS_CASES, ids=["real-quadratic", "cubic"])
+def test_the_low_modulus_half_decides_where_the_center_value_cannot(coeffs, region):
+    cs = [Quaternion(*c) for c in coeffs]
+    assert not [z for z in scalar_zeros(ScalarQPolynomial(cs)) if _meets(z, region, 0.0)]
+    for band in BANDS:
+        assert not _ref_center_excluded(cs, region.center, region.radius - band)
+        assert _outside(np.array([coeffs], float), np.array([len(cs) - 1]), region, band).tolist() == [True]

@@ -71,21 +71,21 @@ def _ref_zeros(cs, floor):
     return scalar_zeros(ScalarQPolynomial(cs)) if len(cs) > 1 else []
 
 
-def _widened(low, high):
-    low = max(0.0, low - MODULUS_BOUND_SLACK * max(1.0, low))
-    high = max(0.0, high + MODULUS_BOUND_SLACK * max(1.0, high))
-    return low, min(high, sys.float_info.max)
+def _ref_radius(center, radius):
+    """The radius of the ball the search must exclude: ``radius`` kept >= 0
+    and widened by MODULUS_BOUND_SLACK max(1, |c| + radius)."""
+    radius = max(0.0, radius)
+    return Fraction(radius + MODULUS_BOUND_SLACK * max(1.0, center.modulus() + radius))
 
 
-def _ref_outside_moduli(cs, center, radius):
-    """The modulus bound for one trimmed polynomial and one ball, in exact
-    rational arithmetic: no zero can have a modulus that counts as inside it."""
+def _ref_low_modulus_excluded(cs, center, radius):
+    """The low half of the modulus bound for one trimmed polynomial and one
+    ball, in exact rational arithmetic: no zero has modulus >= l = max(|c| -
+    rho, 0) when |a_d| l^d > sum_{i<d} |a_i| l^i."""
     moduli = [Fraction(c.modulus()) for c in cs]
     d = len(cs) - 1
-    low, high = map(Fraction, _widened(center.modulus() - radius, center.modulus() + radius))
-    below_high = moduli[0] > sum(m * high ** i for i, m in enumerate(moduli) if i)
-    above_low = moduli[d] * low ** d > sum(m * low ** i for i, m in enumerate(moduli[:d]))
-    return below_high or above_low
+    low = max(Fraction(center.modulus()) - _ref_radius(center, radius), Fraction(0))
+    return moduli[d] * low ** d > sum(m * low ** i for i, m in enumerate(moduli[:d]))
 
 
 def _ref_qmul(a, b):
@@ -98,9 +98,8 @@ def _ref_qmul(a, b):
 def _ref_center_excluded(cs, center, radius):
     """The center-value bound for one trimmed polynomial and one ball, in
     exact rational arithmetic: |q(c)| > sum |a_i| ((|c| + rho)^i - |c|^i),
-    with the radius widened as ``Region.center_reach`` widens it."""
-    radius = max(0.0, radius)
-    rho = Fraction(radius + MODULUS_BOUND_SLACK * max(1.0, center.modulus() + radius))
+    with the radius widened as the search widens it."""
+    rho = _ref_radius(center, radius)
     c = tuple(map(Fraction, center.as_array()))
     value = (Fraction(0),) * 4
     for a in reversed(cs):
@@ -113,9 +112,9 @@ def _ref_center_excluded(cs, center, radius):
 
 def _ref_excluded(cs, region, band):
     """The ball in which a zero counts as inside, the radius less the band,
-    is ruled out by one of the two bounds."""
+    is ruled out by the center-value bound or the low-modulus bound."""
     center, radius = region.center, region.radius - band
-    return _ref_outside_moduli(cs, center, radius) or _ref_center_excluded(cs, center, radius)
+    return _ref_center_excluded(cs, center, radius) or _ref_low_modulus_excluded(cs, center, radius)
 
 
 def ref_numerical_range(p, samples, seed):
@@ -193,7 +192,7 @@ def _ref_quadratic_certificate(vs):
 
 def ref_search(p, region, y_samples, seed, bound=False):
     """The former per-vector search; with ``bound``, a probe that the
-    modulus bound or the center-value bound puts outside the ball region
+    center-value bound or the low-modulus bound puts outside the ball region
     refutes y before any zero is found."""
     rng = np.random.default_rng(seed)
     n = p.size
@@ -298,9 +297,9 @@ def test_search_hits_and_certificates_match_the_per_vector_sampler():
 
 def test_search_hands_the_same_polynomials_to_the_zero_finder(monkeypatch):
     # Every polynomial z* P(t) y the search hands to scalar_zeros, in order:
-    # the draws, the probe order, the conjugation, the trim and the modulus
-    # and center-value bounds, which keep a probe from the zero finder, must
-    # all match.
+    # the draws, the probe order, the conjugation, the trim and the
+    # center-value and low-modulus bounds, which keep a probe from the zero
+    # finder, must all match.
     got, want = [], []
 
     def recording(seen, zeros=scalar_zeros):
