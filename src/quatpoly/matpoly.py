@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -274,7 +274,8 @@ def _realified_operators(lefts, words, counts, norms, mus) -> tuple[np.ndarray, 
     units = np.ldexp(mus, -exps[..., None])
     values, renorms = _word_values(words, right_action_matrices(units))
     word_exps = counts @ exps.T + renorms
-    values = np.ldexp(values, (word_exps - word_exps.max(axis=0))[..., None])
+    # frexp's int32 takes ldexp's fast loop; past its range every value goes to 0 alike.
+    values = np.ldexp(values, np.maximum(word_exps - word_exps.max(axis=0), -2 ** 31).astype(np.int32)[..., None])
     count, n = len(mus), math.isqrt(len(lefts) // 4)
     # Term t's (4, 4C) action: R(w(mu_c))[a, b] in row a, column b C + c.
     actions = right_action_matrices(np.moveaxis(values, 2, 1), axis=1).reshape(len(words), 4, 4 * count)
@@ -286,6 +287,17 @@ def _realified_operators(lefts, words, counts, norms, mus) -> tuple[np.ndarray, 
     return ops, norms @ np.linalg.norm(values, axis=2)
 
 
+def sweep_chunks(count: int, doubles_each: int) -> Iterator[tuple[int, int]]:
+    """The (start, stop) chunks of a sweep over ``count`` candidates of ``doubles_each`` doubles:
+    the first alone, as it is often the witness, then as many as SWEEP_CHUNK_DOUBLES doubles hold,
+    since a chunk's fixed cost outweighs many candidates (README, realified oracle)."""
+    cap = max(1, SWEEP_CHUNK_DOUBLES // doubles_each)
+    start, stop = 0, min(1, count)
+    while start < count:
+        yield start, stop
+        start, stop = stop, min(stop + cap, count)
+
+
 def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
                     points: np.ndarray, k: int = 1, norms: np.ndarray | None = None):
     """The realified oracle over every k-tuple of the (P, 4) [w, x, y, z]
@@ -294,7 +306,7 @@ def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
     ``terms`` are (word, A_w) pairs of y -> sum_w A_w y w(mu_1, ..., mu_k);
     the left factors are realified once, side by side in one array, and the
     right factor w(mu) is applied per 4 x 4 block.  The P^k tuples go in
-    chunks of 1, 4, 16, ... operators (at most SWEEP_CHUNK_DOUBLES doubles a chunk), each indexed
+    the chunks of ``sweep_chunks`` at (4n)^2 doubles an operator, each indexed
     out of ``points`` by the base-P digits of its tuple numbers (what
     ``np.unravel_index`` gives, without its limit of 64 letters) and
     decided by one ``rank_decisions`` pass, scaled by the terms' sizes (at an eigenvalue
@@ -313,21 +325,16 @@ def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
         norms = lift_singular_values([a for _, a in terms])[:, 0]
     norms = norms / scale
     counts = np.array([np.bincount(word, minlength=k + 1)[1:k + 1] for word in words])
-    cap = max(1, SWEEP_CHUNK_DOUBLES // (4 * n) ** 2)
-    count = len(points) ** k
     strides = len(points) ** np.arange(k - 1, -1, -1)
     undecided = False
-    start, size = 0, 1
-    while start < count:
-        tuples = points[np.arange(start, min(start + size, count))[:, None] // strides % len(points)]
+    for start, stop in sweep_chunks(len(points) ** k, (4 * n) ** 2):
+        tuples = points[np.arange(start, stop)[:, None] // strides % len(points)]
         status, kernels = rank_decisions(*_realified_operators(lefts, words, counts, norms, tuples))
         hits = np.flatnonzero(status == "singular")
         if hits.size:
             kernel = kernels[hits[0]]
             return "singular", tuples[hits[0]], vec4_to_qvec(kernel / np.linalg.norm(kernel))
         undecided = undecided or bool((status == "unknown").any())
-        start += size
-        size = min(4 * size, cap)
     return ("unknown" if undecided else "nonsingular"), None, None
 
 
@@ -338,9 +345,7 @@ def is_eigenvalue_oracle(p: MatrixPolynomial, mu: Quaternion):
     None when the pivot lands in the undecided band.
     """
     status, _, _ = realified_sweep(p.terms, np.array([mu.as_array()]), norms=p.lift_sigma[:, 0])
-    if status == "unknown":
-        return None
-    return status == "singular"
+    return None if status == "unknown" else status == "singular"
 
 
 def eigenvector_at(p: MatrixPolynomial, mu: Quaternion) -> QuaternionMatrix | None:

@@ -37,13 +37,13 @@ from .linalg import (
     vec4_to_qvec,
 )
 from .matpoly import (
-    SWEEP_CHUNK_DOUBLES,
     MatrixPolynomial,
     ScalarQPolynomial,
     polyeig,
     realified_sweep,
     scalar_zeros,
     stacked_zeros,
+    sweep_chunks,
 )
 from .quaternion import (
     CONJ,
@@ -632,9 +632,8 @@ def not_hyperstable_search(p: MatrixPolynomial, region: Region, *, band: float =
     a hit: the exact quadratic product-of-roots argument (constant and
     leading coefficient proportional by a factor of modulus <= 1, with the
     region containing the closed unit ball), or exhaustion of all sampled z.
-    The candidates are taken in chunks of 1, 4, 16, ... (at most
-    SWEEP_CHUNK_DOUBLES doubles of probes z a chunk), in order, and the
-    first witness is returned.
+    The candidates are taken in order, in the chunks of ``sweep_chunks`` at
+    the doubles of their probes z, and the first witness is returned.
     """
     if region.kind not in _BALL_KINDS:
         raise ValueError("search supports ball regions only")
@@ -647,15 +646,11 @@ def not_hyperstable_search(p: MatrixPolynomial, region: Region, *, band: float =
     # each vector and its negative, the pairwise sums and RANDOM_PROBES
     # random combinations as probes z.
     rank = min(width, 4 * len(p.coeffs))
-    cap = max(1, SWEEP_CHUNK_DOUBLES // ((2 * rank + rank * (rank - 1) // 2 + RANDOM_PROBES) * width))
-    start, size = 0, 1
-    while start < len(ys):
-        hit = _chunk_witness(actions[start:start + size], coeff_scale, quadratic_certificate,
+    for start, stop in sweep_chunks(len(ys), (2 * rank + rank * (rank - 1) // 2 + RANDOM_PROBES) * width):
+        hit = _chunk_witness(actions[start:stop], coeff_scale, quadratic_certificate,
                              region, band, rng)
         if hit is not None:
             return SearchWitness(vec4_to_qvec(ys[start + hit[0]]), hit[1])
-        start += size
-        size = min(4 * size, cap)
     return None
 
 
@@ -789,15 +784,15 @@ def _excluded(css: np.ndarray, degrees: np.ndarray, region: Region, band: float)
     end = modulus + radius
     if not math.isfinite(end):
         return np.zeros(len(css), bool)
-    powers = np.arange(css.shape[-2])
+    powers = np.arange(css.shape[-2], dtype=np.int32)  # int32 exponents take ldexp's fast loop
     kept = powers <= degrees[:, None]
     _, e = np.frexp(end)
     mods = np.where(kept, np.hypot.reduce(css, axis=-1), 0.0)
     _, expo = np.frexp(mods)
     scaled = expo + e * powers
-    # A zero term sets no scale; every other term gets a factor 2^(e i - top) <= 1.
+    # A zero term sets no scale; every other term gets a factor 2^(e i - top) <= 1 (no int32 wrap).
     top = np.where(mods > 0.0, scaled, np.iinfo(np.int32).min).max(axis=-1, keepdims=True)
-    shifts = np.minimum(scaled - top, 0) - expo
+    shifts = np.minimum(scaled, top) - top - expo
     coeffs = np.ldexp(np.where(kept[..., None], css, 0.0), shifts[..., None])
     action = right_action_matrices(np.ldexp(region.center.as_array(), -e))
     value = coeffs[:, -1]

@@ -16,15 +16,19 @@ import pytest
 
 from quatpoly import (
     MatrixPolynomial,
+    MultiPolynomial,
     Quaternion,
     QuaternionMatrix,
     Region,
     ScalarQPolynomial,
+    StabilityStatus,
+    check_stability,
+    check_stability_multi,
     not_hyperstable_search,
     sample_numerical_range,
 )
 from quatpoly.linalg import qvec, vec4, vec4_to_qvec
-from quatpoly import stability
+from quatpoly import matpoly, stability
 from quatpoly.matpoly import scalar_zeros
 from quatpoly.stability import (
     _quadratic_product_certificate,
@@ -41,7 +45,7 @@ from test_matpoly import (
     example_no_eigenvalue_poly,
     example_projection_poly,
 )
-from _helpers import random_polynomial
+from _helpers import random_polynomial, random_qmatrix, random_quaternion
 
 UNITS = [Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K]
 
@@ -353,14 +357,37 @@ def test_block_draws_equal_the_row_by_row_loop(monkeypatch, floor):
             assert rng.bit_generator.state == ref.bit_generator.state
 
 
-# The search takes its candidates in chunks [0], [1, 4], [5, 20], [21, 84],
-# ...  With n = 5 the candidates 0-19 are the canonical e_t u (position
-# 4t + u for u = 1, i, j, k) and 20 on are random.  An exact certificate of
-# e_t u is one of e_t too, since A_i e_t u = (A_i e_t) u, so it lands at
-# position 4t; only a sampled one can be planted at e_t i.
+# With a cap of 4 candidates the search takes its 24 candidates in chunks
+# [0], [1, 4], [5, 8], ..., [17, 20], [21, 23].  With n = 5 the candidates
+# 0-19 are the canonical e_t u (position 4t + u for u = 1, i, j, k) and 20
+# on are random.  An exact certificate of e_t u is one of e_t too, since
+# A_i e_t u = (A_i e_t) u, so it lands at position 4t: exact ones go before
+# the edges 1, 5 and 9 and on both sides of 21, sampled ones on both sides
+# of all four.
 BOUNDARY_N, BOUNDARY_Y_SAMPLES, BOUNDARY_SEED = 5, 4, 17
+BOUNDARY_CAP, BOUNDARY_CHUNKS = 4, [1, 4, 4, 4, 4, 4, 3]
 EIGENVALUE = Quaternion(0.3, 0.0, 0.5, 0.0)  # i EIGENVALUE / i = 0.3 - 0.5j
 PRODUCT_FACTOR = Quaternion(0.3, 0.2, -0.4, 0.1)
+
+
+def _probe_doubles(n, m):
+    """The doubles of one search candidate's probes z: 2 r + r (r - 1) / 2 +
+    RANDOM_PROBES of 4n doubles each, r = min(4n, 4(m + 1)) the span rank."""
+    rank = min(4 * n, 4 * (m + 1))
+    return (2 * rank + rank * (rank - 1) // 2 + stability.RANDOM_PROBES) * 4 * n
+
+
+@pytest.fixture
+def chunk_lengths(monkeypatch):
+    """Records the length of each chunk of candidates the search takes."""
+    lengths, chunk_witness = [], stability._chunk_witness
+
+    def record(actions, *args):
+        lengths.append(len(actions))
+        return chunk_witness(actions, *args)
+
+    monkeypatch.setattr(stability, "_chunk_witness", record)
+    return lengths
 
 
 def _ref_candidates(n, y_samples, seed):
@@ -407,33 +434,91 @@ def _boundary_case(plants, region, seed):
 
 UNIT_BALL = Region.closed_ball(Quaternion.ZERO, 1.0)
 AT_EIGENVALUE = Region.closed_ball(EIGENVALUE, 1e-3)
-BOUNDARY_CASES = ([("universal-kernel", position) for position in (0, 4, 20, 21)]
-                  + [("quadratic-product-certificate", position) for position in (0, 4, 20, 21)]
-                  + [("sampled-z-exhaustion", position) for position in (0, 1, 4, 5, 20, 21)])
+BOUNDARY_CASES = ([("universal-kernel", position) for position in (0, 4, 8, 20, 21)]
+                  + [("quadratic-product-certificate", position) for position in (0, 4, 8, 20, 21)]
+                  + [("sampled-z-exhaustion", position) for position in (0, 1, 4, 5, 8, 9, 20, 21)])
 
 
 @pytest.mark.parametrize("certificate,position", BOUNDARY_CASES)
-def test_search_finds_witnesses_on_both_sides_of_each_chunk_boundary(certificate, position):
+def test_search_finds_witnesses_on_both_sides_of_each_chunk_boundary(monkeypatch, chunk_lengths,
+                                                                     certificate, position):
+    monkeypatch.setattr(matpoly, "SWEEP_CHUNK_DOUBLES", BOUNDARY_CAP * _probe_doubles(BOUNDARY_N, 2))
     region = UNIT_BALL if certificate == "quadratic-product-certificate" else AT_EIGENVALUE
     got, ys = _boundary_case([(certificate, position)], region, 8300 + position)
     assert got.certificate == certificate
     assert np.array_equal(vec4(got.vector), vec4(ys[position]))
+    assert chunk_lengths == BOUNDARY_CHUNKS[:len(chunk_lengths)]
 
 
 @pytest.mark.parametrize("sampled,certificate,exact,region", [
     (1, "universal-kernel", 4, AT_EIGENVALUE),
     (8, "quadratic-product-certificate", 12, UNIT_BALL),
 ], ids=["kernel", "quadratic"])
-def test_an_earlier_sampled_witness_beats_a_later_exact_one_in_its_chunk(sampled, certificate,
-                                                                         exact, region):
+def test_an_earlier_sampled_witness_beats_a_later_exact_one_in_its_chunk(chunk_lengths, sampled,
+                                                                         certificate, exact, region):
     # The exact test of the later candidate fires first within the chunk, but
     # the earlier candidate, decided by its sampled z, is the witness.
     plants = [("sampled-z-exhaustion", sampled), (certificate, exact)]
     got, ys = _boundary_case(plants, region, 8400 + sampled)
+    assert sum(chunk_lengths[:-1]) <= sampled < exact < sum(chunk_lengths)
     assert got.certificate == "sampled-z-exhaustion"
     assert np.array_equal(vec4(got.vector), vec4(ys[sampled]))
     alone, _ = _boundary_case(plants[1:], region, 8400 + sampled)
     assert (alone.certificate, alone.vector.allclose(ys[exact])) == (certificate, True)
+
+
+def _killed_at_e0(rng, n, value):
+    """Random (A, B) but for B e_0 = -value A e_0, exact for a power of two
+    ``value``: A y value + B y vanishes at y = e_0."""
+    a, b = random_qmatrix(rng, n), random_qmatrix(rng, n)
+    b.a1[:, 0], b.a2[:, 0] = -value * a.a1[:, 0], -value * a.a2[:, 0]
+    return a, b
+
+
+def test_sweeps_and_the_search_do_not_depend_on_the_chunk_cap(monkeypatch, chunk_lengths):
+    # Each chunk is decided on its own and the search draws per y in order,
+    # so caps of 1, 2 and 7 candidates give the default cap's results bit
+    # for bit.  Every hit lies past the first chunk edge: a finite-set sweep
+    # hits point 17 of 30, a two-letter sweep tuple 29 of 64 and the search
+    # a sampled witness at candidate 9 of 24.
+    rng = np.random.default_rng(8500)
+    a, b = _killed_at_e0(rng, 3, 0.5)
+    p = MatrixPolynomial([b, a])
+    points = [Quaternion(10.0) + random_quaternion(rng) for _ in range(30)]
+    points[17] = Quaternion(0.5)
+    a, b = _killed_at_e0(rng, 2, 0.125)
+    q = MultiPolynomial.build(2, [((1, 2), a), ((), b)])
+    letters = [Quaternion(10.0) + random_quaternion(rng) for _ in range(8)]
+    letters[3], letters[5] = Quaternion(0.5), Quaternion(0.25)
+    default, decide = matpoly.SWEEP_CHUNK_DOUBLES, matpoly.rank_decisions
+    operators = []
+    monkeypatch.setattr(matpoly, "rank_decisions",
+                        lambda stack, scale: operators.append(len(stack)) or decide(stack, scale))
+
+    def capped(cap, doubles_each, call):
+        monkeypatch.setattr(matpoly, "SWEEP_CHUNK_DOUBLES", cap * doubles_each if cap else default)
+        return call()
+
+    def results(cap):
+        operators.clear()
+        chunk_lengths.clear()
+        one = capped(cap, 12 ** 2, lambda: check_stability(p, Region.finite_set(points)))
+        multi = capped(cap, 8 ** 2, lambda: check_stability_multi(q, Region.finite_set(letters)))
+        hit, ys = capped(cap, _probe_doubles(BOUNDARY_N, 2),
+                         lambda: _boundary_case([("sampled-z-exhaustion", 9)], AT_EIGENVALUE, 8309))
+        if cap:
+            assert max(operators) == max(chunk_lengths) == cap
+        assert np.array_equal(vec4(hit.vector), vec4(ys[9]))
+        return [one.status, np.array(one.witness.as_array()).tobytes(), vec4(one.vector).tobytes(),
+                multi.status, np.array([x.as_array() for x in multi.witness_tuple]).tobytes(),
+                vec4(multi.witness_vector).tobytes(), hit.certificate, vec4(hit.vector).tobytes()]
+
+    want = results(None)
+    assert want[0] is want[3] is StabilityStatus.NOT_STABLE
+    assert want[1] == np.array([0.5, 0, 0, 0]).tobytes()
+    assert want[4] == np.array([[0.5, 0, 0, 0], [0.25, 0, 0, 0]]).tobytes()
+    for cap in (1, 2, 7):
+        assert results(cap) == want, cap
 
 
 def _span_stacks(rng):
