@@ -46,7 +46,7 @@ from .linalg import (
     vec4_to_qvec,
 )
 from .quaternion import (CONJ, UNIT_LEFT_ACTIONS, UNIT_RIGHT_ACTIONS, Quaternion,
-                         StandardEigenvalue, right_action_matrices)
+                         StandardEigenvalue, moduli, right_action_matrices)
 from .tolerances import IDENTITY_ABS, POLYEIG_RESIDUAL_REL, SLOPE_REL, SPHERE_REL
 
 # A chunk of operators in the realified sweep holds at most this many doubles.
@@ -270,7 +270,7 @@ def _realified_operators(lefts, words, counts, norms, mus) -> tuple[np.ndarray, 
     (4n n, 4) x (4, 4C) product, its blocks times every tuple's right action,
     into one buffer in term order; one transposed copy makes the stack.
     """
-    exps = np.frexp(np.hypot.reduce(mus, axis=2))[1]
+    exps = np.frexp(moduli(mus))[1]
     units = np.ldexp(mus, -exps[..., None])
     values, renorms = _word_values(words, right_action_matrices(units))
     word_exps = counts @ exps.T + renorms
@@ -460,18 +460,19 @@ def stacked_zeros(a: np.ndarray) -> tuple[np.ndarray, ...]:
     made monic; the 2d roots of C = sum_c P_c^2 come from ``_lift_roots``
     and their classes x + i s, with shares of d, from the classifier of the
     matrix spectra, ``linalg._standard_classes``, in units of max(1, |root|).
-    p takes the remainder beta t + alpha of the division by t^2 - 2x t + x^2
-    + s^2: beta = Im P_c(z) / s and alpha = Re P_c(z) - beta x at z = x + i s.
-    A class on the real axis (s the mean |Im| of its roots) is a real zero
-    where Re P_c(z), the remainder at x, is below SPHERE_REL; any other
-    class below it is a sphere of zeros, given by its representative, else
-    its one zero is -inv(beta) * alpha.
+    P_c(z) at z = x + i s and its scale are formed on all 2d slots, as numpy's
+    matmul rounds by operand shape; all that follows runs on the class slots.
+    p takes the remainder beta t + alpha of the division by t^2 - 2x t + x^2 + s^2:
+    beta = Im P_c(z) / s and alpha = Re P_c(z) - beta x.  A class on the real axis
+    (s the mean |Im| of its roots) is a real zero where Re P_c(z), the remainder at
+    x, is below SPHERE_REL; any other class below it is a sphere of zeros, given by
+    its representative, else its one zero is -inv(beta) * alpha.
 
     Returns the row, class (re, im), point, sphere flag, share and residual
     of every class, by row and within a row by (modulus, re, im).
     """
-    count, d = a.shape[0], a.shape[1] - 1
-    a = np.ldexp(a, -np.frexp(np.hypot.reduce(a, axis=2).max(axis=1))[1][:, None, None])
+    d = a.shape[1] - 1
+    a = np.ldexp(a, -np.frexp(moduli(a).max(axis=1))[1][:, None, None])
     # inv(q) = conj(q) / |q|^2, with q first divided by its largest component.
     big = np.abs(a[:, -1]).max(axis=1, keepdims=True)
     lead = a[:, -1] / big
@@ -482,36 +483,36 @@ def stacked_zeros(a: np.ndarray) -> tuple[np.ndarray, ...]:
     x, s, shares, axis = _standard_classes(roots, np.maximum(1.0, np.abs(roots)))
     steps = np.arange(d + 1)
     grow = np.maximum(1.0, np.hypot(x, s))
-    pscale = (grow[..., None] ** steps @ np.hypot.reduce(a, axis=2)[..., None])[..., 0]
+    pscale = (grow[..., None] ** steps @ moduli(a)[..., None])[..., 0]
     values = (x + 1j * s)[..., None] ** steps @ a
-    real = axis & (np.hypot.reduce(values.real, axis=2) <= SPHERE_REL * pscale)
+    rows, _ = slots = np.nonzero(shares > 0)
+    x, s, axis, grow, pscale, values = (v[slots] for v in (x, s, axis, grow, pscale, values))
+    real = axis & (moduli(values.real) <= SPHERE_REL * pscale)
     s = np.where(real, 0.0, s)
-    beta = np.divide(values.imag, s[..., None], out=np.zeros_like(values.real),
-                     where=(s > 0.0)[..., None])
+    beta = np.divide(values.imag, s[..., None], out=np.zeros_like(values.real), where=(s > 0.0)[..., None])
     alpha = values.real - beta * x[..., None]
-    slope = np.hypot.reduce(beta, axis=2)
-    remainder = slope * grow + np.hypot.reduce(alpha, axis=2)
+    slope = moduli(beta)
+    remainder = slope * grow + moduli(alpha)
     spherical = ~real & (remainder <= SPHERE_REL * pscale)
     isolated = ~real & ~spherical & (slope > SLOPE_REL * pscale)
     # The one zero -inv(beta) alpha = -conj(beta) alpha / |beta|^2 of each
     # isolated class, and p there by Horner's rule; (q @ right).reshape(4, 4)
     # is the right action matrix of q.
     right = UNIT_RIGHT_ACTIONS.reshape(4, 16)
-    zeta = ((alpha @ right).reshape(count, 2 * d, 4, 4) @ (beta * -CONJ)[..., None])[..., 0]
+    zeta = ((alpha @ right).reshape(-1, 4, 4) @ (beta * -CONJ)[..., None])[..., 0]
     zeta = zeta / np.where(isolated, slope, 1.0)[..., None] ** 2
-    times_zeta = (zeta @ right).reshape(count, 2 * d, 4, 4)
-    value = zeta + a[:, -2, None]  # the monic leading term gives 1 zeta
+    times_zeta = (zeta @ right).reshape(-1, 4, 4)
+    value = zeta + a[rows, -2]  # the monic leading term gives 1 zeta
     for i in range(d - 2, -1, -1):
-        value = (times_zeta @ value[..., None])[..., 0] + a[:, i, None]
-    rows, cols = np.nonzero((shares > 0) & (real | spherical | isolated))
-    zeta, isolated, x, s = zeta[rows, cols], isolated[rows, cols], x[rows, cols], s[rows, cols]
+        value = (times_zeta @ value[..., None])[..., 0] + a[rows, i]
+    kept = real | spherical | isolated
+    rows, shares = rows[kept], shares[slots][kept]
+    zeta, isolated, spherical, x, s = (v[kept] for v in (zeta, isolated, spherical, x, s))
     points = np.where(isolated[:, None], zeta, np.stack([x, s, *np.zeros((2, len(s)))], axis=1))
-    classes = np.stack([points[:, 0], np.where(isolated, np.hypot.reduce(zeta[:, 1:], axis=1), s)], 1)
-    residuals = np.where(isolated, np.hypot.reduce(value[rows, cols], axis=1), remainder[rows, cols])
-    shares = shares[rows, cols]
+    classes = np.stack([points[:, 0], np.where(isolated, moduli(zeta[:, 1:]), s)], 1)
+    residuals = np.where(isolated, moduli(value[kept]), remainder[kept])
     order = np.lexsort((classes[:, 1], classes[:, 0], np.hypot(*classes.T), rows))
-    return (rows[order], classes[order], points[order], spherical[rows, cols][order],
-            shares[order], residuals[order])
+    return rows[order], classes[order], points[order], spherical[order], shares[order], residuals[order]
 
 
 def scalar_zeros(p: ScalarQPolynomial) -> list[PolynomialZero]:

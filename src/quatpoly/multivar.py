@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ZeroInOmegaError
 from .linalg import QuaternionMatrix
 from .matpoly import realified_sweep
-from .quaternion import Quaternion
+from .quaternion import Quaternion, moduli
 from .stability import HyperStatus, HyperVerdict, Region, RegionKind, StabilityStatus
 from .tolerances import OMEGA_ZERO_ABS
 
@@ -110,7 +110,7 @@ def check_stability_multi(p: MultiPolynomial, omega: Region) -> MultiStabilityVe
 
 
 def _require_zero_free(omega: Region) -> None:
-    if (np.hypot.reduce(omega.points, axis=1) <= OMEGA_ZERO_ABS).any():
+    if (moduli(omega.points) <= OMEGA_ZERO_ABS).any():
         raise ZeroInOmegaError("the probe set must not contain 0")
 
 

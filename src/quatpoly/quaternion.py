@@ -250,6 +250,14 @@ def right_action_matrices(q: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.take(np.concatenate([q, -q], axis=axis), _RIGHT_ACTION_INDEX, axis=axis)
 
 
+def moduli(q: np.ndarray) -> np.ndarray:
+    """|q| along a last axis of 4, or 3 for a vector part: np.hypot.reduce's chain, bit for bit."""
+    out = np.hypot(q[..., 0], q[..., 1])
+    for k in range(2, q.shape[-1]):
+        out = np.hypot(out, q[..., k])
+    return out
+
+
 # Components of conj(q) are CONJ * q.
 CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 # The left and right action matrices of u = 1, i, j, k, as (4, 4, 4) arrays

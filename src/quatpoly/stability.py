@@ -53,6 +53,7 @@ from .quaternion import (
     StandardEigenvalue,
     class_distance_extremes,
     class_point,
+    moduli,
     right_action_matrices,
 )
 from .tolerances import (BOUNDARY_BAND, DEGREE_TRIM_REL, DRAW_NORM_MIN,
@@ -139,12 +140,12 @@ class Region:
         targets = self.points if finite else np.array([self.center.as_array()])
         with np.errstate(over="ignore", invalid="ignore"):
             gaps = rows[:, None, 0] - targets[:, 0]
-            vecs = np.hypot.reduce(rows[:, 1:], axis=1)[:, None]
-            target_vecs = np.hypot.reduce(targets[:, 1:], axis=1)
-            dists = np.hypot.reduce(rows[:, None] - targets, axis=2)
+            vecs = moduli(rows[:, 1:])[:, None]
+            target_vecs = moduli(targets[:, 1:])
+            dists = moduli(rows[:, None] - targets)
             dmin = np.where(spherical, np.hypot(gaps, vecs - target_vecs), dists)
             if finite:
-                reach = FINITE_SET_REL * np.maximum(1.0, np.hypot.reduce(targets, axis=1))
+                reach = FINITE_SET_REL * np.maximum(1.0, moduli(targets))
                 return np.fmax.reduce(reach - dmin, axis=1)
             dmin = dmin[:, 0]
             dmax = np.where(spherical[:, 0], np.hypot(gaps, vecs + target_vecs)[:, 0], dmin)
@@ -522,9 +523,9 @@ def _trimmed(cs: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
     would keep |a_i / a_d| up to 1e12 rho^(d-i), past the float range at rho
     = 1e200 once d - i >= 2, where the zero finder's monic form overflows;
     it needs a zero finder that works in the ball's scaled frame."""
-    moduli = np.hypot.reduce(cs, axis=-1)
-    top = moduli.max(axis=-1)
-    above = moduli > DEGREE_TRIM_REL * top[..., None]
+    sizes = moduli(cs)
+    top = sizes.max(axis=-1)
+    above = sizes > DEGREE_TRIM_REL * top[..., None]
     return top <= floor, cs.shape[-2] - 1 - np.argmax(above[..., ::-1], axis=-1)
 
 
@@ -787,7 +788,7 @@ def _excluded(css: np.ndarray, degrees: np.ndarray, region: Region, band: float)
     powers = np.arange(css.shape[-2], dtype=np.int32)  # int32 exponents take ldexp's fast loop
     kept = powers <= degrees[:, None]
     _, e = np.frexp(end)
-    mods = np.where(kept, np.hypot.reduce(css, axis=-1), 0.0)
+    mods = np.where(kept, moduli(css), 0.0)
     _, expo = np.frexp(mods)
     scaled = expo + e * powers
     # A zero term sets no scale; every other term gets a factor 2^(e i - top) <= 1 (no int32 wrap).
@@ -802,7 +803,7 @@ def _excluded(css: np.ndarray, degrees: np.ndarray, region: Region, band: float)
     spread = np.ldexp(end, -e) ** powers - np.ldexp(modulus, -e) ** powers
     at_low = terms * np.ldexp(max(modulus - radius, 0.0), -e) ** powers
     lead = np.take_along_axis(at_low, degrees[:, None], axis=-1)[:, 0]
-    return ((np.hypot.reduce(value, axis=-1) > (terms * spread).sum(axis=-1))
+    return ((moduli(value) > (terms * spread).sum(axis=-1))
             | (lead > np.where(powers < degrees[:, None], at_low, 0.0).sum(axis=-1)))
 
 

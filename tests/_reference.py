@@ -2,16 +2,21 @@
 point or class sphere by ``math.hypot``, the Halton ball grid and its
 rejection sampler one point at a time, as the package once computed them,
 and a multivariate action from ``Quaternion`` products of the letters.  Also
-the ball grid as ``Quaternion`` objects, for tests that probe with them."""
+the ball grid as ``Quaternion`` objects, for tests that probe with them, and
+the zero finder as it once ran, over all 2d root slots of every row."""
 
 import math
 from typing import Sequence
 
+import numpy as np
+
 from quatpoly import (DimensionMismatchError, MultiPolynomial, Quaternion, QuaternionMatrix,
                       Region, RegionKind, class_distance, class_distance_extremes, qvec)
-from quatpoly.quaternion import standardize
+from quatpoly.linalg import _standard_classes
+from quatpoly.matpoly import _lift_roots
+from quatpoly.quaternion import CONJ, UNIT_LEFT_ACTIONS, UNIT_RIGHT_ACTIONS, standardize
 from quatpoly.stability import _ball_grid
-from quatpoly.tolerances import FINITE_SET_REL
+from quatpoly.tolerances import FINITE_SET_REL, SLOPE_REL, SPHERE_REL
 
 
 def eval_word(word: Sequence[int], mus: Sequence[Quaternion]) -> Quaternion:
@@ -111,3 +116,66 @@ def region_sample_grids(region: Region, top: int) -> dict[int, list[Quaternion]]
             if len(inside) == top:
                 break
     return {c: [q for index, q in inside[:c] if index <= 60 * c + 64] for c in range(1, top + 1)}
+
+
+def stacked_zeros(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Zeros of every polynomial of an (S, d+1, 4) stack of component arrays
+    P_c (d >= 1, leading rows nonzero), one entry per class, counted with
+    multiplicity.
+
+    Each row is divided by a power of two near its largest coefficient and
+    made monic; the 2d roots of C = sum_c P_c^2 come from ``_lift_roots``
+    and their classes x + i s, with shares of d, from the classifier of the
+    matrix spectra, ``linalg._standard_classes``, in units of max(1, |root|).
+    p takes the remainder beta t + alpha of the division by t^2 - 2x t + x^2
+    + s^2: beta = Im P_c(z) / s and alpha = Re P_c(z) - beta x at z = x + i s.
+    A class on the real axis (s the mean |Im| of its roots) is a real zero
+    where Re P_c(z), the remainder at x, is below SPHERE_REL; any other
+    class below it is a sphere of zeros, given by its representative, else
+    its one zero is -inv(beta) * alpha.
+
+    Returns the row, class (re, im), point, sphere flag, share and residual
+    of every class, by row and within a row by (modulus, re, im).
+    """
+    count, d = a.shape[0], a.shape[1] - 1
+    a = np.ldexp(a, -np.frexp(np.hypot.reduce(a, axis=2).max(axis=1))[1][:, None, None])
+    # inv(q) = conj(q) / |q|^2, with q first divided by its largest component.
+    big = np.abs(a[:, -1]).max(axis=1, keepdims=True)
+    lead = a[:, -1] / big
+    inv = lead * CONJ / ((lead * lead).sum(axis=1, keepdims=True) * big)
+    a = a @ (inv @ UNIT_LEFT_ACTIONS.reshape(4, 16)).reshape(-1, 4, 4).transpose(0, 2, 1)
+    a[:, -1] = (1.0, 0.0, 0.0, 0.0)
+    roots = _lift_roots(a)
+    x, s, shares, axis = _standard_classes(roots, np.maximum(1.0, np.abs(roots)))
+    steps = np.arange(d + 1)
+    grow = np.maximum(1.0, np.hypot(x, s))
+    pscale = (grow[..., None] ** steps @ np.hypot.reduce(a, axis=2)[..., None])[..., 0]
+    values = (x + 1j * s)[..., None] ** steps @ a
+    real = axis & (np.hypot.reduce(values.real, axis=2) <= SPHERE_REL * pscale)
+    s = np.where(real, 0.0, s)
+    beta = np.divide(values.imag, s[..., None], out=np.zeros_like(values.real),
+                     where=(s > 0.0)[..., None])
+    alpha = values.real - beta * x[..., None]
+    slope = np.hypot.reduce(beta, axis=2)
+    remainder = slope * grow + np.hypot.reduce(alpha, axis=2)
+    spherical = ~real & (remainder <= SPHERE_REL * pscale)
+    isolated = ~real & ~spherical & (slope > SLOPE_REL * pscale)
+    # The one zero -inv(beta) alpha = -conj(beta) alpha / |beta|^2 of each
+    # isolated class, and p there by Horner's rule; (q @ right).reshape(4, 4)
+    # is the right action matrix of q.
+    right = UNIT_RIGHT_ACTIONS.reshape(4, 16)
+    zeta = ((alpha @ right).reshape(count, 2 * d, 4, 4) @ (beta * -CONJ)[..., None])[..., 0]
+    zeta = zeta / np.where(isolated, slope, 1.0)[..., None] ** 2
+    times_zeta = (zeta @ right).reshape(count, 2 * d, 4, 4)
+    value = zeta + a[:, -2, None]  # the monic leading term gives 1 zeta
+    for i in range(d - 2, -1, -1):
+        value = (times_zeta @ value[..., None])[..., 0] + a[:, i, None]
+    rows, cols = np.nonzero((shares > 0) & (real | spherical | isolated))
+    zeta, isolated, x, s = zeta[rows, cols], isolated[rows, cols], x[rows, cols], s[rows, cols]
+    points = np.where(isolated[:, None], zeta, np.stack([x, s, *np.zeros((2, len(s)))], axis=1))
+    classes = np.stack([points[:, 0], np.where(isolated, np.hypot.reduce(zeta[:, 1:], axis=1), s)], 1)
+    residuals = np.where(isolated, np.hypot.reduce(value[rows, cols], axis=1), remainder[rows, cols])
+    shares = shares[rows, cols]
+    order = np.lexsort((classes[:, 1], classes[:, 0], np.hypot(*classes.T), rows))
+    return (rows[order], classes[order], points[order], spherical[rows, cols][order],
+            shares[order], residuals[order])

@@ -262,6 +262,19 @@ def test_nrange_of_nonzero_constants_writes_no_points(tmp_path, capsys):
     assert '"points": []' in out and out == _indent_2(out)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "CHANGES.md FOUND line: nrange skips samples of a 1 x 1 real polynomial whose samples are "
+    "all the same polynomial; stacked_zeros refuses two rows with PairingFailureError (class "
+    "shares sum to [1.0], not 2.0); the fix belongs to ROADMAP item 6, the two-sided companion"))
+def test_nrange_of_a_real_polynomial_with_far_zeros_skips_no_sample(tmp_path, capsys):
+    # Zeros 999999999999.6 and -1, coefficient spread 1.1e12, inside the degree trim.
+    p = write(tmp_path, "p.json", {"coeffs": [[[[-999999999999.59, 0, 0, 0]]], [[[-999999999998.6, 0, 0, 0]]],
+                                              [[[1, 0, 0, 0]]]]})
+    code, out, _ = run_cli(capsys, ["nrange", "--input", p, "--samples", "6"])
+    assert code == 0
+    assert json.loads(out)["result"]["skipped"] == 0
+
+
 def test_error_report_is_written_as_json_dumps_indent_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["eig", "--input", str(tmp_path / "missing-é.json")])
     assert (code, out) == (2, "")

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quatpoly
 from quatpoly import (
     Quaternion,
     StandardEigenvalue,
@@ -12,6 +15,7 @@ from quatpoly import (
     similar,
     standardize,
 )
+from quatpoly.quaternion import moduli
 from _helpers import random_quaternion, random_unit_imaginary
 
 ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
@@ -180,3 +184,42 @@ def test_unit_action_tables():
         assert np.array_equal(CONJ * p.as_array(), p.conj().as_array())
         got = np.einsum("a,akb,b->k", p.as_array(), CONJ_PRODUCT, q.as_array())
         np.testing.assert_allclose(got, (p.conj() * q).as_array(), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("width", [4, 3])
+def test_moduli_keep_the_bits_of_hypot_reduce(width):
+    rng = np.random.default_rng(40 + width)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-310, 1.0, -3.0, 1e308, -1.2e308,
+                1.7e308, np.inf, -np.inf, np.nan]
+    arrays = [rng.standard_normal((60, 7, width)) * 10.0 ** rng.integers(-300, 300, (60, 7, 1)),
+              rng.choice(specials, (5000, width)),
+              # Pairs near 1e308 whose partial moduli overflow to inf.
+              np.where(rng.random((500, width)) < 0.5, 1.3e308, 0.0) * rng.choice([-1.0, 1.0], (500, width)),
+              np.zeros((0, width)), rng.standard_normal(width)]
+    for a in arrays:
+        with np.errstate(over="ignore"):
+            got, want = moduli(a), np.hypot.reduce(a, axis=-1)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    with np.errstate(over="ignore"):
+        assert moduli(np.array([[1.3e308, -1.3e308, 0.0, 0.0][:width]])).tolist() == [np.inf]
+    # Strided views, such as the real part of a complex array.
+    z = rng.standard_normal((9, 5, width)) + 1j * rng.standard_normal((9, 5, width))
+    assert moduli(z.real).tobytes() == np.hypot.reduce(z.real, axis=-1).tobytes()
+
+
+def _hypot_reduces(tree):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "reduce"
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "hypot"):
+            yield node.lineno
+
+
+def test_no_module_reduces_with_hypot():
+    # Every |q| along a last axis goes through quaternion.moduli.
+    package = Path(quatpoly.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 10
+    sites = [f"{path.name}:{line}" for path in modules for line in _hypot_reduces(ast.parse(path.read_text()))]
+    assert sites == []
+    assert list(_hypot_reduces(ast.parse("a = np.hypot.reduce(b, axis=2)\nc = np.hypot(d, e)"))) == [1]

@@ -8,14 +8,17 @@ points of every sphere.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+import _reference
 from _helpers import linear, product, quadratic, random_quaternion
 
 from quatpoly import (MatrixPolynomial, PairingFailureError, Quaternion, QuaternionMatrix, ScalarQPolynomial,
                       StandardEigenvalue, is_eigenvalue_oracle, polyeig, sample_numerical_range,
                       scalar_zeros, stability)
+from quatpoly.matpoly import stacked_zeros
 from quatpoly.quaternion import class_point, standardize
 from quatpoly.tolerances import DEGREE_TRIM_REL
 
@@ -303,3 +306,66 @@ def test_sampler_skips_and_counts_rows_it_cannot_classify(monkeypatch):
         assert result.skipped == len(failing)
         points = [point for i in rows if i not in failing for point in _sampled_points(_one_at_a_time(stack[i]))]
         assert list(zip(result.points.tolist(), result.spherical.tolist())) == points
+
+
+def _stacks(rng, d, count=24):
+    """Seeded (count, d+1, 4) stacks of degree d: generic quaternion rows,
+    real rows (real zeros and spheres), planted (t - a)^2 and (t^2 + bt + c)^2
+    behind random factors, and generic rows spread by 2^(+-27) per coefficient."""
+    generic = rng.standard_normal((count, d + 1, 4))
+    real = rng.standard_normal((count, d + 1, 1)) * (1.0, 0.0, 0.0, 0.0)
+    planted = []
+    for i in range(count if d >= 2 else 0):
+        a = random_quaternion(rng) if rng.random() < 0.5 else Quaternion(rng.standard_normal())
+        b, c = rng.uniform(-2.0, 2.0), rng.uniform(1.5, 3.0)
+        line, sphere = [linear(a)] * 2, [quadratic(-0.5 * b, math.sqrt(c - 0.25 * b * b))] * 2
+        # Alternate (t - a)^2 and (t^2 + bt + c)^2, both where the degree has room.
+        factors = [[random_quaternion(rng)]] + (line if d < 4 or i % 2 else sphere) + (line if d >= 6 else [])
+        factors += [linear(random_quaternion(rng)) for _ in range(d + 1 - len(product(*factors)))]
+        planted.append([q.as_array() for q in product(*factors)])
+    spread = rng.standard_normal((count, d + 1, 4)) * 2.0 ** rng.integers(-27, 28, (count, d + 1, 1))
+    return {"generic": generic, "real": real, "planted": np.array(planted).reshape(-1, d + 1, 4),
+            "spread": spread}
+
+
+def _outcome(finder, a):
+    """The bits of every array ``finder`` returns on a, or its refusal's
+    message and rows; and whether it warned."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = [(z.dtype, z.shape, z.tobytes()) for z in finder(a)]
+        except PairingFailureError as exc:
+            got = str(exc), exc.rows.tolist()
+    return got, bool(caught)
+
+
+def _same_outcome(a):
+    """The all-slot outcome on a, which the class-slot finder must match bit
+    for bit, warning only where the all-slot one warns (the spread rows
+    overflow Horner's rule in both)."""
+    (got, warned), (want, was_warned) = _outcome(stacked_zeros, a), _outcome(_reference.stacked_zeros, a)
+    assert got == want and (was_warned or not warned)
+    return want
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_class_slot_zero_finder_keeps_every_bit_of_the_all_slot_one(d):
+    # The products that numpy rounds by operand shape stay on the full
+    # layout, so degrees 5 and up see the same kernels as degrees 1-4.
+    for kind, stack in _stacks(np.random.default_rng(3000 + d), d).items():
+        refused = [i for i, row in enumerate(stack) if isinstance(_same_outcome(row[None]), tuple)]
+        assert len(refused) <= len(stack) // 4, kind
+        assert isinstance(_same_outcome(stack), tuple) == bool(refused), kind
+        assert isinstance(_same_outcome(np.delete(stack, refused, axis=0)), list), kind
+
+
+def test_class_slot_zero_finder_refuses_the_rows_the_all_slot_one_refuses():
+    # Three real zeros 1e-5 apart behind a random quaternion leading
+    # coefficient: some rows come out not conjugate-closed.
+    rng = np.random.default_rng(2)
+    stack = np.array([[q.as_array() for q in product(
+        [random_quaternion(rng)], *[linear(Quaternion(x + 1e-5 * k)) for k in range(3)])]
+        for x in rng.uniform(-2.0, 2.0, 12)])
+    message, rows = _same_outcome(stack)
+    assert 0 < len(rows) < len(stack)
