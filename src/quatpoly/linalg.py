@@ -510,8 +510,8 @@ def _relative_actions(z: np.ndarray, lifts: np.ndarray, norms: np.ndarray) -> np
     both in units of the power of two below the largest norm (exact, and no
     underflow of tiny scales) and, for |mu| > 1, divided by mu^m so that no
     power exceeds 1.  A scale below 1/2 and its W(mu) are scaled up by a power
-    of two of their own (exact): numpy divides a complex array by the
-    reciprocal of a real, which a subnormal scale would overflow.  A zero
+    of two of their own (exact), as W(mu) is then multiplied in place by the
+    reciprocal of its scale, which a subnormal scale would overflow.  A zero
     scale means a zero action."""
     unit = math.ldexp(1.0, math.frexp(norms.max())[1] - 1)
     big = np.abs(z) > 1.0
@@ -521,9 +521,13 @@ def _relative_actions(z: np.ndarray, lifts: np.ndarray, norms: np.ndarray) -> np
     powers[big] = powers[big, ::-1]
     weights = np.abs(powers) @ (norms / unit)
     shift = -np.minimum(np.frexp(weights)[1], 0)
-    w = np.ldexp(np.tensordot(powers, lifts / unit, axes=1).view(np.float64), shift[:, None, None])
-    weights = np.ldexp(weights, shift)
-    return w.view(complex) / np.where(weights > 0.0, weights, 1.0)[:, None, None]
+    w = np.tensordot(powers, lifts / unit, axes=1)
+    parts = w.view(np.float64)
+    if shift.any():
+        np.ldexp(parts, shift[:, None, None], out=parts)
+        weights = np.ldexp(weights, shift)
+    parts *= (1.0 / np.where(weights > 0.0, weights, 1.0))[:, None, None]
+    return w
 
 
 def _standard_eigenvalues(vals, lifts, norms) -> list[StandardEigenvalue]:

@@ -287,19 +287,20 @@ def _realified_operators(lefts, words, counts, norms, mus) -> tuple[np.ndarray, 
     return ops, norms @ np.linalg.norm(values, axis=2)
 
 
-def sweep_chunks(count: int, doubles_each: int) -> Iterator[tuple[int, int]]:
+def sweep_chunks(count: int, doubles_each: int, _first_alone: bool = False) -> Iterator[tuple[int, int]]:
     """The (start, stop) chunks of a sweep over ``count`` candidates of ``doubles_each`` doubles:
-    the first alone, as it is often the witness, then as many as SWEEP_CHUNK_DOUBLES doubles hold,
-    since a chunk's fixed cost outweighs many candidates (README, realified oracle)."""
+    as many as SWEEP_CHUNK_DOUBLES doubles hold, since a chunk's fixed cost outweighs many
+    candidates (README, realified oracle), but the first alone where it is likely the witness."""
     cap = max(1, SWEEP_CHUNK_DOUBLES // doubles_each)
-    start, stop = 0, min(1, count)
+    start, stop = 0, min(1 if _first_alone else cap, count)
     while start < count:
         yield start, stop
         start, stop = stop, min(stop + cap, count)
 
 
 def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
-                    points: np.ndarray, k: int = 1, norms: np.ndarray | None = None):
+                    points: np.ndarray, k: int = 1, norms: np.ndarray | None = None,
+                    _first_alone: bool = False):
     """The realified oracle over every k-tuple of the (P, 4) [w, x, y, z]
     rows ``points``, in lexicographic order (that of ``itertools.product``).
 
@@ -314,7 +315,8 @@ def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
     ("singular", its (k, 4) rows, unit kernel vector) for the first singular
     tuple, else ("unknown", None, None) when some tuple fell in the rank
     dead band, else ("nonsingular", None, None).  ``norms``, the ||A_w||_2
-    when the caller has them, spares the sweep its SVD of the term lifts.
+    when the caller has them, spares the sweep its SVD of the term lifts;
+    ``_first_alone`` sends the first tuple to the rank test on its own.
     """
     n = terms[0][1].n_rows
     # One exact power-of-two scale keeps the operators finite; no rank decision moves.
@@ -327,7 +329,7 @@ def realified_sweep(terms: Sequence[tuple[Sequence[int], QuaternionMatrix]],
     counts = np.array([np.bincount(word, minlength=k + 1)[1:k + 1] for word in words])
     strides = len(points) ** np.arange(k - 1, -1, -1)
     undecided = False
-    for start, stop in sweep_chunks(len(points) ** k, (4 * n) ** 2):
+    for start, stop in sweep_chunks(len(points) ** k, (4 * n) ** 2, _first_alone):
         tuples = points[np.arange(start, stop)[:, None] // strides % len(points)]
         status, kernels = rank_decisions(*_realified_operators(lefts, words, counts, norms, tuples))
         hits = np.flatnonzero(status == "singular")

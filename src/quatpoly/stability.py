@@ -338,7 +338,9 @@ def check_stability(p: MatrixPolynomial, region: Region, *,
                                in zip(spectrum, margins.tolist()) if margin > band]).reshape(-1, 4)
             boundary_seen = not (margins < -band).all()
             route = "spectrum-class-geometry"
-    status, hit, vector = (realified_sweep(p.terms, points, norms=p.lift_sigma[:, 0])
+    # A class witness is a computed eigenvalue, so the first is decided alone.
+    status, hit, vector = (realified_sweep(p.terms, points, norms=p.lift_sigma[:, 0],
+                                           _first_alone=route == "spectrum-class-geometry")
                            if len(points) else ("nonsingular", None, None))
     if status == "singular":
         return StabilityVerdict(StabilityStatus.NOT_STABLE, route, Quaternion(*hit[0]), vector)

@@ -3,7 +3,8 @@ point or class sphere by ``math.hypot``, the Halton ball grid and its
 rejection sampler one point at a time, as the package once computed them,
 and a multivariate action from ``Quaternion`` products of the letters.  Also
 the ball grid as ``Quaternion`` objects, for tests that probe with them, and
-the zero finder as it once ran, over all 2d root slots of every row."""
+the zero finder as it once ran, over all 2d root slots of every row, and
+the relative residual actions as they were once scaled, into fresh arrays."""
 
 import math
 from typing import Sequence
@@ -179,3 +180,19 @@ def stacked_zeros(a: np.ndarray) -> tuple[np.ndarray, ...]:
     order = np.lexsort((classes[:, 1], classes[:, 0], np.hypot(*classes.T), rows))
     return (rows[order], classes[order], points[order], spherical[rows, cols][order],
             shares[order], residuals[order])
+
+
+def relative_actions(z: np.ndarray, lifts: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``linalg._relative_actions`` as it once ran: ldexp and a complex by
+    real division, each into a fresh array."""
+    unit = math.ldexp(1.0, math.frexp(norms.max())[1] - 1)
+    big = np.abs(z) > 1.0
+    z = z.astype(complex)
+    z[big] = 1.0 / z[big]
+    powers = z[:, None] ** np.arange(len(norms))
+    powers[big] = powers[big, ::-1]
+    weights = np.abs(powers) @ (norms / unit)
+    shift = -np.minimum(np.frexp(weights)[1], 0)
+    w = np.ldexp(np.tensordot(powers, lifts / unit, axes=1).view(np.float64), shift[:, None, None])
+    weights = np.ldexp(weights, shift)
+    return w.view(complex) / np.where(weights > 0.0, weights, 1.0)[:, None, None]

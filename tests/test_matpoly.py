@@ -39,6 +39,7 @@ from quatpoly import linalg, matpoly
 from quatpoly.eigensolver import singular_values
 from quatpoly.quaternion import StandardEigenvalue, class_distance, class_point
 from quatpoly.tolerances import POLYEIG_RESIDUAL_REL
+import _reference
 from _helpers import (
     linear,
     product,
@@ -403,6 +404,42 @@ def test_residual_check_across_coefficient_spreads():
                 failures[s] += 1
     assert failures[2] == failures[4] == 0
     assert failures[6] <= 9
+
+
+def test_relative_actions_in_place_equal_the_fresh_array_scaling():
+    # W(mu) is scaled in place, by ldexp only where a scale is shifted and
+    # then by the reciprocal of its scale: the bits are those of the former
+    # ldexp and complex-by-real division into fresh arrays.  Draws plant -0
+    # and zero entries, zero and real coefficients, mu of 0, +-1 and beyond
+    # the unit circle, and coefficient scales 2^(+-300), which shift.
+    rng = np.random.default_rng(6100)
+    shifted = 0
+    for draw in range(600):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        lifts = np.array([complex_adjoint(random_qmatrix(rng, n)) for _ in range(m + 1)])
+        kind = draw % 5
+        if kind == 1:
+            lifts[int(rng.integers(0, m + 1))] = 0.0
+        elif kind == 2:
+            lifts = lifts.real.astype(complex)
+        elif kind == 3:
+            lifts *= rng.random(lifts.shape) < 0.5
+        elif kind == 4:
+            lifts = np.where(rng.random(lifts.shape) < 0.3, -0.0, lifts)
+        if draw % 2:
+            lifts *= 2.0 ** rng.integers(-300, 301, (m + 1, 1, 1))
+        norms = np.linalg.norm(lifts, 2, axis=(1, 2))
+        count = int(rng.integers(1, 2 * m * n + 1))
+        z = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) * 10.0 ** rng.uniform(-4, 4, count)
+        z[rng.random(count) < 0.2] = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -3.0])
+        want = _reference.relative_actions(z, lifts, norms)
+        assert np.array_equal(linalg._relative_actions(z, lifts, norms).view(np.int64), want.view(np.int64))
+        # A scale under a quarter of the largest norm is shifted up.
+        mod = np.abs(z)[:, None]
+        with np.errstate(divide="ignore"):  # 0 ** -i in the branch not taken
+            scales = np.where(mod > 1.0, mod ** (np.arange(m + 1) - m), mod ** np.arange(m + 1)) @ norms
+        shifted += bool((scales < 0.25 * norms.max()).any())
+    assert shifted > 50
 
 
 def test_oracle_deadband_returns_unknown():

@@ -364,12 +364,12 @@ def _far_points(rng, count):
     return [Quaternion(10.0) + random_quaternion(rng) for _ in range(count)]
 
 
-@pytest.mark.parametrize("planted", [0, 1, 4, 5, 8, 9, 20, 21, 84, 85, 99])
+@pytest.mark.parametrize("planted", [0, 1, 3, 4, 5, 7, 8, 9, 20, 21, 83, 84, 85, 99])
 def test_sweep_reports_the_first_singular_tuple_across_chunks(monkeypatch, planted):
-    # A cap of 4 operators puts the chunk edges at 1, 5, 9, ..., 97: plant an
-    # exact eigenvalue on either side of 1, 5, 9, 21 and 85 and in the short
-    # last chunk, and a second one later, the other eigenvalue, so that the
-    # rows tell the two apart.
+    # A cap of 4 operators puts the chunk edges at 4, 8, ..., 96: plant an
+    # exact eigenvalue on either side of 4, 8 and 84, inside chunks and in
+    # the last chunk, and a second one later, the other eigenvalue, so that
+    # the rows tell the two apart.
     from quatpoly import matpoly
 
     monkeypatch.setattr(matpoly, "SWEEP_CHUNK_DOUBLES", 4 * (4 * _SHIFTED.size) ** 2)
@@ -392,7 +392,7 @@ def test_sweep_prefers_a_later_singular_tuple_to_an_earlier_dead_band():
 
 def test_sweep_matches_one_tuple_at_a_time_on_random_multivariate_input(monkeypatch):
     # 6^2 = 36 tuples of two letters, then 5^3 = 125 of three, across the
-    # chunk edges 1, 11, 21, ... of a cap of 10 operators.
+    # chunk edges 10, 20, 30, ... of a cap of 10 operators.
     from quatpoly import matpoly
 
     rng = np.random.default_rng(4106)
@@ -571,7 +571,7 @@ def test_prefix_cache_equals_the_per_tuple_build(monkeypatch, k, n):
     # the renormalisation schedule counts from the start of each word, so a
     # 1,100-letter word beside its own 600-letter prefix (renormalised at
     # letter 512, inside the cached prefix) is exact too.  A chunk cap of 6
-    # operators gives a chunk of 1 and then chunks of the cap.
+    # operators gives chunks of the cap from the first tuple on.
     from quatpoly import matpoly
 
     monkeypatch.setattr(matpoly, "SWEEP_CHUNK_DOUBLES", 6 * (4 * n) ** 2)
@@ -586,18 +586,18 @@ def test_prefix_cache_equals_the_per_tuple_build(monkeypatch, k, n):
         points = [draw(rng) for _ in range(count)]
         seen.clear()
         realified_sweep(p.terms, np.array([q.as_array() for q in points]), k)
-        assert [len(stack) for stack, _ in seen[:3]] == [1, 6, 6]
+        assert [len(stack) for stack, _ in seen[:3]] == [6, 6, 6]
         _assert_chunks_equal_the_per_tuple_build(seen, p.terms, points, k)
 
 
 def test_prefix_cache_equals_the_per_tuple_build_at_the_chunk_cap(monkeypatch):
-    # At n = 4 the cap is 256 operators: 343 tuples go in chunks of 1, 256 and 86.
+    # At n = 4 the cap is 256 operators: 343 tuples go in chunks of 256 and 87.
     seen = _record_sweep_chunks(monkeypatch)
     rng = np.random.default_rng(4110)
     p = MultiPolynomial.build(3, [(w, random_qmatrix(rng, 4)) for w in _SHARED_PREFIX_WORDS[3][0]])
     points = [random_quaternion(rng) for _ in range(7)]
     realified_sweep(p.terms, np.array([q.as_array() for q in points]), 3)
-    assert [len(stack) for stack, _ in seen] == [1, 256, 86]
+    assert [len(stack) for stack, _ in seen] == [256, 87]
     _assert_chunks_equal_the_per_tuple_build(seen, p.terms, points, 3)
 
 

@@ -358,14 +358,16 @@ def test_block_draws_equal_the_row_by_row_loop(monkeypatch, floor):
 
 
 # With a cap of 4 candidates the search takes its 24 candidates in chunks
-# [0], [1, 4], [5, 8], ..., [17, 20], [21, 23].  With n = 5 the candidates
-# 0-19 are the canonical e_t u (position 4t + u for u = 1, i, j, k) and 20
-# on are random.  An exact certificate of e_t u is one of e_t too, since
-# A_i e_t u = (A_i e_t) u, so it lands at position 4t: exact ones go before
-# the edges 1, 5 and 9 and on both sides of 21, sampled ones on both sides
-# of all four.
+# [0, 3], [4, 7], ..., [20, 23].  With n = 5 the candidates 0-19 are the
+# canonical e_t u (position 4t + u for u = 1, i, j, k) and 20 on are random.
+# An exact certificate of e_t u is one of e_t too, since A_i e_t u =
+# (A_i e_t) u, so it lands at position 4t, and a sampled one planted at
+# e_t k makes e_t i one too, so the last place before an edge is 4t + 1.
+# Exact ones go at 16 and just after the edges 4, 8 and 20, sampled ones
+# at 4t + 1 before each of those edges and at 4t after it, and both at the
+# ends of the last chunk.
 BOUNDARY_N, BOUNDARY_Y_SAMPLES, BOUNDARY_SEED = 5, 4, 17
-BOUNDARY_CAP, BOUNDARY_CHUNKS = 4, [1, 4, 4, 4, 4, 4, 3]
+BOUNDARY_CAP, BOUNDARY_CHUNKS = 4, [4, 4, 4, 4, 4, 4]
 EIGENVALUE = Quaternion(0.3, 0.0, 0.5, 0.0)  # i EIGENVALUE / i = 0.3 - 0.5j
 PRODUCT_FACTOR = Quaternion(0.3, 0.2, -0.4, 0.1)
 
@@ -434,9 +436,10 @@ def _boundary_case(plants, region, seed):
 
 UNIT_BALL = Region.closed_ball(Quaternion.ZERO, 1.0)
 AT_EIGENVALUE = Region.closed_ball(EIGENVALUE, 1e-3)
-BOUNDARY_CASES = ([("universal-kernel", position) for position in (0, 4, 8, 20, 21)]
-                  + [("quadratic-product-certificate", position) for position in (0, 4, 8, 20, 21)]
-                  + [("sampled-z-exhaustion", position) for position in (0, 1, 4, 5, 8, 9, 20, 21)])
+BOUNDARY_CASES = ([("universal-kernel", position) for position in (0, 4, 8, 16, 20, 21, 23)]
+                  + [("quadratic-product-certificate", position) for position in (0, 4, 8, 16, 20, 21, 23)]
+                  + [("sampled-z-exhaustion", position)
+                     for position in (0, 1, 4, 5, 8, 9, 17, 20, 21, 23)])
 
 
 @pytest.mark.parametrize("certificate,position", BOUNDARY_CASES)
@@ -478,14 +481,17 @@ def _killed_at_e0(rng, n, value):
 def test_sweeps_and_the_search_do_not_depend_on_the_chunk_cap(monkeypatch, chunk_lengths):
     # Each chunk is decided on its own and the search draws per y in order,
     # so caps of 1, 2 and 7 candidates give the default cap's results bit
-    # for bit.  Every hit lies past the first chunk edge: a finite-set sweep
-    # hits point 17 of 30, a two-letter sweep tuple 29 of 64 and the search
-    # a sampled witness at candidate 9 of 24.
+    # for bit.  Past the first chunk edge of the small caps, a finite-set
+    # sweep hits point 17 of 30, a two-letter sweep tuple 29 of 64 and the
+    # search a sampled witness at candidate 9 of 24.  A finite set whose
+    # first point is its only eigenvalue hits there, alone at a cap of 1 and
+    # in a chunk of 18 at the default cap.
     rng = np.random.default_rng(8500)
     a, b = _killed_at_e0(rng, 3, 0.5)
     p = MatrixPolynomial([b, a])
     points = [Quaternion(10.0) + random_quaternion(rng) for _ in range(30)]
     points[17] = Quaternion(0.5)
+    first = Region.finite_set(points[17:0:-1] + points[:1])
     a, b = _killed_at_e0(rng, 2, 0.125)
     q = MultiPolynomial.build(2, [((1, 2), a), ((), b)])
     letters = [Quaternion(10.0) + random_quaternion(rng) for _ in range(8)]
@@ -503,6 +509,7 @@ def test_sweeps_and_the_search_do_not_depend_on_the_chunk_cap(monkeypatch, chunk
         operators.clear()
         chunk_lengths.clear()
         one = capped(cap, 12 ** 2, lambda: check_stability(p, Region.finite_set(points)))
+        head = capped(cap, 12 ** 2, lambda: check_stability(p, first))
         multi = capped(cap, 8 ** 2, lambda: check_stability_multi(q, Region.finite_set(letters)))
         hit, ys = capped(cap, _probe_doubles(BOUNDARY_N, 2),
                          lambda: _boundary_case([("sampled-z-exhaustion", 9)], AT_EIGENVALUE, 8309))
@@ -510,15 +517,46 @@ def test_sweeps_and_the_search_do_not_depend_on_the_chunk_cap(monkeypatch, chunk
             assert max(operators) == max(chunk_lengths) == cap
         assert np.array_equal(vec4(hit.vector), vec4(ys[9]))
         return [one.status, np.array(one.witness.as_array()).tobytes(), vec4(one.vector).tobytes(),
+                head.status, np.array(head.witness.as_array()).tobytes(), vec4(head.vector).tobytes(),
                 multi.status, np.array([x.as_array() for x in multi.witness_tuple]).tobytes(),
                 vec4(multi.witness_vector).tobytes(), hit.certificate, vec4(hit.vector).tobytes()]
 
     want = results(None)
-    assert want[0] is want[3] is StabilityStatus.NOT_STABLE
-    assert want[1] == np.array([0.5, 0, 0, 0]).tobytes()
-    assert want[4] == np.array([[0.5, 0, 0, 0], [0.25, 0, 0, 0]]).tobytes()
+    assert want[0] is want[3] is want[6] is StabilityStatus.NOT_STABLE
+    assert want[1] == want[4] == np.array([0.5, 0, 0, 0]).tobytes()
+    assert want[7] == np.array([[0.5, 0, 0, 0], [0.25, 0, 0, 0]]).tobytes()
     for cap in (1, 2, 7):
         assert results(cap) == want, cap
+
+
+def test_only_class_witnesses_go_to_the_rank_test_alone(monkeypatch):
+    # A class witness is a computed eigenvalue, so the spectrum-class route
+    # hands its first point over alone.  A finite set, an oracle-sampling
+    # grid and a tuple sweep start at min(cap, count) operators; at n = 8
+    # the cap is 2^16 / 32^2 = 64.
+    decide, stacks = matpoly.rank_decisions, []
+    monkeypatch.setattr(matpoly, "rank_decisions",
+                        lambda stack, scale: stacks.append(len(stack)) or decide(stack, scale))
+    rng = np.random.default_rng(8600)
+    p = random_polynomial(rng, 8, 2, invertible_ends=True)
+    verdict = check_stability(p, Region.closed_ball(Quaternion.ZERO, 1e6))
+    assert (verdict.status, verdict.certificate) == (StabilityStatus.NOT_STABLE, "spectrum-class-geometry")
+    assert stacks == [1]
+    cap = matpoly.SWEEP_CHUNK_DOUBLES // (4 * 8) ** 2
+    far = [Quaternion(1e3) + random_quaternion(rng) for _ in range(100)]
+    lead = random_qmatrix(rng, 8)
+    lead.a1[:, 0], lead.a2[:, 0] = 0.0, 0.0
+    singular = MatrixPolynomial([*p.coeffs[:2], lead])
+    ball = Region.closed_ball(Quaternion(1e3), 1.0)
+    a, b = random_qmatrix(rng, 8), random_qmatrix(rng, 8)
+    q = MultiPolynomial.build(2, [((1, 2), a), ((), b)])
+    for call, count in ((lambda: check_stability(p, Region.finite_set(far)), 100),
+                        (lambda: check_stability(singular, ball, samples=40), 40),
+                        (lambda: check_stability(singular, ball), 500),
+                        (lambda: check_stability_multi(q, Region.finite_set(far[:10])), 100)):
+        stacks.clear()
+        call()
+        assert stacks[0] == min(cap, count) and sum(stacks) == count
 
 
 def _span_stacks(rng):
