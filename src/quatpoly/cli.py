@@ -95,8 +95,7 @@ def _run_hyperstable(args: argparse.Namespace) -> dict:
     verdict = check_hyperstability(poly, region, partition=partition,
                                    band=args.boundary_band,
                                    y_samples=max(1, args.samples // 32),
-                                   seed=args.seed,
-                                   evidence_samples=max(1, args.samples // 4))
+                                   seed=args.seed)
     witness = (qio.vector_to_json(verdict.witness)
                if verdict.witness is not None else None)
     result = {"status": verdict.status.value}

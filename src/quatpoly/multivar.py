@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import ZeroInOmegaError
 from .linalg import QuaternionMatrix
-from .matpoly import realified_sweep
+from .matpoly import MatrixPolynomial, realified_sweep
 from .quaternion import Quaternion, moduli
-from .stability import HyperStatus, HyperVerdict, Region, RegionKind, StabilityStatus
+from .stability import HyperStatus, HyperVerdict, Region, RegionKind, StabilityStatus, check_stability
 from .tolerances import OMEGA_ZERO_ABS
 
 Word = tuple[int, ...]
@@ -159,7 +159,10 @@ def derive_hyperstability_cubic(c3: QuaternionMatrix, c2: QuaternionMatrix,
     The published form of the rule repeats the constant coefficient in the
     leading position; ``leading`` selects between that literal reading
     ("literal", C_a = C_0) and the plausible-typo reading ("a3", C_a = C_3).
-    Requires 0 outside omega; one-directional like the quadratic rule.
+    At u = v the literal operator is C_0 v^3 + C_2 v^2 + C_1 v + C_0, not P,
+    so its HYPERSTABLE stands only where P itself is stable over omega; else
+    it is UNKNOWN.  Requires 0 outside omega; one-directional like the
+    quadratic rule.
     """
     if leading not in ("literal", "a3"):
         raise ValueError("leading must be 'literal' or 'a3'")
@@ -172,6 +175,11 @@ def derive_hyperstability_cubic(c3: QuaternionMatrix, c2: QuaternionMatrix,
                                       ((1,), c1), ((), c0)])
     verdict = check_stability_multi(multi, omega)
     certificate = f"multivariate-cubic-{leading}"
+    if verdict.status is StabilityStatus.STABLE and leading == "literal":
+        stab = check_stability(MatrixPolynomial([c0, c1, c2, c3], trim=True), omega)
+        if stab.status is not StabilityStatus.STABLE:
+            has = "has" if stab.status is StabilityStatus.NOT_STABLE else "may have"
+            return HyperVerdict(HyperStatus.UNKNOWN, f"{certificate} (P {has} an eigenvalue in omega)")
     if verdict.status is StabilityStatus.STABLE:
         return HyperVerdict(HyperStatus.HYPERSTABLE, certificate)
     return HyperVerdict(HyperStatus.UNKNOWN,

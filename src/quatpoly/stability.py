@@ -6,9 +6,9 @@ spheres, membership against balls, ball complements and annuli reduces to
 closed-form distances between the region center and each class; a thin dead
 band around every boundary yields UNKNOWN instead of a guess.
 Hyperstability is strictly stronger and is only ever certified through a
-structural theorem (scalar, triangular, or block composition) or, over a
-finite set, through stability itself; sampling can refute it but never
-establish it.
+structural theorem (scalar, triangular, linear or block composition) or,
+over a finite set, through stability itself; sampling can refute it but
+never establish it, and an eigenvalue in the region refutes it exactly.
 """
 
 from __future__ import annotations
@@ -836,83 +836,67 @@ def _diagonal_block_polynomial(p: MatrixPolynomial, sl: slice) -> Optional[Matri
 def check_hyperstability(p: MatrixPolynomial, region: Region, *,
                          partition: Optional[Sequence[int]] = None,
                          band: float = BOUNDARY_BAND,
-                         y_samples: int = 16, seed: int = 42,
-                         evidence_samples: int = 120) -> HyperVerdict:
+                         y_samples: int = 16, seed: int = 42) -> HyperVerdict:
     """Certificate ladder for hyperstability; first match wins.
 
     (1) scalar polynomials: hyperstable iff stable;
     (2) upper triangular with identity leading coefficient: likewise;
     (3) block upper triangular with a declared partition: hyperstable when
         every diagonal block is (composition is one-directional);
-    (4) finite sets {p_1, ..., p_K}: hyperstable iff stable.  A witness y
+    (4) balls: counterexample search producing a sampled negative witness;
+    (5) finite sets {p_1, ..., p_K}: hyperstable iff stable.  A witness y
         needs every z in one of the K real subspaces {z : z* P(p_k) y = 0},
         and a real vector space is no finite union of proper subspaces, so
         P(p_k) y = 0 for some k;
-    (5) balls: counterexample search producing a sampled negative witness;
-    (6) otherwise UNKNOWN, with sampled numerical-range disjointness quoted
-        as evidence in the certificate text but never as a proof.
+    (6) linear pencils: hyperstable iff stable.  Let u = A_1 y, v = A_0 y.
+        If v is not in the right span u H, the probe z = v - u (u* v)/|u|^2
+        makes z* P(t) y the nonzero constant z* v, so y is no witness.
+        Otherwise z* P(t) y = (z* u)(t - mu) with P(mu) y = 0, or P(t) y
+        vanishes identically;
+    (7) otherwise the stability verdict refutes: if P(mu) y = 0 with mu in
+        the region, every probe z* P(t) y vanishes there.  STABLE or UNKNOWN
+        ends UNKNOWN, with the step that refused as the certificate.
 
-    Rungs (1), (2) and (4) refute with an exact witness, the oracle's kernel
-    vector at ``details["witness_eigenvalue"]``, yet report it under
+    Every rung but (3) and (4) refutes with an exact witness, the oracle's
+    kernel vector at ``details["witness_eigenvalue"]``, yet reports it under
     NOT_HYPERSTABLE_SAMPLED like the search: the status set stays that of
-    the report contract, and the certificate names the rung.
+    the report contract, and the certificate names the rung.  The search
+    comes before (6) and (7), so every verdict it decides stands.
     """
     struct_tol = STRUCTURE_REL * max(1.0, max(a.max_entry_modulus() for a in p.coeffs))
-
-    if p.size == 1:
-        return _equivalence_verdict(p, region, band, "scalar-equivalence")
-
     identity = QuaternionMatrix.identity(p.size)
-    if p.coeffs[-1].allclose(identity, IDENTITY_ABS) and _is_block_upper_triangular(
+    if p.size == 1:
+        rung = "scalar-equivalence"
+    elif p.coeffs[-1].allclose(identity, IDENTITY_ABS) and _is_block_upper_triangular(
             p, _block_partition_slices([1] * p.size, p.size), struct_tol):
-        return _equivalence_verdict(p, region, band, "triangular-equivalence")
+        rung = "triangular-equivalence"
+    else:
+        if partition is not None and len(partition) >= 2:
+            slices = _block_partition_slices(partition, p.size)
+            blocks = (_diagonal_block_polynomial(p, sl) for sl in slices)
+            if _is_block_upper_triangular(p, slices, struct_tol) and all(
+                    block is not None and check_hyperstability(
+                        block, region, band=band, y_samples=y_samples,
+                        seed=seed).status is HyperStatus.HYPERSTABLE
+                    for block in blocks):
+                return HyperVerdict(HyperStatus.HYPERSTABLE, "block-composition")
+        if region.kind in _BALL_KINDS:
+            hit = not_hyperstable_search(p, region, band=band, y_samples=y_samples, seed=seed)
+            if hit is not None:
+                return HyperVerdict(HyperStatus.NOT_HYPERSTABLE_SAMPLED,
+                                    hit.certificate, witness=hit.vector)
+        rung = ("finite-set-equivalence" if region.kind is RegionKind.FINITE_SET
+                else "linear-equivalence" if p.degree == 1 else None)
 
-    if partition is not None and len(partition) >= 2:
-        slices = _block_partition_slices(partition, p.size)
-        blocks = (_diagonal_block_polynomial(p, sl) for sl in slices)
-        if _is_block_upper_triangular(p, slices, struct_tol) and all(
-                block is not None and check_hyperstability(
-                    block, region, band=band, y_samples=y_samples, seed=seed,
-                    evidence_samples=evidence_samples).status is HyperStatus.HYPERSTABLE
-                for block in blocks):
-            return HyperVerdict(HyperStatus.HYPERSTABLE, "block-composition")
-
-    if region.kind is RegionKind.FINITE_SET:
-        return _equivalence_verdict(p, region, band, "finite-set-equivalence")
-
-    if region.kind in _BALL_KINDS:
-        hit = not_hyperstable_search(p, region, band=band, y_samples=y_samples, seed=seed)
-        if hit is not None:
-            return HyperVerdict(HyperStatus.NOT_HYPERSTABLE_SAMPLED,
-                                hit.certificate, witness=hit.vector)
-
-    evidence = _numerical_range_evidence(p, region, evidence_samples, seed)
-    return HyperVerdict(HyperStatus.UNKNOWN,
-                        f"inconclusive ({evidence}; evidence only)",
-                        details={"evidence": evidence})
-
-
-def _equivalence_verdict(p: MatrixPolynomial, region: Region, band: float,
-                         certificate: str) -> HyperVerdict:
     stab = check_stability(p, region, band=band)
-    if stab.status is StabilityStatus.STABLE:
-        return HyperVerdict(HyperStatus.HYPERSTABLE, certificate)
     if stab.status is StabilityStatus.NOT_STABLE:
-        return HyperVerdict(HyperStatus.NOT_HYPERSTABLE_SAMPLED, certificate,
-                            witness=stab.vector,
-                            details={"witness_eigenvalue": stab.witness})
-    return HyperVerdict(HyperStatus.UNKNOWN, certificate + "-inconclusive")
-
-
-def _numerical_range_evidence(p: MatrixPolynomial, region: Region,
-                              samples: int, seed: int) -> str:
-    try:
-        result = sample_numerical_range(p, samples, seed)
-    except DegenerateCoefficientsError:
-        return "numerical-range sampling degenerate"
-    hits = int(region.contains_rows(result.points, result.spherical).sum())
-    if hits:
-        return (f"sampled numerical range meets the region "
-                f"({hits} of {len(result.points)} points)")
-    return (f"sampled numerical range disjoint from the region "
-            f"({len(result.points)} points)")
+        return HyperVerdict(HyperStatus.NOT_HYPERSTABLE_SAMPLED, rung or "stability-witness",
+                            witness=stab.vector, details={"witness_eigenvalue": stab.witness})
+    if rung is not None:
+        if stab.status is StabilityStatus.STABLE:
+            return HyperVerdict(HyperStatus.HYPERSTABLE, rung)
+        return HyperVerdict(HyperStatus.UNKNOWN, rung + "-inconclusive")
+    if stab.status is StabilityStatus.UNKNOWN:
+        return HyperVerdict(HyperStatus.UNKNOWN, stab.certificate)
+    return HyperVerdict(HyperStatus.UNKNOWN, "stable; no search witness" if region.kind in _BALL_KINDS
+                        else "stable; no search for this region kind")

@@ -183,6 +183,29 @@ def test_multivar_cubic_derivation(tmp_path, capsys):
     assert report["certificate"] == "multivariate-cubic-a3"
 
 
+def test_an_eigenvalue_in_omega_gets_hyperstable_from_no_command(tmp_path, capsys):
+    # (t - 1)(t - 2)(t - 3) over {1}: the literal cubic reading's operator at
+    # u = v is not P and is stable on {1}^2, but P has the eigenvalue 1 there.
+    eye1 = [[ONE_Q]]
+    p = write(tmp_path, "p.json", {"coeffs": [[[[-6, 0, 0, 0]]], [[[11, 0, 0, 0]]],
+                                              [[[-6, 0, 0, 0]]], eye1]})
+    r = write(tmp_path, "r.json", {"kind": "finite_set", "points": [ONE_Q]})
+    statuses = {}
+    for argv in (["multivar"], ["multivar", "--cubic-leading", "a3"], ["hyperstable"],
+                 ["stable"]):
+        code, out, err = run_cli(capsys, [*argv, "--input", p, "--region", r])
+        assert code == 0, err
+        report = json.loads(out)
+        statuses[" ".join(argv)] = (report["result"]["status"], report["certificate"])
+    assert statuses == {
+        "multivar": ("UNKNOWN", "multivariate-cubic-literal (P has an eigenvalue in omega)"),
+        "multivar --cubic-leading a3": (
+            "UNKNOWN", "multivariate-cubic-a3 (multivariate stability not established)"),
+        "hyperstable": ("NOT_HYPERSTABLE_SAMPLED", "scalar-equivalence"),
+        "stable": ("NOT_STABLE", "pointwise-oracle"),
+    }
+
+
 def test_determinism_byte_identical(tmp_path, capsys):
     p = write(tmp_path, "p.json", GOLDEN_POLY)
     _, out1, _ = run_cli(capsys, ["eig", "--input", p, "--seed", "7"])
@@ -195,7 +218,7 @@ def test_determinism_byte_identical(tmp_path, capsys):
     assert out1 == out2
 
     # A non-triangular 2 x 2 quadratic runs the sampled search, and then the
-    # numerical-range evidence of an inconclusive verdict.
+    # stability verdict, which is STABLE and so ends UNKNOWN.
     full = write(tmp_path, "p3.json", {"coeffs": [[[ONE_Q, I_Q], [J_Q, K_Q]],
                                                   [[ZERO, ONE_Q], [ONE_Q, ZERO]], EYE2]})
     region = write(tmp_path, "r.json", {"kind": "open_ball", "center": ZERO, "radius": 0.5})
@@ -220,7 +243,7 @@ def _indent_2(text):
                  {"kind": "open_ball", "center": ZERO, "radius": 1.0}, id="hyperstable"),
     pytest.param(["hyperstable", "--samples", "64", "--seed", "5"],
                  {"coeffs": [[[ONE_Q, I_Q], [J_Q, K_Q]], [[ZERO, ONE_Q], [ONE_Q, ZERO]], EYE2]},
-                 {"kind": "open_ball", "center": ZERO, "radius": 0.5}, id="hyperstable-evidence"),
+                 {"kind": "open_ball", "center": ZERO, "radius": 0.5}, id="hyperstable-unknown"),
     pytest.param(["nrange", "--samples", "50"], GOLDEN_POLY, None, id="nrange"),
     pytest.param(["nrange", "--samples", "20"], J_SHIFT_POLY, None, id="nrange-spheres"),
     pytest.param(["multivar"], MIXED_MULTI,
@@ -438,10 +461,13 @@ def test_hyperstable_with_partition_in_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("root", [1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52, None])
-def test_hyperstable_zero_on_closed_boundary_is_unknown(tmp_path, capsys, monkeypatch, root):
+def test_hyperstable_verdict_ignores_how_a_boundary_zero_rounds(tmp_path, capsys, monkeypatch,
+                                                                root):
     # Sampled scalar polynomials of TRI have a double zero at exactly 1, on
     # the sphere of the closed unit ball; the verdict must not depend on how
     # the root finder rounds it (None keeps the root finder's own value).
+    # The pencil TRI has the eigenvalue 0 strictly inside the ball, so the
+    # linear rung refutes with that exact witness after the search.
     from quatpoly import matpoly
 
     if root is not None:
@@ -452,7 +478,10 @@ def test_hyperstable_zero_on_closed_boundary_is_unknown(tmp_path, capsys, monkey
     r = write(tmp_path, "r.json", {"kind": "open_ball", "center": ZERO, "radius": 1.0})
     code, out, _ = run_cli(capsys, ["hyperstable", "--input", p, "--region", r, "--closed"])
     assert code == 0
-    assert json.loads(out)["result"]["status"] == "UNKNOWN"
+    report = json.loads(out)
+    assert report["result"] == {"status": "NOT_HYPERSTABLE_SAMPLED",
+                                "witness_eigenvalue": [0, 0, 0, 0]}
+    assert report["certificate"] == "linear-equivalence"
 
 
 def test_exit_code_3_for_numerical_failures(tmp_path, capsys, monkeypatch):
@@ -836,13 +865,28 @@ def test_boundary_band_does_not_widen_a_finite_set(tmp_path, capsys):
 def test_spherical_numerical_range_samples_count_as_spheres(tmp_path, capsys):
     # Every y* P(t) y of P = (t^2 + 1) M has the unit sphere as its zeros,
     # and the sphere passes through the center j of the annulus.
+    from quatpoly import sample_numerical_range
+    from quatpoly.io import polynomial_from_json, region_from_json
+
     m = [[ONE_Q, [0.5, 0.2, 0, 0]], [[0.3, 0, 0.4, 0], [1, 0, 0, 0.1]]]
-    p = write(tmp_path, "p.json", {"coeffs": [m, [[ZERO, ZERO], [ZERO, ZERO]], m]})
-    r = write(tmp_path, "r.json", {"kind": "annulus", "center": J_Q,
-                                   "inner_radius": 0, "outer_radius": 0.1})
+    poly = {"coeffs": [m, [[ZERO, ZERO], [ZERO, ZERO]], m]}
+    annulus = {"kind": "annulus", "center": J_Q, "inner_radius": 0, "outer_radius": 0.1}
+    sampled = sample_numerical_range(polynomial_from_json(poly)[0], 16, seed=42)
+    region = region_from_json(annulus)
+    assert len(sampled.points) == 16 and sampled.spherical.all()
+    assert region.contains_rows(sampled.points, sampled.spherical).sum() == 16
+    assert not region.contains_rows(sampled.points).any()
+
+    # The whole class of i is eigenvalues, so the verdict is exact: the
+    # stability rung's witness is a point of the unit sphere in the annulus.
+    p = write(tmp_path, "p.json", poly)
+    r = write(tmp_path, "r.json", annulus)
     code, out, err = run_cli(capsys, ["hyperstable", "--input", p, "--region", r,
                                       "--samples", "64"])
     assert code == 0, err
     report = json.loads(out)
-    assert report["result"]["status"] == "UNKNOWN"
-    assert "meets the region (16 of 16 points)" in report["certificate"]
+    assert report["result"]["status"] == "NOT_HYPERSTABLE_SAMPLED"
+    assert report["certificate"] == "stability-witness"
+    mu = Quaternion(*report["result"]["witness_eigenvalue"])
+    assert region.contains(mu) and abs(mu.w) <= 1e-12
+    assert mu.modulus() == pytest.approx(1.0, abs=1e-12)

@@ -87,10 +87,6 @@ def test_derived_hyperstability_agrees_with_hyperstable(tmp_path, capsys, degree
     _assert_consistent(_verdicts(tmp_path, capsys, degree, extra))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the literal cubic reading C_0 v^3 + C_2 uv + C_1 u + C_0 is not P on the diagonal "
-    "u = v, so it certifies HYPERSTABLE where P has an eigenvalue in Omega; ROADMAP item 1's "
-    "counterexample is (t-1)(t-2)(t-3) over {1}"))
 def test_literal_cubic_reading_agrees_with_hyperstable(tmp_path, capsys):
     _, degree, extra = RULES[3]
     _assert_consistent(_verdicts(tmp_path, capsys, degree, extra))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from quatpoly import (
     StabilityStatus,
     check_hyperstability,
     check_stability,
+    class_distance_extremes,
+    class_point,
     eig_complex,
     eigenvalue_annulus,
     is_eigenvalue_oracle,
@@ -36,7 +40,7 @@ from test_matpoly import (
     example_no_eigenvalue_poly,
     example_projection_poly,
 )
-from _helpers import random_polynomial, random_quaternion
+from _helpers import random_polynomial, random_quaternion, random_unit_imaginary
 import _reference
 from _reference import quaternion_ball_grid
 from quatpoly.eigensolver import singular_values
@@ -458,10 +462,12 @@ def test_not_hyperstable_sampled_for_stable_polynomial():
 def test_open_ball_weakens_quadratic_certificate():
     # Over the open unit ball the product-of-roots argument does not close:
     # some induced quadratics put both roots on the unit sphere.
+    # The leading coefficient is singular, so the stability step that
+    # follows the search samples the ball, and its refusal is the certificate.
     verdict = check_hyperstability(example_no_eigenvalue_poly(),
                                    Region.open_ball(Quaternion(0), 1.0))
     assert verdict.status is HyperStatus.UNKNOWN
-    assert "inconclusive" in verdict.certificate
+    assert verdict.certificate == "oracle-sampling-inconclusive"
 
 
 def test_block_composition():
@@ -489,11 +495,12 @@ def test_block_composition():
     assert (loose.status, loose.certificate) == (HyperStatus.HYPERSTABLE, "finite-set-equivalence")
 
     # Over a ball clear of the classes the partition certifies, and without
-    # it the ladder ends at the search and the inconclusive step.
+    # it the pencil is decided by its stability, in agreement.
     ball = Region.closed_ball(Quaternion(3), 0.5)
     verdict = check_hyperstability(p, ball, partition=[1, 2])
     assert (verdict.status, verdict.certificate) == (HyperStatus.HYPERSTABLE, "block-composition")
-    assert check_hyperstability(p, ball).status is not HyperStatus.HYPERSTABLE
+    loose = check_hyperstability(p, ball)
+    assert (loose.status, loose.certificate) == (HyperStatus.HYPERSTABLE, "linear-equivalence")
 
 
 def test_negative_witness_kills_the_action():
@@ -569,6 +576,11 @@ def test_search_rejects_unsupported_region():
             not_hyperstable_search(example_projection_poly(), region)
 
 
+_TRANSLATED = {StabilityStatus.STABLE: HyperStatus.HYPERSTABLE,
+               StabilityStatus.NOT_STABLE: HyperStatus.NOT_HYPERSTABLE_SAMPLED,
+               StabilityStatus.UNKNOWN: HyperStatus.UNKNOWN}
+
+
 def test_finite_set_hyperstability_is_stability():
     # Over {p_1, ..., p_K}, hyperstable iff stable: a witness y would need
     # every z in one of K proper real subspaces {z : z* P(p_k) y = 0}, so
@@ -577,9 +589,6 @@ def test_finite_set_hyperstability_is_stability():
     from quatpoly import evaluate_action
 
     rng = np.random.default_rng(48)
-    translated = {StabilityStatus.STABLE: HyperStatus.HYPERSTABLE,
-                  StabilityStatus.NOT_STABLE: HyperStatus.NOT_HYPERSTABLE_SAMPLED,
-                  StabilityStatus.UNKNOWN: HyperStatus.UNKNOWN}
     seen = set()
     for trial in range(60):
         n, m = 2 + trial % 3, 1 + (trial // 3) % 3
@@ -591,7 +600,7 @@ def test_finite_set_hyperstability_is_stability():
         region = Region.finite_set(points)
         stab = check_stability(p, region)
         hyper = check_hyperstability(p, region)
-        assert hyper.status is translated[stab.status]
+        assert hyper.status is _TRANSLATED[stab.status]
         assert hyper.certificate.startswith("finite-set-equivalence")
         seen.add(hyper.status)
         if hyper.status is HyperStatus.NOT_HYPERSTABLE_SAMPLED:
@@ -601,6 +610,87 @@ def test_finite_set_hyperstability_is_stability():
             residual = evaluate_action(p, y, mu).frobenius_norm()
             assert residual <= 1e-9 * scale * y.frobenius_norm()
     assert seen == {HyperStatus.HYPERSTABLE, HyperStatus.NOT_HYPERSTABLE_SAMPLED}
+
+
+def _region_around(rng, p, kind, planted):
+    """A region of ``kind`` that one class of P's spectrum meets well inside
+    its boundary when ``planted``, and that no class meets otherwise."""
+    classes = polyeig(p)
+    center = random_quaternion(rng, scale=1.5)
+    e = classes[int(rng.integers(len(classes)))]
+    point = class_point(e, random_unit_imaginary(rng))
+    lo, hi = class_distance_extremes(e, center)
+    nearest = min(class_distance_extremes(c, center)[0] for c in classes)
+    farthest = max(class_distance_extremes(c, center)[1] for c in classes)
+    if kind is RegionKind.FINITE_SET:
+        points = [random_quaternion(rng, scale=1.5) for _ in range(2)]
+        return Region.finite_set(points + [point] if planted else points)
+    if kind is RegionKind.ANNULUS:
+        return (Region.annulus(center, 0.5 * lo, 0.5 * (lo + hi) + 0.2) if planted
+                else Region.annulus(center, 0.25 * nearest, 0.5 * nearest))
+    if kind is RegionKind.COMPLEMENT_CLOSED_BALL:
+        return Region(kind, center=center, radius=0.5 * hi if planted else 1.5 * farthest)
+    if planted:  # a ball around the class point, off center by half its radius
+        radius = rng.uniform(0.2, 1.0)
+        center = point + random_unit_imaginary(rng) * (0.5 * radius)
+        return Region(kind, center=center, radius=radius)
+    return Region(kind, center=center, radius=0.5 * nearest)
+
+
+def _assert_exact_witness(p, region, verdict):
+    """The refutation carries a point mu of the region and a vector y with
+    P(mu) y = 0, to a relative action residual of 1e-8."""
+    from quatpoly import evaluate_action
+
+    mu, y = verdict.details["witness_eigenvalue"], verdict.witness
+    assert region.contains(mu)
+    scale = sum(a.frobenius_norm() * mu.modulus() ** i for i, a in enumerate(p.coeffs))
+    assert evaluate_action(p, y, mu).frobenius_norm() <= 1e-8 * scale * y.frobenius_norm()
+
+
+def test_linear_pencil_hyperstability_is_stability():
+    # For m = 1, hyperstable iff stable over every region kind: if A_0 y is
+    # not in the right span of A_1 y, some probe is a nonzero constant;
+    # otherwise every probe is (z* A_1 y)(t - mu) with P(mu) y = 0.
+    rng = np.random.default_rng(331)
+    seen = set()
+    for n, kind, planted in itertools.product(range(1, 5), RegionKind, (True, False)):
+        p = random_polynomial(rng, n, 1, invertible_ends=True)
+        region = _region_around(rng, p, kind, planted)
+        stab = check_stability(p, region)
+        hyper = check_hyperstability(p, region)
+        assert hyper.status is _TRANSLATED[stab.status], (n, kind, planted, hyper.certificate)
+        seen.add(hyper.status)
+        if hyper.status is HyperStatus.NOT_HYPERSTABLE_SAMPLED:
+            _assert_exact_witness(p, region, hyper)
+    assert seen == {HyperStatus.HYPERSTABLE, HyperStatus.NOT_HYPERSTABLE_SAMPLED}
+
+
+def test_an_eigenvalue_in_the_region_refutes_hyperstability():
+    # m 2-3: an eigenvalue planted in a ball, a complement or an annulus
+    # refutes hyperstability, by the search on a ball or else by the stability
+    # rung's exact witness.  Without one the verdict is the search's, or UNKNOWN.
+    rng = np.random.default_rng(332)
+    kinds = (RegionKind.OPEN_BALL, RegionKind.CLOSED_BALL, RegionKind.COMPLEMENT_CLOSED_BALL,
+             RegionKind.ANNULUS)
+    decided = 0
+    for n, m, kind, planted in itertools.product((2, 3, 4), (2, 3), kinds, (True, False)):
+        p = random_polynomial(rng, n, m, invertible_ends=True)
+        region = _region_around(rng, p, kind, planted)
+        hyper = check_hyperstability(p, region)
+        if planted:
+            assert hyper.status is HyperStatus.NOT_HYPERSTABLE_SAMPLED, (n, m, kind)
+            if hyper.certificate == "stability-witness":
+                _assert_exact_witness(p, region, hyper)
+                decided += 1
+            continue
+        ball = kind in (RegionKind.OPEN_BALL, RegionKind.CLOSED_BALL)
+        if ball and not_hyperstable_search(p, region) is not None:
+            assert hyper.status is HyperStatus.NOT_HYPERSTABLE_SAMPLED
+        else:
+            assert (hyper.status, hyper.certificate) == (HyperStatus.UNKNOWN, (
+                "stable; no search witness" if ball else "stable; no search for this region kind"))
+    assert decided >= 12
 
 
 def test_finite_set_verdict_matches_oracle_both_directions():
