@@ -24,11 +24,8 @@ from .errors import (
     ResidualFailureError,
 )
 from .matpoly import MatrixPolynomial, polyeig_with_residuals
-from .multivar import (
-    derive_hyperstability_cubic,
-    derive_hyperstability_quadratic,
-    check_stability_multi,
-)
+from .multivar import (MAX_SAMPLE_DOUBLES, check_stability_multi, derive_hyperstability_cubic,
+                       derive_hyperstability_quadratic)
 from .stability import (
     Region,
     RegionKind,
@@ -45,6 +42,14 @@ _NUMERICAL_FAILURES = (NoConvergenceError, ResidualFailureError,
 
 def _load_polynomial(args: argparse.Namespace) -> tuple[MatrixPolynomial, Optional[list[int]]]:
     return qio.polynomial_from_json(qio.load_json(args.input))
+
+
+def _samples(args: argparse.Namespace, poly: MatrixPolynomial) -> int:
+    """--samples, refused when its probe actions, 4n (m + 1) doubles a sample, pass MAX_SAMPLE_DOUBLES."""
+    if args.samples * 4 * poly.size * (poly.degree + 1) > MAX_SAMPLE_DOUBLES:
+        raise qio.InputFormatError(f"--samples {args.samples} needs more doubles of sample "
+                                   f"arrays than the limit of {MAX_SAMPLE_DOUBLES}")
+    return args.samples
 
 
 def _load_region(args: argparse.Namespace) -> Region:
@@ -81,7 +86,7 @@ def _run_stable(args: argparse.Namespace) -> dict:
     poly, _ = _load_polynomial(args)
     region = _load_region(args)
     verdict = check_stability(poly, region, band=args.boundary_band,
-                              samples=args.samples)
+                              samples=_samples(args, poly))
     witness = (qio.quaternion_to_json(verdict.witness)
                if verdict.witness is not None else None)
     return {"result": {"status": verdict.status.value},
@@ -94,7 +99,7 @@ def _run_hyperstable(args: argparse.Namespace) -> dict:
     region = _load_region(args)
     verdict = check_hyperstability(poly, region, partition=partition,
                                    band=args.boundary_band,
-                                   y_samples=max(1, args.samples // 32),
+                                   y_samples=max(1, _samples(args, poly) // 32),
                                    seed=args.seed)
     witness = (qio.vector_to_json(verdict.witness)
                if verdict.witness is not None else None)
@@ -108,7 +113,7 @@ def _run_hyperstable(args: argparse.Namespace) -> dict:
 
 def _run_nrange(args: argparse.Namespace) -> dict:
     poly, _ = _load_polynomial(args)
-    sampled = sample_numerical_range(poly, args.samples, args.seed)
+    sampled = sample_numerical_range(poly, _samples(args, poly), args.seed)
     points = qio.FlaggedPoints(sampled.points, sampled.spherical)
     return {"result": {"points": points, "skipped": sampled.skipped},
             "certificate": None, "witness": None,

@@ -134,18 +134,18 @@ def reversal(p: MatrixPolynomial) -> MatrixPolynomial:
     return MatrixPolynomial(tuple(reversed(p.coeffs)))
 
 
-def companion(p: MatrixPolynomial, sigma: np.ndarray | None = None) -> QuaternionMatrix:
+def companion(p: MatrixPolynomial) -> QuaternionMatrix:
     """Block companion of the monic normalization inverse(A_m) * P.
 
     Identity blocks sit on the superdiagonal and the last block row holds
     the negated normalized coefficients; a normalized coefficient that
-    overflows raises NoConvergenceError.  ``sigma``, the lift singular
-    values of A_m when the caller has them, spares ``inverse`` its SVD.
+    overflows raises NoConvergenceError.  The lift singular values of A_m
+    come from ``p.lift_sigma``, which spares ``inverse`` its SVD.
     """
     if p.degree < 1:
         raise ValueError("companion linearization needs degree at least 1")
     try:
-        am_inv = inverse(p.coeffs[-1], sigma)
+        am_inv = inverse(p.coeffs[-1], p.lift_sigma[-1])
     except SingularMatrixError as exc:
         raise SingularLeadingCoefficientError(
             "leading coefficient is singular; the realified oracle still applies") from exc
@@ -182,7 +182,7 @@ def polyeig_with_residuals(p: MatrixPolynomial) -> list[tuple[StandardEigenvalue
             raise SingularLeadingCoefficientError("degree-zero polynomial with singular coefficient")
         return []
     norms = sigma[:, 0]
-    evs = _standard_eigenvalues(eig_complex(complex_adjoint(companion(p, sigma[-1]))), lifts, norms)
+    evs = _standard_eigenvalues(eig_complex(complex_adjoint(companion(p))), lifts, norms)
     w = _relative_actions(np.array([ev.as_complex() for ev in evs]), lifts, norms)
     # b_k = e^(2 pi i k g), g = 0.618... the golden section: unlike all ones, not orthogonal
     # to [1, -1] and its like.  As ||W(mu)|| <= 1, max |y_k| >= 1 unless y is not

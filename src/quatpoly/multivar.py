@@ -29,6 +29,8 @@ Word = tuple[int, ...]
 
 # check_stability_multi refuses probe sets whose tuples times letters exceed this.
 MAX_TUPLES = 10 ** 6
+# The CLI refuses a --samples whose probe actions, 4n (m + 1) doubles a sample, exceed this.
+MAX_SAMPLE_DOUBLES = 10 ** 7
 
 
 def _normalize_word(word: Sequence[int], k: int) -> Word:
@@ -109,17 +111,26 @@ def check_stability_multi(p: MultiPolynomial, omega: Region) -> MultiStabilityVe
     return MultiStabilityVerdict(StabilityStatus.STABLE, "realified-tuple-test")
 
 
-def _require_zero_free(omega: Region) -> None:
-    if (moduli(omega.points) <= OMEGA_ZERO_ABS).any():
+def _derive(terms, omega: Region, certificate: str, *, zero_free: bool,
+            guard: Optional[Sequence[QuaternionMatrix]] = None) -> HyperVerdict:
+    """Hyperstability from stability over omega^2 of the two-letter polynomial of these terms;
+    ``zero_free`` rules need 0 outside omega.  ``guard``, the coefficients of P where the
+    operator at u = v is not P, keeps a HYPERSTABLE only where P is stable over omega."""
+    if omega.kind is not RegionKind.FINITE_SET:
+        raise ValueError("derivation rules run over finite probe sets only")
+    multi = MultiPolynomial.build(2, terms)
+    if zero_free and (moduli(omega.points) <= OMEGA_ZERO_ABS).any():
         raise ZeroInOmegaError("the probe set must not contain 0")
-
-
-def _check_square_triple(*mats: QuaternionMatrix) -> int:
-    size = mats[0].n_rows
-    for m in mats:
-        if m.n_rows != m.n_cols or m.n_rows != size:
-            raise ValueError("coefficients must be square and share one dimension")
-    return size
+    verdict = check_stability_multi(multi, omega)
+    if verdict.status is not StabilityStatus.STABLE:
+        return HyperVerdict(HyperStatus.UNKNOWN, certificate + " (multivariate stability not established)",
+                            details={"multivariate_status": verdict.status.value})
+    if guard is not None:
+        stab = check_stability(MatrixPolynomial(guard, trim=True), omega)
+        if stab.status is not StabilityStatus.STABLE:
+            has = "has" if stab.status is StabilityStatus.NOT_STABLE else "may have"
+            return HyperVerdict(HyperStatus.UNKNOWN, f"{certificate} (P {has} an eigenvalue in omega)")
+    return HyperVerdict(HyperStatus.HYPERSTABLE, certificate)
 
 
 def derive_hyperstability_quadratic(a2: QuaternionMatrix, a1: QuaternionMatrix,
@@ -134,20 +145,9 @@ def derive_hyperstability_quadratic(a2: QuaternionMatrix, a1: QuaternionMatrix,
     """
     if form not in ("i", "ii"):
         raise ValueError("form must be 'i' or 'ii'")
-    if omega.kind is not RegionKind.FINITE_SET:
-        raise ValueError("derivation rules run over finite probe sets only")
-    _check_square_triple(a2, a1, a0)
-    if form == "ii":
-        _require_zero_free(omega)
-    lead_word: Word = (1, 1) if form == "i" else (1, 2)
-    multi = MultiPolynomial.build(2, [(lead_word, a2), ((2,), a1), ((), a0)])
-    verdict = check_stability_multi(multi, omega)
-    certificate = f"multivariate-quadratic-{form}"
-    if verdict.status is StabilityStatus.STABLE:
-        return HyperVerdict(HyperStatus.HYPERSTABLE, certificate)
-    return HyperVerdict(HyperStatus.UNKNOWN,
-                        certificate + " (multivariate stability not established)",
-                        details={"multivariate_status": verdict.status.value})
+    lead: Word = (1, 1) if form == "i" else (1, 2)
+    return _derive([(lead, a2), ((2,), a1), ((), a0)], omega,
+                   f"multivariate-quadratic-{form}", zero_free=form == "ii")
 
 
 def derive_hyperstability_cubic(c3: QuaternionMatrix, c2: QuaternionMatrix,
@@ -166,22 +166,7 @@ def derive_hyperstability_cubic(c3: QuaternionMatrix, c2: QuaternionMatrix,
     """
     if leading not in ("literal", "a3"):
         raise ValueError("leading must be 'literal' or 'a3'")
-    if omega.kind is not RegionKind.FINITE_SET:
-        raise ValueError("derivation rules run over finite probe sets only")
-    _check_square_triple(c3, c2, c1, c0)
-    _require_zero_free(omega)
-    ca = c0 if leading == "literal" else c3
-    multi = MultiPolynomial.build(2, [((2, 2, 2), ca), ((1, 2), c2),
-                                      ((1,), c1), ((), c0)])
-    verdict = check_stability_multi(multi, omega)
-    certificate = f"multivariate-cubic-{leading}"
-    if verdict.status is StabilityStatus.STABLE and leading == "literal":
-        stab = check_stability(MatrixPolynomial([c0, c1, c2, c3], trim=True), omega)
-        if stab.status is not StabilityStatus.STABLE:
-            has = "has" if stab.status is StabilityStatus.NOT_STABLE else "may have"
-            return HyperVerdict(HyperStatus.UNKNOWN, f"{certificate} (P {has} an eigenvalue in omega)")
-    if verdict.status is StabilityStatus.STABLE:
-        return HyperVerdict(HyperStatus.HYPERSTABLE, certificate)
-    return HyperVerdict(HyperStatus.UNKNOWN,
-                        certificate + " (multivariate stability not established)",
-                        details={"multivariate_status": verdict.status.value})
+    literal = leading == "literal"
+    return _derive([((2, 2, 2), c0 if literal else c3), ((1, 2), c2), ((1,), c1), ((), c0)],
+                   omega, f"multivariate-cubic-{leading}", zero_free=True,
+                   guard=[c0, c1, c2, c3] if literal else None)

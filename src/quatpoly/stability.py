@@ -50,9 +50,6 @@ from .quaternion import (
     CONJ_PRODUCT,
     UNIT_RIGHT_ACTIONS,
     Quaternion,
-    StandardEigenvalue,
-    class_distance_extremes,
-    class_point,
     moduli,
     right_action_matrices,
 )
@@ -171,6 +168,40 @@ class Region:
         ``band``, so nothing within the dead band of the boundary counts."""
         return self.margins(rows, spherical) > band
 
+    def class_witnesses(self, classes) -> np.ndarray:
+        """(K, 4) [w, x, y, z] witness rows of the classes x + s i given as the
+        (K, 2) rows [x, s]: the class point nearest the center for a ball and
+        farthest for its complement, both along the center's vector part
+        (toward i if it has none); for an annulus the point at the middle of
+        the distances the class and the annulus share; x itself when s = 0."""
+        classes = np.asarray(classes, dtype=float).reshape(-1, 2)
+        c, v = self.center, self.center.vec_norm()
+        axis = np.array([c.x, c.y, c.z])
+        if v == 0.0:
+            dirs, norms = np.array([1.0, 0.0, 0.0]), 1.0
+        elif self.kind is not RegionKind.ANNULUS:
+            dirs, norms = (axis if self.kind in _BALL_KINDS else -axis), v
+        else:
+            # Turn the axis toward a unit w orthogonal to it, class by class in
+            # Python floats: math.hypot and ** differ from numpy's in the last bit.
+            u = axis / v
+            unit = u / np.linalg.norm(u)
+            pick = int(np.argmin(np.abs(unit)))
+            w = np.eye(3)[pick] - unit[pick] * unit
+            w /= np.linalg.norm(w)
+            rows = []
+            for x, s in classes.tolist():
+                dmin, dmax = math.hypot(c.w - x, v - s), math.hypot(c.w - x, v + s)
+                target = 0.5 * (max(dmin, self.inner_radius) + min(dmax, self.outer_radius))
+                cos_t = (s ** 2 + v ** 2 + (x - c.w) ** 2 - target ** 2) / (2.0 * s * v) if s else 1.0
+                cos_t = min(1.0, max(-1.0, cos_t))
+                rows.append(cos_t * u + math.sqrt(max(0.0, 1.0 - cos_t ** 2)) * w)
+            dirs = np.array(rows).reshape(-1, 3)
+            norms = np.array([math.hypot(*d) for d in dirs.tolist()])
+        with np.errstate(over="ignore", invalid="ignore"):
+            vecs = dirs * (classes[:, 1] / norms)[:, None]
+        return np.column_stack([classes[:, 0], np.where(classes[:, 1:] == 0.0, 0.0, vecs)])
+
 
 class StabilityStatus(str, Enum):
     STABLE = "STABLE"
@@ -251,60 +282,6 @@ def region_sample_grid(region: Region, count: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Witness points of class spheres
-# ---------------------------------------------------------------------------
-
-
-def _orthogonal_imaginary(direction: Quaternion) -> Quaternion:
-    """A unit pure-imaginary quaternion orthogonal to the given nonzero
-    vector part."""
-    v = np.array([direction.x, direction.y, direction.z])
-    v /= np.linalg.norm(v)
-    pick = int(np.argmin(np.abs(v)))
-    w = np.eye(3)[pick] - v[pick] * v
-    w /= np.linalg.norm(w)
-    return Quaternion(0.0, w[0], w[1], w[2])
-
-
-def _class_point_at_distance(e: StandardEigenvalue, center: Quaternion,
-                             target: float) -> Quaternion:
-    """A point of the class of e (e.im > 0) at (approximately) the target
-    distance from a center with a nonzero vector part; exact whenever the
-    target is attainable."""
-    v = center.vec_norm()
-    u_hat = Quaternion(0.0, center.x / v, center.y / v, center.z / v)
-    gap = e.re - center.w
-    cos_t = (e.im ** 2 + v ** 2 + gap ** 2 - target ** 2) / (2.0 * e.im * v)
-    cos_t = min(1.0, max(-1.0, cos_t))
-    sin_t = math.sqrt(max(0.0, 1.0 - cos_t ** 2))
-    w_hat = _orthogonal_imaginary(u_hat)
-    direction = Quaternion(0.0,
-                           cos_t * u_hat.x + sin_t * w_hat.x,
-                           cos_t * u_hat.y + sin_t * w_hat.y,
-                           cos_t * u_hat.z + sin_t * w_hat.z)
-    return class_point(e, direction)
-
-
-def _class_witness(e: StandardEigenvalue, region: Region) -> Quaternion:
-    """A point of the class of e inside the region: the nearest point to the
-    center for a ball, the farthest for its complement (both aligned with
-    the center's vector part, so exact), and for an annulus the point at the
-    middle of the distances the class and the annulus share."""
-    center = region.center
-    if e.im == 0.0:
-        return Quaternion(e.re)
-    if center.vec_norm() == 0.0:
-        return class_point(e, Quaternion.I)
-    if region.kind in _BALL_KINDS:
-        return class_point(e, center)
-    if region.kind is RegionKind.COMPLEMENT_CLOSED_BALL:
-        return class_point(e, -center)
-    dmin, dmax = class_distance_extremes(e, center)
-    target = 0.5 * (max(dmin, region.inner_radius) + min(dmax, region.outer_radius))
-    return _class_point_at_distance(e, center, target)
-
-
-# ---------------------------------------------------------------------------
 # Stability
 # ---------------------------------------------------------------------------
 
@@ -316,8 +293,8 @@ def check_stability(p: MatrixPolynomial, region: Region, *,
     First the points to confirm are collected: a finite set's own points;
     for ball, complement and annulus regions, one witness point of each
     similarity class of the companion spectrum that meets the region, in
-    spectrum order, all class spheres compared against the region by one
-    ``Region.margins`` call; and, when the leading coefficient is singular,
+    spectrum order, from one class array that ``Region.margins`` screens and
+    ``Region.class_witnesses`` maps; and, when the leading coefficient is singular,
     a deterministic sample grid of the region, which can refute stability
     but never certify it.  One realified sweep then decides their (P, 4)
     rows.  NOT_STABLE carries the first singular point and the sweep's unit
@@ -333,9 +310,9 @@ def check_stability(p: MatrixPolynomial, region: Region, *,
         except SingularLeadingCoefficientError:
             points, route = region_sample_grid(region, samples), "oracle-sampling"
         else:
-            margins = region.margins([[ev.re, ev.im, 0.0, 0.0] for ev in spectrum], True)
-            points = np.array([_class_witness(ev, region).as_array() for ev, margin
-                               in zip(spectrum, margins.tolist()) if margin > band]).reshape(-1, 4)
+            classes = np.array([[ev.re, ev.im, 0.0, 0.0] for ev in spectrum]).reshape(-1, 4)
+            margins = region.margins(classes, True)
+            points = region.class_witnesses(classes[margins > band, :2])
             boundary_seen = not (margins < -band).all()
             route = "spectrum-class-geometry"
     # A class witness is a computed eigenvalue, so the first is decided alone.

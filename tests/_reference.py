@@ -3,8 +3,10 @@ point or class sphere by ``math.hypot``, the Halton ball grid and its
 rejection sampler one point at a time, as the package once computed them,
 and a multivariate action from ``Quaternion`` products of the letters.  Also
 the ball grid as ``Quaternion`` objects, for tests that probe with them, and
-the zero finder as it once ran, over all 2d root slots of every row, and
-the relative residual actions as they were once scaled, into fresh arrays."""
+the zero finder as it once ran, over all 2d root slots of every row, the
+relative residual actions as they were once scaled, into fresh arrays, and
+the witness point of one class sphere in a region, one ``Quaternion`` at a
+time."""
 
 import math
 from typing import Sequence
@@ -12,11 +14,13 @@ from typing import Sequence
 import numpy as np
 
 from quatpoly import (DimensionMismatchError, MultiPolynomial, Quaternion, QuaternionMatrix,
-                      Region, RegionKind, class_distance, class_distance_extremes, qvec)
+                      Region, RegionKind, class_distance, class_distance_extremes, class_point,
+                      qvec)
 from quatpoly.linalg import _standard_classes
 from quatpoly.matpoly import _lift_roots
-from quatpoly.quaternion import CONJ, UNIT_LEFT_ACTIONS, UNIT_RIGHT_ACTIONS, standardize
-from quatpoly.stability import _ball_grid
+from quatpoly.quaternion import (CONJ, UNIT_LEFT_ACTIONS, UNIT_RIGHT_ACTIONS, StandardEigenvalue,
+                                 standardize)
+from quatpoly.stability import _BALL_KINDS, _ball_grid
 from quatpoly.tolerances import FINITE_SET_REL, SLOPE_REL, SPHERE_REL
 
 
@@ -196,3 +200,52 @@ def relative_actions(z: np.ndarray, lifts: np.ndarray, norms: np.ndarray) -> np.
     w = np.ldexp(np.tensordot(powers, lifts / unit, axes=1).view(np.float64), shift[:, None, None])
     weights = np.ldexp(weights, shift)
     return w.view(complex) / np.where(weights > 0.0, weights, 1.0)[:, None, None]
+
+
+def _orthogonal_imaginary(direction: Quaternion) -> Quaternion:
+    """A unit pure-imaginary quaternion orthogonal to the given nonzero
+    vector part."""
+    v = np.array([direction.x, direction.y, direction.z])
+    v /= np.linalg.norm(v)
+    pick = int(np.argmin(np.abs(v)))
+    w = np.eye(3)[pick] - v[pick] * v
+    w /= np.linalg.norm(w)
+    return Quaternion(0.0, w[0], w[1], w[2])
+
+
+def _class_point_at_distance(e: StandardEigenvalue, center: Quaternion,
+                             target: float) -> Quaternion:
+    """A point of the class of e (e.im > 0) at (approximately) the target
+    distance from a center with a nonzero vector part; exact whenever the
+    target is attainable."""
+    v = center.vec_norm()
+    u_hat = Quaternion(0.0, center.x / v, center.y / v, center.z / v)
+    gap = e.re - center.w
+    cos_t = (e.im ** 2 + v ** 2 + gap ** 2 - target ** 2) / (2.0 * e.im * v)
+    cos_t = min(1.0, max(-1.0, cos_t))
+    sin_t = math.sqrt(max(0.0, 1.0 - cos_t ** 2))
+    w_hat = _orthogonal_imaginary(u_hat)
+    direction = Quaternion(0.0,
+                           cos_t * u_hat.x + sin_t * w_hat.x,
+                           cos_t * u_hat.y + sin_t * w_hat.y,
+                           cos_t * u_hat.z + sin_t * w_hat.z)
+    return class_point(e, direction)
+
+
+def _class_witness(e: StandardEigenvalue, region: Region) -> Quaternion:
+    """A point of the class of e inside the region: the nearest point to the
+    center for a ball, the farthest for its complement (both aligned with
+    the center's vector part, so exact), and for an annulus the point at the
+    middle of the distances the class and the annulus share."""
+    center = region.center
+    if e.im == 0.0:
+        return Quaternion(e.re)
+    if center.vec_norm() == 0.0:
+        return class_point(e, Quaternion.I)
+    if region.kind in _BALL_KINDS:
+        return class_point(e, center)
+    if region.kind is RegionKind.COMPLEMENT_CLOSED_BALL:
+        return class_point(e, -center)
+    dmin, dmax = class_distance_extremes(e, center)
+    target = 0.5 * (max(dmin, region.inner_radius) + min(dmax, region.outer_radius))
+    return _class_point_at_distance(e, center, target)

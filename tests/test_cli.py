@@ -448,6 +448,28 @@ def test_multivar_refuses_too_many_letters_at_one_point(tmp_path, capsys, monkey
     assert json.loads(err)["error_kind"] == "ValueError"
 
 
+UNSTRUCTURED = {"coeffs": [[[ONE_Q, I_Q], [J_Q, K_Q]], [[ZERO, ONE_Q], [ONE_Q, ZERO]], EYE2]}
+
+
+@pytest.mark.parametrize("command, poly", [
+    ("nrange", {"coeffs": [[[[2, 0, 0, 0]]], [[ONE_Q]]]}),
+    ("hyperstable", UNSTRUCTURED),  # the search draws samples // 32 vectors y
+    ("stable", NO_EIG_POLY),  # a singular leading coefficient samples a grid
+])
+def test_samples_past_the_limit_exit_2_before_any_draw(tmp_path, capsys, command, poly):
+    # 10^12 samples would ask numpy for terabytes at once.
+    from quatpoly.multivar import MAX_SAMPLE_DOUBLES
+
+    p = write(tmp_path, "p.json", poly)
+    r = write(tmp_path, "r.json", {"kind": "open_ball", "center": ZERO, "radius": 0.5})
+    code, out, err = run_cli(capsys, [command, "--input", p, "--region", r,
+                                      "--samples", str(10 ** 12)])
+    assert (code, out) == (2, "")
+    report = json.loads(err)
+    assert report["error_kind"] == "InputFormatError"
+    assert f"limit of {MAX_SAMPLE_DOUBLES}" in report["error"]
+
+
 def test_hyperstable_with_partition_in_file(tmp_path, capsys):
     p = write(tmp_path, "p.json", TRI)
     r = write(tmp_path, "r.json", {"kind": "finite_set",

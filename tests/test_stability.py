@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -835,7 +836,7 @@ def test_ball_and_complement_witnesses_are_the_aligned_class_points():
     # instead meets cos t = +-1 exactly there, where rounding leaves
     # sin t ~ sqrt(eps) and turns the witness by about 1e-8.
     from quatpoly.quaternion import StandardEigenvalue
-    from quatpoly.stability import BOUNDARY_BAND, _class_witness
+    from quatpoly.stability import BOUNDARY_BAND
 
     rng = np.random.default_rng(47)
     for _ in range(200):
@@ -845,10 +846,51 @@ def test_ball_and_complement_witnesses_are_the_aligned_class_points():
         for region, sign in ((Region.closed_ball(center, 10.0), 1.0),
                              (Region.complement_closed_ball(center, 1e-3), -1.0)):
             assert region.margins([[e.re, e.im, 0.0, 0.0]], True)[0] > BOUNDARY_BAND
-            witness = _class_witness(e, region)
-            assert witness.w == e.re
-            turn = np.array([witness.x, witness.y, witness.z]) - sign * e.im * axis
+            witness = region.class_witnesses([[e.re, e.im]])[0]
+            assert witness[0] == e.re
+            turn = witness[1:] - sign * e.im * axis
             assert np.linalg.norm(turn) <= 1e-15 * e.im
+
+
+def test_class_witnesses_equal_the_scalar_reference_bit_for_bit():
+    # Balls and complements scale the center's vector part for all classes
+    # at once; an annulus turns it class by class.  Every row must be the
+    # scalar witness exactly, signed zeros included, also where cos t
+    # clamps at +-1: a class that misses the annulus or only grazes it.
+    from quatpoly.quaternion import StandardEigenvalue
+
+    rng = np.random.default_rng(53)
+    clamps = {1.0: 0, -1.0: 0}
+    for trial in range(150):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        center = Quaternion(*(scale * rng.standard_normal(4)))
+        if trial % 5 == 0:
+            center = Quaternion(center.w)
+        classes = np.column_stack([center.w + scale * rng.standard_normal(16),
+                                   scale * np.abs(rng.standard_normal(16))])
+        classes[::5, 1] = 0.0
+        v = center.vec_norm()
+        near = [math.hypot(center.w - x, v - s) for x, s in classes.tolist()]
+        far = [math.hypot(center.w - x, v + s) for x, s in classes.tolist()]
+        inner = scale * rng.uniform(0.0, 1.5)
+        regions = [Region.open_ball(center, scale), Region.closed_ball(center, scale),
+                   Region.complement_closed_ball(center, scale),
+                   Region.annulus(center, inner, inner + scale * rng.uniform(0.1, 2.0)),
+                   Region.annulus(center, 0.5 * near[1], near[1]),  # grazes from inside
+                   Region.annulus(center, far[2], 2.0 * far[2])]  # grazes from outside
+        for region in regions:
+            got = region.class_witnesses(classes)
+            want = np.array([_reference._class_witness(StandardEigenvalue(x, s), region).as_array()
+                             for x, s in classes.tolist()])
+            assert got.shape == (16, 4)
+            assert got.tobytes() == want.tobytes()
+            if region.kind is RegionKind.ANNULUS and v > 0.0:
+                for lo, hi, s in zip(near, far, classes[:, 1].tolist()):
+                    if s > 0.0 and lo > region.outer_radius:
+                        clamps[1.0] += 1
+                    elif s > 0.0 and hi < region.inner_radius:
+                        clamps[-1.0] += 1
+    assert min(clamps.values()) >= 20, clamps
 
 
 def test_stable_over_a_ball_takes_one_svd_of_the_coefficient_lifts(monkeypatch):
