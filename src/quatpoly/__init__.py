@@ -24,15 +24,7 @@ from .errors import (
     ZeroInOmegaError,
     ZeroLeadingError,
 )
-from .quaternion import (
-    Quaternion,
-    StandardEigenvalue,
-    class_distance,
-    class_distance_extremes,
-    class_point,
-    similar,
-    standardize,
-)
+from .quaternion import Quaternion, StandardEigenvalue
 from .linalg import (
     QuaternionMatrix,
     complex_adjoint,
@@ -43,9 +35,7 @@ from .linalg import (
     rank_decisions,
     real_rep_left,
     real_rep_right_scalar,
-    right_eigenvalues,
     spectral_norm,
-    vec4,
     vec4_to_qvec,
     vec_entries,
 )
@@ -90,11 +80,10 @@ from .multivar import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Quaternion", "StandardEigenvalue", "standardize", "similar",
-    "class_distance", "class_distance_extremes", "class_point",
-    "QuaternionMatrix", "qvec", "vec_entries", "vec4", "vec4_to_qvec",
+    "Quaternion", "StandardEigenvalue",
+    "QuaternionMatrix", "qvec", "vec_entries", "vec4_to_qvec",
     "complex_adjoint", "real_rep_left", "real_rep_right_scalar",
-    "rank_decision", "rank_decisions", "eig_complex", "right_eigenvalues",
+    "rank_decision", "rank_decisions", "eig_complex",
     "spectral_norm", "inverse",
     "MatrixPolynomial", "ScalarQPolynomial", "PolynomialZero",
     "evaluate_action", "companion",

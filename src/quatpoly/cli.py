@@ -173,6 +173,10 @@ def run(args: argparse.Namespace) -> tuple[int, dict]:
         if not 0.0 <= args.boundary_band < math.inf:
             raise qio.InputFormatError(
                 f"--boundary-band must be finite and nonnegative, got {args.boundary_band!r}")
+        if args.samples < 1:
+            raise qio.InputFormatError(f"--samples must be at least 1, got {args.samples}")
+        if args.seed < 0:
+            raise qio.InputFormatError(f"--seed must be nonnegative, got {args.seed}")
         payload = _RUNNERS[args.command](args)
     except (qio.InputFormatError, QuatPolyError, ValueError, OSError) as exc:
         return (3 if isinstance(exc, _NUMERICAL_FAILURES) else 2), {

@@ -5,7 +5,7 @@ A1, A2; the lift chi(A) = [[A1, A2], [-conj(A2), conj(A1)]] is an injective
 algebra homomorphism into 2n x 2n complex matrices, so spectra, norms and
 inverses transfer back and forth: a class x + s i shows in a lift spectrum as
 x +- s i, a k-fold class as k such pairs, which ``_standard_classes`` reads
-back for matrix and matrix polynomial eigenvalues and scalar zeros alike.
+back for matrix polynomial eigenvalues and scalar zeros alike.
 Realification instead represents the one-sided actions y -> A y and y -> y q
 as 4n x 4n real matrices; their singular values decide the singularity
 oracle used throughout the stability checks.
@@ -18,29 +18,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# eig_complex is not called here: the package exports it from this module.
 from .eigensolver import _EPS, cholesky_completes, eig_complex, inverse_complex, singular_values
 from .errors import NonSquareError, PairingFailureError, SingularMatrixError
 from .quaternion import UNIT_LEFT_ACTIONS, Quaternion, StandardEigenvalue, right_action_matrix
 from .tolerances import (APPROX_EQ_ABS, INVERTIBILITY_REL, MULTIPLE_ROOT_REL, RANK_BAND,
                          RANK_PIVOT_REL, ROOT_CLUSTER_REL, SCALE_FLOOR, SPHERE_REL, SQUARES_MIN)
-
-__all__ = [
-    "QuaternionMatrix",
-    "qvec",
-    "vec_entries",
-    "vec4",
-    "vec4_to_qvec",
-    "complex_adjoint",
-    "from_complex_adjoint_blocks",
-    "real_rep_left",
-    "real_rep_right_scalar",
-    "rank_decision",
-    "rank_decisions",
-    "eig_complex",
-    "right_eigenvalues",
-    "spectral_norm",
-    "inverse",
-]
 
 _RANK_STATUSES = ("nonsingular", "singular", "unknown")
 
@@ -50,8 +33,6 @@ def _coerce_entry(value) -> Quaternion:
         return value
     if isinstance(value, (int, float)):
         return Quaternion(float(value))
-    if isinstance(value, complex):
-        return Quaternion.from_complex(value)
     raise TypeError(f"cannot interpret {value!r} as a quaternion entry")
 
 
@@ -205,20 +186,6 @@ def vec_entries(v: QuaternionMatrix) -> list[Quaternion]:
     return [v.entry(i, 0) for i in range(v.n_rows)]
 
 
-def vec4(v: QuaternionMatrix) -> np.ndarray:
-    """Stack a quaternion column vector into 4n reals, (w, x, y, z) per entry."""
-    if v.n_cols != 1:
-        raise ValueError("expected a column vector")
-    out = np.empty(4 * v.n_rows)
-    c1 = v.a1[:, 0]
-    c2 = v.a2[:, 0]
-    out[0::4] = c1.real
-    out[1::4] = c1.imag
-    out[2::4] = c2.real
-    out[3::4] = c2.imag
-    return out
-
-
 def vec4_to_qvec(arr: np.ndarray) -> QuaternionMatrix:
     arr = np.asarray(arr, dtype=float)
     if arr.ndim != 1 or arr.size % 4 != 0:
@@ -239,11 +206,6 @@ def complex_adjoint(a: QuaternionMatrix) -> np.ndarray:
     if a.n_rows != a.n_cols:
         raise NonSquareError("complex adjoint is defined for square matrices")
     return _lift(a)
-
-
-def from_complex_adjoint_blocks(m: np.ndarray, n: int) -> QuaternionMatrix:
-    """Read a quaternion matrix back off the block structure of its lift."""
-    return QuaternionMatrix(m[:n, :n], m[:n, n:])
 
 
 def real_rep_left(a: QuaternionMatrix) -> np.ndarray:
@@ -555,17 +517,6 @@ def _standard_eigenvalues(vals, lifts, norms) -> list[StandardEigenvalue]:
     return sorted(evs, key=lambda e: (e.modulus(), e.re, e.im))
 
 
-def right_eigenvalues(a: QuaternionMatrix) -> list[StandardEigenvalue]:
-    """The n standard right eigenvalues of a square quaternion matrix, with
-    multiplicity, sorted by (modulus, real part): the classes of its complex
-    lift, read as those of the polynomial t I - A."""
-    if a.n_rows != a.n_cols:
-        raise NonSquareError("right eigenvalues are defined for square matrices")
-    chi = complex_adjoint(a)
-    lifts = np.stack([-chi, np.eye(len(chi))])
-    return _standard_eigenvalues(eig_complex(chi), lifts, np.array([spectral_norm(a), 1.0]))
-
-
 def lift_singular_values(matrices: Sequence[QuaternionMatrix]) -> np.ndarray:
     """Descending singular values of the lift of each same-shape matrix, a row
     each from one batched SVD: ||A_b||_2 first and 1 / ||A_b^-1||_2 last."""
@@ -595,4 +546,5 @@ def inverse(a: QuaternionMatrix, sigma: np.ndarray | None = None) -> QuaternionM
     if not invertible(sigma):
         raise SingularMatrixError(f"least singular value {sigma[-1]:.3e} of the lift is not above "
                                   f"{INVERTIBILITY_REL:g} times its largest, {sigma[0]:.3e}")
-    return from_complex_adjoint_blocks(inverse_complex(complex_adjoint(a)), a.n_rows)
+    n, inv = a.n_rows, inverse_complex(complex_adjoint(a))
+    return QuaternionMatrix(inv[:n, :n], inv[:n, n:])  # the top block row of the lift is (A1, A2)

@@ -378,25 +378,6 @@ class ScalarQPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def evaluate(self, q: Quaternion) -> Quaternion:
-        acc = self.coeffs[-1]
-        for i in range(self.degree - 1, -1, -1):
-            acc = acc * q + self.coeffs[i]
-        return acc
-
-    def is_monic(self) -> bool:
-        return (self.coeffs[-1] - Quaternion.ONE).modulus() <= IDENTITY_ABS
-
-    def monic(self) -> "ScalarQPolynomial":
-        """Left-multiply by the inverse leading coefficient (same zeros)."""
-        lead_inv = self.coeffs[-1].inverse()
-        coeffs = [lead_inv * c for c in self.coeffs[:-1]]
-        coeffs.append(Quaternion.ONE)
-        return ScalarQPolynomial(coeffs)
-
-    def as_matrix_polynomial(self) -> MatrixPolynomial:
-        return MatrixPolynomial([QuaternionMatrix.from_rows([[c]]) for c in self.coeffs])
-
     def __repr__(self) -> str:
         return f"ScalarQPolynomial(degree={self.degree})"
 
@@ -409,7 +390,7 @@ def scalar_char_poly(p: ScalarQPolynomial) -> list[float]:
     Numer. Anal. 48, 2010), with nonnegative imaginary part are exactly the
     standard eigenvalues of p.
     """
-    if not p.is_monic():
+    if not (p.coeffs[-1] - Quaternion.ONE).modulus() <= IDENTITY_ABS:
         raise NotMonicError("characteristic coefficients need a monic polynomial")
     a = np.array([c.as_array() for c in p.coeffs])
     steps = np.arange(len(a))

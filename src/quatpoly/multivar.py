@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import ZeroInOmegaError
 from .linalg import QuaternionMatrix
 from .matpoly import MatrixPolynomial, realified_sweep
@@ -73,10 +71,6 @@ class MultiPolynomial:
     @property
     def size(self) -> int:
         return self.terms[0][1].n_rows
-
-    @property
-    def degree(self) -> int:
-        return max(len(w) for w, _ in self.terms)
 
 
 @dataclass

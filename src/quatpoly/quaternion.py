@@ -1,4 +1,4 @@
-"""Quaternion scalars, similarity, and the geometry of similarity classes.
+"""Quaternion scalars, similarity-class representatives and action matrices.
 
 A quaternion q = w + x*i + y*j + z*k is similar to p when s^-1 q s = p for
 some nonzero quaternion s.  Similarity preserves the real part and the norm
@@ -7,7 +7,7 @@ re + im*i with im >= 0.  The class itself is the 2-sphere
 {re + im*u : u unit pure imaginary}, collapsing to the single real point re
 when im = 0.  All stability checks in this package reduce membership
 questions about eigenvalue sets to distances between region centers and
-these class spheres.
+these class spheres, computed on arrays of classes by ``stability.Region``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import APPROX_EQ_ABS, INV_FLOOR, SIMILAR_ABS
+from .tolerances import APPROX_EQ_ABS, INV_FLOOR
 
 
 class Quaternion:
@@ -34,12 +34,6 @@ class Quaternion:
         self.x = float(x)
         self.y = float(y)
         self.z = float(z)
-
-    @classmethod
-    def from_complex(cls, c: complex) -> "Quaternion":
-        """Embed a complex number into the (1, i) plane."""
-        c = complex(c)
-        return cls(c.real, c.imag, 0.0, 0.0)
 
     @classmethod
     def from_complex_pair(cls, c1: complex, c2: complex) -> "Quaternion":
@@ -164,63 +158,6 @@ class StandardEigenvalue:
 
     def modulus(self) -> float:
         return math.hypot(self.re, self.im)
-
-
-def standardize(q: Quaternion) -> StandardEigenvalue:
-    """Map q to the complex representative of its similarity class.
-
-    The representative keeps the real part and turns the imaginary part into
-    its norm, which fully determines the class.
-    """
-    return StandardEigenvalue(q.w, q.vec_norm())
-
-
-def similar(p: Quaternion, q: Quaternion, tol: float = SIMILAR_ABS) -> bool:
-    """Whether p and q lie in the same similarity class.
-
-    Decided through the representatives: equal real parts and equal imaginary
-    norms within ``tol`` (absolute, per component).  This avoids searching for
-    an explicit conjugating element.
-    """
-    ep = standardize(p)
-    eq = standardize(q)
-    return abs(ep.re - eq.re) <= tol and abs(ep.im - eq.im) <= tol
-
-
-def class_distance(e: StandardEigenvalue, p: Quaternion) -> float:
-    """Euclidean distance from p to the similarity class of e.
-
-    The minimum of |p - (e.re + e.im*u)| over unit pure imaginary u has the
-    closed form hypot(Re p - e.re, |vec p| - e.im); for e.im = 0 this is the
-    distance to the single real point e.re.
-    """
-    return math.hypot(p.w - e.re, p.vec_norm() - e.im)
-
-
-def class_distance_extremes(e: StandardEigenvalue, p: Quaternion) -> tuple[float, float]:
-    """Minimum and maximum distance from p to the class sphere of e.
-
-    Distances from p to the sphere sweep a closed interval; the extremes are
-    attained at the points aligned with (min) and against (max) the vector
-    part of p.
-    """
-    v = p.vec_norm()
-    lo = math.hypot(p.w - e.re, v - e.im)
-    hi = math.hypot(p.w - e.re, v + e.im)
-    return lo, hi
-
-
-def class_point(e: StandardEigenvalue, direction: Quaternion) -> Quaternion:
-    """Point of the class of e in the given pure-imaginary direction.
-
-    ``direction`` needs a nonzero vector part; its real component is ignored.
-    For e.im = 0 every direction returns the real point e.re.
-    """
-    v = direction.vec_norm()
-    if v <= 0.0:
-        raise ValueError("direction must have a nonzero vector part")
-    s = e.im / v
-    return Quaternion(e.re, direction.x * s, direction.y * s, direction.z * s)
 
 
 def left_action_matrix(q: Quaternion) -> np.ndarray:

@@ -425,7 +425,8 @@ def eigenvalue_annulus(p: MatrixPolynomial) -> tuple[float, float]:
 # Numerical range sampling
 # ---------------------------------------------------------------------------
 #
-# A probe vector is a row of a real (S, 4n) array in vec4 order.  Both
+# A probe vector is a row of a real (S, 4n) array in vec4 order, (w, x, y, z)
+# per entry as ``linalg.vec4_to_qvec`` reads it; vec4(v) names such a row.  Both
 # samplers form every coefficient set u* A_i v of their scalar polynomials
 # at once, as an (S, m+1, 4) array, screened and trimmed by _trimmed.
 

@@ -40,4 +40,3 @@ STRUCTURE_REL = 1e-14  # (block) triangular zeros, times max(1, largest entry mo
 
 # Defaults of the approximate-equality helpers.
 APPROX_EQ_ABS = 1e-12  # Quaternion.approx_eq and QuaternionMatrix.allclose
-SIMILAR_ABS = 1e-10  # similar(): per-component distance of class representatives

@@ -8,6 +8,7 @@ from quatpoly import (
     QuaternionMatrix,
     SingularMatrixError,
     inverse,
+    polyeig,
     qvec,
 )
 
@@ -87,6 +88,11 @@ def linear(z):
 def quadratic(x, s):
     """t^2 - 2x t + x^2 + s^2, whose zeros are the class sphere of x + s i."""
     return [Quaternion(x * x + s * s), Quaternion(-2.0 * x), Quaternion(1.0)]
+
+
+def right_eigenvalues(a):
+    """The n standard right eigenvalues of a square matrix: ``polyeig`` of t I - A."""
+    return polyeig(MatrixPolynomial([-a, QuaternionMatrix.identity(a.n_rows)]))
 
 
 def random_unit_qvec(rng, n):

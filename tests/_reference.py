@@ -1,9 +1,13 @@
-"""Scalar references for array code of the package: region membership of one
-point or class sphere by ``math.hypot``, the Halton ball grid and its
-rejection sampler one point at a time, as the package once computed them,
-and a multivariate action from ``Quaternion`` products of the letters.  Also
-the ball grid as ``Quaternion`` objects, for tests that probe with them, and
-the zero finder as it once ran, over all 2d root slots of every row, the
+"""Scalar references for array code of the package: the similarity class of
+one quaternion, its distances to a point and its point in a direction, which
+``stability.Region`` computes on arrays of classes as margins and class
+witnesses; ``vec4`` of one column vector; a scalar polynomial's Horner value,
+monic form and 1 x 1 matrix polynomial; region membership of one point or
+class sphere by ``math.hypot``, the Halton ball grid and its rejection
+sampler one point at a time, as the package once computed them, and a
+multivariate action from ``Quaternion`` products of the letters.  Also the
+ball grid as ``Quaternion`` objects, for tests that probe with them, and the
+zero finder as it once ran, over all 2d root slots of every row, the
 relative residual actions as they were once scaled, into fresh arrays, and
 the witness point of one class sphere in a region, one ``Quaternion`` at a
 time."""
@@ -13,15 +17,103 @@ from typing import Sequence
 
 import numpy as np
 
-from quatpoly import (DimensionMismatchError, MultiPolynomial, Quaternion, QuaternionMatrix,
-                      Region, RegionKind, class_distance, class_distance_extremes, class_point,
-                      qvec)
+from quatpoly import (DimensionMismatchError, MatrixPolynomial, MultiPolynomial, Quaternion,
+                      QuaternionMatrix, Region, RegionKind, ScalarQPolynomial, qvec)
 from quatpoly.linalg import _standard_classes
 from quatpoly.matpoly import _lift_roots
-from quatpoly.quaternion import (CONJ, UNIT_LEFT_ACTIONS, UNIT_RIGHT_ACTIONS, StandardEigenvalue,
-                                 standardize)
+from quatpoly.quaternion import CONJ, UNIT_LEFT_ACTIONS, UNIT_RIGHT_ACTIONS, StandardEigenvalue
 from quatpoly.stability import _BALL_KINDS, _ball_grid
 from quatpoly.tolerances import FINITE_SET_REL, SLOPE_REL, SPHERE_REL
+
+
+def standardize(q: Quaternion) -> StandardEigenvalue:
+    """Map q to the complex representative of its similarity class.
+
+    The representative keeps the real part and turns the imaginary part into
+    its norm, which fully determines the class.
+    """
+    return StandardEigenvalue(q.w, q.vec_norm())
+
+
+def similar(p: Quaternion, q: Quaternion, tol: float = 1e-10) -> bool:
+    """Whether p and q lie in the same similarity class.
+
+    Decided through the representatives: equal real parts and equal imaginary
+    norms within ``tol`` (absolute, per component).  This avoids searching for
+    an explicit conjugating element.
+    """
+    ep = standardize(p)
+    eq = standardize(q)
+    return abs(ep.re - eq.re) <= tol and abs(ep.im - eq.im) <= tol
+
+
+def class_distance(e: StandardEigenvalue, p: Quaternion) -> float:
+    """Euclidean distance from p to the similarity class of e.
+
+    The minimum of |p - (e.re + e.im*u)| over unit pure imaginary u has the
+    closed form hypot(Re p - e.re, |vec p| - e.im); for e.im = 0 this is the
+    distance to the single real point e.re.
+    """
+    return math.hypot(p.w - e.re, p.vec_norm() - e.im)
+
+
+def class_distance_extremes(e: StandardEigenvalue, p: Quaternion) -> tuple[float, float]:
+    """Minimum and maximum distance from p to the class sphere of e.
+
+    Distances from p to the sphere sweep a closed interval; the extremes are
+    attained at the points aligned with (min) and against (max) the vector
+    part of p.
+    """
+    v = p.vec_norm()
+    lo = math.hypot(p.w - e.re, v - e.im)
+    hi = math.hypot(p.w - e.re, v + e.im)
+    return lo, hi
+
+
+def class_point(e: StandardEigenvalue, direction: Quaternion) -> Quaternion:
+    """Point of the class of e in the given pure-imaginary direction.
+
+    ``direction`` needs a nonzero vector part; its real component is ignored.
+    For e.im = 0 every direction returns the real point e.re.
+    """
+    v = direction.vec_norm()
+    if v <= 0.0:
+        raise ValueError("direction must have a nonzero vector part")
+    s = e.im / v
+    return Quaternion(e.re, direction.x * s, direction.y * s, direction.z * s)
+
+
+def vec4(v: QuaternionMatrix) -> np.ndarray:
+    """Stack a quaternion column vector into 4n reals, (w, x, y, z) per entry."""
+    if v.n_cols != 1:
+        raise ValueError("expected a column vector")
+    out = np.empty(4 * v.n_rows)
+    c1 = v.a1[:, 0]
+    c2 = v.a2[:, 0]
+    out[0::4] = c1.real
+    out[1::4] = c1.imag
+    out[2::4] = c2.real
+    out[3::4] = c2.imag
+    return out
+
+
+def evaluate(p: ScalarQPolynomial, q: Quaternion) -> Quaternion:
+    acc = p.coeffs[-1]
+    for i in range(p.degree - 1, -1, -1):
+        acc = acc * q + p.coeffs[i]
+    return acc
+
+
+def monic(p: ScalarQPolynomial) -> ScalarQPolynomial:
+    """Left-multiply by the inverse leading coefficient (same zeros)."""
+    lead_inv = p.coeffs[-1].inverse()
+    coeffs = [lead_inv * c for c in p.coeffs[:-1]]
+    coeffs.append(Quaternion.ONE)
+    return ScalarQPolynomial(coeffs)
+
+
+def as_matrix_polynomial(p: ScalarQPolynomial) -> MatrixPolynomial:
+    return MatrixPolynomial([QuaternionMatrix.from_rows([[c]]) for c in p.coeffs])
 
 
 def eval_word(word: Sequence[int], mus: Sequence[Quaternion]) -> Quaternion:

@@ -25,7 +25,6 @@ from quatpoly import (
     check_hyperstability,
     check_stability,
     check_stability_multi,
-    class_distance,
     companion,
     complex_adjoint,
     derive_hyperstability_cubic,
@@ -37,12 +36,10 @@ from quatpoly import (
     not_hyperstable_search,
     polyeig,
     reversal,
-    right_eigenvalues,
     sample_numerical_range,
     scalar_char_poly,
     scalar_zeros,
     spectral_norm,
-    standardize,
     vec_entries,
 )
 from _helpers import (
@@ -51,8 +48,10 @@ from _helpers import (
     random_qmatrix,
     random_quaternion,
     random_unit_qvec,
+    right_eigenvalues,
 )
-from _reference import quaternion_ball_grid
+from _reference import (as_matrix_polynomial, class_distance, evaluate, monic, quaternion_ball_grid,
+                        standardize)
 
 ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
 GOLDEN_LO = (-1.0 + math.sqrt(5.0)) / 2.0
@@ -277,7 +276,7 @@ def test_criterion_6_scalar_characteristic_lemma():
         char_classes = sorted((z.real, abs(z.imag)) for z in roots
                               if z.imag >= -1e-9)
         comp_classes = sorted((e.re, e.im) for e in
-                              right_eigenvalues(companion(p.as_matrix_polynomial())))
+                              right_eigenvalues(companion(as_matrix_polynomial(p))))
         assert len(char_classes) == len(comp_classes)
         for a, b in zip(char_classes, comp_classes):
             assert abs(a[0] - b[0]) <= 1e-7 * max(1.0, abs(b[0]))
@@ -286,9 +285,9 @@ def test_criterion_6_scalar_characteristic_lemma():
         for zero in scalar_zeros(p):
             if zero.spherical:
                 continue
-            value = p.monic().evaluate(zero.point).modulus()
+            value = evaluate(monic(p), zero.point).modulus()
             bound = 1e-8 * sum(c.modulus() * max(1.0, zero.point.modulus()) ** i
-                               for i, c in enumerate(p.monic().coeffs))
+                               for i, c in enumerate(monic(p).coeffs))
             assert value <= bound
     print("\nACCEPTANCE 6 PASS: scalar characteristic lemma (50 random monic "
           "polynomials, roots vs companion, residual-checked zeros)")

@@ -415,6 +415,42 @@ def test_boundary_band_must_be_finite_and_nonnegative(tmp_path, capsys, band):
     assert json.loads(err)["error_kind"] == "InputFormatError"
 
 
+@pytest.mark.parametrize("option, value", [("--samples", "0"), ("--seed", "-1")])
+@pytest.mark.parametrize("command", ["eig", "bounds", "stable", "hyperstable", "nrange", "multivar"])
+def test_samples_below_one_and_negative_seeds_exit_2_before_any_file_is_read(tmp_path, capsys,
+                                                                             command, option, value):
+    # Neither file exists: reading one would end in FileNotFoundError instead.
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli(capsys, [command, "--input", missing, "--region", missing,
+                                      option, value])
+    assert (code, out) == (2, "")
+    report = json.loads(err)
+    assert report["error_kind"] == "InputFormatError"
+    assert report["error"].startswith(option)
+
+
+@pytest.mark.parametrize("offset, multi, single", [
+    (1e-8, ("STABLE", "realified-tuple-test"), ("STABLE", "pointwise-oracle")),
+    (1e-10, ("UNKNOWN", "realified-tuple-test-deadband"), ("UNKNOWN", "pointwise-oracle-deadband")),
+    (1e-12, ("NOT_STABLE", "realified-tuple-test"), ("NOT_STABLE", "pointwise-oracle")),
+])
+def test_multivar_and_stable_share_the_rank_dead_band(tmp_path, capsys, offset, multi, single):
+    # t - 1 over {1 + d}: the operator is d times an orthogonal matrix over a
+    # term scale of about 2, which the rank test clears above 2e-9, finds
+    # singular below 2e-11 and refuses to decide in between.
+    m = write(tmp_path, "m.json", {"k": 1, "terms": [{"word": [1], "coeff": [[ONE_Q]]},
+                                                     {"word": [], "coeff": [[[-1, 0, 0, 0]]]}]})
+    p = write(tmp_path, "p.json", {"coeffs": [[[[-1, 0, 0, 0]]], [[ONE_Q]]]})
+    r = write(tmp_path, "r.json", {"kind": "finite_set", "points": [[1.0 + offset, 0, 0, 0]]})
+    reports = []
+    for command, path in (("multivar", m), ("stable", p)):
+        code, out, _ = run_cli(capsys, [command, "--input", path, "--region", r])
+        assert code == 0
+        report = json.loads(out)
+        reports.append((report["result"]["status"], report["certificate"]))
+    assert reports == [multi, single]
+
+
 def _refuse_sweep(monkeypatch):
     from quatpoly import multivar
 

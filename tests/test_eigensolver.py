@@ -10,6 +10,7 @@ import pytest
 from numpy.linalg import _umath_linalg
 from _helpers import random_polynomial, random_quaternion
 from _qr_reference import qr_eig
+from _reference import monic
 
 from quatpoly import (
     NoConvergenceError,
@@ -154,7 +155,7 @@ def nearest_gap(mine, reference):
 
 
 def _char_poly_companion(poly):
-    c = scalar_char_poly(poly.monic())
+    c = scalar_char_poly(monic(poly))
     d = len(c) - 1
     comp = np.zeros((d, d))
     comp[np.arange(d - 1), np.arange(1, d)] = 1.0

@@ -24,16 +24,15 @@ from quatpoly import (
     rank_decisions,
     real_rep_left,
     real_rep_right_scalar,
-    right_eigenvalues,
     spectral_norm,
-    vec4,
     vec4_to_qvec,
     vec_entries,
 )
 from quatpoly.quaternion import left_action_matrix, right_action_matrix
 from quatpoly.tolerances import RANK_BAND, RANK_PIVOT_REL
 from _helpers import (random_invertible_qmatrix, random_polynomial, random_qmatrix, random_quaternion,
-                      random_unit_quaternion, random_unit_qvec)
+                      random_unit_quaternion, random_unit_qvec, right_eigenvalues)
+from _reference import vec4
 
 ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
 BASIS = [ONE, I, J, K]

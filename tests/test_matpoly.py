@@ -27,19 +27,18 @@ from quatpoly import (
     real_rep_left,
     real_rep_right_scalar,
     reversal,
-    right_eigenvalues,
     scalar_char_poly,
     scalar_zeros,
-    similar,
     spectral_norm,
-    standardize,
     vec_entries,
 )
 from quatpoly import linalg, matpoly
 from quatpoly.eigensolver import singular_values
-from quatpoly.quaternion import StandardEigenvalue, class_distance, class_point
+from quatpoly.quaternion import StandardEigenvalue
 from quatpoly.tolerances import POLYEIG_RESIDUAL_REL
 import _reference
+from _reference import (as_matrix_polynomial, class_distance, class_point, evaluate, monic, similar,
+                        standardize)
 from _helpers import (
     linear,
     product,
@@ -48,6 +47,7 @@ from _helpers import (
     random_polynomial,
     random_qmatrix,
     random_quaternion,
+    right_eigenvalues,
     spread_polynomial,
 )
 
@@ -108,7 +108,7 @@ def test_evaluate_action_dimension_mismatch():
 
 def test_companion_scalar_linear():
     # t - k normalizes to itself; companion is the 1x1 matrix [k].
-    p = ScalarQPolynomial([-K, ONE]).as_matrix_polynomial()
+    p = as_matrix_polynomial(ScalarQPolynomial([-K, ONE]))
     c = companion(p)
     assert c.shape == (1, 1)
     assert c.entry(0, 0).approx_eq(K, 1e-15)
@@ -472,7 +472,7 @@ def test_scalar_char_poly_roots_match_companion():
             for z in roots if z.imag >= -1e-9)
         comp_standards = sorted(
             (round(e.re, 7), round(e.im, 7))
-            for e in right_eigenvalues(companion(p.as_matrix_polynomial())))
+            for e in right_eigenvalues(companion(as_matrix_polynomial(p))))
         assert len(char_standards) == len(comp_standards)
         for a, b in zip(char_standards, comp_standards):
             assert abs(a[0] - b[0]) <= 1e-7 * max(1.0, abs(b[0]))
@@ -504,7 +504,7 @@ def test_polyeig_classes_match_scalar_zeros_with_multiplicity(kind):
         p, tol = _planted_scalar(rng, kind)
         zeros = sorted((z.eigenvalue_class.re, z.eigenvalue_class.im)
                        for z in scalar_zeros(p) for _ in range(z.multiplicity))
-        eigen = sorted((e.re, e.im) for e in polyeig(p.as_matrix_polynomial()))
+        eigen = sorted((e.re, e.im) for e in polyeig(as_matrix_polynomial(p)))
         assert len(zeros) == len(eigen) == p.degree
         for (re, im), (ere, eim) in zip(zeros, eigen):
             assert abs(complex(re - ere, im - eim)) <= tol * max(1.0, abs(complex(ere, eim)))
@@ -542,14 +542,14 @@ def test_scalar_zeros_residuals_and_classes():
         if coeffs[-1].modulus() < 1e-6:
             coeffs[-1] = ONE
         p = ScalarQPolynomial(coeffs)
-        scale = sum(c.modulus() for c in p.monic().coeffs)
+        scale = sum(c.modulus() for c in monic(p).coeffs)
         for z in scalar_zeros(p):
             assert similar(z.point, z.eigenvalue_class.lift(), tol=1e-6)
             if not z.spherical:
-                value = p.monic().evaluate(z.point)
+                value = evaluate(monic(p), z.point)
                 bound = 1e-8 * sum(
                     c.modulus() * max(1.0, z.point.modulus()) ** i
-                    for i, c in enumerate(p.monic().coeffs))
+                    for i, c in enumerate(monic(p).coeffs))
                 assert value.modulus() <= bound
 
 

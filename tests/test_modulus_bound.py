@@ -25,6 +25,7 @@ from quatpoly import stability
 from quatpoly.matpoly import scalar_zeros
 from quatpoly.tolerances import BOUNDARY_BAND
 from test_sampling import _ref_center_excluded, _ref_radius
+from _reference import evaluate
 
 SPREADS = [0, 8, 50, 150]
 DEGREES = [1, 2, 3, 4]
@@ -84,7 +85,7 @@ def _credible_zeros(cs):
         return None
     moduli = [c.modulus() for c in q.coeffs]
     return [z for z in zeros
-            if q.evaluate(z.point).modulus()
+            if evaluate(q, z.point).modulus()
             <= 1e-8 * sum(m * z.point.modulus() ** i for i, m in enumerate(moduli))]
 
 

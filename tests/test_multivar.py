@@ -23,7 +23,6 @@ from quatpoly import (
     polyeig,
     rank_decision,
     real_rep_left,
-    vec4,
     vec4_to_qvec,
     vec_entries,
 )
@@ -36,7 +35,7 @@ from _helpers import (
     random_quaternion,
     random_unit_qvec,
 )
-from _reference import eval_action_multi, eval_word
+from _reference import eval_action_multi, eval_word, vec4
 
 ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
 
@@ -162,6 +161,17 @@ def test_derive_quadratic_zero_in_omega_guard():
     # form i carries no such precondition
     verdict = derive_hyperstability_quadratic(eye, eye, eye, omega, "i")
     assert verdict.status in (HyperStatus.HYPERSTABLE, HyperStatus.UNKNOWN)
+
+
+def test_derive_quadratic_in_the_rank_dead_band_is_unknown():
+    # Form i's u^2 + v - 2 at u = v = 1 + 1e-10 is about 3e-10 times an
+    # orthogonal matrix, over a term scale of about 4: the rank test neither
+    # clears it (above 4e-9) nor finds a kernel (below 4e-11).
+    one = QuaternionMatrix.identity(1)
+    omega = Region.finite_set([Quaternion(1.0 + 1e-10)])
+    verdict = derive_hyperstability_quadratic(one, one, -2 * one, omega, "i")
+    assert verdict.status is HyperStatus.UNKNOWN
+    assert verdict.details["multivariate_status"] == "UNKNOWN"
 
 
 def test_mixed_example_not_expressible_in_derivation_forms():

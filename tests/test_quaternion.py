@@ -6,17 +6,10 @@ import numpy as np
 import pytest
 
 import quatpoly
-from quatpoly import (
-    Quaternion,
-    StandardEigenvalue,
-    class_distance,
-    class_distance_extremes,
-    class_point,
-    similar,
-    standardize,
-)
+from quatpoly import Quaternion, StandardEigenvalue
 from quatpoly.quaternion import moduli
 from _helpers import random_quaternion, random_unit_imaginary
+from _reference import class_distance, class_distance_extremes, class_point, similar, standardize
 
 ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
 

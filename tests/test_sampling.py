@@ -27,7 +27,7 @@ from quatpoly import (
     not_hyperstable_search,
     sample_numerical_range,
 )
-from quatpoly.linalg import qvec, vec4, vec4_to_qvec
+from quatpoly.linalg import qvec, vec4_to_qvec
 from quatpoly import matpoly, stability
 from quatpoly.matpoly import scalar_zeros
 from quatpoly.stability import (
@@ -46,6 +46,7 @@ from test_matpoly import (
     example_projection_poly,
 )
 from _helpers import random_polynomial, random_qmatrix, random_quaternion
+from _reference import vec4
 
 UNITS = [Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K]
 

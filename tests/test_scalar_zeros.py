@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 import _reference
 from _helpers import linear, product, quadratic, random_quaternion
+from _reference import as_matrix_polynomial, class_point, evaluate, standardize
 
 from quatpoly import (MatrixPolynomial, PairingFailureError, Quaternion, QuaternionMatrix, ScalarQPolynomial,
                       StandardEigenvalue, is_eigenvalue_oracle, polyeig, sample_numerical_range,
                       scalar_zeros, stability)
 from quatpoly.matpoly import stacked_zeros
-from quatpoly.quaternion import class_point, standardize
 from quatpoly.tolerances import DEGREE_TRIM_REL
 
 ONE = Quaternion(1.0)
@@ -52,7 +52,7 @@ def test_repeated_zeros_give_one_class_each(factors, want):
     assert sum(z.multiplicity for z in zeros) == len(coeffs) - 1
     for z in zeros:
         # Every representative is a zero; (t-i)(t-j) has j, (t-i)^2 has i.
-        assert ScalarQPolynomial(coeffs).evaluate(z.point).modulus() <= 1e-12
+        assert evaluate(ScalarQPolynomial(coeffs), z.point).modulus() <= 1e-12
 
 
 def test_isolated_repeated_zeros_sit_at_the_right_point():
@@ -148,7 +148,7 @@ def test_zeros_agree_with_the_companion_and_the_oracle(sphere):
         assert sum(z.multiplicity for z in zeros) == degree
         classes = sorted((z.eigenvalue_class.re, z.eigenvalue_class.im)
                          for z in zeros for _ in range(z.multiplicity))
-        mp = p.as_matrix_polynomial()
+        mp = as_matrix_polynomial(p)
         eigen = sorted((e.re, e.im) for e in polyeig(mp))
         for (re, im), (ere, eim) in zip(classes, eigen, strict=True):
             assert abs(complex(re - ere, im - eim)) <= 1e-8 * max(1.0, abs(complex(ere, eim)))

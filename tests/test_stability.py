@@ -17,8 +17,6 @@ from quatpoly import (
     StabilityStatus,
     check_hyperstability,
     check_stability,
-    class_distance_extremes,
-    class_point,
     eig_complex,
     eigenvalue_annulus,
     is_eigenvalue_oracle,
@@ -29,7 +27,6 @@ from quatpoly import (
     region_sample_grid,
     reversal,
     sample_numerical_range,
-    similar,
     unique_positive_root,
     vec_entries,
 )
@@ -43,7 +40,8 @@ from test_matpoly import (
 )
 from _helpers import random_polynomial, random_quaternion, random_unit_imaginary
 import _reference
-from _reference import quaternion_ball_grid
+from _reference import (as_matrix_polynomial, class_distance_extremes, class_point,
+                        quaternion_ball_grid, similar)
 from quatpoly.eigensolver import singular_values
 
 ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
@@ -110,7 +108,7 @@ def test_finite_set_membership_ignores_the_band():
     near = [0.0, 0.0, 0.8 + 1e-13, 0.0]
     assert region.contains_rows([[0.0, 1.0, 0.0, 0.0], near], [True, False]).tolist() == [
         False, True]
-    sphere = ScalarQPolynomial([ONE, Quaternion(0.0), ONE]).as_matrix_polynomial()  # t^2 + 1
+    sphere = as_matrix_polynomial(ScalarQPolynomial([ONE, Quaternion(0.0), ONE]))  # t^2 + 1
     for band in (0.0, 1e-9, 0.3):
         verdict = check_stability(sphere, region, band=band)
         assert (verdict.status, verdict.certificate) == (StabilityStatus.STABLE, "pointwise-oracle")
@@ -439,7 +437,7 @@ def test_hyperstable_projection_triangular():
 
 
 def test_hyperstable_scalar_equivalence():
-    p = ScalarQPolynomial([-K, ONE]).as_matrix_polynomial()
+    p = as_matrix_polynomial(ScalarQPolynomial([-K, ONE]))
     verdict = check_hyperstability(p, Region.finite_set([ONE]))
     assert verdict.status is HyperStatus.HYPERSTABLE
     assert verdict.certificate == "scalar-equivalence"
@@ -531,7 +529,7 @@ def test_hyperstable_implies_stable():
     cases = [
         (example_projection_poly(),
          Region.finite_set([Quaternion(0.5), Quaternion(2), I, J])),
-        (ScalarQPolynomial([-K, ONE]).as_matrix_polynomial(),
+        (as_matrix_polynomial(ScalarQPolynomial([-K, ONE])),
          Region.finite_set([ONE, Quaternion(2)])),
         (MatrixPolynomial([QuaternionMatrix.diagonal([Quaternion(-3), Quaternion(-4)]),
                            QuaternionMatrix.identity(2)]),
@@ -823,7 +821,7 @@ def test_scalar_equivalence_verdict_makes_one_realified_sweep(monkeypatch):
 
     for module in (matpoly, stability):
         monkeypatch.setattr(module, "realified_sweep", counting(module.realified_sweep))
-    p = ScalarQPolynomial([Quaternion(-2.0), Quaternion(0.0), ONE]).as_matrix_polynomial()
+    p = as_matrix_polynomial(ScalarQPolynomial([Quaternion(-2.0), Quaternion(0.0), ONE]))
     verdict = check_hyperstability(p, Region.closed_ball(Quaternion(0), 2.0))
     assert (verdict.status, verdict.certificate) == (HyperStatus.NOT_HYPERSTABLE_SAMPLED,
                                                      "scalar-equivalence")
