@@ -5,6 +5,10 @@ class QuatPolyError(Exception):
     """Base class for all quatpoly errors."""
 
 
+class InputFormatError(ValueError):
+    """Raised when an input does not match its expected schema or exceeds a limit."""
+
+
 class NonSquareError(QuatPolyError):
     """Operation requires a square matrix."""
 

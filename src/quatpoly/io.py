@@ -18,15 +18,12 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import InputFormatError
 from .linalg import QuaternionMatrix, vec_entries
 from .matpoly import MatrixPolynomial
 from .multivar import MultiPolynomial
 from .quaternion import Quaternion, StandardEigenvalue
 from .stability import Region, RegionKind
-
-
-class InputFormatError(ValueError):
-    """Raised when an input file does not match its expected schema."""
 
 
 def _is_int(value) -> bool:

@@ -378,8 +378,8 @@ def _nearest(roots: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _root_groups(roots: np.ndarray, scales: np.ndarray, nearest: np.ndarray,
                  candidate: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Mean, size and mean |Im| of each group of one row of roots, one group
-    per multiple root, from that row's ``_nearest`` (nearest, candidate).
+    """Mean, size and mean |Im| of the groups, one per multiple root, of each
+    row of an (R, N) stack: (R, N) arrays, by least member, then zeros.
 
     A root and its k - 1 nearest form a k-fold group when their offsets h
     from their mean, in units of the root's scale, lie within
@@ -388,58 +388,57 @@ def _root_groups(roots: np.ndarray, scales: np.ndarray, nearest: np.ndarray,
     that of (t - mean)^k, coefficient by coefficient, so the characteristic
     polynomial is within that relative perturbation of one with a k-fold root
     there (Zeng, Math. Comp. 74, 2005).  Each root takes its largest passing
-    k, tried downward over its candidates; a group stands when all its
-    members take it, and every other root joins the first earlier such root
-    within ROOT_CLUSTER_REL.
+    k, tried in a loop over k downward on all candidates that took none
+    larger; a group stands when all its members take it, and every other
+    root joins the first earlier such root within ROOT_CLUSTER_REL, in a
+    loop over the columns that hold one.  No loop runs over rows.
     """
-    count = len(roots)
-    picks = [frozenset([i]) for i in range(count)]
-    for i in np.flatnonzero(candidate[:, 1:].any(axis=1)):
-        near = roots[nearest[i]]
-        for k in np.flatnonzero(candidate[i, 1:])[::-1] + 2:
-            h = (near[:k] - near[:k].mean()) / scales[i]
-            bound = np.abs(h).max()
-            # |sum h^q| <= k max|h|^2 for q >= 2 spares a tight group its power sums.
-            if bound ** k <= MULTIPLE_ROOT_REL and (k * bound * bound <= MULTIPLE_ROOT_REL or np.abs(
-                    np.vander(h, k + 1, increasing=True)[:, 2:].sum(axis=0)).max() <= MULTIPLE_ROOT_REL):
-                picks[i] = frozenset(nearest[i, :k].tolist())
-                break
-    picks = list(map({pick: pick for pick in picks}.__getitem__, picks))  # one object per distinct pick
-    standing = [all(picks[j] is pick for j in pick) for pick in picks]
-    labels = np.arange(count)
-    for i, pick in enumerate(picks):
-        labels[i] = min(pick) if standing[i] else next(
-            (h for h in range(i) if not standing[h] and labels[h] == h
-             and abs(roots[i] - roots[h]) <= ROOT_CLUSTER_REL * scales[i]), i)
-    member = (np.unique(labels)[:, None] == labels).astype(float)
-    counts = member.sum(axis=1)
-    return member @ roots / counts, counts, member @ np.abs(roots.imag) / counts
+    taken, slots = np.ones(roots.shape, dtype=int), np.arange(roots.shape[1])
+    for k in np.flatnonzero(candidate[..., 1:].any(axis=(0, 1)))[::-1] + 2:
+        r, i = np.nonzero(candidate[..., k - 1] & (taken == 1))
+        near = roots[r[:, None], nearest[r, i, :k]]
+        h = (near - near.mean(axis=1, keepdims=True)) / scales[r, i, None]
+        power = np.abs(np.cumprod(h[..., None].repeat(k, axis=2), axis=2)[..., 1:].sum(axis=1)).max(axis=1)
+        taken[r, i] = np.where(np.maximum(np.abs(h).max(axis=1) ** k, power) <= MULTIPLE_ROOT_REL, k, 1)
+    picks = (np.argsort(nearest, axis=2) < taken[..., None]).astype(float)  # root j in pick i at [r, i, j]
+    shared = picks @ picks.transpose(0, 2, 1)
+    standing = ((shared == taken[..., None]) & (shared == taken[:, None]) | (picks == 0)).all(axis=2)
+    labels = np.where(standing, picks.argmax(axis=2), slots)
+    for i in np.flatnonzero((~standing).any(axis=0)):
+        heads = (slots < i) & ~standing & (labels == slots) & (
+            np.abs(roots[:, i, None] - roots) <= ROOT_CLUSTER_REL * scales[:, i, None])
+        labels[:, i] = np.where(~standing[:, i] & heads.any(axis=1), heads.argmax(axis=1), labels[:, i])
+    group = np.take_along_axis(np.cumsum(labels == slots, axis=1) - 1, labels, axis=1)
+    member = (group[:, None, :] == slots[:, None]).astype(float)
+    sizes = member.sum(axis=2, keepdims=True)
+    means, folded = (np.divide(member @ v, sizes, out=np.zeros_like(v), where=sizes > 0)
+                     for v in (roots[..., None], np.abs(roots.imag)[..., None]))
+    return means[..., 0], sizes[..., 0].astype(int), folded[..., 0]
 
 
 def _standard_classes(roots, scales) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Classes x + i s of a conjugate-closed lift spectrum, or of an (S, N)
     stack of them: (x, s, share, axis), each (S, N), a class where share > 0.
 
-    Only a row in which ``_nearest`` leaves some root a multiple candidate
-    is grouped by ``_root_groups``.  Groups are matched to mirrors in
-    rounds: each takes the group left whose mean lies nearest the conjugate
-    of its mean, itself only at an even size, and a mutual choice is a
-    match.  A group that is its own mirror is on the real axis, a class of
-    share half its size with s the mean |Im| of its roots.  Any other group
-    must have its mirror's size and lie on the other side of the axis; the
-    one above is the class, at the mean of its mean and its mirror's
-    conjugate, of share its size.  A row whose shares are not whole or do
-    not sum to N / 2 is not conjugate-closed: PairingFailureError names
-    every such row.
+    The rows in which ``_nearest`` leaves some root a multiple candidate go
+    to one ``_root_groups`` call; the others keep one root a group.  Groups
+    are matched to mirrors in rounds: each takes the group left whose mean
+    lies nearest the conjugate of its mean, itself only at an even size, and
+    a mutual choice is a match.  A group that is its own mirror is on the
+    real axis, a class of share half its size with s the mean |Im| of its
+    roots.  Any other group must have its mirror's size and lie on the other
+    side of the axis; the one above is the class, at the mean of its mean
+    and its mirror's conjugate, of share its size.  A row whose shares are
+    not whole or do not sum to N / 2 is not conjugate-closed:
+    PairingFailureError names every such row.
     """
     roots, scales = np.atleast_2d(roots), np.atleast_2d(scales)
     count, width = roots.shape
     means, sizes, folded = roots.copy(), np.ones(roots.shape, dtype=int), np.abs(roots.imag)
     nearest, candidate = _nearest(roots, scales)
-    for r in np.flatnonzero(candidate[..., 1:].any(axis=(1, 2))):
-        groups = _root_groups(roots[r], scales[r], nearest[r], candidate[r])
-        for out, got in zip((means, sizes, folded), groups):
-            out[r] = np.pad(got, (0, width - len(got)))
+    r = np.flatnonzero(candidate[..., 1:].any(axis=(1, 2)))
+    if len(r):
+        means[r], sizes[r], folded[r] = _root_groups(roots[r], scales[r], nearest[r], candidate[r])
     gaps = np.where(sizes[:, None] > 0, np.abs(means[:, None] + -means.conj()[..., None]), np.inf)
     rows, slots = np.ogrid[:count, :width]
     near = gaps.argmin(axis=2)

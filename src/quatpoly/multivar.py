@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import ZeroInOmegaError
+from .errors import InputFormatError, ZeroInOmegaError
 from .linalg import QuaternionMatrix
 from .matpoly import MatrixPolynomial, realified_sweep
 from .quaternion import Quaternion, moduli
@@ -87,14 +87,14 @@ def check_stability_multi(p: MultiPolynomial, omega: Region) -> MultiStabilityVe
     Every tuple is realified and rank-tested; the verdict reports the first
     singular tuple (in lexicographic tuple order) with a kernel vector, so
     the result is independent of how the sweep is chunked.  More than
-    MAX_TUPLES tuples times letters raise ValueError before any is built.
+    MAX_TUPLES tuples times letters raise InputFormatError before any is built.
     """
     if omega.kind is not RegionKind.FINITE_SET:
-        raise ValueError("multivariate stability is decided over finite sets only")
+        raise InputFormatError("multivariate stability is decided over finite sets only")
     # Two or more points pass the cap well before k = 64 letters.
     if p.k * len(omega.points) ** min(p.k, 64) > MAX_TUPLES:
-        raise ValueError(f"{len(omega.points)}^{p.k} probe tuples of {p.k} letters "
-                         f"exceed the limit of {MAX_TUPLES}")
+        raise InputFormatError(f"{len(omega.points)}^{p.k} probe tuples of {p.k} letters "
+                               f"exceed the limit of {MAX_TUPLES}")
     status, tup, vec = realified_sweep(p.terms, omega.points, p.k)
     if status == "singular":
         return MultiStabilityVerdict(StabilityStatus.NOT_STABLE, "realified-tuple-test",
@@ -111,7 +111,7 @@ def _derive(terms, omega: Region, certificate: str, *, zero_free: bool,
     ``zero_free`` rules need 0 outside omega.  ``guard``, the coefficients of P where the
     operator at u = v is not P, keeps a HYPERSTABLE only where P is stable over omega."""
     if omega.kind is not RegionKind.FINITE_SET:
-        raise ValueError("derivation rules run over finite probe sets only")
+        raise InputFormatError("derivation rules run over finite probe sets only")
     multi = MultiPolynomial.build(2, terms)
     if zero_free and (moduli(omega.points) <= OMEGA_ZERO_ABS).any():
         raise ZeroInOmegaError("the probe set must not contain 0")

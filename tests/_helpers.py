@@ -102,3 +102,12 @@ def random_unit_qvec(rng, n):
         if norm > 1e-9:
             entries = [Quaternion(*raw[4 * t:4 * t + 4] / norm) for t in range(n)]
             return qvec(entries)
+
+
+def random_hermitian(rng, n, real, shift=0.0):
+    """B + B* + shift I for a Gaussian n x n quaternion matrix B, real
+    symmetric when ``real``, as an (n, n, 4) array of [w, x, y, z] entries."""
+    b = rng.standard_normal((n, n, 4)) * ([1.0, 0.0, 0.0, 0.0] if real else 1.0)
+    a = b + b.transpose(1, 0, 2) * [1.0, -1.0, -1.0, -1.0]
+    a[..., 0] += shift * np.eye(n)
+    return a

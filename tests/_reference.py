@@ -8,9 +8,9 @@ sampler one point at a time, as the package once computed them, and a
 multivariate action from ``Quaternion`` products of the letters.  Also the
 ball grid as ``Quaternion`` objects, for tests that probe with them, and the
 zero finder as it once ran, over all 2d root slots of every row, the
-relative residual actions as they were once scaled, into fresh arrays, and
+relative residual actions as they were once scaled, into fresh arrays,
 the witness point of one class sphere in a region, one ``Quaternion`` at a
-time."""
+time, and the grouping of multiple lift roots one row at a time."""
 
 import math
 from typing import Sequence
@@ -23,7 +23,8 @@ from quatpoly.linalg import _standard_classes
 from quatpoly.matpoly import _lift_roots
 from quatpoly.quaternion import CONJ, UNIT_LEFT_ACTIONS, UNIT_RIGHT_ACTIONS, StandardEigenvalue
 from quatpoly.stability import _BALL_KINDS, _ball_grid
-from quatpoly.tolerances import FINITE_SET_REL, SLOPE_REL, SPHERE_REL
+from quatpoly.tolerances import (FINITE_SET_REL, MULTIPLE_ROOT_REL, ROOT_CLUSTER_REL, SLOPE_REL,
+                                 SPHERE_REL)
 
 
 def standardize(q: Quaternion) -> StandardEigenvalue:
@@ -341,3 +342,54 @@ def _class_witness(e: StandardEigenvalue, region: Region) -> Quaternion:
     dmin, dmax = class_distance_extremes(e, center)
     target = 0.5 * (max(dmin, region.inner_radius) + min(dmax, region.outer_radius))
     return _class_point_at_distance(e, center, target)
+
+
+def root_groups(roots: np.ndarray, scales: np.ndarray, nearest: np.ndarray,
+                candidate: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mean, size and mean |Im| of each group of one row of roots, one group
+    per multiple root, from that row's ``_nearest`` (nearest, candidate).
+
+    A root and its k - 1 nearest form a k-fold group when their offsets h
+    from their mean, in units of the root's scale, lie within
+    r_k = MULTIPLE_ROOT_REL^(1/k) and have power sums |sum h^q| <=
+    MULTIPLE_ROOT_REL for q = 2..k.  The group's factor is then within about
+    that of (t - mean)^k, coefficient by coefficient, so the characteristic
+    polynomial is within that relative perturbation of one with a k-fold root
+    there (Zeng, Math. Comp. 74, 2005).  Each root takes its largest passing
+    k, tried downward over its candidates; a group stands when all its
+    members take it, and every other root joins the first earlier such root
+    within ROOT_CLUSTER_REL.
+    """
+    count = len(roots)
+    picks = [frozenset([i]) for i in range(count)]
+    for i in np.flatnonzero(candidate[:, 1:].any(axis=1)):
+        near = roots[nearest[i]]
+        for k in np.flatnonzero(candidate[i, 1:])[::-1] + 2:
+            h = (near[:k] - near[:k].mean()) / scales[i]
+            bound = np.abs(h).max()
+            # |sum h^q| <= k max|h|^2 for q >= 2 spares a tight group its power sums.
+            if bound ** k <= MULTIPLE_ROOT_REL and (k * bound * bound <= MULTIPLE_ROOT_REL or np.abs(
+                    np.vander(h, k + 1, increasing=True)[:, 2:].sum(axis=0)).max() <= MULTIPLE_ROOT_REL):
+                picks[i] = frozenset(nearest[i, :k].tolist())
+                break
+    picks = list(map({pick: pick for pick in picks}.__getitem__, picks))  # one object per distinct pick
+    standing = [all(picks[j] is pick for j in pick) for pick in picks]
+    labels = np.arange(count)
+    for i, pick in enumerate(picks):
+        labels[i] = min(pick) if standing[i] else next(
+            (h for h in range(i) if not standing[h] and labels[h] == h
+             and abs(roots[i] - roots[h]) <= ROOT_CLUSTER_REL * scales[i]), i)
+    member = (np.unique(labels)[:, None] == labels).astype(float)
+    counts = member.sum(axis=1)
+    return member @ roots / counts, counts, member @ np.abs(roots.imag) / counts
+
+
+def stacked_root_groups(roots: np.ndarray, scales: np.ndarray, nearest: np.ndarray,
+                        candidate: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``root_groups`` of each row of an (R, N) stack, each output padded
+    with zeros to N, as ``linalg._standard_classes`` once filled its arrays."""
+    out = np.zeros(roots.shape, complex), np.zeros(roots.shape, int), np.zeros(roots.shape)
+    for r in range(len(roots)):
+        for full, got in zip(out, root_groups(roots[r], scales[r], nearest[r], candidate[r])):
+            full[r] = np.pad(got, (0, roots.shape[1] - len(got)))
+    return out

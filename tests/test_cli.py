@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from _helpers import random_invertible_qmatrix
+from _helpers import random_hermitian, random_invertible_qmatrix
 
 from quatpoly import Quaternion, QuaternionMatrix, inverse
 from quatpoly.cli import main
@@ -285,6 +285,23 @@ def test_nrange_of_nonzero_constants_writes_no_points(tmp_path, capsys):
     assert '"points": []' in out and out == _indent_2(out)
 
 
+@pytest.mark.parametrize("real", [True, False], ids=["real-symmetric", "hermitian"])
+def test_nrange_of_a_hermitian_quadratic_counts_every_zero(tmp_path, capsys, real):
+    # y* P(t) y has real coefficients for Hermitian P, so each of its m zeros
+    # a sample is a real zero, unflagged, or one of a pair on a sphere,
+    # flagged once for both.  A positive definite A_2 keeps the degree at m.
+    rng = np.random.default_rng(7 + real)
+    coeffs = [random_hermitian(rng, 3, real, shift).tolist() for shift in (0.0, 0.0, 8.0)]
+    p = write(tmp_path, "p.json", {"coeffs": coeffs})
+    code, out, _ = run_cli(capsys, ["nrange", "--input", p, "--samples", "4000"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["skipped"] == 0
+    assert sum(2 if z["spherical"] else 1 for z in result["points"]) == 2 * 4000
+    assert all(z["point"][1:] == [0.0, 0.0, 0.0] for z in result["points"] if not z["spherical"])
+    assert any(z["spherical"] for z in result["points"]) and not all(z["spherical"] for z in result["points"])
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "CHANGES.md FOUND line: nrange skips samples of a 1 x 1 real polynomial whose samples are "
     "all the same polynomial; stacked_zeros refuses two rows with PairingFailureError (class "
@@ -364,7 +381,7 @@ def test_non_finite_and_boolean_inputs_exit_2(tmp_path, capsys, command, poly, r
     code, out, err = run_cli(capsys, [command, "--input", p, "--region", r])
     assert code == 2
     assert out == ""
-    assert json.loads(err)["error_kind"] in ("InputFormatError", "ValueError")
+    assert json.loads(err)["error_kind"] == "InputFormatError"
 
 
 @pytest.mark.parametrize("command, poly, region", [
@@ -469,7 +486,7 @@ def test_multivar_refuses_too_many_tuples(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["multivar", "--input", p, "--region", r])
     assert code == 2
     assert out == ""
-    assert json.loads(err)["error_kind"] == "ValueError"
+    assert json.loads(err)["error_kind"] == "InputFormatError"
 
 
 def test_multivar_refuses_too_many_letters_at_one_point(tmp_path, capsys, monkeypatch):
@@ -481,7 +498,24 @@ def test_multivar_refuses_too_many_letters_at_one_point(tmp_path, capsys, monkey
     code, out, err = run_cli(capsys, ["multivar", "--input", p, "--region", r])
     assert code == 2
     assert out == ""
-    assert json.loads(err)["error_kind"] == "ValueError"
+    assert json.loads(err)["error_kind"] == "InputFormatError"
+
+
+@pytest.mark.parametrize("poly, form, message", [
+    pytest.param({"k": 1, "terms": ONE_LETTER}, [], "finite sets only", id="terms"),
+    pytest.param(GOLDEN_POLY, ["--form", "i"], "finite probe sets only", id="form-i"),
+])
+def test_multivar_over_a_ball_is_an_input_format_error(tmp_path, capsys, monkeypatch, poly, form, message):
+    # Multivariate stability and the derivation rules run over finite sets only.
+    _refuse_sweep(monkeypatch)
+    p = write(tmp_path, "p.json", poly)
+    r = write(tmp_path, "r.json", {"kind": "open_ball", "center": ZERO, "radius": 1.0})
+    code, out, err = run_cli(capsys, ["multivar", "--input", p, "--region", r, *form])
+    assert code == 2
+    assert out == ""
+    report = json.loads(err)
+    assert report["error_kind"] == "InputFormatError"
+    assert message in report["error"]
 
 
 UNSTRUCTURED = {"coeffs": [[[ONE_Q, I_Q], [J_Q, K_Q]], [[ZERO, ONE_Q], [ONE_Q, ZERO]], EYE2]}

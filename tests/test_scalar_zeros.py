@@ -13,14 +13,14 @@ import warnings
 import numpy as np
 import pytest
 import _reference
-from _helpers import linear, product, quadratic, random_quaternion
+from _helpers import linear, product, quadratic, random_hermitian, random_quaternion
 from _reference import as_matrix_polynomial, class_point, evaluate, standardize
 
 from quatpoly import (MatrixPolynomial, PairingFailureError, Quaternion, QuaternionMatrix, ScalarQPolynomial,
                       StandardEigenvalue, is_eigenvalue_oracle, polyeig, sample_numerical_range,
                       scalar_zeros, stability)
 from quatpoly.matpoly import stacked_zeros
-from quatpoly.tolerances import DEGREE_TRIM_REL
+from quatpoly.tolerances import DEGREE_TRIM_REL, MULTIPLE_ROOT_REL
 
 ONE = Quaternion(1.0)
 I, J, K = Quaternion(0.0, 1.0), Quaternion(0.0, 0.0, 1.0), Quaternion(0.0, 0.0, 0.0, 1.0)
@@ -167,12 +167,113 @@ def test_groups_that_do_not_stand_fall_back_to_the_fixed_radius():
     # radius from any other root, stays alone.
     from quatpoly.linalg import _nearest, _root_groups
 
-    roots = np.array([0.0, 3e-6, 6.1e-6 + 1e-7j])
+    roots = np.array([[0.0, 3e-6, 6.1e-6 + 1e-7j]])
     scales = np.maximum(1.0, np.abs(roots))
-    means, sizes, folded = _root_groups(roots, scales, *_nearest(roots, scales))
+    means, sizes, folded = (g[0, :2] for g in _root_groups(roots, scales, *_nearest(roots, scales)))
     assert sizes.tolist() == [2.0, 1.0]
-    np.testing.assert_allclose(means, [1.5e-6, roots[2]], rtol=1e-15)
+    np.testing.assert_allclose(means, [1.5e-6, roots[0, 2]], rtol=1e-15)
     np.testing.assert_allclose(folded, [0.0, 1e-7], rtol=1e-15)
+
+
+def _closed(rows):
+    """Lift-like rows: each row of roots beside its conjugates."""
+    rows = np.asarray(rows, dtype=complex)
+    return np.concatenate([rows, rows.conj()], axis=1)
+
+
+def _grouping_stacks(monkeypatch):
+    """(roots, scales) stacks whose rows the grouping sees: the lift rows of
+    the sampler and of ``polyeig`` on real-symmetric and Hermitian
+    polynomials, as they reach ``_root_groups``, up to N = 96; planted k =
+    2, 3 and 4 groups; groups just inside and just outside
+    MULTIPLE_ROOT_REL; mixed rows; and groups that do not stand."""
+    from quatpoly import linalg
+
+    rng = np.random.default_rng(2005)
+    seen, grouping = [], linalg._root_groups
+
+    def monic(n, m, real):
+        parts = [random_hermitian(rng, n, real) for _ in range(m)]
+        coeffs = [QuaternionMatrix(a[..., 0] + 1j * a[..., 1], a[..., 2] + 1j * a[..., 3]) for a in parts]
+        return MatrixPolynomial(coeffs + [QuaternionMatrix.identity(n)])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_root_groups", lambda *args: seen.append(args[:2]) or grouping(*args))
+        for real in (True, False):
+            for m in (1, 2, 3):
+                sample_numerical_range(monic(3, m, real), 300, 1)
+            for n, m in ((4, 4), (8, 3), (16, 3), (24, 2)):
+                polyeig(monic(n, m, real))
+    assert max(roots.shape[1] for roots, _ in seen) == 96
+    planted = []
+    for k in (2, 3, 4) * 100:
+        row = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        spread = 10.0 ** rng.uniform(-8.0, -2.0)
+        row[:k] = row[0] + spread * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+        planted.append(row * 10.0 ** rng.uniform(-2.0, 2.0))
+    # Regular k-gons of radius rho have |sum h^q| = k rho^k at q = k and 0
+    # below: a k-fold group exactly while k rho^k <= MULTIPLE_ROOT_REL.
+    edge = [np.concatenate([0.3 + 0.2j + rho * np.exp(2j * np.pi * np.arange(k) / k), [2.0 - 1.0j] * (5 - k)])
+            for k in (2, 3, 4)
+            for rho in (MULTIPLE_ROOT_REL / k) ** (1.0 / k) * (1.0 + np.array([-1e-3, -1e-9, 1e-9, 1e-3]))]
+    mixed = [[0.5, 0.5 + 1e-9, 0.5 + 2e-9j, -1.0, -1.0 + 1e-8, 2.0 + 1.0j],
+             [1.0, 1.0, 1.0 + 1j, 1.0 + 1j, 1.0 + 1j, -3.0]]
+    # Roots 0 and 2 take {0, 1, 2}, roots 1 and 3 take {0, 1, 3}: neither
+    # stands, root 1 joins root 0, and roots 2 and 3 stay alone.  In the
+    # chain no group stands either, and root 2, within the fixed radius of
+    # root 1 but not of root 0, which root 1 joined, stays alone.
+    unstanding = [c + np.array(offsets) for c in 0.7j * np.exp(1j * rng.uniform(-1.0, 1.0, 20))
+                  for offsets in ([0.0, 1e-8, -3e-6, 3e-6 + 1.2e-8, 1.0, -2.0],
+                                  [0.0, 1e-8, 1.05e-7, -3e-6, 3e-6 + 1e-8, 1.0])]
+    stacks = list(seen)
+    for rows in (planted, edge, mixed, unstanding, [[0.0, 3e-6, 6.1e-6 + 1e-7j]]):
+        roots = _closed(rows)
+        stacks.append((roots, np.maximum(1.0, np.abs(roots))))
+    return stacks
+
+
+def test_stacked_grouping_equals_the_row_by_row_reference(monkeypatch):
+    # Sizes, and the shares the classes take from them, equal the per-row
+    # reference on every row.  A mean of at most 2 roots sums them exactly
+    # and keeps every bit; one of 3 or more may take another BLAS summation
+    # order, so it may differ by 4 ulps of the row's scale.
+    from quatpoly import linalg
+    from quatpoly.linalg import _nearest, _root_groups, _standard_classes
+
+    def classes(roots, scales):
+        try:
+            return _standard_classes(roots, scales)
+        except PairingFailureError as exc:
+            return list(exc.rows)
+
+    sizes_seen = set()
+    for roots, scales in _grouping_stacks(monkeypatch):
+        nearest, candidate = _nearest(roots, scales)
+        rows = candidate[..., 1:].any(axis=(1, 2))
+        args = roots[rows], scales[rows], nearest[rows], candidate[rows]
+        means, sizes, folded = _root_groups(*args)
+        want_means, want_sizes, want_folded = _reference.stacked_root_groups(*args)
+        np.testing.assert_array_equal(sizes, want_sizes)
+        sizes_seen.update(sizes.ravel().tolist())
+        small = sizes <= 2
+        ulps = 4.0 * np.spacing(args[1].max(axis=1, keepdims=True)) * np.ones(sizes.shape)
+        for got, want in ((means, want_means), (folded, want_folded)):
+            assert got[small].tobytes() == want[small].tobytes()
+            assert (np.abs(got - want)[~small] <= ulps[~small]).all()
+        got = classes(roots, scales)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_root_groups", _reference.stacked_root_groups)
+            want = classes(roots, scales)
+        if isinstance(want, list):
+            assert got == want
+            continue
+        np.testing.assert_array_equal(got[2], want[2])  # shares
+        np.testing.assert_array_equal(got[3], want[3])
+        exact = np.ones(len(roots), dtype=bool)
+        exact[rows] = (sizes <= 2).all(axis=1)
+        for g, w in zip(got[:2], want[:2]):
+            assert g[exact].tobytes() == w[exact].tobytes()
+    assert {0, 1, 2, 3, 4} <= sizes_seen
 
 
 def test_a_near_real_zero_keeps_its_imaginary_part():
