@@ -40,7 +40,7 @@ _NUMERICAL_FAILURES = (NoConvergenceError, ResidualFailureError,
                        PairingFailureError, DegenerateCoefficientsError)
 
 
-def _load_polynomial(args: argparse.Namespace) -> tuple[MatrixPolynomial, Optional[list[int]]]:
+def _load_polynomial(args: argparse.Namespace) -> MatrixPolynomial:
     return qio.polynomial_from_json(qio.load_json(args.input))
 
 
@@ -62,7 +62,7 @@ def _load_region(args: argparse.Namespace) -> Region:
 
 
 def _run_eig(args: argparse.Namespace) -> dict:
-    poly, _ = _load_polynomial(args)
+    poly = _load_polynomial(args)
     pairs = polyeig_with_residuals(poly)
     result = {
         "eigenvalues": [qio.standard_eigenvalue_to_json(ev) for ev, _ in pairs],
@@ -75,7 +75,7 @@ def _run_eig(args: argparse.Namespace) -> dict:
 
 
 def _run_bounds(args: argparse.Namespace) -> dict:
-    poly, _ = _load_polynomial(args)
+    poly = _load_polynomial(args)
     r, big_r = eigenvalue_annulus(poly)
     return {"result": {"r": qio.round_sig(r), "R": qio.round_sig(big_r)},
             "certificate": "norm-bound-annulus", "witness": None,
@@ -83,7 +83,7 @@ def _run_bounds(args: argparse.Namespace) -> dict:
 
 
 def _run_stable(args: argparse.Namespace) -> dict:
-    poly, _ = _load_polynomial(args)
+    poly = _load_polynomial(args)
     region = _load_region(args)
     verdict = check_stability(poly, region, band=args.boundary_band,
                               samples=_samples(args, poly))
@@ -95,10 +95,9 @@ def _run_stable(args: argparse.Namespace) -> dict:
 
 
 def _run_hyperstable(args: argparse.Namespace) -> dict:
-    poly, partition = _load_polynomial(args)
+    poly = _load_polynomial(args)
     region = _load_region(args)
-    verdict = check_hyperstability(poly, region, partition=partition,
-                                   band=args.boundary_band,
+    verdict = check_hyperstability(poly, region, band=args.boundary_band,
                                    y_samples=max(1, _samples(args, poly) // 32),
                                    seed=args.seed)
     witness = (qio.vector_to_json(verdict.witness)
@@ -112,7 +111,7 @@ def _run_hyperstable(args: argparse.Namespace) -> dict:
 
 
 def _run_nrange(args: argparse.Namespace) -> dict:
-    poly, _ = _load_polynomial(args)
+    poly = _load_polynomial(args)
     sampled = sample_numerical_range(poly, _samples(args, poly), args.seed)
     points = qio.FlaggedPoints(sampled.points, sampled.spherical)
     return {"result": {"points": points, "skipped": sampled.skipped},
@@ -135,7 +134,7 @@ def _run_multivar(args: argparse.Namespace) -> dict:
         return {"result": {"status": verdict.status.value, "mode": "stability"},
                 "certificate": verdict.certificate, "witness": witness,
                 "residuals": {}}
-    poly, _ = qio.polynomial_from_json(data)
+    poly = qio.polynomial_from_json(data)
     if poly.degree == 2:
         if args.form is None:
             raise qio.InputFormatError(

@@ -1,8 +1,8 @@
 """JSON readers and writers for the CLI's file formats.
 
 Quaternions are 4-arrays [w, x, y, z]; matrices are 2-D arrays of those;
-a polynomial file is {"coeffs": [A_0, ..., A_m]} with an optional
-"partition" list of diagonal block sizes; a region file carries a "kind"
+a polynomial file is {"coeffs": [A_0, ..., A_m]}, its block structure read
+off the exact zeros of the coefficients; a region file carries a "kind"
 plus the fields that kind needs; a multivariate polynomial file is
 {"k": ..., "terms": [{"word": [...], "coeff": ...}]}.  All numbers are
 plain decimal JSON numbers.  Reports are written by ``dumps``: the standard
@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -89,22 +88,16 @@ def vector_to_json(v: QuaternionMatrix) -> list[list[float]]:
     return [quaternion_to_json(q) for q in vec_entries(v)]
 
 
-def polynomial_from_json(data) -> tuple[MatrixPolynomial, Optional[list[int]]]:
+def polynomial_from_json(data) -> MatrixPolynomial:
     if not isinstance(data, dict) or "coeffs" not in data:
         raise InputFormatError('polynomial file needs a "coeffs" list')
     coeffs = data["coeffs"]
     if not isinstance(coeffs, list) or not coeffs:
         raise InputFormatError('"coeffs" must be a nonempty list of matrices')
     try:
-        poly = MatrixPolynomial([matrix_from_json(c) for c in coeffs])
+        return MatrixPolynomial([matrix_from_json(c) for c in coeffs])
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
-    partition = data.get("partition")
-    if partition is not None:
-        if (not isinstance(partition, list)
-                or not all(_is_int(s) and s > 0 for s in partition)):
-            raise InputFormatError('"partition" must be a list of positive block sizes')
-    return poly, partition
 
 
 def region_from_json(data) -> Region:

@@ -13,7 +13,6 @@ never establish it, and an eigenvalue in the region refutes it exactly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -54,10 +53,10 @@ from .quaternion import (
     right_action_matrices,
 )
 from .tolerances import (BOUNDARY_BAND, DEGREE_TRIM_REL, DRAW_NORM_MIN,
-                         FINITE_SET_REL, IDENTITY_ABS, INDUCED_VANISHING_REL, INV_FLOOR,
+                         FINITE_SET_REL, INDUCED_VANISHING_REL, INV_FLOOR,
                          MODULUS_BOUND_SLACK, PRODUCT_MODULUS_SLACK,
                          PROPORTIONAL_REL, ROOT_RESIDUAL_REL,
-                         SPAN_INDEPENDENT_REL, SPAN_ZERO_REL, STRUCTURE_REL,
+                         SPAN_INDEPENDENT_REL, SPAN_ZERO_REL,
                          UNIT_BALL_ABS, VANISHING_REL)
 
 
@@ -531,22 +530,26 @@ def sample_numerical_range(p: MatrixPolynomial, samples: int,
     if skipped == samples:
         raise DegenerateCoefficientsError(
             "every sample produced identically vanishing coefficients")
-    # One stacked zero call per degree; a nonzero constant has no zeros.
+    # Stacked zero calls per degree, in chunks of rows sized by their (2d)^2 lift companions:
+    # each row classifies alone, so chunks bound memory and move no zero.  A nonzero
+    # constant has no zeros.
     sample_of, points, flags = [np.empty(0, int)], [np.empty((0, 4))], [np.empty(0, bool)]
     for degree in np.unique(degrees[~vanishing & (degrees > 0)]).tolist():
-        rows = np.flatnonzero(~vanishing & (degrees == degree))
-        try:
-            found, _, zeros, spherical, shares, _ = stacked_zeros(cs[rows, :degree + 1])
-        except PairingFailureError as exc:  # the other rows classify as they do alone
-            skipped += len(exc.rows)
-            rows = np.delete(rows, exc.rows)
-            found, _, zeros, spherical, shares, _ = stacked_zeros(cs[rows, :degree + 1])
-        spheres = np.where(spherical, shares // 2, 0)
-        flags.append(np.repeat(np.tile([True, False], len(shares)),
-                               np.column_stack([spheres, shares - 2 * spheres]).ravel()))
-        take = np.repeat(np.arange(len(shares)), shares - spheres)
-        sample_of.append(rows[found][take])
-        points.append(zeros[take])
+        every = np.flatnonzero(~vanishing & (degrees == degree))
+        for start, stop in sweep_chunks(len(every), (2 * degree) ** 2):
+            rows = every[start:stop]
+            try:
+                found, _, zeros, spherical, shares, _ = stacked_zeros(cs[rows, :degree + 1])
+            except PairingFailureError as exc:  # the other rows classify as they do alone
+                skipped += len(exc.rows)
+                rows = np.delete(rows, exc.rows)
+                found, _, zeros, spherical, shares, _ = stacked_zeros(cs[rows, :degree + 1])
+            spheres = np.where(spherical, shares // 2, 0)
+            flags.append(np.repeat(np.tile([True, False], len(shares)),
+                                   np.column_stack([spheres, shares - 2 * spheres]).ravel()))
+            take = np.repeat(np.arange(len(shares)), shares - spheres)
+            sample_of.append(rows[found][take])
+            points.append(zeros[take])
     order = np.argsort(np.concatenate(sample_of), kind="stable")  # by sample, stable within one
     return NumericalRangeResult(np.concatenate(points)[order], np.concatenate(flags)[order], skipped)
 
@@ -787,21 +790,14 @@ def _excluded(css: np.ndarray, degrees: np.ndarray, region: Region, band: float)
             | (lead > np.where(powers < degrees[:, None], at_low, 0.0).sum(axis=-1)))
 
 
-def _block_partition_slices(partition: Sequence[int], n: int) -> list[slice]:
-    sizes = [int(s) for s in partition]
-    if any(s < 1 for s in sizes) or sum(sizes) != n:
-        raise ValueError(f"partition {sizes} does not tile dimension {n}")
-    return [slice(end - s, end) for s, end in zip(sizes, itertools.accumulate(sizes))]
-
-
-def _is_block_upper_triangular(p: MatrixPolynomial, slices: list[slice],
-                               tol: float) -> bool:
-    """Whether every coefficient is zero, to ``tol`` in entry modulus,
-    strictly below the diagonal blocks; triangular is the case of 1 x 1 blocks."""
-    blocks = np.concatenate([np.full(sl.stop - sl.start, b) for b, sl in enumerate(slices)])
-    below = blocks[:, None] > blocks[None, :]
-    return all(np.hypot(np.abs(a.a1), np.abs(a.a2))[below].max(initial=0.0) <= tol
-               for a in p.coeffs)
+def _block_slices(p: MatrixPolynomial) -> list[slice]:
+    """The finest consecutive diagonal blocks with every coefficient exactly zero
+    below them: a cut before row k stands when no coefficient has a nonzero entry
+    in rows k.. and columns ..k-1; triangular is the case of 1 x 1 blocks."""
+    nonzero = np.logical_or.reduce([(a.a1 != 0) | (a.a2 != 0) for a in p.coeffs])
+    below = np.cumsum(np.cumsum(nonzero[::-1], axis=0)[::-1], axis=1)  # nonzeros in rows i.., columns ..j
+    cuts = [0, *(np.flatnonzero(np.diagonal(below, -1) == 0) + 1).tolist(), p.size]
+    return [slice(start, stop) for start, stop in zip(cuts, cuts[1:])]
 
 
 def _diagonal_block_polynomial(p: MatrixPolynomial, sl: slice) -> Optional[MatrixPolynomial]:
@@ -812,15 +808,16 @@ def _diagonal_block_polynomial(p: MatrixPolynomial, sl: slice) -> Optional[Matri
 
 
 def check_hyperstability(p: MatrixPolynomial, region: Region, *,
-                         partition: Optional[Sequence[int]] = None,
                          band: float = BOUNDARY_BAND,
                          y_samples: int = 16, seed: int = 42) -> HyperVerdict:
     """Certificate ladder for hyperstability; first match wins.
 
     (1) scalar polynomials: hyperstable iff stable;
-    (2) upper triangular with identity leading coefficient: likewise;
-    (3) block upper triangular with a declared partition: hyperstable when
-        every diagonal block is (composition is one-directional);
+    (2) upper triangular, with exact zeros, and leading coefficient exactly
+        the identity: likewise;
+    (3) block upper triangular on the finest blocks that exact zeros allow
+        (``_block_slices``), at least two: hyperstable when every diagonal
+        block is (composition is one-directional; each block is irreducible);
     (4) balls: counterexample search producing a sampled negative witness;
     (5) finite sets {p_1, ..., p_K}: hyperstable iff stable.  A witness y
         needs every z in one of the K real subspaces {z : z* P(p_k) y = 0},
@@ -841,23 +838,19 @@ def check_hyperstability(p: MatrixPolynomial, region: Region, *,
     the report contract, and the certificate names the rung.  The search
     comes before (6) and (7), so every verdict it decides stands.
     """
-    struct_tol = STRUCTURE_REL * max(1.0, max(a.max_entry_modulus() for a in p.coeffs))
-    identity = QuaternionMatrix.identity(p.size)
+    slices = _block_slices(p)
     if p.size == 1:
         rung = "scalar-equivalence"
-    elif p.coeffs[-1].allclose(identity, IDENTITY_ABS) and _is_block_upper_triangular(
-            p, _block_partition_slices([1] * p.size, p.size), struct_tol):
+    elif len(slices) == p.size and (p.coeffs[-1] - QuaternionMatrix.identity(p.size)).is_zero():
         rung = "triangular-equivalence"
     else:
-        if partition is not None and len(partition) >= 2:
-            slices = _block_partition_slices(partition, p.size)
-            blocks = (_diagonal_block_polynomial(p, sl) for sl in slices)
-            if _is_block_upper_triangular(p, slices, struct_tol) and all(
-                    block is not None and check_hyperstability(
-                        block, region, band=band, y_samples=y_samples,
-                        seed=seed).status is HyperStatus.HYPERSTABLE
-                    for block in blocks):
-                return HyperVerdict(HyperStatus.HYPERSTABLE, "block-composition")
+        blocks = (_diagonal_block_polynomial(p, sl) for sl in slices)
+        if len(slices) >= 2 and all(
+                block is not None and check_hyperstability(
+                    block, region, band=band, y_samples=y_samples,
+                    seed=seed).status is HyperStatus.HYPERSTABLE
+                for block in blocks):
+            return HyperVerdict(HyperStatus.HYPERSTABLE, "block-composition")
         if region.kind in _BALL_KINDS:
             hit = not_hyperstable_search(p, region, band=band, y_samples=y_samples, seed=seed)
             if hit is not None:

@@ -16,7 +16,7 @@ INVERSE_ITERATION_REL = 1e-10  # residual that ends inverse iteration, times max
 ROOT_RESIDUAL_REL = 1e-10  # residual of a norm-polynomial root, times sum |c_i| r^i
 
 # Zeros of scalar quaternion polynomials.
-IDENTITY_ABS = 1e-12  # a coefficient equals the identity (monic, identity leading)
+IDENTITY_ABS = 1e-12  # a scalar leading coefficient equals 1 (monic)
 MULTIPLE_ROOT_REL = 1e-11  # offsets of a k-fold group of lift eigenvalues (matrix or scalar) within this to the 1/k, their power sums below it, in units of the root's scale
 ROOT_CLUSTER_REL = 1e-7  # lift eigenvalues of no standing k-fold group join one within this, times the root's scale
 SPHERE_REL = 1e-9  # remainder of a spherical zero set, or at x of a real one, times the polynomial scale; backward error at x of a real multiple matrix class
@@ -36,7 +36,6 @@ SPAN_INDEPENDENT_REL = 1e-10  # Gram-Schmidt remainder that adds a basis vector,
 PROPORTIONAL_REL = 1e-10  # A_0 y = (A_2 y) q residual, times max(||A_0 y||, ||A_2 y||)
 MODULUS_BOUND_SLACK = 1e-6  # widening of the radius of the one ball the search's exclusion test must exclude, times max(1, |c| + radius)
 PRODUCT_MODULUS_SLACK = 1e-12  # slack on |q| <= 1 in the quadratic product certificate
-STRUCTURE_REL = 1e-14  # (block) triangular zeros, times max(1, largest entry modulus)
 
 # Defaults of the approximate-equality helpers.
 APPROX_EQ_ABS = 1e-12  # Quaternion.approx_eq and QuaternionMatrix.allclose

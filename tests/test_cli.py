@@ -349,13 +349,12 @@ def test_exit_codes_for_input_errors(tmp_path, capsys):
 NAN = float("nan")
 FINITE_SET = {"kind": "finite_set", "points": [[0.5, 0, 0, 0], [2, 0, 0, 0]]}
 ONE_LETTER = [{"word": [1], "coeff": EYE2}, {"word": [], "coeff": EYE2}]
-# Non-identity leading coefficient, block upper triangular over [1, 2]:
-# composition is the only positive route and the file declares it.
+# Non-identity leading coefficient, upper triangular with exact zeros:
+# composition over the three detected 1 x 1 blocks is the only positive route.
 TRI = {"coeffs": [[[[-2, 0, 0, 0], [0.5, 0.5, 0, 0], [1, 0, 2, 0]],
                    [ZERO, ZERO, J_Q],
                    [ZERO, ZERO, [0, 0, 0, -1]]],
-                  [[[2, 0, 0, 0], ZERO, ZERO], [ZERO, ONE_Q, ZERO], [ZERO, ZERO, ONE_Q]]],
-       "partition": [1, 2]}
+                  [[[2, 0, 0, 0], ZERO, ZERO], [ZERO, ONE_Q, ZERO], [ZERO, ZERO, ONE_Q]]]}
 
 
 @pytest.mark.parametrize("command, poly, region", [
@@ -393,8 +392,6 @@ def test_non_finite_and_boolean_inputs_exit_2(tmp_path, capsys, command, poly, r
                  id="string-k"),
     pytest.param("multivar", {"k": 2.5, "terms": MIXED_MULTI["terms"]}, FINITE_SET,
                  id="fractional-k"),
-    pytest.param("hyperstable", {**TRI, "partition": [2, True]}, FINITE_SET,
-                 id="bool-partition-entry"),
     pytest.param("stable", J_SHIFT_POLY, {"kind": "open_ball", "center": ZERO,
                                           "radius": 10 ** 400}, id="huge-integer-radius"),
     pytest.param("stable", {"coeffs": [[[[10 ** 400, 0, 0, 0]]], [[ONE_Q]]]}, FINITE_SET,
@@ -541,13 +538,20 @@ def test_samples_past_the_limit_exit_2_before_any_draw(tmp_path, capsys, command
 
 
 def test_hyperstable_with_partition_in_file(tmp_path, capsys):
-    p = write(tmp_path, "p.json", TRI)
+    # The blocks come from the coefficients' exact zeros; a "partition" key,
+    # well formed or not, is read past and changes nothing in the report.
     r = write(tmp_path, "r.json", {"kind": "finite_set",
                                    "points": [[0.5, 0, 0, 0], [2, 0, 0, 0],
                                               [1, 0, 0, 1]]})
-    code, out, _ = run_cli(capsys, ["hyperstable", "--input", p, "--region", r])
-    assert code == 0
-    report = json.loads(out)
+    outs = []
+    for name, poly in (("p.json", TRI), ("declared.json", {**TRI, "partition": [1, 2]}),
+                       ("bad.json", {**TRI, "partition": [2, True]})):
+        p = write(tmp_path, name, poly)
+        code, out, _ = run_cli(capsys, ["hyperstable", "--input", p, "--region", r])
+        assert code == 0
+        outs.append(out.replace(name, "p.json"))
+    assert outs[1:] == outs[:1] * 2
+    report = json.loads(outs[0])
     assert report["result"]["status"] == "HYPERSTABLE"
     assert report["certificate"] == "block-composition"
 
@@ -963,7 +967,7 @@ def test_spherical_numerical_range_samples_count_as_spheres(tmp_path, capsys):
     m = [[ONE_Q, [0.5, 0.2, 0, 0]], [[0.3, 0, 0.4, 0], [1, 0, 0, 0.1]]]
     poly = {"coeffs": [m, [[ZERO, ZERO], [ZERO, ZERO]], m]}
     annulus = {"kind": "annulus", "center": J_Q, "inner_radius": 0, "outer_radius": 0.1}
-    sampled = sample_numerical_range(polynomial_from_json(poly)[0], 16, seed=42)
+    sampled = sample_numerical_range(polynomial_from_json(poly), 16, seed=42)
     region = region_from_json(annulus)
     assert len(sampled.points) == 16 and sampled.spherical.all()
     assert region.contains_rows(sampled.points, sampled.spherical).sum() == 16

@@ -45,7 +45,7 @@ from test_matpoly import (
     example_no_eigenvalue_poly,
     example_projection_poly,
 )
-from _helpers import random_polynomial, random_qmatrix, random_quaternion
+from _helpers import random_hermitian, random_polynomial, random_qmatrix, random_quaternion
 from _reference import vec4
 
 UNITS = [Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K]
@@ -247,6 +247,32 @@ def test_numerical_range_of_the_examples_matches_the_per_vector_sampler(example)
     assert got.spherical.tolist() == [spherical for _, spherical in want]
     for q, (point, _) in zip(map(Quaternion, *got.points.T.tolist()), want):
         assert (q - point).modulus() <= 1e-12 * max(1.0, point.modulus())
+
+
+def _hermitian_quadratic(rng):
+    parts = [random_hermitian(rng, 3, False) for _ in range(2)]
+    coeffs = [QuaternionMatrix(a[..., 0] + 1j * a[..., 1], a[..., 2] + 1j * a[..., 3]) for a in parts]
+    return MatrixPolynomial(coeffs + [QuaternionMatrix.identity(3)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: random_polynomial(rng, 2, 3),
+    _hermitian_quadratic,
+    # Zeros near 1e12 and -1: some rows fail their pairing and are skipped.
+    lambda rng: MatrixPolynomial([QuaternionMatrix.from_rows([[Quaternion(c)]])
+                                  for c in (-999999999999.59, -999999999998.6, 1.0)]),
+], ids=["generic-cubic", "hermitian-quadratic", "skipped-rows"])
+def test_numerical_range_in_chunks_equals_one_stacked_call(monkeypatch, make):
+    # Rows are classified one by one, so chunks of four rows give the points,
+    # flags and skip count of one stacked call, bit for bit.
+    p = make(np.random.default_rng(31))
+    whole = sample_numerical_range(p, 120, 3)
+    monkeypatch.setattr(matpoly, "SWEEP_CHUNK_DOUBLES", 4 * (2 * p.degree) ** 2)
+    chunked = sample_numerical_range(p, 120, 3)
+    assert whole.points.tobytes() == chunked.points.tobytes()
+    assert whole.spherical.tolist() == chunked.spherical.tolist()
+    assert whole.skipped == chunked.skipped
+    assert (whole.skipped > 0) == (p.size == 1)
 
 
 def _regions():

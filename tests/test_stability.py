@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -43,6 +44,7 @@ import _reference
 from _reference import (as_matrix_polynomial, class_distance_extremes, class_point,
                         quaternion_ball_grid, similar)
 from quatpoly.eigensolver import singular_values
+from quatpoly.stability import _block_slices
 
 ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
 
@@ -470,10 +472,10 @@ def test_open_ball_weakens_quadratic_certificate():
 
 
 def test_block_composition():
-    # Block upper triangular with a 1+2 partition whose leading coefficient
-    # is not the identity, so the entrywise-triangular rule cannot fire.
-    # The scalar head block and the triangular tail block are each
-    # hyperstable over the probe set, so composition certifies the whole.
+    # Block upper triangular with a leading coefficient that is not the
+    # identity, so the entrywise-triangular rule cannot fire.  Its exact zeros
+    # cut it into three 1 x 1 blocks, each scalar and so hyperstable over the
+    # probe set, and composition certifies the whole.
     zero = Quaternion(0)
     a0 = QuaternionMatrix.from_rows([
         [Quaternion(-2), Quaternion(0.5, 0.5, 0, 0), Quaternion(1, 0, 2, 0)],
@@ -482,24 +484,114 @@ def test_block_composition():
     ])
     a1 = QuaternionMatrix.diagonal([Quaternion(2), ONE, ONE])
     p = MatrixPolynomial([a0, a1])
+    assert _block_slices(p) == [slice(0, 1), slice(1, 2), slice(2, 3)]
     # Eigenvalue classes of the blocks: {1}, {0}, and the class of i.
     probes = Region.finite_set([Quaternion(0.5), Quaternion(2), Quaternion(1, 0, 0, 1)])
-    verdict = check_hyperstability(p, probes, partition=[1, 2])
-    assert verdict.status is HyperStatus.HYPERSTABLE
-    assert verdict.certificate == "block-composition"
-
-    # Without the declared partition a finite set is still decided, by its
-    # stability.
-    loose = check_hyperstability(p, probes)
-    assert (loose.status, loose.certificate) == (HyperStatus.HYPERSTABLE, "finite-set-equivalence")
-
-    # Over a ball clear of the classes the partition certifies, and without
-    # it the pencil is decided by its stability, in agreement.
-    ball = Region.closed_ball(Quaternion(3), 0.5)
-    verdict = check_hyperstability(p, ball, partition=[1, 2])
+    verdict = check_hyperstability(p, probes)
     assert (verdict.status, verdict.certificate) == (HyperStatus.HYPERSTABLE, "block-composition")
-    loose = check_hyperstability(p, ball)
-    assert (loose.status, loose.certificate) == (HyperStatus.HYPERSTABLE, "linear-equivalence")
+
+    # Over a ball clear of the classes the detected blocks certify too.
+    ball = Region.closed_ball(Quaternion(3), 0.5)
+    verdict = check_hyperstability(p, ball)
+    assert (verdict.status, verdict.certificate) == (HyperStatus.HYPERSTABLE, "block-composition")
+
+
+def _polynomial(raw):
+    """The matrix polynomial of an (m + 1, n, n, 4) array of [w, x, y, z] entries."""
+    pairs = np.ascontiguousarray(raw, dtype=float).view(np.complex128)
+    return MatrixPolynomial([QuaternionMatrix(a[..., 0], a[..., 1]) for a in pairs])
+
+
+def _planted_blocks(rng, sizes, m):
+    """Block upper triangular, degree m, on consecutive diagonal blocks of ``sizes``:
+    every entry on and above the diagonal blocks Gaussian, every one below exactly 0."""
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    upper = (block[:, None] <= block[None, :])[..., None]
+    return rng.standard_normal((m + 1, len(block), len(block), 4)) * upper
+
+
+def _block_slices_by_definition(p):
+    """Every cut k with no nonzero entry of any coefficient in rows k.. and columns ..k-1."""
+    entries = np.array([[[any(v != 0.0 for v in a.entry(r, c).as_array()) for c in range(p.size)]
+                         for r in range(p.size)] for a in p.coeffs])
+    cuts = [0] + [k for k in range(1, p.size) if not entries[:, k:, :k].any()] + [p.size]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def test_block_slices_are_the_cuts_with_exact_zeros_below():
+    rng = np.random.default_rng(3707)
+    counts = set()
+    for trial in range(200):
+        n, m = 1 + trial % 6, 1 + trial % 3
+        raw = rng.standard_normal((m + 1, n, n, 4))
+        raw *= rng.random((m + 1, n, n, 1)) < 0.15  # sparse, so that some cuts stand
+        raw[m, np.arange(n), np.arange(n), 0] = 1.0  # a nonzero leading coefficient, on no cut
+        if trial % 4 == 0:  # a subnormal entry counts, a negative zero does not
+            raw[rng.integers(m + 1), rng.integers(n), rng.integers(n), rng.integers(4)] = 5e-324
+            raw[rng.integers(m), rng.integers(n), rng.integers(n)] *= -0.0
+        p = _polynomial(raw)
+        assert _block_slices(p) == _block_slices_by_definition(p)
+        counts.add(len(_block_slices(p)))
+    assert {1, 2, 3, 4} <= counts
+
+
+def test_detected_blocks_decide_hyperstability_as_stability():
+    # Planted consecutive partitions with dense diagonal blocks (so each is
+    # irreducible) and a leading coefficient far from the identity.  Where
+    # every block is scalar or a pencil, stability and hyperstability agree
+    # block by block, so the composition gives hyperstable = stable, status
+    # for status; a larger block of higher degree may stay UNKNOWN, but no
+    # verdict may contradict stability.
+    rng = np.random.default_rng(1137)
+    same = {StabilityStatus.STABLE: HyperStatus.HYPERSTABLE,
+            StabilityStatus.NOT_STABLE: HyperStatus.NOT_HYPERSTABLE_SAMPLED}
+    decided = collections.Counter()
+    for trial in range(36):
+        n, m = 2 + trial % 4, 1 + trial % 3
+        cuts = sorted(rng.choice(np.arange(1, n), int(rng.integers(1, n)), replace=False))
+        sizes = np.diff([0, *cuts, n]).tolist()
+        p = _polynomial(_planted_blocks(rng, sizes, m))
+        assert [sl.stop - sl.start for sl in _block_slices(p)] == sizes
+        evs = polyeig(p)
+        hit = class_point(evs[int(rng.integers(len(evs)))], random_unit_imaginary(rng))
+        center = random_quaternion(rng)
+        clear = min(class_distance_extremes(ev, center)[0] for ev in evs)
+        for region in (Region.open_ball(hit, 0.1), Region.closed_ball(center, clear / 2)):
+            stab = check_stability(p, region).status
+            hyper = check_hyperstability(p, region, y_samples=4)
+            assert stab is not StabilityStatus.UNKNOWN
+            if m == 1 or max(sizes) == 1:
+                assert hyper.status is same[stab], (sizes, m, hyper)
+                decided[stab] += 1
+            elif stab is StabilityStatus.NOT_STABLE:
+                assert hyper.status is HyperStatus.NOT_HYPERSTABLE_SAMPLED
+            else:
+                assert hyper.status is not HyperStatus.HYPERSTABLE
+            if hyper.status is HyperStatus.HYPERSTABLE:
+                assert hyper.certificate == "block-composition"
+    assert min(decided[StabilityStatus.STABLE], decided[StabilityStatus.NOT_STABLE]) >= 6, decided
+
+
+@pytest.mark.parametrize("entry", [1e-3, 1e-300])
+def test_an_entry_below_the_blocks_takes_no_structural_rung(entry):
+    # One nonzero entry in the bottom-left corner leaves no cut standing,
+    # however small it is; the identity-led triangular draw is the case of
+    # 1 x 1 blocks, where it would take the triangular rung.
+    rng = np.random.default_rng(4242)
+    for trial in range(8):
+        n, m = 2 + trial % 3, 1 + trial % 2
+        raw = _planted_blocks(rng, [1] * n, m)
+        if trial % 2 == 0:
+            raw[-1] = np.eye(n)[..., None] * [1.0, 0.0, 0.0, 0.0]
+        raw[trial % (m + 1), n - 1, 0] = [0.0, entry, 0.0, 0.0]
+        p = _polynomial(raw)
+        assert _block_slices(p) == [slice(0, n)]
+        evs = polyeig(p)
+        center = random_quaternion(rng)
+        clear = min(class_distance_extremes(ev, center)[0] for ev in evs)
+        for region in (Region.closed_ball(center, clear / 2), Region.finite_set([center])):
+            verdict = check_hyperstability(p, region, y_samples=4)
+            assert verdict.certificate not in ("block-composition", "triangular-equivalence")
 
 
 def test_negative_witness_kills_the_action():
